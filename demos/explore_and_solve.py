@@ -41,7 +41,7 @@ def show_scan():
                 lo, hi = -hi, -lo
             print("  p changes sign on (%g, %g)" % (lo, hi))
         for seed in report.seeds:
-            print("  regula-falsi seed %.6f" % seed.value.real)
+            print("  regula-falsi seed %.6f" % seed.real)
 
 
 def solve():

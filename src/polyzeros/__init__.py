@@ -43,8 +43,6 @@ from .explore import (
     Bracket,
     CompanionSeeds,
     ExplorationReport,
-    Seed,
-    SeedProvenance,
     accelerated_regula_falsi,
     companion_seed_all,
     regula_falsi_step,
@@ -53,7 +51,6 @@ from .explore import (
 from .matpoly import (
     DiagonalSeedReport,
     EigenvectorBundle,
-    Normalization,
     PolynomialMatrix,
     characteristic_polynomial,
     diagonal_seeds,
@@ -70,6 +67,8 @@ from .pipeline import (
     RootRecord,
     RootReport,
     SeedSource,
+    ecp_diagnostics,
+    ecp_to_dict,
     report_to_dict,
     run_pipeline,
 )
@@ -85,11 +84,11 @@ from .poly import (
     halley_eval,
     pade_eval,
     polynomial_from_roots,
+    relative_residual,
     taylor_multiplicity_test,
     test_polynomial,
 )
 from .refine import (
-    IterationForm,
     IterationSettings,
     IterationTrace,
     MultiplicityVerdict,
@@ -100,6 +99,7 @@ from .refine import (
     iterate_pade,
     iterate_test_nu,
     probe_strictly_converged,
+    same_root,
 )
 
 __version__ = "0.1.0"

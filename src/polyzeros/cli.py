@@ -12,13 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .ecp import (
-    EVOLUTION_THRESHOLD_REL,
-    build_ecp_list,
-    evolve_until,
-    gershgorin_enclosures,
-    sum_control,
-)
+from .ecp import EVOLUTION_THRESHOLD_REL
 from .errors import (
     DerivativeUnderflowError,
     HalleyDenominatorError,
@@ -38,7 +32,10 @@ from .pipeline import (
     Algorithm,
     ProblemSpec,
     SeedSource,
+    _bundle_columns,
     complex_pair,
+    ecp_diagnostics,
+    ecp_to_dict,
     report_to_dict,
     run_pipeline,
 )
@@ -163,7 +160,6 @@ def parse_problem_file(path):
             external_seeds=seeds,
             algorithm=algorithm,
             delta=float(data.get("delta", 0.1)),
-            sigma=int(data.get("sigma", 5)),
             settings=IterationSettings(**settings_kwargs),
             nu_max=data.get("nu_max"),
             nu=int(data.get("nu", 1)),
@@ -191,7 +187,6 @@ def problem_spec_to_dict(spec):
         data["seeds"] = [complex_pair(s) for s in spec.external_seeds]
     data["algorithm"] = spec.algorithm.value
     data["delta"] = spec.delta
-    data["sigma"] = spec.sigma
     data["max_iters"] = spec.settings.max_iters
     data["step_tol"] = spec.settings.step_tol
     data["residual_tol"] = spec.settings.residual_tol
@@ -229,8 +224,6 @@ def _apply_overrides(spec, args):
         changes["algorithm"] = Algorithm(args.algorithm)
     if getattr(args, "delta", None) is not None:
         changes["delta"] = args.delta
-    if getattr(args, "sigma", None) is not None:
-        changes["sigma"] = args.sigma
     if getattr(args, "nu_max", None) is not None:
         changes["nu_max"] = args.nu_max
     settings_changes = {}
@@ -278,10 +271,7 @@ def _scan_dict(report):
             {"lo": b.lam_lo, "hi": b.lam_hi, "p_lo": b.p_lo, "p_hi": b.p_hi}
             for b in report.brackets
         ],
-        "seeds": [
-            {"value": complex_pair(s.value), "provenance": s.provenance.value}
-            for s in report.seeds
-        ],
+        "seeds": [complex_pair(s) for s in report.seeds],
     }
 
 
@@ -301,43 +291,10 @@ def _cmd_ecp(args):
         raise ProblemFormatError(
             "ecp needs explicit eigenvalue approximations (--seeds or file)"
         )
-    f = _scalar_polynomial(spec)
-    lst = build_ecp_list(f, spec.external_seeds)
-    history = [lst] + evolve_until(lst, f)
-    final = history[-1]
-    max_d = max(abs(d) for d in final.defects)
-    max_h = max(abs(h) for h in final.main_values)
-    control = sum_control(final)
-    disks = gershgorin_enclosures(final)
-    _write_json(
-        {
-            "evolutions": len(history) - 1,
-            "defect_history": [
-                max(abs(d) for d in item.defects) for item in history
-            ],
-            "sum_control": {
-                "expected": complex_pair(control.expected),
-                "actual": complex_pair(control.actual),
-                "discrepancy": control.discrepancy,
-            },
-            "final_list": {
-                "sigmas": [complex_pair(s) for s in final.sigmas],
-                "defects": [complex_pair(d) for d in final.defects],
-                "main_values": [complex_pair(h) for h in final.main_values],
-            },
-            "disks": [
-                {
-                    "center": complex_pair(d.center),
-                    "radius": d.radius,
-                    "separated": d.separated,
-                    "interval": list(d.interval) if d.interval else None,
-                    "box": [list(b) for b in d.box] if d.box else None,
-                }
-                for d in disks
-            ],
-        },
-        args.out,
-    )
+    diag = ecp_diagnostics(_scalar_polynomial(spec), spec.external_seeds)
+    _write_json(ecp_to_dict(diag), args.out)
+    max_d = max(abs(d) for d in diag.final_list.defects)
+    max_h = max(abs(h) for h in diag.final_list.main_values)
     return 0 if max_d <= EVOLUTION_THRESHOLD_REL * (1.0 + max_h) else 1
 
 
@@ -367,16 +324,8 @@ def _cmd_eigvec(args):
             {
                 "value": complex_pair(lam),
                 "rank_deficiency": right.rank_deficiency,
-                "right": [
-                    [complex_pair(right.right_vectors[i, k])
-                     for i in range(right.right_vectors.shape[0])]
-                    for k in range(right.right_vectors.shape[1])
-                ],
-                "left": [
-                    [complex_pair(left.left_vectors[i, k])
-                     for i in range(left.left_vectors.shape[0])]
-                    for k in range(left.left_vectors.shape[1])
-                ],
+                "right": _bundle_columns(right.right_vectors),
+                "left": _bundle_columns(left.left_vectors),
                 "right_residuals": list(right.right_residuals),
                 "left_residuals": list(left.left_residuals),
                 "residual_pass": passes,
@@ -439,8 +388,6 @@ def _add_common(parser):
     parser.add_argument("problem", help="JSON problem file")
     parser.add_argument("--delta", type=float, default=None,
                         help="exploration step size")
-    parser.add_argument("--sigma", type=int, default=None,
-                        help="accelerated regula falsi exponent")
     parser.add_argument("--step-tol", type=float, default=None,
                         dest="step_tol", help="relative step tolerance")
     parser.add_argument("--residual-tol", type=float, default=None,

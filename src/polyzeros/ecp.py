@@ -169,7 +169,7 @@ def _reduced_residual(lst):
             term = r.defect / diff
             s1 += term
             scale += abs(term)
-        return abs(s1 - 1.0), scale
+        return abs(s1 - 1.0) / scale
 
     return residual
 

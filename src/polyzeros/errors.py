@@ -95,8 +95,7 @@ class NotAnEigenvalueError(PolyzerosError):
 
 
 class SampleConditioningError(PolyzerosError):
-    """Determinant samples are unusable (non-finite or badly scaled); try a
-    different sample radius."""
+    """Determinant samples are unusable (non-finite or badly scaled)."""
 
 
 class ProblemFormatError(PolyzerosError):

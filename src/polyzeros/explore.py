@@ -10,7 +10,6 @@ provider, never the reported answer.
 """
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -20,16 +19,11 @@ from .errors import (
     RealScanError,
     ZeroPolynomialError,
 )
-from .poly import (
-    cauchy_root_bound,
-    coefficient_scale,
-    evaluate,
-    pade_eval,
-)
+from .poly import cauchy_root_bound, pade_eval, relative_residual
 from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
-DEFAULT_MAX_ROUNDS = 60
+ACCELERATED_MAX_ROUNDS = 60
 REAL_COEFF_TOL = 0.0
 ABERTH_SWEEPS = 200
 ABERTH_STEP_TOL = 1e-14
@@ -38,20 +32,6 @@ ABERTH_RESIDUAL_REL = 1e-8
 # symmetry of real-coefficient spectra. Deterministic by construction.
 ABERTH_RADIUS_FACTOR = 0.8
 ABERTH_ROTATION = 0.41
-
-
-class SeedProvenance(enum.Enum):
-    REGULA_FALSI = "regula-falsi"
-    ACCELERATED = "accelerated"
-    DIAGONAL = "diagonal"
-    COMPANION = "companion"
-    EXTERNAL = "external"
-
-
-@dataclass(frozen=True)
-class Seed:
-    value: complex
-    provenance: SeedProvenance
 
 
 @dataclass(frozen=True)
@@ -72,6 +52,9 @@ class Bracket:
 
 @dataclass(frozen=True)
 class ExplorationReport:
+    """Scan samples (lam, p or None), brackets, and one complex seed per
+    bracket."""
+
     samples: tuple
     brackets: tuple
     seeds: tuple = field(default_factory=tuple)
@@ -119,7 +102,7 @@ def scan_sign_changes(f, delta, start=0.0, max_steps=None, co=False):
             value = regula_falsi_step(bracket)
             if co:
                 value = -value
-            seeds.append(Seed(complex(value), SeedProvenance.REGULA_FALSI))
+            seeds.append(complex(value))
     return ExplorationReport(tuple(samples), tuple(brackets), tuple(seeds), co)
 
 
@@ -131,16 +114,15 @@ def regula_falsi_step(bracket):
     return bracket.lam_lo - bracket.p_lo / delta2
 
 
-def accelerated_regula_falsi(f, bracket, sigma=DEFAULT_SIGMA,
-                             max_rounds=DEFAULT_MAX_ROUNDS, co=False):
+def accelerated_regula_falsi(f, bracket, sigma=DEFAULT_SIGMA, co=False):
     """Three-point accelerated bracketing with the 10**-sigma stopping rule.
 
     Starting from the bracket endpoints and the plain secant point, each
     round builds lambda_4 from ratio weights Q_2, Q_3 and difference
     quotients Delta_2, Delta_3, then shifts all indices by one. Stops when
-    the newest |p| <= 10**-sigma or after max_rounds rounds. A vanishing
-    denominator falls back to a plain secant step on the two most recent
-    opposite-sign points and is noted in the trace.
+    the newest |p| <= 10**-sigma or after ACCELERATED_MAX_ROUNDS rounds. A
+    vanishing denominator falls back to a plain secant step on the two most
+    recent opposite-sign points and is noted in the trace.
     """
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
@@ -159,7 +141,7 @@ def accelerated_regula_falsi(f, bracket, sigma=DEFAULT_SIGMA,
     if abs(p3) <= tol:
         status = TraceStatus.CONVERGED
     else:
-        for _ in range(max_rounds):
+        for _ in range(ACCELERATED_MAX_ROUNDS):
             delta2 = (p2 - p1) / (l2 - l1)
             delta3 = (p3 - p1) / (l3 - l1)
             q2 = p2 / p1
@@ -205,7 +187,7 @@ class CompanionSeeds:
     low_confidence: bool
 
 
-def companion_seed_all(f, sweeps=ABERTH_SWEEPS):
+def companion_seed_all(f):
     """Simultaneous approximation of all roots (Aberth-Ehrlich style).
 
     Newton corrections with pairwise repulsion from a fixed perturbed-circle
@@ -223,7 +205,7 @@ def companion_seed_all(f, sweeps=ABERTH_SWEEPS):
         radius * cmath.exp(1j * (2.0 * math.pi * (k + 0.5) / m + ABERTH_ROTATION))
         for k in range(m)
     ]
-    for _ in range(sweeps):
+    for _ in range(ABERTH_SWEEPS):
         moved = 0.0
         for k in range(m):
             v = monic[-1]
@@ -248,7 +230,6 @@ def companion_seed_all(f, sweeps=ABERTH_SWEEPS):
             break
     z.sort(key=lambda w: (w.real, w.imag))
     low_confidence = any(
-        abs(evaluate(f, w, 0)[0]) > ABERTH_RESIDUAL_REL * coefficient_scale(f, w)
-        for w in z
+        relative_residual(f, w) > ABERTH_RESIDUAL_REL for w in z
     )
     return CompanionSeeds(tuple(z), low_confidence)

@@ -9,7 +9,6 @@ that exposes the null-space columns directly.
 """
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
@@ -89,7 +88,7 @@ def eval_matrix(pm, lam):
     return acc
 
 
-def characteristic_polynomial(pm, sample_radius=None):
+def characteristic_polynomial(pm):
     """det F(lambda) as a polynomial, via determinant interpolation.
 
     Determinants are sampled at m+1 nodes R*exp(-2*pi*i*s/(m+1)) with
@@ -102,12 +101,11 @@ def characteristic_polynomial(pm, sample_radius=None):
     """
     m = pm.nominal_char_degree
     count = m + 1
-    if sample_radius is None:
-        top = max(float(np.max(np.abs(a))) for a in pm.coefficient_matrices)
-        sample_radius = 1.0 + top
+    top = max(float(np.max(np.abs(a))) for a in pm.coefficient_matrices)
+    sample_radius = 1.0 + top
     if not (0 < sample_radius < float("inf")):
         raise SampleConditioningError(
-            "unusable sample radius %r; pass sample_radius explicitly"
+            "unusable sample radius %r; coefficient entries must be finite"
             % (sample_radius,)
         )
     try:
@@ -116,8 +114,8 @@ def characteristic_polynomial(pm, sample_radius=None):
         scale_top = float("inf")
     if not math.isfinite(scale_top):
         raise SampleConditioningError(
-            "sample radius %g overflows at degree %d; try a smaller radius"
-            % (sample_radius, m)
+            "sample radius %g overflows at degree %d; scale the coefficient "
+            "matrices down" % (sample_radius, m)
         )
     dets = np.empty(count, dtype=complex)
     for s in range(count):
@@ -125,7 +123,7 @@ def characteristic_polynomial(pm, sample_radius=None):
         dets[s] = np.linalg.det(eval_matrix(pm, node))
     if not np.all(np.isfinite(dets)):
         raise SampleConditioningError(
-            "non-finite determinant samples; try a different sample radius"
+            "non-finite determinant samples at radius %g" % sample_radius
         )
     scaled = np.fft.ifft(dets)
     powers = sample_radius ** np.arange(count, dtype=float)
@@ -194,26 +192,21 @@ def diagonal_seeds(pm):
     return DiagonalSeedReport(tuple(seeds), tuple(degenerate))
 
 
-class Normalization(enum.Enum):
-    LAST_ENTRY_MINUS_ONE = "last-entry-minus-one"
-    UNIT_NORM = "unit-norm"
-
-
 @dataclass(frozen=True)
 class EigenvectorBundle:
     """Null-space data of F at one eigenvalue.
 
     rank_deficiency counts the pivotless columns (independent eigenvectors)
     found at the given tolerance. right_vectors/left_vectors are n x r
-    arrays (one of them may be None when only one side was requested);
-    residuals hold the infinity norm of F(lambda) x (or y^T F) per column.
+    arrays (one of them may be None when only one side was requested), each
+    column with -1 at its free position; residuals hold the infinity norm
+    of F(lambda) x (or y^T F) per column.
     """
 
     eigenvalue: complex
     rank_deficiency: int
     right_vectors: object
     left_vectors: object
-    normalization: Normalization
     right_residuals: tuple = ()
     left_residuals: tuple = ()
 
@@ -265,39 +258,33 @@ def _null_space_vectors(matrix, pivot_tol):
     return vectors, pivots
 
 
-def extract_eigenvectors(pm, lam, pivot_tol=DEFAULT_PIVOT_TOL,
-                         normalization=Normalization.LAST_ENTRY_MINUS_ONE):
-    """Right eigenvectors of F at lam with rank-deficiency detection."""
-    evaluated = eval_matrix(pm, lam)
+def _null_space_bundle(evaluated, lam, pivot_tol):
+    """Null-space vectors of an evaluated matrix and their residuals."""
     vectors, _ = _null_space_vectors(evaluated, pivot_tol)
     if vectors is None:
         raise NotAnEigenvalueError(
             "%r is not an eigenvalue at pivot tolerance %g" % (lam, pivot_tol)
         )
-    if normalization is Normalization.UNIT_NORM:
-        vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     residuals = tuple(
         float(np.max(np.abs(evaluated @ vectors[:, k])))
         for k in range(vectors.shape[1])
     )
+    return vectors, residuals
+
+
+def extract_eigenvectors(pm, lam, pivot_tol=DEFAULT_PIVOT_TOL):
+    """Right eigenvectors of F at lam with rank-deficiency detection."""
+    vectors, residuals = _null_space_bundle(eval_matrix(pm, lam), lam,
+                                            pivot_tol)
     return EigenvectorBundle(
-        complex(lam), vectors.shape[1], vectors, None, normalization, residuals, ()
+        complex(lam), vectors.shape[1], vectors, None, residuals, ()
     )
 
 
-def left_eigenvectors(pm, lam, pivot_tol=DEFAULT_PIVOT_TOL,
-                      normalization=Normalization.LAST_ENTRY_MINUS_ONE):
-    """Left eigenvectors: the same extraction on transposed coefficients."""
-    transposed = polynomial_matrix(
-        [np.array(a).T for a in pm.coefficient_matrices]
-    )
-    bundle = extract_eigenvectors(transposed, lam, pivot_tol, normalization)
+def left_eigenvectors(pm, lam, pivot_tol=DEFAULT_PIVOT_TOL):
+    """Left eigenvectors: the same extraction on F(lam) transposed."""
+    vectors, residuals = _null_space_bundle(eval_matrix(pm, lam).T, lam,
+                                            pivot_tol)
     return EigenvectorBundle(
-        bundle.eigenvalue,
-        bundle.rank_deficiency,
-        None,
-        bundle.right_vectors,
-        bundle.normalization,
-        (),
-        bundle.right_residuals,
+        complex(lam), vectors.shape[1], None, vectors, (), residuals
     )

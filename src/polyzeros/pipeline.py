@@ -21,7 +21,7 @@ from .ecp import (
     sum_control,
 )
 from .errors import PolyzerosError, ProblemFormatError
-from .explore import Seed, SeedProvenance, scan_sign_changes, companion_seed_all
+from .explore import companion_seed_all, scan_sign_changes
 from .matpoly import (
     PolynomialMatrix,
     characteristic_polynomial,
@@ -29,16 +29,17 @@ from .matpoly import (
     extract_eigenvectors,
     left_eigenvectors,
 )
-from .poly import Polynomial, coefficient_scale, effective_degree, evaluate
+from .poly import effective_degree, relative_residual
+from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
 from .refine import (
     DEFAULT_SETTINGS,
-    ROOT_IDENTITY_REL,
     IterationSettings,
     TraceStatus,
     detect_multiplicity,
     iterate_halley,
     iterate_pade,
     iterate_test_nu,
+    same_root,
 )
 
 
@@ -74,7 +75,6 @@ class ProblemSpec:
     external_seeds: tuple = ()
     algorithm: Algorithm = Algorithm.DETECT
     delta: float = 0.1
-    sigma: int = 5
     settings: IterationSettings = DEFAULT_SETTINGS
     nu_max: int = None
     nu: int = 1
@@ -93,8 +93,8 @@ class ProblemSpec:
             raise ProblemFormatError("diagonal seeds need a matrix problem")
         if not self.delta > 0:
             raise ProblemFormatError("delta must be positive")
-        if self.sigma < 1 or self.nu < 1:
-            raise ProblemFormatError("sigma and nu must be >= 1")
+        if self.nu < 1:
+            raise ProblemFormatError("nu must be >= 1")
         if self.nu_max is not None and self.nu_max < 1:
             raise ProblemFormatError("nu_max must be >= 1")
 
@@ -146,19 +146,9 @@ class RootReport:
     eigenvectors: tuple = field(default_factory=tuple)
 
 
-def _relative_residual(f, value):
-    magnitude = abs(evaluate(f, value)[0])
-    if magnitude == 0.0:
-        return 0.0
-    return magnitude / max(coefficient_scale(f, value), 1e-300)
-
-
 def _acquire_seeds(spec, f, errors):
     if spec.seed_source is SeedSource.EXTERNAL:
-        return tuple(
-            Seed(complex(v), SeedProvenance.EXTERNAL)
-            for v in spec.external_seeds
-        )
+        return tuple(complex(v) for v in spec.external_seeds)
     if spec.seed_source is SeedSource.DIAGONAL:
         report = diagonal_seeds(spec.matrix)
         if report.degenerate_entries:
@@ -166,14 +156,12 @@ def _acquire_seeds(spec, f, errors):
                 "diagonal entries %s have degenerate degree"
                 % (list(report.degenerate_entries),)
             )
-        return tuple(Seed(v, SeedProvenance.DIAGONAL) for v in report.values)
+        return report.values
     if spec.seed_source is SeedSource.COMPANION:
         companion = companion_seed_all(f)
         if companion.low_confidence:
             errors.append("companion seeds carry large residuals")
-        return tuple(
-            Seed(v, SeedProvenance.COMPANION) for v in companion.values
-        )
+        return companion.values
     seeds = []
     for co in (False, True):
         try:
@@ -192,25 +180,25 @@ def _refine_independent(spec, f, seeds, errors):
         try:
             if spec.algorithm is Algorithm.DETECT:
                 verdict = detect_multiplicity(
-                    f, seed.value, spec.nu_max, spec.settings
+                    f, seed, spec.nu_max, spec.settings
                 )
                 value = verdict.root
                 nu = verdict.multiplicity
                 iterations = len(verdict.probes[nu].rows)
             else:
                 if spec.algorithm is Algorithm.PADE:
-                    trace = iterate_pade(f, seed.value, spec.settings)
+                    trace = iterate_pade(f, seed, spec.settings)
                 elif spec.algorithm is Algorithm.HALLEY:
-                    trace = iterate_halley(f, seed.value, spec.settings)
+                    trace = iterate_halley(f, seed, spec.settings)
                 else:
                     trace = iterate_test_nu(
-                        f, spec.nu, seed.value, spec.settings
+                        f, spec.nu, seed, spec.settings
                     )
                 if trace.status is not TraceStatus.CONVERGED:
                     errors.append(
                         "seed %r: %s%s"
                         % (
-                            seed.value,
+                            seed,
                             trace.status.value,
                             (" (%s)" % "; ".join(trace.notes))
                             if trace.notes else "",
@@ -221,9 +209,9 @@ def _refine_independent(spec, f, seeds, errors):
                 nu = spec.nu if spec.algorithm is Algorithm.TEST_NU else 1
                 iterations = len(trace.rows)
         except PolyzerosError as exc:
-            errors.append("seed %r: %s" % (seed.value, exc))
+            errors.append("seed %r: %s" % (seed, exc))
             continue
-        residual = _relative_residual(f, value)
+        residual = relative_residual(f, value)
         records.append(
             RootRecord(
                 complex(value),
@@ -231,7 +219,7 @@ def _refine_independent(spec, f, seeds, errors):
                 residual,
                 spec.algorithm,
                 iterations,
-                (complex(seed.value),),
+                (complex(seed),),
                 spec.seed_source,
                 residual <= spec.settings.residual_tol,
             )
@@ -242,7 +230,7 @@ def _refine_independent(spec, f, seeds, errors):
 def _refine_through_list(spec, f, seeds, errors):
     """rayleigh / reduced: one shared list, row main values refined."""
     try:
-        lst = build_ecp_list(f, [s.value for s in seeds])
+        lst = build_ecp_list(f, seeds)
     except PolyzerosError as exc:
         errors.append("interpolation list: %s" % exc)
         return []
@@ -262,7 +250,7 @@ def _refine_through_list(spec, f, seeds, errors):
             errors.append("list row %d: %s" % (k, trace.status.value))
             continue
         value = complex(trace.final)
-        residual = _relative_residual(f, value)
+        residual = relative_residual(f, value)
         records.append(
             RootRecord(
                 value,
@@ -270,16 +258,12 @@ def _refine_through_list(spec, f, seeds, errors):
                 residual,
                 spec.algorithm,
                 len(trace.rows),
-                (complex(seeds[k].value),),
+                (complex(seeds[k]),),
                 spec.seed_source,
                 residual <= spec.settings.residual_tol,
             )
         )
     return records
-
-
-def _same_root(a, b):
-    return abs(a - b) <= ROOT_IDENTITY_REL * (1.0 + min(abs(a), abs(b)))
 
 
 def _dedupe(records):
@@ -293,7 +277,7 @@ def _dedupe(records):
     groups = []
     for record in ordered:
         for group in groups:
-            if _same_root(group[0].value, record.value):
+            if same_root(group[0].value, record.value):
                 group.append(record)
                 break
         else:
@@ -322,21 +306,27 @@ def _dedupe(records):
     return merged
 
 
+def ecp_diagnostics(f, values):
+    """Interpolation list at the given values, evolved to the threshold,
+    with its sum control and Gershgorin disks."""
+    lst = build_ecp_list(f, values)
+    defect_history = [max(abs(d) for d in lst.defects)]
+    evolved = evolve_until(lst, f)
+    for item in evolved:
+        defect_history.append(max(abs(d) for d in item.defects))
+    final = evolved[-1] if evolved else lst
+    return EcpDiagnostics(
+        final,
+        len(evolved),
+        tuple(defect_history),
+        sum_control(final),
+        gershgorin_enclosures(final),
+    )
+
+
 def _ecp_phase(f, records, errors):
     try:
-        lst = build_ecp_list(f, [r.value for r in records])
-        defect_history = [max(abs(d) for d in lst.defects)]
-        evolved = evolve_until(lst, f)
-        for item in evolved:
-            defect_history.append(max(abs(d) for d in item.defects))
-        final = evolved[-1] if evolved else lst
-        return EcpDiagnostics(
-            final,
-            len(evolved),
-            tuple(defect_history),
-            sum_control(final),
-            gershgorin_enclosures(final),
-        )
+        return ecp_diagnostics(f, [r.value for r in records])
     except PolyzerosError as exc:
         errors.append("ecp phase: %s" % exc)
         return None
@@ -412,6 +402,13 @@ def run_pipeline(spec):
             "multiplicity sum %d does not match effective degree %d"
             % (total, f.degree)
         )
+    if (spec.matrix is not None and spec.matrix.leading_regular
+            and f.degree < spec.matrix.nominal_char_degree):
+        conserved = False
+        errors.append(
+            "effective degree %d is below rho*n = %d although the leading "
+            "matrix is regular" % (f.degree, spec.matrix.nominal_char_degree)
+        )
     return RootReport(
         tuple(records),
         f.degree,
@@ -429,7 +426,8 @@ def complex_pair(z):
     return [float(z.real), float(z.imag)]
 
 
-def _ecp_dict(diag):
+def ecp_to_dict(diag):
+    """JSON-ready form of EcpDiagnostics."""
     return {
         "evolutions": diag.evolutions,
         "defect_history": [float(d) for d in diag.defect_history],
@@ -488,7 +486,7 @@ def report_to_dict(report):
         "conserved": report.conserved,
         "all_residuals_pass": report.all_residuals_pass,
         "errors": list(report.errors),
-        "ecp": _ecp_dict(report.ecp) if report.ecp else None,
+        "ecp": ecp_to_dict(report.ecp) if report.ecp else None,
         "eigenvectors": [
             {
                 "value": complex_pair(p.value),

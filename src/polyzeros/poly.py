@@ -93,13 +93,23 @@ def coefficient_scale(f, lam):
     """Magnitude sum of the terms, sum |a_j| |lam|**j.
 
     Shared scale for relative residual tests: |f(lam)| is "numerically zero"
-    when it is small against this sum.
+    when it is small against this sum (see :func:`relative_residual`).
     """
     r = abs(complex(lam))
     s = 0.0
     for a in reversed(f.coeffs):
         s = s * r + abs(a)
     return s
+
+
+def relative_residual(f, lam):
+    """|f(lam)| / coefficient_scale(f, lam), or 0 when f(lam) is exactly 0.
+
+    The one residual used by refinement, seeding and reporting."""
+    magnitude = abs(evaluate(f, lam, 0)[0])
+    if magnitude == 0.0:
+        return 0.0
+    return magnitude / max(coefficient_scale(f, lam), 1e-300)
 
 
 def derivative_scales(f, lam, order):

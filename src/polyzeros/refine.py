@@ -10,6 +10,7 @@ wrong-multiplicity probe produces.
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     AmbiguousMultiplicityError,
@@ -24,10 +25,10 @@ from .errors import (
 from .poly import (
     TaylorVerdict,
     cauchy_root_bound,
-    coefficient_scale,
     evaluate,
     halley_eval,
     pade_eval,
+    relative_residual,
     taylor_multiplicity_test,
     test_polynomial,
 )
@@ -52,16 +53,6 @@ class TraceStatus(enum.Enum):
     MAX_ITERS = "max-iters"
     DIVERGED = "diverged"
     NUMERICAL_ERROR = "numerical-error"
-
-
-class IterationForm(enum.Enum):
-    """Additive writes Lambda + p_nu(Lambda); multiplicative writes
-    (1 + P_nu(Lambda)) * Lambda. Algebraically identical; both run through
-    one kernel (step = P_nu*Lambda, then Lambda += step) so their traces
-    agree bit for bit."""
-
-    ADDITIVE = "additive"
-    MULTIPLICATIVE = "multiplicative"
 
 
 @dataclass(frozen=True)
@@ -121,10 +112,11 @@ class IterationTrace:
 def _run_iteration(step_fn, residual_fn, seed, settings, divergence_bound):
     """Shared fixed-point engine.
 
-    Convergence needs two consecutive relatively small steps plus a passing
-    relative residual; sustained slow step ratios (>= SLOW_RATIO for
-    SLOW_KILL_COUNT steps) end the run as MAX_ITERS; iterates beyond the
-    divergence bound end it as DIVERGED.
+    Convergence needs two consecutive relatively small steps plus a
+    relative residual ``residual_fn(lam)`` at most ``residual_tol``;
+    sustained slow step ratios (>= SLOW_RATIO for SLOW_KILL_COUNT steps)
+    end the run as MAX_ITERS; iterates beyond the divergence bound end it
+    as DIVERGED.
     """
     lam = complex(seed)
     rows = []
@@ -145,8 +137,7 @@ def _run_iteration(step_fn, residual_fn, seed, settings, divergence_bound):
         nxt = lam + step
         small = abs(step) <= settings.step_tol * (1.0 + abs(nxt))
         if small and prev_small:
-            residual, scale = residual_fn(nxt)
-            if residual <= settings.residual_tol * scale:
+            if residual_fn(nxt) <= settings.residual_tol:
                 return IterationTrace(tuple(rows), TraceStatus.CONVERGED)
         if prev_step_mag:
             ratio = abs(step) / prev_step_mag
@@ -166,11 +157,9 @@ def _run_iteration(step_fn, residual_fn, seed, settings, divergence_bound):
     return IterationTrace(tuple(rows), status)
 
 
-def _poly_residual(f):
-    def residual(lam):
-        return abs(evaluate(f, lam, 0)[0]), coefficient_scale(f, lam)
-
-    return residual
+def same_root(a, b):
+    """Root identity: a and b agree to ROOT_IDENTITY_REL relative."""
+    return abs(a - b) <= ROOT_IDENTITY_REL * (1.0 + min(abs(a), abs(b)))
 
 
 def iterate_pade(f, seed, settings=DEFAULT_SETTINGS):
@@ -179,9 +168,8 @@ def iterate_pade(f, seed, settings=DEFAULT_SETTINGS):
     if f.degree < 1:
         raise ZeroPolynomialError("pade iteration needs degree >= 1")
     bound = settings.divergence_factor * (1.0 + cauchy_root_bound(f))
-    return _run_iteration(
-        lambda lam: pade_eval(f, lam), _poly_residual(f), seed, settings, bound
-    )
+    return _run_iteration(lambda lam: pade_eval(f, lam),
+                          partial(relative_residual, f), seed, settings, bound)
 
 
 def iterate_halley(f, seed, settings=DEFAULT_SETTINGS):
@@ -189,24 +177,18 @@ def iterate_halley(f, seed, settings=DEFAULT_SETTINGS):
     if f.degree < 2:
         raise ZeroPolynomialError("halley iteration needs degree >= 2")
     bound = settings.divergence_factor * (1.0 + cauchy_root_bound(f))
-    return _run_iteration(
-        lambda lam: halley_eval(f, lam), _poly_residual(f), seed, settings, bound
-    )
+    return _run_iteration(lambda lam: halley_eval(f, lam),
+                          partial(relative_residual, f), seed, settings, bound)
 
 
-def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS,
-                    form=IterationForm.ADDITIVE):
+def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
     """Iterate the nu-probe: step = (f_{nu-1}/f_nu)(Lambda) * Lambda.
 
     Converges quadratically from nearby seeds exactly when nu equals the
     root's multiplicity; under-probes creep linearly, over-probes move away.
-    Both ``form`` values run the same kernel, so their traces are identical
-    (the flag records which formulation was requested).
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    if not isinstance(form, IterationForm):
-        form = IterationForm(form)
     if abs(complex(seed)) <= ORIGIN_GUARD_REL * (1.0 + cauchy_root_bound(f)):
         raise OriginSeedError(
             "seed too close to origin for p_nu; shift the polynomial by "
@@ -225,7 +207,8 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS,
         return (v_lo / v_hi) * lam
 
     bound = settings.divergence_factor * (1.0 + cauchy_root_bound(f))
-    return _run_iteration(step_fn, _poly_residual(f), seed, settings, bound)
+    return _run_iteration(step_fn, partial(relative_residual, f), seed,
+                          settings, bound)
 
 
 @dataclass(frozen=True)
@@ -259,8 +242,7 @@ def probe_strictly_converged(trace, settings=DEFAULT_SETTINGS):
     return True
 
 
-def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS,
-                        taylor_tol=None):
+def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS):
     """Probe nu = 1..nu_max simultaneously from one seed.
 
     Exactly one multiplicity should converge; the winning probe gives both
@@ -295,8 +277,7 @@ def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS,
     for nu in sorted(winners):
         root = winners[nu]
         for group in groups:
-            anchor = group[0][1]
-            if abs(root - anchor) <= ROOT_IDENTITY_REL * (1.0 + abs(anchor)):
+            if same_root(group[0][1], root):
                 group.append((nu, root))
                 break
         else:
@@ -313,11 +294,10 @@ def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS,
         groups.sort(key=lambda g: abs(g[0][1] - seed))
     group = groups[0]
 
-    taylor_kwargs = {} if taylor_tol is None else {"tol": taylor_tol}
     chosen = None
     for nu, root in sorted(group, reverse=True):
         try:
-            verdict = taylor_multiplicity_test(f, root, nu, **taylor_kwargs)
+            verdict = taylor_multiplicity_test(f, root, nu)
         except TaylorRejectionError:
             continue
         chosen = (nu, root, verdict)

@@ -109,6 +109,7 @@ def test_parse_serialize_parse_round_trip(tmp_path):
         tmp_path, delta=0.3, sigma=7, algorithm="pade",
         seeds=[2.01], nu=2, ecp=True,
     ))
+    assert "sigma" not in problem_spec_to_dict(first)
     rewritten = _write(tmp_path, "round.json", problem_spec_to_dict(first))
     second = parse_problem_file(rewritten)
     assert problem_spec_to_dict(second) == problem_spec_to_dict(first)
@@ -182,9 +183,7 @@ def test_explore_writes_both_sweeps(tmp_path):
     assert set(scan) == {"plain", "co"}
     assert scan["plain"]["brackets"]
     assert scan["co"]["brackets"]
-    assert all(s["provenance"] == "regula-falsi"
-               for s in scan["plain"]["seeds"])
-    assert all(s["value"][0] < 0 for s in scan["co"]["seeds"])
+    assert all(re < 0 for re, im in scan["co"]["seeds"])
 
 
 def test_ecp_subcommand_reports_evolutions(tmp_path):

@@ -8,7 +8,6 @@ from polyzeros import (
     Bracket,
     Polynomial,
     RealScanError,
-    SeedProvenance,
     TraceStatus,
     accelerated_regula_falsi,
     companion_seed_all,
@@ -39,8 +38,6 @@ def test_scan_brackets_the_double_root(double_quad_sextic):
     spans = [(b.lam_lo, b.lam_hi) for b in report.brackets]
     assert any(abs(lo - 1.8) < 1e-12 and abs(hi - 2.1) < 1e-12
                for lo, hi in spans)
-    assert all(s.provenance is SeedProvenance.REGULA_FALSI
-               for s in report.seeds)
 
 
 def test_co_scan_reproduces_reference_values(double_quad_sextic):
@@ -54,7 +51,7 @@ def test_co_scan_seed_lands_in_original_variable(double_quad_sextic):
     """The reflected sweep brackets (0.9, 1.2); its secant seed must come
     back negated so that refinement runs on the polynomial itself."""
     report = scan_sign_changes(double_quad_sextic, 0.3, co=True)
-    seeds = [s.value for s in report.seeds]
+    seeds = report.seeds
     assert any(abs(s - (-cases.DOUBLE_QUAD_CO_SEED)) < 1e-5 for s in seeds)
     assert all(s.real < 0 for s in seeds)
 

@@ -5,8 +5,8 @@ import pytest
 
 import cases
 import oracles
+from polyzeros import matpoly
 from polyzeros import (
-    Normalization,
     NotAnEigenvalueError,
     Polynomial,
     ProblemFormatError,
@@ -132,6 +132,28 @@ def test_left_eigenvectors_annihilate_from_the_left(pencil5):
     )
 
 
+def test_left_eigenvectors_do_not_rebuild_the_matrix(monkeypatch):
+    """Left vectors come from F(lam) transposed; no transposed polynomial
+    matrix (and no determinant) is built per call."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(5, 5))
+    assert not np.allclose(a, a.T)
+    pm = polynomial_matrix([a, -np.eye(5)])
+
+    def rebuilt(matrices):
+        raise AssertionError("left_eigenvectors rebuilt a polynomial matrix")
+
+    monkeypatch.setattr(matpoly, "polynomial_matrix", rebuilt)
+    for lam in np.linalg.eigvals(a):
+        bundle = left_eigenvectors(pm, lam)
+        evaluated = eval_matrix(pm, lam)
+        for k in range(bundle.rank_deficiency):
+            y = bundle.left_vectors[:, k]
+            scale = np.abs(evaluated).max() * np.abs(y).max()
+            assert np.abs(y @ evaluated).max() <= (
+                matpoly.DEFAULT_PIVOT_TOL * scale)
+
+
 def test_full_rank_deficiency_yields_a_basis():
     pm = polynomial_matrix([-2.0 * np.eye(3), np.eye(3)])
     bundle = extract_eigenvectors(pm, 2.0)
@@ -142,17 +164,6 @@ def test_full_rank_deficiency_yields_a_basis():
 def test_not_an_eigenvalue_raises(pencil5):
     with pytest.raises(NotAnEigenvalueError):
         extract_eigenvectors(pencil5, 100.0)
-
-
-def test_unit_norm_normalization(pencil5):
-    bundle = extract_eigenvectors(
-        pencil5, -1.0, normalization=Normalization.UNIT_NORM
-    )
-    np.testing.assert_allclose(
-        np.linalg.norm(bundle.right_vectors[:, 0]), 1.0, rtol=1e-14
-    )
-    default = extract_eigenvectors(pencil5, -1.0)
-    assert default.normalization is Normalization.LAST_ENTRY_MINUS_ONE
 
 
 def test_random_pencil_eigenvectors_match_numpy():

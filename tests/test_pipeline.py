@@ -12,6 +12,7 @@ from polyzeros import (
     ProblemSpec,
     SeedSource,
     polynomial_from_roots,
+    polynomial_matrix,
     report_to_dict,
     run_pipeline,
 )
@@ -199,6 +200,24 @@ def test_diagonal_seed_matrix_run(sparse_penta):
     assert report.eigenvectors
     for pair in report.eigenvectors:
         assert all(r <= 1e-5 for r in pair.right.right_residuals)
+
+
+def test_regular_lead_degree_shortfall_is_not_conserved():
+    """A regular leading matrix fixes deg det F at rho*n. At n = 40 the
+    interpolated characteristic polynomial falls short of 80, and the
+    multiplicities summing to that short degree must not pass as
+    conserved."""
+    rng = np.random.default_rng(1)
+    n = 40
+    pm = polynomial_matrix([rng.standard_normal((n, n)),
+                            rng.standard_normal((n, n)), np.eye(n)])
+    assert pm.leading_regular
+    report = run_pipeline(ProblemSpec(
+        matrix=pm, seed_source=SeedSource.COMPANION, algorithm=Algorithm.PADE
+    ))
+    assert report.effective_degree < pm.nominal_char_degree
+    assert report.conserved is False
+    assert any("below rho*n = 80" in e for e in report.errors)
 
 
 def test_report_to_dict_is_json_ready(double_quad_sextic):

@@ -8,7 +8,6 @@ import pytest
 
 import cases
 from polyzeros import (
-    IterationForm,
     IterationSettings,
     NoMultiplicityError,
     OriginSeedError,
@@ -78,24 +77,6 @@ def test_underprobe_stalls_and_classifier_rejects():
     trace = iterate_test_nu(f, 1, 2.1)
     assert trace.status is not TraceStatus.CONVERGED
     assert not probe_strictly_converged(trace)
-
-
-def test_forms_share_one_kernel():
-    """The additive and multiplicative update labels must not change a
-    single bit of the trace."""
-    rng = np.random.default_rng(1717)
-    for _ in range(CASES):
-        degree = int(rng.integers(2, 7))
-        coeffs = tuple(rng.normal(size=degree + 1))
-        f = Polynomial(coeffs)
-        if f.is_zero or f.degree < 2:
-            continue
-        seed = complex(rng.normal(), rng.normal())
-        for nu in (1, 2):
-            a = iterate_test_nu(f, nu, seed, form=IterationForm.ADDITIVE)
-            b = iterate_test_nu(f, nu, seed, form=IterationForm.MULTIPLICATIVE)
-            assert a.rows == b.rows
-            assert a.status is b.status
 
 
 def test_origin_seed_rejected():
