@@ -76,7 +76,6 @@ from .poly import (
     Polynomial,
     TaylorVerdict,
     cauchy_root_bound,
-    co_polynomial,
     coefficient_scale,
     deflate_horner,
     effective_degree,

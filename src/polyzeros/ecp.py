@@ -231,19 +231,19 @@ def evolve(lst, f):
     return build_ecp_list(f, lst.main_values)
 
 
-def evolve_until(lst, f, threshold_rel=EVOLUTION_THRESHOLD_REL,
-                 max_evolutions=MAX_EVOLUTIONS):
-    """Evolve repeatedly until max|d| <= threshold_rel*(1+max|H|).
+def evolve_until(lst, f):
+    """Evolve repeatedly until max|d| <= EVOLUTION_THRESHOLD_REL*(1+max|H|),
+    at most MAX_EVOLUTIONS times.
 
     Returns the list of evolved lists (not including the input); empty when
     the input already meets the threshold.
     """
     history = []
     current = lst
-    for _ in range(max_evolutions):
+    for _ in range(MAX_EVOLUTIONS):
         max_d = max(abs(r.defect) for r in current.rows)
         max_h = max(abs(r.main_value) for r in current.rows)
-        if max_d <= threshold_rel * (1.0 + max_h):
+        if max_d <= EVOLUTION_THRESHOLD_REL * (1.0 + max_h):
             break
         current = evolve(current, f)
         history.append(current)

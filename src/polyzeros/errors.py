@@ -94,6 +94,11 @@ class NotAnEigenvalueError(PolyzerosError):
     extraction is not an eigenvalue at this tolerance."""
 
 
+class CompanionMatrixError(PolyzerosError):
+    """The companion matrix of a polynomial is not finite: dividing by the
+    leading coefficient overflowed."""
+
+
 class SampleConditioningError(PolyzerosError):
     """Determinant samples are unusable (non-finite or badly scaled)."""
 

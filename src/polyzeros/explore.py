@@ -1,19 +1,21 @@
-"""Seed generation on the real axis, plus a simultaneous-root fallback.
+"""Seed generation on the real axis, plus an all-roots seed provider.
 
 A step-delta scan watches the Pade function for sign changes; each change
 brackets either a real root (the plain sweep crosses downward, the
 reflected sweep upward) or, occasionally, a pole of p at a stationary point
 of f. Plain and accelerated regula falsi turn brackets into seeds. For
-spectra without real-axis structure an Aberth-Ehrlich sweep from a fixed,
-documented start configuration supplies approximate roots; it is a seed
-provider, never the reported answer.
+spectra without real-axis structure the eigenvalues of the companion matrix
+of f supply approximate roots, as MATLAB's ``roots`` does; they are seeds,
+never the reported answer.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
+    CompanionMatrixError,
     DerivativeUnderflowError,
     FlatSecantError,
     RealScanError,
@@ -25,13 +27,7 @@ from .refine import IterationTrace, TraceRow, TraceStatus
 DEFAULT_SIGMA = 5
 ACCELERATED_MAX_ROUNDS = 60
 REAL_COEFF_TOL = 0.0
-ABERTH_SWEEPS = 200
-ABERTH_STEP_TOL = 1e-14
-ABERTH_RESIDUAL_REL = 1e-8
-# Fixed start configuration: radius factor and rotation that break the
-# symmetry of real-coefficient spectra. Deterministic by construction.
-ABERTH_RADIUS_FACTOR = 0.8
-ABERTH_ROTATION = 0.41
+COMPANION_RESIDUAL_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,9 +57,9 @@ class ExplorationReport:
     co: bool = False
 
 
-def scan_sign_changes(f, delta, start=0.0, max_steps=None, co=False):
-    """Sample p (or its reflected variant) on start + j*delta and bracket
-    every consecutive sign change.
+def scan_sign_changes(f, delta, co=False):
+    """Sample p(lambda), or p(-lambda) on the reflected sweep, on j*delta
+    and bracket every consecutive sign change.
 
     Both sign orders are accepted; a downward crossing marks a root of the
     swept function, an upward one on the plain sweep can also be a pole of
@@ -81,13 +77,12 @@ def scan_sign_changes(f, delta, start=0.0, max_steps=None, co=False):
             "real-axis scan needs real coefficients; supply external seeds "
             "or the fallback seed provider for complex spectra"
         )
-    if max_steps is None:
-        max_steps = max(2, int(math.ceil((cauchy_root_bound(f) - start) / delta)))
+    max_steps = max(2, int(math.ceil(cauchy_root_bound(f) / delta)))
     samples = []
     for j in range(max_steps + 1):
-        lam = start + j * delta
+        lam = j * delta
         try:
-            value = pade_eval(f, lam, co=co).real
+            value = pade_eval(f, -lam if co else lam).real
         except (ZeroPolynomialError, DerivativeUnderflowError):
             value = None
         samples.append((lam, value))
@@ -114,7 +109,7 @@ def regula_falsi_step(bracket):
     return bracket.lam_lo - bracket.p_lo / delta2
 
 
-def accelerated_regula_falsi(f, bracket, sigma=DEFAULT_SIGMA, co=False):
+def accelerated_regula_falsi(f, bracket, sigma=DEFAULT_SIGMA):
     """Three-point accelerated bracketing with the 10**-sigma stopping rule.
 
     Starting from the bracket endpoints and the plain secant point, each
@@ -128,7 +123,7 @@ def accelerated_regula_falsi(f, bracket, sigma=DEFAULT_SIGMA, co=False):
         raise ValueError("sigma must be >= 1")
 
     def pfun(lam):
-        return pade_eval(f, lam, co=co).real
+        return pade_eval(f, lam).real
 
     tol = 10.0 ** (-sigma)
     notes = []
@@ -188,48 +183,24 @@ class CompanionSeeds:
 
 
 def companion_seed_all(f):
-    """Simultaneous approximation of all roots (Aberth-Ehrlich style).
+    """All roots at once: the eigenvalues of the companion matrix of f.
 
-    Newton corrections with pairwise repulsion from a fixed perturbed-circle
-    start; returns exactly degree-many values ordered by (re, im).
-    Accuracy is a seed-provider target (about 1e-8 relative residual);
-    multiple roots limit the attainable accuracy to the usual eps**(1/nu)
-    cluster radius, which downstream multiplicity probing resolves.
+    Returns exactly degree-many values ordered by (re, im). Accuracy is a
+    seed-provider target (about 1e-8 relative residual); multiple roots
+    limit the attainable accuracy to the usual eps**(1/nu) cluster radius,
+    which downstream multiplicity probing resolves.
     """
-    m = f.degree
-    if m < 1:
+    if f.degree < 1:
         raise ZeroPolynomialError("need degree >= 1 to seed roots")
-    monic = [a / f.coeffs[-1] for a in f.coeffs]
-    radius = ABERTH_RADIUS_FACTOR * cauchy_root_bound(f)
-    z = [
-        radius * cmath.exp(1j * (2.0 * math.pi * (k + 0.5) / m + ABERTH_ROTATION))
-        for k in range(m)
-    ]
-    for _ in range(ABERTH_SWEEPS):
-        moved = 0.0
-        for k in range(m):
-            v = monic[-1]
-            d = 0j
-            for a in reversed(monic[:-1]):
-                d = d * z[k] + v
-                v = v * z[k] + a
-            if v == 0:
-                continue
-            if d == 0:
-                z[k] += 1e-8 * (1.0 + abs(z[k]))
-                continue
-            newton = v / d
-            repulsion = sum(1.0 / (z[k] - z[j]) for j in range(m) if j != k)
-            denom = 1.0 - newton * repulsion
-            if denom == 0:
-                continue
-            step = newton / denom
-            z[k] -= step
-            moved = max(moved, abs(step))
-        if moved <= ABERTH_STEP_TOL * (1.0 + max(abs(w) for w in z)):
-            break
-    z.sort(key=lambda w: (w.real, w.imag))
+    try:
+        with np.errstate(over="ignore"):
+            z = np.roots(f.coeffs[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise CompanionMatrixError(
+            "companion matrix is not finite: making f monic overflows"
+        ) from exc
+    z = sorted((complex(w) for w in z), key=lambda w: (w.real, w.imag))
     low_confidence = any(
-        relative_residual(f, w) > ABERTH_RESIDUAL_REL for w in z
+        relative_residual(f, w) > COMPANION_RESIDUAL_REL for w in z
     )
     return CompanionSeeds(tuple(z), low_confidence)

@@ -142,18 +142,6 @@ def characteristic_polynomial(pm):
     return effective_degree(poly, TRAILING_TRIM_REL)
 
 
-def _quadratic_roots(c0, c1, c2):
-    """Roots of c2*x**2 + c1*x + c0 with complex coefficients."""
-    disc = c1 * c1 - 4.0 * c2 * c0
-    sq = cmath.sqrt(disc)
-    if (c1.conjugate() * sq).real < 0.0:
-        sq = -sq
-    q = -(c1 + sq) / 2.0
-    if q == 0:
-        return (0j, -c1 / c2)
-    return (q / c2, c0 / q)
-
-
 @dataclass(frozen=True)
 class DiagonalSeedReport:
     values: tuple
@@ -181,14 +169,8 @@ def diagonal_seeds(pm):
             degenerate.append(j)
         if deg == 0:
             continue
-        if deg == 1:
-            roots = [-entry.coeffs[0] / entry.coeffs[1]]
-        elif deg == 2:
-            roots = list(_quadratic_roots(*entry.coeffs))
-        else:
-            roots = list(companion_seed_all(entry).values)
-        roots.sort(key=lambda z: (-z.imag, z.real))
-        seeds.extend(roots)
+        seeds.extend(sorted(companion_seed_all(entry).values,
+                            key=lambda z: (-z.imag, z.real)))
     return DiagonalSeedReport(tuple(seeds), tuple(degenerate))
 
 

@@ -397,6 +397,11 @@ def run_pipeline(spec):
         eigenvectors = _eigenvector_phase(spec.matrix, records, errors)
     total = sum(r.multiplicity for r in records)
     conserved = total == f.degree
+    residuals_pass = bool(records) and all(r.residual_pass for r in records)
+    if spec.matrix is not None and len(eigenvectors) < len(records):
+        # An eigenvalue must also make F(lambda) singular; unlike the
+        # residual, that check does not read the interpolated det F.
+        residuals_pass = False
     if not conserved:
         errors.append(
             "multiplicity sum %d does not match effective degree %d"
@@ -405,6 +410,7 @@ def run_pipeline(spec):
     if (spec.matrix is not None and spec.matrix.leading_regular
             and f.degree < spec.matrix.nominal_char_degree):
         conserved = False
+        residuals_pass = False
         errors.append(
             "effective degree %d is below rho*n = %d although the leading "
             "matrix is regular" % (f.degree, spec.matrix.nominal_char_degree)
@@ -414,7 +420,7 @@ def run_pipeline(spec):
         f.degree,
         total,
         conserved,
-        bool(records) and all(r.residual_pass for r in records),
+        residuals_pass,
         tuple(errors),
         ecp_diag,
         eigenvectors,

@@ -130,21 +130,8 @@ def cauchy_root_bound(f):
     return 1.0 + max(abs(a) for a in f.coeffs[:m]) / abs(f.coeffs[m])
 
 
-def co_polynomial(f):
-    """Reflect lambda -> -lambda: coefficient rule a_j -> (-1)^j a_j."""
-    return Polynomial(tuple(a * (-1) ** j for j, a in enumerate(f.coeffs)))
-
-
-def pade_eval(f, lam, co=False):
-    """The Pade function p(lambda) = f(lambda)/(-f'(lambda)).
-
-    With co=True evaluates the reflected variant used to sweep negative
-    real roots with a positive-axis scan; it equals
-    -pade_eval(co_polynomial(f), lam) and crosses zero with slope +1/nu at
-    a reflected nu-fold root.
-    """
-    if co:
-        return -pade_eval(co_polynomial(f), lam)
+def pade_eval(f, lam):
+    """The Pade function p(lambda) = f(lambda)/(-f'(lambda))."""
     if f.degree < 1:
         raise ZeroPolynomialError("pade function needs degree >= 1")
     v, d = evaluate(f, lam, 1)

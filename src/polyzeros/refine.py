@@ -100,14 +100,6 @@ class IterationTrace:
         last = self.rows[-1]
         return last.lam + last.step
 
-    @property
-    def steps(self):
-        return tuple(r.step for r in self.rows)
-
-    @property
-    def iterates(self):
-        return tuple(r.lam for r in self.rows)
-
 
 def _run_iteration(step_fn, residual_fn, seed, settings, divergence_bound):
     """Shared fixed-point engine.

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import cases
+import oracles
 from polyzeros import (
     Bracket,
     Polynomial,
+    PolyzerosError,
     RealScanError,
     TraceStatus,
     accelerated_regula_falsi,
@@ -70,7 +72,7 @@ def test_scan_delta_validation(double_quad_sextic):
 def test_scan_records_guard_gaps():
     """A flat spot inside the sweep shows up as a None sample, not a crash."""
     plateau = Polynomial((1.0, 0.0, 0.0, 1.0))
-    report = scan_sign_changes(plateau, 0.5, start=-1.0, max_steps=4)
+    report = scan_sign_changes(plateau, 0.5)
     assert _sample_at(report, 0.0) is None
 
 
@@ -143,6 +145,23 @@ def test_companion_seeds_deterministic(wilkinson10):
 def test_companion_seeds_wilkinson_accuracy(wilkinson10):
     seeds = sorted(s.real for s in companion_seed_all(wilkinson10).values)
     np.testing.assert_allclose(seeds, np.arange(1.0, 11.0), rtol=0, atol=1e-6)
+
+
+def test_companion_seeds_wilkinson20_are_finite_and_near_integers():
+    """Wilkinson 20 has a Cauchy bound of 1.4e19, yet every companion
+    eigenvalue lies within 0.1 of one of the integers 1..20."""
+    f = Polynomial(tuple(float(c) for c in oracles.wilkinson_coeffs(20)))
+    seeds = companion_seed_all(f).values
+    assert len(seeds) == 20
+    assert all(np.isfinite(s) for s in seeds)
+    for s in seeds:
+        nearest = min(max(round(s.real), 1), 20)
+        assert abs(s - nearest) < 0.1
+
+
+def test_companion_seeds_raise_when_monic_form_overflows():
+    with pytest.raises(PolyzerosError):
+        companion_seed_all(Polynomial((1e200, 1e-200)))
 
 
 def test_companion_seeds_cluster_layout(cluster_decic):

@@ -11,8 +11,10 @@ from polyzeros import (
     ProblemFormatError,
     ProblemSpec,
     SeedSource,
+    main,
     polynomial_from_roots,
     polynomial_matrix,
+    problem_spec_to_dict,
     report_to_dict,
     run_pipeline,
 )
@@ -217,7 +219,30 @@ def test_regular_lead_degree_shortfall_is_not_conserved():
     ))
     assert report.effective_degree < pm.nominal_char_degree
     assert report.conserved is False
+    assert report.all_residuals_pass is False
     assert any("below rho*n = 80" in e for e in report.errors)
+
+
+def test_eigenvalue_without_eigenvectors_fails_the_report(tmp_path):
+    """At n = 14 Pade converges from the linearisation's eigenvalues to
+    roots of the interpolated det F that sit up to 3e-4 away; F(lambda)
+    stays regular at 11 of them, so the report must not pass."""
+    rng = np.random.default_rng(1)
+    n = 14
+    a0, a1 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    linearisation = np.block([[np.zeros((n, n)), np.eye(n)], [-a0, -a1]])
+    spec = ProblemSpec(
+        matrix=polynomial_matrix([a0, a1, np.eye(n)]),
+        seed_source=SeedSource.EXTERNAL,
+        external_seeds=tuple(np.linalg.eigvals(linearisation)),
+        algorithm=Algorithm.PADE,
+    )
+    report = run_pipeline(spec)
+    assert len(report.eigenvectors) < len(report.roots)
+    assert report.all_residuals_pass is False
+    path = tmp_path / "n14.json"
+    path.write_text(json.dumps(problem_spec_to_dict(spec)))
+    assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 1
 
 
 def test_report_to_dict_is_json_ready(double_quad_sextic):

@@ -13,7 +13,6 @@ from polyzeros import (
     TaylorRejectionError,
     ZeroPolynomialError,
     cauchy_root_bound,
-    co_polynomial,
     coefficient_scale,
     deflate_horner,
     effective_degree,
@@ -132,23 +131,6 @@ def test_halley_combines_pade_and_curvature():
     p = v / -d
     q = dd / d
     np.testing.assert_allclose(halley_eval(f, lam), p / (1 + p * q), rtol=1e-15)
-
-
-def test_co_polynomial_flips_odd_coefficients():
-    f = Polynomial(cases.DOUBLE_QUAD_SEXTIC)
-    co = co_polynomial(f)
-    np.testing.assert_allclose(
-        np.array(co.coeffs).real,
-        [4.0, -12.0, 9.0, 4.0, -6.0, 0.0, 1.0],
-        rtol=0, atol=0,
-    )
-
-
-def test_co_pade_negates_reflected_ratio():
-    f = Polynomial(cases.DOUBLE_QUAD_SEXTIC)
-    lam = 0.3
-    want = -pade_eval(co_polynomial(f), lam)
-    assert pade_eval(f, lam, co=True) == want
 
 
 def test_derived_polynomial_ladder_matches_recurrence():
