@@ -148,6 +148,13 @@ def parse_problem_file(path):
         raise ProblemFormatError(
             "%s: unknown algorithm %r" % (path, data["algorithm"])
         )
+    for key in ("nu", "nu_max", "max_iters"):
+        value = data.get(key)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, int)):
+            raise ProblemFormatError(
+                "%s: '%s' must be an integer, got %r" % (path, key, value)
+            )
     settings_kwargs = {}
     for key in ("max_iters", "step_tol", "residual_tol", "divergence_factor"):
         if key in data:
@@ -162,7 +169,7 @@ def parse_problem_file(path):
             delta=float(data.get("delta", 0.1)),
             settings=IterationSettings(**settings_kwargs),
             nu_max=data.get("nu_max"),
-            nu=int(data.get("nu", 1)),
+            nu=data.get("nu", 1),
             ecp=bool(data.get("ecp", False)),
         )
     except (TypeError, ValueError) as exc:

@@ -75,12 +75,33 @@ def evaluate(f, lam, order=0):
 
     Nested (Horner) evaluation with derivative propagation; returns a tuple
     (f(lam), f'(lam), ..., f^(order)(lam)) with the factorials included.
+    Orders 0 to 2 run as straight-line loops over local variables; they do
+    the same operations in the same order as the general loop (the integer
+    factor k of ``k * vals[k-1]`` included), so every order rounds alike.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     if order < 0:
         raise ValueError("order must be >= 0")
     lam = complex(lam)
+    v = 0j
+    if order == 0:
+        for a in reversed(f.coeffs):
+            v = v * lam + a
+        return (v,)
+    d1 = 0j
+    if order == 1:
+        for a in reversed(f.coeffs):
+            d1 = d1 * lam + 1 * v
+            v = v * lam + a
+        return (v, d1)
+    d2 = 0j
+    if order == 2:
+        for a in reversed(f.coeffs):
+            d2 = d2 * lam + 2 * d1
+            d1 = d1 * lam + 1 * v
+            v = v * lam + a
+        return (v, d1, d2)
     vals = [0j] * (order + 1)
     for a in reversed(f.coeffs):
         for k in range(order, 0, -1):
@@ -105,11 +126,22 @@ def coefficient_scale(f, lam):
 def relative_residual(f, lam):
     """|f(lam)| / coefficient_scale(f, lam), or 0 when f(lam) is exactly 0.
 
-    The one residual used by refinement, seeding and reporting."""
-    magnitude = abs(evaluate(f, lam, 0)[0])
+    The one residual used by refinement, seeding and reporting. One loop
+    computes both sums with the operations of :func:`evaluate` and
+    :func:`coefficient_scale`."""
+    if f.is_zero:
+        raise ZeroPolynomialError("zero polynomial")
+    lam = complex(lam)
+    r = abs(lam)
+    v = 0j
+    s = 0.0
+    for a in reversed(f.coeffs):
+        v = v * lam + a
+        s = s * r + abs(a)
+    magnitude = abs(v)
     if magnitude == 0.0:
         return 0.0
-    return magnitude / max(coefficient_scale(f, lam), 1e-300)
+    return magnitude / max(s, 1e-300)
 
 
 def derivative_scales(f, lam, order):

@@ -25,7 +25,6 @@ from .errors import (
 from .poly import (
     TaylorVerdict,
     cauchy_root_bound,
-    evaluate,
     halley_eval,
     pade_eval,
     relative_residual,
@@ -116,6 +115,8 @@ def _run_iteration(step_fn, residual_fn, seed, settings, divergence_bound):
     prev_step_mag = None
     slow_run = 0
     status = TraceStatus.MAX_ITERS
+    step_tol = settings.step_tol
+    residual_tol = settings.residual_tol
     for _ in range(settings.max_iters):
         try:
             step = step_fn(lam)
@@ -127,12 +128,13 @@ def _run_iteration(step_fn, residual_fn, seed, settings, divergence_bound):
             return IterationTrace(tuple(rows), status, (str(exc),))
         rows.append(TraceRow(lam, step, step))
         nxt = lam + step
-        small = abs(step) <= settings.step_tol * (1.0 + abs(nxt))
+        step_mag = abs(step)
+        small = step_mag <= step_tol * (1.0 + abs(nxt))
         if small and prev_small:
-            if residual_fn(nxt) <= settings.residual_tol:
+            if residual_fn(nxt) <= residual_tol:
                 return IterationTrace(tuple(rows), TraceStatus.CONVERGED)
         if prev_step_mag:
-            ratio = abs(step) / prev_step_mag
+            ratio = step_mag / prev_step_mag
             slow_run = slow_run + 1 if ratio >= SLOW_RATIO else 0
             if slow_run >= SLOW_KILL_COUNT:
                 return IterationTrace(
@@ -142,7 +144,7 @@ def _run_iteration(step_fn, residual_fn, seed, settings, divergence_bound):
                      % (SLOW_KILL_COUNT, SLOW_RATIO),),
                 )
         prev_small = small
-        prev_step_mag = abs(step)
+        prev_step_mag = step_mag
         lam = nxt
         if abs(lam) > divergence_bound:
             return IterationTrace(tuple(rows), TraceStatus.DIVERGED)
@@ -181,24 +183,40 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    if abs(complex(seed)) <= ORIGIN_GUARD_REL * (1.0 + cauchy_root_bound(f)):
+    root_bound = cauchy_root_bound(f)
+    if abs(complex(seed)) <= ORIGIN_GUARD_REL * (1.0 + root_bound):
         raise OriginSeedError(
             "seed too close to origin for p_nu; shift the polynomial by "
             "lambda -> lambda + c first"
         )
-    f_lo = test_polynomial(f, nu - 1)
-    f_hi = test_polynomial(f, nu)
-    if f_hi.is_zero:
+    lo = test_polynomial(f, nu - 1).coeffs
+    hi = test_polynomial(f, nu).coeffs
+    if not hi:
         raise ZeroPolynomialError("test polynomial f_%d is identically zero" % nu)
+    # One Horner pass evaluates f_{nu-1} and f_nu together. Trimming can
+    # leave them of different lengths (f_nu of a degree-1 f is a constant):
+    # the longer one's extra top coefficients are run alone first, so each
+    # value gets exactly the operations of evaluate().
+    n = min(len(lo), len(hi))
+    lo_top = tuple(reversed(lo[n:]))
+    hi_top = tuple(reversed(hi[n:]))
+    pairs = tuple(zip(reversed(lo[:n]), reversed(hi[:n])))
 
     def step_fn(lam):
-        v_lo = evaluate(f_lo, lam, 0)[0]
-        v_hi = evaluate(f_hi, lam, 0)[0]
+        v_lo = 0j
+        for a in lo_top:
+            v_lo = v_lo * lam + a
+        v_hi = 0j
+        for b in hi_top:
+            v_hi = v_hi * lam + b
+        for a, b in pairs:
+            v_lo = v_lo * lam + a
+            v_hi = v_hi * lam + b
         if abs(v_hi) <= 1e-290 * max(1.0, abs(v_lo)):
             raise ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))
         return (v_lo / v_hi) * lam
 
-    bound = settings.divergence_factor * (1.0 + cauchy_root_bound(f))
+    bound = settings.divergence_factor * (1.0 + root_bound)
     return _run_iteration(step_fn, partial(relative_residual, f), seed,
                           settings, bound)
 

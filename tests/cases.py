@@ -165,3 +165,20 @@ SINGULAR_LEAD_MATRICES = (
 SINGULAR_LEAD_CHAR = (1.0, 2.0, 3.0, 2.0, 2.0, -1.0)
 SINGULAR_LEAD_REAL_ROOT = 3.056809390409065
 SINGULAR_LEAD_ACCEL_SEED = 3.056811621817845
+
+# Degree-8 benchmark problem mult-d8-82 (multiple-roots workload, seed
+# 301): a triple root, a quadruple root and a simple root near
+# 0.758-0.853j whose companion-matrix seed already lies within 1e-11 of it.
+# Companion seeds plus detect lose that root: the nu=1 probe's steps of a
+# few 1e-12 count as significant and do not contract tenfold.
+MULT_D8_82 = (
+    complex(-4.6689359409572155, 0.7202080369220196),
+    complex(28.016530510132924, 6.178550848014378),
+    complex(-64.47990125537326, -44.15687914114147),
+    complex(67.76191718910334, 104.46488718134628),
+    complex(-21.410057453258197, -124.98792109799813),
+    complex(-20.657562840971845, 81.93414323905401),
+    complex(22.485148744911445, -28.093246970061713),
+    complex(-8.04703958169832, 3.9402352960982023),
+    complex(1.0, 0.0),
+)

@@ -267,3 +267,17 @@ def test_format_error_exits_two(tmp_path, capsys):
     code = main(["solve", path])
     assert code == 2
     assert "zero polynomial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["nu", "nu_max", "max_iters"])
+def test_non_integer_count_exits_two(tmp_path, capsys, key):
+    """A fractional or boolean count is a format error, not a crash or a
+    silent truncation."""
+    for value in (2.5, True):
+        path = _example1_file(tmp_path, delta=0.3, algorithm="test-nu",
+                              **{key: value})
+        with pytest.raises(ProblemFormatError, match="'%s' must be an integer"
+                           % key):
+            parse_problem_file(path)
+        assert main(["solve", path]) == 2
+        assert "must be an integer" in capsys.readouterr().err

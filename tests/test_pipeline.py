@@ -9,6 +9,7 @@ import cases
 from polyzeros import (
     Algorithm,
     ProblemFormatError,
+    Polynomial,
     ProblemSpec,
     SeedSource,
     main,
@@ -243,6 +244,14 @@ def test_eigenvalue_without_eigenvectors_fails_the_report(tmp_path):
     path = tmp_path / "n14.json"
     path.write_text(json.dumps(problem_spec_to_dict(spec)))
     assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="probe_strictly_converged rejects a "
+                   "nu=1 probe whose seed is already at the noise floor")
+def test_seed_at_the_noise_floor_keeps_its_simple_root():
+    spec = ProblemSpec(polynomial=Polynomial(cases.MULT_D8_82),
+                       seed_source=SeedSource.COMPANION)
+    assert run_pipeline(spec).conserved
 
 
 def test_report_to_dict_is_json_ready(double_quad_sextic):

@@ -20,6 +20,7 @@ from polyzeros import (
     halley_eval,
     pade_eval,
     polynomial_from_roots,
+    relative_residual,
     taylor_multiplicity_test,
 )
 from polyzeros import test_polynomial as derived_polynomial
@@ -204,3 +205,49 @@ def test_pade_finite_at_ordinary_points():
         got = pade_eval(f, lam)
         assert math.isfinite(got.real)
         np.testing.assert_allclose(got.real, want, rtol=1e-10)
+
+
+def _general_horner(f, lam, order):
+    """The list-based loop evaluate() runs for orders above 2."""
+    lam = complex(lam)
+    vals = [0j] * (order + 1)
+    for a in reversed(f.coeffs):
+        for k in range(order, 0, -1):
+            vals[k] = vals[k] * lam + k * vals[k - 1]
+        vals[0] = vals[0] * lam + a
+    return tuple(vals)
+
+
+def _bits(values):
+    """Bit patterns of complex values: tells -0.0 from 0.0 and keeps NaN."""
+    return tuple((z.real.hex(), z.imag.hex()) for z in map(complex, values))
+
+
+def test_straight_line_kernels_round_like_the_general_loop():
+    """evaluate's order 0-2 loops and the fused residual give exactly the
+    bits of the general loop and of evaluate + coefficient_scale."""
+    rng = np.random.default_rng(30)
+    random30 = Polynomial(tuple(
+        complex(a, b) for a, b in zip(rng.normal(size=31), rng.normal(size=31))
+    ))
+    wilkinson20 = polynomial_from_roots(range(1, 21))
+    points = (0.0, -0.5, -3.0, -19.0, complex(0.3, -1.2), complex(-2.5, 4.0))
+    # At lam = 0 the real parts of this quadratic's Horner values are -0.0,
+    # where k * vals[k-1] and vals[k-1] round to zeros of opposite sign.
+    signed_zeros = Polynomial((complex(-0.0, 1.0), complex(-0.0, -2.0),
+                               complex(-1.0, 1.0)))
+    polys = (
+        (signed_zeros, ()),
+        (Polynomial((-3.0, 2.0)), (1.5,)),
+        (Polynomial(cases.DOUBLE_QUAD_SEXTIC), (2.0, -1.0)),
+        (wilkinson20, (1.0, 7.0, 20.0)),
+        (random30, tuple(np.roots(random30.coeffs[::-1])[:3])),
+    )
+    for f, roots in polys:
+        for lam in points + roots:
+            for order in range(4):
+                assert _bits(evaluate(f, lam, order)) == _bits(
+                    _general_horner(f, lam, order))
+            want = abs(evaluate(f, lam)[0]) / max(coefficient_scale(f, lam),
+                                                   1e-300)
+            assert _bits([relative_residual(f, lam)]) == _bits([want])

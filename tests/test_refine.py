@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,13 +14,18 @@ from polyzeros import (
     OriginSeedError,
     Polynomial,
     TraceStatus,
+    cauchy_root_bound,
     detect_multiplicity,
+    evaluate,
     iterate_halley,
     iterate_pade,
     iterate_test_nu,
     polynomial_from_roots,
     probe_strictly_converged,
+    relative_residual,
 )
+from polyzeros import test_polynomial as derived_polynomial
+from polyzeros.refine import DEFAULT_SETTINGS, _run_iteration
 
 ROOT_ATOL = 1e-12
 CASES = 40
@@ -164,3 +170,42 @@ def test_trace_chaining_invariant_across_algorithms(cluster_decic):
         assert _chained(trace)
     trace = iterate_test_nu(cluster_decic, 3, cases.CLUSTER_DECIC_SEED_NU3)
     assert _chained(trace)
+
+
+def _reference_probe(f, nu, seed):
+    """The nu-probe with f_{nu-1} and f_nu evaluated one at a time."""
+    f_lo = derived_polynomial(f, nu - 1)
+    f_hi = derived_polynomial(f, nu)
+
+    def step_fn(lam):
+        v_lo = evaluate(f_lo, lam)[0]
+        v_hi = evaluate(f_hi, lam)[0]
+        if abs(v_hi) <= 1e-290 * max(1.0, abs(v_lo)):
+            raise ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))
+        return (v_lo / v_hi) * lam
+
+    bound = DEFAULT_SETTINGS.divergence_factor * (1.0 + cauchy_root_bound(f))
+    return _run_iteration(step_fn, partial(relative_residual, f), seed,
+                          DEFAULT_SETTINGS, bound)
+
+
+def _row_bits(trace):
+    return [tuple((z.real.hex(), z.imag.hex()) for z in (r.lam, r.value, r.step))
+            for r in trace.rows]
+
+
+def test_fused_probe_step_gives_the_reference_traces():
+    """The one-pass f_{nu-1}, f_nu evaluation changes no bit of any probe,
+    also where f_nu is shorter than f_{nu-1} (degree 1)."""
+    for coeffs, seed in (
+        ((-3.0, 2.0), 1.4),
+        (cases.DOUBLE_QUAD_SEXTIC, cases.DOUBLE_QUAD_SEED_NU2),
+        (cases.CLUSTER_DECIC, cases.CLUSTER_DECIC_SEED_NU3),
+    ):
+        f = Polynomial(coeffs)
+        for nu in range(1, f.degree + 1):
+            got = iterate_test_nu(f, nu, seed)
+            want = _reference_probe(f, nu, seed)
+            assert got.status is want.status
+            assert _row_bits(got) == _row_bits(want)
+            assert got.notes == want.notes
