@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .ecp import EVOLUTION_THRESHOLD_REL
+from .ecp import defects_below_threshold
 from .errors import (
     DerivativeUnderflowError,
     HalleyDenominatorError,
@@ -22,7 +22,6 @@ from .errors import (
 )
 from .explore import scan_sign_changes
 from .matpoly import (
-    characteristic_polynomial,
     eval_matrix,
     extract_eigenvectors,
     left_eigenvectors,
@@ -32,12 +31,13 @@ from .pipeline import (
     Algorithm,
     ProblemSpec,
     SeedSource,
-    _bundle_columns,
     complex_pair,
     ecp_diagnostics,
     ecp_to_dict,
+    eigenpair_to_dict,
     report_to_dict,
     run_pipeline,
+    spec_polynomial,
 )
 from .poly import Polynomial, cauchy_root_bound, evaluate, halley_eval, pade_eval
 from .refine import IterationSettings
@@ -254,12 +254,6 @@ def _write_json(data, out_path):
         sys.stdout.write(text + "\n")
 
 
-def _scalar_polynomial(spec):
-    if spec.polynomial is not None:
-        return spec.polynomial
-    return characteristic_polynomial(spec.matrix)
-
-
 def _cmd_solve(args):
     spec = _apply_overrides(parse_problem_file(args.problem), args)
     report = run_pipeline(spec)
@@ -284,7 +278,7 @@ def _scan_dict(report):
 
 def _cmd_explore(args):
     spec = _apply_overrides(parse_problem_file(args.problem), args)
-    f = _scalar_polynomial(spec)
+    f = spec_polynomial(spec)
     out = {}
     for label, co in (("plain", False), ("co", True)):
         out[label] = _scan_dict(scan_sign_changes(f, spec.delta, co=co))
@@ -298,11 +292,9 @@ def _cmd_ecp(args):
         raise ProblemFormatError(
             "ecp needs explicit eigenvalue approximations (--seeds or file)"
         )
-    diag = ecp_diagnostics(_scalar_polynomial(spec), spec.external_seeds)
+    diag = ecp_diagnostics(spec_polynomial(spec), spec.external_seeds)
     _write_json(ecp_to_dict(diag), args.out)
-    max_d = max(abs(d) for d in diag.final_list.defects)
-    max_h = max(abs(h) for h in diag.final_list.main_values)
-    return 0 if max_d <= EVOLUTION_THRESHOLD_REL * (1.0 + max_h) else 1
+    return 0 if defects_below_threshold(diag.final_list) else 1
 
 
 def _cmd_eigvec(args):
@@ -328,15 +320,7 @@ def _cmd_eigvec(args):
         )
         all_pass = all_pass and passes
         entries.append(
-            {
-                "value": complex_pair(lam),
-                "rank_deficiency": right.rank_deficiency,
-                "right": _bundle_columns(right.right_vectors),
-                "left": _bundle_columns(left.left_vectors),
-                "right_residuals": list(right.right_residuals),
-                "left_residuals": list(left.left_residuals),
-                "residual_pass": passes,
-            }
+            dict(eigenpair_to_dict(lam, right, left), residual_pass=passes)
         )
     _write_json({"eigenvectors": entries}, args.out)
     return 0 if all_pass else 1
@@ -381,7 +365,7 @@ def emit_plot_data(f, interval, samples, path):
 
 def _cmd_plot(args):
     spec = _apply_overrides(parse_problem_file(args.problem), args)
-    f = _scalar_polynomial(spec)
+    f = spec_polynomial(spec)
     if args.range is not None:
         interval = (args.range[0], args.range[1])
     else:

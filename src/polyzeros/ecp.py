@@ -174,9 +174,8 @@ def _reduced_residual(lst):
     return residual
 
 
-def _list_bound(lst, settings):
-    top = max(abs(r.sigma) + abs(r.defect) for r in lst.rows)
-    return settings.divergence_factor * (1.0 + top)
+def _list_bound(lst):
+    return max(abs(r.sigma) + abs(r.defect) for r in lst.rows)
 
 
 def rayleigh_iterate(lst, seed, settings=DEFAULT_SETTINGS):
@@ -195,7 +194,7 @@ def rayleigh_iterate(lst, seed, settings=DEFAULT_SETTINGS):
         return (s_sigma - s1 * s1) / s2 - lam
 
     return _run_iteration(
-        step_fn, _reduced_residual(lst), seed, settings, _list_bound(lst, settings)
+        step_fn, _reduced_residual(lst), seed, settings, _list_bound(lst)
     )
 
 
@@ -214,7 +213,7 @@ def reduced_pade_iterate(lst, seed, settings=DEFAULT_SETTINGS):
         return (s1 - 1.0) / (-s2)
 
     return _run_iteration(
-        step_fn, _reduced_residual(lst), seed, settings, _list_bound(lst, settings)
+        step_fn, _reduced_residual(lst), seed, settings, _list_bound(lst)
     )
 
 
@@ -231,9 +230,16 @@ def evolve(lst, f):
     return build_ecp_list(f, lst.main_values)
 
 
+def defects_below_threshold(lst):
+    """True when max|d| <= EVOLUTION_THRESHOLD_REL * (1 + max|H|)."""
+    max_d = max(abs(r.defect) for r in lst.rows)
+    max_h = max(abs(r.main_value) for r in lst.rows)
+    return max_d <= EVOLUTION_THRESHOLD_REL * (1.0 + max_h)
+
+
 def evolve_until(lst, f):
-    """Evolve repeatedly until max|d| <= EVOLUTION_THRESHOLD_REL*(1+max|H|),
-    at most MAX_EVOLUTIONS times.
+    """Evolve repeatedly until :func:`defects_below_threshold`, at most
+    MAX_EVOLUTIONS times.
 
     Returns the list of evolved lists (not including the input); empty when
     the input already meets the threshold.
@@ -241,9 +247,7 @@ def evolve_until(lst, f):
     history = []
     current = lst
     for _ in range(MAX_EVOLUTIONS):
-        max_d = max(abs(r.defect) for r in current.rows)
-        max_h = max(abs(r.main_value) for r in current.rows)
-        if max_d <= EVOLUTION_THRESHOLD_REL * (1.0 + max_h):
+        if defects_below_threshold(current):
             break
         current = evolve(current, f)
         history.append(current)

@@ -26,7 +26,6 @@ from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
 ACCELERATED_MAX_ROUNDS = 60
-REAL_COEFF_TOL = 0.0
 COMPANION_RESIDUAL_REL = 1e-8
 
 
@@ -72,7 +71,7 @@ def scan_sign_changes(f, delta, co=False):
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if not f.is_real(REAL_COEFF_TOL):
+    if not f.is_real():
         raise RealScanError(
             "real-axis scan needs real coefficients; supply external seeds "
             "or the fallback seed provider for complex spectra"

@@ -22,7 +22,6 @@ from .errors import (
 from .explore import companion_seed_all
 from .poly import Polynomial, effective_degree
 
-TRAILING_TRIM_REL = 1e-10
 IMAG_RESIDUE_REL = 1e-10
 DEFAULT_PIVOT_TOL = 1e-10
 LEADING_REGULARITY_REL = 1e-12
@@ -95,9 +94,9 @@ def characteristic_polynomial(pm):
     m = rho*n and R one plus the largest coefficient entry; the
     coefficients fall out of the inverse DFT of the samples, scaled back by
     R**-j. Real inputs are realified when the imaginary residue is below
-    IMAG_RESIDUE_REL of the coefficient scale. Trailing coefficients below
-    TRAILING_TRIM_REL of the largest are trimmed, so the returned degree is
-    the effective one.
+    IMAG_RESIDUE_REL of the coefficient scale. Trailing coefficients are
+    trimmed by :func:`effective_degree`, so the returned degree is the
+    effective one.
     """
     m = pm.nominal_char_degree
     count = m + 1
@@ -139,7 +138,7 @@ def characteristic_polynomial(pm):
         if residue <= IMAG_RESIDUE_REL * top:
             coeffs = coeffs.real.astype(complex)
     poly = Polynomial(tuple(coeffs))
-    return effective_degree(poly, TRAILING_TRIM_REL)
+    return effective_degree(poly)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """Seed -> refine -> report orchestration shared by the CLI and library users.
 
 A ProblemSpec bundles one polynomial (scalar or matrix) with a seed source
-and an algorithm choice. run_pipeline acquires seeds, refines each one,
-merges duplicate roots, and assembles a deterministic report ordered
-lexicographically by (re, im). Hard errors in any stage are recorded on the
-report and the remaining seeds still run.
+and an algorithm choice. The problem polynomial (:func:`spec_polynomial`)
+is the user's coefficients as given, or det F for a matrix problem.
+run_pipeline acquires seeds, refines each one in a single per-seed loop
+whatever the algorithm, merges duplicate roots, and assembles a
+deterministic report ordered lexicographically by (re, im). Hard errors in
+any stage are recorded on the report and the remaining seeds still run. A
+report passes only when its multiplicities sum to the full degree and
+every root passes its residual test.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .ecp import (
     EcpList,
@@ -23,13 +27,12 @@ from .ecp import (
 from .errors import PolyzerosError, ProblemFormatError
 from .explore import companion_seed_all, scan_sign_changes
 from .matpoly import (
-    PolynomialMatrix,
     characteristic_polynomial,
     diagonal_seeds,
     extract_eigenvectors,
     left_eigenvectors,
 )
-from .poly import effective_degree, relative_residual
+from .poly import relative_residual
 from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
 from .refine import (
     DEFAULT_SETTINGS,
@@ -39,7 +42,7 @@ from .refine import (
     iterate_halley,
     iterate_pade,
     iterate_test_nu,
-    same_root,
+    group_roots,
 )
 
 
@@ -173,96 +176,57 @@ def _acquire_seeds(spec, f, errors):
     return tuple(seeds)
 
 
-def _refine_independent(spec, f, seeds, errors):
-    """detect / pade / halley / test-nu: one refinement per seed."""
+def _refiner(spec, f, seeds):
+    """``k -> (trace, nu)`` for the spec's algorithm, seed k.
+
+    The trace's final iterate is the root and nu its multiplicity. Rayleigh
+    and reduced refine row k's main value of one interpolation list, built
+    here from all seeds; detect returns its winning probe.
+    """
+    settings = spec.settings
+    if spec.algorithm in (Algorithm.RAYLEIGH, Algorithm.REDUCED):
+        lst = build_ecp_list(f, seeds)
+        iterate = (rayleigh_iterate if spec.algorithm is Algorithm.RAYLEIGH
+                   else reduced_pade_iterate)
+        return lambda k: (iterate(lst, lst.rows[k].main_value, settings), 1)
+    if spec.algorithm is Algorithm.DETECT:
+        def detect(k):
+            verdict = detect_multiplicity(f, seeds[k], spec.nu_max, settings)
+            return verdict.probes[verdict.multiplicity], verdict.multiplicity
+        return detect
+    if spec.algorithm is Algorithm.TEST_NU:
+        return lambda k: (iterate_test_nu(f, spec.nu, seeds[k], settings),
+                          spec.nu)
+    iterate = iterate_pade if spec.algorithm is Algorithm.PADE else iterate_halley
+    return lambda k: (iterate(f, seeds[k], settings), 1)
+
+
+def _refine(spec, f, seeds, errors):
+    """One record per seed whose refinement converges; the others leave an
+    error line."""
+    try:
+        refine_seed = _refiner(spec, f, seeds)
+    except PolyzerosError as exc:  # only the list build raises here
+        errors.append("interpolation list: %s" % exc)
+        return []
     records = []
-    for seed in seeds:
+    for k, seed in enumerate(seeds):
         try:
-            if spec.algorithm is Algorithm.DETECT:
-                verdict = detect_multiplicity(
-                    f, seed, spec.nu_max, spec.settings
-                )
-                value = verdict.root
-                nu = verdict.multiplicity
-                iterations = len(verdict.probes[nu].rows)
-            else:
-                if spec.algorithm is Algorithm.PADE:
-                    trace = iterate_pade(f, seed, spec.settings)
-                elif spec.algorithm is Algorithm.HALLEY:
-                    trace = iterate_halley(f, seed, spec.settings)
-                else:
-                    trace = iterate_test_nu(
-                        f, spec.nu, seed, spec.settings
-                    )
-                if trace.status is not TraceStatus.CONVERGED:
-                    errors.append(
-                        "seed %r: %s%s"
-                        % (
-                            seed,
-                            trace.status.value,
-                            (" (%s)" % "; ".join(trace.notes))
-                            if trace.notes else "",
-                        )
-                    )
-                    continue
-                value = trace.final
-                nu = spec.nu if spec.algorithm is Algorithm.TEST_NU else 1
-                iterations = len(trace.rows)
+            trace, nu = refine_seed(k)
         except PolyzerosError as exc:
             errors.append("seed %r: %s" % (seed, exc))
             continue
-        residual = relative_residual(f, value)
-        records.append(
-            RootRecord(
-                complex(value),
-                nu,
-                residual,
-                spec.algorithm,
-                iterations,
-                (complex(seed),),
-                spec.seed_source,
-                residual <= spec.settings.residual_tol,
-            )
-        )
-    return records
-
-
-def _refine_through_list(spec, f, seeds, errors):
-    """rayleigh / reduced: one shared list, row main values refined."""
-    try:
-        lst = build_ecp_list(f, seeds)
-    except PolyzerosError as exc:
-        errors.append("interpolation list: %s" % exc)
-        return []
-    iterate = (
-        rayleigh_iterate
-        if spec.algorithm is Algorithm.RAYLEIGH
-        else reduced_pade_iterate
-    )
-    records = []
-    for k, row in enumerate(lst.rows):
-        try:
-            trace = iterate(lst, row.main_value, spec.settings)
-        except PolyzerosError as exc:
-            errors.append("list row %d: %s" % (k, exc))
-            continue
         if trace.status is not TraceStatus.CONVERGED:
-            errors.append("list row %d: %s" % (k, trace.status.value))
+            notes = " (%s)" % "; ".join(trace.notes) if trace.notes else ""
+            errors.append("seed %r: %s%s" % (seed, trace.status.value, notes))
             continue
         value = complex(trace.final)
         residual = relative_residual(f, value)
-        records.append(
-            RootRecord(
-                value,
-                1,
-                residual,
-                spec.algorithm,
-                len(trace.rows),
-                (complex(seeds[k]),),
-                spec.seed_source,
-                residual <= spec.settings.residual_tol,
-            )
-        )
+        records.append(RootRecord(
+            value, nu, residual, spec.algorithm, len(trace.rows),
+            (complex(seed),), spec.seed_source,
+            residual <= spec.settings.residual_tol,
+        ))
     return records
 
 
@@ -274,34 +238,11 @@ def _dedupe(records):
     ordered = sorted(
         records, key=lambda r: (r.value.real, r.value.imag, r.residual)
     )
-    groups = []
-    for record in ordered:
-        for group in groups:
-            if same_root(group[0].value, record.value):
-                group.append(record)
-                break
-        else:
-            groups.append([record])
     merged = []
-    for group in groups:
+    for group in group_roots(ordered, lambda r: r.value):
         best = min(group, key=lambda r: r.residual)
-        seeds = []
-        for member in group:
-            for s in member.seeds:
-                if s not in seeds:
-                    seeds.append(s)
-        merged.append(
-            RootRecord(
-                best.value,
-                best.multiplicity,
-                best.residual,
-                best.algorithm,
-                best.iterations,
-                tuple(seeds),
-                best.source,
-                best.residual_pass,
-            )
-        )
+        seeds = dict.fromkeys(s for member in group for s in member.seeds)
+        merged.append(replace(best, seeds=tuple(seeds)))
     merged.sort(key=lambda r: (r.value.real, r.value.imag))
     return merged
 
@@ -375,33 +316,29 @@ def _eigenvector_phase(matrix, records, errors):
     return tuple(pairs)
 
 
+def spec_polynomial(spec):
+    """The problem's polynomial: the user's coefficients as given, or det F
+    from :func:`characteristic_polynomial` for a matrix problem."""
+    if spec.polynomial is not None:
+        return spec.polynomial
+    return characteristic_polynomial(spec.matrix)
+
+
 def run_pipeline(spec):
     """Solve one problem end to end; see the module docstring for stages."""
     errors = []
-    if spec.matrix is not None:
-        try:
-            f = characteristic_polynomial(spec.matrix)
-        except PolyzerosError as exc:
-            return RootReport((), 0, 0, False, False, (str(exc),))
-    else:
-        f = effective_degree(spec.polynomial)
+    try:
+        f = spec_polynomial(spec)
+    except PolyzerosError as exc:
+        return RootReport((), 0, 0, False, False, (str(exc),))
     seeds = _acquire_seeds(spec, f, errors)
-    if spec.algorithm in (Algorithm.RAYLEIGH, Algorithm.REDUCED):
-        records = _refine_through_list(spec, f, seeds, errors)
-    else:
-        records = _refine_independent(spec, f, seeds, errors)
-    records = _dedupe(records)
+    records = _dedupe(_refine(spec, f, seeds, errors))
     ecp_diag = _ecp_phase(f, records, errors) if spec.ecp and records else None
     eigenvectors = ()
     if spec.matrix is not None and records:
         eigenvectors = _eigenvector_phase(spec.matrix, records, errors)
     total = sum(r.multiplicity for r in records)
     conserved = total == f.degree
-    residuals_pass = bool(records) and all(r.residual_pass for r in records)
-    if spec.matrix is not None and len(eigenvectors) < len(records):
-        # An eigenvalue must also make F(lambda) singular; unlike the
-        # residual, that check does not read the interpolated det F.
-        residuals_pass = False
     if not conserved:
         errors.append(
             "multiplicity sum %d does not match effective degree %d"
@@ -410,11 +347,17 @@ def run_pipeline(spec):
     if (spec.matrix is not None and spec.matrix.leading_regular
             and f.degree < spec.matrix.nominal_char_degree):
         conserved = False
-        residuals_pass = False
         errors.append(
             "effective degree %d is below rho*n = %d although the leading "
             "matrix is regular" % (f.degree, spec.matrix.nominal_char_degree)
         )
+    # An eigenvalue must also make F(lambda) singular; unlike the residual,
+    # that check does not read the interpolated det F.
+    residuals_pass = (
+        conserved and bool(records)
+        and all(r.residual_pass for r in records)
+        and (spec.matrix is None or len(eigenvectors) == len(records))
+    )
     return RootReport(
         tuple(records),
         f.degree,
@@ -471,6 +414,19 @@ def _bundle_columns(vectors):
     ]
 
 
+def eigenpair_to_dict(value, right, left):
+    """JSON-ready right and left eigenvectors at one eigenvalue; callers
+    add their own keys."""
+    return {
+        "value": complex_pair(value),
+        "rank_deficiency": right.rank_deficiency,
+        "right": _bundle_columns(right.right_vectors),
+        "left": _bundle_columns(left.left_vectors),
+        "right_residuals": [float(x) for x in right.right_residuals],
+        "left_residuals": [float(x) for x in left.left_residuals],
+    }
+
+
 def report_to_dict(report):
     """JSON-ready form of a report; complex numbers become [re, im]."""
     data = {
@@ -494,16 +450,8 @@ def report_to_dict(report):
         "errors": list(report.errors),
         "ecp": ecp_to_dict(report.ecp) if report.ecp else None,
         "eigenvectors": [
-            {
-                "value": complex_pair(p.value),
-                "multiplicity": p.multiplicity,
-                "rank_deficiency": p.right.rank_deficiency,
-                "defective": p.defective,
-                "right": _bundle_columns(p.right.right_vectors),
-                "left": _bundle_columns(p.left.left_vectors),
-                "right_residuals": [float(x) for x in p.right.right_residuals],
-                "left_residuals": [float(x) for x in p.left.left_residuals],
-            }
+            dict(eigenpair_to_dict(p.value, p.right, p.left),
+                 multiplicity=p.multiplicity, defective=p.defective)
             for p in report.eigenvectors
         ],
     }

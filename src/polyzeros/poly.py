@@ -19,6 +19,7 @@ from .errors import (
 STRUCTURAL_ZERO = 1e-300
 DERIVATIVE_UNDERFLOW = 1e-290
 TAYLOR_TOL = 1e-7
+DEGREE_TRIM_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class Polynomial:
     def is_zero(self):
         return not self.coeffs
 
-    def is_real(self, tol=0.0):
-        return all(abs(a.imag) <= tol for a in self.coeffs)
+    def is_real(self):
+        return all(a.imag == 0.0 for a in self.coeffs)
 
 
 def polynomial_from_roots(roots, leading=1.0):
@@ -235,10 +236,10 @@ class TaylorVerdict:
     derivative_magnitudes: tuple
 
 
-def taylor_multiplicity_test(f, a, nu, tol=TAYLOR_TOL):
+def taylor_multiplicity_test(f, a, nu):
     """Check that a is a root of multiplicity exactly nu.
 
-    Accepts iff |f^(k)(a)| <= tol*S_k for all k < nu and the nu-th
+    Accepts iff |f^(k)(a)| <= TAYLOR_TOL*S_k for all k < nu and the nu-th
     derivative breaks the pattern. S_k is the magnitude sum of the k-th
     derivative terms, so the test is relative and survives Wilkinson-scale
     coefficients. Raises TaylorRejectionError carrying the first violating
@@ -246,17 +247,15 @@ def taylor_multiplicity_test(f, a, nu, tol=TAYLOR_TOL):
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     vals = evaluate(f, a, nu)
     scales = derivative_scales(f, a, nu)
     mags = tuple(abs(v) for v in vals)
     for k in range(nu):
-        if mags[k] > tol * scales[k]:
+        if mags[k] > TAYLOR_TOL * scales[k]:
             raise TaylorRejectionError(
                 "derivative order %d is not numerically zero at %r" % (k, a), k
             )
-    if mags[nu] <= tol * scales[nu]:
+    if mags[nu] <= TAYLOR_TOL * scales[nu]:
         raise TaylorRejectionError(
             "derivative order %d still vanishes at %r; multiplicity exceeds %d"
             % (nu, a, nu),
@@ -265,17 +264,19 @@ def taylor_multiplicity_test(f, a, nu, tol=TAYLOR_TOL):
     return TaylorVerdict(nu, mags)
 
 
-def effective_degree(f, rel_tol=1e-10):
-    """Degree after trimming trailing coefficients below rel_tol * max|a|.
+def effective_degree(f):
+    """Degree after trimming trailing coefficients below
+    DEGREE_TRIM_REL * max|a|.
 
-    Explicit, relative-threshold degree detection for computed coefficient
-    lists (a leading matrix can be singular, dropping the true degree below
-    the nominal one). Returns a new Polynomial.
+    Relative-threshold degree detection for computed coefficient lists
+    only (a leading matrix can be singular, dropping the true degree below
+    the nominal one); user coefficients are taken as given. Returns a new
+    Polynomial.
     """
     if f.is_zero:
         return f
     top = max(abs(a) for a in f.coeffs)
     coeffs = list(f.coeffs)
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= rel_tol * top:
+    while len(coeffs) > 1 and abs(coeffs[-1]) <= DEGREE_TRIM_REL * top:
         coeffs.pop()
     return Polynomial(tuple(coeffs))

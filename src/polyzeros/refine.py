@@ -100,15 +100,16 @@ class IterationTrace:
         return last.lam + last.step
 
 
-def _run_iteration(step_fn, residual_fn, seed, settings, divergence_bound):
+def _run_iteration(step_fn, residual_fn, seed, settings, root_bound):
     """Shared fixed-point engine.
 
     Convergence needs two consecutive relatively small steps plus a
     relative residual ``residual_fn(lam)`` at most ``residual_tol``;
     sustained slow step ratios (>= SLOW_RATIO for SLOW_KILL_COUNT steps)
-    end the run as MAX_ITERS; iterates beyond the divergence bound end it
-    as DIVERGED.
+    end the run as MAX_ITERS; iterates beyond the divergence bound
+    ``divergence_factor * (1 + root_bound)`` end it as DIVERGED.
     """
+    divergence_bound = settings.divergence_factor * (1.0 + root_bound)
     lam = complex(seed)
     rows = []
     prev_small = False
@@ -156,23 +157,37 @@ def same_root(a, b):
     return abs(a - b) <= ROOT_IDENTITY_REL * (1.0 + min(abs(a), abs(b)))
 
 
+def group_roots(items, value):
+    """Group items greedily, in input order: an item joins the first group
+    whose first member is the same root (``same_root`` on ``value(item)``)."""
+    groups = []
+    for item in items:
+        for group in groups:
+            if same_root(value(group[0]), value(item)):
+                group.append(item)
+                break
+        else:
+            groups.append([item])
+    return groups
+
+
 def iterate_pade(f, seed, settings=DEFAULT_SETTINGS):
     """Iterate Lambda += p(Lambda) from the seed; quadratic at simple roots,
     linear with ratio 1 - 1/nu at nu-fold roots."""
     if f.degree < 1:
         raise ZeroPolynomialError("pade iteration needs degree >= 1")
-    bound = settings.divergence_factor * (1.0 + cauchy_root_bound(f))
     return _run_iteration(lambda lam: pade_eval(f, lam),
-                          partial(relative_residual, f), seed, settings, bound)
+                          partial(relative_residual, f), seed, settings,
+                          cauchy_root_bound(f))
 
 
 def iterate_halley(f, seed, settings=DEFAULT_SETTINGS):
     """Iterate Lambda += h(Lambda) from the seed."""
     if f.degree < 2:
         raise ZeroPolynomialError("halley iteration needs degree >= 2")
-    bound = settings.divergence_factor * (1.0 + cauchy_root_bound(f))
     return _run_iteration(lambda lam: halley_eval(f, lam),
-                          partial(relative_residual, f), seed, settings, bound)
+                          partial(relative_residual, f), seed, settings,
+                          cauchy_root_bound(f))
 
 
 def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
@@ -216,9 +231,8 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
             raise ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))
         return (v_lo / v_hi) * lam
 
-    bound = settings.divergence_factor * (1.0 + root_bound)
     return _run_iteration(step_fn, partial(relative_residual, f), seed,
-                          settings, bound)
+                          settings, root_bound)
 
 
 @dataclass(frozen=True)
@@ -283,16 +297,7 @@ def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS):
             "no multiplicity identified from seed %r; improve the seed" % (seed,)
         )
 
-    groups = []
-    for nu in sorted(winners):
-        root = winners[nu]
-        for group in groups:
-            if same_root(group[0][1], root):
-                group.append((nu, root))
-                break
-        else:
-            groups.append([(nu, root)])
-
+    groups = group_roots(sorted(winners.items()), lambda w: w[1])
     seed = complex(seed)
     if len(groups) > 1:
         distances = sorted(abs(g[0][1] - seed) for g in groups)

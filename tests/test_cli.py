@@ -170,8 +170,8 @@ def test_seed_file_override_forces_external_source(tmp_path):
     assert len(report["roots"]) == 1
     assert report["roots"][0]["multiplicity"] == 2
     assert report["roots"][0]["source"] == "external"
-    assert code == 0
     assert report["conserved"] is False
+    assert code == 1
 
 
 def test_explore_writes_both_sweeps(tmp_path):

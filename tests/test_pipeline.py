@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import cases
+import oracles
 from polyzeros import (
     Algorithm,
+    IterationSettings,
     ProblemFormatError,
     Polynomial,
     ProblemSpec,
@@ -144,6 +146,25 @@ def test_rayleigh_algorithm_refines_through_one_list(wilkinson10):
     np.testing.assert_allclose(values, np.arange(1.0, 11.0), atol=1e-7)
 
 
+def test_list_row_that_does_not_converge_is_one_seed_error():
+    """Rayleigh refines the list rows in the same per-seed loop as every
+    other algorithm: with six iterations the row of seed 1.001 stops at
+    max-iters, gets the usual seed error line, and the other rows still
+    give their roots."""
+    spec = ProblemSpec(
+        polynomial=polynomial_from_roots((1.0, 2.0, 3.0)),
+        seed_source=SeedSource.EXTERNAL,
+        external_seeds=(1.001, 1.5, 3.2),
+        algorithm=Algorithm.RAYLEIGH,
+        settings=IterationSettings(max_iters=6),
+    )
+    report = run_pipeline(spec)
+    assert "seed (1.001+0j): max-iters" in report.errors
+    values = [r.value for r in report.roots]
+    np.testing.assert_allclose(values, (2.0, 3.0), atol=1e-10)
+    assert [r.seeds for r in report.roots] == [(1.5 + 0j,), (3.2 + 0j,)]
+
+
 def test_ecp_phase_attaches_diagnostics(quad_quint):
     roots = (1.0, 2.0, -3.0)
     f = polynomial_from_roots(roots)
@@ -177,6 +198,38 @@ def test_erroring_seed_is_recorded_and_skipped(quad_quint):
     np.testing.assert_allclose(report.roots[0].value, -2.0, atol=1e-8)
     assert any("0.93" in e and "step ratios" in e for e in report.errors)
     assert not report.conserved
+
+
+def test_report_that_lost_roots_does_not_pass(quad_quint, tmp_path):
+    """Every found root passes its residual test, but two of the five roots
+    are missing: the report must not pass and solve must exit 1."""
+    spec = ProblemSpec(
+        polynomial=quad_quint,
+        seed_source=SeedSource.EXTERNAL,
+        external_seeds=(-2.1,),
+        algorithm=Algorithm.PADE,
+    )
+    report = run_pipeline(spec)
+    assert all(r.residual_pass for r in report.roots)
+    assert report.conserved is False
+    assert report.all_residuals_pass is False
+    path = tmp_path / "one_seed.json"
+    path.write_text(json.dumps(problem_spec_to_dict(spec)))
+    assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+def test_user_coefficients_keep_their_full_degree():
+    """Wilkinson 15's largest coefficient is 6.2e12 times its leading one.
+    That leading term is the user's data, not noise to trim, so the report
+    keeps degree 15 and does not pass (plain Pade from the companion seeds
+    reaches 3 of the 15 roots)."""
+    f = Polynomial(tuple(float(c) for c in oracles.wilkinson_coeffs(15)))
+    report = run_pipeline(ProblemSpec(
+        polynomial=f, seed_source=SeedSource.COMPANION,
+        algorithm=Algorithm.PADE,
+    ))
+    assert report.effective_degree == 15
+    assert report.all_residuals_pass is False
 
 
 def test_matrix_problem_attaches_eigenvectors(singular_lead):

@@ -184,9 +184,8 @@ def _reference_probe(f, nu, seed):
             raise ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))
         return (v_lo / v_hi) * lam
 
-    bound = DEFAULT_SETTINGS.divergence_factor * (1.0 + cauchy_root_bound(f))
     return _run_iteration(step_fn, partial(relative_residual, f), seed,
-                          DEFAULT_SETTINGS, bound)
+                          DEFAULT_SETTINGS, cauchy_root_bound(f))
 
 
 def _row_bits(trace):
