@@ -5,9 +5,11 @@ of slope -1/nu, so |p| alone cannot say where the root is but the local
 slope says how often it occurs. The probe iteration of order k applies
 the same idea to the k-th derived polynomial: started close to the
 root, the probe with k equal to the true multiplicity contracts
-quadratically while every smaller k limps along linearly. Running the
-probes in order and taking the first quadratic one is the multiplicity
-detector.
+quadratically while every smaller k limps along linearly. The
+multiplicity detector starts at the order the slope suggests,
+nu-hat = 1/(1 - f f''/f'^2) rounded, tries the other orders outward from
+it, and takes the first probe that converges quadratically and passes
+the Taylor ladder.
 
 The target here is a degree-10 polynomial with conjugate triple roots
 at (-1 +- i sqrt(3)) / 2 and conjugate double roots at +-i. A coarse

@@ -22,7 +22,6 @@ from .ecp import (
     sum_control,
 )
 from .errors import (
-    AmbiguousMultiplicityError,
     DerivativeUnderflowError,
     EvolutionCollisionError,
     FlatSecantError,

@@ -396,6 +396,7 @@ def _add_common(parser):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="polyzeros",
+        allow_abbrev=False,
         description="Zeros of polynomials and polynomial matrices via "
                     "Pade-function iterations",
     )
@@ -407,7 +408,7 @@ def build_parser():
         ("eigvec", _cmd_eigvec, "eigenvectors at given eigenvalues"),
         ("plot", _cmd_plot, "CSV samples of f, p, h on an interval"),
     ):
-        p = sub.add_parser(name, help=extra)
+        p = sub.add_parser(name, help=extra, allow_abbrev=False)
         _add_common(p)
         if name == "plot":
             p.add_argument("--range", type=float, nargs=2, default=None,

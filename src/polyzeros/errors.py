@@ -42,20 +42,6 @@ class NoMultiplicityError(PolyzerosError):
     """No probe converged; the seed is too far from a root."""
 
 
-class AmbiguousMultiplicityError(PolyzerosError):
-    """Probes converged to distinct roots that cannot be told apart.
-
-    Attributes
-    ----------
-    candidates : tuple of (int, complex)
-        The (multiplicity, root) pairs in conflict.
-    """
-
-    def __init__(self, message, candidates):
-        super().__init__(message)
-        self.candidates = tuple(candidates)
-
-
 class FlatSecantError(PolyzerosError):
     """The secant slope between the bracket endpoints is zero."""
 

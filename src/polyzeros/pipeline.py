@@ -67,8 +67,9 @@ class ProblemSpec:
     """One solve request: payload, seed source, algorithm, knobs.
 
     Exactly one of ``polynomial``/``matrix`` is set. ``nu`` is the probe
-    order used by the test-nu algorithm only; detect probes 1..nu_max
-    (defaulting to the degree). Rayleigh and reduced algorithms build one
+    order used by the test-nu algorithm only; detect probes orders in
+    1..nu_max (defaulting to the degree), the guess nu-hat first, until one
+    is verified. Rayleigh and reduced algorithms build one
     interpolation list from all seeds and refine each row's main value.
     """
 

@@ -5,15 +5,17 @@ Halley step Lambda += h(Lambda), and the test-polynomial step
 Lambda += P_nu(Lambda)*Lambda whose fixed points reveal root multiplicity.
 Traces mirror printed iteration tables row by row, and a probe classifier
 separates genuine (quadratic) convergence from the slow linear creep a
-wrong-multiplicity probe produces.
+wrong-multiplicity probe produces. The multiplicity detector tries the
+probes nearest the guess nu-hat = 1/(1 - f f''/f'^2) first and stops at
+the first one the classifier and the Taylor ladder accept.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import (
-    AmbiguousMultiplicityError,
     DerivativeUnderflowError,
     HalleyDenominatorError,
     NoMultiplicityError,
@@ -25,6 +27,7 @@ from .errors import (
 from .poly import (
     TaylorVerdict,
     cauchy_root_bound,
+    evaluate,
     halley_eval,
     pade_eval,
     relative_residual,
@@ -266,60 +269,52 @@ def probe_strictly_converged(trace, settings=DEFAULT_SETTINGS):
     return True
 
 
-def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS):
-    """Probe nu = 1..nu_max simultaneously from one seed.
+def _guess_multiplicity(f, seed, nu_max):
+    """nu-hat = |1/(1 - f f''/f'^2)| at the seed, rounded into 1..nu_max.
 
-    Exactly one multiplicity should converge; the winning probe gives both
-    the root and its multiplicity, cross-checked by the Taylor ladder.
-    When several probes converge to one root (a stalled under-probe, or an
-    accidental fixed point of an over-probe) the largest Taylor-validated
-    nu wins; when they converge to genuinely different roots the group
-    nearest the seed wins. Distinct roots at indistinguishable distances
-    raise AmbiguousMultiplicityError.
+    Near a nu-fold root the Pade line p = f/(-f') has slope
+    p' = -(1 - f f''/f'^2) = -1/nu. An undefined or non-finite guess
+    gives 1.
+    """
+    v, d1, d2 = evaluate(f, seed, 2)
+    try:
+        guess = abs(1.0 / (1.0 - v * d2 / (d1 * d1)))
+    except (ZeroDivisionError, OverflowError):
+        return 1
+    if not math.isfinite(guess):
+        return 1
+    return min(max(round(guess), 1), nu_max)
+
+
+def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS):
+    """Probe nu = 1..nu_max from one seed, nearest the guess nu-hat first.
+
+    The probes run in order of |nu - nu-hat| (the smaller nu first on ties)
+    and detection stops at the first one that converges quadratically and
+    whose root passes the Taylor ladder. The ladder accepts exactly one nu
+    at a given root, so that probe gives both the root and its
+    multiplicity. ``probes`` holds the probes that ran, the winner
+    included.
     """
     if nu_max is None:
         nu_max = f.degree
     if nu_max < 1:
         raise ValueError("nu_max must be >= 1")
+    guess = _guess_multiplicity(f, seed, nu_max)
     probes = {}
-    for nu in range(1, nu_max + 1):
+    for nu in sorted(range(1, nu_max + 1), key=lambda k: (abs(k - guess), k)):
         try:
-            probes[nu] = iterate_test_nu(f, nu, seed, settings)
+            trace = iterate_test_nu(f, nu, seed, settings)
         except ZeroPolynomialError:
-            break
-    winners = {
-        nu: trace.final
-        for nu, trace in probes.items()
-        if probe_strictly_converged(trace, settings)
-    }
-    if not winners:
-        raise NoMultiplicityError(
-            "no multiplicity identified from seed %r; improve the seed" % (seed,)
-        )
-
-    groups = group_roots(sorted(winners.items()), lambda w: w[1])
-    seed = complex(seed)
-    if len(groups) > 1:
-        distances = sorted(abs(g[0][1] - seed) for g in groups)
-        if distances[1] - distances[0] <= ROOT_IDENTITY_REL * (1.0 + distances[0]):
-            raise AmbiguousMultiplicityError(
-                "probes converged to distinct roots equidistant from the seed",
-                [(nu, root) for g in groups for nu, root in g],
-            )
-        groups.sort(key=lambda g: abs(g[0][1] - seed))
-    group = groups[0]
-
-    chosen = None
-    for nu, root in sorted(group, reverse=True):
+            continue
+        probes[nu] = trace
+        if not probe_strictly_converged(trace, settings):
+            continue
         try:
-            verdict = taylor_multiplicity_test(f, root, nu)
+            verdict = taylor_multiplicity_test(f, trace.final, nu)
         except TaylorRejectionError:
             continue
-        chosen = (nu, root, verdict)
-        break
-    if chosen is None:
-        raise AmbiguousMultiplicityError(
-            "no converged probe passed the derivative ladder", group
-        )
-    nu, root, verdict = chosen
-    return MultiplicityVerdict(root, nu, probes, verdict)
+        return MultiplicityVerdict(trace.final, nu, probes, verdict)
+    raise NoMultiplicityError(
+        "no multiplicity identified from seed %r; improve the seed" % (seed,)
+    )

@@ -182,3 +182,13 @@ MULT_D8_82 = (
     complex(-8.04703958169832, 3.9402352960982023),
     complex(1.0, 0.0),
 )
+
+# Degree-9 benchmark problem real-d9-90 (real-scan workload, seed 4242):
+# triple roots near -1.927, 0.258 and 2.409. Explore seeds plus the full
+# probe sweep lost the root at 0.258: the winners nearest its seed held no
+# nu that passed the derivative ladder.
+REAL_D9_90 = (
+    1.7118083094957224, -19.394010072018315, 70.06612122196647,
+    -63.920789825486096, -75.7525367983819, 48.501072550761386,
+    23.23492066784058, -11.911243496609202, -2.2191983235232966, 1.0,
+)

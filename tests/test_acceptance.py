@@ -108,8 +108,9 @@ def test_criterion_4_triple_root_detection(cluster_decic):
                                   cases.CLUSTER_DECIC_SEED_NU3)
     assert verdict.multiplicity == 3
     assert abs(verdict.root - cases.CLUSTER_DECIC_ROOT_NU3) <= 1e-12
-    assert not probe_strictly_converged(verdict.probes[1])
-    assert not probe_strictly_converged(verdict.probes[2])
+    for nu in (1, 2):
+        assert not probe_strictly_converged(
+            iterate_test_nu(cluster_decic, nu, cases.CLUSTER_DECIC_SEED_NU3))
 
 
 def test_criterion_5_singular_lead_characteristic_and_refinement(singular_lead):

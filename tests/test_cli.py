@@ -255,6 +255,15 @@ def test_plot_crosses_zero_between_brackets(tmp_path):
     assert any(a[1] * b[1] < 0 for a, b in zip(signs, signs[1:]))
 
 
+def test_abbreviated_flag_exits_two(tmp_path, capsys):
+    """``--nu`` is not taken as ``--nu-max``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", _example1_file(tmp_path), "--algorithm", "test-nu",
+              "--nu", "3"])
+    assert exc.value.code == 2
+    assert "--nu" in capsys.readouterr().err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "absent.json")])
     assert code == 2

@@ -299,6 +299,14 @@ def test_eigenvalue_without_eigenvectors_fails_the_report(tmp_path):
     assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 1
 
 
+def test_explore_detect_keeps_every_triple_root():
+    report = run_pipeline(ProblemSpec(polynomial=Polynomial(cases.REAL_D9_90)))
+    assert [r.multiplicity for r in report.roots] == [3, 3, 3]
+    assert report.multiplicity_sum == 9
+    assert report.conserved
+    assert report.all_residuals_pass
+
+
 @pytest.mark.xfail(strict=True, reason="probe_strictly_converged rejects a "
                    "nu=1 probe whose seed is already at the noise floor")
 def test_seed_at_the_noise_floor_keeps_its_simple_root():

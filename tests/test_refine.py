@@ -13,8 +13,10 @@ from polyzeros import (
     NoMultiplicityError,
     OriginSeedError,
     Polynomial,
+    TaylorRejectionError,
     TraceStatus,
     cauchy_root_bound,
+    companion_seed_all,
     detect_multiplicity,
     evaluate,
     iterate_halley,
@@ -23,9 +25,16 @@ from polyzeros import (
     polynomial_from_roots,
     probe_strictly_converged,
     relative_residual,
+    taylor_multiplicity_test,
 )
 from polyzeros import test_polynomial as derived_polynomial
-from polyzeros.refine import DEFAULT_SETTINGS, _run_iteration
+from polyzeros import refine
+from polyzeros.refine import (
+    DEFAULT_SETTINGS,
+    ROOT_IDENTITY_REL,
+    _run_iteration,
+    group_roots,
+)
 
 ROOT_ATOL = 1e-12
 CASES = 40
@@ -129,8 +138,19 @@ def test_detect_quadruple_root(double_quad_sextic):
 
 def test_detect_reports_probe_traces(double_quad_sextic):
     verdict = detect_multiplicity(double_quad_sextic, cases.DOUBLE_QUAD_SEED_NU2)
-    assert set(verdict.probes) == set(range(1, 7))
+    assert verdict.multiplicity in verdict.probes
+    assert len(verdict.probes) < 6
     assert verdict.taylor.multiplicity == 2
+
+
+def test_detect_from_a_seed_where_the_guess_is_undefined():
+    """At a double root f = f' = 0, so nu-hat falls back to 1; that probe
+    fails and the next one still finds the root."""
+    f = polynomial_from_roots([1.0, 1.0, 4.0])
+    verdict = detect_multiplicity(f, 1.0)
+    assert verdict.multiplicity == 2
+    assert verdict.root == 1.0
+    assert verdict.probes[1].status is TraceStatus.NUMERICAL_ERROR
 
 
 def test_detect_rejects_when_no_probe_converges():
@@ -146,8 +166,9 @@ def test_taylor_arbiter_overrides_accidental_fixed_point(quad_quint):
     assert verdict.multiplicity == 2
     assert abs(verdict.root - (-1.0)) <= ROOT_ATOL
     converged = {
-        nu for nu, trace in verdict.probes.items()
-        if probe_strictly_converged(trace)
+        nu for nu in range(1, quad_quint.degree + 1)
+        if probe_strictly_converged(
+            iterate_test_nu(quad_quint, nu, cases.QUAD_QUINT_SEED_NU2))
     }
     assert len(converged) >= 2
 
@@ -208,3 +229,74 @@ def test_fused_probe_step_gives_the_reference_traces():
             assert got.status is want.status
             assert _row_bits(got) == _row_bits(want)
             assert got.notes == want.notes
+
+
+def _reference_detect(f, seed):
+    """The full sweep: every probe nu = 1..degree runs, and the largest
+    Taylor-validated nu in the group of winners nearest the seed wins.
+
+    Returns (nu, winning trace), or None where the sweep finds no answer.
+    """
+    probes = {nu: iterate_test_nu(f, nu, seed)
+              for nu in range(1, f.degree + 1)}
+    winners = {nu: trace.final for nu, trace in probes.items()
+               if probe_strictly_converged(trace)}
+    if not winners:
+        return None
+    groups = group_roots(sorted(winners.items()), lambda w: w[1])
+    seed = complex(seed)
+    if len(groups) > 1:
+        distances = sorted(abs(g[0][1] - seed) for g in groups)
+        if distances[1] - distances[0] <= ROOT_IDENTITY_REL * (1.0 + distances[0]):
+            return None
+        groups.sort(key=lambda g: abs(g[0][1] - seed))
+    for nu, root in sorted(groups[0], reverse=True):
+        try:
+            taylor_multiplicity_test(f, root, nu)
+        except TaylorRejectionError:
+            continue
+        return nu, probes[nu]
+    return None
+
+
+def test_guided_detect_gives_the_full_sweep_answer():
+    """Trying nu-hat first and stopping at the first verified probe gives
+    the sweep's root, multiplicity and winning trace bit for bit."""
+    mult_d8 = Polynomial(cases.MULT_D8_82)
+    inputs = [
+        (Polynomial(cases.DOUBLE_QUAD_SEXTIC), cases.DOUBLE_QUAD_SEED_NU2),
+        (Polynomial(cases.DOUBLE_QUAD_SEXTIC), -cases.DOUBLE_QUAD_CO_SEED),
+        (Polynomial(cases.CLUSTER_DECIC), cases.CLUSTER_DECIC_SEED_NU3),
+        (Polynomial(cases.QUAD_QUINT), cases.QUAD_QUINT_SEED_NU2),
+        (Polynomial(cases.QUAD_QUINT), cases.QUAD_QUINT_SEED_NU1),
+    ]
+    resolved = 0
+    for seed in companion_seed_all(mult_d8).values:
+        try:
+            detect_multiplicity(mult_d8, seed)
+        except NoMultiplicityError:
+            continue
+        inputs.append((mult_d8, seed))
+        resolved += 1
+    assert resolved >= 4
+    for f, seed in inputs:
+        verdict = detect_multiplicity(f, seed)
+        nu, trace = _reference_detect(f, seed)
+        assert verdict.multiplicity == nu
+        assert verdict.root == trace.final
+        assert _row_bits(verdict.probes[nu]) == _row_bits(trace)
+
+
+@pytest.mark.parametrize("seed", [cases.DOUBLE_QUAD_SEED_NU2,
+                                  -cases.DOUBLE_QUAD_CO_SEED])
+def test_detect_stops_at_the_first_verified_probe(double_quad_sextic,
+                                                  monkeypatch, seed):
+    calls = []
+
+    def counting(f, nu, *args):
+        calls.append(nu)
+        return iterate_test_nu(f, nu, *args)
+
+    monkeypatch.setattr(refine, "iterate_test_nu", counting)
+    detect_multiplicity(double_quad_sextic, seed)
+    assert 1 <= len(calls) <= 2
