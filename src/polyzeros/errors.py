@@ -77,7 +77,36 @@ class RayleighDenominatorError(PolyzerosError):
 
 class NotAnEigenvalueError(PolyzerosError):
     """No pivot fell below the tolerance: the value passed to eigenvector
-    extraction is not an eigenvalue at this tolerance."""
+    extraction is not an eigenvalue at this tolerance.
+
+    Attributes
+    ----------
+    lam : complex
+        The value F was evaluated at.
+    smallest_pivot, scale : float
+        The smallest accepted pivot magnitude and the largest entry
+        magnitude the tolerance is relative to.
+    """
+
+    def __init__(self, lam, pivot_tol, smallest_pivot, scale):
+        super().__init__("%r is not an eigenvalue at pivot tolerance %g"
+                         % (lam, pivot_tol))
+        self.lam = lam
+        self.smallest_pivot = smallest_pivot
+        self.scale = scale
+
+    def repeated_at(self, pivot_tol):
+        """The failure extraction at the looser pivot_tol would raise, or
+        None when it could end otherwise.
+
+        While every accepted pivot stays above pivot_tol * scale, the
+        elimination makes the same decisions, bit for bit, and again finds
+        no free column.
+        """
+        if self.smallest_pivot > pivot_tol * self.scale:
+            return NotAnEigenvalueError(self.lam, pivot_tol,
+                                        self.smallest_pivot, self.scale)
+        return None
 
 
 class CompanionMatrixError(PolyzerosError):

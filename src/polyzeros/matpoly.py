@@ -5,7 +5,10 @@ characteristic polynomial det F is recovered by sampling determinants on a
 circle and solving the interpolation system on roots of unity; a singular
 leading matrix simply drops the effective degree. Eigenvectors come from
 Gauss elimination with row exchanges followed by a Jordan back-elimination
-that exposes the null-space columns directly.
+that exposes the null-space columns directly; each pivot clears its column
+with one rank-1 update. A failed extraction reports the smallest pivot it
+accepted, which tells a caller at which looser tolerances the same
+elimination would fail again.
 """
 
 import cmath
@@ -71,10 +74,15 @@ def polynomial_matrix(matrices):
             )
         a.setflags(write=False)
         arrays.append(a)
+    # |det A_rho| against the Hadamard bound, the product of its column
+    # norms, compared in logarithms: the product itself under- or overflows
+    # for leads such as 1e-20 * I or 1e20 * I at n = 20. hypot sums the
+    # squares without overflowing them.
     lead = arrays[-1]
-    col_norms = np.sqrt(np.sum(np.abs(lead) ** 2, axis=0))
-    hadamard = float(np.prod(np.maximum(col_norms, 1e-300)))
-    regular = abs(np.linalg.det(lead)) > LEADING_REGULARITY_REL * hadamard
+    col_norms = np.hypot.reduce(np.abs(lead), axis=0)
+    log_hadamard = float(np.sum(np.log(np.maximum(col_norms, 1e-300))))
+    log_det = float(np.linalg.slogdet(lead)[1])
+    regular = log_det > math.log(LEADING_REGULARITY_REL) + log_hadamard
     return PolynomialMatrix(tuple(arrays), n, len(arrays) - 1, regular)
 
 
@@ -192,17 +200,38 @@ class EigenvectorBundle:
     left_residuals: tuple = ()
 
 
+def _eliminate(rows, pivot_row, col):
+    """Clear column col of rows with one rank-1 update by pivot_row.
+
+    Rows whose entry in col is already zero are left as they are, so the
+    signs of their zeros do not change.
+    """
+    entries = rows[:, col]
+    np.subtract(rows, np.multiply.outer(entries / pivot_row[col], pivot_row),
+                out=rows, where=(entries != 0)[:, None])
+
+
 def _null_space_vectors(matrix, pivot_tol):
     """Row-exchange Gauss elimination, then Jordan back-elimination.
 
-    Columns whose best remaining pivot stays below pivot_tol times the
-    largest matrix entry become free columns; each free column yields one
-    vector with -1 there, zeros at the other free columns, and the
-    back-eliminated ratios at the pivot columns.
+    The scale is the largest entry magnitude of the matrix. A column whose
+    best remaining pivot is at most pivot_tol * scale becomes a free
+    column; each free column yields one vector with -1 there, zeros at the
+    other free columns, and the back-eliminated ratios at the pivot
+    columns. Each pivot clears its column below it, and in the
+    back-elimination above it, with one rank-1 update.
+
+    Returns (vectors, pivots, smallest, scale): vectors is None when no
+    column is free; pivots lists the (row, col) positions; smallest is the
+    smallest accepted pivot magnitude (inf when none was accepted). At any
+    tolerance t with smallest > t * scale the elimination makes the same
+    decisions and gives the same result, bit for bit.
     """
     a = np.array(matrix, dtype=complex)
     n = a.shape[0]
-    threshold = pivot_tol * max(float(np.max(np.abs(a))), 1e-300)
+    scale = max(float(np.max(np.abs(a))), 1e-300)
+    threshold = pivot_tol * scale
+    smallest = float("inf")
     pivots = []
     free_cols = []
     row = 0
@@ -215,37 +244,30 @@ def _null_space_vectors(matrix, pivot_tol):
         if sub[best] <= threshold:
             free_cols.append(col)
             continue
+        smallest = min(smallest, float(sub[best]))
         if best != 0:
             a[[row, row + best]] = a[[row + best, row]]
-        pivot = a[row, col]
-        for r in range(row + 1, n):
-            if a[r, col] != 0:
-                a[r, :] -= (a[r, col] / pivot) * a[row, :]
+        if row + 1 < n:
+            _eliminate(a[row + 1:], a[row], col)
         pivots.append((row, col))
         row += 1
     if not free_cols:
-        return None, pivots
-    for i in range(len(pivots) - 1, 0, -1):
-        prow, pcol = pivots[i]
-        pivot = a[prow, pcol]
-        for r in range(prow):
-            if a[r, pcol] != 0:
-                a[r, :] -= (a[r, pcol] / pivot) * a[prow, :]
+        return None, pivots, smallest, scale
+    for prow, pcol in reversed(pivots[1:]):
+        _eliminate(a[:prow], a[prow], pcol)
     vectors = np.zeros((n, len(free_cols)), dtype=complex)
     for idx, fc in enumerate(free_cols):
         vectors[fc, idx] = -1.0
         for prow, pcol in pivots:
             vectors[pcol, idx] = a[prow, fc] / a[prow, pcol]
-    return vectors, pivots
+    return vectors, pivots, smallest, scale
 
 
 def _null_space_bundle(evaluated, lam, pivot_tol):
     """Null-space vectors of an evaluated matrix and their residuals."""
-    vectors, _ = _null_space_vectors(evaluated, pivot_tol)
+    vectors, _, smallest, scale = _null_space_vectors(evaluated, pivot_tol)
     if vectors is None:
-        raise NotAnEigenvalueError(
-            "%r is not an eigenvalue at pivot tolerance %g" % (lam, pivot_tol)
-        )
+        raise NotAnEigenvalueError(lam, pivot_tol, smallest, scale)
     residuals = tuple(
         float(np.max(np.abs(evaluated @ vectors[:, k])))
         for k in range(vectors.shape[1])

@@ -24,7 +24,7 @@ from .ecp import (
     reduced_pade_iterate,
     sum_control,
 )
-from .errors import PolyzerosError, ProblemFormatError
+from .errors import NotAnEigenvalueError, PolyzerosError, ProblemFormatError
 from .explore import companion_seed_all, scan_sign_changes
 from .matpoly import (
     characteristic_polynomial,
@@ -281,19 +281,29 @@ def _eigenvector_phase(matrix, records, errors):
     """Extract both-sided eigenvectors, loosening the pivot tolerance when
     the eigenvalue carries interpolation noise from the recomputed
     characteristic coefficients. A loosened tolerance is noted; the per
-    column residuals in the bundles stay the honest quality measure."""
+    column residuals in the bundles stay the honest quality measure.
+
+    A rung is skipped when the last failure would repeat there exactly
+    (:meth:`NotAnEigenvalueError.repeated_at`): every pivot it accepted
+    lies above the looser threshold. Right extraction succeeds at every
+    rung after one where it succeeded, so the skipped rung would fail
+    with the same error line."""
     pairs = []
     for record in records:
         right = None
         left = None
         failure = None
         for pivot_tol in EIGENVECTOR_PIVOT_LADDER:
+            repeated = failure and failure.repeated_at(pivot_tol)
+            if repeated:
+                failure = repeated
+                continue
             try:
                 right = extract_eigenvectors(matrix, record.value,
                                              pivot_tol=pivot_tol)
                 left = left_eigenvectors(matrix, record.value,
                                          pivot_tol=pivot_tol)
-            except PolyzerosError as exc:
+            except NotAnEigenvalueError as exc:
                 failure = exc
                 continue
             if pivot_tol != EIGENVECTOR_PIVOT_LADDER[0]:

@@ -1,5 +1,7 @@
 """Polynomial matrices: determinant interpolation, seeds, eigenvectors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,19 @@ def test_polynomial_matrix_records_shape(singular_lead):
 
     pencil = polynomial_matrix([np.diag((1.0, 2.0)), -np.eye(2)])
     assert pencil.leading_regular
+
+
+def test_scaled_leads_keep_their_regularity():
+    """Regularity is scale-free: det(c * I) = c**n under- or overflows at
+    n = 20 for c = 1e-20 or 1e20, and so does the Hadamard product of the
+    column norms, but neither makes the lead singular."""
+    n = 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e-20, 1e20):
+            assert polynomial_matrix([np.eye(n), c * np.eye(n)]).leading_regular
+            lead = c * np.diag([1.0] * (n - 1) + [0.0])
+            assert not polynomial_matrix([np.eye(n), lead]).leading_regular
 
 
 def test_eval_matrix_hand_sum(singular_lead):
@@ -192,3 +207,101 @@ def test_characteristic_polynomial_determinism(sparse_penta):
     a = characteristic_polynomial(sparse_penta)
     b = characteristic_polynomial(sparse_penta)
     assert a.coeffs == b.coeffs
+
+
+def _reference_null_space(matrix, pivot_tol):
+    """The row-by-row elimination _null_space_vectors replaced: one update
+    per row, skipping rows whose pivot-column entry is zero."""
+    a = np.array(matrix, dtype=complex)
+    n = a.shape[0]
+    threshold = pivot_tol * max(float(np.max(np.abs(a))), 1e-300)
+    pivots = []
+    free_cols = []
+    row = 0
+    for col in range(n):
+        if row >= n:
+            free_cols.append(col)
+            continue
+        sub = np.abs(a[row:, col])
+        best = int(np.argmax(sub))
+        if sub[best] <= threshold:
+            free_cols.append(col)
+            continue
+        if best != 0:
+            a[[row, row + best]] = a[[row + best, row]]
+        pivot = a[row, col]
+        for r in range(row + 1, n):
+            if a[r, col] != 0:
+                a[r, :] -= (a[r, col] / pivot) * a[row, :]
+        pivots.append((row, col))
+        row += 1
+    if not free_cols:
+        return None, pivots, free_cols
+    for i in range(len(pivots) - 1, 0, -1):
+        prow, pcol = pivots[i]
+        pivot = a[prow, pcol]
+        for r in range(prow):
+            if a[r, pcol] != 0:
+                a[r, :] -= (a[r, pcol] / pivot) * a[prow, :]
+    vectors = np.zeros((n, len(free_cols)), dtype=complex)
+    for idx, fc in enumerate(free_cols):
+        vectors[fc, idx] = -1.0
+        for prow, pcol in pivots:
+            vectors[pcol, idx] = a[prow, fc] / a[prow, pcol]
+    return vectors, pivots, free_cols
+
+
+def _null_space_inputs(pencil5, sparse_penta):
+    rng = np.random.default_rng(41)
+    for n in tuple(range(3, 17)) + (20, 25, 30, 35, 40):
+        a0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        pm = polynomial_matrix([a0, a1, np.eye(n)])
+        linearisation = np.block([[np.zeros((n, n)), np.eye(n)], [-a0, -a1]])
+        lam = np.linalg.eigvals(linearisation)[0]
+        yield eval_matrix(pm, lam)
+        yield eval_matrix(pm, lam).T
+    yield eval_matrix(pencil5, -1.0)
+    yield eval_matrix(pencil5, 100.0)
+    yield eval_matrix(sparse_penta, cases.SPARSE_PENTA_EIGENVALUE)
+    yield eval_matrix(polynomial_matrix([-2.0 * np.eye(3), np.eye(3)]), 2.0)
+    # Signed zeros in rows that a pivot skips because their entry in its
+    # column is zero: row 1 below the first pivot, and row 0 above the
+    # second one in the back-elimination. Updating them by a zero
+    # multiple of the pivot row would turn their -0.0 into +0.0, and
+    # with it the sign of a zero in the null vector.
+    yield np.array([[1.0, 2.0, -1.0],
+                    [0.0, 1.0, complex(-0.0, -0.0)],
+                    [0.0, 0.0, 0.0]], dtype=complex)
+    yield np.array([[1.0, 0.0, complex(-0.0, 0.0)],
+                    [0.0, 1.0, -1j],
+                    [0.0, 0.0, 0.0]], dtype=complex)
+
+
+def test_null_space_kernel_gives_the_row_loop_bits(pencil5, sparse_penta):
+    """One rank-1 update per pivot reproduces the row-by-row elimination
+    bit for bit, and a looser tolerance below the smallest accepted pivot
+    repeats the result exactly."""
+    ladder = (1e-10, 1e-8, 1e-6)
+    for matrix in _null_space_inputs(pencil5, sparse_penta):
+        n = matrix.shape[0]
+        results = {}
+        for pivot_tol in ladder:
+            want, want_pivots, want_free = _reference_null_space(matrix,
+                                                                 pivot_tol)
+            got, pivots, smallest, scale = matpoly._null_space_vectors(
+                matrix, pivot_tol)
+            assert pivots == want_pivots
+            assert [c for c in range(n)
+                    if c not in {pc for _, pc in pivots}] == want_free
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes()
+            assert smallest > pivot_tol * scale
+            results[pivot_tol] = (None if got is None else got.tobytes(),
+                                  pivots, smallest, scale)
+        for i, tight in enumerate(ladder):
+            _, _, smallest, scale = results[tight]
+            for loose in ladder[i + 1:]:
+                if smallest > loose * scale:
+                    assert results[loose] == results[tight]

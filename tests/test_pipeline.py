@@ -7,9 +7,12 @@ import pytest
 
 import cases
 import oracles
+from polyzeros import matpoly, pipeline
 from polyzeros import (
     Algorithm,
+    EigenpairRecord,
     IterationSettings,
+    PolyzerosError,
     ProblemFormatError,
     Polynomial,
     ProblemSpec,
@@ -277,26 +280,131 @@ def test_regular_lead_degree_shortfall_is_not_conserved():
     assert any("below rho*n = 80" in e for e in report.errors)
 
 
-def test_eigenvalue_without_eigenvectors_fails_the_report(tmp_path):
-    """At n = 14 Pade converges from the linearisation's eigenvalues to
-    roots of the interpolated det F that sit up to 3e-4 away; F(lambda)
-    stays regular at 11 of them, so the report must not pass."""
+def _order_14_spec():
+    """Random monic quadratic at n = 14, seeded from its linearisation."""
     rng = np.random.default_rng(1)
     n = 14
     a0, a1 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
     linearisation = np.block([[np.zeros((n, n)), np.eye(n)], [-a0, -a1]])
-    spec = ProblemSpec(
+    return ProblemSpec(
         matrix=polynomial_matrix([a0, a1, np.eye(n)]),
         seed_source=SeedSource.EXTERNAL,
         external_seeds=tuple(np.linalg.eigvals(linearisation)),
         algorithm=Algorithm.PADE,
     )
+
+
+def test_eigenvalue_without_eigenvectors_fails_the_report(tmp_path):
+    """At n = 14 Pade converges from the linearisation's eigenvalues to
+    roots of the interpolated det F that sit up to 3e-4 away; F(lambda)
+    stays regular at 11 of them, so the report must not pass."""
+    spec = _order_14_spec()
     report = run_pipeline(spec)
     assert len(report.eigenvectors) < len(report.roots)
     assert report.all_residuals_pass is False
     path = tmp_path / "n14.json"
     path.write_text(json.dumps(problem_spec_to_dict(spec)))
     assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+def _reference_eigenvector_phase(matrix, records, errors):
+    """The eigenvector phase without rung skipping: both extractions at
+    every rung of the pivot ladder until one succeeds."""
+    pairs = []
+    for record in records:
+        right = None
+        left = None
+        failure = None
+        for pivot_tol in pipeline.EIGENVECTOR_PIVOT_LADDER:
+            try:
+                right = matpoly.extract_eigenvectors(matrix, record.value,
+                                                     pivot_tol=pivot_tol)
+                left = matpoly.left_eigenvectors(matrix, record.value,
+                                                 pivot_tol=pivot_tol)
+            except PolyzerosError as exc:
+                failure = exc
+                continue
+            if pivot_tol != pipeline.EIGENVECTOR_PIVOT_LADDER[0]:
+                errors.append(
+                    "eigenvectors at %r: pivot tolerance loosened to %g"
+                    % (record.value, pivot_tol)
+                )
+            break
+        if right is None or left is None:
+            errors.append("eigenvectors at %r: %s" % (record.value, failure))
+            continue
+        pairs.append(
+            EigenpairRecord(
+                record.value,
+                record.multiplicity,
+                right,
+                left,
+                right.rank_deficiency < record.multiplicity,
+            )
+        )
+    return tuple(pairs)
+
+
+def _pair_bits(pair):
+    def bits(z):
+        return complex(z).real.hex(), complex(z).imag.hex()
+
+    def bundle(b):
+        return (bits(b.eigenvalue), b.rank_deficiency,
+                None if b.right_vectors is None else b.right_vectors.tobytes(),
+                None if b.left_vectors is None else b.left_vectors.tobytes(),
+                tuple(r.hex() for r in b.right_residuals),
+                tuple(r.hex() for r in b.left_residuals))
+
+    return (bits(pair.value), pair.multiplicity, bundle(pair.right),
+            bundle(pair.left), pair.defective)
+
+
+def _ladder_runs(spec, monkeypatch):
+    """Eigenpair bits, error lines and elimination count of the reference
+    ladder and of the pipeline's, on the records of one report."""
+    records = run_pipeline(spec).roots
+    calls = []
+    kernel = matpoly._null_space_vectors
+
+    def counted(matrix, pivot_tol):
+        calls.append(pivot_tol)
+        return kernel(matrix, pivot_tol)
+
+    runs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(matpoly, "_null_space_vectors", counted)
+        for phase in (_reference_eigenvector_phase,
+                      pipeline._eigenvector_phase):
+            del calls[:]
+            errors = []
+            pairs = phase(spec.matrix, records, errors)
+            runs.append(([_pair_bits(p) for p in pairs], errors, len(calls)))
+    return runs
+
+
+def test_pivot_ladder_skips_only_rungs_that_repeat(monkeypatch, sparse_penta,
+                                                   singular_lead):
+    """Skipping a rung whose failure would repeat leaves every eigenpair
+    and error line as the full ladder gives them."""
+    for spec in (
+        _order_14_spec(),
+        ProblemSpec(matrix=sparse_penta, seed_source=SeedSource.DIAGONAL),
+        ProblemSpec(matrix=singular_lead, seed_source=SeedSource.COMPANION),
+    ):
+        (want, want_errors, _), (got, got_errors, _) = _ladder_runs(
+            spec, monkeypatch)
+        assert got_errors == want_errors
+        assert got == want
+
+
+def test_pivot_ladder_skips_eliminations_that_would_repeat(monkeypatch):
+    """At n = 14, 11 eigenvalues fail at every rung; most of those rungs
+    repeat the first elimination's decisions and are skipped."""
+    (_, errors, full_ladder), (_, _, skipping) = _ladder_runs(
+        _order_14_spec(), monkeypatch)
+    assert sum("is not an eigenvalue" in e for e in errors) == 11
+    assert skipping < full_ladder
 
 
 def test_explore_detect_keeps_every_triple_root():
