@@ -10,9 +10,16 @@ function S_1(lambda) - 1 vanishes exactly at the roots, and replacing the
 interpolation values by the main values (an evolution) contracts the
 defects quadratically near simple roots. Gershgorin disks around the main
 values give computable enclosures.
+
+The list iterations (the Rayleigh quotient and the reduced Pade step)
+refine one row's main value through the partial sums S_1, S_2, S_sigma.
+They stop on f's own relative residual, the test every reported root is
+graded by: |S_1 - 1| cancels near an interpolation value that already
+sits on a root, so it cannot tell a converged row from a creeping one.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,13 +29,17 @@ from .errors import (
     RayleighDenominatorError,
     ZeroPolynomialError,
 )
-from .poly import evaluate
+from .poly import evaluate, relative_residual
 from .refine import DEFAULT_SETTINGS, _run_iteration
 
 SEPARATION_REL = 1e-12
 DENOMINATOR_UNDERFLOW = 1e-290
 EVOLUTION_THRESHOLD_REL = 1e-12
 MAX_EVOLUTIONS = 20
+# A defect below one machine epsilon of its interpolation value leaves the
+# main value within about an ulp of sigma: sigma is a root to working
+# precision.
+ROUNDING_LEVEL_REL = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,18 @@ class EcpList:
         return all(
             r.sigma.imag == 0.0 and r.defect.imag == 0.0 for r in self.rows
         )
+
+    @property
+    def root_bound(self):
+        """max_k |sigma_k| + |d_k|, the list iterations' divergence scale;
+        computed on first use and kept as :attr:`Polynomial.root_bound` is.
+        """
+        try:
+            return self._root_bound
+        except AttributeError:
+            object.__setattr__(self, "_root_bound", max(
+                abs(r.sigma) + abs(r.defect) for r in self.rows))
+            return self._root_bound
 
 
 def _check_separation(values, label):
@@ -140,13 +163,21 @@ def ecp_matrix(lst):
 
 
 def _partial_sums(lst, lam):
-    """S_1, S_2, S_sigma at lam, summed in row order."""
+    """S_1, S_2, S_sigma at lam, summed in row order.
+
+    None when lam is the interpolation value of a row whose defect is at
+    rounding level (|d_k| <= eps |sigma_k|): that sigma_k is a root to
+    working precision, and the list iterations stay on it. Any other
+    coincidence raises.
+    """
     s1 = 0j
     s2 = 0j
     s_sigma = 0j
     for r in lst.rows:
         diff = r.sigma - lam
         if abs(diff) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(r.sigma)):
+            if abs(r.defect) <= ROUNDING_LEVEL_REL * abs(r.sigma):
+                return None
             raise RayleighDenominatorError(
                 "iterate coincides with interpolation value %r" % (r.sigma,)
             )
@@ -156,65 +187,50 @@ def _partial_sums(lst, lam):
     return s1, s2, s_sigma
 
 
-def _reduced_residual(lst):
-    def residual(lam):
-        s1 = 0j
-        scale = 1.0
-        for r in lst.rows:
-            diff = r.sigma - lam
-            if abs(diff) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(r.sigma)):
-                raise RayleighDenominatorError(
-                    "iterate coincides with interpolation value %r" % (r.sigma,)
-                )
-            term = r.defect / diff
-            s1 += term
-            scale += abs(term)
-        return abs(s1 - 1.0) / scale
-
-    return residual
-
-
-def _list_bound(lst):
-    return max(abs(r.sigma) + abs(r.defect) for r in lst.rows)
-
-
-def rayleigh_iterate(lst, seed, settings=DEFAULT_SETTINGS):
+def rayleigh_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
     """Iterate the list Rayleigh quotient R = (S_sigma - S_1^2)/S_2.
 
     R reproduces its argument exactly at every eigenvalue, so the iteration
     replaces the iterate by R (the recorded step is R - Lambda). Residuals
-    are measured as |S_1(Lambda) - 1| against the magnitude sum of the S_1
-    terms.
+    are measured on f, the polynomial the list was built from, with
+    :func:`relative_residual`: the test that grades every reported root.
+    An iterate on the interpolation value of a row with a rounding-level
+    defect takes step 0.
     """
 
     def step_fn(lam):
-        s1, s2, s_sigma = _partial_sums(lst, lam)
+        sums = _partial_sums(lst, lam)
+        if sums is None:
+            return 0j
+        s1, s2, s_sigma = sums
         if abs(s2) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(s1) + abs(s_sigma)):
             raise RayleighDenominatorError("rayleigh denominator S_2 vanished")
         return (s_sigma - s1 * s1) / s2 - lam
 
-    return _run_iteration(
-        step_fn, _reduced_residual(lst), seed, settings, _list_bound(lst)
-    )
+    return _run_iteration(step_fn, partial(relative_residual, f), seed,
+                          settings, lst.root_bound)
 
 
-def reduced_pade_iterate(lst, seed, settings=DEFAULT_SETTINGS):
+def reduced_pade_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
     """Iterate Lambda += p_E with p_E = (S_1 - 1)/(-S_2).
 
     S_1 - 1 is the reduced eigenvalue equation; its derivative is exactly
     S_2, so p_E is the Pade function of the reduced equation and the
-    iteration inherits quadratic convergence at simple roots.
+    iteration inherits quadratic convergence at simple roots. Residuals
+    and coincidences are handled as in :func:`rayleigh_iterate`.
     """
 
     def step_fn(lam):
-        s1, s2, _ = _partial_sums(lst, lam)
+        sums = _partial_sums(lst, lam)
+        if sums is None:
+            return 0j
+        s1, s2, _ = sums
         if abs(s2) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(s1)):
             raise RayleighDenominatorError("reduced denominator S_2 vanished")
         return (s1 - 1.0) / (-s2)
 
-    return _run_iteration(
-        step_fn, _reduced_residual(lst), seed, settings, _list_bound(lst)
-    )
+    return _run_iteration(step_fn, partial(relative_residual, f), seed,
+                          settings, lst.root_bound)
 
 
 def evolve(lst, f):

@@ -189,7 +189,9 @@ def _refiner(spec, f, seeds):
         lst = build_ecp_list(f, seeds)
         iterate = (rayleigh_iterate if spec.algorithm is Algorithm.RAYLEIGH
                    else reduced_pade_iterate)
-        return lambda k: (iterate(lst, lst.rows[k].main_value, settings), 1)
+        return lambda k: (
+            iterate(lst, f, lst.rows[k].main_value, settings), 1
+        )
     if spec.algorithm is Algorithm.DETECT:
         def detect(k):
             verdict = detect_multiplicity(f, seeds[k], spec.nu_max, settings)

@@ -57,6 +57,21 @@ class Polynomial:
     def is_real(self):
         return all(a.imag == 0.0 for a in self.coeffs)
 
+    @property
+    def root_bound(self):
+        """:func:`cauchy_root_bound`, computed on first use and kept.
+
+        It is kept with ``object.__setattr__``. ``functools.cached_property``
+        writes through ``__dict__``, which on CPython 3.11 takes the instance
+        off the specialised attribute path and slows every later read of
+        ``coeffs``.
+        """
+        try:
+            return self._root_bound
+        except AttributeError:
+            object.__setattr__(self, "_root_bound", cauchy_root_bound(self))
+            return self._root_bound
+
 
 def polynomial_from_roots(roots, leading=1.0):
     """Expand prod (lambda - r) * leading into ascending coefficients."""

@@ -12,6 +12,7 @@ the first one the classifier and the Taylor ladder accept.
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -26,7 +27,6 @@ from .errors import (
 )
 from .poly import (
     TaylorVerdict,
-    cauchy_root_bound,
     evaluate,
     halley_eval,
     pade_eval,
@@ -162,14 +162,29 @@ def same_root(a, b):
 
 def group_roots(items, value):
     """Group items greedily, in input order: an item joins the first group
-    whose first member is the same root (``same_root`` on ``value(item)``)."""
+    whose first member is the same root (``same_root`` on ``value(item)``).
+
+    The group heads are kept sorted by real part. A head whose real part
+    lies further than twice the identity radius from the item's cannot be
+    the same root, so only the heads inside that window are tested, oldest
+    group first. Input sorted by real part keeps the window short.
+    """
     groups = []
+    head_re = []
+    head_index = []
     for item in items:
-        for group in groups:
-            if same_root(value(group[0]), value(item)):
-                group.append(item)
+        x = value(item)
+        reach = 2.0 * ROOT_IDENTITY_REL * (1.0 + abs(x))
+        lo = bisect_left(head_re, x.real - reach)
+        hi = bisect_right(head_re, x.real + reach)
+        for k in sorted(head_index[lo:hi]):
+            if same_root(value(groups[k][0]), x):
+                groups[k].append(item)
                 break
         else:
+            at = bisect_right(head_re, x.real, lo, hi)
+            head_re.insert(at, x.real)
+            head_index.insert(at, len(groups))
             groups.append([item])
     return groups
 
@@ -181,7 +196,7 @@ def iterate_pade(f, seed, settings=DEFAULT_SETTINGS):
         raise ZeroPolynomialError("pade iteration needs degree >= 1")
     return _run_iteration(lambda lam: pade_eval(f, lam),
                           partial(relative_residual, f), seed, settings,
-                          cauchy_root_bound(f))
+                          f.root_bound)
 
 
 def iterate_halley(f, seed, settings=DEFAULT_SETTINGS):
@@ -190,7 +205,7 @@ def iterate_halley(f, seed, settings=DEFAULT_SETTINGS):
         raise ZeroPolynomialError("halley iteration needs degree >= 2")
     return _run_iteration(lambda lam: halley_eval(f, lam),
                           partial(relative_residual, f), seed, settings,
-                          cauchy_root_bound(f))
+                          f.root_bound)
 
 
 def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
@@ -201,7 +216,7 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    root_bound = cauchy_root_bound(f)
+    root_bound = f.root_bound
     if abs(complex(seed)) <= ORIGIN_GUARD_REL * (1.0 + root_bound):
         raise OriginSeedError(
             "seed too close to origin for p_nu; shift the polynomial by "

@@ -153,7 +153,8 @@ def test_criterion_6_halley_and_regula_falsi_family(quintic_15):
 
 def test_criterion_7_reduced_iteration_on_a_recomputed_list(wilkinson10):
     lst = build_ecp_list(wilkinson10, cases.PERTURBED_WILKINSON_SIGMAS)
-    trace = reduced_pade_iterate(lst, cases.PERTURBED_WILKINSON_SEED)
+    trace = reduced_pade_iterate(lst, wilkinson10,
+                                 cases.PERTURBED_WILKINSON_SEED)
     assert trace.status is TraceStatus.CONVERGED
     assert abs(trace.final - 3.0) <= 1e-12
     converged_at = _first_hit(trace, 3.0, 1e-12)

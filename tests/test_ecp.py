@@ -29,10 +29,11 @@ LIST_RTOL = 1e-12
 PIN_RTOL = 1e-6
 ROOT_ATOL = 1e-10
 CASES = 30
+QUADRATIC = Polynomial((-1.0, 0.0, 1.0))
 
 
 def _quadratic_list():
-    return build_ecp_list(Polynomial((-1.0, 0.0, 1.0)), (0.0, 3.0))
+    return build_ecp_list(QUADRATIC, (0.0, 3.0))
 
 
 def test_hand_built_quadratic_list():
@@ -172,21 +173,21 @@ def test_evolution_collision_reports_indices():
 
 def test_rayleigh_iterate_converges_to_a_root():
     lst = _quadratic_list()
-    trace = rayleigh_iterate(lst, 0.8)
+    trace = rayleigh_iterate(lst, QUADRATIC, 0.8)
     assert trace.status is TraceStatus.CONVERGED
     np.testing.assert_allclose(trace.final, 1.0, atol=ROOT_ATOL)
 
 
 def test_rayleigh_reproduces_an_eigenvalue_immediately():
     lst = _quadratic_list()
-    trace = rayleigh_iterate(lst, 1.0)
+    trace = rayleigh_iterate(lst, QUADRATIC, 1.0)
     assert trace.status is TraceStatus.CONVERGED
     assert abs(trace.rows[0].step) <= 1e-14
 
 
 def test_reduced_pade_iterate_converges_to_a_root():
     lst = _quadratic_list()
-    trace = reduced_pade_iterate(lst, -0.7)
+    trace = reduced_pade_iterate(lst, QUADRATIC, -0.7)
     assert trace.status is TraceStatus.CONVERGED
     np.testing.assert_allclose(trace.final, -1.0, atol=ROOT_ATOL)
 
@@ -196,8 +197,8 @@ def test_reduced_and_rayleigh_agree_from_the_same_seed(wilkinson10):
     interpolation values sit a safe distance from the roots."""
     lst = build_ecp_list(wilkinson10, cases.PERTURBED_WILKINSON_SIGMAS)
     for seed, root in ((3.0000004, 3.0), (7.0000002, 7.0)):
-        a = rayleigh_iterate(lst, seed)
-        b = reduced_pade_iterate(lst, seed)
+        a = rayleigh_iterate(lst, wilkinson10, seed)
+        b = reduced_pade_iterate(lst, wilkinson10, seed)
         assert a.status is TraceStatus.CONVERGED
         assert b.status is TraceStatus.CONVERGED
         np.testing.assert_allclose(a.final, b.final, atol=1e-12)
@@ -206,9 +207,37 @@ def test_reduced_and_rayleigh_agree_from_the_same_seed(wilkinson10):
 
 def test_iterate_on_an_interpolation_value_is_a_numerical_error():
     lst = _quadratic_list()
-    trace = rayleigh_iterate(lst, 3.0)
+    trace = rayleigh_iterate(lst, QUADRATIC, 3.0)
     assert trace.status is TraceStatus.NUMERICAL_ERROR
     assert any("coincides" in note for note in trace.notes)
+
+
+def test_companion_seeded_rows_converge_at_once():
+    """From np.roots values every interpolation value sits within rounding
+    of a root, so sigma_k - Lambda cancels in |S_1 - 1|; on f's residual
+    every row converges within three iterations."""
+    rng = np.random.default_rng(30)
+    coeffs = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+    f = Polynomial(tuple(coeffs))
+    lst = build_ecp_list(f, np.roots(coeffs[::-1]))
+    for iterate in (rayleigh_iterate, reduced_pade_iterate):
+        for row in lst.rows:
+            trace = iterate(lst, f, row.main_value)
+            assert trace.status is TraceStatus.CONVERGED
+            assert len(trace.rows) <= 3
+
+
+def test_iterate_on_a_root_interpolation_value_stays_there():
+    """sigma = 1 is a root of (x-1)(x-2)(x-3), so its defect is 0: an
+    iterate on it takes step 0 and converges there."""
+    f = polynomial_from_roots((1.0, 2.0, 3.0))
+    lst = build_ecp_list(f, (1.0, 2.2, 3.3))
+    assert lst.defects[0] == 0
+    for iterate in (rayleigh_iterate, reduced_pade_iterate):
+        trace = iterate(lst, f, 1.0)
+        assert trace.status is TraceStatus.CONVERGED
+        assert [r.step for r in trace.rows] == [0j, 0j]
+        assert trace.final == 1.0
 
 
 def test_gershgorin_intervals_for_a_real_list(wilkinson10):

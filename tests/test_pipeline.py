@@ -168,6 +168,62 @@ def test_list_row_that_does_not_converge_is_one_seed_error():
     assert [r.seeds for r in report.roots] == [(1.5 + 0j,), (3.2 + 0j,)]
 
 
+@pytest.mark.parametrize("algorithm", (Algorithm.RAYLEIGH, Algorithm.REDUCED))
+@pytest.mark.parametrize("offset", (0.0, 1e-9))
+def test_list_row_at_a_root_keeps_it(algorithm, offset):
+    """An interpolation value at a root (defect 0) or 1e-9 from it: the
+    row converges on f's residual instead of creeping or hitting its own
+    pole."""
+    spec = ProblemSpec(
+        polynomial=polynomial_from_roots((1.0, 2.0, 3.0)),
+        seed_source=SeedSource.EXTERNAL,
+        external_seeds=(1.0 + offset, 2.2, 3.3),
+        algorithm=algorithm,
+    )
+    report = run_pipeline(spec)
+    assert report.all_residuals_pass
+    values = [r.value for r in report.roots]
+    np.testing.assert_allclose(values, (1.0, 2.0, 3.0), atol=1e-10)
+
+
+@pytest.mark.parametrize("algorithm", (Algorithm.RAYLEIGH, Algorithm.REDUCED))
+@pytest.mark.parametrize("name", ("RAND_D55_63", "RAND_D73_95"))
+def test_companion_list_keeps_every_root(name, algorithm):
+    """A Rayleigh step that lands exactly on a rounding-level row's
+    interpolation value converges there; every root is kept and agrees
+    with np.roots."""
+    coeffs = getattr(cases, name)
+    report = run_pipeline(ProblemSpec(polynomial=Polynomial(coeffs),
+                                      seed_source=SeedSource.COMPANION,
+                                      algorithm=algorithm))
+    assert report.multiplicity_sum == len(coeffs) - 1
+    assert report.conserved and report.all_residuals_pass
+    want = np.roots(coeffs[::-1])
+    for r in report.roots:
+        assert np.min(np.abs(want - r.value)) <= 1e-8 * (1.0 + abs(r.value))
+
+
+@pytest.mark.parametrize("algorithm", (Algorithm.RAYLEIGH, Algorithm.REDUCED))
+def test_list_iterations_keep_every_linearisation_eigenvalue(sparse_penta,
+                                                             algorithm):
+    """The sparse 5x5 seeded with its linearisation's eigenvalues: the rows
+    start within rounding of the roots of det F, and all ten are kept."""
+    a0, a1, a2 = (np.array(a, dtype=float) for a in (
+        cases.SPARSE_PENTA_A0, cases.SPARSE_PENTA_A1, cases.SPARSE_PENTA_A2))
+    lead = np.linalg.inv(a2)
+    linearisation = np.block([[np.zeros((5, 5)), np.eye(5)],
+                              [-lead @ a0, -lead @ a1]])
+    eigenvalues = np.linalg.eigvals(linearisation)
+    report = run_pipeline(ProblemSpec(
+        matrix=sparse_penta, seed_source=SeedSource.EXTERNAL,
+        external_seeds=tuple(eigenvalues), algorithm=algorithm,
+    ))
+    assert report.multiplicity_sum == 10 and report.conserved
+    assert len(report.roots) == 10
+    for r in report.roots:
+        assert np.min(np.abs(eigenvalues - r.value)) <= 1e-6
+
+
 def test_ecp_phase_attaches_diagnostics(quad_quint):
     roots = (1.0, 2.0, -3.0)
     f = polynomial_from_roots(roots)

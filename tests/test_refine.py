@@ -34,6 +34,7 @@ from polyzeros.refine import (
     ROOT_IDENTITY_REL,
     _run_iteration,
     group_roots,
+    same_root,
 )
 
 ROOT_ATOL = 1e-12
@@ -257,6 +258,57 @@ def _reference_detect(f, seed):
             continue
         return nu, probes[nu]
     return None
+
+
+def _reference_group_roots(items, value):
+    """The greedy grouping that tests every group head, oldest first."""
+    groups = []
+    for item in items:
+        for group in groups:
+            if same_root(value(group[0]), value(item)):
+                group.append(item)
+                break
+        else:
+            groups.append([item])
+    return groups
+
+
+def _grouping_inputs():
+    rng = np.random.default_rng(808)
+    for degree in (20, 50, 100):
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
+            degree + 1)
+        roots = np.roots(coeffs)
+        # Each root twice, as two seeds refined to it would give it.
+        yield np.concatenate((roots, roots * (1.0 + 3e-9 * rng.standard_normal(
+            degree))))
+    # Chains spaced 1e-9 apart: a group's reach spans about ten of them.
+    yield np.concatenate([c + 1e-9 * np.arange(40) * (1.0 + 0.5j)
+                          for c in (0.0, 1.0 - 2.0j, -1e3 + 1e3j)])
+    # Ties in real part, on both sides of a head and across groups.
+    yield np.concatenate((1.0 + 1e-9 * np.arange(-20, 20) * 1j,
+                          1.0 + np.array([0.5, -0.5, 1e-8, -1e-8]) * 1j,
+                          np.full(3, 2.0 + 0j)))
+    # The last value is the same root as both heads; the older one, with
+    # the larger real part, takes it.
+    yield np.array([1.0 + 2.2e-8, 1.0 - 1e-9, 1.0 + 1.1e-8])
+
+
+def test_windowed_grouping_gives_the_greedy_groups():
+    """group_roots tests only the heads near an item's real part; its groups
+    are those of the loop over every head, for sorted and unsorted input."""
+    rng = np.random.default_rng(809)
+    for values in _grouping_inputs():
+        items = [(k, complex(v)) for k, v in enumerate(values)]
+        orders = [sorted(items, key=lambda it: (it[1].real, it[1].imag)),
+                  items]
+        orders += [[items[k] for k in rng.permutation(len(items))]
+                   for _ in range(4)]
+        for order in orders:
+            got = group_roots(order, lambda it: it[1])
+            want = _reference_group_roots(order, lambda it: it[1])
+            assert got == want
+            assert len(want) < len(order)
 
 
 def test_guided_detect_gives_the_full_sweep_answer():
