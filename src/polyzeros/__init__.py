@@ -74,11 +74,11 @@ from .pipeline import (
 from .poly import (
     Polynomial,
     TaylorVerdict,
-    cauchy_root_bound,
     coefficient_scale,
     deflate_horner,
     effective_degree,
     evaluate,
+    fujiwara_root_bound,
     halley_eval,
     pade_eval,
     polynomial_from_roots,

@@ -39,7 +39,7 @@ from .pipeline import (
     run_pipeline,
     spec_polynomial,
 )
-from .poly import Polynomial, cauchy_root_bound, evaluate, halley_eval, pade_eval
+from .poly import Polynomial, evaluate, halley_eval, pade_eval
 from .refine import IterationSettings
 
 DEFAULT_PLOT_SAMPLES = 400
@@ -369,8 +369,7 @@ def _cmd_plot(args):
     if args.range is not None:
         interval = (args.range[0], args.range[1])
     else:
-        bound = cauchy_root_bound(f)
-        interval = (-bound, bound)
+        interval = (-f.root_bound, f.root_bound)
     emit_plot_data(f, interval, args.samples, args.out)
     return 0
 
@@ -412,7 +411,7 @@ def build_parser():
         _add_common(p)
         if name == "plot":
             p.add_argument("--range", type=float, nargs=2, default=None,
-                           help="interval endpoints (default Cauchy bound)")
+                           help="interval endpoints (default root bound)")
             p.add_argument("--samples", type=int, default=DEFAULT_PLOT_SAMPLES,
                            help="number of sample points")
         p.set_defaults(handler=fn)

@@ -21,12 +21,13 @@ from .errors import (
     RealScanError,
     ZeroPolynomialError,
 )
-from .poly import cauchy_root_bound, pade_eval, relative_residual
+from .poly import pade_eval, relative_residual
 from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
 ACCELERATED_MAX_ROUNDS = 60
 COMPANION_RESIDUAL_REL = 1e-8
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,13 @@ def scan_sign_changes(f, delta, co=False):
     """Sample p(lambda), or p(-lambda) on the reflected sweep, on j*delta
     and bracket every consecutive sign change.
 
+    The grid runs from 0 to one step past ceil(B/delta)*delta, where B is
+    ``f.root_bound`` (Fujiwara's bound): every root, and by Gauss-Lucas
+    every pole of p, lies within B, so no bracket can start beyond it, and
+    the extra step still brackets a root that sits exactly on B. A bound
+    that is infinite, or so large that delta <= u*B (u = 2**-53) and the
+    grid j*delta can no longer advance, raises RealScanError.
+
     Both sign orders are accepted; a downward crossing marks a root of the
     swept function, an upward one on the plain sweep can also be a pole of
     p between roots (it refines into a neighbouring root and is removed by
@@ -76,7 +84,13 @@ def scan_sign_changes(f, delta, co=False):
             "real-axis scan needs real coefficients; supply external seeds "
             "or the fallback seed provider for complex spectra"
         )
-    max_steps = max(2, int(math.ceil(cauchy_root_bound(f) / delta)))
+    bound = f.root_bound
+    if not math.isfinite(bound) or delta <= UNIT_ROUNDOFF * bound:
+        raise RealScanError(
+            "root bound %r is out of reach of a scan with step %r; supply "
+            "external seeds or the fallback seed provider" % (bound, delta)
+        )
+    max_steps = max(2, int(math.ceil(bound / delta)) + 1)
     samples = []
     for j in range(max_steps + 1):
         lam = j * delta

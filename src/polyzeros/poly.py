@@ -7,6 +7,7 @@ the multiplicity-revealing test-polynomial transform, synthetic-division
 deflation, and a condition-aware Taylor multiplicity test.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -59,7 +60,7 @@ class Polynomial:
 
     @property
     def root_bound(self):
-        """:func:`cauchy_root_bound`, computed on first use and kept.
+        """:func:`fujiwara_root_bound`, computed on first use and kept.
 
         It is kept with ``object.__setattr__``. ``functools.cached_property``
         writes through ``__dict__``, which on CPython 3.11 takes the instance
@@ -69,7 +70,7 @@ class Polynomial:
         try:
             return self._root_bound
         except AttributeError:
-            object.__setattr__(self, "_root_bound", cauchy_root_bound(self))
+            object.__setattr__(self, "_root_bound", fujiwara_root_bound(self))
             return self._root_bound
 
 
@@ -170,12 +171,39 @@ def derivative_scales(f, lam, order):
     return tuple(v.real for v in evaluate(absf, abs(complex(lam)), order))
 
 
-def cauchy_root_bound(f):
-    """The classical bound 1 + max|a_j|/|a_m|; no root lies beyond it."""
+def fujiwara_root_bound(f):
+    """Fujiwara's bound: no root lies beyond
+
+        2 * max(|a_{m-k}/a_m|**(1/k) for k = 1..m-1, |a_0/(2 a_m)|**(1/m)).
+
+    It overestimates the largest root modulus R by at most a factor 2m,
+    because |a_{m-k}/a_m| <= C(m, k) R**k; at degree 1 it is the root's
+    modulus itself. The k = 1 term is a plain quotient: if it overflows,
+    so does the bound. Every k >= 2 term is formed from logarithms, so
+    finite coefficients whose ratio leaves the float range still give a
+    finite bound when the bound itself is representable; inf means it is
+    not. Zero coefficients contribute nothing; a degree-0 f gets 1.0.
+    """
     m = f.degree
     if m == 0:
         return 1.0
-    return 1.0 + max(abs(a) for a in f.coeffs[:m]) / abs(f.coeffs[m])
+    lead = abs(f.coeffs[m])
+    top = abs(f.coeffs[m - 1]) / lead
+    if m == 1:
+        top /= 2.0
+    log_lead = math.log(lead)
+    log_top = -math.inf
+    for k in range(2, m + 1):
+        a = abs(f.coeffs[m - k])
+        if a != 0.0:
+            log_ratio = math.log(a) - log_lead
+            if k == m:
+                log_ratio -= math.log(2.0)
+            log_top = max(log_top, log_ratio / k)
+    try:
+        return 2.0 * max(top, math.exp(log_top))
+    except OverflowError:
+        return math.inf
 
 
 def pade_eval(f, lam):

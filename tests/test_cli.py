@@ -152,6 +152,23 @@ def test_solve_exit_one_when_residuals_fail(tmp_path):
     assert report["all_residuals_pass"] is False
 
 
+def test_solve_reports_an_unscannable_bound(tmp_path, capsys):
+    """Roots near +-1.4e200: the scan cannot reach them at step 0.1, so
+    exploration records an error line and solve exits 1 with a report."""
+    path = _write(tmp_path, "huge.json", {
+        "kind": "polynomial",
+        "coefficients": [1e200, 0.0, 1e-200],
+    })
+    out = tmp_path / "r.json"
+    assert main(["solve", path, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["roots"] == []
+    assert report["conserved"] is False
+    assert [e.split(":")[0] for e in report["errors"][:2]] == [
+        "exploration (co=False)", "exploration (co=True)"]
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_is_byte_deterministic(tmp_path):
     problem = _example1_file(tmp_path, delta=0.3)
     out1 = tmp_path / "a.json"

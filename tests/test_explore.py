@@ -76,6 +76,38 @@ def test_scan_records_guard_gaps():
     assert _sample_at(report, 0.0) is None
 
 
+def test_scan_brackets_a_root_on_the_bound():
+    """At degree 1 the bound is the root itself. Here 0.9000000000000001
+    divides by 0.1 to exactly 9, so the grid point 9*0.1 = 0.9 falls one
+    ulp short of the root; the step past it still brackets the root."""
+    root = 0.9000000000000001
+    f = Polynomial((-root, 1.0))
+    assert f.root_bound == root
+    report = scan_sign_changes(f, 0.1)
+    assert [(b.lam_lo, b.lam_hi) for b in report.brackets] == [(0.9, 1.0)]
+    assert report.seeds == (complex(root),)
+
+
+def test_wilkinson10_scan_stops_at_the_bound(wilkinson10):
+    """The scan ends one step past the bound of 110 and still finds the
+    plain sweep's 8 brackets. The bound is checked first: a loose bound
+    would make the scan itself take minutes."""
+    np.testing.assert_allclose(wilkinson10.root_bound, 110.0, rtol=1e-12)
+    plain = scan_sign_changes(wilkinson10, 0.1)
+    co = scan_sign_changes(wilkinson10, 0.1, co=True)
+    assert len(plain.samples) <= 1102 and len(co.samples) <= 1102
+    assert len(plain.brackets) == 8
+    assert all(1.0 < b.lam_lo < b.lam_hi < 10.0 for b in plain.brackets)
+
+
+@pytest.mark.parametrize("coeffs", ((1e200, 0.0, 1e-200), (1e200, 1e-200)))
+def test_scan_rejects_a_bound_out_of_reach(coeffs):
+    """A bound of 1.4e200 leaves 0.1 below its rounding unit, and an
+    infinite bound gives no grid at all."""
+    with pytest.raises(RealScanError):
+        scan_sign_changes(Polynomial(coeffs), 0.1)
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(1.0, 0.5, -1.0, 1.0)
@@ -148,8 +180,9 @@ def test_companion_seeds_wilkinson_accuracy(wilkinson10):
 
 
 def test_companion_seeds_wilkinson20_are_finite_and_near_integers():
-    """Wilkinson 20 has a Cauchy bound of 1.4e19, yet every companion
-    eigenvalue lies within 0.1 of one of the integers 1..20."""
+    """Wilkinson 20's coefficients reach 1.4e19 times its leading one, yet
+    every companion eigenvalue lies within 0.1 of one of the integers
+    1..20."""
     f = Polynomial(tuple(float(c) for c in oracles.wilkinson_coeffs(20)))
     seeds = companion_seed_all(f).values
     assert len(seeds) == 20

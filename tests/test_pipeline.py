@@ -1,5 +1,6 @@
 """Seed acquisition, refinement, dedupe, and report assembly."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -493,3 +494,44 @@ def test_pipeline_is_deterministic(double_quad_sextic):
     first = json.dumps(report_to_dict(run_pipeline(spec)), sort_keys=True)
     second = json.dumps(report_to_dict(run_pipeline(spec)), sort_keys=True)
     assert first == second
+
+
+def _pinned_specs():
+    return {
+        "mult-d8-82": ProblemSpec(polynomial=Polynomial(cases.MULT_D8_82),
+                                  seed_source=SeedSource.COMPANION),
+        "rand-d55-63": ProblemSpec(polynomial=Polynomial(cases.RAND_D55_63),
+                                   seed_source=SeedSource.COMPANION,
+                                   algorithm=Algorithm.PADE),
+        "real-d9-90": ProblemSpec(polynomial=Polynomial(cases.REAL_D9_90)),
+        "sparse-penta": ProblemSpec(
+            matrix=polynomial_matrix([cases.SPARSE_PENTA_A0,
+                                      cases.SPARSE_PENTA_A1,
+                                      cases.SPARSE_PENTA_A2]),
+            seed_source=SeedSource.DIAGONAL),
+    }
+
+
+# SHA-256 of json.dumps(report_to_dict(report), sort_keys=True), recorded
+# when the root bound was Cauchy's 1 + max|a_j/a_m| (x86-64, numpy 2).
+PINNED_REPORT_SHA256 = {
+    "mult-d8-82":
+        "fce6cf97571ce4467f8abfd2e92c1877cfec2dafaf3e4d2e5d488abd8a53bcbd",
+    "rand-d55-63":
+        "8fa49e93a596abb4ba0db1df094953b952cb9a57c4b6d6c130d92baf6cd45e91",
+    "real-d9-90":
+        "132d16548bb521851e733f74afb9581fab41246eb74d2ca66490b6c98b7ffc41",
+    "sparse-penta":
+        "bb69c844821904fbab39659b4481272cd35b54637ca3d68f3e5d38e61aabd6ef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORT_SHA256))
+def test_report_bytes_outlive_the_root_bound(name):
+    """The divergence bound, the nu-probe origin guard and the scan length
+    all read ``root_bound``; tightening it must not move a report byte of a
+    multiple-roots, simple-roots, real-scan or matrix problem."""
+    report = run_pipeline(_pinned_specs()[name])
+    text = json.dumps(report_to_dict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PINNED_REPORT_SHA256[name]

@@ -12,11 +12,11 @@ from polyzeros import (
     Polynomial,
     TaylorRejectionError,
     ZeroPolynomialError,
-    cauchy_root_bound,
     coefficient_scale,
     deflate_horner,
     effective_degree,
     evaluate,
+    fujiwara_root_bound,
     halley_eval,
     pade_eval,
     polynomial_from_roots,
@@ -95,16 +95,37 @@ def test_coefficient_scale_bounds_value():
         assert abs(evaluate(f, lam)[0]) <= coefficient_scale(f, lam) * (1 + 1e-12)
 
 
-def test_cauchy_bound_contains_all_roots():
+def test_fujiwara_bound_lies_between_r_and_2m_r():
+    """R <= bound <= 2m*R for R the largest root modulus (np.roots as the
+    oracle), since |a_{m-k}/a_m| <= C(m, k) R**k <= (m R)**k."""
     rng = np.random.default_rng(7)
     for _ in range(CASES):
-        k = int(rng.integers(1, 6))
-        roots = [complex(a, b) for a, b in
-                 zip(3 * rng.normal(size=k), 3 * rng.normal(size=k))]
-        f = polynomial_from_roots(roots)
-        bound = cauchy_root_bound(f)
-        for r in roots:
-            assert abs(r) <= bound + 1e-9
+        m = int(rng.integers(1, 101))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        coeffs = scale * (rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))
+        if rng.integers(2):
+            coeffs = coeffs.real
+        f = Polynomial(tuple(coeffs))
+        big_r = float(np.max(np.abs(np.roots(coeffs[::-1]))))
+        bound = fujiwara_root_bound(f)
+        assert big_r <= bound * (1 + 1e-9)
+        assert bound <= 2 * m * big_r * (1 + 1e-9)
+        assert f.root_bound == bound
+
+
+@pytest.mark.parametrize("n, bound", ((10, 110.0), (20, 420.0)))
+def test_fujiwara_bound_of_wilkinson(n, bound):
+    """Twice the root sum |a_{m-1}/a_m| = m(m+1)/2 dominates."""
+    f = Polynomial(tuple(float(c) for c in oracles.wilkinson_coeffs(n)))
+    np.testing.assert_allclose(f.root_bound, bound, rtol=1e-12)
+
+
+def test_fujiwara_bound_survives_out_of_range_ratios():
+    """|a_0/a_2| = 1e400 overflows, but its square root does not."""
+    f = Polynomial((1e200, 0.0, 1e-200))
+    np.testing.assert_allclose(f.root_bound, 2.0 * math.sqrt(0.5) * 1e200,
+                               rtol=1e-12)
+    assert Polynomial((1e200, 1e-200)).root_bound == math.inf
 
 
 def test_pade_is_ratio_of_value_and_negated_derivative():

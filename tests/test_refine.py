@@ -15,7 +15,6 @@ from polyzeros import (
     Polynomial,
     TaylorRejectionError,
     TraceStatus,
-    cauchy_root_bound,
     companion_seed_all,
     detect_multiplicity,
     evaluate,
@@ -207,7 +206,7 @@ def _reference_probe(f, nu, seed):
         return (v_lo / v_hi) * lam
 
     return _run_iteration(step_fn, partial(relative_residual, f), seed,
-                          DEFAULT_SETTINGS, cauchy_root_bound(f))
+                          DEFAULT_SETTINGS, f.root_bound)
 
 
 def _row_bits(trace):
