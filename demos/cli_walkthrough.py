@@ -50,9 +50,10 @@ def main():
 
         proc = run(["explore", str(sextic)])
         scan = json.loads(proc.stdout)
-        print("  %d brackets on the positive axis, %d on the negative"
-              % (len(scan["plain"]["brackets"]),
-                 len(scan["co"]["brackets"])))
+        print("  %d samples from %g to %g, %d brackets, seeds %s"
+              % (len(scan["samples"]), scan["samples"][0][0],
+                 scan["samples"][-1][0], len(scan["brackets"]),
+                 ["%.4f" % re for re, im in scan["seeds"]]))
 
         wilkinson = tmp / "wilkinson4.json"
         wilkinson.write_text(json.dumps({

@@ -6,11 +6,12 @@ The target is the degree-6 polynomial
          = (l - 2)^2 (l + 1)^4,
 
 so the right answer is a double root at 2 and a quadruple root at -1.
-The pipeline walks the positive real axis in steps of delta, walks the
-reflected polynomial f(-l) the same way to cover the negative axis,
-turns every sign change of the Pade function p = f / (-f') into a
-regula-falsi seed, and classifies each seed's multiplicity with the
-fixed-point probe family.
+The pipeline walks the real axis from -B to B in steps of delta, B
+being Fujiwara's root bound. The Pade function p = f / (-f') falls
+through every real root, so each downward sign change of p becomes a
+regula-falsi seed (a grid point that is itself a root is a seed as it
+stands), and the fixed-point probe family classifies each seed's
+multiplicity.
 """
 
 import numpy as np
@@ -29,19 +30,16 @@ DELTA = 0.3
 
 
 def show_scan():
-    """Print the sign-change brackets of both axis sweeps."""
-    for co in (False, True):
-        report = scan_sign_changes(F, DELTA, co=co)
-        axis = "negative" if co else "positive"
-        print("%s-axis sweep: %d sign change(s)"
-              % (axis, len(report.brackets)))
-        for bracket in report.brackets:
-            lo, hi = bracket.lam_lo, bracket.lam_hi
-            if co:
-                lo, hi = -hi, -lo
-            print("  p changes sign on (%g, %g)" % (lo, hi))
-        for seed in report.seeds:
-            print("  regula-falsi seed %.6f" % seed.real)
+    """Print the downward sign changes of p and the seeds they give."""
+    report = scan_sign_changes(F, DELTA)
+    print("scan of [%g, %g]: %d downward sign change(s)"
+          % (report.samples[0][0], report.samples[-1][0],
+             len(report.brackets)))
+    for bracket in report.brackets:
+        print("  p falls through 0 on (%g, %g)"
+              % (bracket.lam_lo, bracket.lam_hi))
+    for seed in report.seeds:
+        print("  regula-falsi seed %.6f" % seed.real)
 
 
 def solve():

@@ -263,11 +263,7 @@ def _cmd_solve(args):
 
 def _scan_dict(report):
     return {
-        "co": report.co,
-        "samples": [
-            [lam, (None if val is None else val)]
-            for lam, val in report.samples
-        ],
+        "samples": [[lam, val] for lam, val in report.samples],
         "brackets": [
             {"lo": b.lam_lo, "hi": b.lam_hi, "p_lo": b.p_lo, "p_hi": b.p_hi}
             for b in report.brackets
@@ -279,10 +275,7 @@ def _scan_dict(report):
 def _cmd_explore(args):
     spec = _apply_overrides(parse_problem_file(args.problem), args)
     f = spec_polynomial(spec)
-    out = {}
-    for label, co in (("plain", False), ("co", True)):
-        out[label] = _scan_dict(scan_sign_changes(f, spec.delta, co=co))
-    _write_json(out, args.out)
+    _write_json(_scan_dict(scan_sign_changes(f, spec.delta)), args.out)
     return 0
 
 

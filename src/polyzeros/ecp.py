@@ -29,7 +29,7 @@ from .errors import (
     RayleighDenominatorError,
     ZeroPolynomialError,
 )
-from .poly import evaluate, relative_residual
+from .poly import UNIT_ROUNDOFF, evaluate, relative_residual
 from .refine import DEFAULT_SETTINGS, _run_iteration
 
 SEPARATION_REL = 1e-12
@@ -39,7 +39,7 @@ MAX_EVOLUTIONS = 20
 # A defect below one machine epsilon of its interpolation value leaves the
 # main value within about an ulp of sigma: sigma is a root to working
 # precision.
-ROUNDING_LEVEL_REL = 2.0 ** -52
+ROUNDING_LEVEL_REL = 2 * UNIT_ROUNDOFF
 
 
 @dataclass(frozen=True)

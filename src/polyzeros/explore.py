@@ -1,16 +1,17 @@
 """Seed generation on the real axis, plus an all-roots seed provider.
 
-A step-delta scan watches the Pade function for sign changes; each change
-brackets either a real root (the plain sweep crosses downward, the
-reflected sweep upward) or, occasionally, a pole of p at a stationary point
-of f. Plain and accelerated regula falsi turn brackets into seeds. For
-spectra without real-axis structure the eigenvalues of the companion matrix
-of f supply approximate roots, as MATLAB's ``roots`` does; they are seeds,
-never the reported answer.
+Near a nu-fold root the Pade function p = f/(-f') is a line of slope
+-1/nu, so p falls through every real root whatever its multiplicity. One
+step-delta scan of p over [-B, B] therefore sees every real root: a
+downward sign change brackets one, and a grid point that is a root to
+working precision is a seed itself. Plain and accelerated regula falsi
+turn brackets into seeds. For spectra without real-axis structure the
+eigenvalues of the companion matrix of f supply approximate roots, as
+MATLAB's ``roots`` does; they are seeds, never the reported answer.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +22,13 @@ from .errors import (
     RealScanError,
     ZeroPolynomialError,
 )
+from .poly import UNIT_ROUNDOFF, horner_error_bound
 from .poly import pade_eval, relative_residual
 from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
 ACCELERATED_MAX_ROUNDS = 60
 COMPANION_RESIDUAL_REL = 1e-8
-UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -48,34 +49,31 @@ class Bracket:
 
 @dataclass(frozen=True)
 class ExplorationReport:
-    """Scan samples (lam, p or None), brackets, and one complex seed per
-    bracket."""
+    """Scan samples (lam, p or None), downward brackets, and the seeds in
+    increasing order."""
 
     samples: tuple
     brackets: tuple
-    seeds: tuple = field(default_factory=tuple)
-    co: bool = False
+    seeds: tuple
 
 
-def scan_sign_changes(f, delta, co=False):
-    """Sample p(lambda), or p(-lambda) on the reflected sweep, on j*delta
-    and bracket every consecutive sign change.
+def scan_sign_changes(f, delta):
+    """Sample p(lambda) on j*delta, j = -N..N, and seed every real root the
+    grid sees.
 
-    The grid runs from 0 to one step past ceil(B/delta)*delta, where B is
-    ``f.root_bound`` (Fujiwara's bound): every root, and by Gauss-Lucas
-    every pole of p, lies within B, so no bracket can start beyond it, and
-    the extra step still brackets a root that sits exactly on B. A bound
-    that is infinite, or so large that delta <= u*B (u = 2**-53) and the
-    grid j*delta can no longer advance, raises RealScanError.
+    N = ceil(B/delta) + 1, where B is ``f.root_bound`` (Fujiwara's bound):
+    every real root lies in [-B, B], and the extra step still brackets a
+    root that sits exactly on the bound. A bound that is infinite, or so
+    large that delta <= u*B (u = 2**-53) and the grid j*delta can no longer
+    advance, raises RealScanError.
 
-    Both sign orders are accepted; a downward crossing marks a root of the
-    swept function, an upward one on the plain sweep can also be a pole of
-    p between roots (it refines into a neighbouring root and is removed by
-    deduplication downstream). Samples where the derivative guard fires are
-    recorded with value None and scanning continues. Each bracket also
-    yields a plain regula-falsi seed; on a reflected sweep the seed is
-    negated back into the polynomial's own variable while samples and
-    brackets stay in the sweep variable.
+    p falls through every real root, so only a downward crossing
+    p_lo > 0 > p_hi makes a bracket, and its plain regula-falsi point is a
+    seed; a pole of p at a stationary point of f is crossed upward and
+    makes none. A grid point can sit on a root, where p is 0 or, at a
+    multiple root, the derivative guard fires (the sample is recorded with
+    value None). Such a point whose relative residual is within Horner's
+    rounding error (:func:`horner_error_bound`) is itself a seed.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -90,28 +88,26 @@ def scan_sign_changes(f, delta, co=False):
             "root bound %r is out of reach of a scan with step %r; supply "
             "external seeds or the fallback seed provider" % (bound, delta)
         )
-    max_steps = max(2, int(math.ceil(bound / delta)) + 1)
-    samples = []
-    for j in range(max_steps + 1):
+    steps = max(2, int(math.ceil(bound / delta)) + 1)
+    floor = horner_error_bound(f)
+    samples, brackets, seeds = [], [], []
+    lo = p_lo = None
+    for j in range(-steps, steps + 1):
         lam = j * delta
         try:
-            value = pade_eval(f, -lam if co else lam).real
+            p = pade_eval(f, lam).real
         except (ZeroPolynomialError, DerivativeUnderflowError):
-            value = None
-        samples.append((lam, value))
-    brackets = []
-    seeds = []
-    for (lo, p_lo), (hi, p_hi) in zip(samples, samples[1:]):
-        if p_lo is None or p_hi is None:
-            continue
-        if p_lo * p_hi < 0:
-            bracket = Bracket(lo, hi, p_lo, p_hi)
+            p = None
+        if not p:  # p is 0 or undefined: lam may be a root itself
+            if relative_residual(f, lam) <= floor:
+                seeds.append(complex(lam))
+        elif p < 0.0 < (p_lo or 0.0):
+            bracket = Bracket(lo, lam, p_lo, p)
             brackets.append(bracket)
-            value = regula_falsi_step(bracket)
-            if co:
-                value = -value
-            seeds.append(complex(value))
-    return ExplorationReport(tuple(samples), tuple(brackets), tuple(seeds), co)
+            seeds.append(complex(regula_falsi_step(bracket)))
+        samples.append((lam, p))
+        lo, p_lo = lam, p
+    return ExplorationReport(tuple(samples), tuple(brackets), tuple(seeds))
 
 
 def regula_falsi_step(bracket):

@@ -166,15 +166,11 @@ def _acquire_seeds(spec, f, errors):
         if companion.low_confidence:
             errors.append("companion seeds carry large residuals")
         return companion.values
-    seeds = []
-    for co in (False, True):
-        try:
-            scan = scan_sign_changes(f, spec.delta, co=co)
-        except PolyzerosError as exc:
-            errors.append("exploration (co=%s): %s" % (co, exc))
-            continue
-        seeds.extend(scan.seeds)
-    return tuple(seeds)
+    try:
+        return scan_sign_changes(f, spec.delta).seeds
+    except PolyzerosError as exc:
+        errors.append("exploration: %s" % exc)
+        return ()
 
 
 def _refiner(spec, f, seeds):

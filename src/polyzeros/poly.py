@@ -21,6 +21,7 @@ STRUCTURAL_ZERO = 1e-300
 DERIVATIVE_UNDERFLOW = 1e-290
 TAYLOR_TOL = 1e-7
 DEGREE_TRIM_REL = 1e-10
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -159,6 +160,16 @@ def relative_residual(f, lam):
     if magnitude == 0.0:
         return 0.0
     return magnitude / max(s, 1e-300)
+
+
+def horner_error_bound(f):
+    """gamma_2m = 2mu/(1 - 2mu), u = UNIT_ROUNDOFF and m = deg f: Horner's
+    rule gets f(lam) right to gamma_2m times :func:`coefficient_scale`
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 5.1),
+    so a point whose :func:`relative_residual` is at most this is a root
+    to working precision."""
+    k = 2 * f.degree * UNIT_ROUNDOFF
+    return k / (1.0 - k)
 
 
 def derivative_scales(f, lam, order):

@@ -45,6 +45,8 @@ DEFAULT_DIVERGENCE_FACTOR = 10.0
 # SLOW_KILL_COUNT consecutive steps terminate the iteration early.
 SLOW_RATIO = 0.4
 SLOW_KILL_COUNT = 20
+# Each last significant step of a converged probe shrinks by this ratio.
+PROBE_CONTRACTION = 10.0
 
 ROOT_IDENTITY_REL = 1e-8
 ORIGIN_GUARD_REL = 1e-8
@@ -265,8 +267,8 @@ def probe_strictly_converged(trace, settings=DEFAULT_SETTINGS):
     """True when a probe trace shows genuine (fast) convergence.
 
     On top of the engine's CONVERGED status the last significant steps
-    (those above the relative step tolerance) must each contract by the
-    divergence factor; a linear creep that merely stalled into the residual
+    (those above the relative step tolerance) must each contract by
+    PROBE_CONTRACTION; a linear creep that merely stalled into the residual
     test fails this. With at most one significant step the check passes
     vacuously (the seed was already at the root).
     """
@@ -279,7 +281,7 @@ def probe_strictly_converged(trace, settings=DEFAULT_SETTINGS):
     ]
     tail = significant[-3:]
     for a, b in zip(tail, tail[1:]):
-        if a > 0.0 and b / a > 1.0 / settings.divergence_factor:
+        if a > 0.0 and b / a > 1.0 / PROBE_CONTRACTION:
             return False
     return True
 

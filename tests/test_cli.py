@@ -137,6 +137,17 @@ def test_solve_exit_zero_and_report_shape(tmp_path, capsys):
     assert mults == [4, 2]
 
 
+def test_solve_finds_roots_that_sit_on_the_grid(tmp_path):
+    """At delta = 0.1 both roots of the README sextic are grid points."""
+    out = tmp_path / "report.json"
+    code = main(["solve", _example1_file(tmp_path), "--delta", "0.1",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert [(r["value"], r["multiplicity"]) for r in report["roots"]] == [
+        ([-1.0, 0.0], 4), ([2.0, 0.0], 2)]
+
+
 def test_solve_exit_one_when_residuals_fail(tmp_path):
     """Irrational roots keep a one-ulp residual, so an impossible residual
     tolerance flips the exit code."""
@@ -164,8 +175,9 @@ def test_solve_reports_an_unscannable_bound(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["roots"] == []
     assert report["conserved"] is False
-    assert [e.split(":")[0] for e in report["errors"][:2]] == [
-        "exploration (co=False)", "exploration (co=True)"]
+    assert [e for e in report["errors"] if e.startswith("exploration")] == [
+        report["errors"][0]]
+    assert report["errors"][0].startswith("exploration: root bound")
     assert capsys.readouterr().err == ""
 
 
@@ -191,16 +203,18 @@ def test_seed_file_override_forces_external_source(tmp_path):
     assert code == 1
 
 
-def test_explore_writes_both_sweeps(tmp_path):
+def test_explore_writes_one_scan(tmp_path):
+    """One object: samples from -B to B, downward brackets, and seeds in
+    f's own variable, the quadruple root's at negative lambda."""
     out = tmp_path / "scan.json"
     code = main(["explore", _example1_file(tmp_path), "--delta", "0.3",
                  "--out", str(out)])
     assert code == 0
     scan = json.loads(out.read_text())
-    assert set(scan) == {"plain", "co"}
-    assert scan["plain"]["brackets"]
-    assert scan["co"]["brackets"]
-    assert all(re < 0 for re, im in scan["co"]["seeds"])
+    assert set(scan) == {"samples", "brackets", "seeds"}
+    assert scan["samples"][0][0] == -scan["samples"][-1][0] < 0
+    assert [b["p_lo"] > 0 > b["p_hi"] for b in scan["brackets"]] == [True] * 2
+    assert [round(re, 2) for re, im in scan["seeds"]] == [-1.0, 2.01]
 
 
 def test_ecp_subcommand_reports_evolutions(tmp_path):

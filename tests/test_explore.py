@@ -29,6 +29,7 @@ def _sample_at(report, lam):
 
 
 def test_scan_reproduces_reference_values(double_quad_sextic):
+    """p is sampled in f's own variable on both sides of the origin."""
     report = scan_sign_changes(double_quad_sextic, 0.3)
     for lam, want in cases.DOUBLE_QUAD_SCAN_VALUES.items():
         np.testing.assert_allclose(_sample_at(report, lam), want,
@@ -36,26 +37,24 @@ def test_scan_reproduces_reference_values(double_quad_sextic):
 
 
 def test_scan_brackets_the_double_root(double_quad_sextic):
+    """The double root at 2 and, at negative lambda, the quadruple root at
+    -1 each get one downward bracket and one secant seed; the poles of p
+    in between get none."""
     report = scan_sign_changes(double_quad_sextic, 0.3)
     spans = [(b.lam_lo, b.lam_hi) for b in report.brackets]
-    assert any(abs(lo - 1.8) < 1e-12 and abs(hi - 2.1) < 1e-12
-               for lo, hi in spans)
+    np.testing.assert_allclose(spans, [(-1.2, -0.9), (1.8, 2.1)], atol=1e-12)
+    np.testing.assert_allclose(
+        report.seeds, [cases.DOUBLE_QUAD_SEED_NU4, cases.DOUBLE_QUAD_SEED_NU2],
+        atol=1e-5)
 
 
-def test_co_scan_reproduces_reference_values(double_quad_sextic):
-    report = scan_sign_changes(double_quad_sextic, 0.3, co=True)
-    for lam, want in cases.DOUBLE_QUAD_CO_SCAN_VALUES.items():
-        np.testing.assert_allclose(_sample_at(report, lam), want,
-                                   rtol=SCAN_VALUE_RTOL)
-
-
-def test_co_scan_seed_lands_in_original_variable(double_quad_sextic):
-    """The reflected sweep brackets (0.9, 1.2); its secant seed must come
-    back negated so that refinement runs on the polynomial itself."""
-    report = scan_sign_changes(double_quad_sextic, 0.3, co=True)
-    seeds = report.seeds
-    assert any(abs(s - (-cases.DOUBLE_QUAD_CO_SEED)) < 1e-5 for s in seeds)
-    assert all(s.real < 0 for s in seeds)
+def test_scan_seeds_roots_on_the_grid(double_quad_sextic):
+    """At delta = 0.1 both multiple roots are grid points, where f' also
+    vanishes and p is undefined: the grid points themselves are the
+    seeds."""
+    report = scan_sign_changes(double_quad_sextic, 0.1)
+    assert report.brackets == ()
+    assert report.seeds == (-1.0, 2.0)
 
 
 def test_scan_requires_real_coefficients():
@@ -74,6 +73,7 @@ def test_scan_records_guard_gaps():
     plateau = Polynomial((1.0, 0.0, 0.0, 1.0))
     report = scan_sign_changes(plateau, 0.5)
     assert _sample_at(report, 0.0) is None
+    assert 0.0 not in report.seeds
 
 
 def test_scan_brackets_a_root_on_the_bound():
@@ -89,15 +89,53 @@ def test_scan_brackets_a_root_on_the_bound():
 
 
 def test_wilkinson10_scan_stops_at_the_bound(wilkinson10):
-    """The scan ends one step past the bound of 110 and still finds the
-    plain sweep's 8 brackets. The bound is checked first: a loose bound
-    would make the scan itself take minutes."""
+    """The scan runs from one step before -110 to one step past the bound
+    of 110. The bound is checked first: a loose bound would make the scan
+    itself take minutes."""
     np.testing.assert_allclose(wilkinson10.root_bound, 110.0, rtol=1e-12)
-    plain = scan_sign_changes(wilkinson10, 0.1)
-    co = scan_sign_changes(wilkinson10, 0.1, co=True)
-    assert len(plain.samples) <= 1102 and len(co.samples) <= 1102
-    assert len(plain.brackets) == 8
-    assert all(1.0 < b.lam_lo < b.lam_hi < 10.0 for b in plain.brackets)
+    report = scan_sign_changes(wilkinson10, 0.1)
+    assert len(report.samples) <= 2203
+    assert report.samples[0][0] == -report.samples[-1][0] <= -110.0
+
+
+def test_wilkinson10_grid_roots_are_seeds(wilkinson10):
+    """Every root k = 1..10 is the grid point 10k*0.1, where f evaluates to
+    exactly 0, so the scan makes no bracket and seeds each root exactly."""
+    report = scan_sign_changes(wilkinson10, 0.1)
+    assert report.brackets == ()
+    assert report.seeds == tuple(complex(k) for k in range(1, 11))
+
+
+def test_scan_brackets_only_downward_and_seeds_isolated_roots():
+    """Random real polynomials: real roots of multiplicity 1..3 in [-3, 3]
+    plus up to two complex pairs. Every bracket goes downward. A nu-fold
+    real root r whose other roots all lie farther than m*delta/nu (m the
+    degree) has no pole of p within delta, since there
+    nu/|x - r| > sum nu_k/|x - r_k|; so p falls through r between two grid
+    points, or r is a grid point, and a seed lands within delta of it."""
+    rng = np.random.default_rng(2718)
+    delta = 0.1
+    isolated = 0
+    for _ in range(CASES * 4):
+        k = int(rng.integers(1, 6))
+        real = rng.uniform(-3.0, 3.0, k)
+        mult = rng.integers(1, 4, k)
+        pairs = int(rng.integers(0, 3))
+        upper = rng.uniform(-3.0, 3.0, pairs) + 1j * rng.uniform(0.05, 2.0,
+                                                                  pairs)
+        distinct = list(real) + list(upper) + list(upper.conjugate())
+        f = polynomial_from_roots(
+            list(np.repeat(real, mult)) + distinct[k:])
+        f = Polynomial(tuple(c.real for c in f.coeffs))
+        report = scan_sign_changes(f, delta)
+        assert all(b.p_lo > 0.0 > b.p_hi for b in report.brackets)
+        for i, (r, nu) in enumerate(zip(real, mult)):
+            gap = min((abs(r - z) for j, z in enumerate(distinct) if j != i),
+                      default=np.inf)
+            if gap * nu > f.degree * delta:
+                isolated += 1
+                assert any(abs(s - r) <= delta for s in report.seeds)
+    assert isolated >= CASES
 
 
 @pytest.mark.parametrize("coeffs", ((1e200, 0.0, 1e-200), (1e200, 1e-200)))

@@ -131,7 +131,7 @@ def test_detect_double_root(double_quad_sextic):
 
 
 def test_detect_quadruple_root(double_quad_sextic):
-    verdict = detect_multiplicity(double_quad_sextic, -cases.DOUBLE_QUAD_CO_SEED)
+    verdict = detect_multiplicity(double_quad_sextic, cases.DOUBLE_QUAD_SEED_NU4)
     assert verdict.multiplicity == 4
     assert abs(verdict.root - (-1.0)) <= ROOT_ATOL
 
@@ -157,6 +157,18 @@ def test_detect_rejects_when_no_probe_converges():
     f = polynomial_from_roots([1.0, 1.0, 3.0])
     with pytest.raises(NoMultiplicityError):
         detect_multiplicity(f, 1.05, nu_max=1)
+
+
+@pytest.mark.xfail(strict=True, raises=NoMultiplicityError,
+                   reason="TAYLOR_TOL = 1e-7 rejects nu = 1: |f'|/S_1 is "
+                   "7.2e-8 at 7 and 8.2e-8 at 8")
+@pytest.mark.parametrize("root", [7.0, 8.0])
+def test_detect_wilkinson10_root_seeded_on_the_root(wilkinson10, root):
+    """The scan at delta = 0.1 seeds Wilkinson 10 exactly at its roots; at
+    7 and 8 the Taylor ladder takes the simple root's small but nonzero
+    derivative for zero."""
+    verdict = detect_multiplicity(wilkinson10, root)
+    assert (verdict.root, verdict.multiplicity) == (root, 1)
 
 
 def test_taylor_arbiter_overrides_accidental_fixed_point(quad_quint):
@@ -316,7 +328,7 @@ def test_guided_detect_gives_the_full_sweep_answer():
     mult_d8 = Polynomial(cases.MULT_D8_82)
     inputs = [
         (Polynomial(cases.DOUBLE_QUAD_SEXTIC), cases.DOUBLE_QUAD_SEED_NU2),
-        (Polynomial(cases.DOUBLE_QUAD_SEXTIC), -cases.DOUBLE_QUAD_CO_SEED),
+        (Polynomial(cases.DOUBLE_QUAD_SEXTIC), cases.DOUBLE_QUAD_SEED_NU4),
         (Polynomial(cases.CLUSTER_DECIC), cases.CLUSTER_DECIC_SEED_NU3),
         (Polynomial(cases.QUAD_QUINT), cases.QUAD_QUINT_SEED_NU2),
         (Polynomial(cases.QUAD_QUINT), cases.QUAD_QUINT_SEED_NU1),
@@ -339,7 +351,7 @@ def test_guided_detect_gives_the_full_sweep_answer():
 
 
 @pytest.mark.parametrize("seed", [cases.DOUBLE_QUAD_SEED_NU2,
-                                  -cases.DOUBLE_QUAD_CO_SEED])
+                                  cases.DOUBLE_QUAD_SEED_NU4])
 def test_detect_stops_at_the_first_verified_probe(double_quad_sextic,
                                                   monkeypatch, seed):
     calls = []
