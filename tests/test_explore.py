@@ -29,7 +29,6 @@ def _sample_at(report, lam):
 
 
 def test_scan_reproduces_reference_values(double_quad_sextic):
-    """p is sampled in f's own variable on both sides of the origin."""
     report = scan_sign_changes(double_quad_sextic, 0.3)
     for lam, want in cases.DOUBLE_QUAD_SCAN_VALUES.items():
         np.testing.assert_allclose(_sample_at(report, lam), want,
@@ -46,6 +45,30 @@ def test_scan_brackets_the_double_root(double_quad_sextic):
     np.testing.assert_allclose(
         report.seeds, [cases.DOUBLE_QUAD_SEED_NU4, cases.DOUBLE_QUAD_SEED_NU2],
         atol=1e-5)
+
+
+def test_co_scan_reproduces_reference_values(double_quad_sextic):
+    """The co-axis half of the single scan samples p at negative lambda in
+    f's own variable, so the values there are p's, not those of p(-l)."""
+    report = scan_sign_changes(double_quad_sextic, 0.3)
+    for lam, want in cases.DOUBLE_QUAD_CO_SCAN_VALUES.items():
+        np.testing.assert_allclose(_sample_at(report, lam), want,
+                                   rtol=SCAN_VALUE_RTOL)
+
+
+def test_co_scan_seed_lands_in_original_variable(double_quad_sextic):
+    """The quadruple root at -1 is bracketed by (-1.2, -0.9) on the
+    co-axis; its secant seed lies inside that bracket, in f's own variable,
+    so that refinement runs on the polynomial itself."""
+    report = scan_sign_changes(double_quad_sextic, 0.3)
+    co = [b for b in report.brackets if b.lam_hi < 0]
+    assert len(co) == 1
+    lo, hi = co[0].lam_lo, co[0].lam_hi
+    np.testing.assert_allclose((lo, hi), (-1.2, -0.9), atol=1e-12)
+    near = [s for s in report.seeds
+            if abs(s - cases.DOUBLE_QUAD_SEED_NU4) < 1e-5]
+    assert len(near) == 1
+    assert lo < near[0].real < hi
 
 
 def test_scan_seeds_roots_on_the_grid(double_quad_sextic):
