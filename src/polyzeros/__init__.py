@@ -87,11 +87,14 @@ from .poly import (
     test_polynomial,
 )
 from .refine import (
+    ClusterVerdict,
     IterationSettings,
     IterationTrace,
     MultiplicityVerdict,
     TraceRow,
     TraceStatus,
+    count_zeros,
+    detect_clusters,
     detect_multiplicity,
     iterate_halley,
     iterate_pade,

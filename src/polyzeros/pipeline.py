@@ -3,9 +3,12 @@
 A ProblemSpec bundles one polynomial (scalar or matrix) with a seed source
 and an algorithm choice. The problem polynomial (:func:`spec_polynomial`)
 is the user's coefficients as given, or det F for a matrix problem.
-run_pipeline acquires seeds, refines each one in a single per-seed loop
-whatever the algorithm, merges duplicate roots, and assembles a
-deterministic report ordered lexicographically by (re, im). Hard errors in
+run_pipeline acquires seeds, refines them in one loop whatever the
+algorithm, merges duplicate roots, and assembles a deterministic report
+ordered lexicographically by (re, im). The loop refines each seed on its
+own, except that detect on companion or external seeds first settles
+clusters of seeds by a zero count and one probe each, and the cluster's
+root record lists all its seeds. Hard errors in
 any stage are recorded on the report and the remaining seeds still run. A
 report passes only when its multiplicities sum to the full degree and
 every root passes its residual test.
@@ -13,6 +16,7 @@ every root passes its residual test.
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .ecp import (
     EcpList,
@@ -38,6 +42,7 @@ from .refine import (
     DEFAULT_SETTINGS,
     IterationSettings,
     TraceStatus,
+    detect_clusters,
     detect_multiplicity,
     iterate_halley,
     iterate_pade,
@@ -174,56 +179,74 @@ def _acquire_seeds(spec, f, errors):
 
 
 def _refiner(spec, f, seeds):
-    """``k -> (trace, nu)`` for the spec's algorithm, seed k.
+    """``(group, refine)`` pairs in seed order, one per record to be made.
 
-    The trace's final iterate is the root and nu its multiplicity. Rayleigh
+    ``group`` holds seed indices and ``refine()`` returns ``(trace, nu)``:
+    the trace's final iterate is the root and nu its multiplicity. Rayleigh
     and reduced refine row k's main value of one interpolation list, built
-    here from all seeds; detect returns its winning probe.
+    here from all seeds. Detect probes each seed on its own and answers
+    with its winning probe; on companion or external seeds it first
+    settles clusters of seeds (:func:`detect_clusters`), one group and one
+    probe each, and probes only the seeds left over.
     """
     settings = spec.settings
     if spec.algorithm in (Algorithm.RAYLEIGH, Algorithm.REDUCED):
         lst = build_ecp_list(f, seeds)
         iterate = (rayleigh_iterate if spec.algorithm is Algorithm.RAYLEIGH
                    else reduced_pade_iterate)
-        return lambda k: (
-            iterate(lst, f, lst.rows[k].main_value, settings), 1
-        )
-    if spec.algorithm is Algorithm.DETECT:
-        def detect(k):
+
+        def step(k):
+            return iterate(lst, f, lst.rows[k].main_value, settings), 1
+    elif spec.algorithm is Algorithm.DETECT:
+        def step(k):
             verdict = detect_multiplicity(f, seeds[k], spec.nu_max, settings)
             return verdict.probes[verdict.multiplicity], verdict.multiplicity
-        return detect
-    if spec.algorithm is Algorithm.TEST_NU:
-        return lambda k: (iterate_test_nu(f, spec.nu, seeds[k], settings),
-                          spec.nu)
-    iterate = iterate_pade if spec.algorithm is Algorithm.PADE else iterate_halley
-    return lambda k: (iterate(f, seeds[k], settings), 1)
+    elif spec.algorithm is Algorithm.TEST_NU:
+        def step(k):
+            return iterate_test_nu(f, spec.nu, seeds[k], settings), spec.nu
+    else:
+        iterate = (iterate_pade if spec.algorithm is Algorithm.PADE
+                   else iterate_halley)
+
+        def step(k):
+            return iterate(f, seeds[k], settings), 1
+    singles = range(len(seeds))
+    units = []
+    if spec.algorithm is Algorithm.DETECT and spec.seed_source in (
+            SeedSource.COMPANION, SeedSource.EXTERNAL):
+        clusters, singles = detect_clusters(f, seeds, spec.nu_max, settings)
+        units = [(c.seeds, lambda c=c: (c.probe, c.multiplicity))
+                 for c in clusters]
+    units += [((k,), partial(step, k)) for k in singles]
+    return sorted(units, key=lambda unit: unit[0][0])
 
 
 def _refine(spec, f, seeds, errors):
-    """One record per seed whose refinement converges; the others leave an
-    error line."""
+    """One record per group whose refinement converges, with the group's
+    seeds as provenance. A group that fails is a single seed, and it
+    leaves an error line."""
     try:
-        refine_seed = _refiner(spec, f, seeds)
+        units = _refiner(spec, f, seeds)
     except PolyzerosError as exc:  # only the list build raises here
         errors.append("interpolation list: %s" % exc)
         return []
     records = []
-    for k, seed in enumerate(seeds):
+    for group, refine_group in units:
         try:
-            trace, nu = refine_seed(k)
+            trace, nu = refine_group()
         except PolyzerosError as exc:
-            errors.append("seed %r: %s" % (seed, exc))
+            errors.append("seed %r: %s" % (seeds[group[0]], exc))
             continue
         if trace.status is not TraceStatus.CONVERGED:
             notes = " (%s)" % "; ".join(trace.notes) if trace.notes else ""
-            errors.append("seed %r: %s%s" % (seed, trace.status.value, notes))
+            errors.append("seed %r: %s%s"
+                          % (seeds[group[0]], trace.status.value, notes))
             continue
         value = complex(trace.final)
         residual = relative_residual(f, value)
         records.append(RootRecord(
             value, nu, residual, spec.algorithm, len(trace.rows),
-            (complex(seed),), spec.seed_source,
+            tuple(complex(seeds[k]) for k in group), spec.seed_source,
             residual <= spec.settings.residual_tol,
         ))
     return records

@@ -5,11 +5,18 @@ Halley step Lambda += h(Lambda), and the test-polynomial step
 Lambda += P_nu(Lambda)*Lambda whose fixed points reveal root multiplicity.
 Traces mirror printed iteration tables row by row, and a probe classifier
 separates genuine (quadratic) convergence from the slow linear creep a
-wrong-multiplicity probe produces. The multiplicity detector tries the
-probes nearest the guess nu-hat = 1/(1 - f f''/f'^2) first and stops at
-the first one the classifier and the Taylor ladder accept.
+wrong-multiplicity probe produces. The per-seed multiplicity detector
+tries the probes nearest the guess nu-hat = 1/(1 - f f''/f'^2) first and
+stops at the first one the classifier and the Taylor ladder accept.
+
+Given approximations of all the roots, such as companion-matrix
+eigenvalues, multiplicity is counted instead: a nu-fold root shows up as a
+cluster of nu seeds, the argument principle counts the zeros on a circle
+around the cluster (:func:`count_zeros`), and one probe of that order from
+the cluster's mean finds the root (:func:`detect_clusters`).
 """
 
+import cmath
 import enum
 import math
 from bisect import bisect_left, bisect_right
@@ -29,6 +36,7 @@ from .poly import (
     TaylorVerdict,
     evaluate,
     halley_eval,
+    horner_error_bound,
     pade_eval,
     relative_residual,
     taylor_multiplicity_test,
@@ -50,6 +58,13 @@ PROBE_CONTRACTION = 10.0
 
 ROOT_IDENTITY_REL = 1e-8
 ORIGIN_GUARD_REL = 1e-8
+
+# Trapezoidal nodes of a zero count. Zeros at distance rho inside, or rho
+# outside, a circle of radius r move the count by about (rho/r)**N and
+# (r/rho)**N; a group circle has its nearest outside seed at 2r.
+COUNT_NODES = 16
+_COUNT_UNITS = tuple(cmath.exp(2j * math.pi * k / COUNT_NODES)
+                     for k in range(COUNT_NODES))
 
 
 class TraceStatus(enum.Enum):
@@ -335,3 +350,178 @@ def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS):
     raise NoMultiplicityError(
         "no multiplicity identified from seed %r; improve the seed" % (seed,)
     )
+
+
+def count_zeros(f, center, radius):
+    """The zeros of f in |lambda - center| < radius, (1/2 pi i) oint f'/f,
+    by the trapezoidal rule on COUNT_NODES nodes; None when rounding could
+    move it by half a zero.
+
+    Node k adds term_k / N, term_k = w f'(z)/f(z) with w = radius * omega**k
+    and z = center + w. Horner gets f(z) right to g S and f'(z) to about
+    g S_1, where g = horner_error_bound(f), S = coefficient_scale(f, z) and
+    S_1 = sum j |a_j| |z|**(j-1). That moves term_k by at most
+    (|term_k| g S + |w| g S_1) / (|f(z)| - g S), which is below 1/2, and so
+    is the error of the mean, exactly when the node's relative residual
+    |f(z)|/S exceeds g (1 + 2 |term_k| + 2 |w| S_1/S). A node at or inside
+    that margin of the rounding floor declines the whole count.
+    """
+    center = complex(center)
+    floor = horner_error_bound(f)
+    terms = tuple((a, abs(a)) for a in reversed(f.coeffs))
+    total = 0j
+    for unit in _COUNT_UNITS:
+        w = radius * unit
+        z = center + w
+        r = abs(z)
+        v = d = 0j
+        s = s1 = 0.0
+        for a, mag in terms:
+            d = d * z + v
+            v = v * z + a
+            s1 = s1 * r + s
+            s = s * r + mag
+        magnitude = abs(v)
+        if magnitude == 0.0:
+            return None
+        term = w * d / v
+        margin = 1.0 + 2.0 * (abs(term) + radius * s1 / s)
+        if not magnitude > floor * s * margin:  # NaN declines too
+            return None
+        total += term
+    return total / COUNT_NODES
+
+
+@dataclass(frozen=True)
+class ClusterVerdict:
+    """One group of seeds settled by a zero count and a single probe.
+
+    ``seeds`` holds the group's indices into the seed list, ascending.
+    ``count`` is the unrounded count on the circle with ``center`` (the
+    seeds' mean) and ``radius``; it rounds to ``multiplicity``, the
+    group's size. The probe of that order from the center converged to
+    ``root`` inside the circle."""
+
+    seeds: tuple
+    center: complex
+    radius: float
+    count: complex
+    root: complex
+    multiplicity: int
+    probe: IterationTrace
+
+
+def _seed_groups(f, seeds):
+    """Seeds linked to their nearest neighbour where f is at its rounding
+    floor halfway between them, as ascending index tuples in order of
+    their first index.
+
+    The seeds of a nu-fold root ring it at the radius where |f| meets
+    Horner's rounding error, so the midpoint of two of them has a relative
+    residual within ``horner_error_bound(f)``; between two simple roots f
+    is far above it. Linking only saves counts: a group that misses part
+    of its cluster merges with it in :func:`detect_clusters`.
+    """
+    floor = horner_error_bound(f)
+    groups = [[i] for i in range(len(seeds))]
+    owner = list(range(len(seeds)))
+    for i, a in enumerate(seeds):
+        j = min((k for k in range(len(seeds)) if k != i),
+                key=lambda k: abs(seeds[k] - a), default=None)
+        if (j is None or owner[i] == owner[j]
+                or relative_residual(f, 0.5 * (a + seeds[j])) > floor):
+            continue
+        keep, drop = sorted((owner[i], owner[j]))
+        for k in groups[drop]:
+            owner[k] = keep
+        groups[keep] += groups[drop]
+        groups[drop] = []
+    return [tuple(sorted(g)) for g in groups if g]
+
+
+# How detect_clusters goes on with a group _settle_group does not accept.
+_MERGE = "merge"
+_LEAVE_OVER = "leave over"
+
+
+def _settle_group(f, seeds, group, nu_max, settings):
+    """A ClusterVerdict for the group; otherwise _MERGE when its count is
+    declined or is not its size, and _LEAVE_OVER when the count is its
+    size but the probe does not settle it.
+
+    The probe of order nu (the size) from the seeds' mean must converge
+    inside the circle, to a point where f_0..f_{nu-2} vanish to working
+    precision: relative residuals within ``horner_error_bound(f)``.
+    Its own convergence only makes f_{nu-1} vanish, which also happens
+    between distinct roots whose multiplicities add up to nu.
+    """
+    members = [seeds[i] for i in group]
+    center = sum(members) / len(members)
+    outside = [abs(s - center) for k, s in enumerate(seeds) if k not in group]
+    if outside:
+        radius = 0.5 * min(outside)
+    else:
+        # Every zero lies within root_bound of the origin.
+        radius = 2.0 * (f.root_bound + abs(center))
+    count = count_zeros(f, center, radius)
+    nu = len(group)
+    if count is None or abs(count - nu) >= 0.5:
+        return _MERGE
+    if nu > nu_max:
+        return _LEAVE_OVER
+    try:
+        trace = iterate_test_nu(f, nu, center, settings)
+    except (OriginSeedError, ZeroPolynomialError):
+        return _LEAVE_OVER
+    if (trace.status is not TraceStatus.CONVERGED
+            or not abs(trace.final - center) < radius):
+        return _LEAVE_OVER
+    floor = horner_error_bound(f)
+    if any(relative_residual(test_polynomial(f, k), trace.final) > floor
+           for k in range(nu - 1)):
+        return _LEAVE_OVER
+    return ClusterVerdict(tuple(group), center, radius, count, trace.final,
+                          nu, trace)
+
+
+def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
+    """Multiplicities by counting, from approximations of all the roots.
+
+    A nu-fold root shows up among the eigenvalues of a companion matrix as
+    a cluster of nu seeds. Seeds are grouped (:func:`_seed_groups`), and
+    each group is counted on a circle around its mean, with radius half
+    the distance to the nearest seed outside it. When the count rounds to
+    the group's size nu, one probe of order nu runs from the mean, and
+    the group is settled if it converges inside the circle to a point
+    that is a nu-fold root to working precision (:func:`_settle_group`).
+    A group whose count is declined, or is not its size, merges with the
+    nearest group not yet settled (single linkage) and is counted again.
+    A group whose probe does not settle it, or that has no group left to
+    merge with, is left over.
+
+    Returns (verdicts, leftover): the ClusterVerdicts in the order they
+    were settled and the leftover seed indices, ascending. The caller runs
+    :func:`detect_multiplicity` on each leftover seed.
+    """
+    if nu_max is None:
+        nu_max = f.degree
+    if nu_max < 1:
+        raise ValueError("nu_max must be >= 1")
+    seeds = [complex(s) for s in seeds]
+    queue = _seed_groups(f, seeds)
+    verdicts = []
+    leftover = []
+    while queue:
+        group = queue.pop(0)
+        outcome = _settle_group(f, seeds, group, nu_max, settings)
+        if isinstance(outcome, ClusterVerdict):
+            verdicts.append(outcome)
+        elif outcome is _MERGE and queue:
+            # Single linkage: the distance of the two closest members.
+            nearest = min(queue, key=lambda g: min(
+                abs(seeds[i] - seeds[j]) for i in group for j in g))
+            queue.remove(nearest)
+            queue.insert(0, tuple(sorted(group + nearest)))
+        else:
+            leftover.extend(group)
+    return verdicts, sorted(leftover)

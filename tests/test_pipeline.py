@@ -24,6 +24,7 @@ from polyzeros import (
     problem_spec_to_dict,
     report_to_dict,
     run_pipeline,
+    same_root,
 )
 
 ROOT_ATOL = 1e-10
@@ -484,12 +485,44 @@ def test_divergence_factor_leaves_probe_verdicts_alone(double_quad_sextic):
     assert report.all_residuals_pass
 
 
-@pytest.mark.xfail(strict=True, reason="probe_strictly_converged rejects a "
-                   "nu=1 probe whose seed is already at the noise floor")
 def test_seed_at_the_noise_floor_keeps_its_simple_root():
     spec = ProblemSpec(polynomial=Polynomial(cases.MULT_D8_82),
                        seed_source=SeedSource.COMPANION)
     assert run_pipeline(spec).conserved
+
+
+_NEXT_TO_A_TRIPLE = pytest.mark.xfail(
+    strict=True, reason="the nu = 1 probe of a simple root next to a triple "
+    "root stalls, from its group and from its seed alike (rounding-level "
+    "stops, ROADMAP item 4)")
+
+
+@pytest.mark.parametrize("name", [
+    "MULT_D8_2",
+    "MULT_D8_32",
+    "MULT_D8_82",
+    "MULT_D10_29",
+    pytest.param("MULT_D9_8", marks=pytest.mark.xfail(
+        strict=True, reason="the nu = 3 probe from the mean of the triple "
+        "root's seeds steps at rounding level (1e-11) until max-iters, and "
+        "per-seed detect then claims a quadruple root (ROADMAP item 4)")),
+    pytest.param("MULT_D7_31", marks=_NEXT_TO_A_TRIPLE),
+    pytest.param("MULT_D10_74", marks=_NEXT_TO_A_TRIPLE),
+])
+def test_companion_detect_solves_a_multiple_roots_problem(name):
+    """Benchmark problems that per-seed detect fails: every oracle root is
+    found once with its multiplicity, and the report passes."""
+    f = Polynomial(getattr(cases, name))
+    roots = getattr(cases, name + "_ROOTS")
+    report = run_pipeline(ProblemSpec(polynomial=f,
+                                      seed_source=SeedSource.COMPANION))
+    assert report.conserved
+    assert len(report.roots) == len(roots)
+    for root, nu in roots:
+        found = min(report.roots, key=lambda r: abs(r.value - root))
+        assert same_root(found.value, root)
+        assert found.multiplicity == nu
+    assert report.all_residuals_pass
 
 
 def test_report_to_dict_is_json_ready(double_quad_sextic):
@@ -530,9 +563,15 @@ def _pinned_specs():
 # The pole seed at 1.40 and its error line are gone, and the pole seed at
 # -1.10 no longer joins, and wins, the root at -1.93 (20 iterations, now
 # 5). The roots and multiplicities are unchanged.
+# mult-d8-82 was re-pinned when detect began settling clusters of
+# companion seeds by a zero count and one probe. The report gains the
+# simple root at 0.758-0.853j, and with it conserved, all_residuals_pass
+# and an empty error list. Each root lists its group's seeds in seed order,
+# and the triple and quadruple roots take 2 iterations (4 and 5 before).
+# Both roots it had moved by less than 3e-13, within same_root.
 PINNED_REPORT_SHA256 = {
     "mult-d8-82":
-        "fce6cf97571ce4467f8abfd2e92c1877cfec2dafaf3e4d2e5d488abd8a53bcbd",
+        "c019854fcd91cf8b52c4ebe70d32165e06f83fab1b438fad4981eb2d5bc99204",
     "rand-d55-63":
         "8fa49e93a596abb4ba0db1df094953b952cb9a57c4b6d6c130d92baf6cd45e91",
     "real-d9-90":

@@ -16,6 +16,8 @@ from polyzeros import (
     TaylorRejectionError,
     TraceStatus,
     companion_seed_all,
+    count_zeros,
+    detect_clusters,
     detect_multiplicity,
     evaluate,
     iterate_halley,
@@ -363,3 +365,131 @@ def test_detect_stops_at_the_first_verified_probe(double_quad_sextic,
     monkeypatch.setattr(refine, "iterate_test_nu", counting)
     detect_multiplicity(double_quad_sextic, seed)
     assert 1 <= len(calls) <= 2
+
+
+def test_count_sees_a_triple_root():
+    f = polynomial_from_roots([1.0, 1.0, 1.0, 2.0])
+    assert abs(count_zeros(f, 1.0, 0.4) - 3.0) <= 1e-5
+
+
+@pytest.mark.parametrize("root", [7.0, 8.0])
+def test_count_sees_wilkinson10_simple_roots(wilkinson10, root):
+    """Where the Taylor ladder takes the simple root for a double one, the
+    count on a circle of radius 0.4 is 1."""
+    assert abs(count_zeros(wilkinson10, root, 0.4) - 1.0) <= 1e-3
+
+
+def test_count_declines_a_circle_at_the_rounding_floor():
+    """A singleton of one of mult-d8-2's quadruple roots: its circle passes
+    within the root's rounding cluster, where f is noise. The count is
+    declined rather than rounded; the whole cluster of four counts 4."""
+    f = Polynomial(cases.MULT_D8_2)
+    seeds = companion_seed_all(f).values
+    root = cases.MULT_D8_2_ROOTS[0][0]
+    cluster = sorted(seeds, key=lambda s: abs(s - root))[:4]
+    seed = cluster[0]
+    radius = 0.5 * min(abs(s - seed) for s in seeds if s != seed)
+    assert count_zeros(f, seed, radius) is None
+    center = sum(cluster) / 4
+    radius = 0.5 * min(abs(s - center) for s in seeds if s not in cluster)
+    assert abs(count_zeros(f, center, radius) - 4.0) <= 1e-3
+
+
+def test_probe_that_escapes_its_circle_leaves_its_seed_over():
+    """The seed -0.3 counts one zero (0.3) on its circle of radius 1.45,
+    but its nu = 1 probe converges to -3.3, outside the circle."""
+    f = polynomial_from_roots([-3.3, 0.3])
+    seeds = (-3.2, -0.3)
+    escaped = iterate_test_nu(f, 1, seeds[1])
+    assert escaped.status is TraceStatus.CONVERGED
+    assert abs(escaped.final + 3.3) <= ROOT_ATOL
+    verdicts, leftover = detect_clusters(f, seeds)
+    assert [(v.seeds, v.multiplicity) for v in verdicts] == [((0,), 1)]
+    assert abs(verdicts[0].root + 3.3) <= ROOT_ATOL
+    assert leftover == [1]
+
+
+@pytest.mark.parametrize("name", ["MULT_D10_24", "MULT_D10_34", "MULT_D9_28"])
+def test_clusters_settle_every_companion_seed(name):
+    """Each group's probe stays inside its circle here, so no seed is left
+    for per-seed detect and the multiplicities are the problem's."""
+    f = Polynomial(getattr(cases, name))
+    seeds = companion_seed_all(f).values
+    verdicts, leftover = detect_clusters(f, seeds)
+    assert leftover == []
+    assert sorted(v.multiplicity for v in verdicts) == list(
+        getattr(cases, name + "_MULTIPLICITIES"))
+    for v in verdicts:
+        assert abs(v.root - v.center) < v.radius
+
+
+def test_roots_that_only_add_up_to_the_count_are_left_over():
+    """A quadruple and a triple root 0.02 apart: their seven seeds count 7
+    and the nu = 7 probe from their mean converges between the two roots,
+    where only f_6 vanishes. f_0..f_5 are not zero to working precision
+    there, so per-seed detect gets the seven seeds."""
+    a = complex(1.183740558376844, -0.494020022335134)
+    b = complex(1.2010574275728878, -0.4847334394633565)
+    f = polynomial_from_roots([a] * 4 + [b] * 3 + [complex(-0.6, 0.16)])
+    seeds = companion_seed_all(f).values
+    pair = [k for k, s in enumerate(seeds) if abs(s - a) < 0.1]
+    assert len(pair) == 7
+    center = sum(seeds[k] for k in pair) / 7
+    merged = iterate_test_nu(f, 7, center)
+    assert merged.status is TraceStatus.CONVERGED
+    assert abs(merged.final - center) < 1e-3
+    verdicts, leftover = detect_clusters(f, seeds)
+    assert [v.multiplicity for v in verdicts] == [1]
+    assert leftover == pair
+
+
+def test_one_probe_per_cluster(monkeypatch):
+    """mult-d8-82 has three distinct roots, so three probes run in all."""
+    calls = []
+
+    def counting(f, nu, *args):
+        calls.append(nu)
+        return iterate_test_nu(f, nu, *args)
+
+    monkeypatch.setattr(refine, "iterate_test_nu", counting)
+    f = Polynomial(cases.MULT_D8_82)
+    verdicts, leftover = detect_clusters(f, companion_seed_all(f).values)
+    assert leftover == []
+    assert sorted(calls) == [1, 3, 4]
+    assert sorted(v.multiplicity for v in verdicts) == [1, 3, 4]
+
+
+def test_cluster_count_is_group_size_and_multiplicity():
+    """For polynomials from random roots with multiplicities 1 to 4, every
+    settled group counts its own size, and that is the multiplicity of the
+    root its probe finds."""
+    rng = np.random.default_rng(6060)
+    settled = total = 0
+    for _ in range(CASES):
+        mult = rng.integers(1, 5, size=int(rng.integers(2, 5))).tolist()
+        roots = [complex(rng.normal(), rng.normal()) for _ in mult]
+        f = polynomial_from_roots([r for r, m in zip(roots, mult)
+                                   for _ in range(m)])
+        verdicts, _ = detect_clusters(f, companion_seed_all(f).values)
+        for v in verdicts:
+            k = min(range(len(roots)), key=lambda i: abs(roots[i] - v.root))
+            assert same_root(v.root, roots[k])
+            assert v.multiplicity == len(v.seeds) == mult[k]
+            assert abs(v.count - mult[k]) < 0.5
+        settled += sum(v.multiplicity for v in verdicts)
+        total += sum(mult)
+    assert settled >= 0.9 * total
+
+
+@pytest.mark.xfail(strict=True, reason="steps of a few 1e-12 count as "
+                   "significant and do not contract tenfold (ROADMAP item 4)")
+def test_probe_from_a_seed_at_the_noise_floor_is_strictly_converged():
+    """mult-d8-82's companion seed of its simple root lies 1e-11 from it.
+    Detect by counting accepts the converged probe, but the classifier
+    still rejects it."""
+    f = Polynomial(cases.MULT_D8_82)
+    root = cases.MULT_D8_82_ROOTS[2][0]
+    seed = min(companion_seed_all(f).values, key=lambda s: abs(s - root))
+    trace = iterate_test_nu(f, 1, seed)
+    assert trace.status is TraceStatus.CONVERGED
+    assert probe_strictly_converged(trace)
