@@ -6,10 +6,9 @@ slope says how often it occurs. The probe iteration of order k applies
 the same idea to the k-th derived polynomial: started close to the
 root, the probe with k equal to the true multiplicity contracts
 quadratically while every smaller k limps along linearly. The
-multiplicity detector starts at the order the slope suggests,
-nu-hat = 1/(1 - f f''/f'^2) rounded, tries the other orders outward from
-it, and takes the first probe that converges quadratically and passes
-the Taylor ladder.
+multiplicity detector does not try the orders in turn: it counts the
+zeros of f on a small circle around the seed by the argument principle,
+(1/2 pi i) oint f'/f, and runs the one probe of the counted order.
 
 The target here is a degree-10 polynomial with conjugate triple roots
 at (-1 +- i sqrt(3)) / 2 and conjugate double roots at +-i. A coarse
@@ -59,10 +58,10 @@ def show_verdict():
           % (verdict.multiplicity, verdict.root.real, verdict.root.imag, err))
     assert verdict.multiplicity == 3
     assert err <= 1e-12
-    taylor = verdict.taylor
-    print("Taylor coefficient check at the root agrees: nu=%d"
-          % taylor.multiplicity)
-    np.testing.assert_equal(taylor.multiplicity, verdict.multiplicity)
+    print("zero count around the seed: %.6f%+.1ei, which rounds to nu=%d"
+          % (verdict.count.real, verdict.count.imag, round(verdict.count.real)))
+    np.testing.assert_equal(round(verdict.count.real), verdict.multiplicity)
+    np.testing.assert_equal(list(verdict.probes), [3])
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from .errors import (
     RayleighDenominatorError,
     RealScanError,
     SampleConditioningError,
-    TaylorRejectionError,
     ZeroPolynomialError,
 )
 from .explore import (
@@ -73,7 +72,6 @@ from .pipeline import (
 )
 from .poly import (
     Polynomial,
-    TaylorVerdict,
     coefficient_scale,
     deflate_horner,
     effective_degree,
@@ -83,7 +81,6 @@ from .poly import (
     pade_eval,
     polynomial_from_roots,
     relative_residual,
-    taylor_multiplicity_test,
     test_polynomial,
 )
 from .refine import (

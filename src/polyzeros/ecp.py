@@ -73,18 +73,6 @@ class EcpList:
             r.sigma.imag == 0.0 and r.defect.imag == 0.0 for r in self.rows
         )
 
-    @property
-    def root_bound(self):
-        """max_k |sigma_k| + |d_k|, the list iterations' divergence scale;
-        computed on first use and kept as :attr:`Polynomial.root_bound` is.
-        """
-        try:
-            return self._root_bound
-        except AttributeError:
-            object.__setattr__(self, "_root_bound", max(
-                abs(r.sigma) + abs(r.defect) for r in self.rows))
-            return self._root_bound
-
 
 def _check_separation(values, label):
     values = [complex(v) for v in values]
@@ -208,7 +196,7 @@ def rayleigh_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
         return (s_sigma - s1 * s1) / s2 - lam
 
     return _run_iteration(step_fn, partial(relative_residual, f), seed,
-                          settings, lst.root_bound)
+                          settings, f.root_bound)
 
 
 def reduced_pade_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
@@ -230,7 +218,7 @@ def reduced_pade_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
         return (s1 - 1.0) / (-s2)
 
     return _run_iteration(step_fn, partial(relative_residual, f), seed,
-                          settings, lst.root_bound)
+                          settings, f.root_bound)
 
 
 def evolve(lst, f):

@@ -24,22 +24,9 @@ class OriginSeedError(PolyzerosError):
     the polynomial by lambda -> lambda + c and retry."""
 
 
-class TaylorRejectionError(PolyzerosError):
-    """The Taylor ladder rejected a candidate multiplicity.
-
-    Attributes
-    ----------
-    failed_at_k : int
-        First derivative order whose zero/nonzero condition failed.
-    """
-
-    def __init__(self, message, failed_at_k):
-        super().__init__(message)
-        self.failed_at_k = failed_at_k
-
-
 class NoMultiplicityError(PolyzerosError):
-    """No probe converged; the seed is too far from a root."""
+    """No zero count and probe settled a root, from the seed or from where
+    the nu = 1 probe walked from it; the seed is too far from a root."""
 
 
 class FlatSecantError(PolyzerosError):

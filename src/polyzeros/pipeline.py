@@ -72,9 +72,10 @@ class ProblemSpec:
     """One solve request: payload, seed source, algorithm, knobs.
 
     Exactly one of ``polynomial``/``matrix`` is set. ``nu`` is the probe
-    order used by the test-nu algorithm only; detect probes orders in
-    1..nu_max (defaulting to the degree), the guess nu-hat first, until one
-    is verified. Rayleigh and reduced algorithms build one
+    order used by the test-nu algorithm only; detect counts the zeros near
+    each seed and runs the probe of the counted order, which must lie in
+    1..nu_max (defaulting to the degree). Rayleigh and reduced algorithms
+    build one
     interpolation list from all seeds and refine each row's main value.
     """
 

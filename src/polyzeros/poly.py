@@ -3,8 +3,8 @@
 Polynomials are stored densely with ascending coefficients, coeffs[j] being
 the coefficient of lambda**j. The module provides Horner evaluation with
 derivative propagation, the Pade function p = f/(-f'), Halley's function,
-the multiplicity-revealing test-polynomial transform, synthetic-division
-deflation, and a condition-aware Taylor multiplicity test.
+the multiplicity-revealing test-polynomial transform, Horner's rounding
+error bound and synthetic-division deflation.
 """
 
 import math
@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from .errors import (
     DerivativeUnderflowError,
     HalleyDenominatorError,
-    TaylorRejectionError,
     ZeroPolynomialError,
 )
 
 STRUCTURAL_ZERO = 1e-300
 DERIVATIVE_UNDERFLOW = 1e-290
-TAYLOR_TOL = 1e-7
 DEGREE_TRIM_REL = 1e-10
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -172,16 +170,6 @@ def horner_error_bound(f):
     return k / (1.0 - k)
 
 
-def derivative_scales(f, lam, order):
-    """Magnitude sums S_k for the k-th derivative term magnitudes.
-
-    S_k = sum_j |a_j| * j(j-1)...(j-k+1) * |lam|**(j-k), the all-positive
-    analogue of :func:`evaluate`; |f^(k)(lam)| <= S_k always.
-    """
-    absf = Polynomial(tuple(abs(a) for a in f.coeffs))
-    return tuple(v.real for v in evaluate(absf, abs(complex(lam)), order))
-
-
 def fujiwara_root_bound(f):
     """Fujiwara's bound: no root lies beyond
 
@@ -275,47 +263,6 @@ def deflate_horner(f, root):
     remainder = out[0]
     quotient = Polynomial(tuple(out[1:]))
     return quotient, remainder
-
-
-@dataclass(frozen=True)
-class TaylorVerdict:
-    """Accepted multiplicity with the derivative-magnitude ladder.
-
-    derivative_magnitudes holds |f^(k)(a)| for k = 0..multiplicity; the
-    entries below ``multiplicity`` passed the relative zero test and the
-    last entry failed it (it is genuinely nonzero).
-    """
-
-    multiplicity: int
-    derivative_magnitudes: tuple
-
-
-def taylor_multiplicity_test(f, a, nu):
-    """Check that a is a root of multiplicity exactly nu.
-
-    Accepts iff |f^(k)(a)| <= TAYLOR_TOL*S_k for all k < nu and the nu-th
-    derivative breaks the pattern. S_k is the magnitude sum of the k-th
-    derivative terms, so the test is relative and survives Wilkinson-scale
-    coefficients. Raises TaylorRejectionError carrying the first violating
-    k otherwise.
-    """
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    vals = evaluate(f, a, nu)
-    scales = derivative_scales(f, a, nu)
-    mags = tuple(abs(v) for v in vals)
-    for k in range(nu):
-        if mags[k] > TAYLOR_TOL * scales[k]:
-            raise TaylorRejectionError(
-                "derivative order %d is not numerically zero at %r" % (k, a), k
-            )
-    if mags[nu] <= TAYLOR_TOL * scales[nu]:
-        raise TaylorRejectionError(
-            "derivative order %d still vanishes at %r; multiplicity exceeds %d"
-            % (nu, a, nu),
-            nu,
-        )
-    return TaylorVerdict(nu, mags)
 
 
 def effective_degree(f):

@@ -5,15 +5,17 @@ Halley step Lambda += h(Lambda), and the test-polynomial step
 Lambda += P_nu(Lambda)*Lambda whose fixed points reveal root multiplicity.
 Traces mirror printed iteration tables row by row, and a probe classifier
 separates genuine (quadratic) convergence from the slow linear creep a
-wrong-multiplicity probe produces. The per-seed multiplicity detector
-tries the probes nearest the guess nu-hat = 1/(1 - f f''/f'^2) first and
-stops at the first one the classifier and the Taylor ladder accept.
+wrong-multiplicity probe produces.
 
-Given approximations of all the roots, such as companion-matrix
-eigenvalues, multiplicity is counted instead: a nu-fold root shows up as a
-cluster of nu seeds, the argument principle counts the zeros on a circle
-around the cluster (:func:`count_zeros`), and one probe of that order from
-the cluster's mean finds the root (:func:`detect_clusters`).
+Multiplicity is counted, not guessed: the argument principle counts the
+zeros on a circle (:func:`count_zeros`), and one probe of the counted
+order finds the root. A probe is accepted only where it converges inside
+the circle to a point that is a root of that multiplicity to working
+precision. The per-seed detector counts on the smallest circle around the
+seed that rounding allows (:func:`detect_multiplicity`). Given
+approximations of all the roots, such as companion-matrix eigenvalues, a
+nu-fold root shows up as a cluster of nu seeds, counted on a circle
+around the cluster's mean (:func:`detect_clusters`).
 """
 
 import cmath
@@ -29,17 +31,15 @@ from .errors import (
     NoMultiplicityError,
     OriginSeedError,
     RayleighDenominatorError,
-    TaylorRejectionError,
     ZeroPolynomialError,
 )
 from .poly import (
-    TaylorVerdict,
+    UNIT_ROUNDOFF,
     evaluate,
     halley_eval,
     horner_error_bound,
     pade_eval,
     relative_residual,
-    taylor_multiplicity_test,
     test_polynomial,
 )
 
@@ -272,10 +272,17 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
 
 @dataclass(frozen=True)
 class MultiplicityVerdict:
+    """A root and its multiplicity from one seed.
+
+    ``count`` is the unrounded zero count that named ``multiplicity``.
+    ``probes`` holds the probes that ran, keyed by order, the winner
+    ``probes[multiplicity]`` included; a later probe of an order replaces
+    an earlier one."""
+
     root: complex
     multiplicity: int
     probes: dict
-    taylor: TaylorVerdict
+    count: complex
 
 
 def probe_strictly_converged(trace, settings=DEFAULT_SETTINGS):
@@ -299,57 +306,6 @@ def probe_strictly_converged(trace, settings=DEFAULT_SETTINGS):
         if a > 0.0 and b / a > 1.0 / PROBE_CONTRACTION:
             return False
     return True
-
-
-def _guess_multiplicity(f, seed, nu_max):
-    """nu-hat = |1/(1 - f f''/f'^2)| at the seed, rounded into 1..nu_max.
-
-    Near a nu-fold root the Pade line p = f/(-f') has slope
-    p' = -(1 - f f''/f'^2) = -1/nu. An undefined or non-finite guess
-    gives 1.
-    """
-    v, d1, d2 = evaluate(f, seed, 2)
-    try:
-        guess = abs(1.0 / (1.0 - v * d2 / (d1 * d1)))
-    except (ZeroDivisionError, OverflowError):
-        return 1
-    if not math.isfinite(guess):
-        return 1
-    return min(max(round(guess), 1), nu_max)
-
-
-def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS):
-    """Probe nu = 1..nu_max from one seed, nearest the guess nu-hat first.
-
-    The probes run in order of |nu - nu-hat| (the smaller nu first on ties)
-    and detection stops at the first one that converges quadratically and
-    whose root passes the Taylor ladder. The ladder accepts exactly one nu
-    at a given root, so that probe gives both the root and its
-    multiplicity. ``probes`` holds the probes that ran, the winner
-    included.
-    """
-    if nu_max is None:
-        nu_max = f.degree
-    if nu_max < 1:
-        raise ValueError("nu_max must be >= 1")
-    guess = _guess_multiplicity(f, seed, nu_max)
-    probes = {}
-    for nu in sorted(range(1, nu_max + 1), key=lambda k: (abs(k - guess), k)):
-        try:
-            trace = iterate_test_nu(f, nu, seed, settings)
-        except ZeroPolynomialError:
-            continue
-        probes[nu] = trace
-        if not probe_strictly_converged(trace, settings):
-            continue
-        try:
-            verdict = taylor_multiplicity_test(f, trace.final, nu)
-        except TaylorRejectionError:
-            continue
-        return MultiplicityVerdict(trace.final, nu, probes, verdict)
-    raise NoMultiplicityError(
-        "no multiplicity identified from seed %r; improve the seed" % (seed,)
-    )
 
 
 def count_zeros(f, center, radius):
@@ -392,6 +348,99 @@ def count_zeros(f, center, radius):
     return total / COUNT_NODES
 
 
+def _settles(f, nu, trace, center, radius):
+    """True when a nu-probe settles the circle it was counted on: it
+    converged inside the circle to a point where f_0..f_{nu-2} vanish to
+    working precision (relative residuals within ``horner_error_bound(f)``).
+
+    The probe's own convergence only makes f_{nu-1} vanish, which also
+    happens between distinct roots whose multiplicities add up to nu.
+    """
+    if (trace.status is not TraceStatus.CONVERGED
+            or not abs(trace.final - center) < radius):
+        return False
+    floor = horner_error_bound(f)
+    return not any(
+        relative_residual(test_polynomial(f, k), trace.final) > floor
+        for k in range(nu - 1))
+
+
+def _smallest_count(f, s):
+    """(count, radius): the zeros of f on the smallest circle around s
+    whose count is not declined, or None when every circle is.
+
+    The first radius is m |f(s)/f'(s)|, m = deg f, and at least
+    u (1 + |s|): f'/f = sum 1/(s - r_j) puts some zero r_j that close to
+    s. The radius doubles up to 2 (root_bound + |s|), where the circle
+    holds every zero.
+    """
+    limit = 2.0 * (f.root_bound + abs(s))
+    v, d = evaluate(f, s, 1)
+    try:
+        radius = f.degree * abs(v / d)
+    except ZeroDivisionError:
+        radius = 0.0
+    radius = max(radius, UNIT_ROUNDOFF * (1.0 + abs(s)))
+    while True:
+        last = not radius < limit  # an infinite or NaN radius included
+        if last:
+            radius = limit
+        count = count_zeros(f, s, radius)
+        if count is not None:
+            return count, radius
+        if last:
+            return None
+        radius *= 2.0
+
+
+def _detect_at(f, s, nu_max, settings, probes):
+    """The MultiplicityVerdict of the counted probe from s, or None when
+    no count is made, it names no order in 1..nu_max, or the probe does
+    not settle its circle. Adds the probe to ``probes``."""
+    counted = _smallest_count(f, s)
+    if counted is None:
+        return None
+    count, radius = counted
+    nu = round(count.real)
+    if not 1 <= nu <= nu_max:
+        return None
+    try:
+        trace = iterate_test_nu(f, nu, s, settings)
+    except ZeroPolynomialError:
+        return None
+    probes[nu] = trace
+    if not _settles(f, nu, trace, s, radius):
+        return None
+    return MultiplicityVerdict(trace.final, nu, probes, count)
+
+
+def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS):
+    """A root and its multiplicity from one seed: a zero count and one
+    probe.
+
+    The zeros of f are counted on the smallest circle around the seed that
+    rounding allows, and the probe of the counted order nu runs from the
+    seed. Its root is accepted when the probe settles the circle
+    (:func:`_settles`). Otherwise the nu = 1 probe walks from the seed,
+    and the count and its probe run again where the walk ends.
+    """
+    if nu_max is None:
+        nu_max = f.degree
+    if nu_max < 1:
+        raise ValueError("nu_max must be >= 1")
+    probes = {}
+    verdict = _detect_at(f, complex(seed), nu_max, settings, probes)
+    if verdict is None:
+        walk = iterate_test_nu(f, 1, seed, settings)
+        probes[1] = walk
+        verdict = _detect_at(f, walk.final, nu_max, settings, probes)
+    if verdict is None:
+        raise NoMultiplicityError(
+            "no multiplicity identified from seed %r; improve the seed"
+            % (seed,))
+    return verdict
+
+
 @dataclass(frozen=True)
 class ClusterVerdict:
     """One group of seeds settled by a zero count and a single probe.
@@ -411,34 +460,6 @@ class ClusterVerdict:
     probe: IterationTrace
 
 
-def _seed_groups(f, seeds):
-    """Seeds linked to their nearest neighbour where f is at its rounding
-    floor halfway between them, as ascending index tuples in order of
-    their first index.
-
-    The seeds of a nu-fold root ring it at the radius where |f| meets
-    Horner's rounding error, so the midpoint of two of them has a relative
-    residual within ``horner_error_bound(f)``; between two simple roots f
-    is far above it. Linking only saves counts: a group that misses part
-    of its cluster merges with it in :func:`detect_clusters`.
-    """
-    floor = horner_error_bound(f)
-    groups = [[i] for i in range(len(seeds))]
-    owner = list(range(len(seeds)))
-    for i, a in enumerate(seeds):
-        j = min((k for k in range(len(seeds)) if k != i),
-                key=lambda k: abs(seeds[k] - a), default=None)
-        if (j is None or owner[i] == owner[j]
-                or relative_residual(f, 0.5 * (a + seeds[j])) > floor):
-            continue
-        keep, drop = sorted((owner[i], owner[j]))
-        for k in groups[drop]:
-            owner[k] = keep
-        groups[keep] += groups[drop]
-        groups[drop] = []
-    return [tuple(sorted(g)) for g in groups if g]
-
-
 # How detect_clusters goes on with a group _settle_group does not accept.
 _MERGE = "merge"
 _LEAVE_OVER = "leave over"
@@ -447,13 +468,8 @@ _LEAVE_OVER = "leave over"
 def _settle_group(f, seeds, group, nu_max, settings):
     """A ClusterVerdict for the group; otherwise _MERGE when its count is
     declined or is not its size, and _LEAVE_OVER when the count is its
-    size but the probe does not settle it.
-
-    The probe of order nu (the size) from the seeds' mean must converge
-    inside the circle, to a point where f_0..f_{nu-2} vanish to working
-    precision: relative residuals within ``horner_error_bound(f)``.
-    Its own convergence only makes f_{nu-1} vanish, which also happens
-    between distinct roots whose multiplicities add up to nu.
+    size but the probe of that order from the seeds' mean does not settle
+    the circle (:func:`_settles`).
     """
     members = [seeds[i] for i in group]
     center = sum(members) / len(members)
@@ -473,12 +489,7 @@ def _settle_group(f, seeds, group, nu_max, settings):
         trace = iterate_test_nu(f, nu, center, settings)
     except (OriginSeedError, ZeroPolynomialError):
         return _LEAVE_OVER
-    if (trace.status is not TraceStatus.CONVERGED
-            or not abs(trace.final - center) < radius):
-        return _LEAVE_OVER
-    floor = horner_error_bound(f)
-    if any(relative_residual(test_polynomial(f, k), trace.final) > floor
-           for k in range(nu - 1)):
+    if not _settles(f, nu, trace, center, radius):
         return _LEAVE_OVER
     return ClusterVerdict(tuple(group), center, radius, count, trace.final,
                           nu, trace)
@@ -488,16 +499,15 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
     """Multiplicities by counting, from approximations of all the roots.
 
     A nu-fold root shows up among the eigenvalues of a companion matrix as
-    a cluster of nu seeds. Seeds are grouped (:func:`_seed_groups`), and
+    a cluster of nu seeds. Each seed starts as a group of its own, and
     each group is counted on a circle around its mean, with radius half
     the distance to the nearest seed outside it. When the count rounds to
     the group's size nu, one probe of order nu runs from the mean, and
-    the group is settled if it converges inside the circle to a point
-    that is a nu-fold root to working precision (:func:`_settle_group`).
-    A group whose count is declined, or is not its size, merges with the
-    nearest group not yet settled (single linkage) and is counted again.
-    A group whose probe does not settle it, or that has no group left to
-    merge with, is left over.
+    the group is settled if that probe settles the circle
+    (:func:`_settle_group`). A group whose count is declined, or is not
+    its size, merges with the nearest group not yet settled (single
+    linkage) and is counted again. A group whose probe does not settle it,
+    or that has no group left to merge with, is left over.
 
     Returns (verdicts, leftover): the ClusterVerdicts in the order they
     were settled and the leftover seed indices, ascending. The caller runs
@@ -508,7 +518,7 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
     if nu_max < 1:
         raise ValueError("nu_max must be >= 1")
     seeds = [complex(s) for s in seeds]
-    queue = _seed_groups(f, seeds)
+    queue = [(i,) for i in range(len(seeds))]
     verdicts = []
     leftover = []
     while queue:

@@ -505,7 +505,7 @@ _NEXT_TO_A_TRIPLE = pytest.mark.xfail(
     pytest.param("MULT_D9_8", marks=pytest.mark.xfail(
         strict=True, reason="the nu = 3 probe from the mean of the triple "
         "root's seeds steps at rounding level (1e-11) until max-iters, and "
-        "per-seed detect then claims a quadruple root (ROADMAP item 4)")),
+        "per-seed detect then settles none of its seeds (ROADMAP item 4)")),
     pytest.param("MULT_D7_31", marks=_NEXT_TO_A_TRIPLE),
     pytest.param("MULT_D10_74", marks=_NEXT_TO_A_TRIPLE),
 ])
@@ -522,6 +522,30 @@ def test_companion_detect_solves_a_multiple_roots_problem(name):
         found = min(report.roots, key=lambda r: abs(r.value - root))
         assert same_root(found.value, root)
         assert found.multiplicity == nu
+    assert report.all_residuals_pass
+
+
+def test_detect_claims_no_wrong_multiplicity_on_mult_d9_13():
+    """Every root the report of mult-d9-13 claims is an oracle root with
+    its multiplicity; no quadruple root between the simple and the triple
+    root makes a wrong report pass."""
+    report = run_pipeline(ProblemSpec(polynomial=Polynomial(cases.MULT_D9_13),
+                                      seed_source=SeedSource.COMPANION))
+    assert report.roots
+    for record in report.roots:
+        root, nu = min(cases.MULT_D9_13_ROOTS,
+                       key=lambda r: abs(r[0] - record.value))
+        assert same_root(record.value, root)
+        assert record.multiplicity == nu
+
+
+def test_explore_detect_conserves_wilkinson10(wilkinson10):
+    """The scan seeds Wilkinson 10 exactly at its roots, and detect keeps
+    all ten, 7 and 8 included, each as a simple root."""
+    report = run_pipeline(ProblemSpec(polynomial=wilkinson10))
+    assert [(r.value, r.multiplicity) for r in report.roots] == [
+        (complex(k), 1) for k in range(1, 11)]
+    assert report.conserved
     assert report.all_residuals_pass
 
 
@@ -569,6 +593,13 @@ def _pinned_specs():
 # and an empty error list. Each root lists its group's seeds in seed order,
 # and the triple and quadruple roots take 2 iterations (4 and 5 before).
 # Both roots it had moved by less than 3e-13, within same_root.
+# sparse-penta was re-pinned when per-seed detect began counting zeros
+# instead of guessing nu-hat. Its diagonal seeds now settle where the
+# nu = 1 probe's walk ends, so six roots take 2 iterations (8 or 9
+# before) and one takes 6 (7 before). The same 8 eigenvalues move by less
+# than 1e-14, with the same multiplicities, seeds and error lines; one
+# root lists its two seeds in the other order, and the values quoted in
+# the error lines and the eigenvectors move in the last digits.
 PINNED_REPORT_SHA256 = {
     "mult-d8-82":
         "c019854fcd91cf8b52c4ebe70d32165e06f83fab1b438fad4981eb2d5bc99204",
@@ -577,7 +608,7 @@ PINNED_REPORT_SHA256 = {
     "real-d9-90":
         "99f85b45f86cbb62d0c0f4e037e7b517cc22bc2eff4f8acd56e2f21829735d07",
     "sparse-penta":
-        "bb69c844821904fbab39659b4481272cd35b54637ca3d68f3e5d38e61aabd6ef",
+        "c542bb060f0488d493f66db4c00b461491abe624d62480eec5871483e583b662",
 }
 
 

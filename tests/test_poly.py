@@ -10,7 +10,6 @@ import oracles
 from polyzeros import (
     DerivativeUnderflowError,
     Polynomial,
-    TaylorRejectionError,
     ZeroPolynomialError,
     coefficient_scale,
     deflate_horner,
@@ -21,7 +20,6 @@ from polyzeros import (
     pade_eval,
     polynomial_from_roots,
     relative_residual,
-    taylor_multiplicity_test,
 )
 from polyzeros import test_polynomial as derived_polynomial
 
@@ -197,19 +195,6 @@ def test_deflation_round_trip():
             rebuilt, np.array(f.coeffs), rtol=0,
             atol=DEFLATE_RTOL * max(1.0, np.max(np.abs(f.coeffs))),
         )
-
-
-def test_taylor_test_accepts_true_multiplicity():
-    f = polynomial_from_roots([1.0, 1.0, 1.0, -2.0])
-    verdict = taylor_multiplicity_test(f, 1.0, 3)
-    assert verdict.multiplicity == 3
-
-
-def test_taylor_test_rejects_overclaimed_multiplicity():
-    f = polynomial_from_roots([1.0, 1.0, -2.0])
-    with pytest.raises(TaylorRejectionError) as info:
-        taylor_multiplicity_test(f, 1.0, 3)
-    assert info.value.failed_at_k == 2
 
 
 def test_effective_degree_trims_relative_noise():

@@ -13,7 +13,6 @@ from polyzeros import (
     NoMultiplicityError,
     OriginSeedError,
     Polynomial,
-    TaylorRejectionError,
     TraceStatus,
     companion_seed_all,
     count_zeros,
@@ -26,13 +25,11 @@ from polyzeros import (
     polynomial_from_roots,
     probe_strictly_converged,
     relative_residual,
-    taylor_multiplicity_test,
 )
 from polyzeros import test_polynomial as derived_polynomial
 from polyzeros import refine
 from polyzeros.refine import (
     DEFAULT_SETTINGS,
-    ROOT_IDENTITY_REL,
     _run_iteration,
     group_roots,
     same_root,
@@ -142,17 +139,18 @@ def test_detect_reports_probe_traces(double_quad_sextic):
     verdict = detect_multiplicity(double_quad_sextic, cases.DOUBLE_QUAD_SEED_NU2)
     assert verdict.multiplicity in verdict.probes
     assert len(verdict.probes) < 6
-    assert verdict.taylor.multiplicity == 2
+    assert abs(verdict.count - 2) < 0.5
 
 
 def test_detect_from_a_seed_where_the_guess_is_undefined():
-    """At a double root f = f' = 0, so nu-hat falls back to 1; that probe
-    fails and the next one still finds the root."""
+    """At a double root f = f' = 0, so the Newton radius m|f/f'| is
+    undefined; the count starts at the rounding radius, grows until it is
+    not declined, counts 2, and the nu = 2 probe stays on the root."""
     f = polynomial_from_roots([1.0, 1.0, 4.0])
     verdict = detect_multiplicity(f, 1.0)
     assert verdict.multiplicity == 2
     assert verdict.root == 1.0
-    assert verdict.probes[1].status is TraceStatus.NUMERICAL_ERROR
+    assert list(verdict.probes) == [2]
 
 
 def test_detect_rejects_when_no_probe_converges():
@@ -161,21 +159,18 @@ def test_detect_rejects_when_no_probe_converges():
         detect_multiplicity(f, 1.05, nu_max=1)
 
 
-@pytest.mark.xfail(strict=True, raises=NoMultiplicityError,
-                   reason="TAYLOR_TOL = 1e-7 rejects nu = 1: |f'|/S_1 is "
-                   "7.2e-8 at 7 and 8.2e-8 at 8")
 @pytest.mark.parametrize("root", [7.0, 8.0])
 def test_detect_wilkinson10_root_seeded_on_the_root(wilkinson10, root):
-    """The scan at delta = 0.1 seeds Wilkinson 10 exactly at its roots; at
-    7 and 8 the Taylor ladder takes the simple root's small but nonzero
-    derivative for zero."""
+    """The scan at delta = 0.1 seeds Wilkinson 10 exactly at its roots.
+    At 7 and 8 f' is small against its terms (|f'|/S_1 is 7.2e-8 and
+    8.2e-8), but the zero count around the root is 1."""
     verdict = detect_multiplicity(wilkinson10, root)
     assert (verdict.root, verdict.multiplicity) == (root, 1)
 
 
 def test_taylor_arbiter_overrides_accidental_fixed_point(quad_quint):
     """A degenerate high-order probe can converge onto a lower-multiplicity
-    root; the derivative ladder at the root settles the claim."""
+    root; the zero count around the seed names the one probe that runs."""
     verdict = detect_multiplicity(quad_quint, cases.QUAD_QUINT_SEED_NU2)
     assert verdict.multiplicity == 2
     assert abs(verdict.root - (-1.0)) <= ROOT_ATOL
@@ -245,34 +240,6 @@ def test_fused_probe_step_gives_the_reference_traces():
             assert got.notes == want.notes
 
 
-def _reference_detect(f, seed):
-    """The full sweep: every probe nu = 1..degree runs, and the largest
-    Taylor-validated nu in the group of winners nearest the seed wins.
-
-    Returns (nu, winning trace), or None where the sweep finds no answer.
-    """
-    probes = {nu: iterate_test_nu(f, nu, seed)
-              for nu in range(1, f.degree + 1)}
-    winners = {nu: trace.final for nu, trace in probes.items()
-               if probe_strictly_converged(trace)}
-    if not winners:
-        return None
-    groups = group_roots(sorted(winners.items()), lambda w: w[1])
-    seed = complex(seed)
-    if len(groups) > 1:
-        distances = sorted(abs(g[0][1] - seed) for g in groups)
-        if distances[1] - distances[0] <= ROOT_IDENTITY_REL * (1.0 + distances[0]):
-            return None
-        groups.sort(key=lambda g: abs(g[0][1] - seed))
-    for nu, root in sorted(groups[0], reverse=True):
-        try:
-            taylor_multiplicity_test(f, root, nu)
-        except TaylorRejectionError:
-            continue
-        return nu, probes[nu]
-    return None
-
-
 def _reference_group_roots(items, value):
     """The greedy grouping that tests every group head, oldest first."""
     groups = []
@@ -325,31 +292,29 @@ def test_windowed_grouping_gives_the_greedy_groups():
 
 
 def test_guided_detect_gives_the_full_sweep_answer():
-    """Trying nu-hat first and stopping at the first verified probe gives
-    the sweep's root, multiplicity and winning trace bit for bit."""
-    mult_d8 = Polynomial(cases.MULT_D8_82)
+    """The full sweep of probes nu = 1..m, judged root by root, gave these
+    seeds the known root and multiplicity of the case. Detect gives them
+    too, with one probe of the counted order from the seed. That includes
+    the companion seed of mult-d8-82's simple root, which lies at the
+    noise floor and which the sweep could not settle."""
     inputs = [
-        (Polynomial(cases.DOUBLE_QUAD_SEXTIC), cases.DOUBLE_QUAD_SEED_NU2),
-        (Polynomial(cases.DOUBLE_QUAD_SEXTIC), cases.DOUBLE_QUAD_SEED_NU4),
-        (Polynomial(cases.CLUSTER_DECIC), cases.CLUSTER_DECIC_SEED_NU3),
-        (Polynomial(cases.QUAD_QUINT), cases.QUAD_QUINT_SEED_NU2),
-        (Polynomial(cases.QUAD_QUINT), cases.QUAD_QUINT_SEED_NU1),
+        (cases.DOUBLE_QUAD_SEXTIC, cases.DOUBLE_QUAD_SEED_NU2, 2.0, 2),
+        (cases.DOUBLE_QUAD_SEXTIC, cases.DOUBLE_QUAD_SEED_NU4, -1.0, 4),
+        (cases.CLUSTER_DECIC, cases.CLUSTER_DECIC_SEED_NU3,
+         cases.CLUSTER_DECIC_ROOT_NU3, 3),
+        (cases.QUAD_QUINT, cases.QUAD_QUINT_SEED_NU2, -1.0, 2),
+        (cases.QUAD_QUINT, cases.QUAD_QUINT_SEED_NU1, -2.0, 1),
     ]
-    resolved = 0
-    for seed in companion_seed_all(mult_d8).values:
-        try:
-            detect_multiplicity(mult_d8, seed)
-        except NoMultiplicityError:
-            continue
-        inputs.append((mult_d8, seed))
-        resolved += 1
-    assert resolved >= 4
-    for f, seed in inputs:
-        verdict = detect_multiplicity(f, seed)
-        nu, trace = _reference_detect(f, seed)
+    for seed in companion_seed_all(Polynomial(cases.MULT_D8_82)).values:
+        root, nu = min(cases.MULT_D8_82_ROOTS, key=lambda r: abs(r[0] - seed))
+        inputs.append((cases.MULT_D8_82, seed, root, nu))
+    assert len(inputs) == 5 + 8
+    for coeffs, seed, root, nu in inputs:
+        verdict = detect_multiplicity(Polynomial(coeffs), seed)
         assert verdict.multiplicity == nu
-        assert verdict.root == trace.final
-        assert _row_bits(verdict.probes[nu]) == _row_bits(trace)
+        assert abs(verdict.root - root) <= 1e-10 * (1.0 + abs(root))
+        assert list(verdict.probes) == [nu]
+        assert verdict.probes[nu].rows[0].lam == seed
 
 
 @pytest.mark.parametrize("seed", [cases.DOUBLE_QUAD_SEED_NU2,
@@ -374,8 +339,8 @@ def test_count_sees_a_triple_root():
 
 @pytest.mark.parametrize("root", [7.0, 8.0])
 def test_count_sees_wilkinson10_simple_roots(wilkinson10, root):
-    """Where the Taylor ladder takes the simple root for a double one, the
-    count on a circle of radius 0.4 is 1."""
+    """At 7 and 8, where f' is small against its terms, the count on a
+    circle of radius 0.4 is 1."""
     assert abs(count_zeros(wilkinson10, root, 0.4) - 1.0) <= 1e-3
 
 
