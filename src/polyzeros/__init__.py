@@ -18,7 +18,9 @@ from .ecp import (
     evolve_until,
     gershgorin_enclosures,
     rayleigh_iterate,
+    rayleigh_iterate_all,
     reduced_pade_iterate,
+    reduced_pade_iterate_all,
     sum_control,
 )
 from .errors import (
@@ -76,6 +78,7 @@ from .poly import (
     deflate_horner,
     effective_degree,
     evaluate,
+    evaluate_all,
     fujiwara_root_bound,
     halley_eval,
     pade_eval,
@@ -94,7 +97,9 @@ from .refine import (
     detect_clusters,
     detect_multiplicity,
     iterate_halley,
+    iterate_halley_all,
     iterate_pade,
+    iterate_pade_all,
     iterate_test_nu,
     probe_strictly_converged,
     same_root,

@@ -12,10 +12,12 @@ defects quadratically near simple roots. Gershgorin disks around the main
 values give computable enclosures.
 
 The list iterations (the Rayleigh quotient and the reduced Pade step)
-refine one row's main value through the partial sums S_1, S_2, S_sigma.
-They stop on f's own relative residual, the test every reported root is
-graded by: |S_1 - 1| cancels near an interpolation value that already
-sits on a root, so it cannot tell a converged row from a creeping one.
+refine main values through the partial sums S_1, S_2, S_sigma, all rows'
+at once: the sums at every iterate come from one iterates x rows matrix
+of 1/(sigma_k - Lambda). They stop on f's own relative residual, the test
+every reported root is graded by: |S_1 - 1| cancels near an interpolation
+value that already sits on a root, so it cannot tell a converged row from
+a creeping one.
 """
 
 from dataclasses import dataclass
@@ -29,17 +31,13 @@ from .errors import (
     RayleighDenominatorError,
     ZeroPolynomialError,
 )
-from .poly import UNIT_ROUNDOFF, evaluate, relative_residual
-from .refine import DEFAULT_SETTINGS, _run_iteration
+from .poly import evaluate, horner_error_bound, relative_residual
+from .refine import DEFAULT_SETTINGS, _run_batch, _scalar_fallback
 
 SEPARATION_REL = 1e-12
 DENOMINATOR_UNDERFLOW = 1e-290
 EVOLUTION_THRESHOLD_REL = 1e-12
 MAX_EVOLUTIONS = 20
-# A defect below one machine epsilon of its interpolation value leaves the
-# main value within about an ulp of sigma: sigma is a root to working
-# precision.
-ROUNDING_LEVEL_REL = 2 * UNIT_ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -75,27 +73,31 @@ class EcpList:
 
 
 def _check_separation(values, label):
-    values = [complex(v) for v in values]
-    scale = 1.0 + max(abs(v) for v in values)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) <= SEPARATION_REL * scale:
-                raise InterpolationValueError(
-                    "%s %d and %d coincide" % (label, i, j), (i, j)
-                )
+    """Raise on the first pair i < j (in row-major order) of values within
+    SEPARATION_REL * (1 + max|v|) of each other."""
+    values = np.array(values, dtype=complex)
+    scale = 1.0 + np.abs(values).max()
+    close = np.abs(values[:, None] - values[None, :]) <= SEPARATION_REL * scale
+    pairs = np.argwhere(np.triu(close, 1))
+    if len(pairs):
+        i, j = (int(k) for k in pairs[0])
+        raise InterpolationValueError(
+            "%s %d and %d coincide" % (label, i, j), (i, j)
+        )
 
 
 def build_ecp_list(f, sigmas):
     """Build the (sigma, defect, main value) list for f at the given values.
 
-    The denominator products run in fixed row order so repeated builds are
-    bit-reproducible. Coincident or clustered interpolation values raise
-    with the offending indices.
+    Each denominator a_m prod_{j!=k} (sigma_k - sigma_j) is multiplied out
+    in fixed row order, so repeated builds are bit-reproducible.
+    Coincident or clustered interpolation values raise with the offending
+    indices.
     """
     m = f.degree
     if m < 1:
         raise ZeroPolynomialError("need degree >= 1")
-    sigmas = [complex(s) for s in sigmas]
+    sigmas = np.array(sigmas, dtype=complex)
     if len(sigmas) != m:
         raise InterpolationValueError(
             "expected %d interpolation values, got %d" % (m, len(sigmas))
@@ -103,16 +105,21 @@ def build_ecp_list(f, sigmas):
     _check_separation(sigmas, "interpolation values")
     a_m = f.coeffs[m]
     a_m1 = f.coeffs[m - 1] if m >= 1 else 0j
-    rows = []
-    for k, sk in enumerate(sigmas):
-        denom = a_m
-        for j, sj in enumerate(sigmas):
-            if j != k:
-                denom *= sk - sj
-        if abs(denom) <= DENOMINATOR_UNDERFLOW:
+    # Row k: a_m, then sigma_k - sigma_j for every j, with 1 at j = k.
+    factors = np.empty((m, m + 1), dtype=complex)
+    factors[:, 0] = a_m
+    factors[:, 1:] = sigmas[:, None] - sigmas[None, :]
+    factors[:, 1:][np.diag_indices(m)] = 1.0
+    with np.errstate(all="ignore"):
+        denoms = np.multiply.reduce(factors, axis=1)
+        clustered = np.flatnonzero(np.abs(denoms) <= DENOMINATOR_UNDERFLOW)
+        if len(clustered):
+            k = int(clustered[0])
             raise InterpolationValueError(
                 "interpolation values too clustered around index %d" % k, (k,)
             )
+    rows = []
+    for sk, denom in zip(sigmas.tolist(), denoms.tolist()):
         d = evaluate(f, sk, 0)[0] / denom
         rows.append(EcpRow(sk, d, sk - d))
     return EcpList(tuple(rows), m, a_m, a_m1)
@@ -150,12 +157,12 @@ def ecp_matrix(lst):
     return e
 
 
-def _partial_sums(lst, lam):
-    """S_1, S_2, S_sigma at lam, summed in row order.
+def _partial_sums(lst, f, lam):
+    """S_1, S_2, S_sigma at one point lam, summed in row order.
 
-    None when lam is the interpolation value of a row whose defect is at
-    rounding level (|d_k| <= eps |sigma_k|): that sigma_k is a root to
-    working precision, and the list iterations stay on it. Any other
+    None when lam is the interpolation value of a row that is a root of f
+    to working precision (its relative residual is within
+    ``horner_error_bound(f)``): the list iterations stay on it. Any other
     coincidence raises.
     """
     s1 = 0j
@@ -164,7 +171,7 @@ def _partial_sums(lst, lam):
     for r in lst.rows:
         diff = r.sigma - lam
         if abs(diff) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(r.sigma)):
-            if abs(r.defect) <= ROUNDING_LEVEL_REL * abs(r.sigma):
+            if relative_residual(f, r.sigma) <= horner_error_bound(f):
                 return None
             raise RayleighDenominatorError(
                 "iterate coincides with interpolation value %r" % (r.sigma,)
@@ -175,6 +182,87 @@ def _partial_sums(lst, lam):
     return s1, s2, s_sigma
 
 
+def _rayleigh_step(lst, f, lam):
+    """The Rayleigh step at one point, from :func:`_partial_sums`."""
+    sums = _partial_sums(lst, f, lam)
+    if sums is None:
+        return 0j
+    s1, s2, s_sigma = sums
+    if abs(s2) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(s1) + abs(s_sigma)):
+        raise RayleighDenominatorError("rayleigh denominator S_2 vanished")
+    return (s_sigma - s1 * s1) / s2 - lam
+
+
+def _reduced_step(lst, f, lam):
+    """The reduced Pade step at one point, from :func:`_partial_sums`."""
+    sums = _partial_sums(lst, f, lam)
+    if sums is None:
+        return 0j
+    s1, s2, _ = sums
+    if abs(s2) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(s1)):
+        raise RayleighDenominatorError("reduced denominator S_2 vanished")
+    return (s1 - 1.0) / (-s2)
+
+
+def _list_sums(sigmas, defects, lams):
+    """S_1, S_2 and S_sigma at every point of lams, from one points x rows
+    matrix of 1/(sigma_k - Lambda), summed point by point without BLAS.
+    Where an iterate meets an interpolation value, the sums are not
+    finite."""
+    inverse = 1.0 / (sigmas[None, :] - np.array(lams)[:, None])
+    s1 = np.einsum("ij,j->i", inverse, defects)
+    inverse *= inverse
+    s2 = np.einsum("ij,j->i", inverse, defects)
+    s_sigma = np.einsum("ij,j->i", inverse, defects * sigmas)
+    return s1, s2, s_sigma
+
+
+def _rayleigh_steps(sigmas, defects, lst, f, lams):
+    """The Rayleigh steps at every point; :func:`_rayleigh_step` decides
+    the points where the array sums or the step are not usable."""
+    with np.errstate(all="ignore"):
+        s1, s2, s_sigma = _list_sums(sigmas, defects, lams)
+        steps = (s_sigma - s1 * s1) / s2 - np.array(lams)
+        usable = np.abs(s2) > DENOMINATOR_UNDERFLOW * (
+            1.0 + np.abs(s1) + np.abs(s_sigma))
+    usable &= np.isfinite(steps)
+    return _scalar_fallback(steps, usable, partial(_rayleigh_step, lst, f),
+                            lams)
+
+
+def _reduced_steps(sigmas, defects, lst, f, lams):
+    """The reduced Pade steps at every point; :func:`_reduced_step`
+    decides the points where the array sums or the step are not usable."""
+    with np.errstate(all="ignore"):
+        s1, s2, _ = _list_sums(sigmas, defects, lams)
+        steps = (s1 - 1.0) / -s2
+        usable = np.abs(s2) > DENOMINATOR_UNDERFLOW * (1.0 + np.abs(s1))
+    usable &= np.isfinite(steps)
+    return _scalar_fallback(steps, usable, partial(_reduced_step, lst, f),
+                            lams)
+
+
+def _iterate_list(kernel, lst, f, seeds, settings):
+    """Every seed's trace under one list iteration's array ``kernel``."""
+    sigmas = np.array(lst.sigmas, dtype=complex)
+    defects = np.array(lst.defects, dtype=complex)
+    return _run_batch(partial(kernel, sigmas, defects, lst, f),
+                      partial(relative_residual, f), seeds, settings,
+                      f.root_bound)
+
+
+def rayleigh_iterate_all(lst, f, seeds, settings=DEFAULT_SETTINGS):
+    """:func:`rayleigh_iterate` from every seed at once, one trace per
+    seed."""
+    return _iterate_list(_rayleigh_steps, lst, f, seeds, settings)
+
+
+def reduced_pade_iterate_all(lst, f, seeds, settings=DEFAULT_SETTINGS):
+    """:func:`reduced_pade_iterate` from every seed at once, one trace per
+    seed."""
+    return _iterate_list(_reduced_steps, lst, f, seeds, settings)
+
+
 def rayleigh_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
     """Iterate the list Rayleigh quotient R = (S_sigma - S_1^2)/S_2.
 
@@ -182,21 +270,11 @@ def rayleigh_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
     replaces the iterate by R (the recorded step is R - Lambda). Residuals
     are measured on f, the polynomial the list was built from, with
     :func:`relative_residual`: the test that grades every reported root.
-    An iterate on the interpolation value of a row with a rounding-level
-    defect takes step 0.
+    An iterate on the interpolation value of a row that is a root of f to
+    working precision takes step 0; on any other interpolation value the
+    iteration ends as NUMERICAL_ERROR.
     """
-
-    def step_fn(lam):
-        sums = _partial_sums(lst, lam)
-        if sums is None:
-            return 0j
-        s1, s2, s_sigma = sums
-        if abs(s2) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(s1) + abs(s_sigma)):
-            raise RayleighDenominatorError("rayleigh denominator S_2 vanished")
-        return (s_sigma - s1 * s1) / s2 - lam
-
-    return _run_iteration(step_fn, partial(relative_residual, f), seed,
-                          settings, f.root_bound)
+    return rayleigh_iterate_all(lst, f, (seed,), settings)[0]
 
 
 def reduced_pade_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
@@ -207,18 +285,7 @@ def reduced_pade_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
     iteration inherits quadratic convergence at simple roots. Residuals
     and coincidences are handled as in :func:`rayleigh_iterate`.
     """
-
-    def step_fn(lam):
-        sums = _partial_sums(lst, lam)
-        if sums is None:
-            return 0j
-        s1, s2, _ = sums
-        if abs(s2) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(s1)):
-            raise RayleighDenominatorError("reduced denominator S_2 vanished")
-        return (s1 - 1.0) / (-s2)
-
-    return _run_iteration(step_fn, partial(relative_residual, f), seed,
-                          settings, f.root_bound)
+    return reduced_pade_iterate_all(lst, f, (seed,), settings)[0]
 
 
 def evolve(lst, f):
@@ -283,14 +350,13 @@ def gershgorin_enclosures(lst):
     m = lst.degree
     centers = [complex(r.main_value) for r in lst.rows]
     radii = [(m - 1) * abs(r.defect) for r in lst.rows]
+    at = np.array(centers)
+    reach = np.array(radii)
+    apart = np.abs(at[:, None] - at[None, :]) > reach[:, None] + reach[None, :]
+    np.fill_diagonal(apart, True)
     real_list = lst.is_real()
     disks = []
-    for k in range(m):
-        separated = all(
-            abs(centers[k] - centers[j]) > radii[k] + radii[j]
-            for j in range(m)
-            if j != k
-        )
+    for k, separated in enumerate(apart.all(axis=1).tolist()):
         interval = None
         box = None
         if separated:

@@ -5,7 +5,9 @@ and an algorithm choice. The problem polynomial (:func:`spec_polynomial`)
 is the user's coefficients as given, or det F for a matrix problem.
 run_pipeline acquires seeds, refines them in one loop whatever the
 algorithm, merges duplicate roots, and assembles a deterministic report
-ordered lexicographically by (re, im). The loop refines each seed on its
+ordered lexicographically by (re, im). Pade, Halley and the two list
+iterations refine all seeds in one batch call, each step taken by every
+seed still running at once. Detect and test-nu refine each seed on its
 own, except that detect on companion or external seeds first settles
 clusters of seeds by a zero count and one probe each, and the cluster's
 root record lists all its seeds. Hard errors in
@@ -24,8 +26,8 @@ from .ecp import (
     build_ecp_list,
     evolve_until,
     gershgorin_enclosures,
-    rayleigh_iterate,
-    reduced_pade_iterate,
+    rayleigh_iterate_all,
+    reduced_pade_iterate_all,
     sum_control,
 )
 from .errors import NotAnEigenvalueError, PolyzerosError, ProblemFormatError
@@ -36,7 +38,6 @@ from .matpoly import (
     extract_eigenvectors,
     left_eigenvectors,
 )
-from .poly import relative_residual
 from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
 from .refine import (
     DEFAULT_SETTINGS,
@@ -44,8 +45,8 @@ from .refine import (
     TraceStatus,
     detect_clusters,
     detect_multiplicity,
-    iterate_halley,
-    iterate_pade,
+    iterate_halley_all,
+    iterate_pade_all,
     iterate_test_nu,
     group_roots,
 )
@@ -179,13 +180,29 @@ def _acquire_seeds(spec, f, errors):
         return ()
 
 
+def _batch(run):
+    """step(k) for an algorithm that refines all seeds in one call
+    ``run()``, returning a trace per seed. An error of that call (a degree
+    check) is every seed's error."""
+    try:
+        traces = run()
+    except PolyzerosError as exc:
+        error = exc
+
+        def fail(k):
+            raise error
+        return fail
+    return lambda k: (traces[k], 1)
+
+
 def _refiner(spec, f, seeds):
     """``(group, refine)`` pairs in seed order, one per record to be made.
 
     ``group`` holds seed indices and ``refine()`` returns ``(trace, nu)``:
-    the trace's final iterate is the root and nu its multiplicity. Rayleigh
-    and reduced refine row k's main value of one interpolation list, built
-    here from all seeds. Detect probes each seed on its own and answers
+    the trace's final iterate is the root and nu its multiplicity. Pade
+    and Halley refine all seeds in one batch. Rayleigh and reduced refine
+    every row's main value of one interpolation list, built here from all
+    seeds, in one batch. Detect probes each seed on its own and answers
     with its winning probe; on companion or external seeds it first
     settles clusters of seeds (:func:`detect_clusters`), one group and one
     probe each, and probes only the seeds left over.
@@ -193,11 +210,9 @@ def _refiner(spec, f, seeds):
     settings = spec.settings
     if spec.algorithm in (Algorithm.RAYLEIGH, Algorithm.REDUCED):
         lst = build_ecp_list(f, seeds)
-        iterate = (rayleigh_iterate if spec.algorithm is Algorithm.RAYLEIGH
-                   else reduced_pade_iterate)
-
-        def step(k):
-            return iterate(lst, f, lst.rows[k].main_value, settings), 1
+        iterate = (rayleigh_iterate_all if spec.algorithm is Algorithm.RAYLEIGH
+                   else reduced_pade_iterate_all)
+        step = _batch(partial(iterate, lst, f, lst.main_values, settings))
     elif spec.algorithm is Algorithm.DETECT:
         def step(k):
             verdict = detect_multiplicity(f, seeds[k], spec.nu_max, settings)
@@ -206,11 +221,9 @@ def _refiner(spec, f, seeds):
         def step(k):
             return iterate_test_nu(f, spec.nu, seeds[k], settings), spec.nu
     else:
-        iterate = (iterate_pade if spec.algorithm is Algorithm.PADE
-                   else iterate_halley)
-
-        def step(k):
-            return iterate(f, seeds[k], settings), 1
+        iterate = (iterate_pade_all if spec.algorithm is Algorithm.PADE
+                   else iterate_halley_all)
+        step = _batch(partial(iterate, f, seeds, settings))
     singles = range(len(seeds))
     units = []
     if spec.algorithm is Algorithm.DETECT and spec.seed_source in (
@@ -225,7 +238,8 @@ def _refiner(spec, f, seeds):
 def _refine(spec, f, seeds, errors):
     """One record per group whose refinement converges, with the group's
     seeds as provenance. A group that fails is a single seed, and it
-    leaves an error line."""
+    leaves an error line. The residual is the one the convergence test
+    passed."""
     try:
         units = _refiner(spec, f, seeds)
     except PolyzerosError as exc:  # only the list build raises here
@@ -243,12 +257,11 @@ def _refine(spec, f, seeds, errors):
             errors.append("seed %r: %s%s"
                           % (seeds[group[0]], trace.status.value, notes))
             continue
-        value = complex(trace.final)
-        residual = relative_residual(f, value)
         records.append(RootRecord(
-            value, nu, residual, spec.algorithm, len(trace.rows),
-            tuple(complex(seeds[k]) for k in group), spec.seed_source,
-            residual <= spec.settings.residual_tol,
+            complex(trace.final), nu, trace.residual, spec.algorithm,
+            len(trace.rows),
+            tuple(dict.fromkeys(complex(seeds[k]) for k in group)),
+            spec.seed_source, trace.residual <= spec.settings.residual_tol,
         ))
     return records
 
@@ -263,6 +276,9 @@ def _dedupe(records):
     )
     merged = []
     for group in group_roots(ordered, lambda r: r.value):
+        if len(group) == 1:
+            merged.extend(group)
+            continue
         best = min(group, key=lambda r: r.residual)
         seeds = dict.fromkeys(s for member in group for s in member.seeds)
         merged.append(replace(best, seeds=tuple(seeds)))

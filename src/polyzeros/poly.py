@@ -2,13 +2,16 @@
 
 Polynomials are stored densely with ascending coefficients, coeffs[j] being
 the coefficient of lambda**j. The module provides Horner evaluation with
-derivative propagation, the Pade function p = f/(-f'), Halley's function,
-the multiplicity-revealing test-polynomial transform, Horner's rounding
-error bound and synthetic-division deflation.
+derivative propagation, its array form over many points at once (the
+kernel of the batched Pade and Halley steps), the Pade function
+p = f/(-f'), Halley's function, the multiplicity-revealing test-polynomial
+transform, Horner's rounding error bound and synthetic-division deflation.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DerivativeUnderflowError,
@@ -124,6 +127,39 @@ def evaluate(f, lam, order=0):
             vals[k] = vals[k] * lam + k * vals[k - 1]
         vals[0] = vals[0] * lam + a
     return tuple(vals)
+
+
+def evaluate_all(f, lams, order=0):
+    """f and its first ``order`` derivatives at every point of ``lams``:
+    an array of shape (order + 1, len(lams)), row k holding f^(k).
+
+    Row i of one power matrix holds 1, z_i, ..., z_i**m (``cumprod``), and
+    f^(k)(z_i) is its product with the coefficients j (j-1) ... (j-k+1) a_j.
+    The products run point by point without BLAS, so a point's values do
+    not depend on the other points. Each value is good to about
+    gamma_{2m+1} times the magnitude sum of its terms, as Horner's is. A
+    point with a value that is not finite (its power row overflowed, say)
+    is evaluated with :func:`evaluate` instead, so no point that Horner's
+    rule evaluates finitely turns into inf or NaN.
+    """
+    if f.is_zero:
+        raise ZeroPolynomialError("zero polynomial")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    points = np.array(lams, dtype=complex)
+    powers = np.empty((len(points), len(f.coeffs)), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = points[:, None]
+    coeffs = np.array(f.coeffs)
+    values = np.empty((order + 1, len(points)), dtype=complex)
+    with np.errstate(all="ignore"):
+        np.cumprod(powers, axis=1, out=powers)
+        for k in range(order + 1):
+            values[k] = np.einsum("ij,j->i", powers[:, :len(coeffs)], coeffs)
+            coeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    for i in np.flatnonzero(~np.isfinite(values).all(axis=0)):
+        values[:, i] = evaluate(f, points[i], order)
+    return values
 
 
 def coefficient_scale(f, lam):

@@ -1,8 +1,14 @@
 """Fixed-point refinement iterations with trace recording.
 
-Three iterations share one engine: the Pade step Lambda += p(Lambda), the
-Halley step Lambda += h(Lambda), and the test-polynomial step
-Lambda += P_nu(Lambda)*Lambda whose fixed points reveal root multiplicity.
+Every iteration runs one stopping rule, written once as a per-seed
+generator that yields its iterate and is sent its step (:func:`_iteration`).
+A batch driver sends every seed still running the step computed for all
+of them in one call (:func:`_run_batch`), and one seed is a batch of one.
+The Pade step Lambda += p(Lambda) and the Halley step Lambda += h(Lambda)
+take array steps: f, f' and f'' at all iterates come from one power
+matrix (:func:`evaluate_all`). The test-polynomial step
+Lambda += P_nu(Lambda)*Lambda, whose fixed points reveal root
+multiplicity, keeps its scalar Horner step and runs one seed at a time.
 Traces mirror printed iteration tables row by row, and a probe classifier
 separates genuine (quadratic) convergence from the slow linear creep a
 wrong-multiplicity probe produces.
@@ -25,6 +31,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from .errors import (
     DerivativeUnderflowError,
     HalleyDenominatorError,
@@ -34,8 +42,10 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import (
+    DERIVATIVE_UNDERFLOW,
     UNIT_ROUNDOFF,
     evaluate,
+    evaluate_all,
     halley_eval,
     horner_error_bound,
     pade_eval,
@@ -107,9 +117,14 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class IterationTrace:
+    """The rows of one iteration and how it ended. ``residual`` is the
+    relative residual the convergence test passed at the final iterate
+    (None unless CONVERGED)."""
+
     rows: tuple
     status: TraceStatus
     notes: tuple = field(default_factory=tuple)
+    residual: float = None
 
     @property
     def final(self):
@@ -120,40 +135,40 @@ class IterationTrace:
         return last.lam + last.step
 
 
-def _run_iteration(step_fn, residual_fn, seed, settings, root_bound):
-    """Shared fixed-point engine.
+def _iteration(seed, residual_fn, settings, divergence_bound):
+    """The stopping rule of every refinement iteration, for one seed.
 
-    Convergence needs two consecutive relatively small steps plus a
-    relative residual ``residual_fn(lam)`` at most ``residual_tol``;
-    sustained slow step ratios (>= SLOW_RATIO for SLOW_KILL_COUNT steps)
-    end the run as MAX_ITERS; iterates beyond the divergence bound
-    ``divergence_factor * (1 + root_bound)`` end it as DIVERGED.
+    A generator: it yields each iterate and is sent the step taken there,
+    or the exception that computing the step raised; it returns the
+    IterationTrace. Convergence needs two consecutive relatively small
+    steps plus a relative residual ``residual_fn(lam)`` at most
+    ``residual_tol``, which the trace keeps; sustained slow step ratios
+    (>= SLOW_RATIO for SLOW_KILL_COUNT steps) end the run as MAX_ITERS;
+    iterates beyond ``divergence_bound`` end it as DIVERGED, and a step
+    that raised ends it as NUMERICAL_ERROR.
     """
-    divergence_bound = settings.divergence_factor * (1.0 + root_bound)
     lam = complex(seed)
     rows = []
     prev_small = False
     prev_step_mag = None
     slow_run = 0
-    status = TraceStatus.MAX_ITERS
     step_tol = settings.step_tol
     residual_tol = settings.residual_tol
     for _ in range(settings.max_iters):
-        try:
-            step = step_fn(lam)
-        except (DerivativeUnderflowError, HalleyDenominatorError,
-                RayleighDenominatorError, ZeroDivisionError,
-                OverflowError) as exc:
-            status = TraceStatus.NUMERICAL_ERROR
+        step = yield lam
+        if isinstance(step, Exception):
             rows.append(TraceRow(lam, complex("nan"), 0j))
-            return IterationTrace(tuple(rows), status, (str(exc),))
+            return IterationTrace(tuple(rows), TraceStatus.NUMERICAL_ERROR,
+                                  (str(step),))
         rows.append(TraceRow(lam, step, step))
         nxt = lam + step
         step_mag = abs(step)
         small = step_mag <= step_tol * (1.0 + abs(nxt))
         if small and prev_small:
-            if residual_fn(nxt) <= residual_tol:
-                return IterationTrace(tuple(rows), TraceStatus.CONVERGED)
+            residual = residual_fn(nxt)
+            if residual <= residual_tol:
+                return IterationTrace(tuple(rows), TraceStatus.CONVERGED,
+                                      residual=residual)
         if prev_step_mag:
             ratio = step_mag / prev_step_mag
             slow_run = slow_run + 1 if ratio >= SLOW_RATIO else 0
@@ -169,7 +184,70 @@ def _run_iteration(step_fn, residual_fn, seed, settings, root_bound):
         lam = nxt
         if abs(lam) > divergence_bound:
             return IterationTrace(tuple(rows), TraceStatus.DIVERGED)
-    return IterationTrace(tuple(rows), status)
+    return IterationTrace(tuple(rows), TraceStatus.MAX_ITERS)
+
+
+# What a step function may raise; the iteration then ends as
+# NUMERICAL_ERROR with the exception's text as its note.
+_STEP_ERRORS = (DerivativeUnderflowError, HalleyDenominatorError,
+               RayleighDenominatorError, ZeroDivisionError, OverflowError)
+
+
+def _caught_step(step_fn, lam):
+    """step_fn(lam), or the _STEP_ERRORS exception it raised."""
+    try:
+        return step_fn(lam)
+    except _STEP_ERRORS as exc:
+        return exc
+
+
+def _scalar_fallback(steps, usable, step_fn, lams):
+    """The array ``steps`` as a list, with ``_caught_step(step_fn, lam)`` at
+    every point where ``usable`` is False.
+
+    Array step kernels mark a point unusable where their result is not
+    finite or a denominator is at underflow level; the scalar step then
+    decides that point, and raises where it always has."""
+    out = steps.tolist()
+    for i in np.flatnonzero(~usable):
+        out[i] = _caught_step(step_fn, lams[i])
+    return out
+
+
+def _run_batch(steps_fn, residual_fn, seeds, settings, root_bound):
+    """Refine every seed at once: one IterationTrace per seed, in order.
+
+    ``steps_fn(lams)`` gets the current iterates of the seeds still
+    running, as a list of complex, and returns their steps in the same
+    order (each a complex, or the exception its computation raised). Each
+    seed runs the stopping rule of :func:`_iteration`, so a seed's trace
+    is the one the same step function gives it alone. Iterates beyond
+    ``divergence_factor * (1 + root_bound)`` diverge.
+    """
+    divergence_bound = settings.divergence_factor * (1.0 + root_bound)
+    runs = [_iteration(s, residual_fn, settings, divergence_bound)
+            for s in seeds]
+    lams = [next(run) for run in runs]
+    traces = [None] * len(runs)
+    active = list(range(len(runs)))
+    while active:
+        steps = steps_fn([lams[i] for i in active])
+        running = []
+        for i, step in zip(active, steps):
+            try:
+                lams[i] = runs[i].send(step)
+            except StopIteration as stop:
+                traces[i] = stop.value
+            else:
+                running.append(i)
+        active = running
+    return traces
+
+
+def _run_iteration(step_fn, residual_fn, seed, settings, root_bound):
+    """One seed with a scalar step function: a batch of one."""
+    return _run_batch(lambda lams: [_caught_step(step_fn, lams[0])],
+                     residual_fn, (seed,), settings, root_bound)[0]
 
 
 def same_root(a, b):
@@ -206,23 +284,55 @@ def group_roots(items, value):
     return groups
 
 
+def _pade_steps(f, lams):
+    """The Pade steps p = f/(-f') at every point, from one
+    :func:`evaluate_all`."""
+    with np.errstate(all="ignore"):
+        v, d = evaluate_all(f, lams, 1)
+        steps = v / -d
+    usable = (np.abs(d) > DERIVATIVE_UNDERFLOW) & np.isfinite(steps)
+    return _scalar_fallback(steps, usable, partial(pade_eval, f), lams)
+
+
+def _halley_steps(f, lams):
+    """The Halley steps h = p/(1 + p f''/f') at every point, from one
+    :func:`evaluate_all`."""
+    with np.errstate(all="ignore"):
+        v, d1, d2 = evaluate_all(f, lams, 2)
+        p = v / -d1
+        den = 1.0 + p * (d2 / d1)
+        steps = p / den
+    usable = ((np.abs(d1) > DERIVATIVE_UNDERFLOW)
+              & (np.abs(den) > DERIVATIVE_UNDERFLOW) & np.isfinite(steps))
+    return _scalar_fallback(steps, usable, partial(halley_eval, f), lams)
+
+
+def iterate_pade_all(f, seeds, settings=DEFAULT_SETTINGS):
+    """:func:`iterate_pade` from every seed at once, one trace per seed."""
+    if f.degree < 1:
+        raise ZeroPolynomialError("pade iteration needs degree >= 1")
+    return _run_batch(partial(_pade_steps, f), partial(relative_residual, f),
+                     seeds, settings, f.root_bound)
+
+
+def iterate_halley_all(f, seeds, settings=DEFAULT_SETTINGS):
+    """:func:`iterate_halley` from every seed at once, one trace per
+    seed."""
+    if f.degree < 2:
+        raise ZeroPolynomialError("halley iteration needs degree >= 2")
+    return _run_batch(partial(_halley_steps, f), partial(relative_residual, f),
+                     seeds, settings, f.root_bound)
+
+
 def iterate_pade(f, seed, settings=DEFAULT_SETTINGS):
     """Iterate Lambda += p(Lambda) from the seed; quadratic at simple roots,
     linear with ratio 1 - 1/nu at nu-fold roots."""
-    if f.degree < 1:
-        raise ZeroPolynomialError("pade iteration needs degree >= 1")
-    return _run_iteration(lambda lam: pade_eval(f, lam),
-                          partial(relative_residual, f), seed, settings,
-                          f.root_bound)
+    return iterate_pade_all(f, (seed,), settings)[0]
 
 
 def iterate_halley(f, seed, settings=DEFAULT_SETTINGS):
     """Iterate Lambda += h(Lambda) from the seed."""
-    if f.degree < 2:
-        raise ZeroPolynomialError("halley iteration needs degree >= 2")
-    return _run_iteration(lambda lam: halley_eval(f, lam),
-                          partial(relative_residual, f), seed, settings,
-                          f.root_bound)
+    return iterate_halley_all(f, (seed,), settings)[0]
 
 
 def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):

@@ -15,15 +15,25 @@ from polyzeros import (
     TraceStatus,
     build_ecp_list,
     ecp_matrix,
+    evaluate,
     evolve,
     evolve_until,
     gershgorin_enclosures,
     polynomial_from_roots,
     rayleigh_iterate,
+    rayleigh_iterate_all,
     reduced_pade_iterate,
+    reduced_pade_iterate_all,
+    relative_residual,
     sum_control,
 )
-from polyzeros.ecp import EVOLUTION_THRESHOLD_REL, MAX_EVOLUTIONS
+from polyzeros.ecp import (
+    DENOMINATOR_UNDERFLOW,
+    EVOLUTION_THRESHOLD_REL,
+    MAX_EVOLUTIONS,
+    SEPARATION_REL,
+)
+from polyzeros.poly import horner_error_bound
 
 LIST_RTOL = 1e-12
 PIN_RTOL = 1e-6
@@ -238,6 +248,126 @@ def test_iterate_on_a_root_interpolation_value_stays_there():
         assert trace.status is TraceStatus.CONVERGED
         assert [r.step for r in trace.rows] == [0j, 0j]
         assert trace.final == 1.0
+
+
+def test_iterate_on_an_interpolation_value_at_the_rounding_floor_stays():
+    """sigma_0 = fl(sqrt 2) is a root of lam^2 - 2 to working precision
+    (relative residual 1.1e-16, within gamma_4), but its neighbour
+    sigma_1 = sigma_0 - 1e-3 makes its defect 4.4e-13, far above
+    2u |sigma_0|. An iterate started on sigma_0 takes step 0 and converges
+    there instead of ending as NUMERICAL_ERROR."""
+    f = Polynomial((-2.0, 0.0, 1.0))
+    sigma = 2.0 ** 0.5
+    lst = build_ecp_list(f, (sigma, sigma - 1e-3))
+    assert relative_residual(f, sigma) <= horner_error_bound(f)
+    assert abs(lst.defects[0]) > 1e3 * 2.0 ** -53 * sigma
+    for iterate in (rayleigh_iterate, reduced_pade_iterate):
+        trace = iterate(lst, f, sigma)
+        assert trace.status is TraceStatus.CONVERGED
+        assert [r.step for r in trace.rows] == [0j, 0j]
+        assert trace.final == sigma
+
+
+def _trace_bits(trace):
+    """Rows bit for bit (NaN included), status, notes and residual."""
+    rows = [tuple((z.real.hex(), z.imag.hex())
+                  for z in (r.lam, r.value, r.step)) for r in trace.rows]
+    return rows, trace.status, trace.notes, trace.residual
+
+
+def test_list_batch_traces_equal_their_batches_of_one():
+    """All rows' iterations at once give each seed its own trace: from the
+    main values of random companion-seeded lists, from a non-root
+    interpolation value (NUMERICAL_ERROR) and from a root one."""
+    rng = np.random.default_rng(2718)
+    for m in (2, 7, 30, 64):
+        coeffs = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+        f = Polynomial(tuple(coeffs))
+        sigmas = np.roots(coeffs[::-1]) * (1 + 1e-4 * rng.standard_normal(m))
+        lst = build_ecp_list(f, sigmas)
+        seeds = list(lst.main_values) + [lst.sigmas[0], 10.0 * f.root_bound]
+        for batch, one in ((rayleigh_iterate_all, rayleigh_iterate),
+                           (reduced_pade_iterate_all, reduced_pade_iterate)):
+            traces = batch(lst, f, seeds)
+            assert [_trace_bits(t) for t in traces] == \
+                [_trace_bits(one(lst, f, seed)) for seed in seeds]
+            assert traces[m].status is TraceStatus.NUMERICAL_ERROR
+            assert all(t.status is TraceStatus.CONVERGED for t in traces[:m])
+    lst = build_ecp_list(QUADRATIC, (1.0, 3.0))
+    traces = rayleigh_iterate_all(lst, QUADRATIC, (1.0, 3.0, 0.9))
+    assert [t.status for t in traces] == [
+        TraceStatus.CONVERGED, TraceStatus.NUMERICAL_ERROR,
+        TraceStatus.CONVERGED]
+
+
+def _reference_list_error(f, sigmas):
+    """The indices of the first build error, from the pairwise loops the
+    list build replaced; None when the list builds."""
+    scale = 1.0 + max(abs(v) for v in sigmas)
+    for i in range(len(sigmas)):
+        for j in range(i + 1, len(sigmas)):
+            if abs(sigmas[i] - sigmas[j]) <= SEPARATION_REL * scale:
+                return (i, j)
+    for k, sk in enumerate(sigmas):
+        denom = f.coeffs[-1]
+        for j, sj in enumerate(sigmas):
+            if j != k:
+                denom *= sk - sj
+        if abs(denom) <= DENOMINATOR_UNDERFLOW:
+            return (k,)
+    return None
+
+
+def test_list_build_names_the_first_offending_pair_or_index():
+    """Coincident pairs and underflowing denominators raise with the
+    indices the pairwise loops named, and the defects are bit for bit
+    theirs."""
+    rng = np.random.default_rng(99)
+    outcomes = set()
+    for _ in range(40):
+        m = int(rng.integers(3, 9))
+        lead = 10.0 ** -float(rng.integers(250, 300))
+        f = Polynomial(tuple(rng.standard_normal(m)) + (lead,))
+        sigmas = [complex(v) for v in rng.standard_normal(m)]
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.choice(m, 2, replace=False)
+            sigmas[i] = sigmas[j] * (1 + 1e-13 * rng.standard_normal())
+        want = _reference_list_error(f, sigmas)
+        outcomes.add(None if want is None else len(want))
+        if want is None:
+            lst = build_ecp_list(f, sigmas)
+            for k, r in enumerate(lst.rows):
+                denom = f.coeffs[-1]
+                for j, sj in enumerate(sigmas):
+                    if j != k:
+                        denom *= sigmas[k] - sj
+                assert r.defect == evaluate(f, sigmas[k])[0] / denom
+            continue
+        with pytest.raises(InterpolationValueError) as info:
+            build_ecp_list(f, sigmas)
+        assert info.value.indices == want
+    assert outcomes == {None, 1, 2}
+
+
+def test_gershgorin_separation_is_the_pairwise_test():
+    rng = np.random.default_rng(4)
+    seen = set()
+    for m in (2, 5, 20):
+        for spread in (1e-3, 1e-1, 1.0):
+            rows = tuple(EcpRow(s, d, s - d) for s, d in zip(
+                rng.standard_normal(m) + 1j * rng.standard_normal(m),
+                spread * (rng.standard_normal(m)
+                          + 1j * rng.standard_normal(m))))
+            lst = EcpList(rows, m, 1.0 + 0j, 0j)
+            disks = gershgorin_enclosures(lst)
+            radii = [(m - 1) * abs(r.defect) for r in rows]
+            for k, disk in enumerate(disks):
+                assert disk.radius == radii[k]
+                assert disk.separated == all(
+                    abs(rows[k].main_value - rows[j].main_value)
+                    > radii[k] + radii[j] for j in range(m) if j != k)
+                seen.add(disk.separated)
+    assert seen == {True, False}
 
 
 def test_gershgorin_intervals_for_a_real_list(wilkinson10):

@@ -15,6 +15,7 @@ from polyzeros import (
     deflate_horner,
     effective_degree,
     evaluate,
+    evaluate_all,
     fujiwara_root_bound,
     halley_eval,
     pade_eval,
@@ -22,6 +23,7 @@ from polyzeros import (
     relative_residual,
 )
 from polyzeros import test_polynomial as derived_polynomial
+from polyzeros.poly import UNIT_ROUNDOFF
 
 EVAL_RTOL = 1e-12
 DEFLATE_RTOL = 1e-13
@@ -257,3 +259,41 @@ def test_straight_line_kernels_round_like_the_general_loop():
             want = abs(evaluate(f, lam)[0]) / max(coefficient_scale(f, lam),
                                                    1e-300)
             assert _bits([relative_residual(f, lam)]) == _bits([want])
+
+
+def _derivative_scale(f, lam, k):
+    """The magnitude sum of f^(k)'s terms,
+    sum j (j-1) ... (j-k+1) |a_j| |lam|**(j-k)."""
+    r = abs(complex(lam))
+    return sum(math.perm(j, k) * abs(a) * r ** (j - k)
+               for j, a in enumerate(f.coeffs) if j >= k)
+
+
+def test_array_values_agree_with_horner():
+    """evaluate_all's f, f' and f'' lie within gamma_{2m+1} times the
+    matching magnitude sum of Horner's, at degrees 1 to 100."""
+    rng = np.random.default_rng(77)
+    for m in range(1, 101):
+        f = Polynomial(tuple(rng.standard_normal(m + 1)
+                             + 1j * rng.standard_normal(m + 1)))
+        radius = rng.uniform(0.2, 1.5, 8)
+        points = radius * np.exp(2j * np.pi * rng.uniform(size=8))
+        gamma = (2 * m + 1) * UNIT_ROUNDOFF / (1 - (2 * m + 1) * UNIT_ROUNDOFF)
+        values = evaluate_all(f, points, 2)
+        assert values.shape == (3, len(points))
+        for i, lam in enumerate(points):
+            want = evaluate(f, lam, 2)
+            for k in range(3):
+                assert abs(values[k, i] - want[k]) <= gamma * \
+                    _derivative_scale(f, lam, k)
+
+
+def test_array_values_fall_back_to_horner_where_powers_overflow():
+    """At 1e160 the power 1e320 of this quadratic overflows, but Horner
+    forms 1e-290 * 1e160 * 1e160 + 1 finitely: that point takes Horner's
+    values exactly, and the finite point beside it keeps its own."""
+    f = Polynomial((1.0, 0.0, 1e-290))
+    values = evaluate_all(f, [1e160, 0.5], 2)
+    assert np.isfinite(values).all()
+    assert tuple(values[:, 0]) == evaluate(f, 1e160, 2)
+    assert tuple(evaluate_all(f, [0.5], 2)[:, 0]) == tuple(values[:, 1])

@@ -20,7 +20,9 @@ from polyzeros import (
     detect_multiplicity,
     evaluate,
     iterate_halley,
+    iterate_halley_all,
     iterate_pade,
+    iterate_pade_all,
     iterate_test_nu,
     polynomial_from_roots,
     probe_strictly_converged,
@@ -458,3 +460,45 @@ def test_probe_from_a_seed_at_the_noise_floor_is_strictly_converged():
     trace = iterate_test_nu(f, 1, seed)
     assert trace.status is TraceStatus.CONVERGED
     assert probe_strictly_converged(trace)
+
+
+def _same_trace(a, b):
+    """Rows bit for bit (NaN included), status, notes and residual."""
+    return (_row_bits(a) == _row_bits(b) and a.status is b.status
+            and a.notes == b.notes and a.residual == b.residual)
+
+
+def test_batch_traces_equal_their_batches_of_one():
+    """Each trace of one batch is the trace its seed gets alone, for
+    random polynomials and for seeds that end every way: converged, on a
+    critical point (f'(0) = a_1 = 0: NUMERICAL_ERROR), beyond the
+    divergence bound (DIVERGED) and at a triple root (MAX_ITERS by the
+    slow-ratio kill)."""
+    rng = np.random.default_rng(1414)
+    ends = set()
+    for degree in (3, 8, 21, 40, 77):
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
+            degree + 1)
+        coeffs[1] = 0.0
+        roots = np.roots(coeffs[::-1])
+        f = Polynomial(tuple(coeffs))
+        seeds = list(roots * (1 + 1e-3 * rng.standard_normal(degree)))
+        seeds += [0.0, 50.0 * f.root_bound]
+        triple = polynomial_from_roots(
+            list(roots[:degree - 2]) + [roots[0]] * 2)
+        for g, starts in ((f, seeds), (triple, [roots[0] + 0.1] + seeds[1:3])):
+            for batch, one in ((iterate_pade_all, iterate_pade),
+                               (iterate_halley_all, iterate_halley)):
+                traces = batch(g, starts)
+                assert len(traces) == len(starts)
+                for seed, trace in zip(starts, traces):
+                    assert _same_trace(trace, one(g, seed))
+                    ends.add(trace.notes[0].split(":")[0] if trace.notes
+                             else trace.status.value)
+                    if trace.status is TraceStatus.CONVERGED:
+                        assert trace.residual == relative_residual(
+                            g, trace.final)
+                    else:
+                        assert trace.residual is None
+    assert ends >= {"converged", "diverged", "derivative vanishes at 0j",
+                    "terminated early"}
