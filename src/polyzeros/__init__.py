@@ -54,6 +54,7 @@ from .matpoly import (
     PolynomialMatrix,
     characteristic_polynomial,
     diagonal_seeds,
+    eigenvectors_all,
     eval_matrix,
     extract_eigenvectors,
     left_eigenvectors,

@@ -16,17 +16,13 @@ from .ecp import defects_below_threshold
 from .errors import (
     DerivativeUnderflowError,
     HalleyDenominatorError,
+    NotAnEigenvalueError,
     PolyzerosError,
     ProblemFormatError,
     ZeroPolynomialError,
 )
 from .explore import scan_sign_changes
-from .matpoly import (
-    eval_matrix,
-    extract_eigenvectors,
-    left_eigenvectors,
-    polynomial_matrix,
-)
+from .matpoly import eigenvectors_all, eval_matrix, polynomial_matrix
 from .pipeline import (
     Algorithm,
     ProblemSpec,
@@ -301,12 +297,15 @@ def _cmd_eigvec(args):
     residual_tol = spec.settings.residual_tol
     entries = []
     all_pass = True
-    for lam in spec.external_seeds:
-        right = extract_eigenvectors(spec.matrix, lam)
-        left = left_eigenvectors(spec.matrix, lam)
-        scale = 1.0 + float(
-            abs(eval_matrix(spec.matrix, lam)).max()
-        )
+    for lam, found in zip(spec.external_seeds,
+                          eigenvectors_all(spec.matrix, spec.external_seeds)):
+        if isinstance(found, NotAnEigenvalueError):
+            all_pass = False
+            entries.append({"value": complex_pair(lam), "error": str(found),
+                            "residual_pass": False})
+            continue
+        right, left = found
+        scale = 1.0 + float(abs(eval_matrix(spec.matrix, lam)).max())
         passes = all(
             r <= residual_tol * scale
             for r in right.right_residuals + left.left_residuals

@@ -5,8 +5,10 @@ characteristic polynomial det F is recovered by sampling determinants on a
 circle and solving the interpolation system on roots of unity; a singular
 leading matrix simply drops the effective degree. Eigenvectors come from
 Gauss elimination with row exchanges followed by a Jordan back-elimination
-that exposes the null-space columns directly; each pivot clears its column
-with one rank-1 update. A failed extraction reports the smallest pivot it
+that exposes the null-space columns directly. It runs on a stack of
+evaluated matrices, one per eigenvalue, at once; each pivot clears its
+column with one masked rank-1 update, and each matrix gets the bits it
+would get alone. A failed extraction reports the smallest pivot it
 accepted, which tells a caller at which looser tolerances the same
 elimination would fail again.
 """
@@ -200,94 +202,129 @@ class EigenvectorBundle:
     left_residuals: tuple = ()
 
 
-def _eliminate(rows, pivot_row, col):
-    """Clear column col of rows with one rank-1 update by pivot_row.
+def _rank_one_update(block, entries, pivot_rows, pivots, mask):
+    """Clear the column entries of block (B, k, n) by each member's pivot
+    row (B, n) and pivot (B,). Rows outside mask or with a zero entry keep
+    their values, so the signs of their zeros do not change. When every
+    row is updated, the subtraction runs numpy's faster unmasked loop."""
+    mask = mask & (entries != 0)
+    factors = np.divide(entries, pivots[:, None],
+                        out=np.zeros(entries.shape, complex), where=mask)
+    np.subtract(block, factors[:, :, None] * pivot_rows[:, None, :],
+                out=block, where=True if mask.all() else mask[:, :, None])
 
-    Rows whose entry in col is already zero are left as they are, so the
-    signs of their zeros do not change.
+
+def _null_space_stack(matrices, pivot_tol):
+    """Row-exchange Gauss elimination, then Jordan back-elimination, of
+    every member of a stack (B, n, n) at once.
+
+    A column whose best remaining pivot is at most pivot_tol times the
+    member's scale, its largest entry magnitude, is one of the member's
+    free columns; each yields one vector with -1 there, zeros at the other
+    free columns and the back-eliminated ratios at the pivot columns.
+    Returns per member (vectors, pivots, smallest, scale): vectors is None
+    when no column is free, pivots lists the (row, col) positions, and
+    smallest is the smallest accepted pivot magnitude (inf when none). At
+    any tolerance t with smallest > t * scale the elimination makes the
+    same decisions and gives the same result, bit for bit.
     """
-    entries = rows[:, col]
-    np.subtract(rows, np.multiply.outer(entries / pivot_row[col], pivot_row),
-                out=rows, where=(entries != 0)[:, None])
-
-
-def _null_space_vectors(matrix, pivot_tol):
-    """Row-exchange Gauss elimination, then Jordan back-elimination.
-
-    The scale is the largest entry magnitude of the matrix. A column whose
-    best remaining pivot is at most pivot_tol * scale becomes a free
-    column; each free column yields one vector with -1 there, zeros at the
-    other free columns, and the back-eliminated ratios at the pivot
-    columns. Each pivot clears its column below it, and in the
-    back-elimination above it, with one rank-1 update.
-
-    Returns (vectors, pivots, smallest, scale): vectors is None when no
-    column is free; pivots lists the (row, col) positions; smallest is the
-    smallest accepted pivot magnitude (inf when none was accepted). At any
-    tolerance t with smallest > t * scale the elimination makes the same
-    decisions and gives the same result, bit for bit.
-    """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    threshold = pivot_tol * scale
-    smallest = float("inf")
-    pivots = []
-    free_cols = []
-    row = 0
+    a = np.array(matrices, dtype=complex)
+    count, n = a.shape[:2]
+    members, rows = np.arange(count), np.arange(n)
+    scale = np.maximum(np.max(np.abs(a), axis=(1, 2)), 1e-300)
+    smallest = np.full(count, np.inf)
+    row = np.zeros(count, dtype=int)
+    pivoted = np.zeros((count, n), dtype=bool)
     for col in range(n):
-        if row >= n:
-            free_cols.append(col)
+        # Rows above a member's next pivot row read -1, below any magnitude.
+        sub = np.where(rows < row[:, None], -1.0, np.abs(a[:, :, col]))
+        best = np.argmax(sub, axis=1)
+        top = sub[members, best]
+        take = ~(top <= pivot_tol * scale)
+        if not take.any():
             continue
-        sub = np.abs(a[row:, col])
-        best = int(np.argmax(sub))
-        if sub[best] <= threshold:
-            free_cols.append(col)
-            continue
-        smallest = min(smallest, float(sub[best]))
-        if best != 0:
-            a[[row, row + best]] = a[[row + best, row]]
-        if row + 1 < n:
-            _eliminate(a[row + 1:], a[row], col)
-        pivots.append((row, col))
-        row += 1
-    if not free_cols:
-        return None, pivots, smallest, scale
-    for prow, pcol in reversed(pivots[1:]):
-        _eliminate(a[:prow], a[prow], pcol)
-    vectors = np.zeros((n, len(free_cols)), dtype=complex)
-    for idx, fc in enumerate(free_cols):
-        vectors[fc, idx] = -1.0
-        for prow, pcol in pivots:
-            vectors[pcol, idx] = a[prow, fc] / a[prow, pcol]
-    return vectors, pivots, smallest, scale
+        np.fmin(smallest, top, out=smallest, where=take)
+        swap = members[take & (best != row)]
+        if swap.size:
+            a[swap, row[swap]], a[swap, best[swap]] = (a[swap, best[swap]],
+                                                       a[swap, row[swap]])
+        pivot_rows = a[members, np.minimum(row, n - 1)]
+        start = int(row[take].min()) + 1
+        _rank_one_update(a[:, start:], a[:, start:, col], pivot_rows,
+                         pivot_rows[:, col],
+                         take[:, None] & (rows[start:] > row[:, None]))
+        pivoted[:, col] = take
+        row += take
+    # Per member: its pivot columns in pivot order, then its free columns.
+    cols = np.argsort(~pivoted, axis=1, kind="stable")
+    keep = members[row < n]
+    a, kept, kept_cols = a[keep], row[keep], cols[keep]
+    ids = np.arange(keep.size)
+    for k in range(int(kept.max(initial=0)) - 1, 0, -1):
+        _rank_one_update(a[:, :k], a[ids, :k, kept_cols[:, k]], a[:, k],
+                         a[ids, k, kept_cols[:, k]], (kept > k)[:, None])
+    vectors = [None] * count
+    for i, (member, p, c) in enumerate(zip(keep, kept, kept_cols)):
+        v = vectors[member] = np.zeros((n, n - p), dtype=complex)
+        v[c[p:], np.arange(n - p)] = -1.0
+        v[c[:p]] = a[i, :p][:, c[p:]] / a[i, rows[:p], c[:p]][:, None]
+    return [(v, list(enumerate(c[:p].tolist())), float(low), float(size))
+            for v, c, p, low, size in zip(vectors, cols, row, smallest, scale)]
 
 
-def _null_space_bundle(evaluated, lam, pivot_tol):
-    """Null-space vectors of an evaluated matrix and their residuals."""
-    vectors, _, smallest, scale = _null_space_vectors(evaluated, pivot_tol)
-    if vectors is None:
-        raise NotAnEigenvalueError(lam, pivot_tol, smallest, scale)
-    residuals = tuple(
-        float(np.max(np.abs(evaluated @ vectors[:, k])))
-        for k in range(vectors.shape[1])
-    )
-    return vectors, residuals
+def _one_side(evaluated, lams, pivot_tol, left):
+    """Right (or, from the transposes, left) EigenvectorBundles of a stack
+    of evaluated F(lam), from one stacked elimination; the
+    NotAnEigenvalueError in place of a member with no free column."""
+    if not len(lams):
+        return []
+    if left:
+        evaluated = evaluated.transpose(0, 2, 1)
+    found = []
+    for matrix, lam, (vectors, _, smallest, scale) in zip(
+            evaluated, lams, _null_space_stack(evaluated, pivot_tol)):
+        if vectors is None:
+            found.append(NotAnEigenvalueError(lam, pivot_tol, smallest, scale))
+            continue
+        residuals = tuple(float(np.max(np.abs(matrix @ vectors[:, k])))
+                          for k in range(vectors.shape[1]))
+        sides = ((None, vectors, (), residuals) if left
+                 else (vectors, None, residuals, ()))
+        found.append(EigenvectorBundle(complex(lam), vectors.shape[1],
+                                       *sides))
+    return found
+
+
+def eigenvectors_all(pm, lams, pivot_tol=DEFAULT_PIVOT_TOL):
+    """Right and left eigenvectors of F at every value in lams: one stacked
+    elimination of the F(lam), then one of the F(lam) transposed where the
+    right side found a free column. Returns per value the pair of
+    EigenvectorBundles (right, left), or the NotAnEigenvalueError of the
+    side that found none."""
+    evaluated = np.array([eval_matrix(pm, lam) for lam in lams])
+    found = _one_side(evaluated, lams, pivot_tol, left=False)
+    right = [i for i, b in enumerate(found)
+             if isinstance(b, EigenvectorBundle)]
+    lefts = _one_side(evaluated[right], [lams[i] for i in right], pivot_tol,
+                      left=True)
+    for i, left in zip(right, lefts):
+        found[i] = ((found[i], left) if isinstance(left, EigenvectorBundle)
+                    else left)
+    return found
+
+
+def _batch_of_one(pm, lam, pivot_tol, left):
+    found, = _one_side(eval_matrix(pm, lam)[None], [lam], pivot_tol, left)
+    if isinstance(found, NotAnEigenvalueError):
+        raise found
+    return found
 
 
 def extract_eigenvectors(pm, lam, pivot_tol=DEFAULT_PIVOT_TOL):
     """Right eigenvectors of F at lam with rank-deficiency detection."""
-    vectors, residuals = _null_space_bundle(eval_matrix(pm, lam), lam,
-                                            pivot_tol)
-    return EigenvectorBundle(
-        complex(lam), vectors.shape[1], vectors, None, residuals, ()
-    )
+    return _batch_of_one(pm, lam, pivot_tol, left=False)
 
 
 def left_eigenvectors(pm, lam, pivot_tol=DEFAULT_PIVOT_TOL):
     """Left eigenvectors: the same extraction on F(lam) transposed."""
-    vectors, residuals = _null_space_bundle(eval_matrix(pm, lam).T, lam,
-                                            pivot_tol)
-    return EigenvectorBundle(
-        complex(lam), vectors.shape[1], None, vectors, (), residuals
-    )
+    return _batch_of_one(pm, lam, pivot_tol, left=True)

@@ -35,8 +35,7 @@ from .explore import companion_seed_all, scan_sign_changes
 from .matpoly import (
     characteristic_polynomial,
     diagonal_seeds,
-    extract_eigenvectors,
-    left_eigenvectors,
+    eigenvectors_all,
 )
 from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
 from .refine import (
@@ -321,47 +320,38 @@ def _eigenvector_phase(matrix, records, errors):
     characteristic coefficients. A loosened tolerance is noted; the per
     column residuals in the bundles stay the honest quality measure.
 
-    A rung is skipped when the last failure would repeat there exactly
-    (:meth:`NotAnEigenvalueError.repeated_at`): every pivot it accepted
-    lies above the looser threshold. Right extraction succeeds at every
-    rung after one where it succeeded, so the skipped rung would fail
-    with the same error line."""
+    Each rung is one :func:`eigenvectors_all` call over the records still
+    open: one stacked elimination of their F(lambda), and one of the
+    transposes where the right side succeeded. A record leaves the ladder
+    at its first success, and skips a rung where its last failure would
+    repeat exactly (:meth:`NotAnEigenvalueError.repeated_at`): every pivot
+    it accepted lies above the looser threshold. An extraction that
+    succeeds at one rung succeeds at every looser rung, so the skipped rung
+    would fail with the same error line. Error lines follow record order."""
+    found = [None] * len(records)
+    rung = {}
+    for pivot_tol in EIGENVECTOR_PIVOT_LADDER:
+        found = [r.repeated_at(pivot_tol)
+                 if isinstance(r, NotAnEigenvalueError) else r for r in found]
+        open_ = [i for i, result in enumerate(found) if result is None]
+        values = [records[i].value for i in open_]
+        for i, result in zip(open_, eigenvectors_all(matrix, values,
+                                                     pivot_tol)):
+            found[i], rung[i] = result, pivot_tol
     pairs = []
-    for record in records:
-        right = None
-        left = None
-        failure = None
-        for pivot_tol in EIGENVECTOR_PIVOT_LADDER:
-            repeated = failure and failure.repeated_at(pivot_tol)
-            if repeated:
-                failure = repeated
-                continue
-            try:
-                right = extract_eigenvectors(matrix, record.value,
-                                             pivot_tol=pivot_tol)
-                left = left_eigenvectors(matrix, record.value,
-                                         pivot_tol=pivot_tol)
-            except NotAnEigenvalueError as exc:
-                failure = exc
-                continue
-            if pivot_tol != EIGENVECTOR_PIVOT_LADDER[0]:
-                errors.append(
-                    "eigenvectors at %r: pivot tolerance loosened to %g"
-                    % (record.value, pivot_tol)
-                )
-            break
-        if right is None or left is None:
-            errors.append("eigenvectors at %r: %s" % (record.value, failure))
+    for i, (record, result) in enumerate(zip(records, found)):
+        if not isinstance(result, tuple):
+            errors.append("eigenvectors at %r: %s" % (record.value, result))
             continue
-        pairs.append(
-            EigenpairRecord(
-                record.value,
-                record.multiplicity,
-                right,
-                left,
-                right.rank_deficiency < record.multiplicity,
+        if rung[i] != EIGENVECTOR_PIVOT_LADDER[0]:
+            errors.append(
+                "eigenvectors at %r: pivot tolerance loosened to %g"
+                % (record.value, rung[i])
             )
-        )
+        right, left = result
+        pairs.append(EigenpairRecord(
+            record.value, record.multiplicity, right, left,
+            right.rank_deficiency < record.multiplicity))
     return tuple(pairs)
 
 

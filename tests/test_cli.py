@@ -253,6 +253,27 @@ def test_eigvec_subcommand(tmp_path):
     assert len(entry["right"][0]) == 5
 
 
+def test_eigvec_value_that_is_no_eigenvalue_fails_its_entry(tmp_path):
+    """A given value where F is regular gets an entry that fails with the
+    reason, the other values keep their eigenvectors, and the command exits
+    1 (numbers that fail their checks), not 2 (unusable input)."""
+    problem = _write(tmp_path, "diag.json", {
+        "kind": "matrix",
+        "matrices": [[[-1.0, 0.0], [0.0, -2.0]], [[1.0, 0.0], [0.0, 1.0]]],
+        "seeds": [1.0, 5.0],
+    })
+    out = tmp_path / "vec.json"
+    assert main(["eigvec", problem, "--out", str(out)]) == 1
+    found, missing = json.loads(out.read_text())["eigenvectors"]
+    assert found["residual_pass"] is True
+    assert found["rank_deficiency"] == 1
+    assert missing == {
+        "value": [5.0, 0.0],
+        "error": "(5+0j) is not an eigenvalue at pivot tolerance 1e-10",
+        "residual_pass": False,
+    }
+
+
 def test_eigvec_requires_matrix_and_seeds(tmp_path, capsys):
     code = main(["eigvec", _example1_file(tmp_path, seeds=[1.0])])
     assert code == 2

@@ -7,7 +7,7 @@ import pytest
 
 import cases
 import oracles
-from polyzeros import matpoly
+from polyzeros import matpoly, pipeline
 from polyzeros import (
     NotAnEigenvalueError,
     Polynomial,
@@ -210,8 +210,9 @@ def test_characteristic_polynomial_determinism(sparse_penta):
 
 
 def _reference_null_space(matrix, pivot_tol):
-    """The row-by-row elimination _null_space_vectors replaced: one update
-    per row, skipping rows whose pivot-column entry is zero."""
+    """The row-by-row elimination that the rank-1 updates of
+    _null_space_stack replaced: one update per row, skipping rows whose
+    pivot-column entry is zero."""
     a = np.array(matrix, dtype=complex)
     n = a.shape[0]
     threshold = pivot_tol * max(float(np.max(np.abs(a))), 1e-300)
@@ -278,6 +279,11 @@ def _null_space_inputs(pencil5, sparse_penta):
                     [0.0, 0.0, 0.0]], dtype=complex)
 
 
+def _alone(matrix, pivot_tol):
+    """The stacked kernel's result for a batch of one."""
+    return matpoly._null_space_stack(matrix[None], pivot_tol)[0]
+
+
 def test_null_space_kernel_gives_the_row_loop_bits(pencil5, sparse_penta):
     """One rank-1 update per pivot reproduces the row-by-row elimination
     bit for bit, and a looser tolerance below the smallest accepted pivot
@@ -289,8 +295,7 @@ def test_null_space_kernel_gives_the_row_loop_bits(pencil5, sparse_penta):
         for pivot_tol in ladder:
             want, want_pivots, want_free = _reference_null_space(matrix,
                                                                  pivot_tol)
-            got, pivots, smallest, scale = matpoly._null_space_vectors(
-                matrix, pivot_tol)
+            got, pivots, smallest, scale = _alone(matrix, pivot_tol)
             assert pivots == want_pivots
             assert [c for c in range(n)
                     if c not in {pc for _, pc in pivots}] == want_free
@@ -305,3 +310,77 @@ def test_null_space_kernel_gives_the_row_loop_bits(pencil5, sparse_penta):
             for loose in ladder[i + 1:]:
                 if smallest > loose * scale:
                     assert results[loose] == results[tight]
+
+
+def _mixed_stacks(pencil5, sparse_penta):
+    """Stacks whose members take different decisions at the same column."""
+    rng = np.random.default_rng(43)
+    inputs = {}
+    for matrix in _null_space_inputs(pencil5, sparse_penta):
+        inputs.setdefault(matrix.shape[0], []).append(matrix)
+    yield from inputs.values()
+    base = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    dominant = base + 10.0 * np.eye(4)
+    members = [base, dominant, dominant[[2, 0, 1, 3]], dominant[[0, 3, 2, 1]]]
+    for col in (0, 1, 3):
+        member = base.copy()
+        member[:, col] = 0.0
+        members.append(member)
+    doubled = base.copy()
+    doubled[:, 2] = 2.0 * base[:, 0]
+    members.append(doubled)
+    # Rank two: two pivots fewer than its neighbours, with rounding residue
+    # left in the rows below its pivots.
+    rank_two = doubled.copy()
+    rank_two[:, 3] = base[:, 0] - 3.0 * base[:, 1]
+    members.append(rank_two)
+    yield members + inputs[4]
+    yield inputs[3] + [np.zeros((3, 3), dtype=complex), base[:3, :3]]
+
+
+def test_stacked_members_get_their_batch_of_one_bits(pencil5, sparse_penta):
+    """Each member of a stack, whatever its neighbours' free columns, row
+    exchanges and pivot counts, gets the vectors, pivots, smallest pivot
+    and scale it gets alone."""
+    decisions = set()
+    for stack in _mixed_stacks(pencil5, sparse_penta):
+        for pivot_tol in (1e-10, 1e-8, 1e-6):
+            results = matpoly._null_space_stack(np.array(stack), pivot_tol)
+            assert len(results) == len(stack)
+            for matrix, (got, pivots, smallest, scale) in zip(stack, results):
+                want, want_pivots, want_smallest, want_scale = _alone(
+                    matrix, pivot_tol)
+                assert pivots == want_pivots
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.tobytes() == want.tobytes()
+                assert (smallest, scale) == (want_smallest, want_scale)
+                decisions.add((matrix.shape[0], tuple(pivots)))
+    # The stacks do mix decisions: order 4 alone has members with free
+    # column 0, 1, 2 or 3, with free columns 2 and 3, and with none.
+    assert len([d for d in decisions if d[0] == 4]) >= 6
+
+
+def _near_singular_inputs(pencil5, sparse_penta):
+    yield from _null_space_inputs(pencil5, sparse_penta)
+    rng = np.random.default_rng(47)
+    for n in (3, 6, 12):
+        for gap in (1e-12, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3):
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            sigma = np.ones(n)
+            sigma[-1] = gap
+            yield (u * sigma) @ v.T
+
+
+def test_success_at_a_rung_holds_at_every_looser_rung(pencil5, sparse_penta):
+    """The eigenvector phase skips rungs on this: a looser tolerance can
+    only free more columns, and if it frees none, it made the tighter
+    tolerance's decisions, which freed none either."""
+    ladder = pipeline.EIGENVECTOR_PIVOT_LADDER
+    patterns = set()
+    for matrix in _near_singular_inputs(pencil5, sparse_penta):
+        found = [_alone(matrix, tol)[0] is not None for tol in ladder]
+        assert found == sorted(found)
+        patterns.add(tuple(found))
+    assert len(patterns) >= 3

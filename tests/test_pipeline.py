@@ -457,25 +457,27 @@ def _pair_bits(pair):
 
 
 def _ladder_runs(spec, monkeypatch):
-    """Eigenpair bits, error lines and elimination count of the reference
-    ladder and of the pipeline's, on the records of one report."""
+    """Eigenpair bits, error lines and the number of matrices eliminated by
+    the reference ladder and by the pipeline's, on the records of one
+    report."""
     records = run_pipeline(spec).roots
-    calls = []
-    kernel = matpoly._null_space_vectors
+    eliminated = []
+    kernel = matpoly._null_space_stack
 
-    def counted(matrix, pivot_tol):
-        calls.append(pivot_tol)
-        return kernel(matrix, pivot_tol)
+    def counted(matrices, pivot_tol):
+        eliminated.append(len(matrices))
+        return kernel(matrices, pivot_tol)
 
     runs = []
     with monkeypatch.context() as patch:
-        patch.setattr(matpoly, "_null_space_vectors", counted)
+        patch.setattr(matpoly, "_null_space_stack", counted)
         for phase in (_reference_eigenvector_phase,
                       pipeline._eigenvector_phase):
-            del calls[:]
+            del eliminated[:]
             errors = []
             pairs = phase(spec.matrix, records, errors)
-            runs.append(([_pair_bits(p) for p in pairs], errors, len(calls)))
+            runs.append(([_pair_bits(p) for p in pairs], errors,
+                         sum(eliminated)))
     return runs
 
 
@@ -496,11 +498,36 @@ def test_pivot_ladder_skips_only_rungs_that_repeat(monkeypatch, sparse_penta,
 
 def test_pivot_ladder_skips_eliminations_that_would_repeat(monkeypatch):
     """At n = 14, 11 eigenvalues fail at every rung; most of those rungs
-    repeat the first elimination's decisions and are skipped."""
+    repeat the first elimination's decisions and are skipped, so fewer
+    matrices are eliminated."""
     (_, errors, full_ladder), (_, _, skipping) = _ladder_runs(
         _order_14_spec(), monkeypatch)
     assert sum("is not an eigenvalue" in e for e in errors) == 11
     assert skipping < full_ladder
+
+
+def _order_20_spec():
+    """Random monic quadratic at n = 20 with companion seeds; F(lambda) is
+    regular at every eigenvalue the interpolated det F gives."""
+    rng = np.random.default_rng(1)
+    n = 20
+    a0, a1 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return ProblemSpec(matrix=polynomial_matrix([a0, a1, np.eye(n)]),
+                       seed_source=SeedSource.COMPANION,
+                       algorithm=Algorithm.PADE)
+
+
+def test_transposes_wait_for_a_right_side_success(monkeypatch):
+    """At n = 20 every record fails its first right-side elimination and
+    skips the looser rungs, so each F(lambda) is eliminated once and no
+    F(lambda) transposed at all."""
+    (_, errors, _), (pairs, got_errors, eliminated) = _ladder_runs(
+        _order_20_spec(), monkeypatch)
+    records = run_pipeline(_order_20_spec()).roots
+    assert pairs == []
+    assert got_errors == errors
+    assert sum("is not an eigenvalue" in e for e in errors) == len(records)
+    assert eliminated == len(records)
 
 
 def test_explore_detect_keeps_every_triple_root():
@@ -616,6 +643,8 @@ def _pinned_specs():
                                       cases.SPARSE_PENTA_A1,
                                       cases.SPARSE_PENTA_A2]),
             seed_source=SeedSource.DIAGONAL),
+        "order-14": _order_14_spec(),
+        "companion-n20": _order_20_spec(),
     }
 
 
@@ -643,9 +672,17 @@ def _pinned_specs():
 # roots move by at most 2.4e-16, and their residuals in the last digits;
 # multiplicities, iteration counts, seeds, flags and the (empty) error list
 # are unchanged.
+# order-14 (not-an-eigenvalue and loosened-tolerance lines) and
+# companion-n20 (every eigenvalue fails) were pinned when the eigenvector
+# ladder began eliminating all open records in one stack, from reports
+# recorded before that change; they check the whole ladder end to end.
 PINNED_REPORT_SHA256 = {
+    "companion-n20":
+        "324e66228d347c7da699a130711418cde7f74eb9290b2c7f843ba2de062ab844",
     "mult-d8-82":
         "c019854fcd91cf8b52c4ebe70d32165e06f83fab1b438fad4981eb2d5bc99204",
+    "order-14":
+        "5107816b4ad0b2fad5f3edac66d1c52741b226a69caf16bf7dfdc5ef761b89ac",
     "rand-d55-63":
         "52d6b4e276a05ecd0317bbc44bbab7533d8323cccc9db0e6513a04f42555c2dc",
     "real-d9-90":
