@@ -42,14 +42,17 @@ DEFAULT_PLOT_SAMPLES = 400
 
 
 def _decode_complex(obj, where):
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(x, (int, float)) for x in obj)
-    ):
-        return complex(obj[0], obj[1])
+    try:
+        if isinstance(obj, (int, float)):
+            return complex(obj)
+        if (
+            isinstance(obj, (list, tuple))
+            and len(obj) == 2
+            and all(isinstance(x, (int, float)) for x in obj)
+        ):
+            return complex(obj[0], obj[1])
+    except OverflowError:  # an integer beyond the float range
+        raise ProblemFormatError("%s: number out of the float range" % where)
     raise ProblemFormatError(
         "%s: expected a number or [re, im] pair, got %r" % (where, obj)
     )
@@ -100,7 +103,10 @@ def parse_problem_file(path):
             _decode_complex(x, "coefficients[%d]" % i)
             for i, x in enumerate(raw)
         )
-        polynomial = Polynomial(coeffs)
+        try:
+            polynomial = Polynomial(coeffs)
+        except ValueError as exc:
+            raise ProblemFormatError("%s: %s" % (path, exc))
         if polynomial.is_zero:
             raise ProblemFormatError("%s: zero polynomial" % path)
     elif kind == "matrix":
@@ -116,7 +122,10 @@ def parse_problem_file(path):
             rows = _decode_matrix(item, "matrices[%d]" % i, order)
             order = len(rows)
             decoded.append(rows)
-        matrix = polynomial_matrix(decoded)
+        try:
+            matrix = polynomial_matrix(decoded)
+        except ProblemFormatError as exc:
+            raise ProblemFormatError("%s: %s" % (path, exc))
     else:
         raise ProblemFormatError(
             "%s: 'kind' must be 'polynomial' or 'matrix'" % path

@@ -13,8 +13,10 @@ values give computable enclosures.
 
 The list iterations (the Rayleigh quotient and the reduced Pade step)
 refine main values through the partial sums S_1, S_2, S_sigma, all rows'
-at once: the sums at every iterate come from one iterates x rows matrix
-of 1/(sigma_k - Lambda). They stop on f's own relative residual, the test
+at once: one kernel takes the sums at every iterate from one iterates x
+rows matrix of 1/(sigma_k - Lambda), and decides from them alone each
+iterate's step or the error that ends it. They stop on f's own relative
+residual, the test
 every reported root is graded by: |S_1 - 1| cancels near an interpolation
 value that already sits on a root, so it cannot tell a converged row from
 a creeping one.
@@ -32,7 +34,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import evaluate, horner_error_bound, relative_residual
-from .refine import DEFAULT_SETTINGS, _run_batch, _scalar_fallback
+from .refine import DEFAULT_SETTINGS, _run_batch
 
 SEPARATION_REL = 1e-12
 DENOMINATOR_UNDERFLOW = 1e-290
@@ -157,96 +159,55 @@ def ecp_matrix(lst):
     return e
 
 
-def _partial_sums(lst, f, lam):
-    """S_1, S_2, S_sigma at one point lam, summed in row order.
+def _list_steps(rayleigh, sigmas, defects, f, lams):
+    """The Rayleigh steps (``rayleigh``) or the reduced Pade steps at
+    every point, from one points x rows matrix of 1/(sigma_k - Lambda)
+    summed point by point without BLAS.
 
-    None when lam is the interpolation value of a row that is a root of f
-    to working precision (its relative residual is within
-    ``horner_error_bound(f)``): the list iterations stay on it. Any other
-    coincidence raises.
+    A point within DENOMINATOR_UNDERFLOW (1 + |sigma_k|) of an
+    interpolation value (the first such row k) takes step 0 if sigma_k is
+    a root of f to working precision, and otherwise gets a
+    RayleighDenominatorError, as where S_2 is at underflow level. S_2
+    overflows there unless |sigma_k| exceeds about 1e136, so only points
+    whose S_2 is not finite or at underflow level are looked at again.
     """
-    s1 = 0j
-    s2 = 0j
-    s_sigma = 0j
-    for r in lst.rows:
-        diff = r.sigma - lam
-        if abs(diff) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(r.sigma)):
-            if relative_residual(f, r.sigma) <= horner_error_bound(f):
-                return None
-            raise RayleighDenominatorError(
-                "iterate coincides with interpolation value %r" % (r.sigma,)
-            )
-        s1 += r.defect / diff
-        s2 += r.defect / (diff * diff)
-        s_sigma += r.defect * r.sigma / (diff * diff)
-    return s1, s2, s_sigma
-
-
-def _rayleigh_step(lst, f, lam):
-    """The Rayleigh step at one point, from :func:`_partial_sums`."""
-    sums = _partial_sums(lst, f, lam)
-    if sums is None:
-        return 0j
-    s1, s2, s_sigma = sums
-    if abs(s2) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(s1) + abs(s_sigma)):
-        raise RayleighDenominatorError("rayleigh denominator S_2 vanished")
-    return (s_sigma - s1 * s1) / s2 - lam
-
-
-def _reduced_step(lst, f, lam):
-    """The reduced Pade step at one point, from :func:`_partial_sums`."""
-    sums = _partial_sums(lst, f, lam)
-    if sums is None:
-        return 0j
-    s1, s2, _ = sums
-    if abs(s2) <= DENOMINATOR_UNDERFLOW * (1.0 + abs(s1)):
-        raise RayleighDenominatorError("reduced denominator S_2 vanished")
-    return (s1 - 1.0) / (-s2)
-
-
-def _list_sums(sigmas, defects, lams):
-    """S_1, S_2 and S_sigma at every point of lams, from one points x rows
-    matrix of 1/(sigma_k - Lambda), summed point by point without BLAS.
-    Where an iterate meets an interpolation value, the sums are not
-    finite."""
-    inverse = 1.0 / (sigmas[None, :] - np.array(lams)[:, None])
-    s1 = np.einsum("ij,j->i", inverse, defects)
-    inverse *= inverse
-    s2 = np.einsum("ij,j->i", inverse, defects)
-    s_sigma = np.einsum("ij,j->i", inverse, defects * sigmas)
-    return s1, s2, s_sigma
-
-
-def _rayleigh_steps(sigmas, defects, lst, f, lams):
-    """The Rayleigh steps at every point; :func:`_rayleigh_step` decides
-    the points where the array sums or the step are not usable."""
+    points = np.array(lams)
     with np.errstate(all="ignore"):
-        s1, s2, s_sigma = _list_sums(sigmas, defects, lams)
-        steps = (s_sigma - s1 * s1) / s2 - np.array(lams)
-        usable = np.abs(s2) > DENOMINATOR_UNDERFLOW * (
-            1.0 + np.abs(s1) + np.abs(s_sigma))
-    usable &= np.isfinite(steps)
-    return _scalar_fallback(steps, usable, partial(_rayleigh_step, lst, f),
-                            lams)
+        inverse = 1.0 / (sigmas[None, :] - points[:, None])
+        s1 = np.einsum("ij,j->i", inverse, defects)
+        inverse *= inverse
+        s2 = np.einsum("ij,j->i", inverse, defects)
+        scale = 1.0 + np.abs(s1)
+        if rayleigh:
+            s_sigma = np.einsum("ij,j->i", inverse, defects * sigmas)
+            scale += np.abs(s_sigma)
+            steps = (s_sigma - s1 * s1) / s2 - points
+        else:
+            steps = (s1 - 1.0) / -s2
+        vanished = np.abs(s2) <= DENOMINATOR_UNDERFLOW * scale
+    steps = steps.tolist()
+    for i in np.flatnonzero(vanished | ~np.isfinite(s2)):
+        near = np.flatnonzero(np.abs(sigmas - points[i]) <= DENOMINATOR_UNDERFLOW
+                              * (1.0 + np.abs(sigmas)))
+        if len(near):
+            sigma = complex(sigmas[near[0]])
+            if relative_residual(f, sigma) <= horner_error_bound(f):
+                steps[i] = 0j
+            else:
+                steps[i] = RayleighDenominatorError(
+                    "iterate coincides with interpolation value %r" % (sigma,))
+        elif vanished[i]:
+            steps[i] = RayleighDenominatorError(
+                "%s denominator S_2 vanished"
+                % ("rayleigh" if rayleigh else "reduced"))
+    return steps
 
 
-def _reduced_steps(sigmas, defects, lst, f, lams):
-    """The reduced Pade steps at every point; :func:`_reduced_step`
-    decides the points where the array sums or the step are not usable."""
-    with np.errstate(all="ignore"):
-        s1, s2, _ = _list_sums(sigmas, defects, lams)
-        steps = (s1 - 1.0) / -s2
-        usable = np.abs(s2) > DENOMINATOR_UNDERFLOW * (1.0 + np.abs(s1))
-    usable &= np.isfinite(steps)
-    return _scalar_fallback(steps, usable, partial(_reduced_step, lst, f),
-                            lams)
-
-
-def _iterate_list(kernel, lst, f, seeds, settings):
-    """Every seed's trace under one list iteration's array ``kernel``."""
+def _iterate_list(rayleigh, lst, f, seeds, settings):
+    """Every seed's trace under one list iteration."""
     sigmas = np.array(lst.sigmas, dtype=complex)
     defects = np.array(lst.defects, dtype=complex)
-    return _run_batch(partial(kernel, sigmas, defects, lst, f),
+    return _run_batch(partial(_list_steps, rayleigh, sigmas, defects, f),
                       partial(relative_residual, f), seeds, settings,
                       f.root_bound)
 
@@ -254,13 +215,13 @@ def _iterate_list(kernel, lst, f, seeds, settings):
 def rayleigh_iterate_all(lst, f, seeds, settings=DEFAULT_SETTINGS):
     """:func:`rayleigh_iterate` from every seed at once, one trace per
     seed."""
-    return _iterate_list(_rayleigh_steps, lst, f, seeds, settings)
+    return _iterate_list(True, lst, f, seeds, settings)
 
 
 def reduced_pade_iterate_all(lst, f, seeds, settings=DEFAULT_SETTINGS):
     """:func:`reduced_pade_iterate` from every seed at once, one trace per
     seed."""
-    return _iterate_list(_reduced_steps, lst, f, seeds, settings)
+    return _iterate_list(False, lst, f, seeds, settings)
 
 
 def rayleigh_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):

@@ -4,8 +4,9 @@ Near a nu-fold root the Pade function p = f/(-f') is a line of slope
 -1/nu, so p falls through every real root whatever its multiplicity. One
 step-delta scan of p over [-B, B] therefore sees every real root: a
 downward sign change brackets one, and a grid point that is a root to
-working precision is a seed itself. Plain and accelerated regula falsi
-turn brackets into seeds. For spectra without real-axis structure the
+working precision is a seed itself. The plain regula-falsi point of a
+bracket is its seed; accelerated regula falsi refines a bracket further
+on request. For spectra without real-axis structure the
 eigenvalues of the companion matrix of f supply approximate roots, as
 MATLAB's ``roots`` does; they are seeds, never the reported answer.
 """
@@ -57,13 +58,47 @@ class ExplorationReport:
     seeds: tuple
 
 
+def _positive_root_bound(coeffs):
+    """Kioustelidis' bound on the positive roots of sum a_j x**j, real
+    a_j: 2 max (-a_j/a_m)**(1/(m-j)) over the a_j whose sign is opposite
+    to a_m's, and 0 when there is none (Kioustelidis 1986, JCAM 16). Each
+    term is formed as in :func:`fujiwara_root_bound`, so a term both
+    bounds share gets the same bits."""
+    m = len(coeffs) - 1
+    lead = abs(coeffs[m])
+    top = 0.0
+    log_top = -math.inf
+    for j, a in enumerate(coeffs[:m]):
+        if a != 0.0 and (a < 0.0) != (coeffs[m] < 0.0):
+            if j == m - 1:
+                top = abs(a) / lead
+            else:
+                log_top = max(log_top,
+                              (math.log(abs(a)) - math.log(lead)) / (m - j))
+    try:
+        return 2.0 * max(top, math.exp(log_top))
+    except OverflowError:
+        return math.inf
+
+
+def _real_root_bound(f):
+    """No real root of the real polynomial f lies beyond the smaller of
+    ``f.root_bound`` and Kioustelidis' bounds on the positive roots of
+    f(lambda) and of f(-lambda)."""
+    coeffs = [a.real for a in f.coeffs]
+    mirrored = [-a if j % 2 else a for j, a in enumerate(coeffs)]
+    return min(f.root_bound, max(_positive_root_bound(coeffs),
+                                 _positive_root_bound(mirrored)))
+
+
 def scan_sign_changes(f, delta):
     """Sample p(lambda) on j*delta, j = -N..N, and seed every real root the
     grid sees.
 
-    N = ceil(B/delta) + 1, where B is ``f.root_bound`` (Fujiwara's bound):
-    every real root lies in [-B, B], and the extra step still brackets a
-    root that sits exactly on the bound. A bound that is infinite, or so
+    N = ceil(B/delta) + 1, where B is the smaller of ``f.root_bound``
+    (Fujiwara's bound) and Kioustelidis' bounds on the real roots
+    (:func:`_real_root_bound`): every real root lies in [-B, B], and the
+    extra step still brackets a root that sits exactly on the bound. A bound that is infinite, or so
     large that delta <= u*B (u = 2**-53) and the grid j*delta can no longer
     advance, raises RealScanError.
 
@@ -82,7 +117,7 @@ def scan_sign_changes(f, delta):
             "real-axis scan needs real coefficients; supply external seeds "
             "or the fallback seed provider for complex spectra"
         )
-    bound = f.root_bound
+    bound = _real_root_bound(f)
     if not math.isfinite(bound) or delta <= UNIT_ROUNDOFF * bound:
         raise RealScanError(
             "root bound %r is out of reach of a scan with step %r; supply "

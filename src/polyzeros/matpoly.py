@@ -67,6 +67,11 @@ def polynomial_matrix(matrices):
         a = np.array(raw, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ProblemFormatError("coefficient matrix %d is not square" % i)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(a)).all():
+                raise ProblemFormatError(
+                    "coefficient matrix %d has an entry that is not finite"
+                    % i)
         if n is None:
             n = a.shape[0]
         elif a.shape[0] != n:
@@ -112,11 +117,6 @@ def characteristic_polynomial(pm):
     count = m + 1
     top = max(float(np.max(np.abs(a))) for a in pm.coefficient_matrices)
     sample_radius = 1.0 + top
-    if not (0 < sample_radius < float("inf")):
-        raise SampleConditioningError(
-            "unusable sample radius %r; coefficient entries must be finite"
-            % (sample_radius,)
-        )
     try:
         scale_top = sample_radius ** m
     except OverflowError:

@@ -157,25 +157,29 @@ class RootReport:
 
 
 def _acquire_seeds(spec, f, errors):
-    if spec.seed_source is SeedSource.EXTERNAL:
+    """The seeds of the spec's source. A source that fails leaves an error
+    line and no seeds."""
+    source = spec.seed_source
+    if source is SeedSource.EXTERNAL:
         return tuple(complex(v) for v in spec.external_seeds)
-    if spec.seed_source is SeedSource.DIAGONAL:
-        report = diagonal_seeds(spec.matrix)
-        if report.degenerate_entries:
-            errors.append(
-                "diagonal entries %s have degenerate degree"
-                % (list(report.degenerate_entries),)
-            )
-        return report.values
-    if spec.seed_source is SeedSource.COMPANION:
-        companion = companion_seed_all(f)
-        if companion.low_confidence:
-            errors.append("companion seeds carry large residuals")
-        return companion.values
     try:
+        if source is SeedSource.DIAGONAL:
+            report = diagonal_seeds(spec.matrix)
+            if report.degenerate_entries:
+                errors.append(
+                    "diagonal entries %s have degenerate degree"
+                    % (list(report.degenerate_entries),)
+                )
+            return report.values
+        if source is SeedSource.COMPANION:
+            companion = companion_seed_all(f)
+            if companion.low_confidence:
+                errors.append("companion seeds carry large residuals")
+            return companion.values
         return scan_sign_changes(f, spec.delta).seeds
     except PolyzerosError as exc:
-        errors.append("exploration: %s" % exc)
+        errors.append("%s: %s" % ("exploration" if source is SeedSource.EXPLORE
+                                  else "%s seeds" % source.value, exc))
         return ()
 
 

@@ -39,13 +39,16 @@ class Polynomial:
     coeffs: tuple
 
     def __post_init__(self):
-        trimmed = list(self.coeffs)
-        while trimmed and abs(trimmed[-1]) <= STRUCTURAL_ZERO:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(complex(a) for a in trimmed))
-        for a in self.coeffs:
-            if a != a or abs(a) == float("inf"):
-                raise ValueError("polynomial coefficients must be finite")
+        coeffs = [complex(a) for a in self.coeffs]
+        try:
+            moduli = [abs(a) for a in coeffs]
+        except OverflowError:  # a modulus beyond the float range
+            moduli = [math.inf]
+        if not all(r < math.inf for r in moduli):  # NaN fails too
+            raise ValueError("polynomial coefficients must be finite")
+        while coeffs and moduli[len(coeffs) - 1] <= STRUCTURAL_ZERO:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self):

@@ -6,9 +6,11 @@ A batch driver sends every seed still running the step computed for all
 of them in one call (:func:`_run_batch`), and one seed is a batch of one.
 The Pade step Lambda += p(Lambda) and the Halley step Lambda += h(Lambda)
 take array steps: f, f' and f'' at all iterates come from one power
-matrix (:func:`evaluate_all`). The test-polynomial step
-Lambda += P_nu(Lambda)*Lambda, whose fixed points reveal root
-multiplicity, keeps its scalar Horner step and runs one seed at a time.
+matrix (:func:`evaluate_all`), and the kernel decides from those arrays
+alone, point by point, the step or the exception that ends the seed. The
+test-polynomial step Lambda += P_nu(Lambda)*Lambda, whose fixed points
+reveal root multiplicity, keeps its scalar Horner step and runs one seed
+at a time.
 Traces mirror printed iteration tables row by row, and a probe classifier
 separates genuine (quadratic) convergence from the slow linear creep a
 wrong-multiplicity probe produces.
@@ -38,7 +40,6 @@ from .errors import (
     HalleyDenominatorError,
     NoMultiplicityError,
     OriginSeedError,
-    RayleighDenominatorError,
     ZeroPolynomialError,
 )
 from .poly import (
@@ -46,9 +47,7 @@ from .poly import (
     UNIT_ROUNDOFF,
     evaluate,
     evaluate_all,
-    halley_eval,
     horner_error_bound,
-    pade_eval,
     relative_residual,
     test_polynomial,
 )
@@ -139,13 +138,14 @@ def _iteration(seed, residual_fn, settings, divergence_bound):
     """The stopping rule of every refinement iteration, for one seed.
 
     A generator: it yields each iterate and is sent the step taken there,
-    or the exception that computing the step raised; it returns the
+    or the exception the step kernel found there instead; it returns the
     IterationTrace. Convergence needs two consecutive relatively small
     steps plus a relative residual ``residual_fn(lam)`` at most
     ``residual_tol``, which the trace keeps; sustained slow step ratios
     (>= SLOW_RATIO for SLOW_KILL_COUNT steps) end the run as MAX_ITERS;
-    iterates beyond ``divergence_bound`` end it as DIVERGED, and a step
-    that raised ends it as NUMERICAL_ERROR.
+    iterates beyond ``divergence_bound``, or whose modulus or step passes
+    the float range, end it as DIVERGED, and an exception ends it as
+    NUMERICAL_ERROR with its text as the note.
     """
     lam = complex(seed)
     rows = []
@@ -162,8 +162,11 @@ def _iteration(seed, residual_fn, settings, divergence_bound):
                                   (str(step),))
         rows.append(TraceRow(lam, step, step))
         nxt = lam + step
-        step_mag = abs(step)
-        small = step_mag <= step_tol * (1.0 + abs(nxt))
+        try:
+            step_mag = abs(step)
+            small = step_mag <= step_tol * (1.0 + abs(nxt))
+        except OverflowError:  # a modulus beyond the float range
+            return IterationTrace(tuple(rows), TraceStatus.DIVERGED)
         if small and prev_small:
             residual = residual_fn(nxt)
             if residual <= residual_tol:
@@ -187,41 +190,15 @@ def _iteration(seed, residual_fn, settings, divergence_bound):
     return IterationTrace(tuple(rows), TraceStatus.MAX_ITERS)
 
 
-# What a step function may raise; the iteration then ends as
-# NUMERICAL_ERROR with the exception's text as its note.
-_STEP_ERRORS = (DerivativeUnderflowError, HalleyDenominatorError,
-               RayleighDenominatorError, ZeroDivisionError, OverflowError)
-
-
-def _caught_step(step_fn, lam):
-    """step_fn(lam), or the _STEP_ERRORS exception it raised."""
-    try:
-        return step_fn(lam)
-    except _STEP_ERRORS as exc:
-        return exc
-
-
-def _scalar_fallback(steps, usable, step_fn, lams):
-    """The array ``steps`` as a list, with ``_caught_step(step_fn, lam)`` at
-    every point where ``usable`` is False.
-
-    Array step kernels mark a point unusable where their result is not
-    finite or a denominator is at underflow level; the scalar step then
-    decides that point, and raises where it always has."""
-    out = steps.tolist()
-    for i in np.flatnonzero(~usable):
-        out[i] = _caught_step(step_fn, lams[i])
-    return out
-
-
 def _run_batch(steps_fn, residual_fn, seeds, settings, root_bound):
     """Refine every seed at once: one IterationTrace per seed, in order.
 
     ``steps_fn(lams)`` gets the current iterates of the seeds still
     running, as a list of complex, and returns their steps in the same
-    order (each a complex, or the exception its computation raised). Each
-    seed runs the stopping rule of :func:`_iteration`, so a seed's trace
-    is the one the same step function gives it alone. Iterates beyond
+    order: each a complex, or the exception that ends that seed as
+    NUMERICAL_ERROR. Each seed runs the stopping rule of
+    :func:`_iteration`, so a seed's trace is the one the same step
+    function gives it alone. Iterates beyond
     ``divergence_factor * (1 + root_bound)`` diverge.
     """
     divergence_bound = settings.divergence_factor * (1.0 + root_bound)
@@ -242,12 +219,6 @@ def _run_batch(steps_fn, residual_fn, seeds, settings, root_bound):
                 running.append(i)
         active = running
     return traces
-
-
-def _run_iteration(step_fn, residual_fn, seed, settings, root_bound):
-    """One seed with a scalar step function: a batch of one."""
-    return _run_batch(lambda lams: [_caught_step(step_fn, lams[0])],
-                     residual_fn, (seed,), settings, root_bound)[0]
 
 
 def same_root(a, b):
@@ -286,25 +257,31 @@ def group_roots(items, value):
 
 def _pade_steps(f, lams):
     """The Pade steps p = f/(-f') at every point, from one
-    :func:`evaluate_all`."""
+    :func:`evaluate_all`, and the error of :func:`poly.pade_eval`."""
     with np.errstate(all="ignore"):
         v, d = evaluate_all(f, lams, 1)
-        steps = v / -d
-    usable = (np.abs(d) > DERIVATIVE_UNDERFLOW) & np.isfinite(steps)
-    return _scalar_fallback(steps, usable, partial(pade_eval, f), lams)
+        steps = (v / -d).tolist()
+    for i in np.flatnonzero(np.abs(d) <= DERIVATIVE_UNDERFLOW):
+        steps[i] = DerivativeUnderflowError(
+            "derivative vanishes at %r" % (lams[i],))
+    return steps
 
 
 def _halley_steps(f, lams):
     """The Halley steps h = p/(1 + p f''/f') at every point, from one
-    :func:`evaluate_all`."""
+    :func:`evaluate_all`, and the errors of :func:`poly.halley_eval`."""
     with np.errstate(all="ignore"):
         v, d1, d2 = evaluate_all(f, lams, 2)
         p = v / -d1
         den = 1.0 + p * (d2 / d1)
-        steps = p / den
-    usable = ((np.abs(d1) > DERIVATIVE_UNDERFLOW)
-              & (np.abs(den) > DERIVATIVE_UNDERFLOW) & np.isfinite(steps))
-    return _scalar_fallback(steps, usable, partial(halley_eval, f), lams)
+        steps = (p / den).tolist()
+    flat = np.abs(d1) <= DERIVATIVE_UNDERFLOW
+    for i in np.flatnonzero(flat | (np.abs(den) <= DERIVATIVE_UNDERFLOW)):
+        steps[i] = (
+            DerivativeUnderflowError("derivative vanishes at %r" % (lams[i],))
+            if flat[i] else HalleyDenominatorError(
+                "halley denominator 1+pq vanishes at %r" % (lams[i],)))
+    return steps
 
 
 def iterate_pade_all(f, seeds, settings=DEFAULT_SETTINGS):
@@ -362,7 +339,10 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
     hi_top = tuple(reversed(hi[n:]))
     pairs = tuple(zip(reversed(lo[:n]), reversed(hi[:n])))
 
-    def step_fn(lam):
+    def steps(lams):
+        # A batch of one, in scalar Horner: one evaluate_all point costs
+        # ten times what this loop does.
+        lam = lams[0]
         v_lo = 0j
         for a in lo_top:
             v_lo = v_lo * lam + a
@@ -372,12 +352,15 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
         for a, b in pairs:
             v_lo = v_lo * lam + a
             v_hi = v_hi * lam + b
-        if abs(v_hi) <= 1e-290 * max(1.0, abs(v_lo)):
-            raise ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))
-        return (v_lo / v_hi) * lam
+        try:
+            if abs(v_hi) <= 1e-290 * max(1.0, abs(v_lo)):
+                return [ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))]
+        except OverflowError as exc:  # a modulus beyond the float range
+            return [exc]
+        return [(v_lo / v_hi) * lam]
 
-    return _run_iteration(step_fn, partial(relative_residual, f), seed,
-                          settings, root_bound)
+    return _run_batch(steps, partial(relative_residual, f), (seed,),
+                      settings, root_bound)[0]
 
 
 @dataclass(frozen=True)

@@ -164,11 +164,11 @@ def test_solve_exit_one_when_residuals_fail(tmp_path):
 
 
 def test_solve_reports_an_unscannable_bound(tmp_path, capsys):
-    """Roots near +-1.4e200: the scan cannot reach them at step 0.1, so
+    """Real roots +-1e200: the scan cannot reach them at step 0.1, so
     exploration records an error line and solve exits 1 with a report."""
     path = _write(tmp_path, "huge.json", {
         "kind": "polynomial",
-        "coefficients": [1e200, 0.0, 1e-200],
+        "coefficients": [-1e200, 0.0, 1e-200],
     })
     out = tmp_path / "r.json"
     assert main(["solve", path, "--out", str(out)]) == 1
@@ -178,6 +178,22 @@ def test_solve_reports_an_unscannable_bound(tmp_path, capsys):
     assert [e for e in report["errors"] if e.startswith("exploration")] == [
         report["errors"][0]]
     assert report["errors"][0].startswith("exploration: root bound")
+    assert capsys.readouterr().err == ""
+
+
+def test_failing_seed_source_is_an_error_line(tmp_path, capsys):
+    """Making 1e200 + 1e-200 lambda monic overflows, so the companion
+    matrix has no eigenvalues: the source leaves an error line, and solve
+    still writes a report and exits 1."""
+    path = _write(tmp_path, "monic.json", {
+        "kind": "polynomial", "coefficients": [1e200, 1e-200],
+        "seed_source": "companion", "algorithm": "pade"})
+    out = tmp_path / "r.json"
+    assert main(["solve", path, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["roots"] == []
+    assert report["errors"][0] == ("companion seeds: companion matrix is not "
+                                   "finite: making f monic overflows")
     assert capsys.readouterr().err == ""
 
 
@@ -328,6 +344,28 @@ def test_format_error_exits_two(tmp_path, capsys):
     code = main(["solve", path])
     assert code == 2
     assert "zero polynomial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "polynomial", "coefficients": [1, float("inf")]},
+    {"kind": "polynomial", "coefficients": [1, 0, [1.5e308, 1.5e308]]},
+    {"kind": "polynomial", "coefficients": [1, 10 ** 400]},
+    {"kind": "matrix", "matrices": [[[1, 0], [0, float("inf")]],
+                                    [[1, 0], [0, 1]]]},
+    {"kind": "matrix", "matrices": [[[1, 0], [0, [1.5e308, 1.5e308]]],
+                                    [[1, 0], [0, 1]]]},
+])
+def test_non_finite_input_exits_two(tmp_path, capsys, payload):
+    """json reads Infinity, a modulus can pass the float range although
+    both parts are finite, and an integer can be too large for a float:
+    each is unusable input, not a crash or a report."""
+    path = _write(tmp_path, "inf.json", payload)
+    with pytest.raises(ProblemFormatError):
+        parse_problem_file(path)
+    assert main(["solve", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("finite" in err
+                                          or "float range" in err)
 
 
 @pytest.mark.parametrize("key", ["nu", "nu_max", "max_iters"])

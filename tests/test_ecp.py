@@ -222,6 +222,19 @@ def test_iterate_on_an_interpolation_value_is_a_numerical_error():
     assert any("coincides" in note for note in trace.notes)
 
 
+def test_vanishing_s2_ends_both_list_iterations():
+    """lambda^2 + 4 at sigma = (1, -1) has defects 2.5 and -2.5, so S_2 is
+    0 at lambda = 0."""
+    f = Polynomial((4.0, 0.0, 1.0))
+    lst = build_ecp_list(f, (1.0, -1.0))
+    assert lst.defects == (2.5, -2.5)
+    for iterate, name in ((rayleigh_iterate, "rayleigh"),
+                          (reduced_pade_iterate, "reduced")):
+        trace = iterate(lst, f, 0.0)
+        assert trace.status is TraceStatus.NUMERICAL_ERROR
+        assert trace.notes == ("%s denominator S_2 vanished" % name,)
+
+
 def test_companion_seeded_rows_converge_at_once():
     """From np.roots values every interpolation value sits within rounding
     of a root, so sigma_k - Lambda cancels in |S_1 - 1|; on f's residual

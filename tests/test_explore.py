@@ -161,12 +161,23 @@ def test_scan_brackets_only_downward_and_seeds_isolated_roots():
     assert isolated >= CASES
 
 
-@pytest.mark.parametrize("coeffs", ((1e200, 0.0, 1e-200), (1e200, 1e-200)))
+@pytest.mark.parametrize("coeffs", ((-1e200, 0.0, 1e-200), (1e200, 1e-200)))
 def test_scan_rejects_a_bound_out_of_reach(coeffs):
-    """A bound of 1.4e200 leaves 0.1 below its rounding unit, and an
-    infinite bound gives no grid at all."""
+    """A bound of 1.4e200 on the real roots +-1e200 leaves 0.1 below its
+    rounding unit, and an infinite bound gives no grid at all."""
     with pytest.raises(RealScanError):
         scan_sign_changes(Polynomial(coeffs), 0.1)
+
+
+def test_scan_stops_at_a_bound_on_the_real_roots():
+    """lambda^2 + 1e6 has no real root: no coefficient has a sign opposite
+    to the leading one in f(lambda) or f(-lambda), so Kioustelidis' bound
+    on the real roots is 0 and the scan takes its 5 points around 0
+    instead of running to Fujiwara's bound of 1414."""
+    f = Polynomial((1e6, 0.0, 1.0))
+    report = scan_sign_changes(f, 0.1)
+    assert len(report.samples) <= 5
+    assert report.seeds == ()
 
 
 def test_bracket_validation():

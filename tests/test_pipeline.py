@@ -176,6 +176,18 @@ def test_test_nu_algorithm_uses_the_probe_order(double_quad_sextic):
     np.testing.assert_allclose(record.value, 2.0, atol=1e-12)
 
 
+def test_probe_beyond_the_float_range_is_a_seed_error():
+    """At 1.5+1.5j, 1 + 1e308 lambda has a modulus beyond the float range:
+    the probe ends as a numerical error with abs()'s text, and the seed
+    gets an error line instead of raising out of run_pipeline."""
+    report = run_pipeline(ProblemSpec(
+        polynomial=Polynomial((1.0, 1e308)), seed_source=SeedSource.EXTERNAL,
+        external_seeds=(1.5 + 1.5j,), algorithm=Algorithm.TEST_NU, nu=1))
+    assert report.roots == ()
+    assert report.errors[0] == (
+        "seed (1.5+1.5j): numerical-error (absolute value too large)")
+
+
 def test_rayleigh_algorithm_refines_through_one_list(wilkinson10):
     spec = ProblemSpec(
         polynomial=wilkinson10,

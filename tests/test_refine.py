@@ -32,7 +32,7 @@ from polyzeros import test_polynomial as derived_polynomial
 from polyzeros import refine
 from polyzeros.refine import (
     DEFAULT_SETTINGS,
-    _run_iteration,
+    _run_batch,
     group_roots,
     same_root,
 )
@@ -102,13 +102,24 @@ def test_origin_seed_rejected():
 
 
 def test_numerical_error_keeps_offending_row():
-    """A derivative-underflow mid-iteration downgrades the trace instead of
-    raising; the offending iterate is retained with a NaN value."""
-    f = Polynomial((-1.0, 0.0, 1.0))
-    trace = iterate_pade(f, 0.0)
-    assert trace.status is TraceStatus.NUMERICAL_ERROR
-    last = trace.rows[-1]
-    assert math.isnan(last.value.real) or math.isnan(abs(last.value))
+    """A step the kernel cannot take downgrades the trace instead of
+    raising; the offending iterate is retained with a NaN value, and the
+    error's text is the note. f' vanishes at 0 (Pade); at 1, lambda^2 + 1
+    has p = -1 and f''/f' = 1, so 1 + pq vanishes (Halley); and at
+    1.5+1.5j, 1 + 1e308 lambda has a modulus beyond the float range
+    (the probe's abs() overflows)."""
+    for trace, note in (
+        (iterate_pade(Polynomial((-1.0, 0.0, 1.0)), 0.0),
+         "derivative vanishes at 0j"),
+        (iterate_halley(Polynomial((1.0, 0.0, 1.0)), 1.0),
+         "halley denominator 1+pq vanishes at (1+0j)"),
+        (iterate_test_nu(Polynomial((1.0, 1e308)), 1, 1.5 + 1.5j),
+         "absolute value too large"),
+    ):
+        assert trace.status is TraceStatus.NUMERICAL_ERROR
+        assert trace.notes == (note,)
+        last = trace.rows[-1]
+        assert math.isnan(last.value.real) or math.isnan(abs(last.value))
 
 
 def test_divergence_detected_outside_root_bound():
@@ -116,6 +127,15 @@ def test_divergence_detected_outside_root_bound():
     trace = iterate_test_nu(f, 4, 50.0)
     assert trace.status in (TraceStatus.DIVERGED, TraceStatus.MAX_ITERS,
                             TraceStatus.NUMERICAL_ERROR)
+
+
+def test_step_beyond_the_float_range_diverges():
+    """Both parts of the Pade step -(1+i) 1.5e308 are finite, but its
+    modulus is not: abs() raises, and the run ends as DIVERGED instead of
+    raising, as a step that overflows outright does."""
+    trace = iterate_pade(Polynomial(((1 + 1j) * 1.5e298, 1e-10)), 0.0)
+    assert trace.status is TraceStatus.DIVERGED
+    assert len(trace.rows) == 1
 
 
 def test_settings_validation():
@@ -209,15 +229,16 @@ def _reference_probe(f, nu, seed):
     f_lo = derived_polynomial(f, nu - 1)
     f_hi = derived_polynomial(f, nu)
 
-    def step_fn(lam):
+    def steps(lams):
+        lam = lams[0]
         v_lo = evaluate(f_lo, lam)[0]
         v_hi = evaluate(f_hi, lam)[0]
         if abs(v_hi) <= 1e-290 * max(1.0, abs(v_lo)):
-            raise ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))
-        return (v_lo / v_hi) * lam
+            return [ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))]
+        return [(v_lo / v_hi) * lam]
 
-    return _run_iteration(step_fn, partial(relative_residual, f), seed,
-                          DEFAULT_SETTINGS, f.root_bound)
+    return _run_batch(steps, partial(relative_residual, f), (seed,),
+                      DEFAULT_SETTINGS, f.root_bound)[0]
 
 
 def _row_bits(trace):
