@@ -4,7 +4,9 @@ Near a nu-fold root the Pade function p = f/(-f') is a line of slope
 -1/nu, so p falls through every real root whatever its multiplicity. One
 step-delta scan of p over [-B, B] therefore sees every real root: a
 downward sign change brackets one, and a grid point that is a root to
-working precision is a seed itself. The plain regula-falsi point of a
+working precision is a seed itself. The scan evaluates the whole grid in
+one real Horner pass over numpy arrays, with the same bits as the scalar
+:func:`pade_eval` at each point. The plain regula-falsi point of a
 bracket is its seed; accelerated regula falsi refines a bracket further
 on request. For spectra without real-axis structure the
 eigenvalues of the companion matrix of f supply approximate roots, as
@@ -18,12 +20,11 @@ import numpy as np
 
 from .errors import (
     CompanionMatrixError,
-    DerivativeUnderflowError,
     FlatSecantError,
     RealScanError,
     ZeroPolynomialError,
 )
-from .poly import UNIT_ROUNDOFF, horner_error_bound
+from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF, horner_error_bound
 from .poly import pade_eval, relative_residual
 from .refine import IterationTrace, TraceRow, TraceStatus
 
@@ -91,6 +92,37 @@ def _real_root_bound(f):
                                  _positive_root_bound(mirrored)))
 
 
+def _pade_on_grid(f, lams):
+    """p = f/(-f') at every point of the real array ``lams`` in one real
+    Horner pass, and the mask of the points where :func:`pade_eval`'s
+    derivative guard fires.
+
+    At a real lambda with real coefficients, :func:`evaluate`'s complex
+    Horner keeps an imaginary part of +-0, so its real part runs exactly
+    the real multiply/add sequence below, which float64 arrays round as
+    Python's floats do; abs(f') is then |f'| and the complex quotient is
+    f/(-f'). Those zero imaginary parts can flip the sign of a p that is
+    exactly 0, the one bit this pass does not reproduce. Overflow differs
+    too: an infinite real part times the imaginary 0 of lambda gives a
+    NaN imaginary part, which the next step spreads to f and f', so a
+    point whose f or f' is not finite before the last step gets NaN. A
+    degree-0 f has f' = 0 and is guarded everywhere. numpy's complex
+    multiply rounds differently, so the pass stays real.
+    """
+    coeffs = [a.real for a in f.coeffs]
+    v = np.full(len(lams), coeffs[-1])
+    d = np.zeros(len(lams))
+    finite = True
+    with np.errstate(all="ignore"):
+        for k in range(len(coeffs) - 2, -1, -1):
+            if k == 0:
+                finite = np.isfinite(v) & np.isfinite(d)
+            d = d * lams + v
+            v = v * lams + coeffs[k]
+        p = np.where(finite, v / -d, np.nan)
+    return p, np.abs(d) <= DERIVATIVE_UNDERFLOW
+
+
 def scan_sign_changes(f, delta):
     """Sample p(lambda) on j*delta, j = -N..N, and seed every real root the
     grid sees.
@@ -98,9 +130,10 @@ def scan_sign_changes(f, delta):
     N = ceil(B/delta) + 1, where B is the smaller of ``f.root_bound``
     (Fujiwara's bound) and Kioustelidis' bounds on the real roots
     (:func:`_real_root_bound`): every real root lies in [-B, B], and the
-    extra step still brackets a root that sits exactly on the bound. A bound that is infinite, or so
-    large that delta <= u*B (u = 2**-53) and the grid j*delta can no longer
-    advance, raises RealScanError.
+    extra step still brackets a root that sits exactly on the bound. A
+    delta that is not positive and finite raises ValueError. A bound that
+    is infinite, or so large that delta <= u*B (u = 2**-53) and the grid
+    j*delta can no longer advance, raises RealScanError.
 
     p falls through every real root, so only a downward crossing
     p_lo > 0 > p_hi makes a bracket, and its plain regula-falsi point is a
@@ -109,9 +142,15 @@ def scan_sign_changes(f, delta):
     multiple root, the derivative guard fires (the sample is recorded with
     value None). Such a point whose relative residual is within Horner's
     rounding error (:func:`horner_error_bound`) is itself a seed.
+
+    The whole grid is evaluated in one array pass (:func:`_pade_on_grid`)
+    that gives the bits of :func:`pade_eval` at every point. The brackets
+    and seeds are read from array masks in grid order. Only the few points
+    where p is 0 or None are visited one by one: they take the scalar
+    residual test, and a p of 0 takes its sign from :func:`pade_eval`.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if not f.is_real():
         raise RealScanError(
             "real-axis scan needs real coefficients; supply external seeds "
@@ -125,24 +164,26 @@ def scan_sign_changes(f, delta):
         )
     steps = max(2, int(math.ceil(bound / delta)) + 1)
     floor = horner_error_bound(f)
-    samples, brackets, seeds = [], [], []
-    lo = p_lo = None
-    for j in range(-steps, steps + 1):
-        lam = j * delta
-        try:
-            p = pade_eval(f, lam).real
-        except (ZeroPolynomialError, DerivativeUnderflowError):
-            p = None
-        if not p:  # p is 0 or undefined: lam may be a root itself
+    lams = np.arange(-steps, steps + 1) * delta
+    p, guarded = _pade_on_grid(f, lams)
+    p[guarded] = np.nan
+    on_root = guarded | (p == 0.0)
+    down = np.zeros_like(on_root)
+    down[1:] = (p[1:] < 0.0) & (p[:-1] > 0.0)
+    grid, values = lams.tolist(), p.tolist()
+    brackets, seeds = [], []
+    for j in np.flatnonzero(on_root | down).tolist():
+        lam = grid[j]
+        if on_root[j]:
+            values[j] = None if guarded[j] else pade_eval(f, lam).real
             if relative_residual(f, lam) <= floor:
                 seeds.append(complex(lam))
-        elif p < 0.0 < (p_lo or 0.0):
-            bracket = Bracket(lo, lam, p_lo, p)
+        else:
+            bracket = Bracket(grid[j - 1], lam, values[j - 1], values[j])
             brackets.append(bracket)
             seeds.append(complex(regula_falsi_step(bracket)))
-        samples.append((lam, p))
-        lo, p_lo = lam, p
-    return ExplorationReport(tuple(samples), tuple(brackets), tuple(seeds))
+    return ExplorationReport(tuple(zip(grid, values)), tuple(brackets),
+                             tuple(seeds))
 
 
 def regula_falsi_step(bracket):

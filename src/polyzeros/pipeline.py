@@ -17,6 +17,7 @@ every root passes its residual test.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -101,8 +102,15 @@ class ProblemSpec:
             raise ProblemFormatError("seeds given but source is not external")
         if self.seed_source is SeedSource.DIAGONAL and self.matrix is None:
             raise ProblemFormatError("diagonal seeds need a matrix problem")
-        if not self.delta > 0:
-            raise ProblemFormatError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ProblemFormatError(
+                "delta must be positive and finite, got %r" % (self.delta,))
+        try:
+            finite = all(abs(s) < math.inf for s in self.external_seeds)
+        except OverflowError:  # a modulus beyond the float range
+            finite = False
+        if not finite:  # NaN fails too
+            raise ProblemFormatError("external seeds must be finite")
         if self.nu < 1:
             raise ProblemFormatError("nu must be >= 1")
         if self.nu_max is not None and self.nu_max < 1:

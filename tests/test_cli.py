@@ -354,11 +354,17 @@ def test_format_error_exits_two(tmp_path, capsys):
                                     [[1, 0], [0, 1]]]},
     {"kind": "matrix", "matrices": [[[1, 0], [0, [1.5e308, 1.5e308]]],
                                     [[1, 0], [0, 1]]]},
+    {"kind": "polynomial", "coefficients": [1, 1], "delta": float("inf")},
+    {"kind": "polynomial", "coefficients": [1, 1],
+     "seeds": [[float("inf"), 0]]},
+    {"kind": "polynomial", "coefficients": [1, 1],
+     "seeds": [[1.5e308, 1.5e308]]},
 ])
 def test_non_finite_input_exits_two(tmp_path, capsys, payload):
     """json reads Infinity, a modulus can pass the float range although
     both parts are finite, and an integer can be too large for a float:
-    each is unusable input, not a crash or a report."""
+    each is unusable input, not a crash or a report. That holds for the
+    scan step and for external seeds as well as for coefficients."""
     path = _write(tmp_path, "inf.json", payload)
     with pytest.raises(ProblemFormatError):
         parse_problem_file(path)
@@ -366,6 +372,15 @@ def test_non_finite_input_exits_two(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ("finite" in err
                                           or "float range" in err)
+
+
+def test_non_finite_delta_option_exits_two(tmp_path, capsys):
+    """--delta inf would scan the grid -inf, nan, inf and write NaN
+    samples that strict JSON readers reject."""
+    path = _example1_file(tmp_path)
+    for delta in ("inf", "nan"):
+        assert main(["explore", path, "--delta", delta]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["nu", "nu_max", "max_iters"])

@@ -1,5 +1,7 @@
 """Real-axis exploration: sign scans, bracketing, seed generation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,22 @@ import cases
 import oracles
 from polyzeros import (
     Bracket,
+    DerivativeUnderflowError,
     Polynomial,
     PolyzerosError,
     RealScanError,
     TraceStatus,
+    ZeroPolynomialError,
     accelerated_regula_falsi,
     companion_seed_all,
+    pade_eval,
     polynomial_from_roots,
     regula_falsi_step,
+    relative_residual,
     scan_sign_changes,
 )
+from polyzeros.explore import ExplorationReport, _real_root_bound
+from polyzeros.poly import horner_error_bound
 
 SCAN_VALUE_RTOL = 1e-10
 SEED_RTOL = 1e-8
@@ -87,8 +95,10 @@ def test_scan_requires_real_coefficients():
 
 
 def test_scan_delta_validation(double_quad_sextic):
-    with pytest.raises(ValueError):
-        scan_sign_changes(double_quad_sextic, 0.0)
+    """An infinite delta would make the grid -inf, nan, inf."""
+    for delta in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            scan_sign_changes(double_quad_sextic, delta)
 
 
 def test_scan_records_guard_gaps():
@@ -159,6 +169,88 @@ def test_scan_brackets_only_downward_and_seeds_isolated_roots():
                 isolated += 1
                 assert any(abs(s - r) <= delta for s in report.seeds)
     assert isolated >= CASES
+
+
+def _reference_scan(f, delta):
+    """The scan as a loop of scalar Pade evaluations, one per grid point,
+    as it ran before the array pass."""
+    bound = _real_root_bound(f)
+    steps = max(2, int(math.ceil(bound / delta)) + 1)
+    floor = horner_error_bound(f)
+    samples, brackets, seeds = [], [], []
+    lo = p_lo = None
+    for j in range(-steps, steps + 1):
+        lam = j * delta
+        try:
+            p = pade_eval(f, lam).real
+        except (ZeroPolynomialError, DerivativeUnderflowError):
+            p = None
+        if not p:  # p is 0 or undefined: lam may be a root itself
+            if relative_residual(f, lam) <= floor:
+                seeds.append(complex(lam))
+        elif p < 0.0 < (p_lo or 0.0):
+            bracket = Bracket(lo, lam, p_lo, p)
+            brackets.append(bracket)
+            seeds.append(complex(regula_falsi_step(bracket)))
+        samples.append((lam, p))
+        lo, p_lo = lam, p
+    return ExplorationReport(tuple(samples), tuple(brackets), tuple(seeds))
+
+
+def _bits(report):
+    """Every float of a scan as float.hex, so -0.0, NaN and None count."""
+    def hexed(x):
+        if x is None:
+            return None
+        if isinstance(x, complex):
+            return x.real.hex(), x.imag.hex()
+        return float(x).hex()
+    return ([(hexed(lam), hexed(p)) for lam, p in report.samples],
+            [tuple(map(hexed, (b.lam_lo, b.lam_hi, b.p_lo, b.p_hi)))
+             for b in report.brackets],
+            [hexed(s) for s in report.seeds])
+
+
+def _scan_parity_cases():
+    wilkinson = Polynomial(tuple(float(c)
+                                 for c in oracles.wilkinson_coeffs(10)))
+    sextic = Polynomial(cases.DOUBLE_QUAD_SEXTIC)
+    spread = polynomial_from_roots([-300.0, -200.0, -100.0, 0.0, 100.0,
+                                    200.0, 300.0])
+    fixed = {
+        "wilkinson10": (wilkinson, 0.1),
+        "sextic-0.1": (sextic, 0.1),
+        "sextic-0.3": (sextic, 0.3),
+        "plateau": (Polynomial((1.0, 0.0, 0.0, 1.0)), 0.5),
+        "overflow": (Polynomial((0j,) * 120 + spread.coeffs), 1.0),
+        "negative-zero-imag": (Polynomial(
+            tuple(complex(a, -0.0) for a in cases.DOUBLE_QUAD_SEXTIC)), 0.1),
+        "negative-zero-root": (Polynomial(
+            (complex(-0.0, -0.0), complex(-1.0, -0.0), -1.0)), 0.5),
+        "degree-1": (Polynomial((-0.9000000000000001, 1.0)), 0.1),
+        "degree-0": (Polynomial((2.0,)), 0.1),
+    }
+    for name, (f, delta) in fixed.items():
+        yield pytest.param(f, delta, id=name)
+    rng = np.random.default_rng(4)
+    for k in range(6):
+        coeffs = rng.integers(-4, 5, int(rng.integers(3, 9))).astype(float)
+        coeffs[-1] = rng.choice((-1.0, 1.0))
+        yield pytest.param(Polynomial(tuple(coeffs)), 0.25,
+                           id="integer-%d" % k)
+        yield pytest.param(Polynomial(tuple(rng.uniform(-5.0, 5.0, k + 2))),
+                           0.05, id="uniform-%d" % k)
+
+
+@pytest.mark.parametrize("f, delta", _scan_parity_cases())
+def test_array_scan_keeps_the_scalar_bits(f, delta):
+    """The array pass gives every sample, bracket and seed of the scalar
+    loop bit for bit: exact zeros of f on the grid (Wilkinson 10 at 0.1),
+    guarded points (the sextic's multiple roots, the plateau), overflow
+    (inf and NaN samples), a p of -0.0 and zero imaginary parts of
+    either sign."""
+    assert _bits(scan_sign_changes(f, delta)) == \
+        _bits(_reference_scan(f, delta))
 
 
 @pytest.mark.parametrize("coeffs", ((-1e200, 0.0, 1e-200), (1e200, 1e-200)))

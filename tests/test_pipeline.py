@@ -657,6 +657,10 @@ def _pinned_specs():
             seed_source=SeedSource.DIAGONAL),
         "order-14": _order_14_spec(),
         "companion-n20": _order_20_spec(),
+        "sextic-delta0.1": ProblemSpec(
+            polynomial=Polynomial(cases.DOUBLE_QUAD_SEXTIC)),
+        "wilkinson-10": ProblemSpec(polynomial=Polynomial(
+            tuple(float(c) for c in oracles.wilkinson_coeffs(10)))),
     }
 
 
@@ -688,6 +692,10 @@ def _pinned_specs():
 # companion-n20 (every eigenvalue fails) were pinned when the eigenvector
 # ladder began eliminating all open records in one stack, from reports
 # recorded before that change; they check the whole ladder end to end.
+# sextic-delta0.1 (both multiple roots are guarded grid points) and
+# wilkinson-10 (every root is a grid point where f is exactly 0), both
+# explore+detect at delta 0.1, were pinned from the scalar scan loop when
+# the scan became one array pass; their seeds come from the grid itself.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
         "324e66228d347c7da699a130711418cde7f74eb9290b2c7f843ba2de062ab844",
@@ -701,6 +709,10 @@ PINNED_REPORT_SHA256 = {
         "99f85b45f86cbb62d0c0f4e037e7b517cc22bc2eff4f8acd56e2f21829735d07",
     "sparse-penta":
         "c542bb060f0488d493f66db4c00b461491abe624d62480eec5871483e583b662",
+    "sextic-delta0.1":
+        "a6b81b902f03090f851f91d7bffb8df6f7df67af601992c12c8fb8bfd170b39a",
+    "wilkinson-10":
+        "8d7d80ff12ef6a5662da10b5e3d532f798c6b0a19b578d0e2ffa97543cc8a924",
 }
 
 

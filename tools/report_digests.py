@@ -1,0 +1,42 @@
+"""Print the SHA-256 of every report of one benchmark workload.
+
+    python3 tools/report_digests.py real-scan 7,301,9101
+
+Run from the repository root; the package is imported from ./src and the
+problem lists from perfbench/. Each line reads ``seed/problem sha256``,
+where the hash is taken over
+``json.dumps(report_to_dict(run_pipeline(spec)), indent=2, sort_keys=True)``,
+the bytes the benchmark times. Run it on two checkouts and diff the output
+to see which reports a change moves.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import polyzeros as pz  # noqa: E402
+import workloads  # noqa: E402
+from specs import build_spec  # noqa: E402
+
+
+def main(argv):
+    if len(argv) != 2 or argv[0] not in workloads.WORKLOADS:
+        sys.exit("usage: report_digests.py {%s} SEED[,SEED...]"
+                 % ",".join(workloads.WORKLOADS))
+    workload, seeds = argv[0], [int(s) for s in argv[1].split(",")]
+    for seed in seeds:
+        for problem in workloads.generate(workload, seed):
+            report = pz.run_pipeline(build_spec(pz, problem.file))
+            text = json.dumps(pz.report_to_dict(report), indent=2,
+                              sort_keys=True)
+            print("%d/%s %s" % (seed, problem.name,
+                                hashlib.sha256(text.encode()).hexdigest()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
