@@ -5,7 +5,9 @@ of slope -1/nu, so |p| alone cannot say where the root is but the local
 slope says how often it occurs. The probe iteration of order k applies
 the same idea to the k-th derived polynomial: started close to the
 root, the probe with k equal to the true multiplicity contracts
-quadratically while every smaller k limps along linearly. The
+quadratically and converges, while every smaller k creeps linearly: its
+steps stop halving where f is already zero to rounding level, and the
+run ends there as at-floor, not converged. The
 multiplicity detector does not try the orders in turn: it counts the
 zeros of f on a small circle around the seed by the argument principle,
 (1/2 pi i) oint f'/f, and runs the one probe of the counted order.
@@ -20,10 +22,10 @@ import numpy as np
 
 from polyzeros import (
     Polynomial,
+    TraceStatus,
     detect_multiplicity,
     iterate_test_nu,
     pade_eval,
-    probe_strictly_converged,
 )
 
 F = Polynomial(
@@ -45,10 +47,11 @@ def show_probes():
     for nu in (1, 2, 3):
         trace = iterate_test_nu(F, nu, SEED)
         steps = [abs(row.step) for row in trace.rows[1:]]
-        tag = "quadratic" if probe_strictly_converged(trace) else "linear"
         print("  nu=%d  %d rows  last steps %s  -> %s"
               % (nu, len(trace.rows),
-                 ", ".join("%.1e" % s for s in steps[-3:]), tag))
+                 ", ".join("%.1e" % s for s in steps[-3:]),
+                 trace.status.value))
+        assert (trace.status is TraceStatus.CONVERGED) == (nu == 3)
 
 
 def show_verdict():

@@ -102,7 +102,6 @@ from .refine import (
     iterate_pade,
     iterate_pade_all,
     iterate_test_nu,
-    probe_strictly_converged,
     same_root,
 )
 

@@ -208,8 +208,8 @@ def _iterate_list(rayleigh, lst, f, seeds, settings):
     sigmas = np.array(lst.sigmas, dtype=complex)
     defects = np.array(lst.defects, dtype=complex)
     return _run_batch(partial(_list_steps, rayleigh, sigmas, defects, f),
-                      partial(relative_residual, f), seeds, settings,
-                      f.root_bound)
+                      partial(relative_residual, f), horner_error_bound(f),
+                      seeds, settings, f.root_bound)
 
 
 def rayleigh_iterate_all(lst, f, seeds, settings=DEFAULT_SETTINGS):

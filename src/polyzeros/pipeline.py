@@ -43,6 +43,7 @@ from .refine import (
     DEFAULT_SETTINGS,
     IterationSettings,
     TraceStatus,
+    _smallest_count,
     detect_clusters,
     detect_multiplicity,
     iterate_halley_all,
@@ -246,11 +247,25 @@ def _refiner(spec, f, seeds):
     return sorted(units, key=lambda unit: unit[0][0])
 
 
+def _counts_to(f, lam, nu):
+    """True when the smallest undeclined zero count around lam rounds to
+    nu."""
+    counted = _smallest_count(f, lam)
+    return counted is not None and round(counted[0].real) == nu
+
+
 def _refine(spec, f, seeds, errors):
     """One record per group whose refinement converges, with the group's
     seeds as provenance. A group that fails is a single seed, and it
-    leaves an error line. The residual is the one the convergence test
-    passed."""
+    leaves an error line. The residual is the one the stopping test
+    passed.
+
+    A run that stopped at the rounding floor (AT_FLOOR) makes a record
+    only where its multiplicity is known there: detect's probes settled
+    their zero count already, and every other algorithm's final iterate
+    needs a zero count (:func:`_smallest_count`) that rounds to the
+    record's multiplicity. A simple-root step that creeps onto a multiple
+    root therefore leaves an error line, not nu records of one root."""
     try:
         units = _refiner(spec, f, seeds)
     except PolyzerosError as exc:  # only the list build raises here
@@ -263,7 +278,10 @@ def _refine(spec, f, seeds, errors):
         except PolyzerosError as exc:
             errors.append("seed %r: %s" % (seeds[group[0]], exc))
             continue
-        if trace.status is not TraceStatus.CONVERGED:
+        if not (trace.status is TraceStatus.CONVERGED
+                or trace.status is TraceStatus.AT_FLOOR
+                and (spec.algorithm is Algorithm.DETECT
+                     or _counts_to(f, trace.final, nu))):
             notes = " (%s)" % "; ".join(trace.notes) if trace.notes else ""
             errors.append("seed %r: %s%s"
                           % (seeds[group[0]], trace.status.value, notes))

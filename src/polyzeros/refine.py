@@ -11,9 +11,7 @@ alone, point by point, the step or the exception that ends the seed. The
 test-polynomial step Lambda += P_nu(Lambda)*Lambda, whose fixed points
 reveal root multiplicity, keeps its scalar Horner step and runs one seed
 at a time.
-Traces mirror printed iteration tables row by row, and a probe classifier
-separates genuine (quadratic) convergence from the slow linear creep a
-wrong-multiplicity probe produces.
+Traces mirror printed iteration tables row by row.
 
 Multiplicity is counted, not guessed: the argument principle counts the
 zeros on a circle (:func:`count_zeros`), and one probe of the counted
@@ -57,14 +55,6 @@ DEFAULT_STEP_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_DIVERGENCE_FACTOR = 10.0
 
-# A wrong-multiplicity probe contracts linearly with ratio (nu-k)/(nu-k+1)
-# for some k, never below 1/2; ratios at or above SLOW_RATIO sustained for
-# SLOW_KILL_COUNT consecutive steps terminate the iteration early.
-SLOW_RATIO = 0.4
-SLOW_KILL_COUNT = 20
-# Each last significant step of a converged probe shrinks by this ratio.
-PROBE_CONTRACTION = 10.0
-
 ROOT_IDENTITY_REL = 1e-8
 ORIGIN_GUARD_REL = 1e-8
 
@@ -78,6 +68,7 @@ _COUNT_UNITS = tuple(cmath.exp(2j * math.pi * k / COUNT_NODES)
 
 class TraceStatus(enum.Enum):
     CONVERGED = "converged"
+    AT_FLOOR = "at-floor"
     MAX_ITERS = "max-iters"
     DIVERGED = "diverged"
     NUMERICAL_ERROR = "numerical-error"
@@ -117,8 +108,8 @@ class TraceRow:
 @dataclass(frozen=True)
 class IterationTrace:
     """The rows of one iteration and how it ended. ``residual`` is the
-    relative residual the convergence test passed at the final iterate
-    (None unless CONVERGED)."""
+    relative residual the test that ended the run passed at the final
+    iterate (None unless CONVERGED or AT_FLOOR)."""
 
     rows: tuple
     status: TraceStatus
@@ -134,24 +125,28 @@ class IterationTrace:
         return last.lam + last.step
 
 
-def _iteration(seed, residual_fn, settings, divergence_bound):
+def _iteration(seed, residual_fn, floor, settings, divergence_bound):
     """The stopping rule of every refinement iteration, for one seed.
 
     A generator: it yields each iterate and is sent the step taken there,
     or the exception the step kernel found there instead; it returns the
     IterationTrace. Convergence needs two consecutive relatively small
     steps plus a relative residual ``residual_fn(lam)`` at most
-    ``residual_tol``, which the trace keeps; sustained slow step ratios
-    (>= SLOW_RATIO for SLOW_KILL_COUNT steps) end the run as MAX_ITERS;
-    iterates beyond ``divergence_bound``, or whose modulus or step passes
-    the float range, end it as DIVERGED, and an exception ends it as
+    ``residual_tol``. A step that does not halve the previous one ends the
+    run AT_FLOOR when the new iterate's residual is at most ``floor``,
+    Horner's rounding bound. There f is zero to working precision, and the
+    steps are rounding noise (at an ill-conditioned root) or a linear
+    creep with ratio at least 1/2 (at a root of higher multiplicity than
+    the step assumes); a zero count tells the two apart, not the steps.
+    Either test's residual is kept on the trace.
+    Iterates beyond ``divergence_bound``, or whose modulus or step passes
+    the float range, end the run as DIVERGED, and an exception ends it as
     NUMERICAL_ERROR with its text as the note.
     """
     lam = complex(seed)
     rows = []
     prev_small = False
     prev_step_mag = None
-    slow_run = 0
     step_tol = settings.step_tol
     residual_tol = settings.residual_tol
     for _ in range(settings.max_iters):
@@ -167,21 +162,18 @@ def _iteration(seed, residual_fn, settings, divergence_bound):
             small = step_mag <= step_tol * (1.0 + abs(nxt))
         except OverflowError:  # a modulus beyond the float range
             return IterationTrace(tuple(rows), TraceStatus.DIVERGED)
+        residual = None
         if small and prev_small:
             residual = residual_fn(nxt)
             if residual <= residual_tol:
                 return IterationTrace(tuple(rows), TraceStatus.CONVERGED,
                                       residual=residual)
-        if prev_step_mag:
-            ratio = step_mag / prev_step_mag
-            slow_run = slow_run + 1 if ratio >= SLOW_RATIO else 0
-            if slow_run >= SLOW_KILL_COUNT:
-                return IterationTrace(
-                    tuple(rows),
-                    TraceStatus.MAX_ITERS,
-                    ("terminated early: %d consecutive step ratios >= %g"
-                     % (SLOW_KILL_COUNT, SLOW_RATIO),),
-                )
+        if prev_step_mag is not None and 2.0 * step_mag > prev_step_mag:
+            if residual is None:
+                residual = residual_fn(nxt)
+            if residual <= floor:
+                return IterationTrace(tuple(rows), TraceStatus.AT_FLOOR,
+                                      residual=residual)
         prev_small = small
         prev_step_mag = step_mag
         lam = nxt
@@ -190,19 +182,19 @@ def _iteration(seed, residual_fn, settings, divergence_bound):
     return IterationTrace(tuple(rows), TraceStatus.MAX_ITERS)
 
 
-def _run_batch(steps_fn, residual_fn, seeds, settings, root_bound):
+def _run_batch(steps_fn, residual_fn, floor, seeds, settings, root_bound):
     """Refine every seed at once: one IterationTrace per seed, in order.
 
     ``steps_fn(lams)`` gets the current iterates of the seeds still
     running, as a list of complex, and returns their steps in the same
     order: each a complex, or the exception that ends that seed as
     NUMERICAL_ERROR. Each seed runs the stopping rule of
-    :func:`_iteration`, so a seed's trace is the one the same step
-    function gives it alone. Iterates beyond
-    ``divergence_factor * (1 + root_bound)`` diverge.
+    :func:`_iteration` with the rounding ``floor`` of ``residual_fn``, so
+    a seed's trace is the one the same step function gives it alone.
+    Iterates beyond ``divergence_factor * (1 + root_bound)`` diverge.
     """
     divergence_bound = settings.divergence_factor * (1.0 + root_bound)
-    runs = [_iteration(s, residual_fn, settings, divergence_bound)
+    runs = [_iteration(s, residual_fn, floor, settings, divergence_bound)
             for s in seeds]
     lams = [next(run) for run in runs]
     traces = [None] * len(runs)
@@ -289,7 +281,7 @@ def iterate_pade_all(f, seeds, settings=DEFAULT_SETTINGS):
     if f.degree < 1:
         raise ZeroPolynomialError("pade iteration needs degree >= 1")
     return _run_batch(partial(_pade_steps, f), partial(relative_residual, f),
-                     seeds, settings, f.root_bound)
+                      horner_error_bound(f), seeds, settings, f.root_bound)
 
 
 def iterate_halley_all(f, seeds, settings=DEFAULT_SETTINGS):
@@ -298,7 +290,7 @@ def iterate_halley_all(f, seeds, settings=DEFAULT_SETTINGS):
     if f.degree < 2:
         raise ZeroPolynomialError("halley iteration needs degree >= 2")
     return _run_batch(partial(_halley_steps, f), partial(relative_residual, f),
-                     seeds, settings, f.root_bound)
+                      horner_error_bound(f), seeds, settings, f.root_bound)
 
 
 def iterate_pade(f, seed, settings=DEFAULT_SETTINGS):
@@ -359,8 +351,8 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
             return [exc]
         return [(v_lo / v_hi) * lam]
 
-    return _run_batch(steps, partial(relative_residual, f), (seed,),
-                      settings, root_bound)[0]
+    return _run_batch(steps, partial(relative_residual, f),
+                      horner_error_bound(f), (seed,), settings, root_bound)[0]
 
 
 @dataclass(frozen=True)
@@ -376,29 +368,6 @@ class MultiplicityVerdict:
     multiplicity: int
     probes: dict
     count: complex
-
-
-def probe_strictly_converged(trace, settings=DEFAULT_SETTINGS):
-    """True when a probe trace shows genuine (fast) convergence.
-
-    On top of the engine's CONVERGED status the last significant steps
-    (those above the relative step tolerance) must each contract by
-    PROBE_CONTRACTION; a linear creep that merely stalled into the residual
-    test fails this. With at most one significant step the check passes
-    vacuously (the seed was already at the root).
-    """
-    if trace.status is not TraceStatus.CONVERGED:
-        return False
-    significant = [
-        abs(r.step)
-        for r in trace.rows
-        if abs(r.step) > settings.step_tol * (1.0 + abs(r.lam))
-    ]
-    tail = significant[-3:]
-    for a, b in zip(tail, tail[1:]):
-        if a > 0.0 and b / a > 1.0 / PROBE_CONTRACTION:
-            return False
-    return True
 
 
 def count_zeros(f, center, radius):
@@ -443,13 +412,14 @@ def count_zeros(f, center, radius):
 
 def _settles(f, nu, trace, center, radius):
     """True when a nu-probe settles the circle it was counted on: it
-    converged inside the circle to a point where f_0..f_{nu-2} vanish to
-    working precision (relative residuals within ``horner_error_bound(f)``).
+    converged, or stopped at the rounding floor, inside the circle at a
+    point where f_0..f_{nu-2} vanish to working precision (relative
+    residuals within ``horner_error_bound(f)``).
 
     The probe's own convergence only makes f_{nu-1} vanish, which also
     happens between distinct roots whose multiplicities add up to nu.
     """
-    if (trace.status is not TraceStatus.CONVERGED
+    if (trace.status not in (TraceStatus.CONVERGED, TraceStatus.AT_FLOOR)
             or not abs(trace.final - center) < radius):
         return False
     floor = horner_error_bound(f)

@@ -33,7 +33,6 @@ from polyzeros import (
     pade_eval,
     polynomial_from_roots,
     polynomial_matrix,
-    probe_strictly_converged,
     reduced_pade_iterate,
     regula_falsi_step,
     run_pipeline,
@@ -109,8 +108,9 @@ def test_criterion_4_triple_root_detection(cluster_decic):
     assert verdict.multiplicity == 3
     assert abs(verdict.root - cases.CLUSTER_DECIC_ROOT_NU3) <= 1e-12
     for nu in (1, 2):
-        assert not probe_strictly_converged(
-            iterate_test_nu(cluster_decic, nu, cases.CLUSTER_DECIC_SEED_NU3))
+        probe = iterate_test_nu(cluster_decic, nu,
+                                cases.CLUSTER_DECIC_SEED_NU3)
+        assert probe.status is not TraceStatus.CONVERGED
 
 
 def test_criterion_5_singular_lead_characteristic_and_refinement(singular_lead):

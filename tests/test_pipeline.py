@@ -296,7 +296,8 @@ def test_ecp_phase_attaches_diagnostics(quad_quint):
 
 
 def test_erroring_seed_is_recorded_and_skipped(quad_quint):
-    """Plain Pade stalls linearly at the double root, so that seed lands in
+    """Plain Pade creeps linearly onto the double root and stops at the
+    rounding floor, where the zero count is 2, not 1: that seed lands in
     the error list while the simple-root seed still produces a record."""
     spec = ProblemSpec(
         polynomial=quad_quint,
@@ -307,7 +308,7 @@ def test_erroring_seed_is_recorded_and_skipped(quad_quint):
     report = run_pipeline(spec)
     assert len(report.roots) == 1
     np.testing.assert_allclose(report.roots[0].value, -2.0, atol=1e-8)
-    assert any("0.93" in e and "step ratios" in e for e in report.errors)
+    assert "seed (0.93+0j): at-floor" in report.errors
     assert not report.conserved
 
 
@@ -332,15 +333,17 @@ def test_report_that_lost_roots_does_not_pass(quad_quint, tmp_path):
 def test_user_coefficients_keep_their_full_degree():
     """Wilkinson 15's largest coefficient is 6.2e12 times its leading one.
     That leading term is the user's data, not noise to trim, so the report
-    keeps degree 15 and does not pass (plain Pade from the companion seeds
-    stalls at rounding level on most roots and keeps 4 of the 15)."""
+    keeps degree 15. Plain Pade from the companion seeds steps at rounding
+    level on most roots; it stops at the floor there, and the report keeps
+    all 15 roots."""
     f = Polynomial(tuple(float(c) for c in oracles.wilkinson_coeffs(15)))
     report = run_pipeline(ProblemSpec(
         polynomial=f, seed_source=SeedSource.COMPANION,
         algorithm=Algorithm.PADE,
     ))
     assert report.effective_degree == 15
-    assert report.all_residuals_pass is False
+    assert report.conserved
+    assert sum(r.multiplicity for r in report.roots) == 15
 
 
 def test_matrix_problem_attaches_eigenvectors(singular_lead):
@@ -552,8 +555,8 @@ def test_explore_detect_keeps_every_triple_root():
 
 
 def test_divergence_factor_leaves_probe_verdicts_alone(double_quad_sextic):
-    """A looser divergence bound must not make the probe classifier demand
-    a faster contraction and reject every converging probe."""
+    """A looser divergence bound must not change which probes settle their
+    roots."""
     spec = ProblemSpec(polynomial=double_quad_sextic, delta=0.3,
                        settings=IterationSettings(divergence_factor=1000.0))
     report = run_pipeline(spec)
@@ -562,16 +565,40 @@ def test_divergence_factor_leaves_probe_verdicts_alone(double_quad_sextic):
     assert report.all_residuals_pass
 
 
+_MULTIPLE_ROOTS = {
+    "quadruple": [1.0] * 4 + [-2.0],
+    "triple": [0.5] * 3 + [-1.0, 2j, -2j],
+    "double": [1.0] * 2 + [-3.0, 0.25 + 1j],
+}
+_RAYLEIGH_PASSES_THE_TRIPLE = pytest.mark.xfail(
+    strict=True, reason="the list Rayleigh quotient reproduces each of the "
+    "triple root's three seeds, 2e-6 apart, as converged, so three simple "
+    "roots pass; certifying reports by zero counts would fail it (ROADMAP "
+    "item 5)")
+
+
+@pytest.mark.parametrize("name, algorithm", [
+    pytest.param(name, algorithm, marks=(
+        _RAYLEIGH_PASSES_THE_TRIPLE
+        if (name, algorithm) == ("triple", Algorithm.RAYLEIGH) else ()))
+    for name in sorted(_MULTIPLE_ROOTS)
+    for algorithm in (Algorithm.PADE, Algorithm.HALLEY, Algorithm.RAYLEIGH,
+                      Algorithm.REDUCED)])
+def test_simple_root_algorithms_pass_no_multiple_root(name, algorithm):
+    """Only detect names multiplicities. From companion seeds, which split
+    a nu-fold root into nu seeds, every other algorithm either stops at the
+    rounding floor, where the zero count is nu and not 1, or reports nu
+    simple roots; neither report may pass."""
+    report = run_pipeline(ProblemSpec(
+        polynomial=polynomial_from_roots(_MULTIPLE_ROOTS[name]),
+        seed_source=SeedSource.COMPANION, algorithm=algorithm))
+    assert not report.all_residuals_pass
+
+
 def test_seed_at_the_noise_floor_keeps_its_simple_root():
     spec = ProblemSpec(polynomial=Polynomial(cases.MULT_D8_82),
                        seed_source=SeedSource.COMPANION)
     assert run_pipeline(spec).conserved
-
-
-_NEXT_TO_A_TRIPLE = pytest.mark.xfail(
-    strict=True, reason="the nu = 1 probe of a simple root next to a triple "
-    "root stalls, from its group and from its seed alike (rounding-level "
-    "stops, ROADMAP item 4)")
 
 
 @pytest.mark.parametrize("name", [
@@ -579,12 +606,9 @@ _NEXT_TO_A_TRIPLE = pytest.mark.xfail(
     "MULT_D8_32",
     "MULT_D8_82",
     "MULT_D10_29",
-    pytest.param("MULT_D9_8", marks=pytest.mark.xfail(
-        strict=True, reason="the nu = 3 probe from the mean of the triple "
-        "root's seeds steps at rounding level (1e-11) until max-iters, and "
-        "per-seed detect then settles none of its seeds (ROADMAP item 4)")),
-    pytest.param("MULT_D7_31", marks=_NEXT_TO_A_TRIPLE),
-    pytest.param("MULT_D10_74", marks=_NEXT_TO_A_TRIPLE),
+    "MULT_D9_8",
+    "MULT_D7_31",
+    "MULT_D10_74",
 ])
 def test_companion_detect_solves_a_multiple_roots_problem(name):
     """Benchmark problems that per-seed detect fails: every oracle root is
@@ -676,6 +700,11 @@ def _pinned_specs():
 # and an empty error list. Each root lists its group's seeds in seed order,
 # and the triple and quadruple roots take 2 iterations (4 and 5 before).
 # Both roots it had moved by less than 3e-13, within same_root.
+# mult-d8-82 was re-pinned again when every iteration began stopping at
+# the rounding floor. The probe of the simple root at 0.758-0.853j stops
+# there after 2 iterations (4 before, the last two rounding noise); the
+# root moves by 2.2e-12, within same_root, and its residual in the last
+# digits. Everything else is unchanged.
 # sparse-penta was re-pinned when per-seed detect began counting zeros
 # instead of guessing nu-hat. Its diagonal seeds now settle where the
 # nu = 1 probe's walk ends, so six roots take 2 iterations (8 or 9
@@ -700,7 +729,7 @@ PINNED_REPORT_SHA256 = {
     "companion-n20":
         "324e66228d347c7da699a130711418cde7f74eb9290b2c7f843ba2de062ab844",
     "mult-d8-82":
-        "c019854fcd91cf8b52c4ebe70d32165e06f83fab1b438fad4981eb2d5bc99204",
+        "fdc9efb2650127316443d8149526fe894a083e88412ee714099575cdd4464d85",
     "order-14":
         "5107816b4ad0b2fad5f3edac66d1c52741b226a69caf16bf7dfdc5ef761b89ac",
     "rand-d55-63":
