@@ -76,6 +76,7 @@ class NotAnEigenvalueError(PolyzerosError):
     """
 
     def __init__(self, lam, pivot_tol, smallest_pivot, scale):
+        lam = complex(lam)
         super().__init__("%r is not an eigenvalue at pivot tolerance %g"
                          % (lam, pivot_tol))
         self.lam = lam

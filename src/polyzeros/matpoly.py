@@ -6,11 +6,15 @@ circle and solving the interpolation system on roots of unity; a singular
 leading matrix simply drops the effective degree. Eigenvectors come from
 Gauss elimination with row exchanges followed by a Jordan back-elimination
 that exposes the null-space columns directly. It runs on a stack of
-evaluated matrices, one per eigenvalue, at once; each pivot clears its
-column with one masked rank-1 update, and each matrix gets the bits it
-would get alone. A failed extraction reports the smallest pivot it
-accepted, which tells a caller at which looser tolerances the same
-elimination would fail again.
+evaluated matrices at once, each member at its own pivot tolerance; a
+free column moves to the end of its member's columns, so every member's
+k-th pivot sits at (k, k), each pivot clears its column with one masked
+rank-1 update, and each matrix gets the bits it would get alone. A failed
+extraction reports the smallest pivot it accepted, which tells a caller at
+which looser tolerances the same elimination would fail again. Each
+eigenvalue walks a ladder of pivot tolerances, F(lambda) and then its
+transpose per rung, and the ladders of all eigenvalues advance in rounds
+of one stacked elimination each.
 """
 
 import cmath
@@ -214,107 +218,167 @@ def _rank_one_update(block, entries, pivot_rows, pivots, mask):
                 out=block, where=True if mask.all() else mask[:, :, None])
 
 
+def _first_to_last(x):
+    """x with its first entry along the last axis moved to the end."""
+    return np.concatenate((x[..., 1:], x[..., :1]), axis=-1)
+
+
 def _null_space_stack(matrices, pivot_tol):
     """Row-exchange Gauss elimination, then Jordan back-elimination, of
     every member of a stack (B, n, n) at once.
 
-    A column whose best remaining pivot is at most pivot_tol times the
-    member's scale, its largest entry magnitude, is one of the member's
-    free columns; each yields one vector with -1 there, zeros at the other
-    free columns and the back-eliminated ratios at the pivot columns.
-    Returns per member (vectors, pivots, smallest, scale): vectors is None
-    when no column is free, pivots lists the (row, col) positions, and
-    smallest is the smallest accepted pivot magnitude (inf when none). At
-    any tolerance t with smallest > t * scale the elimination makes the
-    same decisions and gives the same result, bit for bit.
+    pivot_tol is one tolerance for the stack or one per member. A column
+    whose best remaining pivot is at most pivot_tol times the member's
+    scale, its largest entry magnitude, is one of the member's free
+    columns; each yields one vector with -1 there, zeros at the other free
+    columns and the back-eliminated ratios at the pivot columns. A free
+    column moves to the end of its member's columns, so every member's
+    k-th pivot sits at (k, k). Returns per member (vectors, pivots,
+    smallest, scale): vectors is None when no column is free, pivots lists
+    the (row, col) positions with col counted in the member's original
+    columns, and smallest is the smallest accepted pivot magnitude (inf
+    when none). At any tolerance t with smallest > t * scale the
+    elimination makes the same decisions and gives the same result, bit
+    for bit.
     """
     a = np.array(matrices, dtype=complex)
     count, n = a.shape[:2]
-    members, rows = np.arange(count), np.arange(n)
+    members = np.arange(count)
     scale = np.maximum(np.max(np.abs(a), axis=(1, 2)), 1e-300)
+    threshold = pivot_tol * scale
     smallest = np.full(count, np.inf)
-    row = np.zeros(count, dtype=int)
-    pivoted = np.zeros((count, n), dtype=bool)
-    for col in range(n):
-        # Rows above a member's next pivot row read -1, below any magnitude.
-        sub = np.where(rows < row[:, None], -1.0, np.abs(a[:, :, col]))
-        best = np.argmax(sub, axis=1)
-        top = sub[members, best]
-        take = ~(top <= pivot_tol * scale)
-        if not take.any():
-            continue
-        np.fmin(smallest, top, out=smallest, where=take)
-        swap = members[take & (best != row)]
+    # Per member, the original column now at each position of a.
+    cols = np.tile(np.arange(n), (count, 1))
+    free_count = np.zeros(count, dtype=int)
+    for k in range(n):
+        # A member is live while it has a column left to test; one whose
+        # column k is free tests the column that moves up in its place.
+        live = test = free_count < n - k
+        while test.any():
+            sub = np.abs(a[:, k:, k])
+            best = np.argmax(sub, axis=1)
+            top = sub[members, best]
+            free = test & (top <= threshold)
+            if free.any():
+                a[free, :, k:] = _first_to_last(a[free, :, k:])
+                cols[free, k:] = _first_to_last(cols[free, k:])
+                free_count += free
+                live = free_count < n - k
+            test = free & live
+        if not live.any():
+            break
+        np.fmin(smallest, top, out=smallest, where=live)
+        swap = members[live & (best != 0)]
         if swap.size:
-            a[swap, row[swap]], a[swap, best[swap]] = (a[swap, best[swap]],
-                                                       a[swap, row[swap]])
-        pivot_rows = a[members, np.minimum(row, n - 1)]
-        start = int(row[take].min()) + 1
-        _rank_one_update(a[:, start:], a[:, start:, col], pivot_rows,
-                         pivot_rows[:, col],
-                         take[:, None] & (rows[start:] > row[:, None]))
-        pivoted[:, col] = take
-        row += take
-    # Per member: its pivot columns in pivot order, then its free columns.
-    cols = np.argsort(~pivoted, axis=1, kind="stable")
-    keep = members[row < n]
-    a, kept, kept_cols = a[keep], row[keep], cols[keep]
-    ids = np.arange(keep.size)
+            below = k + best[swap]
+            a[swap, k], a[swap, below] = a[swap, below], a[swap, k]
+        _rank_one_update(a[:, k + 1:], a[:, k + 1:, k], a[:, k], a[:, k, k],
+                         live[:, None])
+    rank = n - free_count
+    keep = members[rank < n]
+    a, kept = a[keep], rank[keep]
     for k in range(int(kept.max(initial=0)) - 1, 0, -1):
-        _rank_one_update(a[:, :k], a[ids, :k, kept_cols[:, k]], a[:, k],
-                         a[ids, k, kept_cols[:, k]], (kept > k)[:, None])
+        _rank_one_update(a[:, :k], a[:, :k, k], a[:, k], a[:, k, k],
+                         (kept > k)[:, None])
     vectors = [None] * count
-    for i, (member, p, c) in enumerate(zip(keep, kept, kept_cols)):
+    for i, (member, p) in enumerate(zip(keep, kept)):
+        c = cols[member]
         v = vectors[member] = np.zeros((n, n - p), dtype=complex)
         v[c[p:], np.arange(n - p)] = -1.0
-        v[c[:p]] = a[i, :p][:, c[p:]] / a[i, rows[:p], c[:p]][:, None]
+        v[c[:p]] = a[i, :p, p:] / np.diagonal(a[i])[:p, None]
     return [(v, list(enumerate(c[:p].tolist())), float(low), float(size))
-            for v, c, p, low, size in zip(vectors, cols, row, smallest, scale)]
+            for v, c, p, low, size in zip(vectors, cols, rank, smallest, scale)]
 
 
-def _one_side(evaluated, lams, pivot_tol, left):
-    """Right (or, from the transposes, left) EigenvectorBundles of a stack
-    of evaluated F(lam), from one stacked elimination; the
-    NotAnEigenvalueError in place of a member with no free column."""
-    if not len(lams):
-        return []
-    if left:
-        evaluated = evaluated.transpose(0, 2, 1)
-    found = []
-    for matrix, lam, (vectors, _, smallest, scale) in zip(
-            evaluated, lams, _null_space_stack(evaluated, pivot_tol)):
-        if vectors is None:
-            found.append(NotAnEigenvalueError(lam, pivot_tol, smallest, scale))
+def _side_bundle(side, lam, pivot_tol, left, eliminated):
+    """The right (or, from side = F(lam) transposed, left)
+    EigenvectorBundle of one elimination result, or the
+    NotAnEigenvalueError when it found no free column."""
+    vectors, _, smallest, scale = eliminated
+    if vectors is None:
+        return NotAnEigenvalueError(lam, pivot_tol, smallest, scale)
+    residuals = tuple(float(np.max(np.abs(side @ vectors[:, k])))
+                      for k in range(vectors.shape[1]))
+    sides = ((None, vectors, (), residuals) if left
+             else (vectors, None, residuals, ()))
+    return EigenvectorBundle(complex(lam), vectors.shape[1], *sides)
+
+
+def _ladder(ladder):
+    """The pivot ladder of one value, as a generator.
+
+    It yields each elimination it needs as (left, pivot_tol) and is sent
+    its bundle or NotAnEigenvalueError; it returns the pair of bundles
+    (right, left) and the rung it succeeded at, or the last failure and
+    None. Each rung eliminates F(lam), then F(lam) transposed if the right
+    side succeeded. A rung where the last failure would repeat exactly
+    (:meth:`NotAnEigenvalueError.repeated_at`) is skipped: every pivot it
+    accepted lies above the looser threshold, and an extraction that
+    succeeds at one rung succeeds at every looser rung, so the rung would
+    fail with the same error.
+    """
+    failure = None
+    for pivot_tol in ladder:
+        if failure is not None:
+            repeat = failure.repeated_at(pivot_tol)
+            if repeat is not None:
+                failure = repeat
+                continue
+        right = yield False, pivot_tol
+        if isinstance(right, NotAnEigenvalueError):
+            failure = right
             continue
-        residuals = tuple(float(np.max(np.abs(matrix @ vectors[:, k])))
-                          for k in range(vectors.shape[1]))
-        sides = ((None, vectors, (), residuals) if left
-                 else (vectors, None, residuals, ()))
-        found.append(EigenvectorBundle(complex(lam), vectors.shape[1],
-                                       *sides))
+        left = yield True, pivot_tol
+        if isinstance(left, NotAnEigenvalueError):
+            failure = left
+            continue
+        return (right, left), pivot_tol
+    return failure, None
+
+
+def eigenvectors_on_ladder(pm, lams, ladder):
+    """Right and left eigenvectors of F at every value in lams, each value
+    loosening its pivot tolerance along ladder until both sides find a free
+    column (see :func:`_ladder`).
+
+    F(lam) is evaluated once per value. The eliminations run in rounds:
+    every value's next request, whatever its side and tolerance, joins one
+    stacked elimination. Returns per value (found, pivot_tol): the pair of
+    EigenvectorBundles (right, left) and the rung that gave them, or the
+    last NotAnEigenvalueError and None."""
+    evaluated = [eval_matrix(pm, lam) for lam in lams]
+    runs = [_ladder(ladder) for _ in lams]
+    requests = {i: next(run) for i, run in enumerate(runs)}
+    found = [None] * len(runs)
+    while requests:
+        pending, requests = list(requests.items()), {}
+        sides = [evaluated[i].T if left else evaluated[i]
+                 for i, (left, _) in pending]
+        tols = np.array([pivot_tol for _, (_, pivot_tol) in pending])
+        for (i, (left, pivot_tol)), side, eliminated in zip(
+                pending, sides, _null_space_stack(sides, tols)):
+            try:
+                requests[i] = runs[i].send(_side_bundle(
+                    side, lams[i], pivot_tol, left, eliminated))
+            except StopIteration as stop:
+                found[i] = stop.value
     return found
 
 
 def eigenvectors_all(pm, lams, pivot_tol=DEFAULT_PIVOT_TOL):
-    """Right and left eigenvectors of F at every value in lams: one stacked
-    elimination of the F(lam), then one of the F(lam) transposed where the
-    right side found a free column. Returns per value the pair of
-    EigenvectorBundles (right, left), or the NotAnEigenvalueError of the
-    side that found none."""
-    evaluated = np.array([eval_matrix(pm, lam) for lam in lams])
-    found = _one_side(evaluated, lams, pivot_tol, left=False)
-    right = [i for i, b in enumerate(found)
-             if isinstance(b, EigenvectorBundle)]
-    lefts = _one_side(evaluated[right], [lams[i] for i in right], pivot_tol,
-                      left=True)
-    for i, left in zip(right, lefts):
-        found[i] = ((found[i], left) if isinstance(left, EigenvectorBundle)
-                    else left)
-    return found
+    """Right and left eigenvectors of F at every value in lams: the ladder
+    of :func:`eigenvectors_on_ladder` with one rung. Returns per value the
+    pair of EigenvectorBundles (right, left), or the NotAnEigenvalueError
+    of the side that found none."""
+    return [found for found, _ in
+            eigenvectors_on_ladder(pm, lams, (pivot_tol,))]
 
 
 def _batch_of_one(pm, lam, pivot_tol, left):
-    found, = _one_side(eval_matrix(pm, lam)[None], [lam], pivot_tol, left)
+    matrix = eval_matrix(pm, lam)
+    side = matrix.T if left else matrix
+    found = _side_bundle(side, lam, pivot_tol, left,
+                         _null_space_stack([side], pivot_tol)[0])
     if isinstance(found, NotAnEigenvalueError):
         raise found
     return found

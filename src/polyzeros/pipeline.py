@@ -31,12 +31,12 @@ from .ecp import (
     reduced_pade_iterate_all,
     sum_control,
 )
-from .errors import NotAnEigenvalueError, PolyzerosError, ProblemFormatError
+from .errors import PolyzerosError, ProblemFormatError
 from .explore import companion_seed_all, scan_sign_changes
 from .matpoly import (
     characteristic_polynomial,
     diagonal_seeds,
-    eigenvectors_all,
+    eigenvectors_on_ladder,
 )
 from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
 from .refine import (
@@ -350,33 +350,23 @@ def _eigenvector_phase(matrix, records, errors):
     characteristic coefficients. A loosened tolerance is noted; the per
     column residuals in the bundles stay the honest quality measure.
 
-    Each rung is one :func:`eigenvectors_all` call over the records still
-    open: one stacked elimination of their F(lambda), and one of the
-    transposes where the right side succeeded. A record leaves the ladder
-    at its first success, and skips a rung where its last failure would
-    repeat exactly (:meth:`NotAnEigenvalueError.repeated_at`): every pivot
-    it accepted lies above the looser threshold. An extraction that
-    succeeds at one rung succeeds at every looser rung, so the skipped rung
-    would fail with the same error line. Error lines follow record order."""
-    found = [None] * len(records)
-    rung = {}
-    for pivot_tol in EIGENVECTOR_PIVOT_LADDER:
-        found = [r.repeated_at(pivot_tol)
-                 if isinstance(r, NotAnEigenvalueError) else r for r in found]
-        open_ = [i for i, result in enumerate(found) if result is None]
-        values = [records[i].value for i in open_]
-        for i, result in zip(open_, eigenvectors_all(matrix, values,
-                                                     pivot_tol)):
-            found[i], rung[i] = result, pivot_tol
+    Every record walks :data:`EIGENVECTOR_PIVOT_LADDER` through one
+    :func:`eigenvectors_on_ladder` call: F(lambda) is evaluated once per
+    record, and each round eliminates every record's next matrix, F(lambda)
+    or its transpose at the record's own rung, in one stack. A record
+    leaves the ladder at its first success and skips a rung where its last
+    failure would repeat exactly. Error lines follow record order."""
+    found = eigenvectors_on_ladder(matrix, [r.value for r in records],
+                                   EIGENVECTOR_PIVOT_LADDER)
     pairs = []
-    for i, (record, result) in enumerate(zip(records, found)):
-        if not isinstance(result, tuple):
+    for record, (result, rung) in zip(records, found):
+        if rung is None:
             errors.append("eigenvectors at %r: %s" % (record.value, result))
             continue
-        if rung[i] != EIGENVECTOR_PIVOT_LADDER[0]:
+        if rung != EIGENVECTOR_PIVOT_LADDER[0]:
             errors.append(
                 "eigenvectors at %r: pivot tolerance loosened to %g"
-                % (record.value, rung[i])
+                % (record.value, rung)
             )
         right, left = result
         pairs.append(EigenpairRecord(
@@ -477,10 +467,7 @@ def ecp_to_dict(diag):
 def _bundle_columns(vectors):
     if vectors is None:
         return None
-    return [
-        [complex_pair(vectors[i, k]) for i in range(vectors.shape[0])]
-        for k in range(vectors.shape[1])
-    ]
+    return [[[z.real, z.imag] for z in col] for col in vectors.T.tolist()]
 
 
 def eigenpair_to_dict(value, right, left):

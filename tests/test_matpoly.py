@@ -181,6 +181,17 @@ def test_not_an_eigenvalue_raises(pencil5):
         extract_eigenvectors(pencil5, 100.0)
 
 
+def test_not_an_eigenvalue_text_ignores_the_scalar_type(pencil5):
+    """The error names the value as a Python complex, whether the caller
+    passed a numpy scalar, a float or a complex."""
+    texts = {str(found) for lams in ([5 + 0j], np.array([5 + 0j]), [5.0])
+             for found in matpoly.eigenvectors_all(pencil5, lams)}
+    assert texts == {"(5+0j) is not an eigenvalue at pivot tolerance 1e-10"}
+    with pytest.raises(NotAnEigenvalueError) as caught:
+        extract_eigenvectors(pencil5, np.float64(100.0))
+    assert caught.value.lam == 100 and type(caught.value.lam) is complex
+
+
 def test_random_pencil_eigenvectors_match_numpy():
     rng = np.random.default_rng(949)
     hits = 0
@@ -334,6 +345,12 @@ def _mixed_stacks(pencil5, sparse_penta):
     rank_two = doubled.copy()
     rank_two[:, 3] = base[:, 0] - 3.0 * base[:, 1]
     members.append(rank_two)
+    # Free first and last columns: column 0 moves to the end before the
+    # first pivot, and column 3 is free as the last column left to test.
+    ends_free = base.copy()
+    ends_free[:, [0, 3]] = 0.0
+    members.append(ends_free)
+    members.append(np.zeros((4, 4), dtype=complex))
     yield members + inputs[4]
     yield inputs[3] + [np.zeros((3, 3), dtype=complex), base[:3, :3]]
 
@@ -359,6 +376,28 @@ def test_stacked_members_get_their_batch_of_one_bits(pencil5, sparse_penta):
     # The stacks do mix decisions: order 4 alone has members with free
     # column 0, 1, 2 or 3, with free columns 2 and 3, and with none.
     assert len([d for d in decisions if d[0] == 4]) >= 6
+
+
+def test_stacked_members_take_their_own_tolerances(pencil5, sparse_penta):
+    """A stack with one tolerance per member gives each member the bits it
+    gets alone at its own tolerance, which are the row loop's bits."""
+    ladder = (1e-10, 1e-8, 1e-6)
+    for stack in _mixed_stacks(pencil5, sparse_penta):
+        for shift in range(len(ladder)):
+            tols = [ladder[(i + shift) % len(ladder)]
+                    for i in range(len(stack))]
+            results = matpoly._null_space_stack(np.array(stack),
+                                                np.array(tols))
+            for matrix, tol, (got, pivots, smallest, scale) in zip(
+                    stack, tols, results):
+                want, want_pivots, want_smallest, want_scale = _alone(
+                    matrix, tol)
+                loop, loop_pivots, _ = _reference_null_space(matrix, tol)
+                assert pivots == want_pivots == loop_pivots
+                assert (got is None) == (want is None) == (loop is None)
+                if want is not None:
+                    assert got.tobytes() == want.tobytes() == loop.tobytes()
+                assert (smallest, scale) == (want_smallest, want_scale)
 
 
 def _near_singular_inputs(pencil5, sparse_penta):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from polyzeros import (
     Algorithm,
     EigenpairRecord,
     IterationSettings,
+    NotAnEigenvalueError,
     PolyzerosError,
     ProblemFormatError,
     Polynomial,
@@ -519,6 +521,87 @@ def test_pivot_ladder_skips_eliminations_that_would_repeat(monkeypatch):
         _order_14_spec(), monkeypatch)
     assert sum("is not an eigenvalue" in e for e in errors) == 11
     assert skipping < full_ladder
+
+
+def _rung_major_ladder(matrix, records):
+    """The pivot ladder one rung at a time: every open record eliminates
+    F(lambda), then F(lambda) transposed where the right side succeeded,
+    and skips a rung where its last failure would repeat."""
+    failures, done = {}, set()
+    for pivot_tol in pipeline.EIGENVECTOR_PIVOT_LADDER:
+        rights = []
+        for i, record in enumerate(records):
+            if i in done:
+                continue
+            if i in failures:
+                repeat = failures[i].repeated_at(pivot_tol)
+                if repeat is not None:
+                    failures[i] = repeat
+                    continue
+            try:
+                matpoly.extract_eigenvectors(matrix, record.value, pivot_tol)
+            except NotAnEigenvalueError as exc:
+                failures[i] = exc
+            else:
+                rights.append(i)
+        for i in rights:
+            try:
+                matpoly.left_eigenvectors(matrix, records[i].value, pivot_tol)
+            except NotAnEigenvalueError as exc:
+                failures[i] = exc
+            else:
+                done.add(i)
+
+
+def _eliminations(spec, monkeypatch):
+    """What the rung-major reference and the pipeline's ladder eliminate
+    on the records of one report: the multiset of (matrix bytes, side,
+    tolerance) and the number of kernel calls, for each."""
+    records = run_pipeline(spec).roots
+    kernel = matpoly._null_space_stack
+    seen = []
+
+    def recorded(matrices, pivot_tol):
+        # A left side arrives as the transposed view of F(lambda).
+        tols = np.broadcast_to(pivot_tol, (len(matrices),))
+        seen.append([(m.tobytes(),
+                      "right" if m.flags.c_contiguous else "left", float(t))
+                     for m, t in zip(matrices, tols)])
+        return kernel(matrices, pivot_tol)
+
+    runs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(matpoly, "_null_space_stack", recorded)
+        for ladder in (_rung_major_ladder,
+                       lambda m, r: pipeline._eigenvector_phase(m, r, [])):
+            del seen[:]
+            ladder(spec.matrix, records)
+            runs.append((Counter(e for call in seen for e in call),
+                         len(seen)))
+    return runs
+
+
+def test_rounds_eliminate_what_the_rung_major_ladder_does(
+        monkeypatch, sparse_penta, singular_lead):
+    """Running every record's ladder in rounds eliminates the same
+    matrices, sides and tolerances as walking the ladder rung by rung."""
+    for spec in (
+        _order_14_spec(),
+        ProblemSpec(matrix=sparse_penta, seed_source=SeedSource.DIAGONAL),
+        ProblemSpec(matrix=singular_lead, seed_source=SeedSource.COMPANION),
+    ):
+        (want, _), (got, _) = _eliminations(spec, monkeypatch)
+        assert got == want
+        assert {side for _, side, _ in got} == {"right", "left"}
+
+
+def test_rounds_need_fewer_eliminations_than_rungs_times_sides(monkeypatch):
+    """At n = 14 the records sit on different rungs and sides at once;
+    one stacked elimination per round serves them all."""
+    (want, _), (got, calls) = _eliminations(_order_14_spec(), monkeypatch)
+    assert got == want
+    assert len({tol for _, _, tol in got}) == 3
+    assert calls < 2 * len(pipeline.EIGENVECTOR_PIVOT_LADDER)
 
 
 def _order_20_spec():

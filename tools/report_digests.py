@@ -1,10 +1,13 @@
-"""Print the SHA-256 of every report of one benchmark workload.
+"""Print the SHA-256 of every report of some benchmark workloads.
 
     python3 tools/report_digests.py real-scan 7,301,9101
+    python3 tools/report_digests.py matrix-eig,real-scan 7
+    python3 tools/report_digests.py all 7
 
 Run from the repository root; the package is imported from ./src and the
-problem lists from perfbench/. Each line reads ``seed/problem sha256``,
-where the hash is taken over
+problem lists from perfbench/. The first argument names one workload, a
+comma-separated list of them, or ``all``. Each line reads
+``workload seed/problem sha256``, where the hash is taken over
 ``json.dumps(report_to_dict(run_pipeline(spec)), indent=2, sort_keys=True)``,
 the bytes the benchmark times. Run it on two checkouts and diff the output
 to see which reports a change moves.
@@ -24,17 +27,24 @@ from specs import build_spec  # noqa: E402
 
 
 def main(argv):
-    if len(argv) != 2 or argv[0] not in workloads.WORKLOADS:
-        sys.exit("usage: report_digests.py {%s} SEED[,SEED...]"
-                 % ",".join(workloads.WORKLOADS))
-    workload, seeds = argv[0], [int(s) for s in argv[1].split(",")]
-    for seed in seeds:
-        for problem in workloads.generate(workload, seed):
-            report = pz.run_pipeline(build_spec(pz, problem.file))
-            text = json.dumps(pz.report_to_dict(report), indent=2,
-                              sort_keys=True)
-            print("%d/%s %s" % (seed, problem.name,
-                                hashlib.sha256(text.encode()).hexdigest()))
+    usage = ("usage: report_digests.py {all|WORKLOAD[,WORKLOAD...]} "
+             "SEED[,SEED...]\nworkloads: %s" % ",".join(workloads.WORKLOADS))
+    if len(argv) != 2:
+        sys.exit(usage)
+    chosen = (workloads.WORKLOADS if argv[0] == "all"
+              else argv[0].split(","))
+    if not set(chosen) <= set(workloads.WORKLOADS):
+        sys.exit(usage)
+    seeds = [int(s) for s in argv[1].split(",")]
+    for workload in chosen:
+        for seed in seeds:
+            for problem in workloads.generate(workload, seed):
+                report = pz.run_pipeline(build_spec(pz, problem.file))
+                text = json.dumps(pz.report_to_dict(report), indent=2,
+                                  sort_keys=True)
+                print("%s %d/%s %s" % (
+                    workload, seed, problem.name,
+                    hashlib.sha256(text.encode()).hexdigest()))
     return 0
 
 
