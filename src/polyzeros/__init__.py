@@ -33,6 +33,7 @@ from .errors import (
     NotAnEigenvalueError,
     OriginSeedError,
     PolyzerosError,
+    ProbeOverflowError,
     ProblemFormatError,
     RayleighDenominatorError,
     RealScanError,
@@ -95,6 +96,7 @@ from .refine import (
     TraceRow,
     TraceStatus,
     count_zeros,
+    count_zeros_all,
     detect_clusters,
     detect_multiplicity,
     iterate_halley,

@@ -24,6 +24,11 @@ class OriginSeedError(PolyzerosError):
     the polynomial by lambda -> lambda + c and retry."""
 
 
+class ProbeOverflowError(PolyzerosError):
+    """A test polynomial f_k has a coefficient a_j (1 - j)**k beyond the
+    float range, so no probe of order k or higher can run."""
+
+
 class NoMultiplicityError(PolyzerosError):
     """No zero count and probe settled a root, from the seed or from where
     the nu = 1 probe walked from it; the seed is too far from a root."""

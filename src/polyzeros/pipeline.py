@@ -2,7 +2,9 @@
 
 A ProblemSpec bundles one polynomial (scalar or matrix) with a seed source
 and an algorithm choice. The problem polynomial (:func:`spec_polynomial`)
-is the user's coefficients as given, or det F for a matrix problem.
+is the user's coefficients as given, in a new object per solve, or det F
+for a matrix problem. An exact root at 0 (a_0 = 0) is recorded as it is,
+and the other roots are solved for on f / lambda**k (:func:`_zero_root`).
 run_pipeline acquires seeds, refines them in one loop whatever the
 algorithm, merges duplicate roots, and assembles a deterministic report
 ordered lexicographically by (re, im). Pade, Halley and the two list
@@ -38,6 +40,7 @@ from .matpoly import (
     diagonal_seeds,
     eigenvectors_on_ladder,
 )
+from .poly import Polynomial
 from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
 from .refine import (
     DEFAULT_SETTINGS,
@@ -376,11 +379,27 @@ def _eigenvector_phase(matrix, records, errors):
 
 
 def spec_polynomial(spec):
-    """The problem's polynomial: the user's coefficients as given, or det F
-    from :func:`characteristic_polynomial` for a matrix problem."""
+    """The problem's polynomial for one solve: a new Polynomial with the
+    user's coefficients, or det F from :func:`characteristic_polynomial`
+    for a matrix problem. What a solve derives from it and keeps on it
+    (root bound, Horner terms, test polynomials) so goes when the solve
+    ends, and never lands on the spec's own polynomial."""
     if spec.polynomial is not None:
-        return spec.polynomial
+        return Polynomial(spec.polynomial.coeffs)
     return characteristic_polynomial(spec.matrix)
+
+
+def _zero_root(spec, f):
+    """(records, g): when a_0 = ... = a_{k-1} = 0 exactly, lambda = 0 is a
+    root of multiplicity exactly k. It gets a record with residual 0 and
+    no iteration or seed, and g = f / lambda**k holds the other roots, or
+    is None when there are none. Otherwise no record, and g is f."""
+    k = next((j for j, a in enumerate(f.coeffs) if a != 0), 0)
+    if not k:
+        return [], f
+    g = Polynomial(f.coeffs[k:])
+    return [RootRecord(0j, k, 0.0, spec.algorithm, 0, (), spec.seed_source,
+                       True)], g if g.degree else None
 
 
 def run_pipeline(spec):
@@ -390,8 +409,11 @@ def run_pipeline(spec):
         f = spec_polynomial(spec)
     except PolyzerosError as exc:
         return RootReport((), 0, 0, False, False, (str(exc),))
-    seeds = _acquire_seeds(spec, f, errors)
-    records = _dedupe(_refine(spec, f, seeds, errors))
+    records, g = _zero_root(spec, f)
+    if g is not None:
+        seeds = _acquire_seeds(spec, g, errors)
+        records += _refine(spec, g, seeds, errors)
+    records = _dedupe(records)
     ecp_diag = _ecp_phase(f, records, errors) if spec.ecp and records else None
     eigenvectors = ()
     if spec.matrix is not None and records:

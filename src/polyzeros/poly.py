@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DerivativeUnderflowError,
     HalleyDenominatorError,
+    ProbeOverflowError,
     ZeroPolynomialError,
 )
 
@@ -23,6 +24,34 @@ STRUCTURAL_ZERO = 1e-300
 DERIVATIVE_UNDERFLOW = 1e-290
 DEGREE_TRIM_REL = 1e-10
 UNIT_ROUNDOFF = 2.0 ** -53
+
+
+class _kept:
+    """A Polynomial attribute computed on first use and kept on the
+    instance, under the same name, so later reads are plain attribute
+    reads.
+
+    It is kept with ``object.__setattr__``, as the dataclass is frozen.
+    ``functools.cached_property`` writes through ``__dict__``, which on
+    CPython 3.11 takes the instance off the specialised attribute path and
+    slows every later read of ``coeffs``. A solve derives these on its own
+    copy of the problem's polynomial (``pipeline.spec_polynomial``), so
+    none of them outlives it.
+    """
+
+    def __init__(self, make):
+        self.make = make
+        self.__doc__ = make.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, f, owner=None):
+        if f is None:
+            return self
+        value = self.make(f)
+        object.__setattr__(f, self.name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -63,20 +92,33 @@ class Polynomial:
     def is_real(self):
         return all(a.imag == 0.0 for a in self.coeffs)
 
-    @property
+    @_kept
     def root_bound(self):
-        """:func:`fujiwara_root_bound`, computed on first use and kept.
+        """:func:`fujiwara_root_bound`, kept."""
+        return fujiwara_root_bound(self)
 
-        It is kept with ``object.__setattr__``. ``functools.cached_property``
-        writes through ``__dict__``, which on CPython 3.11 takes the instance
-        off the specialised attribute path and slows every later read of
-        ``coeffs``.
-        """
-        try:
-            return self._root_bound
-        except AttributeError:
-            object.__setattr__(self, "_root_bound", fujiwara_root_bound(self))
-            return self._root_bound
+    @_kept
+    def floor(self):
+        """:func:`horner_error_bound`, kept."""
+        return horner_error_bound(self)
+
+    @_kept
+    def terms(self):
+        """The pairs (a_j, |a_j|) from the leading coefficient down, in
+        Horner's order, kept."""
+        return tuple((a, abs(a)) for a in reversed(self.coeffs))
+
+    @_kept
+    def _tests(self):
+        """The test polynomials f_k made so far, by k
+        (:func:`test_polynomial`)."""
+        return {}
+
+    @_kept
+    def _probe_terms(self):
+        """The fused Horner terms of f_{nu-1} and f_nu made so far, by nu
+        (:func:`probe_terms`)."""
+        return {}
 
 
 def polynomial_from_roots(roots, leading=1.0):
@@ -132,15 +174,37 @@ def evaluate(f, lam, order=0):
     return tuple(vals)
 
 
+def power_rows(coeffs, points, order):
+    """Rows k = 0..order of sum_j j (j-1) ... (j-k+1) c_j x**(j-k) at
+    every point x, in the points' dtype: the k-th derivative of the
+    polynomial with ascending coefficients ``coeffs`` (an array).
+
+    Row i of one power matrix holds 1, x_i, ..., x_i**m (``cumprod``), and
+    each row k is its product with the coefficients j (j-1) ... (j-k+1) c_j.
+    The products run point by point without BLAS, so a point's values do
+    not depend on the other points. Overflow gives inf or NaN, silently.
+    """
+    points = np.asarray(points)
+    powers = np.empty((len(points), len(coeffs)), dtype=points.dtype)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = points[:, None]
+    values = np.empty((order + 1, len(points)), dtype=points.dtype)
+    with np.errstate(all="ignore"):
+        np.cumprod(powers, axis=1, out=powers)
+        for k in range(order + 1):
+            values[k] = np.einsum("ij,j->i", powers[:, :len(coeffs)], coeffs)
+            coeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    return values
+
+
 def evaluate_all(f, lams, order=0):
     """f and its first ``order`` derivatives at every point of ``lams``:
     an array of shape (order + 1, len(lams)), row k holding f^(k).
 
-    Row i of one power matrix holds 1, z_i, ..., z_i**m (``cumprod``), and
-    f^(k)(z_i) is its product with the coefficients j (j-1) ... (j-k+1) a_j.
-    The products run point by point without BLAS, so a point's values do
-    not depend on the other points. Each value is good to about
-    gamma_{2m+1} times the magnitude sum of its terms, as Horner's is. A
+    The values come from one complex power matrix (:func:`power_rows`), so
+    a point's values do not depend on the other points. Each value is good
+    to about gamma_{2m+1} times the magnitude sum of its terms, as
+    Horner's is (:func:`power_error_bound` proves a bound for f and f'). A
     point with a value that is not finite (its power row overflowed, say)
     is evaluated with :func:`evaluate` instead, so no point that Horner's
     rule evaluates finitely turns into inf or NaN.
@@ -150,16 +214,7 @@ def evaluate_all(f, lams, order=0):
     if order < 0:
         raise ValueError("order must be >= 0")
     points = np.array(lams, dtype=complex)
-    powers = np.empty((len(points), len(f.coeffs)), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = points[:, None]
-    coeffs = np.array(f.coeffs)
-    values = np.empty((order + 1, len(points)), dtype=complex)
-    with np.errstate(all="ignore"):
-        np.cumprod(powers, axis=1, out=powers)
-        for k in range(order + 1):
-            values[k] = np.einsum("ij,j->i", powers[:, :len(coeffs)], coeffs)
-            coeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    values = power_rows(np.array(f.coeffs), points, order)
     for i in np.flatnonzero(~np.isfinite(values).all(axis=0)):
         values[:, i] = evaluate(f, points[i], order)
     return values
@@ -182,17 +237,17 @@ def relative_residual(f, lam):
     """|f(lam)| / coefficient_scale(f, lam), or 0 when f(lam) is exactly 0.
 
     The one residual used by refinement, seeding and reporting. One loop
-    computes both sums with the operations of :func:`evaluate` and
-    :func:`coefficient_scale`."""
+    over ``f.terms`` computes both sums with the operations of
+    :func:`evaluate` and :func:`coefficient_scale`."""
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     lam = complex(lam)
     r = abs(lam)
     v = 0j
     s = 0.0
-    for a in reversed(f.coeffs):
+    for a, mag in f.terms:
         v = v * lam + a
-        s = s * r + abs(a)
+        s = s * r + mag
     magnitude = abs(v)
     if magnitude == 0.0:
         return 0.0
@@ -206,6 +261,31 @@ def horner_error_bound(f):
     so a point whose :func:`relative_residual` is at most this is a root
     to working precision."""
     k = 2 * f.degree * UNIT_ROUNDOFF
+    return k / (1.0 - k)
+
+
+def power_error_bound(f):
+    """gamma_{4m+1}, u = UNIT_ROUNDOFF and m = deg f: the computed f(z)
+    and f'(z) of :func:`power_rows` are within gamma_{4m+1} times the
+    computed S = sum |a_j| |z|**j and S_1 = sum j |a_j| |z|**(j-1) of the
+    same pass over |a_j| and |z|.
+
+    Proof (Higham, Accuracy and Stability of Numerical Algorithms, lemmas
+    3.1 and 3.5): a complex product is right to sqrt(2) gamma_2 < 3u
+    relative, a complex sum to u, and factors 1 + delta_i with |delta_i|
+    <= k_i u multiply to 1 + theta, |theta| <= gamma_K, K = sum k_i. The
+    term a_j z**j takes j - 1 products in the ``cumprod`` and one with a_j,
+    and any order of summing m + 1 terms puts each through at most m
+    additions: K <= 3j + m <= 4m. The term j a_j z**(j-1) of f' takes one
+    rounding in j a_j, j - 1 products and m - 1 additions: fewer. So f(z)
+    and f'(z) are right to gamma_4m times the exact S and S_1. In the
+    real pass |a_j| and |z| are within an ulp (2u), and each term of S or
+    S_1 gets K <= 4m + 2 from real operations alone, so the exact sums are
+    at most the computed ones over 1 - gamma_{4m+2}. gamma_4m / (1 -
+    gamma_{4m+2}) is below gamma_{4m+1} while 4 (2m + 1)**2 u < 1, for
+    every degree below 2e7.
+    """
+    k = (4 * f.degree + 1) * UNIT_ROUNDOFF
     return k / (1.0 - k)
 
 
@@ -274,15 +354,43 @@ def test_polynomial(f, k):
 
     f_0 is f itself; for every k >= 1 the j=1 coefficient is annihilated.
     The ratio chain P_nu = f_{nu-1}/f_nu isolates nu-fold roots as simple
-    zeros of the associated iteration step.
+    zeros of the associated iteration step. Each f_k is made once and kept
+    on f. A coefficient beyond the float range raises ProbeOverflowError.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return f
-    return Polynomial(
-        tuple(a * complex(1 - j) ** k for j, a in enumerate(f.coeffs))
-    )
+    made = f._tests.get(k)
+    if made is None:
+        try:
+            made = Polynomial(tuple(a * complex(1 - j) ** k
+                                    for j, a in enumerate(f.coeffs)))
+        except (OverflowError, ValueError):  # (1-j)**k or a product overflows
+            raise ProbeOverflowError(
+                "test polynomial f_%d overflows" % k) from None
+        f._tests[k] = made
+    return made
+
+
+def probe_terms(f, nu):
+    """The Horner terms of one fused pass over f_{nu-1} and f_nu, kept on
+    f per nu: (lo_top, hi_top, pairs).
+
+    Trimming can leave the two of different lengths (f_nu of a degree-1 f
+    is a constant): the longer one's extra top coefficients, lo_top or
+    hi_top, run alone first, then ``pairs`` steps both, so each value gets
+    exactly the operations of :func:`evaluate`.
+    """
+    made = f._probe_terms.get(nu)
+    if made is None:
+        lo = test_polynomial(f, nu - 1).coeffs
+        hi = test_polynomial(f, nu).coeffs
+        n = min(len(lo), len(hi))
+        made = (tuple(reversed(lo[n:])), tuple(reversed(hi[n:])),
+                tuple(zip(reversed(lo[:n]), reversed(hi[:n]))))
+        f._probe_terms[nu] = made
+    return made
 
 
 def deflate_horner(f, root):

@@ -21,7 +21,8 @@ precision. The per-seed detector counts on the smallest circle around the
 seed that rounding allows (:func:`detect_multiplicity`). Given
 approximations of all the roots, such as companion-matrix eigenvalues, a
 nu-fold root shows up as a cluster of nu seeds, counted on a circle
-around the cluster's mean (:func:`detect_clusters`).
+around the cluster's mean (:func:`detect_clusters`); every seed's own
+circle is counted in one array pass (:func:`count_zeros_all`).
 """
 
 import cmath
@@ -38,6 +39,7 @@ from .errors import (
     HalleyDenominatorError,
     NoMultiplicityError,
     OriginSeedError,
+    ProbeOverflowError,
     ZeroPolynomialError,
 )
 from .poly import (
@@ -45,7 +47,9 @@ from .poly import (
     UNIT_ROUNDOFF,
     evaluate,
     evaluate_all,
-    horner_error_bound,
+    power_error_bound,
+    power_rows,
+    probe_terms,
     relative_residual,
     test_polynomial,
 )
@@ -64,6 +68,7 @@ ORIGIN_GUARD_REL = 1e-8
 COUNT_NODES = 16
 _COUNT_UNITS = tuple(cmath.exp(2j * math.pi * k / COUNT_NODES)
                      for k in range(COUNT_NODES))
+_COUNT_UNIT_ROW = np.array(_COUNT_UNITS)
 
 
 class TraceStatus(enum.Enum):
@@ -281,7 +286,7 @@ def iterate_pade_all(f, seeds, settings=DEFAULT_SETTINGS):
     if f.degree < 1:
         raise ZeroPolynomialError("pade iteration needs degree >= 1")
     return _run_batch(partial(_pade_steps, f), partial(relative_residual, f),
-                      horner_error_bound(f), seeds, settings, f.root_bound)
+                      f.floor, seeds, settings, f.root_bound)
 
 
 def iterate_halley_all(f, seeds, settings=DEFAULT_SETTINGS):
@@ -290,7 +295,7 @@ def iterate_halley_all(f, seeds, settings=DEFAULT_SETTINGS):
     if f.degree < 2:
         raise ZeroPolynomialError("halley iteration needs degree >= 2")
     return _run_batch(partial(_halley_steps, f), partial(relative_residual, f),
-                      horner_error_bound(f), seeds, settings, f.root_bound)
+                      f.floor, seeds, settings, f.root_bound)
 
 
 def iterate_pade(f, seed, settings=DEFAULT_SETTINGS):
@@ -309,6 +314,8 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
 
     Converges quadratically from nearby seeds exactly when nu equals the
     root's multiplicity; under-probes creep linearly, over-probes move away.
+    Raises ProbeOverflowError when f_nu has a coefficient beyond the float
+    range.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -318,18 +325,9 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
             "seed too close to origin for p_nu; shift the polynomial by "
             "lambda -> lambda + c first"
         )
-    lo = test_polynomial(f, nu - 1).coeffs
-    hi = test_polynomial(f, nu).coeffs
-    if not hi:
+    if test_polynomial(f, nu).is_zero:
         raise ZeroPolynomialError("test polynomial f_%d is identically zero" % nu)
-    # One Horner pass evaluates f_{nu-1} and f_nu together. Trimming can
-    # leave them of different lengths (f_nu of a degree-1 f is a constant):
-    # the longer one's extra top coefficients are run alone first, so each
-    # value gets exactly the operations of evaluate().
-    n = min(len(lo), len(hi))
-    lo_top = tuple(reversed(lo[n:]))
-    hi_top = tuple(reversed(hi[n:]))
-    pairs = tuple(zip(reversed(lo[:n]), reversed(hi[:n])))
+    lo_top, hi_top, pairs = probe_terms(f, nu)
 
     def steps(lams):
         # A batch of one, in scalar Horner: one evaluate_all point costs
@@ -351,8 +349,8 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
             return [exc]
         return [(v_lo / v_hi) * lam]
 
-    return _run_batch(steps, partial(relative_residual, f),
-                      horner_error_bound(f), (seed,), settings, root_bound)[0]
+    return _run_batch(steps, partial(relative_residual, f), f.floor, (seed,),
+                      settings, root_bound)[0]
 
 
 @dataclass(frozen=True)
@@ -385,8 +383,8 @@ def count_zeros(f, center, radius):
     that margin of the rounding floor declines the whole count.
     """
     center = complex(center)
-    floor = horner_error_bound(f)
-    terms = tuple((a, abs(a)) for a in reversed(f.coeffs))
+    floor = f.floor
+    terms = f.terms
     total = 0j
     for unit in _COUNT_UNITS:
         w = radius * unit
@@ -410,6 +408,36 @@ def count_zeros(f, center, radius):
     return total / COUNT_NODES
 
 
+def count_zeros_all(f, centers, radii):
+    """:func:`count_zeros` on every circle (centers[i], radii[i]) in one
+    array pass: a list with each circle's count, or None where it is
+    declined.
+
+    The nodes, the trapezoidal sum and the decline test are
+    count_zeros's. f and f' at all nodes come from one complex power
+    matrix (:func:`poly.power_rows`), and S and S_1 from its real form
+    over |a_j| and |z|. The decline test takes its g from
+    :func:`poly.power_error_bound`, the bound proven for that pass, not
+    Horner's, so it declines some circles near the rounding floor that
+    count_zeros counts. A node whose power row overflows declines its
+    circle. Every product and sum runs circle by circle, so a circle's
+    count does not depend on the other circles in the call.
+    """
+    coeffs = np.array(f.coeffs)
+    radii = np.array(radii, dtype=float)[:, None]
+    w = radii * _COUNT_UNIT_ROW
+    z = np.array(centers, dtype=complex)[:, None] + w
+    with np.errstate(all="ignore"):
+        v, d = power_rows(coeffs, z.ravel(), 1).reshape(2, *z.shape)
+        s, s1 = power_rows(np.abs(coeffs), np.abs(z).ravel(),
+                           1).reshape(2, *z.shape)
+        terms = w * d / v
+        margin = 1.0 + 2.0 * (np.abs(terms) + radii * s1 / s)
+        accepted = (np.abs(v) > power_error_bound(f) * s * margin).all(axis=1)
+        counts = (terms.sum(axis=1) / COUNT_NODES).tolist()
+    return [c if ok else None for c, ok in zip(counts, accepted.tolist())]
+
+
 def _settles(f, nu, trace, center, radius):
     """True when a nu-probe settles the circle it was counted on: it
     converged, or stopped at the rounding floor, inside the circle at a
@@ -422,7 +450,7 @@ def _settles(f, nu, trace, center, radius):
     if (trace.status not in (TraceStatus.CONVERGED, TraceStatus.AT_FLOOR)
             or not abs(trace.final - center) < radius):
         return False
-    floor = horner_error_bound(f)
+    floor = f.floor
     return not any(
         relative_residual(test_polynomial(f, k), trace.final) > floor
         for k in range(nu - 1))
@@ -469,7 +497,7 @@ def _detect_at(f, s, nu_max, settings, probes):
         return None
     try:
         trace = iterate_test_nu(f, nu, s, settings)
-    except ZeroPolynomialError:
+    except (ProbeOverflowError, ZeroPolynomialError):
         return None
     probes[nu] = trace
     if not _settles(f, nu, trace, s, radius):
@@ -528,12 +556,10 @@ _MERGE = "merge"
 _LEAVE_OVER = "leave over"
 
 
-def _settle_group(f, seeds, group, nu_max, settings):
-    """A ClusterVerdict for the group; otherwise _MERGE when its count is
-    declined or is not its size, and _LEAVE_OVER when the count is its
-    size but the probe of that order from the seeds' mean does not settle
-    the circle (:func:`_settles`).
-    """
+def _circle(f, seeds, group):
+    """(center, radius): the circle a group is counted on, around its
+    seeds' mean with radius half the distance to the nearest seed outside
+    it; with no seed outside, a circle that holds every zero."""
     members = [seeds[i] for i in group]
     center = sum(members) / len(members)
     outside = [abs(s - center) for k, s in enumerate(seeds) if k not in group]
@@ -542,7 +568,17 @@ def _settle_group(f, seeds, group, nu_max, settings):
     else:
         # Every zero lies within root_bound of the origin.
         radius = 2.0 * (f.root_bound + abs(center))
-    count = count_zeros(f, center, radius)
+    return center, radius
+
+
+def _settle_group(f, group, circle, count, nu_max, settings):
+    """A ClusterVerdict for the group, counted ``count`` on ``circle``;
+    otherwise _MERGE when the count is declined or is not the group's
+    size, and _LEAVE_OVER when the count is its size but the probe of
+    that order from the seeds' mean does not settle the circle
+    (:func:`_settles`).
+    """
+    center, radius = circle
     nu = len(group)
     if count is None or abs(count - nu) >= 0.5:
         return _MERGE
@@ -550,7 +586,7 @@ def _settle_group(f, seeds, group, nu_max, settings):
         return _LEAVE_OVER
     try:
         trace = iterate_test_nu(f, nu, center, settings)
-    except (OriginSeedError, ZeroPolynomialError):
+    except (OriginSeedError, ProbeOverflowError, ZeroPolynomialError):
         return _LEAVE_OVER
     if not _settles(f, nu, trace, center, radius):
         return _LEAVE_OVER
@@ -564,13 +600,16 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
     A nu-fold root shows up among the eigenvalues of a companion matrix as
     a cluster of nu seeds. Each seed starts as a group of its own, and
     each group is counted on a circle around its mean, with radius half
-    the distance to the nearest seed outside it. When the count rounds to
-    the group's size nu, one probe of order nu runs from the mean, and
-    the group is settled if that probe settles the circle
-    (:func:`_settle_group`). A group whose count is declined, or is not
-    its size, merges with the nearest group not yet settled (single
-    linkage) and is counted again. A group whose probe does not settle it,
-    or that has no group left to merge with, is left over.
+    the distance to the nearest seed outside it (:func:`_circle`). Every
+    seed's own circle is counted before the first group is settled, in one
+    :func:`count_zeros_all` pass; a merged group is counted when it forms
+    (:func:`count_zeros`). When the count rounds to the group's size nu,
+    one probe of order nu runs from the mean, and the group is settled if
+    that probe settles the circle (:func:`_settle_group`). A group whose
+    count is declined, or is not its size, merges with the nearest group
+    not yet settled (single linkage) and is counted again. A group whose
+    probe does not settle it, or that has no group left to merge with, is
+    left over.
 
     Returns (verdicts, leftover): the ClusterVerdicts in the order they
     were settled and the leftover seed indices, ascending. The caller runs
@@ -581,12 +620,20 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
     if nu_max < 1:
         raise ValueError("nu_max must be >= 1")
     seeds = [complex(s) for s in seeds]
+    circles = [_circle(f, seeds, (i,)) for i in range(len(seeds))]
+    counts = count_zeros_all(f, [c for c, _ in circles],
+                             [r for _, r in circles])
     queue = [(i,) for i in range(len(seeds))]
     verdicts = []
     leftover = []
     while queue:
         group = queue.pop(0)
-        outcome = _settle_group(f, seeds, group, nu_max, settings)
+        if len(group) == 1:
+            circle, count = circles[group[0]], counts[group[0]]
+        else:
+            circle = _circle(f, seeds, group)
+            count = count_zeros(f, *circle)
+        outcome = _settle_group(f, group, circle, count, nu_max, settings)
         if isinstance(outcome, ClusterVerdict):
             verdicts.append(outcome)
         elif outcome is _MERGE and queue:

@@ -6,6 +6,7 @@ agreement between the two sides is meaningful.
 """
 
 import math
+from fractions import Fraction
 
 
 def eval_terms(coeffs, lam):
@@ -24,6 +25,19 @@ def eval_derivative_terms(coeffs, lam, order):
             fall *= j - i
         total += a * fall * lam ** (j - order)
     return total
+
+
+def exact_derivative(coeffs, lam, order):
+    """The order-th derivative at lam in rational arithmetic, exactly, as
+    a (re, im) pair of Fractions."""
+    x, y = Fraction(lam.real), Fraction(lam.imag)
+    re = im = Fraction(0)
+    for j in range(len(coeffs) - 1, order - 1, -1):
+        fall = math.prod(range(j - order + 1, j + 1))
+        a = complex(coeffs[j])
+        ar, ai = fall * Fraction(a.real), fall * Fraction(a.imag)
+        re, im = re * x - im * y + ar, re * y + im * x + ai
+    return re, im
 
 
 def convolve_coeffs(a, b):

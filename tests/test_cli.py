@@ -197,6 +197,33 @@ def test_failing_seed_source_is_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_solve_reports_a_probe_whose_test_polynomial_overflows(tmp_path,
+                                                               capsys):
+    """(lambda - 1)**150 (lambda + 2) from companion seeds: per-seed
+    detect counts all 151 zeros around a seed, and (1 - j)**150 overflows
+    in the test polynomial of that probe. solve writes a report, prints
+    no traceback and exits 1."""
+    coeffs = np.polynomial.polynomial.polyfromroots([1.0] * 150 + [-2.0])
+    path = _write(tmp_path, "overflow.json", {
+        "kind": "polynomial", "coefficients": coeffs.tolist(),
+        "seed_source": "companion"})
+    out = tmp_path / "r.json"
+    assert main(["solve", path, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["conserved"] is False
+    assert capsys.readouterr().err == ""
+
+
+def test_solve_keeps_an_exact_root_at_zero(tmp_path):
+    path = _write(tmp_path, "cubic.json", {
+        "kind": "polynomial", "coefficients": [0.0, -1.0, 0.0, 1.0]})
+    out = tmp_path / "r.json"
+    assert main(["solve", path, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [r["value"] for r in report["roots"]] == [
+        [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
 def test_solve_is_byte_deterministic(tmp_path):
     problem = _example1_file(tmp_path, delta=0.3)
     out1 = tmp_path / "a.json"

@@ -749,6 +749,82 @@ def test_pipeline_is_deterministic(double_quad_sextic):
     assert first == second
 
 
+def test_a_spec_solved_twice_keeps_nothing_derived(monkeypatch):
+    """A solve derives the root bound, Horner's floor and terms, the test
+    polynomials and the probe terms once, on its own copy of the
+    polynomial: the same spec solves to the same bytes twice, each solve
+    computes the root bound and the floor once, and the spec's polynomial
+    carries only its coefficients afterwards."""
+    from polyzeros import poly
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(poly, name)
+
+        def wrapper(f):
+            calls[name] += 1
+            return original(f)
+        return wrapper
+
+    for name in ("fujiwara_root_bound", "horner_error_bound"):
+        monkeypatch.setattr(poly, name, counted(name))
+    for spec in (ProblemSpec(polynomial=Polynomial(cases.MULT_D8_82),
+                             seed_source=SeedSource.COMPANION),
+                 ProblemSpec(polynomial=Polynomial(cases.DOUBLE_QUAD_SEXTIC),
+                             delta=0.3)):
+        texts = []
+        for _ in range(2):
+            calls.clear()
+            texts.append(json.dumps(report_to_dict(run_pipeline(spec)),
+                                    sort_keys=True))
+            assert calls == {"fujiwara_root_bound": 1,
+                             "horner_error_bound": 1}
+        assert texts[0] == texts[1]
+        assert vars(spec.polynomial) == {"coeffs": spec.polynomial.coeffs}
+
+
+@pytest.mark.parametrize("coeffs, source, want", [
+    ((0.0, -1.0, 0.0, 1.0), SeedSource.EXPLORE, [(-1, 1), (0, 1), (1, 1)]),
+    ((0.0, -1.0, 0.0, 1.0), SeedSource.COMPANION, [(-1, 1), (0, 1), (1, 1)]),
+    ((0.0, 0.0, -2.0, 1.0), SeedSource.EXPLORE, [(0, 2), (2, 1)]),
+    ((0.0, 0.0, -2.0, 1.0), SeedSource.COMPANION, [(0, 2), (2, 1)]),
+    ((0.0, 0.0, 0.0, -1.5, 1.0), SeedSource.EXPLORE, [(0, 3), (1.5, 1)]),
+    ((0.0, 0.0, 0.0, -1.5, 1.0), SeedSource.COMPANION, [(0, 3), (1.5, 1)]),
+    ((0.0, 0.0, 0.0, 2.0), SeedSource.COMPANION, [(0, 3)]),
+])
+def test_exact_root_at_zero_is_recorded_with_its_multiplicity(coeffs, source,
+                                                              want):
+    """a_0 = ... = a_{k-1} = 0 makes lambda = 0 a root of multiplicity
+    exactly k. The nu-probe cannot start at its seed 0, so it is recorded
+    as it is, with residual 0 and no iteration, and the other roots come
+    from a_k..a_m."""
+    report = run_pipeline(ProblemSpec(polynomial=Polynomial(coeffs),
+                                      seed_source=source))
+    assert [(r.value, r.multiplicity) for r in report.roots] == pytest.approx(
+        [(complex(v), m) for v, m in want], abs=1e-12)
+    zero = next(r for r in report.roots if r.value == 0)
+    assert (zero.residual, zero.iterations, zero.seeds) == (0.0, 0, ())
+    assert report.errors == ()
+    assert report.conserved and report.all_residuals_pass
+
+
+def test_probe_whose_test_polynomial_overflows_leaves_an_error_line():
+    """(lambda - 1)**140 (lambda + 2) from companion seeds: no group
+    settles, and around each seed per-seed detect's first undeclined count
+    is the whole degree, 141, whose probe needs f_141, beyond the float
+    range. Each of those seeds gets an error line, nothing raises out of
+    run_pipeline, and the report does not pass."""
+    f = polynomial_from_roots([1.0] * 140 + [-2.0])
+    report = run_pipeline(ProblemSpec(polynomial=f,
+                                      seed_source=SeedSource.COMPANION))
+    assert not report.conserved and not report.all_residuals_pass
+    assert any(same_root(r.value, -2.0) for r in report.roots)
+    assert report.errors[-1] == ("multiplicity sum %d does not match "
+                                 "effective degree 141"
+                                 % report.multiplicity_sum)
+
+
 def _pinned_specs():
     return {
         "mult-d8-82": ProblemSpec(polynomial=Polynomial(cases.MULT_D8_82),

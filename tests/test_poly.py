@@ -1,6 +1,7 @@
 """Coefficient-level operations: evaluation, derived polynomials, deflation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from polyzeros import (
     DerivativeUnderflowError,
     Polynomial,
+    ProbeOverflowError,
     ZeroPolynomialError,
     coefficient_scale,
     deflate_horner,
@@ -23,7 +25,7 @@ from polyzeros import (
     relative_residual,
 )
 from polyzeros import test_polynomial as derived_polynomial
-from polyzeros.poly import UNIT_ROUNDOFF
+from polyzeros.poly import UNIT_ROUNDOFF, power_error_bound, power_rows
 
 EVAL_RTOL = 1e-12
 DEFLATE_RTOL = 1e-13
@@ -267,6 +269,63 @@ def _derivative_scale(f, lam, k):
     r = abs(complex(lam))
     return sum(math.perm(j, k) * abs(a) * r ** (j - k)
                for j, a in enumerate(f.coeffs) if j >= k)
+
+
+@pytest.mark.parametrize("n, k, cause", [(140, 137, ValueError),
+                                         (150, 150, OverflowError)])
+def test_test_polynomial_overflow_is_a_probe_overflow_error(n, k, cause):
+    """(lambda - 1)**n (lambda + 2): at n = 140 the product a_j (1-j)**k
+    passes the float range, at n = 150 and k = 150 the power (1-j)**k
+    itself does. Both are a ProbeOverflowError, not a ValueError or an
+    OverflowError."""
+    f = polynomial_from_roots([1.0] * n + [-2.0])
+    with pytest.raises(ProbeOverflowError, match="f_%d overflows" % k) as info:
+        derived_polynomial(f, k)
+    assert isinstance(info.value.__context__, cause)
+    assert not isinstance(info.value, (ValueError, OverflowError))
+
+
+def test_test_polynomials_are_made_once_per_polynomial():
+    f = Polynomial((3.0, 5.0, 7.0, 2.0))
+    assert derived_polynomial(f, 2) is derived_polynomial(f, 2)
+    assert derived_polynomial(Polynomial(f.coeffs), 2) == \
+        derived_polynomial(f, 2)
+
+
+def _within(computed, exact, bound):
+    dr = Fraction(computed.real) - exact[0]
+    di = Fraction(computed.imag) - exact[1]
+    return dr * dr + di * di <= Fraction(bound) ** 2
+
+
+def test_power_error_bound_holds_against_exact_values():
+    """power_rows's f and f' lie within power_error_bound(f) times the
+    computed magnitude sums S and S_1 of its real pass, against rational
+    arithmetic: on random coefficients at random points, and on
+    polynomials with clustered roots at points beside the cluster, where
+    the values are all rounding."""
+    rng = np.random.default_rng(1915)
+    polys = []
+    for m in range(1, 25):
+        coeffs = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+        points = rng.uniform(0.2, 2.0, 6) * np.exp(
+            2j * np.pi * rng.uniform(size=6))
+        polys.append((Polynomial(tuple(coeffs)), points))
+        root = complex(rng.normal(), rng.normal())
+        cluster = polynomial_from_roots([root] * min(m, 4) + list(
+            rng.normal(size=m - min(m, 4))))
+        polys.append((cluster, root + 1e-5 * np.exp(
+            2j * np.pi * rng.uniform(size=6))))
+    for f, points in polys:
+        coeffs = np.array(f.coeffs)
+        v, d = power_rows(coeffs, np.asarray(points), 1)
+        s, s1 = power_rows(np.abs(coeffs), np.abs(points), 1)
+        g = power_error_bound(f)
+        for i, z in enumerate(points.tolist()):
+            assert _within(v[i], oracles.exact_derivative(f.coeffs, z, 0),
+                           g * s[i])
+            assert _within(d[i], oracles.exact_derivative(f.coeffs, z, 1),
+                           g * s1[i])
 
 
 def test_array_values_agree_with_horner():

@@ -16,6 +16,7 @@ from polyzeros import (
     TraceStatus,
     companion_seed_all,
     count_zeros,
+    count_zeros_all,
     detect_clusters,
     detect_multiplicity,
     evaluate,
@@ -384,6 +385,97 @@ def test_count_declines_a_circle_at_the_rounding_floor():
     center = sum(cluster) / 4
     radius = 0.5 * min(abs(s - center) for s in seeds if s not in cluster)
     assert abs(count_zeros(f, center, radius) - 4.0) <= 1e-3
+
+
+def _sweep_circles(seed, polynomials):
+    """(f, centers, radii): random polynomials with roots of
+    multiplicity 1 to 3, with nine circles at each companion seed whose
+    radii run from 1e-6 to 3 times the gap to the nearest other seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(polynomials):
+        mult = rng.integers(1, 4, size=int(rng.integers(2, 6))).tolist()
+        roots = [complex(rng.normal(), rng.normal()) for _ in mult]
+        f = polynomial_from_roots([r for r, m in zip(roots, mult)
+                                   for _ in range(m)])
+        seeds = companion_seed_all(f).values
+        centers, radii = [], []
+        for i, s in enumerate(seeds):
+            gap = min(abs(t - s) for j, t in enumerate(seeds) if j != i)
+            for r in np.geomspace(1e-6, 3.0 * gap, 9).tolist():
+                centers.append(s)
+                radii.append(r)
+        yield f, centers, radii
+
+
+def test_array_count_rounds_as_the_scalar_count_on_every_circle_it_counts():
+    """Wherever count_zeros_all counts a circle, count_zeros counts it too
+    and rounds to the same number of zeros. The array pass's proven floor
+    (power_error_bound, gamma_{4m+1}) is about twice Horner's gamma_2m, so
+    on circles whose nodes come within that factor of the rounding floor
+    around a multiple root, the array pass declines where the scalar count
+    does not; it declines nothing else."""
+    agree = array_only_declines = both_decline = 0
+    for f, centers, radii in _sweep_circles(2020, 40):
+        batch = count_zeros_all(f, centers, radii)
+        for c, r, got in zip(centers, radii, batch):
+            want = count_zeros(f, c, r)
+            if got is None:
+                if want is None:
+                    both_decline += 1
+                else:
+                    array_only_declines += 1
+                continue
+            assert want is not None
+            assert round(got.real) == round(want.real)
+            agree += 1
+    # 2,709 circles: 803 counted alike, 1,777 declined by both, 129 by the
+    # array pass alone.
+    assert agree > 500 and both_decline > 500
+    assert array_only_declines < agree / 4
+
+
+def test_array_count_of_a_circle_does_not_depend_on_the_batch():
+    for f, centers, radii in _sweep_circles(4040, 10):
+        batch = count_zeros_all(f, centers, radii)
+        for c, r, got in zip(centers, radii, batch):
+            assert count_zeros_all(f, [c], [r]) == [got]
+        assert count_zeros_all(f, centers[::-1], radii[::-1]) == batch[::-1]
+    assert count_zeros_all(f, [], []) == []
+
+
+def test_array_count_declines_a_circle_whose_powers_overflow():
+    """Horner evaluates this quadratic finitely at 1e160, where its power
+    1e320 overflows; the array pass declines rather than use a value it
+    has no bound for."""
+    f = Polynomial((1.0, 0.0, 1e-290))
+    assert count_zeros_all(f, [1e160, 0.0], [1.0, 1.0]) == [
+        None, count_zeros_all(f, [0.0], [1.0])[0]]
+
+
+MULTIPLE_ROOT_CASES = sorted(name for name in dir(cases)
+                             if name.startswith("MULT_D")
+                             and name.count("_") == 2)
+
+
+@pytest.mark.parametrize("name", MULTIPLE_ROOT_CASES)
+def test_singleton_table_settles_as_counting_one_singleton_at_a_time(
+        name, monkeypatch):
+    """detect_clusters counts every singleton circle in one
+    count_zeros_all pass; counting each with count_zeros instead gives
+    the same verdicts, probes and leftovers, and counts that round alike."""
+    f = Polynomial(getattr(cases, name))
+    seeds = companion_seed_all(f).values
+
+    def settled():
+        verdicts, leftover = detect_clusters(Polynomial(f.coeffs), seeds)
+        return ([(v.seeds, v.center, v.radius, round(v.count.real), v.root,
+                  v.multiplicity, v.probe) for v in verdicts], leftover)
+
+    table = settled()
+    monkeypatch.setattr(refine, "count_zeros_all", lambda f, centers, radii: [
+        count_zeros(f, c, r) for c, r in zip(centers, radii)])
+    assert settled() == table
+    assert table[0]
 
 
 def test_probe_that_escapes_its_circle_leaves_its_seed_over():

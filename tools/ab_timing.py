@@ -1,0 +1,163 @@
+"""Time two trees of the package against each other in one process.
+
+    python3 tools/ab_timing.py BASE CHANGE WORKLOAD[,WORKLOAD...] SEED[,SEED...] [REPS]
+    python3 tools/ab_timing.py ../parent . multiple-roots,real-scan 301,4242 7
+
+BASE and CHANGE are directories that each hold ``src/polyzeros``. Both
+are imported, as the packages ``polyzeros_base`` and
+``polyzeros_change``, and the problem lists come from this repository's
+``perfbench/``. The first workload argument may be ``all``. BLAS runs on
+one thread, as in the benchmark.
+
+Every problem is solved REPS times (default 5) by each tree, the two
+alternating: base first on even rounds, change first on odd ones. Each
+solve gets a spec built fresh from the problem file, as ``polyzeros
+solve`` parses one, so nothing a solve derives and keeps is reused. The
+timed unit is the benchmark's own ``solve`` (``run_pipeline``,
+``report_to_dict`` and ``json.dumps(indent=2, sort_keys=True)`` under its
+per-problem deadline). The time spent in ``detect_clusters`` is also
+summed per side, since the benchmark's tracer does not span it.
+
+Per workload the tool prints, for each side, the p50 and p90 over the
+problems of each problem's median solve time, their total, the
+``detect_clusters`` total, and how many report texts differ between the
+trees (each problem's first solve). The last line is the same as JSON.
+The exit status is 1 when any report differs.
+"""
+
+import importlib.util
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench")]
+
+# The benchmark launcher pins BLAS to one thread when imported, so it
+# comes before anything that loads numpy.
+import run  # noqa: E402
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+from specs import build_spec  # noqa: E402
+
+SIDES = ("base", "change")
+DEFAULT_REPS = 5
+
+
+def load_tree(tree, name):
+    """Import ``tree``/src/polyzeros as the package ``name``."""
+    init = Path(tree).resolve() / "src" / "polyzeros" / "__init__.py"
+    if not init.is_file():
+        sys.exit("ab_timing: no package source at %s" % init.parent)
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class StageClock:
+    """Sums the time of every call to the ``detect_clusters`` that the
+    package's pipeline binds, while installed."""
+
+    def __init__(self, pz):
+        self.pipeline = pz.pipeline
+        self.original = pz.pipeline.detect_clusters
+        self.seconds = 0.0
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return self.original(*args, **kwargs)
+            finally:
+                self.seconds += time.perf_counter() - t0
+        self.timed = timed
+
+    def __enter__(self):
+        self.pipeline.detect_clusters = self.timed
+        return self
+
+    def __exit__(self, *exc):
+        self.pipeline.detect_clusters = self.original
+
+
+def solve(pz, problem):
+    """(ms, outcome) of one fresh-spec solve; the outcome is the report
+    text, or the status of a solve that raised or missed its deadline."""
+    spec = build_spec(pz, problem.file)
+    t0 = time.perf_counter()
+    outcome = run.solve(pz, spec)
+    return (time.perf_counter() - t0) * 1e3, outcome.text or outcome.status
+
+
+def run_workload(packages, workload, seeds, reps):
+    problems = [(seed, p) for seed in seeds
+                for p in workloads.generate(workload, seed)]
+    times = {side: [[] for _ in problems] for side in SIDES}
+    texts = {side: [None] * len(problems) for side in SIDES}
+    clocks = {side: StageClock(packages[side]) for side in SIDES}
+    for rep in range(reps):
+        for i, (_, problem) in enumerate(problems):
+            order = SIDES if (rep + i) % 2 == 0 else SIDES[::-1]
+            for side in order:
+                with clocks[side]:
+                    ms, text = solve(packages[side], problem)
+                times[side][i].append(ms)
+                if texts[side][i] is None:
+                    texts[side][i] = text
+    result = {"problems": len(problems), "reps": reps}
+    for side in SIDES:
+        per_problem = [statistics.median(t) for t in times[side]]
+        result[side] = {
+            "p50_ms": round(float(np.percentile(per_problem, 50)), 4),
+            "p90_ms": round(float(np.percentile(per_problem, 90)), 4),
+            "total_ms": round(sum(per_problem), 2),
+            "detect_clusters_ms": round(clocks[side].seconds * 1e3 / reps, 2),
+        }
+    differ = [("%d/%s" % (seed, p.name)) for (seed, p), a, b in zip(
+        problems, texts["base"], texts["change"]) if a != b]
+    result["reports_differ"] = differ
+    return result
+
+
+def main(argv):
+    usage = ("usage: ab_timing.py BASE CHANGE {all|WORKLOAD[,WORKLOAD...]} "
+             "SEED[,SEED...] [REPS]\nworkloads: %s"
+             % ",".join(workloads.WORKLOADS))
+    if len(argv) not in (4, 5):
+        sys.exit(usage)
+    chosen = (workloads.WORKLOADS if argv[2] == "all"
+              else argv[2].split(","))
+    if not set(chosen) <= set(workloads.WORKLOADS):
+        sys.exit(usage)
+    seeds = [int(s) for s in argv[3].split(",")]
+    reps = int(argv[4]) if len(argv) == 5 else DEFAULT_REPS
+    if reps < 1:
+        sys.exit(usage)
+    packages = {side: load_tree(tree, "polyzeros_" + side)
+                for side, tree in zip(SIDES, argv[:2])}
+    results = {}
+    for workload in chosen:
+        r = run_workload(packages, workload, seeds, reps)
+        results[workload] = r
+        print("%s: %d problems x %d reps, seeds %s"
+              % (workload, r["problems"], reps, argv[3]))
+        for side in SIDES:
+            s = r[side]
+            print("  %-6s p50 %8.3f ms  p90 %8.3f ms  total %9.1f ms  "
+                  "detect_clusters %8.1f ms" % (
+                      side, s["p50_ms"], s["p90_ms"], s["total_ms"],
+                      s["detect_clusters_ms"]))
+        print("  reports differ: %d%s" % (
+            len(r["reports_differ"]),
+            " (%s)" % ", ".join(r["reports_differ"][:10])
+            if r["reports_differ"] else ""))
+    print(json.dumps(results, sort_keys=True))
+    return 1 if any(r["reports_differ"] for r in results.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
