@@ -33,7 +33,7 @@ from .errors import (
     RayleighDenominatorError,
     ZeroPolynomialError,
 )
-from .poly import evaluate, relative_residual
+from .poly import evaluate, horner_error_bound, relative_residual
 from .refine import DEFAULT_SETTINGS, _run_batch
 
 SEPARATION_REL = 1e-12
@@ -191,7 +191,7 @@ def _list_steps(rayleigh, sigmas, defects, f, lams):
                               * (1.0 + np.abs(sigmas)))
         if len(near):
             sigma = complex(sigmas[near[0]])
-            if relative_residual(f, sigma) <= f.floor:
+            if relative_residual(f, sigma) <= horner_error_bound(f):
                 steps[i] = 0j
             else:
                 steps[i] = RayleighDenominatorError(
@@ -208,7 +208,7 @@ def _iterate_list(rayleigh, lst, f, seeds, settings):
     sigmas = np.array(lst.sigmas, dtype=complex)
     defects = np.array(lst.defects, dtype=complex)
     return _run_batch(partial(_list_steps, rayleigh, sigmas, defects, f),
-                      partial(relative_residual, f), f.floor,
+                      partial(relative_residual, f), horner_error_bound(f),
                       seeds, settings, f.root_bound)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     RealScanError,
     ZeroPolynomialError,
 )
-from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF
+from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF, horner_error_bound
 from .poly import pade_eval, relative_residual
 from .refine import IterationTrace, TraceRow, TraceStatus
 
@@ -163,7 +163,7 @@ def scan_sign_changes(f, delta):
             "external seeds or the fallback seed provider" % (bound, delta)
         )
     steps = max(2, int(math.ceil(bound / delta)) + 1)
-    floor = f.floor
+    floor = horner_error_bound(f)
     lams = np.arange(-steps, steps + 1) * delta
     p, guarded = _pade_on_grid(f, lams)
     p[guarded] = np.nan

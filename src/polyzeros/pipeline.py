@@ -392,14 +392,31 @@ def spec_polynomial(spec):
 def _zero_root(spec, f):
     """(records, g): when a_0 = ... = a_{k-1} = 0 exactly, lambda = 0 is a
     root of multiplicity exactly k. It gets a record with residual 0 and
-    no iteration or seed, and g = f / lambda**k holds the other roots, or
-    is None when there are none. Otherwise no record, and g is f."""
+    no iteration or seed (:func:`_take_zero_seeds` may give it seeds), and
+    g = f / lambda**k holds the other roots, or is None when there are
+    none. Otherwise no record, and g is f."""
     k = next((j for j, a in enumerate(f.coeffs) if a != 0), 0)
     if not k:
         return [], f
     g = Polynomial(f.coeffs[k:])
     return [RootRecord(0j, k, 0.0, spec.algorithm, 0, (), spec.seed_source,
                        True)], g if g.degree else None
+
+
+def _take_zero_seeds(record, seeds, degree):
+    """The zero root's record and the seeds left for g, when the seeds
+    were not made from g (external or diagonal ones). The seeds beyond
+    g's degree, at most the zero root's multiplicity of them, those
+    nearest 0, go to the record: refined on g they would converge to its
+    other roots, and the interpolation list of rayleigh and reduced needs
+    exactly deg g seeds."""
+    surplus = min(record.multiplicity, len(seeds) - degree)
+    if surplus <= 0:
+        return record, seeds
+    nearest = sorted(range(len(seeds)), key=lambda k: abs(seeds[k]))[:surplus]
+    taken = tuple(dict.fromkeys(complex(seeds[k]) for k in sorted(nearest)))
+    rest = tuple(s for k, s in enumerate(seeds) if k not in nearest)
+    return replace(record, seeds=taken), rest
 
 
 def run_pipeline(spec):
@@ -412,6 +429,9 @@ def run_pipeline(spec):
     records, g = _zero_root(spec, f)
     if g is not None:
         seeds = _acquire_seeds(spec, g, errors)
+        if records and spec.seed_source in (SeedSource.EXTERNAL,
+                                            SeedSource.DIAGONAL):
+            records[0], seeds = _take_zero_seeds(records[0], seeds, g.degree)
         records += _refine(spec, g, seeds, errors)
     records = _dedupe(records)
     ecp_diag = _ecp_phase(f, records, errors) if spec.ecp and records else None

@@ -98,11 +98,6 @@ class Polynomial:
         return fujiwara_root_bound(self)
 
     @_kept
-    def floor(self):
-        """:func:`horner_error_bound`, kept."""
-        return horner_error_bound(self)
-
-    @_kept
     def terms(self):
         """The pairs (a_j, |a_j|) from the leading coefficient down, in
         Horner's order, kept."""

@@ -47,6 +47,7 @@ from .poly import (
     UNIT_ROUNDOFF,
     evaluate,
     evaluate_all,
+    horner_error_bound,
     power_error_bound,
     power_rows,
     probe_terms,
@@ -286,7 +287,7 @@ def iterate_pade_all(f, seeds, settings=DEFAULT_SETTINGS):
     if f.degree < 1:
         raise ZeroPolynomialError("pade iteration needs degree >= 1")
     return _run_batch(partial(_pade_steps, f), partial(relative_residual, f),
-                      f.floor, seeds, settings, f.root_bound)
+                      horner_error_bound(f), seeds, settings, f.root_bound)
 
 
 def iterate_halley_all(f, seeds, settings=DEFAULT_SETTINGS):
@@ -295,7 +296,7 @@ def iterate_halley_all(f, seeds, settings=DEFAULT_SETTINGS):
     if f.degree < 2:
         raise ZeroPolynomialError("halley iteration needs degree >= 2")
     return _run_batch(partial(_halley_steps, f), partial(relative_residual, f),
-                      f.floor, seeds, settings, f.root_bound)
+                      horner_error_bound(f), seeds, settings, f.root_bound)
 
 
 def iterate_pade(f, seed, settings=DEFAULT_SETTINGS):
@@ -349,8 +350,8 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
             return [exc]
         return [(v_lo / v_hi) * lam]
 
-    return _run_batch(steps, partial(relative_residual, f), f.floor, (seed,),
-                      settings, root_bound)[0]
+    return _run_batch(steps, partial(relative_residual, f),
+                      horner_error_bound(f), (seed,), settings, root_bound)[0]
 
 
 @dataclass(frozen=True)
@@ -383,7 +384,7 @@ def count_zeros(f, center, radius):
     that margin of the rounding floor declines the whole count.
     """
     center = complex(center)
-    floor = f.floor
+    floor = horner_error_bound(f)
     terms = f.terms
     total = 0j
     for unit in _COUNT_UNITS:
@@ -450,7 +451,7 @@ def _settles(f, nu, trace, center, radius):
     if (trace.status not in (TraceStatus.CONVERGED, TraceStatus.AT_FLOOR)
             or not abs(trace.final - center) < radius):
         return False
-    floor = f.floor
+    floor = horner_error_bound(f)
     return not any(
         relative_residual(test_polynomial(f, k), trace.final) > floor
         for k in range(nu - 1))
@@ -602,7 +603,8 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
     each group is counted on a circle around its mean, with radius half
     the distance to the nearest seed outside it (:func:`_circle`). Every
     seed's own circle is counted before the first group is settled, in one
-    :func:`count_zeros_all` pass; a merged group is counted when it forms
+    :func:`count_zeros_all` pass, and again with :func:`count_zeros` where
+    that pass declines it; a merged group is counted when it forms
     (:func:`count_zeros`). When the count rounds to the group's size nu,
     one probe of order nu runs from the mean, and the group is settled if
     that probe settles the circle (:func:`_settle_group`). A group whose
@@ -630,6 +632,8 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
         group = queue.pop(0)
         if len(group) == 1:
             circle, count = circles[group[0]], counts[group[0]]
+            if count is None:  # the array floor is above Horner's
+                count = count_zeros(f, *circle)
         else:
             circle = _circle(f, seeds, group)
             count = count_zeros(f, *circle)

@@ -750,25 +750,17 @@ def test_pipeline_is_deterministic(double_quad_sextic):
 
 
 def test_a_spec_solved_twice_keeps_nothing_derived(monkeypatch):
-    """A solve derives the root bound, Horner's floor and terms, the test
+    """A solve derives the root bound, Horner's terms, the test
     polynomials and the probe terms once, on its own copy of the
     polynomial: the same spec solves to the same bytes twice, each solve
-    computes the root bound and the floor once, and the spec's polynomial
-    carries only its coefficients afterwards."""
+    computes the root bound once, and the spec's polynomial carries only
+    its coefficients afterwards."""
     from polyzeros import poly
 
-    calls = Counter()
-
-    def counted(name):
-        original = getattr(poly, name)
-
-        def wrapper(f):
-            calls[name] += 1
-            return original(f)
-        return wrapper
-
-    for name in ("fujiwara_root_bound", "horner_error_bound"):
-        monkeypatch.setattr(poly, name, counted(name))
+    calls = []
+    bound = poly.fujiwara_root_bound
+    monkeypatch.setattr(poly, "fujiwara_root_bound",
+                        lambda f: calls.append(f) or bound(f))
     for spec in (ProblemSpec(polynomial=Polynomial(cases.MULT_D8_82),
                              seed_source=SeedSource.COMPANION),
                  ProblemSpec(polynomial=Polynomial(cases.DOUBLE_QUAD_SEXTIC),
@@ -778,8 +770,7 @@ def test_a_spec_solved_twice_keeps_nothing_derived(monkeypatch):
             calls.clear()
             texts.append(json.dumps(report_to_dict(run_pipeline(spec)),
                                     sort_keys=True))
-            assert calls == {"fujiwara_root_bound": 1,
-                             "horner_error_bound": 1}
+            assert len(calls) == 1
         assert texts[0] == texts[1]
         assert vars(spec.polynomial) == {"coeffs": spec.polynomial.coeffs}
 
@@ -807,6 +798,49 @@ def test_exact_root_at_zero_is_recorded_with_its_multiplicity(coeffs, source,
     assert (zero.residual, zero.iterations, zero.seeds) == (0.0, 0, ())
     assert report.errors == ()
     assert report.conserved and report.all_residuals_pass
+
+
+ZERO_ROOT_EXTERNAL_CASES = [
+    ((0.0, -1.0, 0.0, 1.0), (-1.1, 0.1, 1.1),
+     [(-1, 1, (-1.1,)), (0, 1, (0.1,)), (1, 1, (1.1,))]),
+    ((0.0, 0.0, -2.0, -1.0, 1.0), (-1.1, -0.1, 0.1, 2.1),
+     [(-1, 1, (-1.1,)), (0, 2, (-0.1, 0.1)), (2, 1, (2.1,))]),
+    ((0.0, 0.0, -2.0, 1.0), (-0.1, 0.1, 2.1),
+     [(0, 2, (-0.1, 0.1)), (2, 1, (2.1,))]),
+]
+
+
+@pytest.mark.parametrize("coeffs, seeds, want, algorithm", [
+    case + (algorithm,) for case in ZERO_ROOT_EXTERNAL_CASES
+    for algorithm in Algorithm
+    # Halley needs degree 2, and the quotient lambda - 2 has degree 1.
+    if not (algorithm is Algorithm.HALLEY and len(case[0]) == 4
+            and case[0][1] == 0.0)])
+def test_external_seeds_nearest_an_exact_zero_root_are_its_seeds(
+        coeffs, seeds, want, algorithm):
+    """External seeds are not made from f / lambda**k: the k of them
+    nearest 0 go to the exact zero root's record, and the others, as many
+    as the quotient's degree, refine its roots; the interpolation list of
+    rayleigh and reduced needs exactly that many."""
+    report = run_pipeline(ProblemSpec(
+        polynomial=Polynomial(coeffs), seed_source=SeedSource.EXTERNAL,
+        external_seeds=seeds, algorithm=algorithm))
+    assert [r.value for r in report.roots] == pytest.approx(
+        [complex(v) for v, _, _ in want], abs=1e-12)
+    assert [(r.multiplicity, r.seeds) for r in report.roots] == [
+        (m, tuple(complex(s) for s in taken)) for _, m, taken in want]
+    assert report.errors == ()
+    assert report.conserved and report.all_residuals_pass
+
+
+def test_fewer_external_seeds_than_the_quotient_degree_all_refine_it():
+    """With no seed beyond the degree of f / lambda**k, none is taken for
+    the zero root."""
+    report = run_pipeline(ProblemSpec(
+        polynomial=Polynomial((0.0, -1.0, 0.0, 1.0)),
+        seed_source=SeedSource.EXTERNAL, external_seeds=(0.1,)))
+    assert [(r.value, r.multiplicity, r.seeds) for r in report.roots] == [
+        (0j, 1, ()), (pytest.approx(1.0, abs=1e-12), 1, (0.1 + 0j,))]
 
 
 def test_probe_whose_test_polynomial_overflows_leaves_an_error_line():

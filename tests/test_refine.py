@@ -413,7 +413,8 @@ def test_array_count_rounds_as_the_scalar_count_on_every_circle_it_counts():
     (power_error_bound, gamma_{4m+1}) is about twice Horner's gamma_2m, so
     on circles whose nodes come within that factor of the rounding floor
     around a multiple root, the array pass declines where the scalar count
-    does not; it declines nothing else."""
+    does not; it declines nothing else. detect_clusters counts such a
+    circle again with count_zeros."""
     agree = array_only_declines = both_decline = 0
     for f, centers, radii in _sweep_circles(2020, 40):
         batch = count_zeros_all(f, centers, radii)
@@ -457,25 +458,31 @@ MULTIPLE_ROOT_CASES = sorted(name for name in dir(cases)
                              and name.count("_") == 2)
 
 
+def _settled(f, seeds):
+    verdicts, leftover = detect_clusters(Polynomial(f.coeffs), seeds)
+    return ([(v.seeds, v.center, v.radius, round(v.count.real), v.root,
+              v.multiplicity, v.probe) for v in verdicts], leftover)
+
+
 @pytest.mark.parametrize("name", MULTIPLE_ROOT_CASES)
 def test_singleton_table_settles_as_counting_one_singleton_at_a_time(
         name, monkeypatch):
     """detect_clusters counts every singleton circle in one
     count_zeros_all pass; counting each with count_zeros instead gives
-    the same verdicts, probes and leftovers, and counts that round alike."""
+    the same verdicts, probes and leftovers, and counts that round alike.
+    A circle the array pass declines is counted again with count_zeros,
+    so it settles as it would have: declining every circle in the array
+    pass changes nothing either."""
     f = Polynomial(getattr(cases, name))
     seeds = companion_seed_all(f).values
-
-    def settled():
-        verdicts, leftover = detect_clusters(Polynomial(f.coeffs), seeds)
-        return ([(v.seeds, v.center, v.radius, round(v.count.real), v.root,
-                  v.multiplicity, v.probe) for v in verdicts], leftover)
-
-    table = settled()
+    table = _settled(f, seeds)
+    assert table[0]
     monkeypatch.setattr(refine, "count_zeros_all", lambda f, centers, radii: [
         count_zeros(f, c, r) for c, r in zip(centers, radii)])
-    assert settled() == table
-    assert table[0]
+    assert _settled(f, seeds) == table
+    monkeypatch.setattr(refine, "count_zeros_all",
+                        lambda f, centers, radii: [None] * len(centers))
+    assert _settled(f, seeds) == table
 
 
 def test_probe_that_escapes_its_circle_leaves_its_seed_over():
