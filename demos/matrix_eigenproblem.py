@@ -8,29 +8,29 @@ The problem is F(l) x = 0 with F(l) = A_0 + l A_1 + l^2 A_2 for a sparse
 2. take the roots of the diagonal entry polynomials as starting values
    (for a dominant diagonal they land near the true eigenvalues),
 3. refine each starting value with the Pade iteration on det F,
-4. extract the right and left null vectors of F at each eigenvalue by
-   Gauss elimination with column pivot ranking.
+4. take the right and left null vectors of F at every eigenvalue from one
+   batched SVD of the stack F(l_1), ..., F(l_m).
 
 Two numerical realities show up on the way. Distinct diagonal seeds can
 fall into the same basin, so the refined values are deduplicated and any
 shortfall against the polynomial degree is covered by the simultaneous
 all-roots seeder. And the recovered coefficients carry interpolation
 noise of about 1e-9 relative, which the more sensitive eigenvalues
-amplify to 1e-7 level; extraction walks a pivot tolerance ladder and the
-printed residuals state the resulting quality directly against F.
+amplify to 1e-7 level. So a value counts as an eigenvalue when F's
+smallest singular value there is at most SINGULAR_REL = 1e-6 times its
+largest, one fixed threshold; the unit-norm vectors' printed residuals
+state the resulting quality directly against F.
 """
 
 import numpy as np
 
 from polyzeros import (
-    NotAnEigenvalueError,
     characteristic_polynomial,
     companion_seed_all,
     diagonal_seeds,
+    eigenvectors_all,
     eval_matrix,
-    extract_eigenvectors,
     iterate_pade,
-    left_eigenvectors,
     polynomial_matrix,
 )
 
@@ -55,9 +55,6 @@ A2 = (
     (0, 0, 0, 1, 0),
     (0, 0, 0, 0, 4),
 )
-
-PIVOT_LADDER = (1e-10, 1e-8, 1e-6, 1e-5)
-
 
 def _key(z):
     return (round(z.real, 6), round(z.imag, 6))
@@ -94,24 +91,22 @@ def main():
               % (len(found), f.degree))
     assert len(found) == f.degree
 
-    print("\neigenvalues (upper half plane) and eigenvector residuals:")
-    eigenvalues = sorted(found.values(), key=_key)
-    for lam in eigenvalues:
-        if lam.imag <= 0:
-            continue
-        for pivot_tol in PIVOT_LADDER:
-            try:
-                right = extract_eigenvectors(pm, lam, pivot_tol=pivot_tol)
-                left = left_eigenvectors(pm, lam, pivot_tol=pivot_tol)
-            except NotAnEigenvalueError:
-                continue
-            break
-        print("  %+.9f%+.9fi  pivot %.0e  right %.1e  left %.1e"
-              % (lam.real, lam.imag, pivot_tol,
-                 max(right.right_residuals), max(left.left_residuals)))
-        x = right.right_vectors[:, 0]
-        scale = 1.0 + float(np.max(np.abs(eval_matrix(pm, lam))))
-        assert np.linalg.norm(eval_matrix(pm, lam) @ x, np.inf) <= 1e-4 * scale
+    print("\neigenvalues (upper half plane), sigma_min/sigma_max of F and "
+          "eigenvector residuals:")
+    eigenvalues = [lam for lam in sorted(found.values(), key=_key)
+                   if lam.imag > 0]
+    for lam, bundle in zip(eigenvalues, eigenvectors_all(pm, eigenvalues)):
+        matrix = eval_matrix(pm, lam)
+        sigma = np.linalg.svd(matrix, compute_uv=False)
+        print("  %+.9f%+.9fi  sigma ratio %.1e  rank %d  right %.1e  "
+              "left %.1e" % (lam.real, lam.imag, sigma[-1] / sigma[0],
+                             bundle.rank_deficiency,
+                             max(bundle.right_residuals),
+                             max(bundle.left_residuals)))
+        x = bundle.right_vectors[:, 0]
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        scale = 1.0 + float(np.max(np.abs(matrix)))
+        assert np.linalg.norm(matrix @ x, np.inf) <= 1e-4 * scale
 
     print("the lower half plane holds the conjugates (real matrices)")
 

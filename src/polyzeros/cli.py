@@ -22,7 +22,12 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .explore import scan_sign_changes
-from .matpoly import eigenvectors_all, eval_matrix, polynomial_matrix
+from .matpoly import (
+    SINGULAR_REL,
+    eigenvectors_all,
+    eval_matrix,
+    polynomial_matrix,
+)
 from .pipeline import (
     Algorithm,
     ProblemSpec,
@@ -313,15 +318,14 @@ def _cmd_eigvec(args):
             entries.append({"value": complex_pair(lam), "error": str(found),
                             "residual_pass": False})
             continue
-        right, left = found
         scale = 1.0 + float(abs(eval_matrix(spec.matrix, lam)).max())
         passes = all(
             r <= residual_tol * scale
-            for r in right.right_residuals + left.left_residuals
+            for r in found.right_residuals + found.left_residuals
         )
         all_pass = all_pass and passes
         entries.append(
-            dict(eigenpair_to_dict(lam, right, left), residual_pass=passes)
+            dict(eigenpair_to_dict(lam, found), residual_pass=passes)
         )
     _write_json({"eigenvectors": entries}, args.out)
     return 0 if all_pass else 1
@@ -405,7 +409,10 @@ def build_parser():
         ("solve", _cmd_solve, "full seed/refine/report pipeline"),
         ("explore", _cmd_explore, "real-axis sign-change scan"),
         ("ecp", _cmd_ecp, "interpolation list, evolutions, enclosures"),
-        ("eigvec", _cmd_eigvec, "eigenvectors at given eigenvalues"),
+        ("eigvec", _cmd_eigvec,
+         "unit-norm eigenvectors at given eigenvalues, from one SVD; a "
+         "value counts where sigma_min(F) <= %g sigma_max(F)"
+         % SINGULAR_REL),
         ("plot", _cmd_plot, "CSV samples of f, p, h on an interval"),
     ):
         p = sub.add_parser(name, help=extra, allow_abbrev=False)

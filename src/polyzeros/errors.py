@@ -68,38 +68,27 @@ class RayleighDenominatorError(PolyzerosError):
 
 
 class NotAnEigenvalueError(PolyzerosError):
-    """No pivot fell below the tolerance: the value passed to eigenvector
-    extraction is not an eigenvalue at this tolerance.
+    """F(lam) is not singular to the eigenvector threshold: its smallest
+    singular value exceeds singular_rel times its largest, so the value
+    passed to eigenvector extraction is not an eigenvalue.
 
     Attributes
     ----------
     lam : complex
         The value F was evaluated at.
-    smallest_pivot, scale : float
-        The smallest accepted pivot magnitude and the largest entry
-        magnitude the tolerance is relative to.
+    sigma_min, sigma_max : float
+        The smallest and largest singular values of F(lam); NaN when
+        F(lam) is not finite.
     """
 
-    def __init__(self, lam, pivot_tol, smallest_pivot, scale):
+    def __init__(self, lam, sigma_min, sigma_max, singular_rel):
         lam = complex(lam)
-        super().__init__("%r is not an eigenvalue at pivot tolerance %g"
-                         % (lam, pivot_tol))
+        super().__init__("%r is not an eigenvalue: sigma_min %.3g of "
+                         "F(lambda) exceeds %g * sigma_max %.3g"
+                         % (lam, sigma_min, singular_rel, sigma_max))
         self.lam = lam
-        self.smallest_pivot = smallest_pivot
-        self.scale = scale
-
-    def repeated_at(self, pivot_tol):
-        """The failure extraction at the looser pivot_tol would raise, or
-        None when it could end otherwise.
-
-        While every accepted pivot stays above pivot_tol * scale, the
-        elimination makes the same decisions, bit for bit, and again finds
-        no free column.
-        """
-        if self.smallest_pivot > pivot_tol * self.scale:
-            return NotAnEigenvalueError(self.lam, pivot_tol,
-                                        self.smallest_pivot, self.scale)
-        return None
+        self.sigma_min = float(sigma_min)
+        self.sigma_max = float(sigma_max)
 
 
 class CompanionMatrixError(PolyzerosError):

@@ -33,12 +33,12 @@ from .ecp import (
     reduced_pade_iterate_all,
     sum_control,
 )
-from .errors import PolyzerosError, ProblemFormatError
+from .errors import NotAnEigenvalueError, PolyzerosError, ProblemFormatError
 from .explore import companion_seed_all, scan_sign_changes
 from .matpoly import (
     characteristic_polynomial,
     diagonal_seeds,
-    eigenvectors_on_ladder,
+    eigenvectors_all,
 )
 from .poly import Polynomial
 from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
@@ -137,13 +137,13 @@ class RootRecord:
 class EigenpairRecord:
     """Eigenvector data for one distinct eigenvalue of a matrix problem.
 
-    ``defective`` marks rank deficiency below the detected multiplicity
-    (fewer independent eigenvectors than the algebraic count)."""
+    ``vectors`` is the EigenvectorBundle with both sides. ``defective``
+    marks rank deficiency below the detected multiplicity (fewer
+    independent eigenvectors than the algebraic count)."""
 
     value: complex
     multiplicity: int
-    right: object
-    left: object
+    vectors: object
     defective: bool
 
 
@@ -344,37 +344,20 @@ def _ecp_phase(f, records, errors):
         return None
 
 
-EIGENVECTOR_PIVOT_LADDER = (1e-10, 1e-8, 1e-6)
-
-
 def _eigenvector_phase(matrix, records, errors):
-    """Extract both-sided eigenvectors, loosening the pivot tolerance when
-    the eigenvalue carries interpolation noise from the recomputed
-    characteristic coefficients. A loosened tolerance is noted; the per
-    column residuals in the bundles stay the honest quality measure.
-
-    Every record walks :data:`EIGENVECTOR_PIVOT_LADDER` through one
-    :func:`eigenvectors_on_ladder` call: F(lambda) is evaluated once per
-    record, and each round eliminates every record's next matrix, F(lambda)
-    or its transpose at the record's own rung, in one stack. A record
-    leaves the ladder at its first success and skips a rung where its last
-    failure would repeat exactly. Error lines follow record order."""
-    found = eigenvectors_on_ladder(matrix, [r.value for r in records],
-                                   EIGENVECTOR_PIVOT_LADDER)
+    """Both-sided eigenvectors at every record's value, from one
+    :func:`eigenvectors_all` call. A value where F(lambda) is not singular
+    gets an error line, in record order, and no pair; the per column
+    residuals in the bundles stay the honest quality measure."""
     pairs = []
-    for record, (result, rung) in zip(records, found):
-        if rung is None:
-            errors.append("eigenvectors at %r: %s" % (record.value, result))
+    for record, found in zip(records, eigenvectors_all(
+            matrix, [r.value for r in records])):
+        if isinstance(found, NotAnEigenvalueError):
+            errors.append("eigenvectors at %r: %s" % (record.value, found))
             continue
-        if rung != EIGENVECTOR_PIVOT_LADDER[0]:
-            errors.append(
-                "eigenvectors at %r: pivot tolerance loosened to %g"
-                % (record.value, rung)
-            )
-        right, left = result
         pairs.append(EigenpairRecord(
-            record.value, record.multiplicity, right, left,
-            right.rank_deficiency < record.multiplicity))
+            record.value, record.multiplicity, found,
+            found.rank_deficiency < record.multiplicity))
     return tuple(pairs)
 
 
@@ -512,16 +495,16 @@ def _bundle_columns(vectors):
     return [[[z.real, z.imag] for z in col] for col in vectors.T.tolist()]
 
 
-def eigenpair_to_dict(value, right, left):
+def eigenpair_to_dict(value, bundle):
     """JSON-ready right and left eigenvectors at one eigenvalue; callers
     add their own keys."""
     return {
         "value": complex_pair(value),
-        "rank_deficiency": right.rank_deficiency,
-        "right": _bundle_columns(right.right_vectors),
-        "left": _bundle_columns(left.left_vectors),
-        "right_residuals": [float(x) for x in right.right_residuals],
-        "left_residuals": [float(x) for x in left.left_residuals],
+        "rank_deficiency": bundle.rank_deficiency,
+        "right": _bundle_columns(bundle.right_vectors),
+        "left": _bundle_columns(bundle.left_vectors),
+        "right_residuals": [float(x) for x in bundle.right_residuals],
+        "left_residuals": [float(x) for x in bundle.left_residuals],
     }
 
 
@@ -548,7 +531,7 @@ def report_to_dict(report):
         "errors": list(report.errors),
         "ecp": ecp_to_dict(report.ecp) if report.ecp else None,
         "eigenvectors": [
-            dict(eigenpair_to_dict(p.value, p.right, p.left),
+            dict(eigenpair_to_dict(p.value, p.vectors),
                  multiplicity=p.multiplicity, defective=p.defective)
             for p in report.eigenvectors
         ],

@@ -312,7 +312,8 @@ def test_eigvec_value_that_is_no_eigenvalue_fails_its_entry(tmp_path):
     assert found["rank_deficiency"] == 1
     assert missing == {
         "value": [5.0, 0.0],
-        "error": "(5+0j) is not an eigenvalue at pivot tolerance 1e-10",
+        "error": "(5+0j) is not an eigenvalue: sigma_min 3 of F(lambda) "
+                 "exceeds 1e-06 * sigma_max 4",
         "residual_pass": False,
     }
 

@@ -1,5 +1,6 @@
 """Polynomial matrices: determinant interpolation, seeds, eigenvectors."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import cases
 import oracles
-from polyzeros import matpoly, pipeline
+from polyzeros import matpoly
 from polyzeros import (
     NotAnEigenvalueError,
     Polynomial,
@@ -165,8 +166,7 @@ def test_left_eigenvectors_do_not_rebuild_the_matrix(monkeypatch):
         for k in range(bundle.rank_deficiency):
             y = bundle.left_vectors[:, k]
             scale = np.abs(evaluated).max() * np.abs(y).max()
-            assert np.abs(y @ evaluated).max() <= (
-                matpoly.DEFAULT_PIVOT_TOL * scale)
+            assert np.abs(y @ evaluated).max() <= 1e-10 * scale
 
 
 def test_full_rank_deficiency_yields_a_basis():
@@ -186,7 +186,8 @@ def test_not_an_eigenvalue_text_ignores_the_scalar_type(pencil5):
     passed a numpy scalar, a float or a complex."""
     texts = {str(found) for lams in ([5 + 0j], np.array([5 + 0j]), [5.0])
              for found in matpoly.eigenvectors_all(pencil5, lams)}
-    assert texts == {"(5+0j) is not an eigenvalue at pivot tolerance 1e-10"}
+    assert texts == {"(5+0j) is not an eigenvalue: sigma_min 3.25 of "
+                     "F(lambda) exceeds 1e-06 * sigma_max 6.09"}
     with pytest.raises(NotAnEigenvalueError) as caught:
         extract_eigenvectors(pencil5, np.float64(100.0))
     assert caught.value.lam == 100 and type(caught.value.lam) is complex
@@ -204,7 +205,7 @@ def test_random_pencil_eigenvectors_match_numpy():
             continue
         pm = polynomial_matrix([a, -np.eye(n)])
         lam = values[int(rng.integers(0, n))]
-        bundle = extract_eigenvectors(pm, lam, pivot_tol=1e-8)
+        bundle = extract_eigenvectors(pm, lam)
         assert bundle.rank_deficiency == 1
         x = bundle.right_vectors[:, 0]
         np.testing.assert_allclose(
@@ -220,206 +221,102 @@ def test_characteristic_polynomial_determinism(sparse_penta):
     assert a.coeffs == b.coeffs
 
 
-def _reference_null_space(matrix, pivot_tol):
-    """The row-by-row elimination that the rank-1 updates of
-    _null_space_stack replaced: one update per row, skipping rows whose
-    pivot-column entry is zero."""
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    threshold = pivot_tol * max(float(np.max(np.abs(a))), 1e-300)
-    pivots = []
-    free_cols = []
-    row = 0
-    for col in range(n):
-        if row >= n:
-            free_cols.append(col)
-            continue
-        sub = np.abs(a[row:, col])
-        best = int(np.argmax(sub))
-        if sub[best] <= threshold:
-            free_cols.append(col)
-            continue
-        if best != 0:
-            a[[row, row + best]] = a[[row + best, row]]
-        pivot = a[row, col]
-        for r in range(row + 1, n):
-            if a[r, col] != 0:
-                a[r, :] -= (a[r, col] / pivot) * a[row, :]
-        pivots.append((row, col))
-        row += 1
-    if not free_cols:
-        return None, pivots, free_cols
-    for i in range(len(pivots) - 1, 0, -1):
-        prow, pcol = pivots[i]
-        pivot = a[prow, pcol]
-        for r in range(prow):
-            if a[r, pcol] != 0:
-                a[r, :] -= (a[r, pcol] / pivot) * a[prow, :]
-    vectors = np.zeros((n, len(free_cols)), dtype=complex)
-    for idx, fc in enumerate(free_cols):
-        vectors[fc, idx] = -1.0
-        for prow, pcol in pivots:
-            vectors[pcol, idx] = a[prow, fc] / a[prow, pcol]
-    return vectors, pivots, free_cols
-
-
-def _null_space_inputs(pencil5, sparse_penta):
+def _value_stacks(pencil5, sparse_penta):
+    """(pm, values) pairs: random complex quadratics at eigenvalues of
+    their linearisations and at a value that is none, the shifted pencil
+    and the sparse 5x5 at eigenvalues and elsewhere, and a matrix
+    polynomial that vanishes at 2."""
     rng = np.random.default_rng(41)
-    for n in tuple(range(3, 17)) + (20, 25, 30, 35, 40):
+    for n in (3, 7, 12, 20, 40):
         a0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        pm = polynomial_matrix([a0, a1, np.eye(n)])
         linearisation = np.block([[np.zeros((n, n)), np.eye(n)], [-a0, -a1]])
-        lam = np.linalg.eigvals(linearisation)[0]
-        yield eval_matrix(pm, lam)
-        yield eval_matrix(pm, lam).T
-    yield eval_matrix(pencil5, -1.0)
-    yield eval_matrix(pencil5, 100.0)
-    yield eval_matrix(sparse_penta, cases.SPARSE_PENTA_EIGENVALUE)
-    yield eval_matrix(polynomial_matrix([-2.0 * np.eye(3), np.eye(3)]), 2.0)
-    # Signed zeros in rows that a pivot skips because their entry in its
-    # column is zero: row 1 below the first pivot, and row 0 above the
-    # second one in the back-elimination. Updating them by a zero
-    # multiple of the pivot row would turn their -0.0 into +0.0, and
-    # with it the sign of a zero in the null vector.
-    yield np.array([[1.0, 2.0, -1.0],
-                    [0.0, 1.0, complex(-0.0, -0.0)],
-                    [0.0, 0.0, 0.0]], dtype=complex)
-    yield np.array([[1.0, 0.0, complex(-0.0, 0.0)],
-                    [0.0, 1.0, -1j],
-                    [0.0, 0.0, 0.0]], dtype=complex)
+        yield (polynomial_matrix([a0, a1, np.eye(n)]),
+               list(np.linalg.eigvals(linearisation)[:5]) + [100.0])
+    yield pencil5, [-1.0, 100.0, 5.0]
+    yield sparse_penta, [cases.SPARSE_PENTA_EIGENVALUE,
+                         cases.SPARSE_PENTA_SEED]
+    yield polynomial_matrix([-2.0 * np.eye(3), np.eye(3)]), [2.0, 1.0]
 
 
-def _alone(matrix, pivot_tol):
-    """The stacked kernel's result for a batch of one."""
-    return matpoly._null_space_stack(matrix[None], pivot_tol)[0]
+def _bits(found):
+    if isinstance(found, NotAnEigenvalueError):
+        return str(found), found.sigma_min, found.sigma_max
+    return (found.eigenvalue, found.rank_deficiency,
+            found.right_vectors.tobytes(), found.left_vectors.tobytes(),
+            found.right_residuals, found.left_residuals)
 
 
-def test_null_space_kernel_gives_the_row_loop_bits(pencil5, sparse_penta):
-    """One rank-1 update per pivot reproduces the row-by-row elimination
-    bit for bit, and a looser tolerance below the smallest accepted pivot
-    repeats the result exactly."""
-    ladder = (1e-10, 1e-8, 1e-6)
-    for matrix in _null_space_inputs(pencil5, sparse_penta):
-        n = matrix.shape[0]
-        results = {}
-        for pivot_tol in ladder:
-            want, want_pivots, want_free = _reference_null_space(matrix,
-                                                                 pivot_tol)
-            got, pivots, smallest, scale = _alone(matrix, pivot_tol)
-            assert pivots == want_pivots
-            assert [c for c in range(n)
-                    if c not in {pc for _, pc in pivots}] == want_free
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got.tobytes() == want.tobytes()
-            assert smallest > pivot_tol * scale
-            results[pivot_tol] = (None if got is None else got.tobytes(),
-                                  pivots, smallest, scale)
-        for i, tight in enumerate(ladder):
-            _, _, smallest, scale = results[tight]
-            for loose in ladder[i + 1:]:
-                if smallest > loose * scale:
-                    assert results[loose] == results[tight]
-
-
-def _mixed_stacks(pencil5, sparse_penta):
-    """Stacks whose members take different decisions at the same column."""
-    rng = np.random.default_rng(43)
-    inputs = {}
-    for matrix in _null_space_inputs(pencil5, sparse_penta):
-        inputs.setdefault(matrix.shape[0], []).append(matrix)
-    yield from inputs.values()
-    base = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    dominant = base + 10.0 * np.eye(4)
-    members = [base, dominant, dominant[[2, 0, 1, 3]], dominant[[0, 3, 2, 1]]]
-    for col in (0, 1, 3):
-        member = base.copy()
-        member[:, col] = 0.0
-        members.append(member)
-    doubled = base.copy()
-    doubled[:, 2] = 2.0 * base[:, 0]
-    members.append(doubled)
-    # Rank two: two pivots fewer than its neighbours, with rounding residue
-    # left in the rows below its pivots.
-    rank_two = doubled.copy()
-    rank_two[:, 3] = base[:, 0] - 3.0 * base[:, 1]
-    members.append(rank_two)
-    # Free first and last columns: column 0 moves to the end before the
-    # first pivot, and column 3 is free as the last column left to test.
-    ends_free = base.copy()
-    ends_free[:, [0, 3]] = 0.0
-    members.append(ends_free)
-    members.append(np.zeros((4, 4), dtype=complex))
-    yield members + inputs[4]
-    yield inputs[3] + [np.zeros((3, 3), dtype=complex), base[:3, :3]]
+def _reference_bundle(pm, lam):
+    """One value's eigenvectors from the SVD of F(lam) alone: the rank
+    from its singular values, the vectors from its full SVD."""
+    matrix = eval_matrix(pm, lam)
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    r = int(np.sum(sigma <= matpoly.SINGULAR_REL * sigma[0]))
+    if not r:
+        return str(lam), sigma[-1], sigma[0]
+    u, _, vh = np.linalg.svd(matrix)
+    x, y = vh[-r:].conj().T, u[:, -r:].conj()
+    return (complex(lam), r, x.tobytes(), y.tobytes(),
+            tuple(np.max(np.abs(matrix @ x), axis=0)),
+            tuple(np.max(np.abs(y.T @ matrix), axis=1)))
 
 
 def test_stacked_members_get_their_batch_of_one_bits(pencil5, sparse_penta):
-    """Each member of a stack, whatever its neighbours' free columns, row
-    exchanges and pivot counts, gets the vectors, pivots, smallest pivot
-    and scale it gets alone."""
-    decisions = set()
-    for stack in _mixed_stacks(pencil5, sparse_penta):
-        for pivot_tol in (1e-10, 1e-8, 1e-6):
-            results = matpoly._null_space_stack(np.array(stack), pivot_tol)
-            assert len(results) == len(stack)
-            for matrix, (got, pivots, smallest, scale) in zip(stack, results):
-                want, want_pivots, want_smallest, want_scale = _alone(
-                    matrix, pivot_tol)
-                assert pivots == want_pivots
-                assert (got is None) == (want is None)
-                if want is not None:
-                    assert got.tobytes() == want.tobytes()
-                assert (smallest, scale) == (want_smallest, want_scale)
-                decisions.add((matrix.shape[0], tuple(pivots)))
-    # The stacks do mix decisions: order 4 alone has members with free
-    # column 0, 1, 2 or 3, with free columns 2 and 3, and with none.
-    assert len([d for d in decisions if d[0] == 4]) >= 6
+    """Each member of a stack, in either order, gets the bits of its batch
+    of one; that batch decides and takes its vectors as the SVD of F(lam)
+    alone does, and names the same singular values when it fails."""
+    ranks = set()
+    for pm, lams in _value_stacks(pencil5, sparse_penta):
+        stack = [_bits(found) for found in matpoly.eigenvectors_all(pm, lams)]
+        flipped = matpoly.eigenvectors_all(pm, lams[::-1])[::-1]
+        assert [_bits(found) for found in flipped] == stack
+        for lam, got in zip(lams, stack):
+            assert got == _bits(matpoly.eigenvectors_all(pm, [lam])[0])
+            want = _reference_bundle(pm, lam)
+            if len(got) == 3:
+                assert got[1:] == want[1:]
+            else:
+                assert got[:4] == want[:4]
+                np.testing.assert_allclose(got[4:], want[4:], rtol=1e-12)
+            ranks.add("none" if len(got) == 3 else got[1])
+    assert ranks == {"none", 1, 3}
 
 
-def test_stacked_members_take_their_own_tolerances(pencil5, sparse_penta):
-    """A stack with one tolerance per member gives each member the bits it
-    gets alone at its own tolerance, which are the row loop's bits."""
-    ladder = (1e-10, 1e-8, 1e-6)
-    for stack in _mixed_stacks(pencil5, sparse_penta):
-        for shift in range(len(ladder)):
-            tols = [ladder[(i + shift) % len(ladder)]
-                    for i in range(len(stack))]
-            results = matpoly._null_space_stack(np.array(stack),
-                                                np.array(tols))
-            for matrix, tol, (got, pivots, smallest, scale) in zip(
-                    stack, tols, results):
-                want, want_pivots, want_smallest, want_scale = _alone(
-                    matrix, tol)
-                loop, loop_pivots, _ = _reference_null_space(matrix, tol)
-                assert pivots == want_pivots == loop_pivots
-                assert (got is None) == (want is None) == (loop is None)
-                if want is not None:
-                    assert got.tobytes() == want.tobytes() == loop.tobytes()
-                assert (smallest, scale) == (want_smallest, want_scale)
+@pytest.mark.parametrize("jordan, rank", ((0.0, 2), (1.0, 1)))
+def test_rank_counts_the_eigenvectors_of_a_double_eigenvalue(jordan, rank):
+    """F = A - lambda I where A has the double eigenvalue 1, semisimple
+    (two eigenvectors) or in one Jordan block (one). The vectors are
+    orthonormal and annihilate F(1) from their sides."""
+    rng = np.random.default_rng(53)
+    v = rng.standard_normal((4, 4))
+    j = np.diag((1.0, 1.0, 2.0, -3.0))
+    j[0, 1] = jordan
+    pm = polynomial_matrix([v @ j @ np.linalg.inv(v), -np.eye(4)])
+    bundle = matpoly.eigenvectors_all(pm, [1.0])[0]
+    assert bundle.rank_deficiency == rank
+    evaluated = eval_matrix(pm, 1.0)
+    for vectors in (bundle.right_vectors, bundle.left_vectors):
+        assert vectors.shape == (4, rank)
+        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(rank),
+                                   atol=1e-14)
+    np.testing.assert_allclose(evaluated @ bundle.right_vectors, 0.0,
+                               atol=1e-13)
+    np.testing.assert_allclose(bundle.left_vectors.T @ evaluated, 0.0,
+                               atol=1e-13)
 
 
-def _near_singular_inputs(pencil5, sparse_penta):
-    yield from _null_space_inputs(pencil5, sparse_penta)
-    rng = np.random.default_rng(47)
-    for n in (3, 6, 12):
-        for gap in (1e-12, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3):
-            u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            sigma = np.ones(n)
-            sigma[-1] = gap
-            yield (u * sigma) @ v.T
-
-
-def test_success_at_a_rung_holds_at_every_looser_rung(pencil5, sparse_penta):
-    """The eigenvector phase skips rungs on this: a looser tolerance can
-    only free more columns, and if it frees none, it made the tighter
-    tolerance's decisions, which freed none either."""
-    ladder = pipeline.EIGENVECTOR_PIVOT_LADDER
-    patterns = set()
-    for matrix in _near_singular_inputs(pencil5, sparse_penta):
-        found = [_alone(matrix, tol)[0] is not None for tol in ladder]
-        assert found == sorted(found)
-        patterns.add(tuple(found))
-    assert len(patterns) >= 3
+def test_not_an_eigenvalue_names_the_singular_values(pencil5, sparse_penta):
+    """The error carries F(lam)'s smallest and largest singular values and
+    quotes them with the threshold; a value where F is not finite has
+    NaN for both."""
+    sigma = np.linalg.svd(eval_matrix(pencil5, 100.0), compute_uv=False)
+    with pytest.raises(NotAnEigenvalueError) as caught:
+        extract_eigenvectors(pencil5, 100.0)
+    assert (caught.value.sigma_min, caught.value.sigma_max) == (
+        sigma[-1], sigma[0])
+    assert str(caught.value) == (
+        "(100+0j) is not an eigenvalue: sigma_min %.3g of F(lambda) "
+        "exceeds 1e-06 * sigma_max %.3g" % (sigma[-1], sigma[0]))
+    huge = matpoly.eigenvectors_all(sparse_penta, [1e200])[0]
+    assert math.isnan(huge.sigma_min) and math.isnan(huge.sigma_max)

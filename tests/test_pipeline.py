@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,10 +11,8 @@ import oracles
 from polyzeros import matpoly, pipeline
 from polyzeros import (
     Algorithm,
-    EigenpairRecord,
     IterationSettings,
     NotAnEigenvalueError,
-    PolyzerosError,
     ProblemFormatError,
     Polynomial,
     ProblemSpec,
@@ -262,12 +259,7 @@ def test_list_iterations_keep_every_linearisation_eigenvalue(sparse_penta,
                                                              algorithm):
     """The sparse 5x5 seeded with its linearisation's eigenvalues: the rows
     start within rounding of the roots of det F, and all ten are kept."""
-    a0, a1, a2 = (np.array(a, dtype=float) for a in (
-        cases.SPARSE_PENTA_A0, cases.SPARSE_PENTA_A1, cases.SPARSE_PENTA_A2))
-    lead = np.linalg.inv(a2)
-    linearisation = np.block([[np.zeros((5, 5)), np.eye(5)],
-                              [-lead @ a0, -lead @ a1]])
-    eigenvalues = np.linalg.eigvals(linearisation)
+    eigenvalues = _sparse_penta_linearisation_eigenvalues()
     report = run_pipeline(ProblemSpec(
         matrix=sparse_penta, seed_source=SeedSource.EXTERNAL,
         external_seeds=tuple(eigenvalues), algorithm=algorithm,
@@ -356,9 +348,10 @@ def test_matrix_problem_attaches_eigenvectors(singular_lead):
     assert report.conserved
     assert len(report.eigenvectors) == len(report.roots)
     for pair in report.eigenvectors:
-        assert pair.right is not None and pair.left is not None
+        assert pair.vectors.right_vectors is not None
+        assert pair.vectors.left_vectors is not None
         assert not pair.defective
-        assert pair.right.rank_deficiency >= 1
+        assert pair.vectors.rank_deficiency >= 1
 
 
 def test_diagonal_seed_matrix_run(sparse_penta):
@@ -371,7 +364,7 @@ def test_diagonal_seed_matrix_run(sparse_penta):
     assert any(abs(v - cases.SPARSE_PENTA_EIGENVALUE) < 1e-6 for v in values)
     assert report.eigenvectors
     for pair in report.eigenvectors:
-        assert all(r <= 1e-5 for r in pair.right.right_residuals)
+        assert all(r <= 1e-5 for r in pair.vectors.right_residuals)
 
 
 def test_regular_lead_degree_shortfall_is_not_conserved():
@@ -410,7 +403,7 @@ def _order_14_spec():
 def test_eigenvalue_without_eigenvectors_fails_the_report(tmp_path):
     """At n = 14 Pade converges from the linearisation's eigenvalues to
     roots of the interpolated det F that sit up to 3e-4 away; F(lambda)
-    stays regular at 11 of them, so the report must not pass."""
+    stays regular at 5 of them, so the report must not pass."""
     spec = _order_14_spec()
     report = run_pipeline(spec)
     assert len(report.eigenvectors) < len(report.roots)
@@ -420,188 +413,91 @@ def test_eigenvalue_without_eigenvectors_fails_the_report(tmp_path):
     assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 1
 
 
-def _reference_eigenvector_phase(matrix, records, errors):
-    """The eigenvector phase without rung skipping: both extractions at
-    every rung of the pivot ladder until one succeeds."""
-    pairs = []
+def _reference_eigenvector_phase(matrix, records):
+    """Pairs and error lines of the eigenvector phase, one value at a time
+    through the one-sided wrappers."""
+    pairs, errors = [], []
     for record in records:
-        right = None
-        left = None
-        failure = None
-        for pivot_tol in pipeline.EIGENVECTOR_PIVOT_LADDER:
-            try:
-                right = matpoly.extract_eigenvectors(matrix, record.value,
-                                                     pivot_tol=pivot_tol)
-                left = matpoly.left_eigenvectors(matrix, record.value,
-                                                 pivot_tol=pivot_tol)
-            except PolyzerosError as exc:
-                failure = exc
-                continue
-            if pivot_tol != pipeline.EIGENVECTOR_PIVOT_LADDER[0]:
-                errors.append(
-                    "eigenvectors at %r: pivot tolerance loosened to %g"
-                    % (record.value, pivot_tol)
-                )
-            break
-        if right is None or left is None:
-            errors.append("eigenvectors at %r: %s" % (record.value, failure))
+        try:
+            right = matpoly.extract_eigenvectors(matrix, record.value)
+            left = matpoly.left_eigenvectors(matrix, record.value)
+        except NotAnEigenvalueError as exc:
+            errors.append("eigenvectors at %r: %s" % (record.value, exc))
             continue
-        pairs.append(
-            EigenpairRecord(
-                record.value,
-                record.multiplicity,
-                right,
-                left,
-                right.rank_deficiency < record.multiplicity,
-            )
-        )
-    return tuple(pairs)
+        pairs.append((record.value, record.multiplicity,
+                      right.rank_deficiency, right.right_vectors.tobytes(),
+                      left.left_vectors.tobytes(), right.right_residuals,
+                      left.left_residuals,
+                      right.rank_deficiency < record.multiplicity))
+    return pairs, errors
 
 
-def _pair_bits(pair):
-    def bits(z):
-        return complex(z).real.hex(), complex(z).imag.hex()
-
-    def bundle(b):
-        return (bits(b.eigenvalue), b.rank_deficiency,
-                None if b.right_vectors is None else b.right_vectors.tobytes(),
-                None if b.left_vectors is None else b.left_vectors.tobytes(),
-                tuple(r.hex() for r in b.right_residuals),
-                tuple(r.hex() for r in b.left_residuals))
-
-    return (bits(pair.value), pair.multiplicity, bundle(pair.right),
-            bundle(pair.left), pair.defective)
-
-
-def _ladder_runs(spec, monkeypatch):
-    """Eigenpair bits, error lines and the number of matrices eliminated by
-    the reference ladder and by the pipeline's, on the records of one
-    report."""
-    records = run_pipeline(spec).roots
-    eliminated = []
-    kernel = matpoly._null_space_stack
-
-    def counted(matrices, pivot_tol):
-        eliminated.append(len(matrices))
-        return kernel(matrices, pivot_tol)
-
-    runs = []
-    with monkeypatch.context() as patch:
-        patch.setattr(matpoly, "_null_space_stack", counted)
-        for phase in (_reference_eigenvector_phase,
-                      pipeline._eigenvector_phase):
-            del eliminated[:]
-            errors = []
-            pairs = phase(spec.matrix, records, errors)
-            runs.append(([_pair_bits(p) for p in pairs], errors,
-                         sum(eliminated)))
-    return runs
-
-
-def test_pivot_ladder_skips_only_rungs_that_repeat(monkeypatch, sparse_penta,
-                                                   singular_lead):
-    """Skipping a rung whose failure would repeat leaves every eigenpair
-    and error line as the full ladder gives them."""
+def test_eigenvector_phase_pairs_what_one_value_extraction_finds(
+        sparse_penta, singular_lead):
+    """The phase's one stacked extraction gives every record the vectors,
+    residuals and error line that extracting at its value alone gives."""
     for spec in (
         _order_14_spec(),
         ProblemSpec(matrix=sparse_penta, seed_source=SeedSource.DIAGONAL),
         ProblemSpec(matrix=singular_lead, seed_source=SeedSource.COMPANION),
     ):
-        (want, want_errors, _), (got, got_errors, _) = _ladder_runs(
-            spec, monkeypatch)
-        assert got_errors == want_errors
-        assert got == want
+        records = run_pipeline(spec).roots
+        errors = []
+        got = [(p.value, p.multiplicity, p.vectors.rank_deficiency,
+                p.vectors.right_vectors.tobytes(),
+                p.vectors.left_vectors.tobytes(), p.vectors.right_residuals,
+                p.vectors.left_residuals, p.defective)
+               for p in pipeline._eigenvector_phase(spec.matrix, records,
+                                                    errors)]
+        assert (got, errors) == _reference_eigenvector_phase(spec.matrix,
+                                                             records)
 
 
-def test_pivot_ladder_skips_eliminations_that_would_repeat(monkeypatch):
-    """At n = 14, 11 eigenvalues fail at every rung; most of those rungs
-    repeat the first elimination's decisions and are skipped, so fewer
-    matrices are eliminated."""
-    (_, errors, full_ladder), (_, _, skipping) = _ladder_runs(
-        _order_14_spec(), monkeypatch)
-    assert sum("is not an eigenvalue" in e for e in errors) == 11
-    assert skipping < full_ladder
+def _sparse_penta_linearisation_eigenvalues():
+    a0, a1, a2 = (np.array(a, dtype=float) for a in (
+        cases.SPARSE_PENTA_A0, cases.SPARSE_PENTA_A1, cases.SPARSE_PENTA_A2))
+    lead = np.linalg.inv(a2)
+    linearisation = np.block([[np.zeros((5, 5)), np.eye(5)],
+                              [-lead @ a0, -lead @ a1]])
+    return np.linalg.eigvals(linearisation)
 
 
-def _rung_major_ladder(matrix, records):
-    """The pivot ladder one rung at a time: every open record eliminates
-    F(lambda), then F(lambda) transposed where the right side succeeded,
-    and skips a rung where its last failure would repeat."""
-    failures, done = {}, set()
-    for pivot_tol in pipeline.EIGENVECTOR_PIVOT_LADDER:
-        rights = []
-        for i, record in enumerate(records):
-            if i in done:
-                continue
-            if i in failures:
-                repeat = failures[i].repeated_at(pivot_tol)
-                if repeat is not None:
-                    failures[i] = repeat
-                    continue
-            try:
-                matpoly.extract_eigenvectors(matrix, record.value, pivot_tol)
-            except NotAnEigenvalueError as exc:
-                failures[i] = exc
-            else:
-                rights.append(i)
-        for i in rights:
-            try:
-                matpoly.left_eigenvectors(matrix, records[i].value, pivot_tol)
-            except NotAnEigenvalueError as exc:
-                failures[i] = exc
-            else:
-                done.add(i)
+@pytest.mark.parametrize("algorithm", (Algorithm.PADE, Algorithm.RAYLEIGH,
+                                       Algorithm.REDUCED))
+def test_linearisation_seeds_give_every_eigenpair_of_the_sparse_pencil(
+        sparse_penta, algorithm):
+    """Seeded with its linearisation's eigenvalues, the sparse 5x5 gets
+    all ten eigenvalues, up to 4.3e-7 off, where sigma_min / sigma_max of
+    F(lambda) reaches 2.3e-7. Each gets both-sided eigenvectors, and the
+    report passes with no error line."""
+    report = run_pipeline(ProblemSpec(
+        matrix=sparse_penta, seed_source=SeedSource.EXTERNAL,
+        external_seeds=tuple(_sparse_penta_linearisation_eigenvalues()),
+        algorithm=algorithm,
+    ))
+    assert len(report.eigenvectors) == 10
+    assert report.all_residuals_pass
+    assert report.errors == ()
 
 
-def _eliminations(spec, monkeypatch):
-    """What the rung-major reference and the pipeline's ladder eliminate
-    on the records of one report: the multiset of (matrix bytes, side,
-    tolerance) and the number of kernel calls, for each."""
-    records = run_pipeline(spec).roots
-    kernel = matpoly._null_space_stack
-    seen = []
-
-    def recorded(matrices, pivot_tol):
-        # A left side arrives as the transposed view of F(lambda).
-        tols = np.broadcast_to(pivot_tol, (len(matrices),))
-        seen.append([(m.tobytes(),
-                      "right" if m.flags.c_contiguous else "left", float(t))
-                     for m, t in zip(matrices, tols)])
-        return kernel(matrices, pivot_tol)
-
-    runs = []
-    with monkeypatch.context() as patch:
-        patch.setattr(matpoly, "_null_space_stack", recorded)
-        for ladder in (_rung_major_ladder,
-                       lambda m, r: pipeline._eigenvector_phase(m, r, [])):
-            del seen[:]
-            ladder(spec.matrix, records)
-            runs.append((Counter(e for call in seen for e in call),
-                         len(seen)))
-    return runs
-
-
-def test_rounds_eliminate_what_the_rung_major_ladder_does(
-        monkeypatch, sparse_penta, singular_lead):
-    """Running every record's ladder in rounds eliminates the same
-    matrices, sides and tolerances as walking the ladder rung by rung."""
-    for spec in (
-        _order_14_spec(),
-        ProblemSpec(matrix=sparse_penta, seed_source=SeedSource.DIAGONAL),
-        ProblemSpec(matrix=singular_lead, seed_source=SeedSource.COMPANION),
-    ):
-        (want, _), (got, _) = _eliminations(spec, monkeypatch)
-        assert got == want
-        assert {side for _, side, _ in got} == {"right", "left"}
-
-
-def test_rounds_need_fewer_eliminations_than_rungs_times_sides(monkeypatch):
-    """At n = 14 the records sit on different rungs and sides at once;
-    one stacked elimination per round serves them all."""
-    (want, _), (got, calls) = _eliminations(_order_14_spec(), monkeypatch)
-    assert got == want
-    assert len({tol for _, _, tol in got}) == 3
-    assert calls < 2 * len(pipeline.EIGENVECTOR_PIVOT_LADDER)
+def test_quad_n7_eigenvalues_get_their_eigenvectors():
+    """quad-n7-0 of the matrix-eig workload: companion seeds and Pade find
+    its 14 eigenvalues up to 3.8e-7 off, and each gets its eigenvectors,
+    so the report passes."""
+    n = 7
+    a0, a1 = np.array(cases.QUAD_N7_A0), np.array(cases.QUAD_N7_A1)
+    report = run_pipeline(ProblemSpec(
+        matrix=polynomial_matrix([a0, a1, np.eye(n)]),
+        seed_source=SeedSource.COMPANION, algorithm=Algorithm.PADE,
+    ))
+    linearisation = np.block([[np.zeros((n, n)), np.eye(n)], [-a0, -a1]])
+    eigenvalues = np.linalg.eigvals(linearisation)
+    assert len(report.roots) == 14
+    for r in report.roots:
+        assert np.min(np.abs(eigenvalues - r.value)) <= 4e-7
+    assert len(report.eigenvectors) == 14
+    assert report.all_residuals_pass
+    assert report.errors == ()
 
 
 def _order_20_spec():
@@ -613,19 +509,6 @@ def _order_20_spec():
     return ProblemSpec(matrix=polynomial_matrix([a0, a1, np.eye(n)]),
                        seed_source=SeedSource.COMPANION,
                        algorithm=Algorithm.PADE)
-
-
-def test_transposes_wait_for_a_right_side_success(monkeypatch):
-    """At n = 20 every record fails its first right-side elimination and
-    skips the looser rungs, so each F(lambda) is eliminated once and no
-    F(lambda) transposed at all."""
-    (_, errors, _), (pairs, got_errors, eliminated) = _ladder_runs(
-        _order_20_spec(), monkeypatch)
-    records = run_pipeline(_order_20_spec()).roots
-    assert pairs == []
-    assert got_errors == errors
-    assert sum("is not an eigenvalue" in e for e in errors) == len(records)
-    assert eliminated == len(records)
 
 
 def test_explore_detect_keeps_every_triple_root():
@@ -910,27 +793,32 @@ def _pinned_specs():
 # roots move by at most 2.4e-16, and their residuals in the last digits;
 # multiplicities, iteration counts, seeds, flags and the (empty) error list
 # are unchanged.
-# order-14 (not-an-eigenvalue and loosened-tolerance lines) and
-# companion-n20 (every eigenvalue fails) were pinned when the eigenvector
-# ladder began eliminating all open records in one stack, from reports
-# recorded before that change; they check the whole ladder end to end.
+# order-14 (five not-an-eigenvalue lines), companion-n20 (every
+# eigenvalue fails) and sparse-penta were re-pinned when eigenvectors
+# began coming from one batched SVD with a single threshold. Their roots,
+# multiplicities and flags are unchanged. The eigenvector columns are unit
+# 2-norm singular vectors, the not-an-eigenvalue lines quote sigma_min and
+# sigma_max, and the loosened-tolerance lines are gone; order-14 gains 6
+# eigenpairs and sparse-penta 2. Those bytes come from LAPACK's SVD, so
+# these three hashes hold for one numpy and LAPACK build (here numpy 2.4
+# with OpenBLAS 0.3.31).
 # sextic-delta0.1 (both multiple roots are guarded grid points) and
 # wilkinson-10 (every root is a grid point where f is exactly 0), both
 # explore+detect at delta 0.1, were pinned from the scalar scan loop when
 # the scan became one array pass; their seeds come from the grid itself.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
-        "324e66228d347c7da699a130711418cde7f74eb9290b2c7f843ba2de062ab844",
+        "0300eeb8781356499bdd89e6c60574037ebbbd190f7fb42a71432f47486d17f7",
     "mult-d8-82":
         "fdc9efb2650127316443d8149526fe894a083e88412ee714099575cdd4464d85",
     "order-14":
-        "5107816b4ad0b2fad5f3edac66d1c52741b226a69caf16bf7dfdc5ef761b89ac",
+        "0f5505e990b211894e0e037a1cfae45c4aad79ffcb42f9733ccb0e03c3357eab",
     "rand-d55-63":
         "52d6b4e276a05ecd0317bbc44bbab7533d8323cccc9db0e6513a04f42555c2dc",
     "real-d9-90":
         "99f85b45f86cbb62d0c0f4e037e7b517cc22bc2eff4f8acd56e2f21829735d07",
     "sparse-penta":
-        "c542bb060f0488d493f66db4c00b461491abe624d62480eec5871483e583b662",
+        "2a0ccc2394f0da64c95f7e893d25e256a99b45233ccec79e45f2ed6d6c407b29",
     "sextic-delta0.1":
         "a6b81b902f03090f851f91d7bffb8df6f7df67af601992c12c8fb8bfd170b39a",
     "wilkinson-10":

@@ -15,13 +15,16 @@ solve gets a spec built fresh from the problem file, as ``polyzeros
 solve`` parses one, so nothing a solve derives and keeps is reused. The
 timed unit is the benchmark's own ``solve`` (``run_pipeline``,
 ``report_to_dict`` and ``json.dumps(indent=2, sort_keys=True)`` under its
-per-problem deadline). The time spent in ``detect_clusters`` is also
-summed per side, since the benchmark's tracer does not span it.
+per-problem deadline). The time spent in the pipeline's
+``detect_clusters`` and ``_eigenvector_phase`` is also summed per side,
+since the benchmark's tracer spans neither.
 
 Per workload the tool prints, for each side, the p50 and p90 over the
-problems of each problem's median solve time, their total, the
-``detect_clusters`` total, and how many report texts differ between the
-trees (each problem's first solve). The last line is the same as JSON.
+problems of each problem's median solve time, their total, the stage
+totals per rep, and how many report texts differ between the trees (each
+problem's first solve). The last line is the same as JSON, which also
+holds the totals per problem family (the problem name without a trailing
+``-<index>``, e.g. ``quad-n7`` for the matrix-eig problems of order 7).
 The exit status is 1 when any report differs.
 """
 
@@ -59,29 +62,38 @@ def load_tree(tree, name):
     return module
 
 
+STAGES = ("detect_clusters", "_eigenvector_phase")
+
+
 class StageClock:
-    """Sums the time of every call to the ``detect_clusters`` that the
-    package's pipeline binds, while installed."""
+    """Sums the time of every call to each of the pipeline's STAGES, by
+    the names the package's pipeline binds, while installed; each
+    installation starts from zero."""
 
     def __init__(self, pz):
         self.pipeline = pz.pipeline
-        self.original = pz.pipeline.detect_clusters
-        self.seconds = 0.0
+        self.originals = {name: getattr(pz.pipeline, name) for name in STAGES}
+        self.timed = {name: self._timed(name, fn)
+                      for name, fn in self.originals.items()}
 
+    def _timed(self, name, fn):
         def timed(*args, **kwargs):
             t0 = time.perf_counter()
             try:
-                return self.original(*args, **kwargs)
+                return fn(*args, **kwargs)
             finally:
-                self.seconds += time.perf_counter() - t0
-        self.timed = timed
+                self.seconds[name] += time.perf_counter() - t0
+        return timed
 
     def __enter__(self):
-        self.pipeline.detect_clusters = self.timed
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        for name, fn in self.timed.items():
+            setattr(self.pipeline, name, fn)
         return self
 
     def __exit__(self, *exc):
-        self.pipeline.detect_clusters = self.original
+        for name, fn in self.originals.items():
+            setattr(self.pipeline, name, fn)
 
 
 def solve(pz, problem):
@@ -93,30 +105,57 @@ def solve(pz, problem):
     return (time.perf_counter() - t0) * 1e3, outcome.text or outcome.status
 
 
+def family(name):
+    """A problem's family: its name without a trailing ``-<index>``."""
+    head, _, tail = name.rpartition("-")
+    return head if head and tail.isdigit() else name
+
+
+def _timings(per_problem, stages, members, reps):
+    """Total of the members' median solve times, and of their time per
+    rep in each stage, in ms."""
+    timings = {"total_ms": round(sum(per_problem[i] for i in members), 2)}
+    for name in STAGES:
+        timings[name.lstrip("_") + "_ms"] = round(
+            sum(stages[name][i] for i in members) * 1e3 / reps, 2)
+    return timings
+
+
 def run_workload(packages, workload, seeds, reps):
     problems = [(seed, p) for seed in seeds
                 for p in workloads.generate(workload, seed)]
     times = {side: [[] for _ in problems] for side in SIDES}
     texts = {side: [None] * len(problems) for side in SIDES}
     clocks = {side: StageClock(packages[side]) for side in SIDES}
+    # Per side and stage, each problem's stage seconds over all reps.
+    stages = {side: {name: [0.0] * len(problems) for name in STAGES}
+              for side in SIDES}
     for rep in range(reps):
         for i, (_, problem) in enumerate(problems):
             order = SIDES if (rep + i) % 2 == 0 else SIDES[::-1]
             for side in order:
                 with clocks[side]:
                     ms, text = solve(packages[side], problem)
+                for name in STAGES:
+                    stages[side][name][i] += clocks[side].seconds[name]
                 times[side][i].append(ms)
                 if texts[side][i] is None:
                     texts[side][i] = text
     result = {"problems": len(problems), "reps": reps}
+    families = {}
+    for i, (_, problem) in enumerate(problems):
+        families.setdefault(family(problem.name), []).append(i)
+    result["families"] = {name: {} for name in families}
     for side in SIDES:
         per_problem = [statistics.median(t) for t in times[side]]
-        result[side] = {
-            "p50_ms": round(float(np.percentile(per_problem, 50)), 4),
-            "p90_ms": round(float(np.percentile(per_problem, 90)), 4),
-            "total_ms": round(sum(per_problem), 2),
-            "detect_clusters_ms": round(clocks[side].seconds * 1e3 / reps, 2),
-        }
+        result[side] = _timings(per_problem, stages[side],
+                                range(len(problems)), reps)
+        result[side].update(
+            p50_ms=round(float(np.percentile(per_problem, 50)), 4),
+            p90_ms=round(float(np.percentile(per_problem, 90)), 4))
+        for name, members in families.items():
+            result["families"][name][side] = _timings(
+                per_problem, stages[side], members, reps)
     differ = [("%d/%s" % (seed, p.name)) for (seed, p), a, b in zip(
         problems, texts["base"], texts["change"]) if a != b]
     result["reports_differ"] = differ
@@ -148,9 +187,9 @@ def main(argv):
         for side in SIDES:
             s = r[side]
             print("  %-6s p50 %8.3f ms  p90 %8.3f ms  total %9.1f ms  "
-                  "detect_clusters %8.1f ms" % (
+                  "detect_clusters %8.1f ms  eigenvector_phase %8.1f ms" % (
                       side, s["p50_ms"], s["p90_ms"], s["total_ms"],
-                      s["detect_clusters_ms"]))
+                      s["detect_clusters_ms"], s["eigenvector_phase_ms"]))
         print("  reports differ: %d%s" % (
             len(r["reports_differ"]),
             " (%s)" % ", ".join(r["reports_differ"][:10])
