@@ -4,7 +4,8 @@ The problem is F(l) x = 0 with F(l) = A_0 + l A_1 + l^2 A_2 for a sparse
 5x5 system with dominant diagonal. The route to the spectrum:
 
 1. recover the characteristic polynomial det F by sampling det F(l) at
-   scaled roots of unity and inverting the FFT,
+   scaled roots of unity and inverting the FFT (F is real, so only the
+   real parts of the coefficients are kept),
 2. take the roots of the diagonal entry polynomials as starting values
    (for a dominant diagonal they land near the true eigenvalues),
 3. refine each starting value with the Pade iteration on det F,
@@ -84,7 +85,7 @@ def main():
           % (len(seeds.values), len(found)))
 
     if len(found) < f.degree:
-        backfill = refine_all(f, companion_seed_all(f).values)
+        backfill = refine_all(f, companion_seed_all(f, real=True).values)
         for key, lam in backfill.items():
             found.setdefault(key, lam)
         print("all-roots seeder closes the gap: %d of %d"

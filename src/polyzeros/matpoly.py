@@ -3,13 +3,16 @@
 F(lambda) = sum A_i lambda**i with n x n complex coefficient matrices. The
 characteristic polynomial det F is recovered by sampling determinants on a
 circle and solving the interpolation system on roots of unity; a singular
-leading matrix simply drops the effective degree. Eigenvectors come from
-one batched SVD of F at every eigenvalue: a value is an eigenvalue when
-F's smallest singular value is at most SINGULAR_REL times its largest, and
-the singular vectors of the small singular values span its null spaces.
-SINGULAR_REL is one fixed relative threshold; it stays until the
-eigenvalues carry no interpolation noise from det F, so that a bound
-derived from rounding errors can replace it.
+leading matrix simply drops the effective degree. For a real F det F is
+real: only the real parts of its coefficients are kept, with no
+threshold, so its companion seeds come from real LAPACK in exact
+conjugate pairs. Eigenvectors come from one batched SVD of F at every
+eigenvalue: a value is an eigenvalue when F's smallest singular value is
+at most SINGULAR_REL times its largest, and the singular vectors of the
+small singular values span its null spaces. An exact conjugate pair of a
+real F shares one SVD. SINGULAR_REL is one fixed relative threshold; it
+stays until the eigenvalues carry no interpolation noise from det F, so
+that a bound derived from rounding errors can replace it.
 """
 
 import cmath
@@ -26,7 +29,6 @@ from .errors import (
 from .explore import companion_seed_all
 from .poly import Polynomial, effective_degree
 
-IMAG_RESIDUE_REL = 1e-10
 SINGULAR_REL = 1e-6
 LEADING_REGULARITY_REL = 1e-12
 
@@ -109,10 +111,11 @@ def characteristic_polynomial(pm):
     Determinants are sampled at m+1 nodes R*exp(-2*pi*i*s/(m+1)) with
     m = rho*n and R one plus the largest coefficient entry; the
     coefficients fall out of the inverse DFT of the samples, scaled back by
-    R**-j. Real inputs are realified when the imaginary residue is below
-    IMAG_RESIDUE_REL of the coefficient scale. Trailing coefficients are
-    trimmed by :func:`effective_degree`, so the returned degree is the
-    effective one.
+    R**-j. For a real F (``pm.is_real()``) det F has real coefficients, so
+    the imaginary parts of the interpolated ones are interpolation noise
+    and only the real parts are kept, whatever their size. Trailing
+    coefficients are trimmed by :func:`effective_degree`, so the returned
+    degree is the effective one.
     """
     m = pm.nominal_char_degree
     count = m + 1
@@ -138,16 +141,14 @@ def characteristic_polynomial(pm):
     scaled = np.fft.ifft(dets)
     powers = sample_radius ** np.arange(count, dtype=float)
     coeffs = scaled / powers
+    if pm.is_real():
+        coeffs = coeffs.real
     top = float(np.max(np.abs(coeffs)))
     if top == 0.0:
         raise SampleConditioningError(
             "all determinant samples vanished; F is singular for every "
             "lambda (nonregular matrix polynomial)"
         )
-    if pm.is_real():
-        residue = float(np.max(np.abs(coeffs.imag)))
-        if residue <= IMAG_RESIDUE_REL * top:
-            coeffs = coeffs.real.astype(complex)
     poly = Polynomial(tuple(coeffs))
     return effective_degree(poly)
 
@@ -209,6 +210,22 @@ def _residuals(products):
     return tuple(float(r) for r in np.max(np.abs(products), axis=0))
 
 
+def _owners(lams, matrices):
+    """owner[i]: the index whose SVD serves value i. A value with
+    Im lambda < 0 whose exact conjugate is listed, and whose F(lambda) is
+    bitwise the conjugate of F there (any real F), is served by that
+    conjugate; every other value serves itself."""
+    upper = {lam: j for j, lam in enumerate(lams) if lam.imag > 0}
+    owner = np.arange(len(lams))
+    pairs = [(i, upper[lam.conjugate()]) for i, lam in enumerate(lams)
+             if lam.conjugate() in upper]
+    if pairs:
+        lower, partner = np.array(pairs).T
+        same = (matrices[lower] == matrices[partner].conj()).all(axis=(1, 2))
+        owner[lower[same]] = partner[same]
+    return owner
+
+
 def eigenvectors_all(pm, lams):
     """Right and left eigenvectors of F at every value in lams.
 
@@ -218,25 +235,36 @@ def eigenvectors_all(pm, lams):
     deficiency is the count of singular values at most that bound, and
     one full SVD of the accepted members gives the vectors: the conjugated
     trailing rows of V^H on the right and the conjugated trailing columns
-    of U on the left. Each member's result is the one it gets alone.
-    Returns per value its EigenvectorBundle, or the NotAnEigenvalueError
-    naming sigma_min and sigma_max (NaN where F(lambda) is not finite)."""
+    of U on the left. Each member's result is the one it gets alone,
+    except that conjugate pairs of a real F share one SVD: the value with
+    Im lambda < 0 takes its partner's singular values, rank and
+    conjugated vectors (F(conj lambda) = conj F(lambda)), with residuals
+    from its own F(lambda). Returns per value its EigenvectorBundle, or the
+    NotAnEigenvalueError naming sigma_min and sigma_max (NaN where
+    F(lambda) is not finite)."""
     lams = [complex(lam) for lam in lams]
     with np.errstate(over="ignore", invalid="ignore"):
         matrices = eval_matrix(pm, lams)
-    finite = np.isfinite(matrices).all(axis=(1, 2))
+    owner = _owners(lams, matrices)
+    own = owner == np.arange(len(lams))
+    finite = own & np.isfinite(matrices).all(axis=(1, 2))
     sigma = np.full((len(lams), pm.order), np.nan)
     sigma[finite] = np.linalg.svd(matrices[finite], compute_uv=False)
+    sigma = sigma[owner]
     ranks = np.sum(sigma <= SINGULAR_REL * sigma[:, :1], axis=1)
     found = [None if rank else
              NotAnEigenvalueError(lam, s[-1], s[0], SINGULAR_REL)
              for lam, s, rank in zip(lams, sigma, ranks)]
-    accepted = np.flatnonzero(ranks)
+    accepted = np.flatnonzero(own & (ranks > 0))
     u, _, vh = np.linalg.svd(matrices[accepted])
-    for i, left, right in zip(accepted, u, vh):
-        r, matrix = int(ranks[i]), matrices[i]
-        x, y = right[-r:].conj().T, left[:, -r:].conj()
-        found[i] = EigenvectorBundle(lams[i], r, x, y,
+    vectors = {i: (right[-ranks[i]:].conj().T, left[:, -ranks[i]:].conj())
+               for i, left, right in zip(accepted, u, vh)}
+    for i in np.flatnonzero(ranks):
+        x, y = vectors[owner[i]]
+        if not own[i]:
+            x, y = x.conj(), y.conj()
+        matrix = matrices[i]
+        found[i] = EigenvectorBundle(lams[i], int(ranks[i]), x, y,
                                      _residuals(matrix @ x),
                                      _residuals(matrix.T @ y))
     return found

@@ -320,3 +320,58 @@ def test_not_an_eigenvalue_names_the_singular_values(pencil5, sparse_penta):
         "exceeds 1e-06 * sigma_max %.3g" % (sigma[-1], sigma[0]))
     huge = matpoly.eigenvectors_all(sparse_penta, [1e200])[0]
     assert math.isnan(huge.sigma_min) and math.isnan(huge.sigma_max)
+
+
+def _quad_n7(shift=0.0):
+    """quad-n7-0 of the matrix-eig workload, with shift added to A_0's
+    diagonal, and its linearisation's eigenvalues."""
+    n = 7
+    a0 = np.array(cases.QUAD_N7_A0) + shift * np.eye(n)
+    a1 = np.array(cases.QUAD_N7_A1)
+    linearisation = np.block([[np.zeros((n, n)), np.eye(n)], [-a0, -a1]])
+    return (polynomial_matrix([a0, a1, np.eye(n)]),
+            np.linalg.eigvals(linearisation))
+
+
+def test_real_f_has_a_real_characteristic_polynomial():
+    """det F of a real F keeps the real parts of its interpolated
+    coefficients, whatever the size of the imaginary ones."""
+    pm, _ = _quad_n7()
+    assert all(c.imag == 0.0 for c in characteristic_polynomial(pm).coeffs)
+
+
+def test_conjugate_partner_takes_the_pair_svd():
+    """On a real F, the value of a conjugate pair below the real axis gets
+    its partner's rank and conjugated vectors, in either order, with
+    residuals from its own F(lambda); the partner gets what it gets
+    alone."""
+    pm, values = _quad_n7()
+    lam = next(v for v in values if v.imag > 0)
+    alone = matpoly.eigenvectors_all(pm, [lam])[0]
+    for lams, k in (([lam, lam.conjugate()], 1), ([lam.conjugate(), lam], 0)):
+        found = matpoly.eigenvectors_all(pm, lams)
+        partner, own = found[1 - k], found[k]
+        assert _bits(partner) == _bits(alone)
+        assert own.eigenvalue == lam.conjugate()
+        assert own.rank_deficiency == partner.rank_deficiency == 1
+        assert np.array_equal(own.right_vectors, partner.right_vectors.conj())
+        assert np.array_equal(own.left_vectors, partner.left_vectors.conj())
+        evaluated = eval_matrix(pm, lam.conjugate())
+        assert own.right_residuals == tuple(
+            np.max(np.abs(evaluated @ own.right_vectors), axis=0))
+        assert own.left_residuals == tuple(
+            np.max(np.abs(evaluated.T @ own.left_vectors), axis=0))
+        assert max(own.right_residuals + own.left_residuals) <= 1e-12
+
+
+def test_complex_f_takes_no_partner():
+    """F with A_0 + 1e-3j I is not real: at its eigenvalues and at their
+    exact conjugates, which are none, every value gets exactly what
+    extracting at it alone gives."""
+    pm, values = _quad_n7(1e-3j)
+    lams = list(values) + [v.conjugate() for v in values]
+    found = matpoly.eigenvectors_all(pm, lams)
+    assert [_bits(f) for f in found] == [
+        _bits(matpoly.eigenvectors_all(pm, [lam])[0]) for lam in lams]
+    kinds = [isinstance(f, NotAnEigenvalueError) for f in found]
+    assert kinds == [False] * len(values) + [True] * len(values)

@@ -15,9 +15,11 @@ solve gets a spec built fresh from the problem file, as ``polyzeros
 solve`` parses one, so nothing a solve derives and keeps is reused. The
 timed unit is the benchmark's own ``solve`` (``run_pipeline``,
 ``report_to_dict`` and ``json.dumps(indent=2, sort_keys=True)`` under its
-per-problem deadline). The time spent in the pipeline's
-``detect_clusters`` and ``_eigenvector_phase`` is also summed per side,
-since the benchmark's tracer spans neither.
+per-problem deadline). The time spent in each of the pipeline's stages
+``characteristic_polynomial`` (det F of a matrix problem),
+``_acquire_seeds``, ``detect_clusters`` and ``_eigenvector_phase`` is
+also summed per side, in one process for both trees; the benchmark's
+tracer spans neither ``detect_clusters`` nor ``_eigenvector_phase``.
 
 Per workload the tool prints, for each side, the p50 and p90 over the
 problems of each problem's median solve time, their total, the stage
@@ -62,7 +64,8 @@ def load_tree(tree, name):
     return module
 
 
-STAGES = ("detect_clusters", "_eigenvector_phase")
+STAGES = ("characteristic_polynomial", "_acquire_seeds", "detect_clusters",
+          "_eigenvector_phase")
 
 
 class StageClock:
@@ -111,12 +114,17 @@ def family(name):
     return head if head and tail.isdigit() else name
 
 
+def _stage_key(name):
+    """A stage's key in the JSON, e.g. ``acquire_seeds_ms``."""
+    return name.lstrip("_") + "_ms"
+
+
 def _timings(per_problem, stages, members, reps):
     """Total of the members' median solve times, and of their time per
     rep in each stage, in ms."""
     timings = {"total_ms": round(sum(per_problem[i] for i in members), 2)}
     for name in STAGES:
-        timings[name.lstrip("_") + "_ms"] = round(
+        timings[_stage_key(name)] = round(
             sum(stages[name][i] for i in members) * 1e3 / reps, 2)
     return timings
 
@@ -186,10 +194,11 @@ def main(argv):
               % (workload, r["problems"], reps, argv[3]))
         for side in SIDES:
             s = r[side]
-            print("  %-6s p50 %8.3f ms  p90 %8.3f ms  total %9.1f ms  "
-                  "detect_clusters %8.1f ms  eigenvector_phase %8.1f ms" % (
-                      side, s["p50_ms"], s["p90_ms"], s["total_ms"],
-                      s["detect_clusters_ms"], s["eigenvector_phase_ms"]))
+            print("  %-6s p50 %8.3f ms  p90 %8.3f ms  total %9.1f ms" % (
+                side, s["p50_ms"], s["p90_ms"], s["total_ms"]))
+            print("         " + "  ".join(
+                "%s %.1f ms" % (name.lstrip("_"), s[_stage_key(name)])
+                for name in STAGES))
         print("  reports differ: %d%s" % (
             len(r["reports_differ"]),
             " (%s)" % ", ".join(r["reports_differ"][:10])
