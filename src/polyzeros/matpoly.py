@@ -108,8 +108,9 @@ def eval_matrix(pm, lam):
 def characteristic_polynomial(pm):
     """det F(lambda) as a polynomial, via determinant interpolation.
 
-    Determinants are sampled at m+1 nodes R*exp(-2*pi*i*s/(m+1)) with
-    m = rho*n and R one plus the largest coefficient entry; the
+    Determinants are sampled at m+1 nodes R*exp(-2*pi*i*s/(m+1)), with
+    m = rho*n and R one plus the largest coefficient entry, in one stacked
+    determinant call over F at every node (:func:`eval_matrix`); the
     coefficients fall out of the inverse DFT of the samples, scaled back by
     R**-j. For a real F (``pm.is_real()``) det F has real coefficients, so
     the imaginary parts of the interpolated ones are interpolation noise
@@ -130,10 +131,9 @@ def characteristic_polynomial(pm):
             "sample radius %g overflows at degree %d; scale the coefficient "
             "matrices down" % (sample_radius, m)
         )
-    dets = np.empty(count, dtype=complex)
-    for s in range(count):
-        node = sample_radius * cmath.exp(-2j * math.pi * s / count)
-        dets[s] = np.linalg.det(eval_matrix(pm, node))
+    nodes = [sample_radius * cmath.exp(-2j * math.pi * s / count)
+             for s in range(count)]
+    dets = np.linalg.det(eval_matrix(pm, nodes))
     if not np.all(np.isfinite(dets)):
         raise SampleConditioningError(
             "non-finite determinant samples at radius %g" % sample_radius

@@ -5,9 +5,10 @@ and an algorithm choice. The problem polynomial (:func:`spec_polynomial`)
 is the user's coefficients as given, in a new object per solve, or det F
 for a matrix problem. An exact root at 0 (a_0 = 0) is recorded as it is,
 and the other roots are solved for on f / lambda**k (:func:`_zero_root`).
-run_pipeline acquires seeds, refines them in one loop whatever the
-algorithm, merges duplicate roots, and assembles a deterministic report
-ordered lexicographically by (re, im). Pade, Halley and the two list
+run_pipeline acquires seeds, refines them into one list of outcomes
+whatever the algorithm (:func:`_outcomes`), reads that list in one loop,
+merges duplicate roots, and assembles a deterministic report ordered
+lexicographically by (re, im). Pade, Halley and the two list
 iterations refine all seeds in one batch call, each step taken by every
 seed still running at once. Detect and test-nu refine each seed on its
 own, except that detect on companion or external seeds first settles
@@ -21,7 +22,6 @@ every root passes its residual test.
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from .ecp import (
     EcpList,
@@ -199,66 +199,63 @@ def _acquire_seeds(spec, f, errors):
         return ()
 
 
-def _batch(run):
-    """step(k) for an algorithm that refines all seeds in one call
-    ``run()``, returning a trace per seed. An error of that call (a degree
-    check) is every seed's error."""
-    try:
-        traces = run()
-    except PolyzerosError as exc:
-        error = exc
+def _outcomes(spec, f, seeds, errors):
+    """``(group, found, nu)`` per record to be made, in seed order.
 
-        def fail(k):
-            raise error
-        return fail
-    return lambda k: (traces[k], 1)
-
-
-def _refiner(spec, f, seeds):
-    """``(group, refine)`` pairs in seed order, one per record to be made.
-
-    ``group`` holds seed indices and ``refine()`` returns ``(trace, nu)``:
-    the trace's final iterate is the root and nu its multiplicity. Pade
-    and Halley refine all seeds in one batch. Rayleigh and reduced refine
-    every row's main value of one interpolation list, built here from all
-    seeds, in one batch. Detect probes each seed on its own and answers
-    with its winning probe; on companion or external seeds it first
-    settles clusters of seeds (:func:`detect_clusters`), one group and one
-    probe each, and probes only the seeds left over.
+    ``group`` holds seed indices, and ``found`` is the trace whose final
+    iterate is the group's root, of multiplicity nu, or the PolyzerosError
+    that ended its refinement. Pade and Halley refine all seeds in one
+    batch call, and rayleigh and reduced every row's main value of one
+    interpolation list, built here from all seeds; a batch call that
+    raises is every seed's error, and a list that cannot be built leaves
+    an error line and no outcome. Test-nu probes each seed on its own.
+    Detect answers with each seed's winning probe; on companion or
+    external seeds it first settles clusters of seeds
+    (:func:`detect_clusters`), one group and one probe each, and probes
+    only the seeds left over.
     """
     settings = spec.settings
-    if spec.algorithm in (Algorithm.RAYLEIGH, Algorithm.REDUCED):
-        lst = build_ecp_list(f, seeds)
-        iterate = (rayleigh_iterate_all if spec.algorithm is Algorithm.RAYLEIGH
-                   else reduced_pade_iterate_all)
-        step = _batch(partial(iterate, lst, f, lst.main_values, settings))
-    elif spec.algorithm is Algorithm.DETECT:
-        def step(k):
-            verdict = detect_multiplicity(f, seeds[k], spec.nu_max, settings)
-            return verdict.probes[verdict.multiplicity], verdict.multiplicity
-    elif spec.algorithm is Algorithm.TEST_NU:
-        def step(k):
-            return iterate_test_nu(f, spec.nu, seeds[k], settings), spec.nu
-    else:
-        iterate = (iterate_pade_all if spec.algorithm is Algorithm.PADE
-                   else iterate_halley_all)
-        step = _batch(partial(iterate, f, seeds, settings))
-    singles = range(len(seeds))
-    units = []
-    if spec.algorithm is Algorithm.DETECT and spec.seed_source in (
-            SeedSource.COMPANION, SeedSource.EXTERNAL):
-        clusters, singles = detect_clusters(f, seeds, spec.nu_max, settings)
-        units = [(c.seeds, lambda c=c: (c.probe, c.multiplicity))
-                 for c in clusters]
-    units += [((k,), partial(step, k)) for k in singles]
-    return sorted(units, key=lambda unit: unit[0][0])
-
-
-def _counts_to(f, lam, nu):
-    """True when the smallest undeclined zero count around lam rounds to
-    nu."""
-    counted = _smallest_count(f, lam)
-    return counted is not None and round(counted[0].real) == nu
+    algorithm = spec.algorithm
+    if algorithm in (Algorithm.DETECT, Algorithm.TEST_NU):
+        outcomes, singles = [], range(len(seeds))
+        if algorithm is Algorithm.DETECT and spec.seed_source in (
+                SeedSource.COMPANION, SeedSource.EXTERNAL):
+            clusters, singles = detect_clusters(f, seeds, spec.nu_max,
+                                                settings)
+            outcomes = [(c.seeds, c.probe, c.multiplicity) for c in clusters]
+        for k in singles:
+            nu = spec.nu
+            try:
+                if algorithm is Algorithm.TEST_NU:
+                    found = iterate_test_nu(f, nu, seeds[k], settings)
+                else:
+                    verdict = detect_multiplicity(f, seeds[k], spec.nu_max,
+                                                  settings)
+                    nu = verdict.multiplicity
+                    found = verdict.probes[nu]
+            except PolyzerosError as exc:
+                found = exc
+            outcomes.append(((k,), found, nu))
+        return sorted(outcomes, key=lambda outcome: outcome[0][0])
+    if algorithm in (Algorithm.RAYLEIGH, Algorithm.REDUCED):
+        try:
+            lst = build_ecp_list(f, seeds)
+        except PolyzerosError as exc:
+            errors.append("interpolation list: %s" % exc)
+            return []
+    try:
+        if algorithm is Algorithm.PADE:
+            found = iterate_pade_all(f, seeds, settings)
+        elif algorithm is Algorithm.HALLEY:
+            found = iterate_halley_all(f, seeds, settings)
+        elif algorithm is Algorithm.RAYLEIGH:
+            found = rayleigh_iterate_all(lst, f, lst.main_values, settings)
+        else:
+            found = reduced_pade_iterate_all(lst, f, lst.main_values,
+                                             settings)
+    except PolyzerosError as exc:
+        found = [exc] * len(seeds)
+    return [((k,), trace, 1) for k, trace in enumerate(found)]
 
 
 def _refine(spec, f, seeds, errors):
@@ -273,31 +270,25 @@ def _refine(spec, f, seeds, errors):
     needs a zero count (:func:`_smallest_count`) that rounds to the
     record's multiplicity. A simple-root step that creeps onto a multiple
     root therefore leaves an error line, not nu records of one root."""
-    try:
-        units = _refiner(spec, f, seeds)
-    except PolyzerosError as exc:  # only the list build raises here
-        errors.append("interpolation list: %s" % exc)
-        return []
     records = []
-    for group, refine_group in units:
-        try:
-            trace, nu = refine_group()
-        except PolyzerosError as exc:
-            errors.append("seed %r: %s" % (seeds[group[0]], exc))
+    for group, found, nu in _outcomes(spec, f, seeds, errors):
+        seed = seeds[group[0]]
+        if isinstance(found, PolyzerosError):
+            errors.append("seed %r: %s" % (seed, found))
             continue
-        if not (trace.status is TraceStatus.CONVERGED
-                or trace.status is TraceStatus.AT_FLOOR
-                and (spec.algorithm is Algorithm.DETECT
-                     or _counts_to(f, trace.final, nu))):
-            notes = " (%s)" % "; ".join(trace.notes) if trace.notes else ""
-            errors.append("seed %r: %s%s"
-                          % (seeds[group[0]], trace.status.value, notes))
+        at_floor = found.status is TraceStatus.AT_FLOOR
+        if at_floor and spec.algorithm is not Algorithm.DETECT:
+            counted = _smallest_count(f, found.final)
+            at_floor = counted is not None and round(counted[0].real) == nu
+        if not (found.status is TraceStatus.CONVERGED or at_floor):
+            notes = " (%s)" % "; ".join(found.notes) if found.notes else ""
+            errors.append("seed %r: %s%s" % (seed, found.status.value, notes))
             continue
         records.append(RootRecord(
-            complex(trace.final), nu, trace.residual, spec.algorithm,
-            len(trace.rows),
+            complex(found.final), nu, found.residual, spec.algorithm,
+            len(found.rows),
             tuple(dict.fromkeys(complex(seeds[k]) for k in group)),
-            spec.seed_source, trace.residual <= spec.settings.residual_tol,
+            spec.seed_source, found.residual <= spec.settings.residual_tol,
         ))
     return records
 

@@ -134,33 +134,20 @@ def evaluate(f, lam, order=0):
 
     Nested (Horner) evaluation with derivative propagation; returns a tuple
     (f(lam), f'(lam), ..., f^(order)(lam)) with the factorials included.
-    Orders 0 to 2 run as straight-line loops over local variables; they do
-    the same operations in the same order as the general loop (the integer
-    factor k of ``k * vals[k-1]`` included), so every order rounds alike.
+    Order 0, the one the interpolation list's build makes thousands of
+    calls with, runs as a straight-line loop over a local variable; it
+    does the operations of the general loop, so it rounds alike.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     if order < 0:
         raise ValueError("order must be >= 0")
     lam = complex(lam)
-    v = 0j
     if order == 0:
+        v = 0j
         for a in reversed(f.coeffs):
             v = v * lam + a
         return (v,)
-    d1 = 0j
-    if order == 1:
-        for a in reversed(f.coeffs):
-            d1 = d1 * lam + 1 * v
-            v = v * lam + a
-        return (v, d1)
-    d2 = 0j
-    if order == 2:
-        for a in reversed(f.coeffs):
-            d2 = d2 * lam + 2 * d1
-            d1 = d1 * lam + 1 * v
-            v = v * lam + a
-        return (v, d1, d2)
     vals = [0j] * (order + 1)
     for a in reversed(f.coeffs):
         for k in range(order, 0, -1):

@@ -58,7 +58,7 @@ from .poly import (
 DEFAULT_MAX_ITERS = 100
 DEFAULT_STEP_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-10
-DEFAULT_DIVERGENCE_FACTOR = 10.0
+DIVERGENCE_FACTOR = 10.0
 
 ROOT_IDENTITY_REL = 1e-8
 ORIGIN_GUARD_REL = 1e-8
@@ -85,15 +85,12 @@ class IterationSettings:
     max_iters: int = DEFAULT_MAX_ITERS
     step_tol: float = DEFAULT_STEP_TOL
     residual_tol: float = DEFAULT_RESIDUAL_TOL
-    divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if min(self.step_tol, self.residual_tol) <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.divergence_factor <= 1:
-            raise ValueError("divergence_factor must be > 1")
 
 
 DEFAULT_SETTINGS = IterationSettings()
@@ -197,9 +194,9 @@ def _run_batch(steps_fn, residual_fn, floor, seeds, settings, root_bound):
     NUMERICAL_ERROR. Each seed runs the stopping rule of
     :func:`_iteration` with the rounding ``floor`` of ``residual_fn``, so
     a seed's trace is the one the same step function gives it alone.
-    Iterates beyond ``divergence_factor * (1 + root_bound)`` diverge.
+    Iterates beyond ``DIVERGENCE_FACTOR * (1 + root_bound)`` diverge.
     """
-    divergence_bound = settings.divergence_factor * (1.0 + root_bound)
+    divergence_bound = DIVERGENCE_FACTOR * (1.0 + root_bound)
     runs = [_iteration(s, residual_fn, floor, settings, divergence_bound)
             for s in seeds]
     lams = [next(run) for run in runs]
@@ -485,6 +482,20 @@ def _smallest_count(f, s):
         radius *= 2.0
 
 
+def _probe_circle(f, nu, center, radius, settings, probes=None):
+    """The nu-probe from ``center`` when it settles the circle
+    (:func:`_settles`), else None. A probe that runs is added to
+    ``probes``; a test polynomial that overflows or vanishes settles
+    nothing, and an OriginSeedError goes to the caller."""
+    try:
+        trace = iterate_test_nu(f, nu, center, settings)
+    except (ProbeOverflowError, ZeroPolynomialError):
+        return None
+    if probes is not None:
+        probes[nu] = trace
+    return trace if _settles(f, nu, trace, center, radius) else None
+
+
 def _detect_at(f, s, nu_max, settings, probes):
     """The MultiplicityVerdict of the counted probe from s, or None when
     no count is made, it names no order in 1..nu_max, or the probe does
@@ -496,12 +507,8 @@ def _detect_at(f, s, nu_max, settings, probes):
     nu = round(count.real)
     if not 1 <= nu <= nu_max:
         return None
-    try:
-        trace = iterate_test_nu(f, nu, s, settings)
-    except (ProbeOverflowError, ZeroPolynomialError):
-        return None
-    probes[nu] = trace
-    if not _settles(f, nu, trace, s, radius):
+    trace = _probe_circle(f, nu, s, radius, settings, probes)
+    if trace is None:
         return None
     return MultiplicityVerdict(trace.final, nu, probes, count)
 
@@ -552,11 +559,6 @@ class ClusterVerdict:
     probe: IterationTrace
 
 
-# How detect_clusters goes on with a group _settle_group does not accept.
-_MERGE = "merge"
-_LEAVE_OVER = "leave over"
-
-
 def _circle(f, seeds, group):
     """(center, radius): the circle a group is counted on, around its
     seeds' mean with radius half the distance to the nearest seed outside
@@ -572,29 +574,6 @@ def _circle(f, seeds, group):
     return center, radius
 
 
-def _settle_group(f, group, circle, count, nu_max, settings):
-    """A ClusterVerdict for the group, counted ``count`` on ``circle``;
-    otherwise _MERGE when the count is declined or is not the group's
-    size, and _LEAVE_OVER when the count is its size but the probe of
-    that order from the seeds' mean does not settle the circle
-    (:func:`_settles`).
-    """
-    center, radius = circle
-    nu = len(group)
-    if count is None or abs(count - nu) >= 0.5:
-        return _MERGE
-    if nu > nu_max:
-        return _LEAVE_OVER
-    try:
-        trace = iterate_test_nu(f, nu, center, settings)
-    except (OriginSeedError, ProbeOverflowError, ZeroPolynomialError):
-        return _LEAVE_OVER
-    if not _settles(f, nu, trace, center, radius):
-        return _LEAVE_OVER
-    return ClusterVerdict(tuple(group), center, radius, count, trace.final,
-                          nu, trace)
-
-
 def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
     """Multiplicities by counting, from approximations of all the roots.
 
@@ -605,13 +584,13 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
     seed's own circle is counted before the first group is settled, in one
     :func:`count_zeros_all` pass, and again with :func:`count_zeros` where
     that pass declines it; a merged group is counted when it forms
-    (:func:`count_zeros`). When the count rounds to the group's size nu,
-    one probe of order nu runs from the mean, and the group is settled if
-    that probe settles the circle (:func:`_settle_group`). A group whose
-    count is declined, or is not its size, merges with the nearest group
-    not yet settled (single linkage) and is counted again. A group whose
-    probe does not settle it, or that has no group left to merge with, is
-    left over.
+    (:func:`count_zeros`). A group whose count is declined, or is not its
+    size nu, merges with the nearest group not yet settled (single
+    linkage) and is counted again. Otherwise one probe of order nu runs
+    from the mean, and the group is settled if that probe settles the
+    circle (:func:`_probe_circle`). A group whose probe does not settle
+    it (or starts at the origin, or is of an order beyond nu_max), or
+    that has no group left to merge with, is left over.
 
     Returns (verdicts, leftover): the ClusterVerdicts in the order they
     were settled and the leftover seed indices, ascending. The caller runs
@@ -630,22 +609,31 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
     leftover = []
     while queue:
         group = queue.pop(0)
-        if len(group) == 1:
-            circle, count = circles[group[0]], counts[group[0]]
+        nu = len(group)
+        if nu == 1:
+            (center, radius), count = circles[group[0]], counts[group[0]]
             if count is None:  # the array floor is above Horner's
-                count = count_zeros(f, *circle)
+                count = count_zeros(f, center, radius)
         else:
-            circle = _circle(f, seeds, group)
-            count = count_zeros(f, *circle)
-        outcome = _settle_group(f, group, circle, count, nu_max, settings)
-        if isinstance(outcome, ClusterVerdict):
-            verdicts.append(outcome)
-        elif outcome is _MERGE and queue:
-            # Single linkage: the distance of the two closest members.
-            nearest = min(queue, key=lambda g: min(
-                abs(seeds[i] - seeds[j]) for i in group for j in g))
-            queue.remove(nearest)
-            queue.insert(0, tuple(sorted(group + nearest)))
-        else:
+            center, radius = _circle(f, seeds, group)
+            count = count_zeros(f, center, radius)
+        trace = None
+        if count is None or abs(count - nu) >= 0.5:
+            if queue:
+                # Single linkage: the distance of the two closest members.
+                nearest = min(queue, key=lambda g: min(
+                    abs(seeds[i] - seeds[j]) for i in group for j in g))
+                queue.remove(nearest)
+                queue.insert(0, tuple(sorted(group + nearest)))
+                continue
+        elif nu <= nu_max:
+            try:
+                trace = _probe_circle(f, nu, center, radius, settings)
+            except OriginSeedError:
+                pass
+        if trace is None:
             leftover.extend(group)
+        else:
+            verdicts.append(ClusterVerdict(tuple(group), center, radius,
+                                           count, trace.final, nu, trace))
     return verdicts, sorted(leftover)

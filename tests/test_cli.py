@@ -318,6 +318,32 @@ def test_eigvec_value_that_is_no_eigenvalue_fails_its_entry(tmp_path):
     }
 
 
+def test_eigvec_accepts_the_eigenvalues_solve_accepts(tmp_path):
+    """quad-n7-0 of the matrix-eig workload: ``solve`` passes its 14
+    eigenvalues, and ``eigvec`` at those values gives every one its
+    eigenvectors and exits 0, as the two share one definition of an
+    eigenpair."""
+    n = 7
+    problem = _write(tmp_path, "quad.json", {
+        "kind": "matrix",
+        "matrices": [[list(row) for row in cases.QUAD_N7_A0],
+                     [list(row) for row in cases.QUAD_N7_A1],
+                     np.eye(n).tolist()],
+        "seed_source": "companion",
+        "algorithm": "pade",
+    })
+    solved = tmp_path / "solved.json"
+    assert main(["solve", problem, "--out", str(solved)]) == 0
+    values = [r["value"] for r in json.loads(solved.read_text())["roots"]]
+    assert len(values) == 14
+    seeds = _write(tmp_path, "values.json", values)
+    out = tmp_path / "vec.json"
+    assert main(["eigvec", problem, "--seeds", seeds, "--out", str(out)]) == 0
+    entries = json.loads(out.read_text())["eigenvectors"]
+    assert [e["value"] for e in entries] == values
+    assert all(e["residual_pass"] for e in entries)
+
+
 def test_eigvec_requires_matrix_and_seeds(tmp_path, capsys):
     code = main(["eigvec", _example1_file(tmp_path, seeds=[1.0])])
     assert code == 2

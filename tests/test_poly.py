@@ -234,8 +234,9 @@ def _bits(values):
 
 
 def test_straight_line_kernels_round_like_the_general_loop():
-    """evaluate's order 0-2 loops and the fused residual give exactly the
-    bits of the general loop and of evaluate + coefficient_scale."""
+    """evaluate's order-0 loop, its general loop at orders 1-3 and the
+    fused residual give exactly the bits of the reference loop and of
+    evaluate + coefficient_scale."""
     rng = np.random.default_rng(30)
     random30 = Polynomial(tuple(
         complex(a, b) for a, b in zip(rng.normal(size=31), rng.normal(size=31))
