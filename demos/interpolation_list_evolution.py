@@ -45,8 +45,7 @@ def describe(lst, label):
     print("%s: max|d| %.2e   max main-value error %.2e"
           % (label,
              max(abs(d) for d in lst.defects),
-             max(abs(r.main_value - round(r.main_value.real))
-                 for r in lst.rows)))
+             max(abs(h - round(h.real)) for h in lst.main_values)))
 
 
 def main():

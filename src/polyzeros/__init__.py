@@ -9,7 +9,6 @@ machinery extend the idea to eigenvalue problems.
 from .cli import emit_plot_data, main, parse_problem_file, problem_spec_to_dict
 from .ecp import (
     EcpList,
-    EcpRow,
     GershgorinDisk,
     SumControl,
     build_ecp_list,

@@ -2,8 +2,9 @@
 
 Subcommands: solve (full pipeline), explore (real-axis sign scan), ecp
 (interpolation list with evolutions), eigvec (eigenvectors at given
-eigenvalues), plot (CSV samples of f, p, h over a real interval). Problem
-files are JSON objects; complex numbers are written as [re, im] pairs and
+eigenvalues), plot (CSV samples of f, p, h over a real interval). Each
+accepts exactly the options it reads (``_SUBCOMMANDS``). Problem files are
+JSON objects; complex numbers are written as [re, im] pairs and
 polynomial coefficients are ascending.
 """
 
@@ -227,25 +228,19 @@ def _load_seed_file(path):
 
 
 def _apply_overrides(spec, args):
-    changes = {}
-    if getattr(args, "seeds", None):
-        changes["external_seeds"] = _load_seed_file(args.seeds)
+    """The problem file's spec with the subcommand's declared options set;
+    ``args`` holds no attribute for an option the subcommand lacks."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    changes = {k: given[k] for k in ("delta", "nu_max") if k in given}
+    if "seeds" in given:
+        changes["external_seeds"] = _load_seed_file(given["seeds"])
         changes["seed_source"] = SeedSource.EXTERNAL
-    if getattr(args, "algorithm", None):
-        changes["algorithm"] = Algorithm(args.algorithm)
-    if getattr(args, "delta", None) is not None:
-        changes["delta"] = args.delta
-    if getattr(args, "nu_max", None) is not None:
-        changes["nu_max"] = args.nu_max
-    settings_changes = {}
-    if getattr(args, "step_tol", None) is not None:
-        settings_changes["step_tol"] = args.step_tol
-    if getattr(args, "residual_tol", None) is not None:
-        settings_changes["residual_tol"] = args.residual_tol
-    if settings_changes:
-        changes["settings"] = dataclasses.replace(
-            spec.settings, **settings_changes
-        )
+    if "algorithm" in given:
+        changes["algorithm"] = Algorithm(given["algorithm"])
+    settings = {k: given[k] for k in ("step_tol", "residual_tol")
+                if k in given}
+    if settings:
+        changes["settings"] = dataclasses.replace(spec.settings, **settings)
     return dataclasses.replace(spec, **changes) if changes else spec
 
 
@@ -258,8 +253,7 @@ def _write_json(data, out_path):
         sys.stdout.write(text + "\n")
 
 
-def _cmd_solve(args):
-    spec = _apply_overrides(parse_problem_file(args.problem), args)
+def _cmd_solve(spec, args):
     report = run_pipeline(spec)
     _write_json(report_to_dict(report), args.out)
     return 0 if report.all_residuals_pass else 1
@@ -276,15 +270,13 @@ def _scan_dict(report):
     }
 
 
-def _cmd_explore(args):
-    spec = _apply_overrides(parse_problem_file(args.problem), args)
+def _cmd_explore(spec, args):
     f = spec_polynomial(spec)
     _write_json(_scan_dict(scan_sign_changes(f, spec.delta)), args.out)
     return 0
 
 
-def _cmd_ecp(args):
-    spec = _apply_overrides(parse_problem_file(args.problem), args)
+def _cmd_ecp(spec, args):
     if spec.seed_source is not SeedSource.EXTERNAL:
         raise ProblemFormatError(
             "ecp needs explicit eigenvalue approximations (--seeds or file)"
@@ -294,8 +286,7 @@ def _cmd_ecp(args):
     return 0 if defects_below_threshold(diag.final_list) else 1
 
 
-def _cmd_eigvec(args):
-    spec = _apply_overrides(parse_problem_file(args.problem), args)
+def _cmd_eigvec(spec, args):
     if spec.matrix is None:
         raise ProblemFormatError("eigvec needs a matrix problem")
     if spec.seed_source is not SeedSource.EXTERNAL:
@@ -354,33 +345,45 @@ def emit_plot_data(f, interval, samples, path):
         sys.stdout.write(text)
 
 
-def _cmd_plot(args):
-    spec = _apply_overrides(parse_problem_file(args.problem), args)
+def _cmd_plot(spec, args):
     f = spec_polynomial(spec)
-    if args.range is not None:
-        interval = (args.range[0], args.range[1])
-    else:
-        interval = (-f.root_bound, f.root_bound)
-    emit_plot_data(f, interval, args.samples, args.out)
+    emit_plot_data(f, args.range or (-f.root_bound, f.root_bound),
+                   args.samples, args.out)
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("problem", help="JSON problem file")
-    parser.add_argument("--delta", type=float, default=None,
-                        help="exploration step size")
-    parser.add_argument("--step-tol", type=float, default=None,
-                        dest="step_tol", help="relative step tolerance")
-    parser.add_argument("--residual-tol", type=float, default=None,
-                        dest="residual_tol", help="relative residual tolerance")
-    parser.add_argument("--nu-max", type=int, default=None, dest="nu_max",
-                        help="largest multiplicity probed")
-    parser.add_argument("--seeds", default=None,
-                        help="JSON file with starting values")
-    parser.add_argument("--algorithm", default=None,
-                        choices=[a.value for a in Algorithm],
-                        help="refinement algorithm (default detect)")
-    parser.add_argument("--out", default=None, help="output file")
+# Every option, defined once: the flag and its argparse keywords.
+_OPTIONS = {
+    "--delta": dict(type=float, help="exploration step size"),
+    "--step-tol": dict(type=float, help="relative step tolerance"),
+    "--residual-tol": dict(type=float, help="relative residual tolerance"),
+    "--nu-max": dict(type=int, help="largest multiplicity probed"),
+    "--seeds": dict(help="JSON file with starting values"),
+    "--algorithm": dict(choices=[a.value for a in Algorithm],
+                        help="refinement algorithm (default detect)"),
+    "--range": dict(type=float, nargs=2,
+                    help="interval endpoints (default root bound)"),
+    "--samples": dict(type=int, default=DEFAULT_PLOT_SAMPLES,
+                      help="number of sample points"),
+    "--out": dict(help="output file"),
+}
+
+# Each subcommand: its handler, its help, and exactly the options it reads.
+_SUBCOMMANDS = (
+    ("solve", _cmd_solve, "full seed/refine/report pipeline",
+     ("--delta", "--step-tol", "--residual-tol", "--nu-max", "--seeds",
+      "--algorithm", "--out")),
+    ("explore", _cmd_explore, "real-axis sign-change scan",
+     ("--delta", "--out")),
+    ("ecp", _cmd_ecp, "interpolation list, evolutions, enclosures",
+     ("--seeds", "--out")),
+    ("eigvec", _cmd_eigvec,
+     "unit-norm eigenvectors at given eigenvalues, from one SVD; a value "
+     "counts where sigma_min(F) <= %g sigma_max(F)" % SINGULAR_REL,
+     ("--seeds", "--out")),
+    ("plot", _cmd_plot, "CSV samples of f, p, h on an interval",
+     ("--range", "--samples", "--out")),
+)
 
 
 def build_parser():
@@ -391,23 +394,11 @@ def build_parser():
                     "Pade-function iterations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra in (
-        ("solve", _cmd_solve, "full seed/refine/report pipeline"),
-        ("explore", _cmd_explore, "real-axis sign-change scan"),
-        ("ecp", _cmd_ecp, "interpolation list, evolutions, enclosures"),
-        ("eigvec", _cmd_eigvec,
-         "unit-norm eigenvectors at given eigenvalues, from one SVD; a "
-         "value counts where sigma_min(F) <= %g sigma_max(F)"
-         % SINGULAR_REL),
-        ("plot", _cmd_plot, "CSV samples of f, p, h on an interval"),
-    ):
+    for name, fn, extra, options in _SUBCOMMANDS:
         p = sub.add_parser(name, help=extra, allow_abbrev=False)
-        _add_common(p)
-        if name == "plot":
-            p.add_argument("--range", type=float, nargs=2, default=None,
-                           help="interval endpoints (default root bound)")
-            p.add_argument("--samples", type=int, default=DEFAULT_PLOT_SAMPLES,
-                           help="number of sample points")
+        p.add_argument("problem", help="JSON problem file")
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(handler=fn)
     return parser
 
@@ -416,7 +407,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        spec = _apply_overrides(parse_problem_file(args.problem), args)
+        return args.handler(spec, args)
     except PolyzerosError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

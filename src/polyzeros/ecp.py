@@ -1,8 +1,9 @@
 """Defect lists: interpolation values, main values, and their machinery.
 
 Given pairwise distinct interpolation values sigma_1..sigma_m for a degree-m
-polynomial, each row carries the defect d_k = f(sigma_k) / (a_m *
-prod_{j!=k} (sigma_k - sigma_j)) and the main value H_k = sigma_k - d_k.
+polynomial, the list holds three columns: the sigma_k, the defects d_k =
+f(sigma_k) / (a_m * prod_{j!=k} (sigma_k - sigma_j)) and the main values
+H_k = sigma_k - d_k.
 The list determines the polynomial completely: the accompanying matrix
 E = Diag(sigma) - ones * d^T has exactly the roots of f as eigenvalues, the
 main values sum to -a_{m-1}/a_m (the control identity), the rational
@@ -43,35 +44,20 @@ MAX_EVOLUTIONS = 20
 
 
 @dataclass(frozen=True)
-class EcpRow:
-    sigma: complex
-    defect: complex
-    main_value: complex
-
-
-@dataclass(frozen=True)
 class EcpList:
-    rows: tuple
+    """The list as three columns; row k is (sigmas[k], defects[k],
+    main_values[k])."""
+
+    sigmas: tuple
+    defects: tuple
+    main_values: tuple
     degree: int
     leading_coeff: complex
     subleading_coeff: complex
 
-    @property
-    def sigmas(self):
-        return tuple(r.sigma for r in self.rows)
-
-    @property
-    def defects(self):
-        return tuple(r.defect for r in self.rows)
-
-    @property
-    def main_values(self):
-        return tuple(r.main_value for r in self.rows)
-
     def is_real(self):
-        return all(
-            r.sigma.imag == 0.0 and r.defect.imag == 0.0 for r in self.rows
-        )
+        return all(s.imag == 0.0 and d.imag == 0.0
+                   for s, d in zip(self.sigmas, self.defects))
 
 
 def _check_separation(values, label):
@@ -106,7 +92,7 @@ def build_ecp_list(f, sigmas):
         )
     _check_separation(sigmas, "interpolation values")
     a_m = f.coeffs[m]
-    a_m1 = f.coeffs[m - 1] if m >= 1 else 0j
+    a_m1 = f.coeffs[m - 1]
     # Row k: a_m, then sigma_k - sigma_j for every j, with 1 at j = k.
     factors = np.empty((m, m + 1), dtype=complex)
     factors[:, 0] = a_m
@@ -120,11 +106,11 @@ def build_ecp_list(f, sigmas):
             raise InterpolationValueError(
                 "interpolation values too clustered around index %d" % k, (k,)
             )
-    rows = []
-    for sk, denom in zip(sigmas.tolist(), denoms.tolist()):
-        d = evaluate(f, sk, 0)[0] / denom
-        rows.append(EcpRow(sk, d, sk - d))
-    return EcpList(tuple(rows), m, a_m, a_m1)
+    sigmas = tuple(sigmas.tolist())
+    defects = tuple(evaluate(f, sk, 0)[0] / denom
+                    for sk, denom in zip(sigmas, denoms.tolist()))
+    main_values = tuple(sk - d for sk, d in zip(sigmas, defects))
+    return EcpList(sigmas, defects, main_values, m, a_m, a_m1)
 
 
 @dataclass(frozen=True)
@@ -138,8 +124,8 @@ def sum_control(lst):
     """Check the control identity: sum of main values = -a_{m-1}/a_m."""
     expected = -lst.subleading_coeff / lst.leading_coeff
     actual = 0j
-    for r in lst.rows:
-        actual += r.main_value
+    for h in lst.main_values:
+        actual += h
     discrepancy = abs(actual - expected) / (1.0 + abs(expected))
     return SumControl(expected, actual, discrepancy)
 
@@ -151,12 +137,8 @@ def ecp_matrix(lst):
     the diagonal, and the spectrum equals the roots of the underlying
     polynomial.
     """
-    m = lst.degree
-    e = np.zeros((m, m), dtype=complex)
-    for j, r in enumerate(lst.rows):
-        e[:, j] = -r.defect
-        e[j, j] += r.sigma
-    return e
+    return (np.diag(np.array(lst.sigmas, dtype=complex))
+            - np.array(lst.defects, dtype=complex))
 
 
 def _list_steps(rayleigh, sigmas, defects, f, lams):
@@ -264,8 +246,8 @@ def evolve(lst, f):
 
 def defects_below_threshold(lst):
     """True when max|d| <= EVOLUTION_THRESHOLD_REL * (1 + max|H|)."""
-    max_d = max(abs(r.defect) for r in lst.rows)
-    max_h = max(abs(r.main_value) for r in lst.rows)
+    max_d = max(abs(d) for d in lst.defects)
+    max_h = max(abs(h) for h in lst.main_values)
     return max_d <= EVOLUTION_THRESHOLD_REL * (1.0 + max_h)
 
 
@@ -309,8 +291,8 @@ def gershgorin_enclosures(lst):
     bounds.
     """
     m = lst.degree
-    centers = [complex(r.main_value) for r in lst.rows]
-    radii = [(m - 1) * abs(r.defect) for r in lst.rows]
+    centers = [complex(h) for h in lst.main_values]
+    radii = [(m - 1) * abs(d) for d in lst.defects]
     at = np.array(centers)
     reach = np.array(radii)
     apart = np.abs(at[:, None] - at[None, :]) > reach[:, None] + reach[None, :]

@@ -25,7 +25,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF, horner_error_bound
-from .poly import pade_eval, relative_residual
+from .poly import evaluate, pade_eval, relative_residual
 from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
@@ -94,8 +94,8 @@ def _real_root_bound(f):
 
 def _pade_on_grid(f, lams):
     """p = f/(-f') at every point of the real array ``lams`` in one real
-    Horner pass, and the mask of the points where :func:`pade_eval`'s
-    derivative guard fires.
+    Horner pass, the mask of the points where :func:`pade_eval`'s
+    derivative guard fires, and f itself (read only where p is finite).
 
     At a real lambda with real coefficients, :func:`evaluate`'s complex
     Horner keeps an imaginary part of +-0, so its real part runs exactly
@@ -120,7 +120,7 @@ def _pade_on_grid(f, lams):
             d = d * lams + v
             v = v * lams + coeffs[k]
         p = np.where(finite, v / -d, np.nan)
-    return p, np.abs(d) <= DERIVATIVE_UNDERFLOW
+    return p, np.abs(d) <= DERIVATIVE_UNDERFLOW, v
 
 
 def scan_sign_changes(f, delta):
@@ -141,13 +141,20 @@ def scan_sign_changes(f, delta):
     makes none. A grid point can sit on a root, where p is 0 or, at a
     multiple root, the derivative guard fires (the sample is recorded with
     value None). Such a point whose relative residual is within Horner's
-    rounding error (:func:`horner_error_bound`) is itself a seed.
+    rounding error (:func:`horner_error_bound`) is itself a seed. A root
+    can also share its cell with a pole of p, which a heavier root nearby
+    pulls in: p then falls through the root and rises through the pole,
+    and keeps its sign across the cell. f changes sign across such a cell
+    when the root is of odd multiplicity, so a cell whose ends are not on
+    a root, where f changes sign and p has no downward crossing, is seeded
+    from regula falsi on f (:func:`_root_in_cell`); it makes no bracket.
 
     The whole grid is evaluated in one array pass (:func:`_pade_on_grid`)
     that gives the bits of :func:`pade_eval` at every point. The brackets
     and seeds are read from array masks in grid order. Only the few points
-    where p is 0 or None are visited one by one: they take the scalar
-    residual test, and a p of 0 takes its sign from :func:`pade_eval`.
+    where p is 0 or None, and the cells where p falls or f changes sign,
+    are visited one by one: such a point takes the scalar residual test,
+    and a p of 0 takes its sign from :func:`pade_eval`.
     """
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
@@ -165,25 +172,59 @@ def scan_sign_changes(f, delta):
     steps = max(2, int(math.ceil(bound / delta)) + 1)
     floor = horner_error_bound(f)
     lams = np.arange(-steps, steps + 1) * delta
-    p, guarded = _pade_on_grid(f, lams)
+    p, guarded, fv = _pade_on_grid(f, lams)
     p[guarded] = np.nan
     on_root = guarded | (p == 0.0)
     down = np.zeros_like(on_root)
     down[1:] = (p[1:] < 0.0) & (p[:-1] > 0.0)
+    negative = fv < 0.0
+    flip = np.zeros_like(on_root)
+    flip[1:] = negative[1:] != negative[:-1]
     grid, values = lams.tolist(), p.tolist()
     brackets, seeds = [], []
-    for j in np.flatnonzero(on_root | down).tolist():
+    for j in np.flatnonzero(on_root | down | flip).tolist():
         lam = grid[j]
         if on_root[j]:
             values[j] = None if guarded[j] else pade_eval(f, lam).real
             if relative_residual(f, lam) <= floor:
                 seeds.append(complex(lam))
-        else:
+        elif down[j]:
             bracket = Bracket(grid[j - 1], lam, values[j - 1], values[j])
             brackets.append(bracket)
             seeds.append(complex(regula_falsi_step(bracket)))
+        elif not on_root[j - 1] and math.isfinite(values[j - 1] + values[j]):
+            # f changes sign where p does not fall: a pole shares the cell.
+            seeds.append(complex(_root_in_cell(f, grid[j - 1], lam,
+                                               fv[j - 1], fv[j], floor)))
     return ExplorationReport(tuple(zip(grid, values)), tuple(brackets),
                              tuple(seeds))
+
+
+def _root_in_cell(f, lo, hi, f_lo, f_hi, floor):
+    """A root of the real f in a cell [lo, hi] across which f changes
+    sign: regula falsi on f, halving the value kept at an end that stays
+    twice in a row (the Illinois rule). It stops at the first secant point
+    whose relative residual is within ``floor``, that no longer falls
+    strictly inside the cell, or that is the ACCELERATED_MAX_ROUNDS-th.
+
+    The first secant point alone can lie on the far side of a pole of p,
+    where a probe from it runs to the heavier root that made the pole.
+    """
+    moved = 0
+    for _ in range(ACCELERATED_MAX_ROUNDS):
+        lam = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not lo < lam < hi or relative_residual(f, lam) <= floor:
+            break
+        value = evaluate(f, lam, 0)[0].real
+        if (value < 0.0) == (f_lo < 0.0):
+            lo, f_lo = lam, value
+            f_hi = f_hi / 2.0 if moved > 0 else f_hi
+            moved = 1
+        else:
+            hi, f_hi = lam, value
+            f_lo = f_lo / 2.0 if moved < 0 else f_lo
+            moved = -1
+    return lam
 
 
 def regula_falsi_step(bracket):

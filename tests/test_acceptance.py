@@ -242,7 +242,7 @@ def _property_ecp_equivalences(rng):
             lam = complex(rng.normal(), rng.normal())
             if min(abs(lam - s) for s in sigmas) < 0.1:
                 continue
-            s1 = sum(r.defect / (r.sigma - lam) for r in lst.rows)
+            s1 = sum(d / (s - lam) for s, d in zip(lst.sigmas, lst.defects))
             denom = lead * complex(np.prod([lam - s for s in sigmas]))
             f_val = oracles.eval_terms(list(f.coeffs), lam)
             np.testing.assert_allclose(1.0 - s1, f_val / denom, rtol=1e-8)

@@ -224,6 +224,25 @@ def test_solve_keeps_an_exact_root_at_zero(tmp_path):
         [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
+def test_solve_finds_a_root_that_shares_its_cell_with_a_pole(tmp_path):
+    """Roots 0.03, 0.24 (triple) and -2 at delta 0.1 under explore and
+    detect: the grid cell [0, 0.1] holds 0.03 and a pole of p, and the
+    scan seeds it from the sign change of f, so all three roots are
+    reported with their multiplicities."""
+    coeffs = np.polynomial.polynomial.polyfromroots([0.03, 0.24, 0.24, 0.24,
+                                                     -2.0])
+    path = _write(tmp_path, "pole.json", {
+        "kind": "polynomial", "coefficients": coeffs.tolist(), "delta": 0.1})
+    out = tmp_path / "r.json"
+    assert main(["solve", path, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["conserved"] is True
+    found = [(r["value"][0], r["multiplicity"]) for r in report["roots"]]
+    assert [m for _, m in found] == [1, 1, 3]
+    np.testing.assert_allclose([v for v, _ in found], [-2.0, 0.03, 0.24],
+                               atol=1e-5)
+
+
 def test_solve_is_byte_deterministic(tmp_path):
     problem = _example1_file(tmp_path, delta=0.3)
     out1 = tmp_path / "a.json"
@@ -375,6 +394,92 @@ def test_plot_crosses_zero_between_brackets(tmp_path):
     pade = [(float(r[0]), float(r[2])) for r in rows if r[2]]
     signs = [(lam, v) for lam, v in pade if 1.8 <= lam <= 2.1]
     assert any(a[1] * b[1] < 0 for a, b in zip(signs, signs[1:]))
+
+
+# The problems the option tests run on, each with a seed file for --seeds.
+OPTION_PROBLEMS = {
+    "sextic": ({"kind": "polynomial",
+                "coefficients": list(cases.DOUBLE_QUAD_SEXTIC)}, [2.01389]),
+    "sqrt2": ({"kind": "polynomial", "coefficients": [-2.0, 0.0, 1.0]},
+              [1.4]),
+    "cubic": ({"kind": "polynomial", "coefficients": [-6.0, 11.0, -6.0, 1.0]},
+              [0.9, 2.2, 3.4]),
+    "diag": ({"kind": "matrix",
+              "matrices": [[[-1.0, 0.0], [0.0, -2.0]],
+                           [[1.0, 0.0], [0.0, 1.0]]]}, [1.0, 2.0]),
+}
+
+# Every option each subcommand declares, with a problem and a value on
+# which the option changes the exit code or the output. SEEDS stands for
+# the problem's seed file.
+DECLARED_OPTIONS = (
+    ("solve", "--delta", "sextic", ["0.3"]),
+    ("solve", "--step-tol", "sqrt2", ["1e-3"]),
+    ("solve", "--residual-tol", "sqrt2", ["1e-30"]),
+    ("solve", "--nu-max", "sextic", ["1"]),
+    ("solve", "--seeds", "sextic", ["SEEDS"]),
+    ("solve", "--algorithm", "sextic", ["pade"]),
+    ("explore", "--delta", "sextic", ["0.3"]),
+    ("ecp", "--seeds", "cubic", ["SEEDS"]),
+    ("eigvec", "--seeds", "diag", ["SEEDS"]),
+    ("plot", "--range", "sextic", ["0", "2.5"]),
+    ("plot", "--samples", "sextic", ["5"]),
+)
+SUBCOMMANDS = ("solve", "explore", "ecp", "eigvec", "plot")
+ANY_OPTION = {"--delta": ["3"], "--step-tol": ["5"], "--residual-tol":
+              ["1e-300"], "--nu-max": ["2"], "--seeds": ["SEEDS"],
+              "--algorithm": ["halley"], "--range": ["0", "1"],
+              "--samples": ["5"]}
+UNDECLARED_OPTIONS = [
+    (command, flag) for command in SUBCOMMANDS for flag in ANY_OPTION
+    if (command, flag) not in {d[:2] for d in DECLARED_OPTIONS}]
+
+
+def _option_problem(tmp_path, name):
+    payload, seeds = OPTION_PROBLEMS[name]
+    return (_write(tmp_path, name + ".json", payload),
+            _write(tmp_path, name + "-seeds.json", seeds))
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flag, problem, value", DECLARED_OPTIONS)
+def test_declared_option_changes_the_output(tmp_path, capsys, command, flag,
+                                            problem, value):
+    path, seeds = _option_problem(tmp_path, problem)
+    value = [seeds if v == "SEEDS" else v for v in value]
+    without = _run(capsys, [command, path])
+    assert _run(capsys, [command, path, flag] + value) != without
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_writes_to_out(tmp_path, capsys, command):
+    problem = {"ecp": "cubic", "eigvec": "diag"}.get(command, "sextic")
+    path, seeds = _option_problem(tmp_path, problem)
+    argv = [command, path] + (["--seeds", seeds]
+                              if command in ("ecp", "eigvec") else [])
+    code, printed = _run(capsys, argv)
+    out = tmp_path / "out"
+    assert _run(capsys, argv + ["--out", str(out)]) == (code, "")
+    assert out.read_text() == printed != ""
+
+
+@pytest.mark.parametrize("command, flag", UNDECLARED_OPTIONS)
+def test_undeclared_option_exits_two(tmp_path, capsys, command, flag):
+    """A subcommand refuses an option it would not read, with argparse's
+    usage error, instead of ignoring it."""
+    path, seeds = _option_problem(
+        tmp_path, "diag" if command == "eigvec" else "sextic")
+    value = [seeds if v == "SEEDS" else v for v in ANY_OPTION[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, flag] + value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: %s" % flag in err
 
 
 def test_abbreviated_flag_exits_two(tmp_path, capsys):

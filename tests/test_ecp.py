@@ -7,7 +7,6 @@ import cases
 import oracles
 from polyzeros import (
     EcpList,
-    EcpRow,
     EvolutionCollisionError,
     InterpolationValueError,
     Polynomial,
@@ -121,17 +120,15 @@ def test_two_evolutions_stay_at_the_noise_floor(wilkinson10):
     level, so evolutions hold the defects small instead of shrinking them."""
     lst1 = build_ecp_list(wilkinson10, cases.WILKINSON10_SEEDS)
     lst2 = evolve(lst1, wilkinson10)
-    row2 = lst2.rows[0]
     want_sigma, want_d, want_h = cases.WILKINSON10_LIST2_ROW1
-    np.testing.assert_allclose(row2.sigma.real, want_sigma, rtol=1e-12)
-    np.testing.assert_allclose(row2.defect.real, want_d, rtol=PIN_RTOL)
-    np.testing.assert_allclose(row2.main_value.real, want_h, rtol=1e-12)
+    np.testing.assert_allclose(lst2.sigmas[0].real, want_sigma, rtol=1e-12)
+    np.testing.assert_allclose(lst2.defects[0].real, want_d, rtol=PIN_RTOL)
+    np.testing.assert_allclose(lst2.main_values[0].real, want_h, rtol=1e-12)
 
     lst3 = evolve(lst2, wilkinson10)
-    row3 = lst3.rows[0]
     want_d3, want_h3 = cases.WILKINSON10_LIST3_ROW1
-    np.testing.assert_allclose(row3.defect.real, want_d3, rtol=PIN_RTOL)
-    np.testing.assert_allclose(row3.main_value.real, want_h3, rtol=1e-12)
+    np.testing.assert_allclose(lst3.defects[0].real, want_d3, rtol=PIN_RTOL)
+    np.testing.assert_allclose(lst3.main_values[0].real, want_h3, rtol=1e-12)
 
     first = max(abs(d) for d in lst1.defects)
     assert max(abs(d) for d in lst2.defects) <= 5e-10 < first
@@ -171,11 +168,8 @@ def test_evolve_until_plateaus_on_an_ill_conditioned_list(wilkinson10):
 
 
 def test_evolution_collision_reports_indices():
-    rows = (
-        EcpRow(0.0 + 0j, -0.5 + 0j, 0.5 + 0j),
-        EcpRow(1.0 + 0j, 0.5 + 0j, 0.5 + 0j),
-    )
-    lst = EcpList(rows, 2, 1.0 + 0j, 0j)
+    lst = EcpList((0.0 + 0j, 1.0 + 0j), (-0.5 + 0j, 0.5 + 0j),
+                  (0.5 + 0j, 0.5 + 0j), 2, 1.0 + 0j, 0j)
     with pytest.raises(EvolutionCollisionError) as info:
         evolve(lst, Polynomial((-1.0, 0.0, 1.0)))
     assert info.value.indices == (0, 1)
@@ -244,8 +238,8 @@ def test_companion_seeded_rows_converge_at_once():
     f = Polynomial(tuple(coeffs))
     lst = build_ecp_list(f, np.roots(coeffs[::-1]))
     for iterate in (rayleigh_iterate, reduced_pade_iterate):
-        for row in lst.rows:
-            trace = iterate(lst, f, row.main_value)
+        for main_value in lst.main_values:
+            trace = iterate(lst, f, main_value)
             assert trace.status is TraceStatus.CONVERGED
             assert len(trace.rows) <= 3
 
@@ -349,12 +343,12 @@ def test_list_build_names_the_first_offending_pair_or_index():
         outcomes.add(None if want is None else len(want))
         if want is None:
             lst = build_ecp_list(f, sigmas)
-            for k, r in enumerate(lst.rows):
+            for k, defect in enumerate(lst.defects):
                 denom = f.coeffs[-1]
                 for j, sj in enumerate(sigmas):
                     if j != k:
                         denom *= sigmas[k] - sj
-                assert r.defect == evaluate(f, sigmas[k])[0] / denom
+                assert defect == evaluate(f, sigmas[k])[0] / denom
             continue
         with pytest.raises(InterpolationValueError) as info:
             build_ecp_list(f, sigmas)
@@ -367,17 +361,18 @@ def test_gershgorin_separation_is_the_pairwise_test():
     seen = set()
     for m in (2, 5, 20):
         for spread in (1e-3, 1e-1, 1.0):
-            rows = tuple(EcpRow(s, d, s - d) for s, d in zip(
-                rng.standard_normal(m) + 1j * rng.standard_normal(m),
-                spread * (rng.standard_normal(m)
-                          + 1j * rng.standard_normal(m))))
-            lst = EcpList(rows, m, 1.0 + 0j, 0j)
+            sigmas = tuple(rng.standard_normal(m)
+                           + 1j * rng.standard_normal(m))
+            defects = tuple(spread * (rng.standard_normal(m)
+                                      + 1j * rng.standard_normal(m)))
+            mains = tuple(s - d for s, d in zip(sigmas, defects))
+            lst = EcpList(sigmas, defects, mains, m, 1.0 + 0j, 0j)
             disks = gershgorin_enclosures(lst)
-            radii = [(m - 1) * abs(r.defect) for r in rows]
+            radii = [(m - 1) * abs(d) for d in defects]
             for k, disk in enumerate(disks):
                 assert disk.radius == radii[k]
                 assert disk.separated == all(
-                    abs(rows[k].main_value - rows[j].main_value)
+                    abs(mains[k] - mains[j])
                     > radii[k] + radii[j] for j in range(m) if j != k)
                 seen.add(disk.separated)
     assert seen == {True, False}

@@ -171,6 +171,47 @@ def test_scan_brackets_only_downward_and_seeds_isolated_roots():
     assert isolated >= CASES
 
 
+def test_scan_seeds_a_root_that_shares_its_cell_with_a_pole():
+    """Roots 0.03, 0.24 (triple) and -2 at delta 0.1: the triple root pulls
+    a pole of p to 0.0825, so p is positive at both 0 and 0.1 and falls
+    through 0.03 and rises through the pole inside one cell. f changes sign
+    across that cell, so its secant point is a seed; p keeps its sign, so
+    the cell is no bracket."""
+    f = polynomial_from_roots([0.03, 0.24, 0.24, 0.24, -2.0])
+    f = Polynomial(tuple(c.real for c in f.coeffs))
+    report = scan_sign_changes(f, 0.1)
+    assert _sample_at(report, 0.0) > 0.0 and _sample_at(report, 0.1) > 0.0
+    assert all(b.lam_lo != 0.0 for b in report.brackets)
+    inside = [s for s in report.seeds if 0.0 < s.real < 0.1]
+    assert len(inside) == 1 and inside[0].imag == 0.0
+    assert [s.real for s in report.seeds] == sorted(s.real
+                                                    for s in report.seeds)
+
+
+def test_scan_seeds_every_isolated_root_of_odd_multiplicity():
+    """Random real roots of multiplicity 1..3 in [-3, 3]: a root of odd
+    multiplicity with no other root within 2 delta is the only root of its
+    cell, so f changes sign across the cell, and a seed lands within delta
+    of it whether p falls through the root between grid points or keeps
+    its sign across a pole of p in the same cell."""
+    rng = np.random.default_rng(11)
+    delta = 0.1
+    checked = 0
+    for _ in range(CASES * 20):
+        k = int(rng.integers(2, 6))
+        real = rng.uniform(-3.0, 3.0, k)
+        mult = rng.integers(1, 4, k)
+        f = polynomial_from_roots(list(np.repeat(real, mult)))
+        seeds = scan_sign_changes(
+            Polynomial(tuple(c.real for c in f.coeffs)), delta).seeds
+        for i, (r, nu) in enumerate(zip(real, mult)):
+            if nu % 2 and all(abs(r - z) >= 2 * delta
+                              for j, z in enumerate(real) if j != i):
+                checked += 1
+                assert any(abs(s - r) <= delta for s in seeds)
+    assert checked >= CASES * 20
+
+
 def _reference_scan(f, delta):
     """The scan as a loop of scalar Pade evaluations, one per grid point,
     as it ran before the array pass."""
