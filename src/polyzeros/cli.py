@@ -229,7 +229,8 @@ def _load_seed_file(path):
 
 def _apply_overrides(spec, args):
     """The problem file's spec with the subcommand's declared options set;
-    ``args`` holds no attribute for an option the subcommand lacks."""
+    ``args`` holds no attribute for an option the subcommand lacks. A
+    value out of range is a ProblemFormatError, as in a problem file."""
     given = {k: v for k, v in vars(args).items() if v is not None}
     changes = {k: given[k] for k in ("delta", "nu_max") if k in given}
     if "seeds" in given:
@@ -240,7 +241,11 @@ def _apply_overrides(spec, args):
     settings = {k: given[k] for k in ("step_tol", "residual_tol")
                 if k in given}
     if settings:
-        changes["settings"] = dataclasses.replace(spec.settings, **settings)
+        try:
+            changes["settings"] = dataclasses.replace(spec.settings,
+                                                      **settings)
+        except ValueError as exc:
+            raise ProblemFormatError("command line: %s" % exc)
     return dataclasses.replace(spec, **changes) if changes else spec
 
 
@@ -347,6 +352,10 @@ def emit_plot_data(f, interval, samples, path):
 
 def _cmd_plot(spec, args):
     f = spec_polynomial(spec)
+    if args.samples < 2:
+        raise ProblemFormatError("command line: samples must be >= 2")
+    if args.range and not args.range[0] < args.range[1]:
+        raise ProblemFormatError("command line: interval must be ordered")
     emit_plot_data(f, args.range or (-f.root_bound, f.root_bound),
                    args.samples, args.out)
     return 0

@@ -25,7 +25,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF, horner_error_bound
-from .poly import evaluate, pade_eval, relative_residual
+from .poly import conjugate_pairs, evaluate, pade_eval, relative_residual
 from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
@@ -318,7 +318,9 @@ def companion_seed_all(f, real=False):
     companion matrix holds the real parts of f's coefficients and its
     eigenvalues come from real LAPACK, as exact conjugate pairs and
     exactly real values; the caller passes it only for an f whose
-    coefficients are real by construction (det F of a real F).
+    coefficients are real by construction (det F of a real F). For a real
+    f the residual check skips the lower member of each exact conjugate
+    pair, whose residual is its partner's (:func:`poly.conjugate_pairs`).
     """
     if f.degree < 1:
         raise ZeroPolynomialError("need degree >= 1 to seed roots")
@@ -333,7 +335,9 @@ def companion_seed_all(f, real=False):
             "companion matrix is not finite: making f monic overflows"
         ) from exc
     z = sorted((complex(w) for w in z), key=lambda w: (w.real, w.imag))
+    mirrored = {i for i, _ in conjugate_pairs(z)} if f.is_real() else ()
     low_confidence = any(
-        relative_residual(f, w) > COMPANION_RESIDUAL_REL for w in z
+        relative_residual(f, w) > COMPANION_RESIDUAL_REL
+        for i, w in enumerate(z) if i not in mirrored
     )
     return CompanionSeeds(tuple(z), low_confidence)

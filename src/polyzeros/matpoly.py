@@ -1,6 +1,8 @@
 """Polynomial matrices: evaluation, determinants, seeds, eigenvectors.
 
-F(lambda) = sum A_i lambda**i with n x n complex coefficient matrices. The
+F(lambda) = sum A_i lambda**i with n x n complex coefficient matrices,
+evaluated at a whole stack of values by one Horner pass that runs in
+place in one buffer. The
 characteristic polynomial det F is recovered by sampling determinants on a
 circle and solving the interpolation system on roots of unity; a singular
 leading matrix simply drops the effective degree. For a real F det F is
@@ -9,10 +11,12 @@ threshold, so its companion seeds come from real LAPACK in exact
 conjugate pairs. Eigenvectors come from one batched SVD of F at every
 eigenvalue: a value is an eigenvalue when F's smallest singular value is
 at most SINGULAR_REL times its largest, and the singular vectors of the
-small singular values span its null spaces. An exact conjugate pair of a
-real F shares one SVD. SINGULAR_REL is one fixed relative threshold; it
-stays until the eigenvalues carry no interpolation noise from det F, so
-that a bound derived from rounding errors can replace it.
+small singular values span its null spaces; the residuals of all values
+of one rank come from one stacked product per side. An exact conjugate
+pair of a real F shares one SVD and its residuals. SINGULAR_REL is one
+fixed relative threshold; it stays until the eigenvalues carry no
+interpolation noise from det F, so that a bound derived from rounding
+errors can replace it.
 """
 
 import cmath
@@ -27,7 +31,7 @@ from .errors import (
     SampleConditioningError,
 )
 from .explore import companion_seed_all
-from .poly import Polynomial, effective_degree
+from .poly import Polynomial, conjugate_pairs, effective_degree
 
 SINGULAR_REL = 1e-6
 LEADING_REGULARITY_REL = 1e-12
@@ -97,11 +101,25 @@ def polynomial_matrix(matrices):
 def eval_matrix(pm, lam):
     """Matrix Horner evaluation of F at lam, or at every value of a
     sequence lam in one broadcast pass, stacked (len(lam), n, n); each
-    member gets the bits of its own evaluation."""
+    member gets the bits of its own evaluation.
+
+    The recurrence runs in place in one buffer: acc = A_rho * lam, then
+    acc += A_i and acc *= lam for i = rho-1..1, and acc += A_0. These are
+    the multiplies and adds of acc = acc * lam + A_i, so every entry keeps
+    its bits, and no stack-sized temporary is made per degree. The one
+    exception is a one-element acc (a 1 x 1 F at one value): numpy
+    multiplies it in place in a scalar loop, which rounds unlike the
+    vector loop of acc * lam, so it keeps the out-of-place product."""
     lam = np.asarray(lam, dtype=complex)[..., None, None]
-    acc = np.array(pm.coefficient_matrices[-1], dtype=complex)
-    for a in reversed(pm.coefficient_matrices[:-1]):
-        acc = acc * lam + a
+    matrices = pm.coefficient_matrices
+    acc = matrices[-1] * lam
+    for a in reversed(matrices[1:-1]):
+        acc += a
+        if acc.size > 1:
+            acc *= lam
+        else:
+            acc = acc * lam
+    acc += matrices[0]
     return acc
 
 
@@ -205,20 +223,14 @@ class EigenvectorBundle:
     left_residuals: tuple = ()
 
 
-def _residuals(products):
-    """Infinity norm of each column of products (n, r)."""
-    return tuple(float(r) for r in np.max(np.abs(products), axis=0))
-
-
 def _owners(lams, matrices):
     """owner[i]: the index whose SVD serves value i. A value with
     Im lambda < 0 whose exact conjugate is listed, and whose F(lambda) is
     bitwise the conjugate of F there (any real F), is served by that
-    conjugate; every other value serves itself."""
-    upper = {lam: j for j, lam in enumerate(lams) if lam.imag > 0}
+    conjugate (:func:`poly.conjugate_pairs`); every other value serves
+    itself."""
     owner = np.arange(len(lams))
-    pairs = [(i, upper[lam.conjugate()]) for i, lam in enumerate(lams)
-             if lam.conjugate() in upper]
+    pairs = conjugate_pairs(lams)
     if pairs:
         lower, partner = np.array(pairs).T
         same = (matrices[lower] == matrices[partner].conj()).all(axis=(1, 2))
@@ -235,13 +247,14 @@ def eigenvectors_all(pm, lams):
     deficiency is the count of singular values at most that bound, and
     one full SVD of the accepted members gives the vectors: the conjugated
     trailing rows of V^H on the right and the conjugated trailing columns
-    of U on the left. Each member's result is the one it gets alone,
-    except that conjugate pairs of a real F share one SVD: the value with
-    Im lambda < 0 takes its partner's singular values, rank and
-    conjugated vectors (F(conj lambda) = conj F(lambda)), with residuals
-    from its own F(lambda). Returns per value its EigenvectorBundle, or the
-    NotAnEigenvalueError naming sigma_min and sigma_max (NaN where
-    F(lambda) is not finite)."""
+    of U on the left. The residuals of all members of one rank come from
+    one stacked F @ X and one stacked F^T @ Y. Each member's result is the
+    one it gets alone, except that conjugate pairs of a real F share one
+    SVD: the value with Im lambda < 0 takes its partner's singular values,
+    rank, conjugated vectors and residuals (F(conj lambda) = conj
+    F(lambda), bit for bit, is checked). Returns per value its
+    EigenvectorBundle, or the NotAnEigenvalueError naming sigma_min and
+    sigma_max (NaN where F(lambda) is not finite)."""
     lams = [complex(lam) for lam in lams]
     with np.errstate(over="ignore", invalid="ignore"):
         matrices = eval_matrix(pm, lams)
@@ -257,16 +270,24 @@ def eigenvectors_all(pm, lams):
              for lam, s, rank in zip(lams, sigma, ranks)]
     accepted = np.flatnonzero(own & (ranks > 0))
     u, _, vh = np.linalg.svd(matrices[accepted])
-    vectors = {i: (right[-ranks[i]:].conj().T, left[:, -ranks[i]:].conj())
-               for i, left, right in zip(accepted, u, vh)}
-    for i in np.flatnonzero(ranks):
-        x, y = vectors[owner[i]]
-        if not own[i]:
-            x, y = x.conj(), y.conj()
-        matrix = matrices[i]
-        found[i] = EigenvectorBundle(lams[i], int(ranks[i]), x, y,
-                                     _residuals(matrix @ x),
-                                     _residuals(matrix.T @ y))
+    for rank in np.unique(ranks[accepted]).tolist():
+        at = np.flatnonzero(ranks[accepted] == rank)
+        members = accepted[at]
+        right = vh[at, -rank:].conj().transpose(0, 2, 1)
+        left = u[at, :, -rank:].conj()
+        stack = matrices[members]
+        right_residuals = np.max(np.abs(stack @ right), axis=1).tolist()
+        left_residuals = np.max(np.abs(stack.transpose(0, 2, 1) @ left),
+                                axis=1).tolist()
+        for i, x, y, x_res, y_res in zip(members, right, left,
+                                         right_residuals, left_residuals):
+            found[i] = EigenvectorBundle(lams[i], rank, x, y, tuple(x_res),
+                                         tuple(y_res))
+    for i in np.flatnonzero(~own & (ranks > 0)):
+        partner = found[owner[i]]
+        found[i] = replace(partner, eigenvalue=lams[i],
+                           right_vectors=partner.right_vectors.conj(),
+                           left_vectors=partner.left_vectors.conj())
     return found
 
 

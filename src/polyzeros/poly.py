@@ -202,6 +202,23 @@ def evaluate_all(f, lams, order=0):
     return values
 
 
+def conjugate_pairs(values):
+    """(lower, upper) index pairs: every value with Im < 0 whose exact
+    conjugate is also listed, with the first listing of that conjugate.
+
+    At such a pair a real polynomial's complex arithmetic is mirrored:
+    products, sums, quotients and moduli of conjugates round to the
+    conjugates and moduli of the same results, up to the sign of a zero
+    part, so the lower member can take its partner's conjugated values
+    where no zero part occurs. A value on the real axis has no partner."""
+    upper = {}
+    for j, z in enumerate(values):
+        if z.imag > 0:
+            upper.setdefault(z, j)
+    return [(i, upper[z.conjugate()]) for i, z in enumerate(values)
+            if z.conjugate() in upper]
+
+
 def coefficient_scale(f, lam):
     """Magnitude sum of the terms, sum |a_j| |lam|**j.
 

@@ -554,3 +554,18 @@ def test_non_integer_count_exits_two(tmp_path, capsys, key):
             parse_problem_file(path)
         assert main(["solve", path]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("plot", ["--samples", "1"], "samples must be >= 2"),
+    ("plot", ["--range", "1", "0"], "interval must be ordered"),
+    ("solve", ["--step-tol", "-1"], "tolerances must be > 0"),
+    ("solve", ["--residual-tol", "0"], "tolerances must be > 0"),
+])
+def test_out_of_range_option_exits_two(tmp_path, capsys, command, flags,
+                                       message):
+    """An option value out of range is a usage error, as the same key in
+    a problem file is: an error line and exit 2, not a traceback."""
+    path = _example1_file(tmp_path)
+    assert main([command, path] + flags) == 2
+    assert capsys.readouterr().err == "error: command line: %s\n" % message

@@ -342,9 +342,9 @@ def test_real_f_has_a_real_characteristic_polynomial():
 
 def test_conjugate_partner_takes_the_pair_svd():
     """On a real F, the value of a conjugate pair below the real axis gets
-    its partner's rank and conjugated vectors, in either order, with
-    residuals from its own F(lambda); the partner gets what it gets
-    alone."""
+    its partner's rank, conjugated vectors and residuals, in either order,
+    and those residuals are the ones of its own F(lambda); the partner gets
+    what it gets alone."""
     pm, values = _quad_n7()
     lam = next(v for v in values if v.imag > 0)
     alone = matpoly.eigenvectors_all(pm, [lam])[0]
@@ -375,3 +375,77 @@ def test_complex_f_takes_no_partner():
         _bits(matpoly.eigenvectors_all(pm, [lam])[0]) for lam in lams]
     kinds = [isinstance(f, NotAnEigenvalueError) for f in found]
     assert kinds == [False] * len(values) + [True] * len(values)
+
+
+def _reference_horner(pm, lam):
+    """Matrix Horner out of place: acc = acc * lam + A_i."""
+    lam = np.asarray(lam, dtype=complex)[..., None, None]
+    acc = np.array(pm.coefficient_matrices[-1], dtype=complex)
+    for a in reversed(pm.coefficient_matrices[:-1]):
+        acc = acc * lam + a
+    return acc
+
+
+def test_in_place_horner_keeps_the_bits_of_the_out_of_place_one():
+    """eval_matrix runs the recurrence in one buffer and gives every entry
+    the bits of acc = acc * lam + A_i, for degrees 1 to 3, real and
+    complex F of orders 1 to 6, at one value and at a stack that holds
+    conjugate pairs and real values."""
+    rng = np.random.default_rng(808)
+    for degree in (1, 2, 3):
+        for n in (1, 2, 6):
+            for imag in (0.0, 1.0):
+                pm = polynomial_matrix([
+                    rng.standard_normal((n, n))
+                    + imag * 1j * rng.standard_normal((n, n))
+                    for _ in range(degree + 1)])
+                upper = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+                stack = np.concatenate([upper, upper.conj(), [2.5, -0.0]])
+                for lam in [stack, stack[:1], complex(stack[0]), 0.75]:
+                    got = eval_matrix(pm, lam)
+                    want = _reference_horner(pm, lam)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(float), want.view(float))
+
+
+def _real_stacks():
+    """(pm, values) pairs of real F: random quadratics at every eigenvalue
+    of their linearisations (exact conjugate pairs, from real LAPACK) and
+    a value that is none, and A - lambda I with a semisimple double
+    eigenvalue 1 next to the pair +-2i, so that one stack holds ranks 1
+    and 2."""
+    rng = np.random.default_rng(4343)
+    for n in (3, 8, 15):
+        a0, a1 = rng.standard_normal((2, n, n))
+        linearisation = np.block([[np.zeros((n, n)), np.eye(n)], [-a0, -a1]])
+        values = list(np.linalg.eigvals(linearisation)) + [100.0]
+        yield polynomial_matrix([a0, a1, np.eye(n)]), values
+    v = rng.standard_normal((4, 4))
+    j = np.diag((1.0, 1.0, 0.0, 0.0))
+    j[2:, 2:] = [[0.0, 2.0], [-2.0, 0.0]]
+    yield (polynomial_matrix([v @ j @ np.linalg.inv(v), -np.eye(4)]),
+           [2j, 1.0, -2j])
+
+
+def test_stacked_residuals_are_each_members_own():
+    """The residuals of one rank come from one stacked F @ X and one
+    F^T @ Y, and the lower member of a conjugate pair takes its partner's.
+    Every one of them equals the residual computed from that member's own
+    F(lambda) and its own vectors, one product at a time, bit for bit."""
+    shared = ranks = 0
+    for pm, lams in _real_stacks():
+        found = matpoly.eigenvectors_all(pm, lams)
+        pairs = matpoly.conjugate_pairs([complex(lam) for lam in lams])
+        shared += len(pairs)
+        for lam, bundle in zip(lams, found):
+            if isinstance(bundle, NotAnEigenvalueError):
+                continue
+            ranks |= 1 << bundle.rank_deficiency
+            evaluated = eval_matrix(pm, lam)
+            x, y = bundle.right_vectors, bundle.left_vectors
+            assert bundle.right_residuals == tuple(
+                np.max(np.abs(evaluated @ np.asfortranarray(x)), axis=0))
+            assert bundle.left_residuals == tuple(
+                np.max(np.abs(evaluated.T @ np.ascontiguousarray(y)), axis=0))
+    assert shared >= 10
+    assert ranks == 0b110

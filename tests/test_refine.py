@@ -630,3 +630,59 @@ def test_batch_traces_equal_their_batches_of_one():
                         assert trace.residual <= horner_error_bound(g)
     assert ends >= {"converged", "at-floor", "diverged",
                     "derivative vanishes at 0j"}
+
+
+def test_lower_member_of_a_conjugate_pair_gets_its_own_trace(monkeypatch):
+    """For a real f, the Pade and Halley batches step one member of each
+    exact conjugate pair of seeds and give the other the conjugated trace.
+    Each lower member's trace is still bit for bit the one it gets alone:
+    on random real polynomials from seeds near their roots (those pairs
+    are stepped once), on x**3 + 3x from +-i, where f' vanishes and the
+    error names each member's own iterate, on (x - 1)(x + 3) from
+    0.5 +- i, whose iterates land on the real root 1, and on x**2 + 1
+    from +-i, where f(i) = 0 + 0j but f(-i) has the zero parts' other
+    signs (those three pairs are stepped member by member)."""
+    stepped = []
+    for name in ("_pade_steps", "_halley_steps"):
+        def recording(f, lams, step=getattr(refine, name)):
+            stepped.extend(lams)
+            return step(f, lams)
+        monkeypatch.setattr(refine, name, recording)
+    rng = np.random.default_rng(3131)
+    problems = []
+    for degree in (4, 9, 20, 41):
+        f = Polynomial(tuple(rng.standard_normal(degree + 1)))
+        seeds = []
+        for z in companion_seed_all(f, real=True).values:
+            if z.imag > 0:
+                s = z + 1e-3 * complex(*rng.standard_normal(2))
+                seeds += [s, s.conjugate()]
+            elif z.imag == 0:
+                seeds.append(z + 1e-3 * rng.standard_normal())
+        rng.shuffle(seeds)
+        problems.append((f, seeds, True))
+    problems.append((Polynomial((0.0, 3.0, 0.0, 1.0)), [1j, -1j], False))
+    problems.append((polynomial_from_roots([1.0, -3.0]),
+                     [0.5 + 1j, 0.5 - 1j], False))
+    problems.append((Polynomial((1.0, 0.0, 1.0)), [1j, -1j], False))
+    shared = 0
+    for f, seeds, mirrored in problems:
+        pairs = [(i, j) for i, s in enumerate(seeds)
+                 for j, t in enumerate(seeds) if s.imag < 0
+                 and t == s.conjugate()]
+        assert pairs
+        for batch, one in ((iterate_pade_all, iterate_pade),
+                           (iterate_halley_all, iterate_halley)):
+            stepped.clear()
+            traces = batch(f, seeds)
+            for i, j in pairs:
+                assert (seeds[i] not in stepped) is mirrored
+                shared += mirrored
+                alone = one(f, seeds[i])
+                assert _same_trace(traces[i], alone)
+                upper = traces[j]
+                if not mirrored:
+                    assert upper.notes or refine._touches_zero(upper)
+                    assert not _same_trace(
+                        refine._conjugate(upper), alone)
+    assert shared >= 20
