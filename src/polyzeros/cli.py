@@ -11,6 +11,7 @@ polynomial coefficients are ascending.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .ecp import defects_below_threshold
@@ -154,7 +155,7 @@ def parse_problem_file(path):
         raise ProblemFormatError(
             "%s: unknown algorithm %r" % (path, data["algorithm"])
         )
-    for key in ("nu", "nu_max", "max_iters"):
+    for key in ("nu", "max_iters"):
         value = data.get(key)
         if value is not None and (isinstance(value, bool)
                                   or not isinstance(value, int)):
@@ -174,7 +175,6 @@ def parse_problem_file(path):
             algorithm=algorithm,
             delta=float(data.get("delta", 0.1)),
             settings=IterationSettings(**settings_kwargs),
-            nu_max=data.get("nu_max"),
             nu=data.get("nu", 1),
             ecp=bool(data.get("ecp", False)),
         )
@@ -203,8 +203,6 @@ def problem_spec_to_dict(spec):
     data["max_iters"] = spec.settings.max_iters
     data["step_tol"] = spec.settings.step_tol
     data["residual_tol"] = spec.settings.residual_tol
-    if spec.nu_max is not None:
-        data["nu_max"] = spec.nu_max
     data["nu"] = spec.nu
     data["ecp"] = spec.ecp
     return data
@@ -232,7 +230,7 @@ def _apply_overrides(spec, args):
     ``args`` holds no attribute for an option the subcommand lacks. A
     value out of range is a ProblemFormatError, as in a problem file."""
     given = {k: v for k, v in vars(args).items() if v is not None}
-    changes = {k: given[k] for k in ("delta", "nu_max") if k in given}
+    changes = {"delta": given["delta"]} if "delta" in given else {}
     if "seeds" in given:
         changes["external_seeds"] = _load_seed_file(given["seeds"])
         changes["seed_source"] = SeedSource.EXTERNAL
@@ -356,8 +354,11 @@ def _cmd_plot(spec, args):
         raise ProblemFormatError("command line: samples must be >= 2")
     if args.range and not args.range[0] < args.range[1]:
         raise ProblemFormatError("command line: interval must be ordered")
-    emit_plot_data(f, args.range or (-f.root_bound, f.root_bound),
-                   args.samples, args.out)
+    bound = f.root_bound or 1.0  # (-1, 1) when every zero is at 0
+    if not (args.range or bound < math.inf):
+        raise ProblemFormatError(
+            "command line: the root bound is infinite; give --range")
+    emit_plot_data(f, args.range or (-bound, bound), args.samples, args.out)
     return 0
 
 
@@ -366,12 +367,12 @@ _OPTIONS = {
     "--delta": dict(type=float, help="exploration step size"),
     "--step-tol": dict(type=float, help="relative step tolerance"),
     "--residual-tol": dict(type=float, help="relative residual tolerance"),
-    "--nu-max": dict(type=int, help="largest multiplicity probed"),
     "--seeds": dict(help="JSON file with starting values"),
     "--algorithm": dict(choices=[a.value for a in Algorithm],
                         help="refinement algorithm (default detect)"),
     "--range": dict(type=float, nargs=2,
-                    help="interval endpoints (default root bound)"),
+                    help="interval endpoints (default -R R, R the root "
+                         "bound, or -1 1 when R is 0)"),
     "--samples": dict(type=int, default=DEFAULT_PLOT_SAMPLES,
                       help="number of sample points"),
     "--out": dict(help="output file"),
@@ -380,8 +381,8 @@ _OPTIONS = {
 # Each subcommand: its handler, its help, and exactly the options it reads.
 _SUBCOMMANDS = (
     ("solve", _cmd_solve, "full seed/refine/report pipeline",
-     ("--delta", "--step-tol", "--residual-tol", "--nu-max", "--seeds",
-      "--algorithm", "--out")),
+     ("--delta", "--step-tol", "--residual-tol", "--seeds", "--algorithm",
+      "--out")),
     ("explore", _cmd_explore, "real-axis sign-change scan",
      ("--delta", "--out")),
     ("ecp", _cmd_ecp, "interpolation list, evolutions, enclosures",

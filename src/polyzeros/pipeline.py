@@ -79,9 +79,8 @@ class ProblemSpec:
     Exactly one of ``polynomial``/``matrix`` is set. ``nu`` is the probe
     order used by the test-nu algorithm only; detect counts the zeros near
     each seed and runs the probe of the counted order, which must lie in
-    1..nu_max (defaulting to the degree). Rayleigh and reduced algorithms
-    build one
-    interpolation list from all seeds and refine each row's main value.
+    1..deg f. Rayleigh and reduced algorithms build one interpolation list
+    from all seeds and refine each row's main value.
     """
 
     polynomial: object = None
@@ -91,7 +90,6 @@ class ProblemSpec:
     algorithm: Algorithm = Algorithm.DETECT
     delta: float = 0.1
     settings: IterationSettings = DEFAULT_SETTINGS
-    nu_max: int = None
     nu: int = 1
     ecp: bool = False
 
@@ -117,8 +115,6 @@ class ProblemSpec:
             raise ProblemFormatError("external seeds must be finite")
         if self.nu < 1:
             raise ProblemFormatError("nu must be >= 1")
-        if self.nu_max is not None and self.nu_max < 1:
-            raise ProblemFormatError("nu_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -220,8 +216,7 @@ def _outcomes(spec, f, seeds, errors):
         outcomes, singles = [], range(len(seeds))
         if algorithm is Algorithm.DETECT and spec.seed_source in (
                 SeedSource.COMPANION, SeedSource.EXTERNAL):
-            clusters, singles = detect_clusters(f, seeds, spec.nu_max,
-                                                settings)
+            clusters, singles = detect_clusters(f, seeds, settings)
             outcomes = [(c.seeds, c.probe, c.multiplicity) for c in clusters]
         for k in singles:
             nu = spec.nu
@@ -229,8 +224,7 @@ def _outcomes(spec, f, seeds, errors):
                 if algorithm is Algorithm.TEST_NU:
                     found = iterate_test_nu(f, nu, seeds[k], settings)
                 else:
-                    verdict = detect_multiplicity(f, seeds[k], spec.nu_max,
-                                                  settings)
+                    verdict = detect_multiplicity(f, seeds[k], settings)
                     nu = verdict.multiplicity
                     found = verdict.probes[nu]
             except PolyzerosError as exc:

@@ -109,12 +109,6 @@ class Polynomial:
         (:func:`test_polynomial`)."""
         return {}
 
-    @_kept
-    def _probe_terms(self):
-        """The fused Horner terms of f_{nu-1} and f_nu made so far, by nu
-        (:func:`probe_terms`)."""
-        return {}
-
 
 def polynomial_from_roots(roots, leading=1.0):
     """Expand prod (lambda - r) * leading into ascending coefficients."""
@@ -369,26 +363,6 @@ def test_polynomial(f, k):
             raise ProbeOverflowError(
                 "test polynomial f_%d overflows" % k) from None
         f._tests[k] = made
-    return made
-
-
-def probe_terms(f, nu):
-    """The Horner terms of one fused pass over f_{nu-1} and f_nu, kept on
-    f per nu: (lo_top, hi_top, pairs).
-
-    Trimming can leave the two of different lengths (f_nu of a degree-1 f
-    is a constant): the longer one's extra top coefficients, lo_top or
-    hi_top, run alone first, then ``pairs`` steps both, so each value gets
-    exactly the operations of :func:`evaluate`.
-    """
-    made = f._probe_terms.get(nu)
-    if made is None:
-        lo = test_polynomial(f, nu - 1).coeffs
-        hi = test_polynomial(f, nu).coeffs
-        n = min(len(lo), len(hi))
-        made = (tuple(reversed(lo[n:])), tuple(reversed(hi[n:])),
-                tuple(zip(reversed(lo[:n]), reversed(hi[:n]))))
-        f._probe_terms[nu] = made
     return made
 
 

@@ -53,7 +53,6 @@ from .poly import (
     horner_error_bound,
     power_error_bound,
     power_rows,
-    probe_terms,
     relative_residual,
     test_polynomial,
 )
@@ -377,25 +376,19 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
             "seed too close to origin for p_nu; shift the polynomial by "
             "lambda -> lambda + c first"
         )
-    if test_polynomial(f, nu).is_zero:
+    f_hi = test_polynomial(f, nu)
+    if f_hi.is_zero:
         raise ZeroPolynomialError("test polynomial f_%d is identically zero" % nu)
-    lo_top, hi_top, pairs = probe_terms(f, nu)
+    f_lo = test_polynomial(f, nu - 1)
 
     def steps(lams):
         # A batch of one, in scalar Horner: one evaluate_all point costs
-        # ten times what this loop does.
+        # ten times what evaluate does.
         lam = lams[0]
-        v_lo = 0j
-        for a in lo_top:
-            v_lo = v_lo * lam + a
-        v_hi = 0j
-        for b in hi_top:
-            v_hi = v_hi * lam + b
-        for a, b in pairs:
-            v_lo = v_lo * lam + a
-            v_hi = v_hi * lam + b
+        v_lo = evaluate(f_lo, lam)[0]
+        v_hi = evaluate(f_hi, lam)[0]
         try:
-            if abs(v_hi) <= 1e-290 * max(1.0, abs(v_lo)):
+            if abs(v_hi) <= DERIVATIVE_UNDERFLOW * max(1.0, abs(v_lo)):
                 return [ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))]
         except OverflowError as exc:  # a modulus beyond the float range
             return [exc]
@@ -508,6 +501,12 @@ def _settles(f, nu, trace, center, radius):
         for k in range(nu - 1))
 
 
+def _enclosing_radius(f, center):
+    """The radius of a circle around ``center`` that holds every zero of
+    f: each lies within root_bound of the origin."""
+    return 2.0 * (f.root_bound + abs(center))
+
+
 def _smallest_count(f, s):
     """(count, radius): the zeros of f on the smallest circle around s
     whose count is not declined, or None when every circle is.
@@ -517,7 +516,7 @@ def _smallest_count(f, s):
     s. The radius doubles up to 2 (root_bound + |s|), where the circle
     holds every zero.
     """
-    limit = 2.0 * (f.root_bound + abs(s))
+    limit = _enclosing_radius(f, s)
     v, d = evaluate(f, s, 1)
     try:
         radius = f.degree * abs(v / d)
@@ -539,27 +538,27 @@ def _smallest_count(f, s):
 def _probe_circle(f, nu, center, radius, settings, probes=None):
     """The nu-probe from ``center`` when it settles the circle
     (:func:`_settles`), else None. A probe that runs is added to
-    ``probes``; a test polynomial that overflows or vanishes settles
-    nothing, and an OriginSeedError goes to the caller."""
+    ``probes``; a center at the origin, or a test polynomial that
+    overflows or vanishes, settles nothing."""
     try:
         trace = iterate_test_nu(f, nu, center, settings)
-    except (ProbeOverflowError, ZeroPolynomialError):
+    except (OriginSeedError, ProbeOverflowError, ZeroPolynomialError):
         return None
     if probes is not None:
         probes[nu] = trace
     return trace if _settles(f, nu, trace, center, radius) else None
 
 
-def _detect_at(f, s, nu_max, settings, probes):
+def _detect_at(f, s, settings, probes):
     """The MultiplicityVerdict of the counted probe from s, or None when
-    no count is made, it names no order in 1..nu_max, or the probe does
+    no count is made, it names no order in 1..deg f, or the probe does
     not settle its circle. Adds the probe to ``probes``."""
     counted = _smallest_count(f, s)
     if counted is None:
         return None
     count, radius = counted
     nu = round(count.real)
-    if not 1 <= nu <= nu_max:
+    if not 1 <= nu <= f.degree:
         return None
     trace = _probe_circle(f, nu, s, radius, settings, probes)
     if trace is None:
@@ -567,7 +566,7 @@ def _detect_at(f, s, nu_max, settings, probes):
     return MultiplicityVerdict(trace.final, nu, probes, count)
 
 
-def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS):
+def detect_multiplicity(f, seed, settings=DEFAULT_SETTINGS):
     """A root and its multiplicity from one seed: a zero count and one
     probe.
 
@@ -575,18 +574,15 @@ def detect_multiplicity(f, seed, nu_max=None, settings=DEFAULT_SETTINGS):
     rounding allows, and the probe of the counted order nu runs from the
     seed. Its root is accepted when the probe settles the circle
     (:func:`_settles`). Otherwise the nu = 1 probe walks from the seed,
-    and the count and its probe run again where the walk ends.
+    and the count and its probe run again where the walk ends. A seed at
+    the origin raises the walk's OriginSeedError.
     """
-    if nu_max is None:
-        nu_max = f.degree
-    if nu_max < 1:
-        raise ValueError("nu_max must be >= 1")
     probes = {}
-    verdict = _detect_at(f, complex(seed), nu_max, settings, probes)
+    verdict = _detect_at(f, complex(seed), settings, probes)
     if verdict is None:
         walk = iterate_test_nu(f, 1, seed, settings)
         probes[1] = walk
-        verdict = _detect_at(f, walk.final, nu_max, settings, probes)
+        verdict = _detect_at(f, walk.final, settings, probes)
     if verdict is None:
         raise NoMultiplicityError(
             "no multiplicity identified from seed %r; improve the seed"
@@ -621,14 +617,11 @@ def _circle(f, seeds, group):
     center = sum(members) / len(members)
     outside = [abs(s - center) for k, s in enumerate(seeds) if k not in group]
     if outside:
-        radius = 0.5 * min(outside)
-    else:
-        # Every zero lies within root_bound of the origin.
-        radius = 2.0 * (f.root_bound + abs(center))
-    return center, radius
+        return center, 0.5 * min(outside)
+    return center, _enclosing_radius(f, center)
 
 
-def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
+def detect_clusters(f, seeds, settings=DEFAULT_SETTINGS):
     """Multiplicities by counting, from approximations of all the roots.
 
     A nu-fold root shows up among the eigenvalues of a companion matrix as
@@ -643,17 +636,13 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
     linkage) and is counted again. Otherwise one probe of order nu runs
     from the mean, and the group is settled if that probe settles the
     circle (:func:`_probe_circle`). A group whose probe does not settle
-    it (or starts at the origin, or is of an order beyond nu_max), or
-    that has no group left to merge with, is left over.
+    it (or whose size exceeds the degree), or that has no group left to
+    merge with, is left over.
 
     Returns (verdicts, leftover): the ClusterVerdicts in the order they
     were settled and the leftover seed indices, ascending. The caller runs
     :func:`detect_multiplicity` on each leftover seed.
     """
-    if nu_max is None:
-        nu_max = f.degree
-    if nu_max < 1:
-        raise ValueError("nu_max must be >= 1")
     seeds = [complex(s) for s in seeds]
     circles = [_circle(f, seeds, (i,)) for i in range(len(seeds))]
     counts = count_zeros_all(f, [c for c, _ in circles],
@@ -680,11 +669,8 @@ def detect_clusters(f, seeds, nu_max=None, settings=DEFAULT_SETTINGS):
                 queue.remove(nearest)
                 queue.insert(0, tuple(sorted(group + nearest)))
                 continue
-        elif nu <= nu_max:
-            try:
-                trace = _probe_circle(f, nu, center, radius, settings)
-            except OriginSeedError:
-                pass
+        elif nu <= f.degree:
+            trace = _probe_circle(f, nu, center, radius, settings)
         if trace is None:
             leftover.extend(group)
         else:

@@ -396,6 +396,28 @@ def test_plot_crosses_zero_between_brackets(tmp_path):
     assert any(a[1] * b[1] < 0 for a, b in zip(signs, signs[1:]))
 
 
+def test_plot_of_a_zero_root_bound_spans_minus_one_to_one(tmp_path, capsys):
+    """lambda**3 has root bound 0; its default interval is (-1, 1), not
+    the empty (0, 0)."""
+    problem = _write(tmp_path, "cube.json",
+                     {"kind": "polynomial", "coefficients": [0, 0, 0, 1]})
+    assert main(["plot", problem]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 400
+    assert (rows[0].split(",")[0], rows[-1].split(",")[0]) == ("-1.0", "1.0")
+
+
+def test_plot_of_an_infinite_root_bound_asks_for_range(tmp_path, capsys):
+    """The root bound of 1e300 + 1e-290 lambda overflows; the default
+    interval would sample nothing but NaN."""
+    problem = _write(tmp_path, "wide.json",
+                     {"kind": "polynomial", "coefficients": [1e300, 1e-290]})
+    assert main(["plot", problem]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--range" in captured.err
+
+
 # The problems the option tests run on, each with a seed file for --seeds.
 OPTION_PROBLEMS = {
     "sextic": ({"kind": "polynomial",
@@ -416,7 +438,7 @@ DECLARED_OPTIONS = (
     ("solve", "--delta", "sextic", ["0.3"]),
     ("solve", "--step-tol", "sqrt2", ["1e-3"]),
     ("solve", "--residual-tol", "sqrt2", ["1e-30"]),
-    ("solve", "--nu-max", "sextic", ["1"]),
+    ("solve", "--seeds", "diag", ["SEEDS"]),
     ("solve", "--seeds", "sextic", ["SEEDS"]),
     ("solve", "--algorithm", "sextic", ["pade"]),
     ("explore", "--delta", "sextic", ["0.3"]),
@@ -483,12 +505,11 @@ def test_undeclared_option_exits_two(tmp_path, capsys, command, flag):
 
 
 def test_abbreviated_flag_exits_two(tmp_path, capsys):
-    """``--nu`` is not taken as ``--nu-max``."""
+    """``--alg`` is not taken as ``--algorithm``."""
     with pytest.raises(SystemExit) as exc:
-        main(["solve", _example1_file(tmp_path), "--algorithm", "test-nu",
-              "--nu", "3"])
+        main(["solve", _example1_file(tmp_path), "--alg", "test-nu"])
     assert exc.value.code == 2
-    assert "--nu" in capsys.readouterr().err
+    assert "--alg" in capsys.readouterr().err
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
@@ -542,7 +563,7 @@ def test_non_finite_delta_option_exits_two(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["nu", "nu_max", "max_iters"])
+@pytest.mark.parametrize("key", ["nu", "max_iters"])
 def test_non_integer_count_exits_two(tmp_path, capsys, key):
     """A fractional or boolean count is a format error, not a crash or a
     silent truncation."""

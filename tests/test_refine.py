@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from polyzeros import (
     count_zeros_all,
     detect_clusters,
     detect_multiplicity,
-    evaluate,
     iterate_halley,
     iterate_halley_all,
     iterate_pade,
@@ -28,15 +26,9 @@ from polyzeros import (
     polynomial_from_roots,
     relative_residual,
 )
-from polyzeros import test_polynomial as derived_polynomial
 from polyzeros import refine
 from polyzeros.poly import horner_error_bound
-from polyzeros.refine import (
-    DEFAULT_SETTINGS,
-    _run_batch,
-    group_roots,
-    same_root,
-)
+from polyzeros.refine import group_roots, same_root
 
 ROOT_ATOL = 1e-12
 CASES = 40
@@ -179,9 +171,39 @@ def test_detect_from_a_seed_where_the_guess_is_undefined():
 
 
 def test_detect_rejects_when_no_probe_converges():
+    """Around 1.05 the smallest circle not declined holds all 141 zeros
+    of (lambda - 1)**140 (lambda + 2), and f_141 overflows; so it does
+    where the nu = 1 walk ends."""
+    f = polynomial_from_roots([1.0] * 140 + [-2.0])
+    with pytest.raises(NoMultiplicityError):
+        detect_multiplicity(f, 1.05)
+
+
+def test_walk_to_the_origin_names_no_multiplicity():
+    """From 2.0 the nu = 1 walk on (lambda - 1)**2 (lambda - 3) ends at
+    the probe's spurious fixed point 0. The probe counted there cannot
+    start at the origin, so that is no multiplicity, not a seed error."""
     f = polynomial_from_roots([1.0, 1.0, 3.0])
     with pytest.raises(NoMultiplicityError):
-        detect_multiplicity(f, 1.05, nu_max=1)
+        detect_multiplicity(f, 2.0)
+
+
+def test_count_above_the_degree_names_no_multiplicity(monkeypatch):
+    """A count that rounds above the degree runs no probe of its order;
+    only the nu = 1 walk runs."""
+    f = polynomial_from_roots([1.0, 1.0, 3.0])
+    calls = []
+
+    def counting(f, nu, *args):
+        calls.append(nu)
+        return iterate_test_nu(f, nu, *args)
+
+    monkeypatch.setattr(refine, "_smallest_count",
+                        lambda f, s: (complex(f.degree + 1), 0.5))
+    monkeypatch.setattr(refine, "iterate_test_nu", counting)
+    with pytest.raises(NoMultiplicityError):
+        detect_multiplicity(f, 1.05)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("root", [7.0, 8.0])
@@ -227,44 +249,9 @@ def test_trace_chaining_invariant_across_algorithms(cluster_decic):
     assert _chained(trace)
 
 
-def _reference_probe(f, nu, seed):
-    """The nu-probe with f_{nu-1} and f_nu evaluated one at a time."""
-    f_lo = derived_polynomial(f, nu - 1)
-    f_hi = derived_polynomial(f, nu)
-
-    def steps(lams):
-        lam = lams[0]
-        v_lo = evaluate(f_lo, lam)[0]
-        v_hi = evaluate(f_hi, lam)[0]
-        if abs(v_hi) <= 1e-290 * max(1.0, abs(v_lo)):
-            return [ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))]
-        return [(v_lo / v_hi) * lam]
-
-    return _run_batch(steps, partial(relative_residual, f),
-                      horner_error_bound(f), (seed,), DEFAULT_SETTINGS,
-                      f.root_bound)[0]
-
-
 def _row_bits(trace):
     return [tuple((z.real.hex(), z.imag.hex()) for z in (r.lam, r.value, r.step))
             for r in trace.rows]
-
-
-def test_fused_probe_step_gives_the_reference_traces():
-    """The one-pass f_{nu-1}, f_nu evaluation changes no bit of any probe,
-    also where f_nu is shorter than f_{nu-1} (degree 1)."""
-    for coeffs, seed in (
-        ((-3.0, 2.0), 1.4),
-        (cases.DOUBLE_QUAD_SEXTIC, cases.DOUBLE_QUAD_SEED_NU2),
-        (cases.CLUSTER_DECIC, cases.CLUSTER_DECIC_SEED_NU3),
-    ):
-        f = Polynomial(coeffs)
-        for nu in range(1, f.degree + 1):
-            got = iterate_test_nu(f, nu, seed)
-            want = _reference_probe(f, nu, seed)
-            assert got.status is want.status
-            assert _row_bits(got) == _row_bits(want)
-            assert got.notes == want.notes
 
 
 def _reference_group_roots(items, value):
