@@ -85,6 +85,7 @@ from .poly import (
     pade_eval,
     polynomial_from_roots,
     relative_residual,
+    relative_residual_all,
     test_polynomial,
 )
 from .refine import (

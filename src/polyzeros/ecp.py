@@ -17,8 +17,9 @@ refine main values through the partial sums S_1, S_2, S_sigma, all rows'
 at once: one kernel takes the sums at every iterate from one iterates x
 rows matrix of 1/(sigma_k - Lambda), and decides from them alone each
 iterate's step or the error that ends it. They stop on f's own relative
-residual, the test
-every reported root is graded by: |S_1 - 1| cancels near an interpolation
+residual, the test every reported root is graded by, taken for all
+iterates in one array pass (:func:`poly.relative_residual_all`, floor
+:func:`poly.power_error_bound`): |S_1 - 1| cancels near an interpolation
 value that already sits on a root, so it cannot tell a converged row from
 a creeping one.
 """
@@ -34,7 +35,13 @@ from .errors import (
     RayleighDenominatorError,
     ZeroPolynomialError,
 )
-from .poly import evaluate, horner_error_bound, relative_residual
+from .poly import (
+    evaluate_all,
+    horner_error_bound,
+    power_error_bound,
+    relative_residual,
+    relative_residual_all,
+)
 from .refine import DEFAULT_SETTINGS, _run_batch
 
 SEPARATION_REL = 1e-12
@@ -78,9 +85,12 @@ def build_ecp_list(f, sigmas):
     """Build the (sigma, defect, main value) list for f at the given values.
 
     Each denominator a_m prod_{j!=k} (sigma_k - sigma_j) is multiplied out
-    in fixed row order, so repeated builds are bit-reproducible.
-    Coincident or clustered interpolation values raise with the offending
-    indices.
+    in fixed row order, and every f(sigma_k) comes from one
+    :func:`poly.evaluate_all` pass, good to gamma_{4m+1} times
+    sum |a_j| |sigma_k|**j (:func:`poly.power_error_bound`); neither
+    depends on the order of the other rows' arithmetic, so repeated builds
+    are bit-reproducible. Coincident or clustered interpolation values
+    raise with the offending indices.
     """
     m = f.degree
     if m < 1:
@@ -106,9 +116,9 @@ def build_ecp_list(f, sigmas):
             raise InterpolationValueError(
                 "interpolation values too clustered around index %d" % k, (k,)
             )
+    defects = tuple(v / denom for v, denom in zip(
+        evaluate_all(f, sigmas)[0].tolist(), denoms.tolist()))
     sigmas = tuple(sigmas.tolist())
-    defects = tuple(evaluate(f, sk, 0)[0] / denom
-                    for sk, denom in zip(sigmas, denoms.tolist()))
     main_values = tuple(sk - d for sk, d in zip(sigmas, defects))
     return EcpList(sigmas, defects, main_values, m, a_m, a_m1)
 
@@ -190,7 +200,7 @@ def _iterate_list(rayleigh, lst, f, seeds, settings):
     sigmas = np.array(lst.sigmas, dtype=complex)
     defects = np.array(lst.defects, dtype=complex)
     return _run_batch(partial(_list_steps, rayleigh, sigmas, defects, f),
-                      partial(relative_residual, f), horner_error_bound(f),
+                      partial(relative_residual_all, f), power_error_bound(f),
                       seeds, settings, f.root_bound)
 
 
@@ -212,7 +222,8 @@ def rayleigh_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
     R reproduces its argument exactly at every eigenvalue, so the iteration
     replaces the iterate by R (the recorded step is R - Lambda). Residuals
     are measured on f, the polynomial the list was built from, with
-    :func:`relative_residual`: the test that grades every reported root.
+    :func:`poly.relative_residual_all`: the test that grades every
+    reported root.
     An iterate on the interpolation value of a row that is a root of f to
     working precision takes step 0; on any other interpolation value the
     iteration ends as NUMERICAL_ERROR.

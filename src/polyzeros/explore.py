@@ -26,11 +26,17 @@ from .errors import (
 )
 from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF, horner_error_bound
 from .poly import conjugate_pairs, evaluate, pade_eval, relative_residual
+from .poly import relative_residual_all
 from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
 ACCELERATED_MAX_ROUNDS = 60
 COMPANION_RESIDUAL_REL = 1e-8
+# From this degree on the companion-seed check takes its residuals from one
+# relative_residual_all call; below it Horner's loop over the seeds costs
+# less than that call's fixed cost of tens of microseconds (measured
+# crossover near degree 16, real and complex coefficients alike).
+COMPANION_ARRAY_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -318,9 +324,14 @@ def companion_seed_all(f, real=False):
     companion matrix holds the real parts of f's coefficients and its
     eigenvalues come from real LAPACK, as exact conjugate pairs and
     exactly real values; the caller passes it only for an f whose
-    coefficients are real by construction (det F of a real F). For a real
-    f the residual check skips the lower member of each exact conjugate
-    pair, whose residual is its partner's (:func:`poly.conjugate_pairs`).
+    coefficients are real by construction (det F of a real F). The seeds
+    are low-confidence when a seed's relative residual exceeds
+    COMPANION_RESIDUAL_REL. From degree COMPANION_ARRAY_DEGREE on the
+    residuals come from one :func:`poly.relative_residual_all` pass.
+    Below it they come from :func:`poly.relative_residual`, seed by seed,
+    and for a real f the lower member of each exact conjugate pair is
+    skipped, as its residual is its partner's
+    (:func:`poly.conjugate_pairs`).
     """
     if f.degree < 1:
         raise ZeroPolynomialError("need degree >= 1 to seed roots")
@@ -335,9 +346,11 @@ def companion_seed_all(f, real=False):
             "companion matrix is not finite: making f monic overflows"
         ) from exc
     z = sorted((complex(w) for w in z), key=lambda w: (w.real, w.imag))
-    mirrored = {i for i, _ in conjugate_pairs(z)} if f.is_real() else ()
-    low_confidence = any(
-        relative_residual(f, w) > COMPANION_RESIDUAL_REL
-        for i, w in enumerate(z) if i not in mirrored
-    )
+    if f.degree >= COMPANION_ARRAY_DEGREE:
+        residuals = relative_residual_all(f, z)
+    else:
+        mirrored = {i for i, _ in conjugate_pairs(z)} if f.is_real() else ()
+        residuals = (relative_residual(f, w)
+                     for i, w in enumerate(z) if i not in mirrored)
+    low_confidence = any(r > COMPANION_RESIDUAL_REL for r in residuals)
     return CompanionSeeds(tuple(z), low_confidence)

@@ -104,9 +104,25 @@ class Polynomial:
         return tuple((a, abs(a)) for a in reversed(self.coeffs))
 
     @_kept
+    def coeff_array(self):
+        """The coefficients as a read-only complex array, kept for the
+        array kernels."""
+        array = np.array(self.coeffs, dtype=complex)
+        array.flags.writeable = False
+        return array
+
+    @_kept
+    def coeff_moduli(self):
+        """The coefficient moduli |a_j| as a read-only array, kept for the
+        magnitude sums of the array kernels."""
+        moduli = np.abs(self.coeff_array)
+        moduli.flags.writeable = False
+        return moduli
+
+    @_kept
     def _tests(self):
-        """The test polynomials f_k made so far, by k
-        (:func:`test_polynomial`)."""
+        """The test polynomials f_k made so far, by k, and None for an
+        order whose coefficients overflow (:func:`test_polynomial`)."""
         return {}
 
 
@@ -166,10 +182,11 @@ def power_rows(coeffs, points, order):
     powers[:, 1:] = points[:, None]
     values = np.empty((order + 1, len(points)), dtype=points.dtype)
     with np.errstate(all="ignore"):
-        np.cumprod(powers, axis=1, out=powers)
+        np.multiply.accumulate(powers, axis=1, out=powers)
         for k in range(order + 1):
+            if k:
+                coeffs = coeffs[1:] * np.arange(1, len(coeffs))
             values[k] = np.einsum("ij,j->i", powers[:, :len(coeffs)], coeffs)
-            coeffs = coeffs[1:] * np.arange(1, len(coeffs))
     return values
 
 
@@ -190,7 +207,7 @@ def evaluate_all(f, lams, order=0):
     if order < 0:
         raise ValueError("order must be >= 0")
     points = np.array(lams, dtype=complex)
-    values = power_rows(np.array(f.coeffs), points, order)
+    values = power_rows(f.coeff_array, points, order)
     for i in np.flatnonzero(~np.isfinite(values).all(axis=0)):
         values[:, i] = evaluate(f, points[i], order)
     return values
@@ -229,8 +246,13 @@ def coefficient_scale(f, lam):
 def relative_residual(f, lam):
     """|f(lam)| / coefficient_scale(f, lam), or 0 when f(lam) is exactly 0.
 
-    The one residual used by refinement, seeding and reporting. One loop
-    over ``f.terms`` computes both sums with the operations of
+    The residual at one point, in Horner's rule; a point whose residual is
+    at most :func:`horner_error_bound` is a root to working precision. The
+    callers that test one point at a time take it: the test-nu probe, the
+    real-axis scan, the settling test of a probe, the list iterations'
+    coincidence check and the companion-seed check at low degree. The
+    batched refinement iterations take :func:`relative_residual_all`. One
+    loop over ``f.terms`` computes both sums with the operations of
     :func:`evaluate` and :func:`coefficient_scale`."""
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -245,6 +267,36 @@ def relative_residual(f, lam):
     if magnitude == 0.0:
         return 0.0
     return magnitude / max(s, 1e-300)
+
+
+def relative_residual_all(f, lams):
+    """:func:`relative_residual` at every point of ``lams``, as a list,
+    from one array pass; a point whose residual is at most
+    :func:`power_error_bound` is a root to working precision.
+
+    f(z) comes from one complex power matrix and S = sum |a_j| |z|**j from
+    its real form over |a_j| and |z| (:func:`power_rows`), the pass
+    :func:`power_error_bound` is proven for and the one
+    :func:`refine.count_zeros_all` makes, so a point's residual does not
+    depend on the other points. A point whose residual is not finite (its
+    powers overflowed, say) takes :func:`relative_residual` instead, as
+    :func:`evaluate_all` falls back to :func:`evaluate`. The batched
+    refinement iterations (Pade, Halley, Rayleigh, reduced) stop on it,
+    and the companion-seed check reads it from degree 16 on
+    (:func:`explore.companion_seed_all`).
+    """
+    if f.is_zero:
+        raise ZeroPolynomialError("zero polynomial")
+    points = np.array(lams, dtype=complex)
+    magnitude = np.abs(power_rows(f.coeff_array, points, 0)[0])
+    s = power_rows(f.coeff_moduli, np.abs(points), 0)[0]
+    with np.errstate(all="ignore"):
+        residuals = (magnitude / np.maximum(s, 1e-300)).tolist()
+    if not math.isfinite(sum(residuals)):
+        for i, residual in enumerate(residuals):
+            if not math.isfinite(residual):
+                residuals[i] = relative_residual(f, points[i])
+    return residuals
 
 
 def horner_error_bound(f):
@@ -348,22 +400,26 @@ def test_polynomial(f, k):
     f_0 is f itself; for every k >= 1 the j=1 coefficient is annihilated.
     The ratio chain P_nu = f_{nu-1}/f_nu isolates nu-fold roots as simple
     zeros of the associated iteration step. Each f_k is made once and kept
-    on f. A coefficient beyond the float range raises ProbeOverflowError.
+    on f. A coefficient beyond the float range raises ProbeOverflowError,
+    and f keeps that too, so a later call for the same k raises again
+    without making the coefficients.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return f
-    made = f._tests.get(k)
-    if made is None:
+    tests = f._tests
+    if k not in tests:
         try:
-            made = Polynomial(tuple(a * complex(1 - j) ** k
-                                    for j, a in enumerate(f.coeffs)))
+            tests[k] = Polynomial(tuple(a * complex(1 - j) ** k
+                                        for j, a in enumerate(f.coeffs)))
         except (OverflowError, ValueError):  # (1-j)**k or a product overflows
+            tests[k] = None
             raise ProbeOverflowError(
                 "test polynomial f_%d overflows" % k) from None
-        f._tests[k] = made
-    return made
+    if tests[k] is None:
+        raise ProbeOverflowError("test polynomial f_%d overflows" % k)
+    return tests[k]
 
 
 def deflate_horner(f, root):

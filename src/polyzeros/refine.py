@@ -1,18 +1,20 @@
 """Fixed-point refinement iterations with trace recording.
 
-Every iteration runs one stopping rule, written once as a per-seed
-generator that yields its iterate and is sent its step (:func:`_iteration`).
-A batch driver sends every seed still running the step computed for all
-of them in one call (:func:`_run_batch`), and one seed is a batch of one.
-The Pade step Lambda += p(Lambda) and the Halley step Lambda += h(Lambda)
-take array steps: f, f' and f'' at all iterates come from one power
-matrix (:func:`evaluate_all`), and the kernel decides from those arrays
-alone, point by point, the step or the exception that ends the seed. For
-a real f they step one member of each exact conjugate pair of seeds, and
-the other takes the conjugated trace (:func:`_run_steps`). The
-test-polynomial step Lambda += P_nu(Lambda)*Lambda, whose fixed points
-reveal root multiplicity, keeps its scalar Horner step and runs one seed
-at a time.
+Every iteration runs one stopping rule, written once as a loop over the
+state of all the seeds still running (:func:`_run_batch`): each round it
+takes the step of every running seed from one call, and the residuals its
+convergence and floor tests need from one more; one seed is a batch of
+one. The Pade step Lambda += p(Lambda) and the Halley step Lambda +=
+h(Lambda) take array steps: f, f' and f'' at all iterates come from one
+power matrix (:func:`evaluate_all`), and the kernel decides from those
+arrays alone, point by point, the step or the exception that ends the
+seed. Their residuals come from one array pass too
+(:func:`poly.relative_residual_all`), with the floor proven for it
+(:func:`poly.power_error_bound`). For a real f they step one member of
+each exact conjugate pair of seeds, and the other takes the conjugated
+trace (:func:`_run_steps`). The test-polynomial step Lambda +=
+P_nu(Lambda)*Lambda, whose fixed points reveal root multiplicity, keeps
+its scalar Horner step, residual and floor and runs one seed at a time.
 Traces mirror printed iteration tables row by row.
 
 Multiplicity is counted, not guessed: the argument principle counts the
@@ -54,6 +56,7 @@ from .poly import (
     power_error_bound,
     power_rows,
     relative_residual,
+    relative_residual_all,
     test_polynomial,
 )
 
@@ -130,92 +133,100 @@ class IterationTrace:
         return last.lam + last.step
 
 
-def _iteration(seed, residual_fn, floor, settings, divergence_bound):
-    """The stopping rule of every refinement iteration, for one seed.
-
-    A generator: it yields each iterate and is sent the step taken there,
-    or the exception the step kernel found there instead; it returns the
-    IterationTrace. Convergence needs two consecutive relatively small
-    steps plus a relative residual ``residual_fn(lam)`` at most
-    ``residual_tol``. A step that does not halve the previous one ends the
-    run AT_FLOOR when the new iterate's residual is at most ``floor``,
-    Horner's rounding bound. There f is zero to working precision, and the
-    steps are rounding noise (at an ill-conditioned root) or a linear
-    creep with ratio at least 1/2 (at a root of higher multiplicity than
-    the step assumes); a zero count tells the two apart, not the steps.
-    Either test's residual is kept on the trace.
-    Iterates beyond ``divergence_bound``, or whose modulus or step passes
-    the float range, end the run as DIVERGED, and an exception ends it as
-    NUMERICAL_ERROR with its text as the note.
-    """
-    lam = complex(seed)
-    rows = []
-    prev_small = False
-    prev_step_mag = None
-    step_tol = settings.step_tol
-    residual_tol = settings.residual_tol
-    for _ in range(settings.max_iters):
-        step = yield lam
-        if isinstance(step, Exception):
-            rows.append(TraceRow(lam, complex("nan"), 0j))
-            return IterationTrace(tuple(rows), TraceStatus.NUMERICAL_ERROR,
-                                  (str(step),))
-        rows.append(TraceRow(lam, step, step))
-        nxt = lam + step
-        try:
-            step_mag = abs(step)
-            small = step_mag <= step_tol * (1.0 + abs(nxt))
-        except OverflowError:  # a modulus beyond the float range
-            return IterationTrace(tuple(rows), TraceStatus.DIVERGED)
-        residual = None
-        if small and prev_small:
-            residual = residual_fn(nxt)
-            if residual <= residual_tol:
-                return IterationTrace(tuple(rows), TraceStatus.CONVERGED,
-                                      residual=residual)
-        if prev_step_mag is not None and 2.0 * step_mag > prev_step_mag:
-            if residual is None:
-                residual = residual_fn(nxt)
-            if residual <= floor:
-                return IterationTrace(tuple(rows), TraceStatus.AT_FLOOR,
-                                      residual=residual)
-        prev_small = small
-        prev_step_mag = step_mag
-        lam = nxt
-        if abs(lam) > divergence_bound:
-            return IterationTrace(tuple(rows), TraceStatus.DIVERGED)
-    return IterationTrace(tuple(rows), TraceStatus.MAX_ITERS)
-
-
-def _run_batch(steps_fn, residual_fn, floor, seeds, settings, root_bound):
+def _run_batch(steps_fn, residuals_fn, floor, seeds, settings, root_bound):
     """Refine every seed at once: one IterationTrace per seed, in order.
 
-    ``steps_fn(lams)`` gets the current iterates of the seeds still
-    running, as a list of complex, and returns their steps in the same
-    order: each a complex, or the exception that ends that seed as
-    NUMERICAL_ERROR. Each seed runs the stopping rule of
-    :func:`_iteration` with the rounding ``floor`` of ``residual_fn``, so
-    a seed's trace is the one the same step function gives it alone.
-    Iterates beyond ``DIVERGENCE_FACTOR * (1 + root_bound)`` diverge.
+    The stopping rule of every refinement iteration, written once over the
+    state of every seed still running. ``steps_fn(lams)`` gets their
+    current iterates, as a list of complex, and returns their steps in the
+    same order: each a complex, or the exception that ends that seed as
+    NUMERICAL_ERROR with its text as the note. Convergence needs two
+    consecutive relatively small steps plus a relative residual at most
+    ``residual_tol``. A step that does not halve the previous one ends the
+    run AT_FLOOR when the new iterate's residual is at most ``floor``, the
+    rounding bound of ``residuals_fn``. There f is zero to working
+    precision, and the steps are rounding noise (at an ill-conditioned
+    root) or a linear creep with ratio at least 1/2 (at a root of higher
+    multiplicity than the step assumes); a zero count tells the two apart,
+    not the steps. Either test's residual is kept on the trace. Each round
+    makes one ``residuals_fn(lams)`` call, over the new iterates of the
+    seeds that take either test, and it returns their residuals in order.
+    Iterates beyond ``DIVERGENCE_FACTOR * (1 + root_bound)``, or whose
+    modulus or step passes the float range, end the run as DIVERGED.
+
+    A seed's steps and residuals do not depend on the other seeds in the
+    call, so its trace is the one it gets as a batch of one.
     """
     divergence_bound = DIVERGENCE_FACTOR * (1.0 + root_bound)
-    runs = [_iteration(s, residual_fn, floor, settings, divergence_bound)
-            for s in seeds]
-    lams = [next(run) for run in runs]
-    traces = [None] * len(runs)
-    active = list(range(len(runs)))
-    while active:
-        steps = steps_fn([lams[i] for i in active])
+    step_tol = settings.step_tol
+    residual_tol = settings.residual_tol
+    lams = [complex(s) for s in seeds]
+    rows = [[] for _ in lams]
+    prev_small = [False] * len(lams)
+    prev_step_mag = [math.inf] * len(lams)  # no first step is "not halved"
+    traces = [None] * len(lams)
+    active = list(range(len(lams)))
+    for _ in range(settings.max_iters):
+        if not active:
+            break
+        tested = []
         running = []
-        for i, step in zip(active, steps):
+        for i, step in zip(active, steps_fn([lams[i] for i in active])):
+            lam = lams[i]
+            if isinstance(step, Exception):
+                rows[i].append(TraceRow(lam, complex("nan"), 0j))
+                traces[i] = IterationTrace(tuple(rows[i]),
+                                           TraceStatus.NUMERICAL_ERROR,
+                                           (str(step),))
+                continue
+            rows[i].append(TraceRow(lam, step, step))
+            nxt = lam + step
             try:
-                lams[i] = runs[i].send(step)
-            except StopIteration as stop:
-                traces[i] = stop.value
+                step_mag = abs(step)
+                small = step_mag <= step_tol * (1.0 + abs(nxt))
+            except OverflowError:  # a modulus beyond the float range
+                traces[i] = IterationTrace(tuple(rows[i]),
+                                           TraceStatus.DIVERGED)
+                continue
+            converging = small and prev_small[i]
+            stalled = 2.0 * step_mag > prev_step_mag[i]
+            prev_small[i] = small
+            prev_step_mag[i] = step_mag
+            lams[i] = nxt
+            if converging or stalled:
+                tested.append((i, converging, stalled))
+            elif abs(nxt) > divergence_bound:
+                traces[i] = IterationTrace(tuple(rows[i]),
+                                           TraceStatus.DIVERGED)
             else:
                 running.append(i)
+        if tested:
+            residuals = residuals_fn([lams[i] for i, _, _ in tested])
+            for (i, converging, stalled), residual in zip(tested, residuals):
+                if converging and residual <= residual_tol:
+                    traces[i] = IterationTrace(tuple(rows[i]),
+                                               TraceStatus.CONVERGED,
+                                               residual=residual)
+                elif stalled and residual <= floor:
+                    traces[i] = IterationTrace(tuple(rows[i]),
+                                               TraceStatus.AT_FLOOR,
+                                               residual=residual)
+                elif abs(lams[i]) > divergence_bound:
+                    traces[i] = IterationTrace(tuple(rows[i]),
+                                               TraceStatus.DIVERGED)
+                else:
+                    running.append(i)
         active = running
+    for i in active:
+        traces[i] = IterationTrace(tuple(rows[i]), TraceStatus.MAX_ITERS)
     return traces
+
+
+def _horner_residuals(f, lams):
+    """:func:`poly.relative_residual` at each point, one at a time: the
+    residuals of a batch of one, whose floor is
+    :func:`poly.horner_error_bound`."""
+    return [relative_residual(f, lam) for lam in lams]
 
 
 def same_root(a, b):
@@ -297,8 +308,9 @@ def _touches_zero(trace):
 
 def _run_steps(f, steps, seeds, settings):
     """:func:`_run_batch` of the array step ``steps(f, lams)`` from every
-    seed, with f's residual, Horner floor and root bound, refining each
-    exact conjugate pair of seeds once when f is real.
+    seed, with f's array residual (:func:`poly.relative_residual_all`),
+    its floor :func:`poly.power_error_bound` and f's root bound, refining
+    each exact conjugate pair of seeds once when f is real.
 
     There the step, the residual and every test of the stopping rule are
     mirrored at conjugate iterates (:func:`poly.conjugate_pairs`), so the
@@ -310,9 +322,9 @@ def _run_steps(f, steps, seeds, settings):
     or a row holds a zero real or imaginary part in its iterate, value or
     step (:func:`_touches_zero`). Each trace is the one its seed gets
     alone."""
-    run = partial(_run_batch, partial(steps, f), partial(relative_residual, f),
-                  horner_error_bound(f), settings=settings,
-                  root_bound=f.root_bound)
+    run = partial(_run_batch, partial(steps, f),
+                  partial(relative_residual_all, f), power_error_bound(f),
+                  settings=settings, root_bound=f.root_bound)
     seeds = [complex(s) for s in seeds]
     pairs = conjugate_pairs(seeds) if f.is_real() else []
     lower = {i for i, _ in pairs}
@@ -394,7 +406,7 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
             return [exc]
         return [(v_lo / v_hi) * lam]
 
-    return _run_batch(steps, partial(relative_residual, f),
+    return _run_batch(steps, partial(_horner_residuals, f),
                       horner_error_bound(f), (seed,), settings, root_bound)[0]
 
 
@@ -468,13 +480,12 @@ def count_zeros_all(f, centers, radii):
     circle. Every product and sum runs circle by circle, so a circle's
     count does not depend on the other circles in the call.
     """
-    coeffs = np.array(f.coeffs)
     radii = np.array(radii, dtype=float)[:, None]
     w = radii * _COUNT_UNIT_ROW
     z = np.array(centers, dtype=complex)[:, None] + w
     with np.errstate(all="ignore"):
-        v, d = power_rows(coeffs, z.ravel(), 1).reshape(2, *z.shape)
-        s, s1 = power_rows(np.abs(coeffs), np.abs(z).ravel(),
+        v, d = power_rows(f.coeff_array, z.ravel(), 1).reshape(2, *z.shape)
+        s, s1 = power_rows(f.coeff_moduli, np.abs(z).ravel(),
                            1).reshape(2, *z.shape)
         terms = w * d / v
         margin = 1.0 + 2.0 * (np.abs(terms) + radii * s1 / s)

@@ -40,6 +40,40 @@ def exact_derivative(coeffs, lam, order):
     return re, im
 
 
+def defect_noise(coeffs, sigmas, k):
+    """(exact, bound) for row k of the interpolation list of the
+    polynomial with ascending ``coeffs`` at ``sigmas``.
+
+    ``exact`` is the defect with f(sigma_k) in rational arithmetic, over
+    the floating denominator a_m prod_{j != k} (sigma_k - sigma_j)
+    multiplied in row order. ``bound`` is gamma_{4m+1} sum |a_j|
+    |sigma_k|**j over that denominator's modulus: how far the rounding of
+    a power-matrix evaluation of f(sigma_k) can move the defect.
+    """
+    m = len(coeffs) - 1
+    sk = complex(sigmas[k])
+    denom = complex(coeffs[m])
+    for j, sj in enumerate(sigmas):
+        if j != k:
+            denom *= sk - sj
+    re, im = exact_derivative(coeffs, sk, 0)
+    gamma = (4 * m + 1) * 2.0 ** -53 / (1.0 - (4 * m + 1) * 2.0 ** -53)
+    scale = sum(abs(a) * abs(sk) ** j for j, a in enumerate(coeffs))
+    return complex(float(re), float(im)) / denom, gamma * scale / abs(denom)
+
+
+def defects_at_noise_floor(coeffs, sigmas, defects):
+    """True when every row's exact defect, and the computed defect's
+    distance from it, are within the row's rounding bound
+    (:func:`defect_noise`): the list cannot tell its defects from
+    rounding."""
+    for k, d in enumerate(defects):
+        exact, bound = defect_noise(coeffs, sigmas, k)
+        if not (abs(exact) <= bound and abs(d - exact) <= bound):
+            return False
+    return True
+
+
 def convolve_coeffs(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

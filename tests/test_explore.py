@@ -23,7 +23,13 @@ from polyzeros import (
     relative_residual,
     scan_sign_changes,
 )
-from polyzeros.explore import ExplorationReport, _real_root_bound
+from polyzeros import explore
+from polyzeros.explore import (
+    COMPANION_ARRAY_DEGREE,
+    ExplorationReport,
+    _real_root_bound,
+)
+from polyzeros import poly
 from polyzeros.poly import horner_error_bound
 
 SCAN_VALUE_RTOL = 1e-10
@@ -414,3 +420,36 @@ def test_companion_seeds_cluster_layout(cluster_decic):
     for target, count in targets.items():
         near = [s for s in seeds if abs(s - target) < 1e-2]
         assert len(near) == count
+
+
+@pytest.mark.parametrize("degree", [COMPANION_ARRAY_DEGREE - 1,
+                                    COMPANION_ARRAY_DEGREE])
+@pytest.mark.parametrize("real", [False, True])
+def test_companion_check_flags_a_far_seed_on_both_paths(monkeypatch,
+                                                        degree, real):
+    """Below COMPANION_ARRAY_DEGREE the low-confidence check runs Horner's
+    rule seed by seed, from it on one relative_residual_all pass. Both pass
+    the companion eigenvalues and flag a seed moved 0.1 off its root."""
+    rng = np.random.default_rng(degree)
+    coeffs = rng.standard_normal(degree + 1)
+    if not real:
+        coeffs = coeffs + 1j * rng.standard_normal(degree + 1)
+    f = Polynomial(tuple(coeffs))
+    calls = []
+
+    def recording(g, lams):
+        calls.append(len(lams))
+        return poly.relative_residual_all(g, lams)
+
+    monkeypatch.setattr(explore, "relative_residual_all", recording)
+    assert not companion_seed_all(f).low_confidence
+    assert calls == ([degree] if degree >= COMPANION_ARRAY_DEGREE else [])
+    eigenvalues = np.roots
+
+    def moved(coeffs):
+        values = eigenvalues(coeffs)
+        values[0] += 0.1
+        return values
+
+    monkeypatch.setattr(np, "roots", moved)
+    assert companion_seed_all(f).low_confidence

@@ -22,6 +22,7 @@ from polyzeros import (
     polynomial_matrix,
     problem_spec_to_dict,
     relative_residual,
+    relative_residual_all,
     report_to_dict,
     run_pipeline,
     same_root,
@@ -117,8 +118,10 @@ def test_dedupe_merges_seed_evidence(quad_quint):
                                        Algorithm.RAYLEIGH, Algorithm.REDUCED,
                                        Algorithm.DETECT])
 def test_reported_residual_is_the_one_the_stopping_rule_passed(algorithm):
-    """The record's residual is relative_residual(f, root), bit for bit:
-    the engine's convergence test computed it at the same point."""
+    """The record's residual is the engine's residual at the root, bit for
+    bit: the convergence test computed it at the same point. The batched
+    iterations take relative_residual_all, a point's residual alone; the
+    probes of detect take relative_residual."""
     rng = np.random.default_rng(61)
     coeffs = rng.standard_normal(24) + 1j * rng.standard_normal(24)
     f = Polynomial(tuple(coeffs))
@@ -126,7 +129,10 @@ def test_reported_residual_is_the_one_the_stopping_rule_passed(algorithm):
         polynomial=f, seed_source=SeedSource.COMPANION, algorithm=algorithm))
     assert report.all_residuals_pass
     for record in report.roots:
-        assert record.residual == relative_residual(f, record.value)
+        want = (relative_residual(f, record.value)
+                if algorithm is Algorithm.DETECT
+                else relative_residual_all(f, [record.value])[0])
+        assert record.residual == want
 
 
 def test_dedupe_keeps_a_lone_record_as_it_is(quad_quint):
@@ -592,29 +598,26 @@ _MULTIPLE_ROOTS = {
     "triple": [0.5] * 3 + [-1.0, 2j, -2j],
     "double": [1.0] * 2 + [-3.0, 0.25 + 1j],
 }
-_RAYLEIGH_PASSES_THE_TRIPLE = pytest.mark.xfail(
-    strict=True, reason="the list Rayleigh quotient reproduces each of the "
-    "triple root's three seeds, 2e-6 apart, as converged, so three simple "
-    "roots pass; certifying reports by zero counts would fail it (ROADMAP "
-    "item 5)")
 
 
 @pytest.mark.parametrize("name, algorithm", [
-    pytest.param(name, algorithm, marks=(
-        _RAYLEIGH_PASSES_THE_TRIPLE
-        if (name, algorithm) == ("triple", Algorithm.RAYLEIGH) else ()))
-    for name in sorted(_MULTIPLE_ROOTS)
+    (name, algorithm) for name in sorted(_MULTIPLE_ROOTS)
     for algorithm in (Algorithm.PADE, Algorithm.HALLEY, Algorithm.RAYLEIGH,
                       Algorithm.REDUCED)])
 def test_simple_root_algorithms_pass_no_multiple_root(name, algorithm):
     """Only detect names multiplicities. From companion seeds, which split
     a nu-fold root into nu seeds, every other algorithm either stops at the
     rounding floor, where the zero count is nu and not 1, or reports nu
-    simple roots; neither report may pass."""
+    simple roots; neither report may pass. Under the list Rayleigh
+    quotient two of the triple root's three seeds, 2e-6 apart, stop at
+    the floor of the array residual, and their zero count refuses them."""
     report = run_pipeline(ProblemSpec(
         polynomial=polynomial_from_roots(_MULTIPLE_ROOTS[name]),
         seed_source=SeedSource.COMPANION, algorithm=algorithm))
     assert not report.all_residuals_pass
+    if (name, algorithm) == ("triple", Algorithm.RAYLEIGH):
+        assert sum(e.endswith(": at-floor") for e in report.errors) == 2
+        assert not report.conserved
 
 
 def test_seed_at_the_noise_floor_keeps_its_simple_root():
@@ -875,15 +878,18 @@ def _pinned_specs():
 # wilkinson-10 (every root is a grid point where f is exactly 0), both
 # explore+detect at delta 0.1, were pinned from the scalar scan loop when
 # the scan became one array pass; their seeds come from the grid itself.
+# companion-n20, order-14 and rand-d55-63 were pinned again when the
+# batched iterations began to stop on the array residual
+# (poly.relative_residual_all): only their residual fields moved.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
-        "b3eafea767a5fa9f25b90a64954de4ce685171e0c007b5946611e11e0af03623",
+        "792fd8e3daf4faf50e50fdd3d3e1fe72e26c557087ebc3711417b0dcef809e0f",
     "mult-d8-82":
         "fdc9efb2650127316443d8149526fe894a083e88412ee714099575cdd4464d85",
     "order-14":
-        "92ef195bdf0eb0a22d4fd94341a83883c71c60395636b969a7aaa68171c53e36",
+        "911b9a6f2a1a66c4fcdf30e67008e7d5d4c8c301c0d784029c4546eb6ba59bc7",
     "rand-d55-63":
-        "52d6b4e276a05ecd0317bbc44bbab7533d8323cccc9db0e6513a04f42555c2dc",
+        "a683a501f5b28d1d2001ad0916e6f2a6722997eb44260dca962b96122e198493",
     "real-d9-90":
         "99f85b45f86cbb62d0c0f4e037e7b517cc22bc2eff4f8acd56e2f21829735d07",
     "sparse-penta":
@@ -957,21 +963,28 @@ def _branch_specs():
 # gives two seeds to a degree 6 interpolation list, whose build fails.
 # detect-origin-seed: the seed at 0 is left over by the clusters and then
 # fails per-seed detect with an origin-guard error line.
+# halley-wilkinson-10, pade-ecp-wilkinson-10, pade-ecp-mult-d8-82 and
+# reduced-wilkinson-10 were pinned again when the batched iterations began
+# to stop on the array residual and the list took f(sigma_k) from
+# evaluate_all: their residual fields and pade-ecp-wilkinson-10's list
+# moved, and reduced-wilkinson-10's roots moved by at most 8.5e-11
+# relative, the noise of its list's defects; no multiplicity, iteration
+# count, flag or error line moved.
 BRANCH_REPORT_SHA256 = {
     "detect-origin-seed":
         "490f194089ed06224272ea5e7a1c00365a90a09de267f8a3c0263c8fa703f628",
     "halley-degree-1":
         "c79419fb7aed2d61a0180dd5e4c7d83a74ea177474cc0f603c2462263cd4430b",
     "halley-wilkinson-10":
-        "61d3a0184e36eb6d019486418e77e5f542a2189bc76d84b99dc210156ab06079",
+        "eab69b2a7048814165fd412116f413dc8662081e41fae2c7e5cd49d20b4a95ac",
     "pade-ecp-mult-d8-82":
-        "7d298c23ad08c7217b5701126fa572379297733ceaf73b12b3453ecdbbea169d",
+        "f5d782579ef95ba5a27d19b8e8590cb507203cc211ca9d0b3d0143775860767d",
     "pade-ecp-wilkinson-10":
-        "8aef6cdaa6f17c1919f4366c19fc71e5a3ca1c6152aed4a3e43fee1cc23832fe",
+        "5e1d9ed294d0a9aa0bb28906a6d871310a95e1dc7c94dacb256ea1a6622c1ea7",
     "rayleigh-short-list":
         "27e66134a81d89b4b306e71ff371334bd8b67f8d43df653cfa01c08dca3390a2",
     "reduced-wilkinson-10":
-        "51460060fc9bb4cf0b25274958a7cc79403b763bce3cee2161c8d5a55aed0663",
+        "472b92eb3b7eb67377b77db95dce093331b6af606b12a7547425fdac14d8df9e",
     "test-nu-sextic":
         "ddcbbf44680c7e1d8d60b31fdb636dd3db2ea1d87afda97ff3c7818767c07c2c",
 }

@@ -23,9 +23,16 @@ from polyzeros import (
     pade_eval,
     polynomial_from_roots,
     relative_residual,
+    relative_residual_all,
 )
+from polyzeros import poly
 from polyzeros import test_polynomial as derived_polynomial
-from polyzeros.poly import UNIT_ROUNDOFF, power_error_bound, power_rows
+from polyzeros.poly import (
+    UNIT_ROUNDOFF,
+    horner_error_bound,
+    power_error_bound,
+    power_rows,
+)
 
 EVAL_RTOL = 1e-12
 DEFLATE_RTOL = 1e-13
@@ -286,6 +293,24 @@ def test_test_polynomial_overflow_is_a_probe_overflow_error(n, k, cause):
     assert not isinstance(info.value, (ValueError, OverflowError))
 
 
+def test_an_overflowing_test_polynomial_is_built_once(monkeypatch):
+    """f keeps the overflow of f_k: a second probe of that order raises
+    the same ProbeOverflowError without making the coefficients again."""
+    f = polynomial_from_roots([1.0] * 140 + [-2.0])
+    made = []
+    build = poly.Polynomial
+
+    def counting(coeffs):
+        made.append(len(coeffs))
+        return build(coeffs)
+
+    monkeypatch.setattr(poly, "Polynomial", counting)
+    for _ in range(3):
+        with pytest.raises(ProbeOverflowError, match="f_137 overflows"):
+            derived_polynomial(f, 137)
+    assert made == [142]
+
+
 def test_test_polynomials_are_made_once_per_polynomial():
     f = Polynomial((3.0, 5.0, 7.0, 2.0))
     assert derived_polynomial(f, 2) is derived_polynomial(f, 2)
@@ -357,3 +382,37 @@ def test_array_values_fall_back_to_horner_where_powers_overflow():
     assert np.isfinite(values).all()
     assert tuple(values[:, 0]) == evaluate(f, 1e160, 2)
     assert tuple(evaluate_all(f, [0.5], 2)[:, 0]) == tuple(values[:, 1])
+
+
+def test_array_residuals_agree_with_horner():
+    """relative_residual_all gives each point the residual it gets alone,
+    within the two passes' bounds of relative_residual's, at degrees 1 to
+    100, on random points and on points beside the roots, where the
+    residual is all rounding; an exact root gets 0 from both."""
+    rng = np.random.default_rng(2027)
+    for m in range(1, 101):
+        f = Polynomial(tuple(rng.standard_normal(m + 1)
+                             + 1j * rng.standard_normal(m + 1)))
+        radius = rng.uniform(0.2, 1.5, 6)
+        points = list(radius * np.exp(2j * np.pi * rng.uniform(size=6)))
+        points += list(np.roots(f.coeffs[::-1])[:6])
+        got = relative_residual_all(f, points)
+        assert len(got) == len(points)
+        slack = power_error_bound(f) + horner_error_bound(f)
+        for lam, r in zip(points, got):
+            assert r == relative_residual_all(f, [lam])[0]
+            want = relative_residual(f, lam)
+            assert abs(r - want) <= slack * (1.0 + 2.0 * want)
+    f = Polynomial((-1.0, 0.0, 1.0))
+    assert relative_residual_all(f, [1.0, -1.0]) == [0.0, 0.0]
+
+
+def test_array_residuals_fall_back_to_horner_where_powers_overflow():
+    """At 1e160 the power row overflows but Horner's sums are finite: that
+    point takes relative_residual exactly, and the point beside it keeps
+    the residual it gets alone."""
+    f = Polynomial((1.0, 0.0, 1e-290))
+    got = relative_residual_all(f, [1e160, 0.5])
+    assert got[0] == relative_residual(f, 1e160)
+    assert math.isfinite(got[0])
+    assert got[1] == relative_residual_all(f, [0.5])[0]

@@ -24,10 +24,10 @@ from polyzeros import (
     iterate_pade_all,
     iterate_test_nu,
     polynomial_from_roots,
-    relative_residual,
+    relative_residual_all,
 )
-from polyzeros import refine
-from polyzeros.poly import horner_error_bound
+from polyzeros import poly, refine
+from polyzeros.poly import horner_error_bound, power_error_bound
 from polyzeros.refine import group_roots, same_root
 
 ROOT_ATOL = 1e-12
@@ -52,11 +52,13 @@ def test_pade_iteration_simple_root():
 
 def test_pade_iteration_multiple_root_is_slow():
     """On a triple root the plain iteration contracts by only 2/3 per step:
-    it never meets the step test, and stops at the rounding floor."""
+    it never meets the step test, and stops at the rounding floor of its
+    array residual."""
     f = polynomial_from_roots([1.0, 1.0, 1.0, 4.0])
     trace = iterate_pade(f, 1.2)
     assert trace.status is TraceStatus.AT_FLOOR
-    assert trace.residual <= horner_error_bound(f)
+    assert trace.residual == relative_residual_all(f, [trace.final])[0]
+    assert trace.residual <= power_error_bound(f)
     steps = [abs(r.step) for r in trace.rows]
     assert all(b > 0.5 * a for a, b in zip(steps, steps[1:]))
 
@@ -609,14 +611,42 @@ def test_batch_traces_equal_their_batches_of_one():
                              else trace.status.value)
                     if trace.status in (TraceStatus.CONVERGED,
                                         TraceStatus.AT_FLOOR):
-                        assert trace.residual == relative_residual(
-                            g, trace.final)
+                        assert trace.residual == relative_residual_all(
+                            g, [trace.final])[0]
                     else:
                         assert trace.residual is None
                     if trace.status is TraceStatus.AT_FLOOR:
-                        assert trace.residual <= horner_error_bound(g)
+                        assert trace.residual <= power_error_bound(g)
     assert ends >= {"converged", "at-floor", "diverged",
                     "derivative vanishes at 0j"}
+
+
+def test_each_round_takes_its_residuals_from_one_call(monkeypatch):
+    """The batched stopping rule makes at most one relative_residual_all
+    call per round, never an empty one, over only the iterates whose
+    convergence or floor test reads a residual, and each trace keeps the
+    residual that call gave its final iterate."""
+    calls = []
+
+    def recording(f, lams):
+        got = poly.relative_residual_all(f, lams)
+        calls.append(dict(zip(lams, got)))
+        return got
+
+    monkeypatch.setattr(refine, "relative_residual_all", recording)
+    rng = np.random.default_rng(2028)
+    coeffs = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+    f = Polynomial(tuple(coeffs))
+    seeds = np.roots(coeffs[::-1]) * (1 + 1e-3 * rng.standard_normal(30))
+    for batch in (iterate_pade_all, iterate_halley_all):
+        calls.clear()
+        traces = batch(f, seeds)
+        assert 0 < len(calls) <= max(len(t.rows) for t in traces)
+        assert all(calls)
+        assert sum(len(c) for c in calls) < sum(len(t.rows) for t in traces)
+        for trace in traces:
+            assert trace.status is TraceStatus.CONVERGED
+            assert any(c.get(trace.final) == trace.residual for c in calls)
 
 
 def test_lower_member_of_a_conjugate_pair_gets_its_own_trace(monkeypatch):

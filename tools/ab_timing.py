@@ -17,17 +17,23 @@ timed unit is the benchmark's own ``solve`` (``run_pipeline``,
 ``report_to_dict`` and ``json.dumps(indent=2, sort_keys=True)`` under its
 per-problem deadline). The time spent in each of the pipeline's stages
 ``characteristic_polynomial`` (det F of a matrix problem),
-``_acquire_seeds``, ``detect_clusters`` and ``_eigenvector_phase`` is
-also summed per side, in one process for both trees; the benchmark's
-tracer spans neither ``detect_clusters`` nor ``_eigenvector_phase``.
+``_acquire_seeds``, ``_outcomes`` (every seed's refinement, detect's
+``detect_clusters`` included), ``detect_clusters``, ``_ecp_phase`` (the
+interpolation-list diagnostics) and ``_eigenvector_phase`` is also summed
+per side, in one process for both trees; the benchmark's tracer spans
+none of ``_outcomes``, ``detect_clusters``, ``_ecp_phase`` and
+``_eigenvector_phase`` whole, nor the batched refinement calls.
 
 Per workload the tool prints, for each side, the p50 and p90 over the
 problems of each problem's median solve time, their total, the stage
-totals per rep, and how many report texts differ between the trees (each
-problem's first solve). The last line is the same as JSON, which also
-holds the totals per problem family (the problem name without a trailing
+totals per rep, how many report texts differ between the trees (each
+problem's first solve), and how many of those reports differ in outcome:
+a root that is not the same root (``refine.same_root``), or a
+multiplicity, iteration count, pass flag or error line that differs
+(:func:`outcome`). The last line is the same as JSON, which also holds
+the totals per problem family (the problem name without a trailing
 ``-<index>``, e.g. ``quad-n7`` for the matrix-eig problems of order 7).
-The exit status is 1 when any report differs.
+The exit status is 1 when any report text differs.
 """
 
 import importlib.util
@@ -64,8 +70,8 @@ def load_tree(tree, name):
     return module
 
 
-STAGES = ("characteristic_polynomial", "_acquire_seeds", "detect_clusters",
-          "_eigenvector_phase")
+STAGES = ("characteristic_polynomial", "_acquire_seeds", "_outcomes",
+          "detect_clusters", "_ecp_phase", "_eigenvector_phase")
 
 
 class StageClock:
@@ -106,6 +112,32 @@ def solve(pz, problem):
     t0 = time.perf_counter()
     outcome = run.solve(pz, spec)
     return (time.perf_counter() - t0) * 1e3, outcome.text or outcome.status
+
+
+def outcome(text):
+    """(roots, rest) of a report text: each root's value and the fields
+    beside it that decide the answer (multiplicity, iterations,
+    residual_pass), and the report's flags, degrees and error lines; a
+    solve that raised or missed its deadline is its status."""
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return (), text
+    roots = [(complex(*r["value"]), r["multiplicity"], r["iterations"],
+              r["residual_pass"]) for r in report["roots"]]
+    rest = tuple(report[key] for key in (
+        "effective_degree", "multiplicity_sum", "conserved",
+        "all_residuals_pass", "errors"))
+    return roots, rest
+
+
+def same_outcome(pz, a, b):
+    """Whether two report texts have the same :func:`outcome`, roots
+    compared by the root identity of ``pz``."""
+    (roots_a, rest_a), (roots_b, rest_b) = outcome(a), outcome(b)
+    return (rest_a == rest_b and len(roots_a) == len(roots_b)
+            and all(pz.refine.same_root(x[0], y[0]) and x[1:] == y[1:]
+                    for x, y in zip(roots_a, roots_b)))
 
 
 def family(name):
@@ -167,6 +199,10 @@ def run_workload(packages, workload, seeds, reps):
     differ = [("%d/%s" % (seed, p.name)) for (seed, p), a, b in zip(
         problems, texts["base"], texts["change"]) if a != b]
     result["reports_differ"] = differ
+    result["outcomes_differ"] = [
+        ("%d/%s" % (seed, p.name)) for (seed, p), a, b in zip(
+            problems, texts["base"], texts["change"])
+        if not same_outcome(packages["change"], a, b)]
     return result
 
 
@@ -199,10 +235,10 @@ def main(argv):
             print("         " + "  ".join(
                 "%s %.1f ms" % (name.lstrip("_"), s[_stage_key(name)])
                 for name in STAGES))
-        print("  reports differ: %d%s" % (
-            len(r["reports_differ"]),
-            " (%s)" % ", ".join(r["reports_differ"][:10])
-            if r["reports_differ"] else ""))
+        for key in ("reports_differ", "outcomes_differ"):
+            print("  %s: %d%s" % (
+                key.replace("_", " "), len(r[key]),
+                " (%s)" % ", ".join(r[key][:10]) if r[key] else ""))
     print(json.dumps(results, sort_keys=True))
     return 1 if any(r["reports_differ"] for r in results.values()) else 0
 
