@@ -121,8 +121,8 @@ class Polynomial:
 
     @_kept
     def _tests(self):
-        """The test polynomials f_k made so far, by k, and None for an
-        order whose coefficients overflow (:func:`test_polynomial`)."""
+        """The test polynomials f_k made so far, by k
+        (:func:`test_polynomial`)."""
         return {}
 
 
@@ -400,26 +400,22 @@ def test_polynomial(f, k):
     f_0 is f itself; for every k >= 1 the j=1 coefficient is annihilated.
     The ratio chain P_nu = f_{nu-1}/f_nu isolates nu-fold roots as simple
     zeros of the associated iteration step. Each f_k is made once and kept
-    on f. A coefficient beyond the float range raises ProbeOverflowError,
-    and f keeps that too, so a later call for the same k raises again
-    without making the coefficients.
+    on f. A coefficient beyond the float range raises ProbeOverflowError.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return f
-    tests = f._tests
-    if k not in tests:
+    made = f._tests.get(k)
+    if made is None:
         try:
-            tests[k] = Polynomial(tuple(a * complex(1 - j) ** k
-                                        for j, a in enumerate(f.coeffs)))
+            made = Polynomial(tuple(a * complex(1 - j) ** k
+                                    for j, a in enumerate(f.coeffs)))
         except (OverflowError, ValueError):  # (1-j)**k or a product overflows
-            tests[k] = None
             raise ProbeOverflowError(
                 "test polynomial f_%d overflows" % k) from None
-    if tests[k] is None:
-        raise ProbeOverflowError("test polynomial f_%d overflows" % k)
-    return tests[k]
+        f._tests[k] = made
+    return made
 
 
 def deflate_horner(f, root):

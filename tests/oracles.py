@@ -62,18 +62,6 @@ def defect_noise(coeffs, sigmas, k):
     return complex(float(re), float(im)) / denom, gamma * scale / abs(denom)
 
 
-def defects_at_noise_floor(coeffs, sigmas, defects):
-    """True when every row's exact defect, and the computed defect's
-    distance from it, are within the row's rounding bound
-    (:func:`defect_noise`): the list cannot tell its defects from
-    rounding."""
-    for k, d in enumerate(defects):
-        exact, bound = defect_noise(coeffs, sigmas, k)
-        if not (abs(exact) <= bound and abs(d - exact) <= bound):
-            return False
-    return True
-
-
 def convolve_coeffs(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

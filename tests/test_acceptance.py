@@ -91,9 +91,9 @@ def test_criterion_3_ecp_list_and_evolutions(wilkinson10):
 
     lst2 = evolve(lst1, wilkinson10)
     lst3 = evolve(lst2, wilkinson10)
+    first = max(abs(d) for d in lst1.defects)
     for lst in (lst2, lst3):
-        assert oracles.defects_at_noise_floor(wilkinson10.coeffs, lst.sigmas,
-                                              lst.defects)
+        assert max(abs(d) for d in lst.defects) <= 1e-9 < first
 
     control = sum_control(lst1)
     assert control.expected == 55.0 + 0j

@@ -35,6 +35,16 @@ from polyzeros.ecp import (
 from polyzeros.poly import horner_error_bound
 
 LIST_RTOL = 1e-12
+# Rows 1-8 of the Wilkinson 10 list carry defects of 3e-11 to 4e-9, and a
+# float evaluation of f(sigma_k) reads them to about 11% (the power
+# matrix) or 12% (Horner's rule). Their proven rounding bound,
+# gamma_{4m+1} S(sigma_k)/|denom_k|, is 10 to 20 times the defects, so it
+# cannot tell a wrong defect from a right one; a defect off by a fifth
+# fails.
+DEFECT_RTOL = 0.2
+# The evolved Wilkinson 10 lists' defects (up to 5.1e-10) against the
+# first list's largest, 3.6e-9.
+EVOLVED_DEFECT_MAX = 1e-9
 ROOT_ATOL = 1e-10
 CASES = 30
 QUADRATIC = Polynomial((-1.0, 0.0, 1.0))
@@ -104,28 +114,28 @@ def test_list_rejects_wrong_count_and_coincident_values():
 
 
 def test_wilkinson_list_matches_recorded_defects(wilkinson10):
-    """Every defect lies within its rounding bound, gamma_{4m+1}
-    S(sigma_k)/|denom_k|, of the exact one and of the recorded one; the
-    first row's defect is below that bound itself. The main values keep
-    the recorded digits."""
+    """Rows 1-8 read the recorded exact defects to DEFECT_RTOL. Row 0's
+    defect is rounding noise: it is pinned to its rounding bound,
+    gamma_{4m+1} S(sigma_0)/|denom_0|, not to its digits. Row 9's seed is
+    the root 1, so its defect is 0. The main values keep the recorded
+    digits."""
     lst = build_ecp_list(wilkinson10, cases.WILKINSON10_SEEDS)
-    coeffs = wilkinson10.coeffs
-    assert abs(lst.defects[0]) <= oracles.defect_noise(
-        coeffs, lst.sigmas, 0)[1]
-    for k, (d, recorded) in enumerate(zip(lst.defects,
-                                          cases.WILKINSON10_LIST1_DEFECTS)):
-        exact, bound = oracles.defect_noise(coeffs, lst.sigmas, k)
-        assert abs(d - exact) <= bound
-        assert abs(d - recorded) <= 2.0 * bound
+    recorded = cases.WILKINSON10_LIST1_DEFECTS
+    exact, bound = oracles.defect_noise(wilkinson10.coeffs, lst.sigmas, 0)
+    assert exact == recorded[0]
+    assert abs(lst.defects[0]) <= bound
+    assert abs(lst.defects[0] - recorded[0]) <= bound
+    np.testing.assert_allclose(lst.defects[1:], recorded[1:],
+                               rtol=DEFECT_RTOL, atol=0.0)
     np.testing.assert_allclose(lst.main_values, cases.WILKINSON10_LIST1_MAIN,
                                atol=1e-9)
 
 
 def test_two_evolutions_stay_at_the_noise_floor(wilkinson10):
     """Near-root interpolation values give defects at the evaluation noise
-    level, so evolutions hold the defects small instead of shrinking them:
-    after one evolution and after two, each exact defect is within its
-    rounding bound, and so is each computed one's error."""
+    level, so evolutions hold the defects small instead of shrinking them
+    further: after one evolution and after two, every defect is at most
+    EVOLVED_DEFECT_MAX, below the first list's largest."""
     lst1 = build_ecp_list(wilkinson10, cases.WILKINSON10_SEEDS)
     lst2 = evolve(lst1, wilkinson10)
     assert lst2.sigmas == lst1.main_values
@@ -133,9 +143,7 @@ def test_two_evolutions_stay_at_the_noise_floor(wilkinson10):
     assert lst3.sigmas == lst2.main_values
     first = max(abs(d) for d in lst1.defects)
     for lst in (lst2, lst3):
-        assert oracles.defects_at_noise_floor(wilkinson10.coeffs, lst.sigmas,
-                                              lst.defects)
-        assert max(abs(d) for d in lst.defects) < first
+        assert max(abs(d) for d in lst.defects) <= EVOLVED_DEFECT_MAX < first
 
 
 def test_evolve_until_reaches_the_threshold():

@@ -25,7 +25,6 @@ from polyzeros import (
     relative_residual,
     relative_residual_all,
 )
-from polyzeros import poly
 from polyzeros import test_polynomial as derived_polynomial
 from polyzeros.poly import (
     UNIT_ROUNDOFF,
@@ -291,24 +290,6 @@ def test_test_polynomial_overflow_is_a_probe_overflow_error(n, k, cause):
         derived_polynomial(f, k)
     assert isinstance(info.value.__context__, cause)
     assert not isinstance(info.value, (ValueError, OverflowError))
-
-
-def test_an_overflowing_test_polynomial_is_built_once(monkeypatch):
-    """f keeps the overflow of f_k: a second probe of that order raises
-    the same ProbeOverflowError without making the coefficients again."""
-    f = polynomial_from_roots([1.0] * 140 + [-2.0])
-    made = []
-    build = poly.Polynomial
-
-    def counting(coeffs):
-        made.append(len(coeffs))
-        return build(coeffs)
-
-    monkeypatch.setattr(poly, "Polynomial", counting)
-    for _ in range(3):
-        with pytest.raises(ProbeOverflowError, match="f_137 overflows"):
-            derived_polynomial(f, 137)
-    assert made == [142]
 
 
 def test_test_polynomials_are_made_once_per_polynomial():
