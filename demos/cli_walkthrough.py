@@ -4,10 +4,13 @@ Problem files are JSON objects. A polynomial problem lists ascending
 coefficients (complex entries as [re, im] pairs); a matrix problem lists
 the coefficient matrices of F(l) = A_0 + l A_1 + ... The subcommands:
 
-    solve    seed acquisition, refinement, multiplicity report
+    solve    seed acquisition, refinement, multiplicity report; for a
+             matrix problem also the rank deficiency of F at each
+             eigenvalue, but no eigenvectors
     explore  real-axis sign-change scan of the Pade function
     ecp      interpolation list, evolutions, Gershgorin enclosures
-    eigvec   eigenvectors of a matrix problem at given eigenvalues
+    eigvec   eigenvectors of a matrix problem at given eigenvalues,
+             here the root values of a solve report
     plot     CSV samples of f, p, h over an interval
 
 Exit code 0 means the produced numbers passed their own residual or
@@ -84,14 +87,27 @@ def main():
                  [0, 0, 0, 1, 0],
                  [0, 0, 0, 0, 1]],
             ],
-            "seeds": [-1.0],
+            "seed_source": "companion",
         }))
-        proc = run(["eigvec", str(pencil)])
-        bundles = json.loads(proc.stdout)
-        bundle = bundles["eigenvectors"][0]
-        print("  rank deficiency %d at lambda=%g, residual %.1e"
-              % (bundle["rank_deficiency"], bundle["value"][0],
-                 max(bundle["right_residuals"])))
+        proc = run(["solve", str(pencil),
+                    "--out", str(tmp / "pencil-report.json")])
+        report = json.loads((tmp / "pencil-report.json").read_text())
+        for entry in report["eigenvectors"]:
+            print("  lambda=%+.4f  nu=%d  rank deficiency %d%s" % (
+                entry["value"][0], entry["multiplicity"],
+                entry["rank_deficiency"],
+                "  (defective)" if entry["defective"] else ""))
+        assert proc.returncode == 0
+
+        values = tmp / "values.json"
+        values.write_text(json.dumps([r["value"] for r in report["roots"]]))
+        proc = run(["eigvec", str(pencil), "--seeds", str(values)])
+        for bundle in json.loads(proc.stdout)["eigenvectors"]:
+            print("  lambda=%+.4f  %d right and left vector(s), residuals "
+                  "%.1e and %.1e" % (
+                      bundle["value"][0], bundle["rank_deficiency"],
+                      max(bundle["right_residuals"]),
+                      max(bundle["left_residuals"])))
         assert proc.returncode == 0
 
         proc = run(["plot", str(sextic), "--range", "0", "2.5",

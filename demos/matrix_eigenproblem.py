@@ -9,8 +9,10 @@ The problem is F(l) x = 0 with F(l) = A_0 + l A_1 + l^2 A_2 for a sparse
 2. take the roots of the diagonal entry polynomials as starting values
    (for a dominant diagonal they land near the true eigenvalues),
 3. refine each starting value with the Pade iteration on det F,
-4. take the right and left null vectors of F at every eigenvalue from one
-   batched SVD of the stack F(l_1), ..., F(l_m).
+4. take the right and left null vectors of F at every eigenvalue with
+   eigenvectors_all: one SVD without vectors of the stack
+   F(l_1), ..., F(l_m) decides the eigenvalues and their ranks (all that
+   polyzeros solve runs), one full SVD of the accepted ones the vectors.
 
 Two numerical realities show up on the way. Distinct diagonal seeds can
 fall into the same basin, so the refined values are deduplicated and any

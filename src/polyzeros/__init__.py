@@ -59,6 +59,7 @@ from .matpoly import (
     extract_eigenvectors,
     left_eigenvectors,
     polynomial_matrix,
+    singular_ranks_all,
 )
 from .pipeline import (
     Algorithm,

@@ -297,7 +297,7 @@ def _cmd_eigvec(spec, args):
             "eigvec needs explicit eigenvalues (--seeds or file)"
         )
     # An entry passes exactly where solve accepts an eigenvalue: where
-    # eigenvectors_all finds F(lambda) singular.
+    # eigenvectors_all, through singular_ranks_all, finds F singular.
     entries = []
     for lam, found in zip(spec.external_seeds,
                           eigenvectors_all(spec.matrix, spec.external_seeds)):
@@ -388,7 +388,7 @@ _SUBCOMMANDS = (
     ("ecp", _cmd_ecp, "interpolation list, evolutions, enclosures",
      ("--seeds", "--out")),
     ("eigvec", _cmd_eigvec,
-     "unit-norm eigenvectors at given eigenvalues, from one SVD; a value "
+     "unit-norm eigenvectors at given eigenvalues, from two SVDs; a value "
      "counts where sigma_min(F) <= %g sigma_max(F)" % SINGULAR_REL,
      ("--seeds", "--out")),
     ("plot", _cmd_plot, "CSV samples of f, p, h on an interval",

@@ -325,13 +325,13 @@ def companion_seed_all(f, real=False):
     eigenvalues come from real LAPACK, as exact conjugate pairs and
     exactly real values; the caller passes it only for an f whose
     coefficients are real by construction (det F of a real F). The seeds
-    are low-confidence when a seed's relative residual exceeds
-    COMPANION_RESIDUAL_REL. From degree COMPANION_ARRAY_DEGREE on the
-    residuals come from one :func:`poly.relative_residual_all` pass.
-    Below it they come from :func:`poly.relative_residual`, seed by seed,
-    and for a real f the lower member of each exact conjugate pair is
-    skipped, as its residual is its partner's
-    (:func:`poly.conjugate_pairs`).
+    are low-confidence when a seed's relative residual is not at most
+    COMPANION_RESIDUAL_REL (a NaN residual counts). From degree
+    COMPANION_ARRAY_DEGREE on the residuals come from one
+    :func:`poly.relative_residual_all` pass. Below it they come from
+    :func:`poly.relative_residual`, seed by seed, and for a real f the
+    lower member of each exact conjugate pair is skipped, as its residual
+    is its partner's (:func:`poly.conjugate_pairs`).
     """
     if f.degree < 1:
         raise ZeroPolynomialError("need degree >= 1 to seed roots")
@@ -352,5 +352,5 @@ def companion_seed_all(f, real=False):
         mirrored = {i for i, _ in conjugate_pairs(z)} if f.is_real() else ()
         residuals = (relative_residual(f, w)
                      for i, w in enumerate(z) if i not in mirrored)
-    low_confidence = any(r > COMPANION_RESIDUAL_REL for r in residuals)
+    low_confidence = any(not r <= COMPANION_RESIDUAL_REL for r in residuals)
     return CompanionSeeds(tuple(z), low_confidence)

@@ -1,4 +1,4 @@
-"""Polynomial matrices: evaluation, determinants, seeds, eigenvectors.
+"""Polynomial matrices: evaluation, determinants, seeds, ranks, eigenvectors.
 
 F(lambda) = sum A_i lambda**i with n x n complex coefficient matrices,
 evaluated at a whole stack of values by one Horner pass that runs in
@@ -8,15 +8,15 @@ circle and solving the interpolation system on roots of unity; a singular
 leading matrix simply drops the effective degree. For a real F det F is
 real: only the real parts of its coefficients are kept, with no
 threshold, so its companion seeds come from real LAPACK in exact
-conjugate pairs. Eigenvectors come from one batched SVD of F at every
-eigenvalue: a value is an eigenvalue when F's smallest singular value is
-at most SINGULAR_REL times its largest, and the singular vectors of the
-small singular values span its null spaces; the residuals of all values
-of one rank come from one stacked product per side. An exact conjugate
-pair of a real F shares one SVD and its residuals. SINGULAR_REL is one
-fixed relative threshold; it stays until the eigenvalues carry no
-interpolation noise from det F, so that a bound derived from rounding
-errors can replace it.
+conjugate pairs. A value is an eigenvalue when F's smallest singular
+value is at most SINGULAR_REL times its largest; one SVD without vectors
+decides that and the rank deficiency for a whole list, and is all a solve
+runs. Eigenvectors take one more, full SVD of the accepted values, and
+the residuals of all values of one rank one stacked product per side. An
+exact conjugate pair of a real F shares both SVDs and the residuals.
+SINGULAR_REL is one fixed relative threshold; it stays until the
+eigenvalues carry no interpolation noise from det F, so that a bound
+derived from rounding errors can replace it.
 """
 
 import cmath
@@ -205,15 +205,11 @@ def diagonal_seeds(pm):
 
 @dataclass(frozen=True)
 class EigenvectorBundle:
-    """Null-space data of F at one eigenvalue.
-
-    rank_deficiency counts the singular values of F(lambda) at most
-    SINGULAR_REL times the largest (independent eigenvectors).
-    right_vectors/left_vectors are n x r arrays of unit 2-norm columns with
+    """Null-space data of F at one eigenvalue: its rank deficiency r
+    (:func:`singular_ranks_all`), n x r arrays of unit 2-norm columns with
     F(lambda) x ~ 0 and y^T F(lambda) ~ 0 (one side is None from the
-    one-sided wrappers); residuals hold the infinity norm of F(lambda) x
-    (or y^T F) per column.
-    """
+    one-sided wrappers), and the infinity norm of F(lambda) x (or y^T F)
+    per column."""
 
     eigenvalue: complex
     rank_deficiency: int
@@ -238,36 +234,45 @@ def _owners(lams, matrices):
     return owner
 
 
-def eigenvectors_all(pm, lams):
-    """Right and left eigenvectors of F at every value in lams.
-
-    F is evaluated at every value in one broadcast Horner pass, and the
-    singular values of the whole stack come from one SVD. A value is an
-    eigenvalue when sigma_min <= SINGULAR_REL * sigma_max; its rank
-    deficiency is the count of singular values at most that bound, and
-    one full SVD of the accepted members gives the vectors: the conjugated
-    trailing rows of V^H on the right and the conjugated trailing columns
-    of U on the left. The residuals of all members of one rank come from
-    one stacked F @ X and one stacked F^T @ Y. Each member's result is the
-    one it gets alone, except that conjugate pairs of a real F share one
-    SVD: the value with Im lambda < 0 takes its partner's singular values,
-    rank, conjugated vectors and residuals (F(conj lambda) = conj
-    F(lambda), bit for bit, is checked). Returns per value its
-    EigenvectorBundle, or the NotAnEigenvalueError naming sigma_min and
-    sigma_max (NaN where F(lambda) is not finite)."""
-    lams = [complex(lam) for lam in lams]
+def _ranked(pm, lams):
+    """(matrices, owner, ranks, found) behind :func:`singular_ranks_all`."""
     with np.errstate(over="ignore", invalid="ignore"):
         matrices = eval_matrix(pm, lams)
     owner = _owners(lams, matrices)
-    own = owner == np.arange(len(lams))
-    finite = own & np.isfinite(matrices).all(axis=(1, 2))
+    finite = ((owner == np.arange(len(lams)))
+              & np.isfinite(matrices).all(axis=(1, 2)))
     sigma = np.full((len(lams), pm.order), np.nan)
     sigma[finite] = np.linalg.svd(matrices[finite], compute_uv=False)
     sigma = sigma[owner]
     ranks = np.sum(sigma <= SINGULAR_REL * sigma[:, :1], axis=1)
-    found = [None if rank else
+    found = [int(rank) if rank else
              NotAnEigenvalueError(lam, s[-1], s[0], SINGULAR_REL)
              for lam, s, rank in zip(lams, sigma, ranks)]
+    return matrices, owner, ranks, found
+
+
+def singular_ranks_all(pm, lams):
+    """Per value in lams, the rank deficiency of F there (the count of
+    singular values at most SINGULAR_REL * sigma_max), or the
+    NotAnEigenvalueError naming sigma_min and sigma_max (NaN where
+    F(lambda) is not finite). F at every value comes from one Horner pass
+    and the singular values from one SVD without vectors; the value with
+    Im lambda < 0 of an exact conjugate pair of a real F takes its
+    partner's (:func:`_owners`)."""
+    return _ranked(pm, [complex(lam) for lam in lams])[3]
+
+
+def eigenvectors_all(pm, lams):
+    """Per value in lams, its EigenvectorBundle or the
+    NotAnEigenvalueError of :func:`singular_ranks_all`. One full SVD of
+    the accepted members gives the vectors: the conjugated trailing rows
+    of V^H on the right and the conjugated trailing columns of U on the
+    left. The residuals of all members of one rank come from one stacked
+    F @ X and one F^T @ Y; a value that takes its partner's singular
+    values also takes its conjugated vectors and its residuals."""
+    lams = [complex(lam) for lam in lams]
+    matrices, owner, ranks, found = _ranked(pm, lams)
+    own = owner == np.arange(len(lams))
     accepted = np.flatnonzero(own & (ranks > 0))
     u, _, vh = np.linalg.svd(matrices[accepted])
     for rank in np.unique(ranks[accepted]).tolist():

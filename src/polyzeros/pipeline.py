@@ -13,10 +13,11 @@ iterations refine all seeds in one batch call, each step taken by every
 seed still running at once. Detect and test-nu refine each seed on its
 own, except that detect on companion or external seeds first settles
 clusters of seeds by a zero count and one probe each, and the cluster's
-root record lists all its seeds. Hard errors in
-any stage are recorded on the report and the remaining seeds still run. A
-report passes only when its multiplicities sum to the full degree and
-every root passes its residual test.
+root record lists all its seeds. Hard errors in any stage are recorded
+on the report and the remaining seeds still run. A report passes only
+when its multiplicities sum to the full degree, every root passes its
+residual test and, for a matrix, makes F singular: the report gives F's
+rank deficiency there, from singular values alone, not eigenvectors.
 """
 
 import enum
@@ -38,7 +39,7 @@ from .explore import companion_seed_all, scan_sign_changes
 from .matpoly import (
     characteristic_polynomial,
     diagonal_seeds,
-    eigenvectors_all,
+    singular_ranks_all,
 )
 from .poly import Polynomial
 from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
@@ -131,15 +132,13 @@ class RootRecord:
 
 @dataclass(frozen=True)
 class EigenpairRecord:
-    """Eigenvector data for one distinct eigenvalue of a matrix problem.
-
-    ``vectors`` is the EigenvectorBundle with both sides. ``defective``
-    marks rank deficiency below the detected multiplicity (fewer
-    independent eigenvectors than the algebraic count)."""
+    """One distinct eigenvalue of a matrix problem: ``rank_deficiency``
+    counts its eigenvectors (:func:`matpoly.eigenvectors_all` gives them),
+    ``defective`` marks fewer of them than the multiplicity."""
 
     value: complex
     multiplicity: int
-    vectors: object
+    rank_deficiency: int
     defective: bool
 
 
@@ -334,19 +333,17 @@ def _ecp_phase(f, records, errors):
 
 
 def _eigenvector_phase(matrix, records, errors):
-    """Both-sided eigenvectors at every record's value, from one
-    :func:`eigenvectors_all` call. A value where F(lambda) is not singular
-    gets an error line, in record order, and no pair; the per column
-    residuals in the bundles stay the honest quality measure."""
+    """The rank deficiency of F at every record's value, from one
+    :func:`singular_ranks_all` call. A value where F(lambda) is not
+    singular gets an error line, in record order, and no pair."""
     pairs = []
-    for record, found in zip(records, eigenvectors_all(
+    for record, rank in zip(records, singular_ranks_all(
             matrix, [r.value for r in records])):
-        if isinstance(found, NotAnEigenvalueError):
-            errors.append("eigenvectors at %r: %s" % (record.value, found))
+        if isinstance(rank, NotAnEigenvalueError):
+            errors.append("eigenvectors at %r: %s" % (record.value, rank))
             continue
-        pairs.append(EigenpairRecord(
-            record.value, record.multiplicity, found,
-            found.rank_deficiency < record.multiplicity))
+        pairs.append(EigenpairRecord(record.value, record.multiplicity,
+                                     rank, rank < record.multiplicity))
     return tuple(pairs)
 
 
@@ -407,9 +404,8 @@ def run_pipeline(spec):
         records += _refine(spec, g, seeds, errors)
     records = _dedupe(records)
     ecp_diag = _ecp_phase(f, records, errors) if spec.ecp and records else None
-    eigenvectors = ()
-    if spec.matrix is not None and records:
-        eigenvectors = _eigenvector_phase(spec.matrix, records, errors)
+    eigenvectors = (_eigenvector_phase(spec.matrix, records, errors)
+                    if spec.matrix is not None and records else ())
     total = sum(r.multiplicity for r in records)
     conserved = total == f.degree
     if not conserved:
@@ -479,14 +475,12 @@ def ecp_to_dict(diag):
 
 
 def _bundle_columns(vectors):
-    if vectors is None:
-        return None
     return [[[z.real, z.imag] for z in col] for col in vectors.T.tolist()]
 
 
 def eigenpair_to_dict(value, bundle):
-    """JSON-ready right and left eigenvectors at one eigenvalue; callers
-    add their own keys."""
+    """JSON-ready right and left eigenvectors at one eigenvalue, as
+    ``polyzeros eigvec`` writes them; callers add their own keys."""
     return {
         "value": complex_pair(value),
         "rank_deficiency": bundle.rank_deficiency,
@@ -520,8 +514,8 @@ def report_to_dict(report):
         "errors": list(report.errors),
         "ecp": ecp_to_dict(report.ecp) if report.ecp else None,
         "eigenvectors": [
-            dict(eigenpair_to_dict(p.value, p.vectors),
-                 multiplicity=p.multiplicity, defective=p.defective)
+            dict(value=complex_pair(p.value), multiplicity=p.multiplicity,
+                 rank_deficiency=p.rank_deficiency, defective=p.defective)
             for p in report.eigenvectors
         ],
     }

@@ -453,3 +453,36 @@ def test_companion_check_flags_a_far_seed_on_both_paths(monkeypatch,
 
     monkeypatch.setattr(np, "roots", moved)
     assert companion_seed_all(f).low_confidence
+
+
+def test_companion_check_flags_a_seed_whose_residual_is_nan():
+    """f = 1 + z + ... + z**39 + 1e-12 z**40 has a root near -1e12, where
+    the power matrix's sums overflow and the seed's relative residual is
+    NaN. A residual that cannot be evaluated does not count as small."""
+    f = Polynomial((1.0,) * 40 + (1e-12,))
+    seeds = companion_seed_all(f)
+    residuals = poly.relative_residual_all(f, seeds.values)
+    assert sum(math.isnan(r) for r in residuals) == 1
+    assert seeds.low_confidence
+
+
+@pytest.mark.parametrize("degree", [COMPANION_ARRAY_DEGREE - 1,
+                                    COMPANION_ARRAY_DEGREE])
+def test_companion_check_flags_a_nan_residual_on_both_paths(monkeypatch,
+                                                            degree):
+    """Horner's rule below COMPANION_ARRAY_DEGREE and the array pass from
+    it on both flag a seed moved to 1e300, where the residual is NaN."""
+    f = Polynomial(tuple(np.random.default_rng(degree).standard_normal(
+        degree + 1)))
+    eigenvalues = np.roots
+
+    def moved(coeffs):
+        values = eigenvalues(coeffs)
+        values[0] = 1e300
+        return values
+
+    monkeypatch.setattr(np, "roots", moved)
+    seeds = companion_seed_all(f)
+    assert math.isnan(relative_residual(f, 1e300))
+    assert math.isnan(poly.relative_residual_all(f, [1e300])[0])
+    assert seeds.low_confidence

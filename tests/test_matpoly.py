@@ -1,4 +1,4 @@
-"""Polynomial matrices: determinant interpolation, seeds, eigenvectors."""
+"""Polynomial matrices: determinant interpolation, seeds, ranks, vectors."""
 
 import math
 import warnings
@@ -19,6 +19,7 @@ from polyzeros import (
     extract_eigenvectors,
     left_eigenvectors,
     polynomial_matrix,
+    singular_ranks_all,
 )
 
 CHAR_RTOL = 1e-9
@@ -362,6 +363,40 @@ def test_conjugate_partner_takes_the_pair_svd():
         assert own.left_residuals == tuple(
             np.max(np.abs(evaluated.T @ own.left_vectors), axis=0))
         assert max(own.right_residuals + own.left_residuals) <= 1e-12
+
+
+def test_ranks_are_the_bundles_ranks_from_one_svd_without_vectors(
+        monkeypatch, pencil5, sparse_penta):
+    """singular_ranks_all gives every value of every stack, and of the
+    conjugate pairs of a real F, the rank of its eigenvectors_all bundle,
+    or the same error, from one SVD call that computes no vectors."""
+    pm, values = _quad_n7()
+    stacks = list(_value_stacks(pencil5, sparse_penta))
+    stacks.append((pm, list(values) + [100.0]))
+    svd = np.linalg.svd
+    calls = []
+
+    def recording(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    kinds = set()
+    for pm, lams in stacks:
+        bundles = matpoly.eigenvectors_all(pm, lams)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", recording)
+            ranks = singular_ranks_all(pm, lams)
+        assert calls == [False]
+        calls.clear()
+        for rank, bundle in zip(ranks, bundles):
+            if isinstance(bundle, NotAnEigenvalueError):
+                assert isinstance(rank, NotAnEigenvalueError)
+                assert _bits(rank) == _bits(bundle)
+            else:
+                assert type(rank) is int
+                assert rank == bundle.rank_deficiency
+            kinds.add(type(rank))
+    assert kinds == {int, NotAnEigenvalueError}
 
 
 def test_complex_f_takes_no_partner():

@@ -346,18 +346,31 @@ def test_user_coefficients_keep_their_full_degree():
     assert sum(r.multiplicity for r in report.roots) == 15
 
 
+def _bundles(matrix, records):
+    """eigenvectors_all at the records' values, the solve's rank test with
+    vectors, less the values it refuses: one bundle per eigenpair."""
+    return [b for b in matpoly.eigenvectors_all(
+        matrix, [r.value for r in records])
+        if not isinstance(b, NotAnEigenvalueError)]
+
+
 def test_matrix_problem_attaches_eigenvectors(singular_lead):
+    """Every root of the singular-lead pencil makes F singular; its
+    vectors come from eigenvectors_all at the report's values."""
     spec = ProblemSpec(matrix=singular_lead,
                        seed_source=SeedSource.COMPANION)
     report = run_pipeline(spec)
     assert report.effective_degree == 5
     assert report.conserved
     assert len(report.eigenvectors) == len(report.roots)
-    for pair in report.eigenvectors:
-        assert pair.vectors.right_vectors is not None
-        assert pair.vectors.left_vectors is not None
+    bundles = _bundles(spec.matrix, report.roots)
+    assert len(bundles) == len(report.eigenvectors)
+    for pair, bundle in zip(report.eigenvectors, bundles):
+        assert bundle.right_vectors is not None
+        assert bundle.left_vectors is not None
         assert not pair.defective
-        assert pair.vectors.rank_deficiency >= 1
+        assert bundle.rank_deficiency >= 1
+        assert pair.rank_deficiency == bundle.rank_deficiency
 
 
 def test_diagonal_seed_matrix_run(sparse_penta):
@@ -369,8 +382,10 @@ def test_diagonal_seed_matrix_run(sparse_penta):
     values = [r.value for r in report.roots]
     assert any(abs(v - cases.SPARSE_PENTA_EIGENVALUE) < 1e-6 for v in values)
     assert report.eigenvectors
-    for pair in report.eigenvectors:
-        assert all(r <= 1e-5 for r in pair.vectors.right_residuals)
+    bundles = _bundles(spec.matrix, report.roots)
+    assert len(bundles) == len(report.eigenvectors)
+    for bundle in bundles:
+        assert all(r <= 1e-5 for r in bundle.right_residuals)
 
 
 def test_regular_lead_degree_shortfall_is_not_conserved():
@@ -459,9 +474,10 @@ def _reference_eigenvector_phase(matrix, records):
 
 def test_eigenvector_phase_pairs_what_one_value_extraction_finds(
         sparse_penta, singular_lead):
-    """The phase's one stacked extraction gives every record the vectors,
-    residuals and error line that extracting at its value alone gives,
-    except that on a real F a value below the real axis whose exact
+    """The phase's one stacked rank test gives every record the rank,
+    defective flag and error line, and eigenvectors_all over the records'
+    values the vectors and residuals, that extracting at its value alone
+    gives, except that on a real F a value below the real axis whose exact
     conjugate is a record too gets the conjugate's, conjugated."""
     partners = 0
     for spec in (
@@ -473,12 +489,16 @@ def test_eigenvector_phase_pairs_what_one_value_extraction_finds(
         partners += sum(_partner(spec.matrix, records, r.value) != r.value
                         for r in records)
         errors = []
-        got = [(p.value, p.multiplicity, p.vectors.rank_deficiency,
-                p.vectors.right_vectors.tobytes(),
-                p.vectors.left_vectors.tobytes(), p.vectors.right_residuals,
-                p.vectors.left_residuals, p.defective)
-               for p in pipeline._eigenvector_phase(spec.matrix, records,
-                                                    errors)]
+        pairs = pipeline._eigenvector_phase(spec.matrix, records, errors)
+        bundles = _bundles(spec.matrix, records)
+        assert len(bundles) == len(pairs)
+        assert all(b.eigenvalue == p.value
+                   and b.rank_deficiency == p.rank_deficiency
+                   for p, b in zip(pairs, bundles))
+        got = [(p.value, p.multiplicity, p.rank_deficiency,
+                b.right_vectors.tobytes(), b.left_vectors.tobytes(),
+                b.right_residuals, b.left_residuals, p.defective)
+               for p, b in zip(pairs, bundles)]
         assert (got, errors) == _reference_eigenvector_phase(spec.matrix,
                                                              records)
     assert partners > 0
@@ -881,19 +901,25 @@ def _pinned_specs():
 # companion-n20, order-14 and rand-d55-63 were pinned again when the
 # batched iterations began to stop on the array residual
 # (poly.relative_residual_all): only their residual fields moved.
+# order-14 and sparse-penta were pinned again when matrix reports stopped
+# carrying eigenvectors: each "eigenvectors" entry keeps value,
+# multiplicity, rank_deficiency and defective and loses right, left and
+# their residuals. Their earlier pins, taken with the vectors, are
+# VECTOR_REPORT_SHA256; companion-n20 accepts no eigenvalue and keeps its
+# bytes.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
         "792fd8e3daf4faf50e50fdd3d3e1fe72e26c557087ebc3711417b0dcef809e0f",
     "mult-d8-82":
         "fdc9efb2650127316443d8149526fe894a083e88412ee714099575cdd4464d85",
     "order-14":
-        "911b9a6f2a1a66c4fcdf30e67008e7d5d4c8c301c0d784029c4546eb6ba59bc7",
+        "ea20e3379334da177a5ad56e85587389c7b2ece865881faecde4869da193a6e9",
     "rand-d55-63":
         "a683a501f5b28d1d2001ad0916e6f2a6722997eb44260dca962b96122e198493",
     "real-d9-90":
         "99f85b45f86cbb62d0c0f4e037e7b517cc22bc2eff4f8acd56e2f21829735d07",
     "sparse-penta":
-        "5b5a25a0ec153984f11474948099b18c4a135a8f8f2cfb4c806de61414a69424",
+        "4c6325e11ce7edf138fff65f78cc600aa2b36dd54f51d861552c0eecc78ac029",
     "sextic-delta0.1":
         "a6b81b902f03090f851f91d7bffb8df6f7df67af601992c12c8fb8bfd170b39a",
     "wilkinson-10":
@@ -912,6 +938,36 @@ def test_report_bytes_outlive_the_root_bound(name):
 def _report_sha256(spec):
     text = json.dumps(report_to_dict(run_pipeline(spec)), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 as in PINNED_REPORT_SHA256 of order-14 and sparse-penta while
+# every "eigenvectors" entry also held both sides' vectors and residuals
+# (eigenpair_to_dict of the eigenvectors_all bundle at its value).
+VECTOR_REPORT_SHA256 = {
+    "order-14":
+        "911b9a6f2a1a66c4fcdf30e67008e7d5d4c8c301c0d784029c4546eb6ba59bc7",
+    "sparse-penta":
+        "5b5a25a0ec153984f11474948099b18c4a135a8f8f2cfb4c806de61414a69424",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_REPORT_SHA256))
+def test_report_vectors_come_back_bit_for_bit_from_eigenvectors_all(name):
+    """A report's vectors are eigenvectors_all at its root values: merged
+    into its eigen entries they give the bytes of the report that carried
+    them."""
+    spec = _pinned_specs()[name]
+    report = run_pipeline(spec)
+    data = report_to_dict(report)
+    bundles = _bundles(spec.matrix, report.roots)
+    assert len(bundles) == len(data["eigenvectors"]) > 0
+    data["eigenvectors"] = [
+        dict(entry, **pipeline.eigenpair_to_dict(pair.value, bundle))
+        for entry, pair, bundle in zip(data["eigenvectors"],
+                                       report.eigenvectors, bundles)]
+    text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        VECTOR_REPORT_SHA256[name]
 
 
 def _branch_specs():

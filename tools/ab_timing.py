@@ -28,11 +28,12 @@ Per workload the tool prints, for each side, the p50 and p90 over the
 problems of each problem's median solve time, their total, the stage
 totals per rep, how many report texts differ between the trees (each
 problem's first solve), and how many of those reports differ in outcome:
-a root that is not the same root (``refine.same_root``), or a
-multiplicity, iteration count, pass flag or error line that differs
-(:func:`outcome`). The last line is the same as JSON, which also holds
-the totals per problem family (the problem name without a trailing
-``-<index>``, e.g. ``quad-n7`` for the matrix-eig problems of order 7).
+a root or eigenvalue that is not the same root (``refine.same_root``), or
+a multiplicity, iteration count, pass flag, rank deficiency, defective
+flag or error line that differs (:func:`outcome`). The last line is the
+same as JSON, which also holds the totals per problem family (the problem
+name without a trailing ``-<index>``, e.g. ``quad-n7`` for the matrix-eig
+problems of order 7).
 The exit status is 1 when any report text differs.
 """
 
@@ -115,29 +116,35 @@ def solve(pz, problem):
 
 
 def outcome(text):
-    """(roots, rest) of a report text: each root's value and the fields
-    beside it that decide the answer (multiplicity, iterations,
-    residual_pass), and the report's flags, degrees and error lines; a
-    solve that raised or missed its deadline is its status."""
+    """(rest, roots, eigen) of a report text: the report's flags, degrees
+    and error lines; each root's value and the fields beside it that
+    decide the answer (multiplicity, iterations, residual_pass); and each
+    ``"eigenvectors"`` entry's value, multiplicity, rank_deficiency and
+    defective flag. A solve that raised or missed its deadline is its
+    status."""
     try:
         report = json.loads(text)
     except ValueError:
-        return (), text
+        return text, (), ()
     roots = [(complex(*r["value"]), r["multiplicity"], r["iterations"],
               r["residual_pass"]) for r in report["roots"]]
+    eigen = [(complex(*e["value"]), e["multiplicity"], e["rank_deficiency"],
+              e["defective"]) for e in report["eigenvectors"]]
     rest = tuple(report[key] for key in (
         "effective_degree", "multiplicity_sum", "conserved",
         "all_residuals_pass", "errors"))
-    return roots, rest
+    return rest, roots, eigen
 
 
 def same_outcome(pz, a, b):
-    """Whether two report texts have the same :func:`outcome`, roots
-    compared by the root identity of ``pz``."""
-    (roots_a, rest_a), (roots_b, rest_b) = outcome(a), outcome(b)
-    return (rest_a == rest_b and len(roots_a) == len(roots_b)
-            and all(pz.refine.same_root(x[0], y[0]) and x[1:] == y[1:]
-                    for x, y in zip(roots_a, roots_b)))
+    """Whether two report texts have the same :func:`outcome`, root and
+    eigenvalue values compared by the root identity of ``pz``."""
+    (rest_a, *lists_a), (rest_b, *lists_b) = outcome(a), outcome(b)
+    return rest_a == rest_b and all(
+        len(xs) == len(ys)
+        and all(pz.refine.same_root(x[0], y[0]) and x[1:] == y[1:]
+                for x, y in zip(xs, ys))
+        for xs, ys in zip(lists_a, lists_b))
 
 
 def family(name):
