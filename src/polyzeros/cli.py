@@ -155,12 +155,19 @@ def parse_problem_file(path):
         raise ProblemFormatError(
             "%s: unknown algorithm %r" % (path, data["algorithm"])
         )
-    for key in ("nu", "max_iters"):
+    # JSON true and false are Python bools, and bool is an int subclass.
+    number = (int, float)
+    for key, kinds, what in (("nu", int, "an integer"),
+                             ("max_iters", int, "an integer"),
+                             ("delta", number, "a number"),
+                             ("step_tol", number, "a number"),
+                             ("residual_tol", number, "a number"),
+                             ("ecp", bool, "true or false")):
         value = data.get(key)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, int)):
+        if key in data and not (isinstance(value, kinds) and isinstance(
+                value, bool) == (kinds is bool)):
             raise ProblemFormatError(
-                "%s: '%s' must be an integer, got %r" % (path, key, value)
+                "%s: '%s' must be %s, got %r" % (path, key, what, value)
             )
     settings_kwargs = {}
     for key in ("max_iters", "step_tol", "residual_tol"):
@@ -176,7 +183,7 @@ def parse_problem_file(path):
             delta=float(data.get("delta", 0.1)),
             settings=IterationSettings(**settings_kwargs),
             nu=data.get("nu", 1),
-            ecp=bool(data.get("ecp", False)),
+            ecp=data.get("ecp", False),
         )
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError("%s: %s" % (path, exc))

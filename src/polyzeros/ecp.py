@@ -38,11 +38,9 @@ from .errors import (
 from .poly import (
     evaluate_all,
     horner_error_bound,
-    power_error_bound,
     relative_residual,
-    relative_residual_all,
 )
-from .refine import DEFAULT_SETTINGS, _run_batch
+from .refine import DEFAULT_SETTINGS, _run_steps
 
 SEPARATION_REL = 1e-12
 DENOMINATOR_UNDERFLOW = 1e-290
@@ -199,9 +197,8 @@ def _iterate_list(rayleigh, lst, f, seeds, settings):
     """Every seed's trace under one list iteration."""
     sigmas = np.array(lst.sigmas, dtype=complex)
     defects = np.array(lst.defects, dtype=complex)
-    return _run_batch(partial(_list_steps, rayleigh, sigmas, defects, f),
-                      partial(relative_residual_all, f), power_error_bound(f),
-                      seeds, settings, f.root_bound)
+    return _run_steps(f, partial(_list_steps, rayleigh, sigmas, defects),
+                      seeds, settings)
 
 
 def rayleigh_iterate_all(lst, f, seeds, settings=DEFAULT_SETTINGS):

@@ -25,8 +25,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF, horner_error_bound
-from .poly import conjugate_pairs, evaluate, pade_eval, relative_residual
-from .poly import relative_residual_all
+from .poly import evaluate, pade_eval, relative_residual, relative_residual_all
 from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
@@ -329,9 +328,7 @@ def companion_seed_all(f, real=False):
     COMPANION_RESIDUAL_REL (a NaN residual counts). From degree
     COMPANION_ARRAY_DEGREE on the residuals come from one
     :func:`poly.relative_residual_all` pass. Below it they come from
-    :func:`poly.relative_residual`, seed by seed, and for a real f the
-    lower member of each exact conjugate pair is skipped, as its residual
-    is its partner's (:func:`poly.conjugate_pairs`).
+    :func:`poly.relative_residual`, seed by seed.
     """
     if f.degree < 1:
         raise ZeroPolynomialError("need degree >= 1 to seed roots")
@@ -349,8 +346,6 @@ def companion_seed_all(f, real=False):
     if f.degree >= COMPANION_ARRAY_DEGREE:
         residuals = relative_residual_all(f, z)
     else:
-        mirrored = {i for i, _ in conjugate_pairs(z)} if f.is_real() else ()
-        residuals = (relative_residual(f, w)
-                     for i, w in enumerate(z) if i not in mirrored)
+        residuals = (relative_residual(f, w) for w in z)
     low_confidence = any(not r <= COMPANION_RESIDUAL_REL for r in residuals)
     return CompanionSeeds(tuple(z), low_confidence)

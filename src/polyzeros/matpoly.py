@@ -31,7 +31,7 @@ from .errors import (
     SampleConditioningError,
 )
 from .explore import companion_seed_all
-from .poly import Polynomial, conjugate_pairs, effective_degree
+from .poly import Polynomial, effective_degree
 
 SINGULAR_REL = 1e-6
 LEADING_REGULARITY_REL = 1e-12
@@ -219,11 +219,23 @@ class EigenvectorBundle:
     left_residuals: tuple = ()
 
 
+def conjugate_pairs(values):
+    """(lower, upper) index pairs: every value with Im < 0 whose exact
+    conjugate is also listed, with the first listing of that conjugate.
+    A value on the real axis has no partner."""
+    upper = {}
+    for j, z in enumerate(values):
+        if z.imag > 0:
+            upper.setdefault(z, j)
+    return [(i, upper[z.conjugate()]) for i, z in enumerate(values)
+            if z.conjugate() in upper]
+
+
 def _owners(lams, matrices):
     """owner[i]: the index whose SVD serves value i. A value with
     Im lambda < 0 whose exact conjugate is listed, and whose F(lambda) is
     bitwise the conjugate of F there (any real F), is served by that
-    conjugate (:func:`poly.conjugate_pairs`); every other value serves
+    conjugate (:func:`conjugate_pairs`); every other value serves
     itself."""
     owner = np.arange(len(lams))
     pairs = conjugate_pairs(lams)

@@ -144,9 +144,9 @@ def evaluate(f, lam, order=0):
 
     Nested (Horner) evaluation with derivative propagation; returns a tuple
     (f(lam), f'(lam), ..., f^(order)(lam)) with the factorials included.
-    Order 0, the one the interpolation list's build makes thousands of
-    calls with, runs as a straight-line loop over a local variable; it
-    does the operations of the general loop, so it rounds alike.
+    Order 0, which the nu-probe calls twice per step (f_{nu-1} and f_nu
+    at the iterate), runs as a straight-line loop over a local variable;
+    it does the operations of the general loop, so it rounds alike.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -211,23 +211,6 @@ def evaluate_all(f, lams, order=0):
     for i in np.flatnonzero(~np.isfinite(values).all(axis=0)):
         values[:, i] = evaluate(f, points[i], order)
     return values
-
-
-def conjugate_pairs(values):
-    """(lower, upper) index pairs: every value with Im < 0 whose exact
-    conjugate is also listed, with the first listing of that conjugate.
-
-    At such a pair a real polynomial's complex arithmetic is mirrored:
-    products, sums, quotients and moduli of conjugates round to the
-    conjugates and moduli of the same results, up to the sign of a zero
-    part, so the lower member can take its partner's conjugated values
-    where no zero part occurs. A value on the real axis has no partner."""
-    upper = {}
-    for j, z in enumerate(values):
-        if z.imag > 0:
-            upper.setdefault(z, j)
-    return [(i, upper[z.conjugate()]) for i, z in enumerate(values)
-            if z.conjugate() in upper]
 
 
 def coefficient_scale(f, lam):

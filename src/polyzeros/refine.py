@@ -10,11 +10,11 @@ power matrix (:func:`evaluate_all`), and the kernel decides from those
 arrays alone, point by point, the step or the exception that ends the
 seed. Their residuals come from one array pass too
 (:func:`poly.relative_residual_all`), with the floor proven for it
-(:func:`poly.power_error_bound`). For a real f they step one member of
-each exact conjugate pair of seeds, and the other takes the conjugated
-trace (:func:`_run_steps`). The test-polynomial step Lambda +=
-P_nu(Lambda)*Lambda, whose fixed points reveal root multiplicity, keeps
-its scalar Horner step, residual and floor and runs one seed at a time.
+(:func:`poly.power_error_bound`); the interpolation-list steps of
+:mod:`ecp` run under the same rule (:func:`_run_steps`). The
+test-polynomial step Lambda += P_nu(Lambda)*Lambda, whose fixed points
+reveal root multiplicity, keeps its scalar Horner step, residual and
+floor and runs one seed at a time.
 Traces mirror printed iteration tables row by row.
 
 Multiplicity is counted, not guessed: the argument principle counts the
@@ -33,7 +33,7 @@ import cmath
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -49,7 +49,6 @@ from .errors import (
 from .poly import (
     DERIVATIVE_UNDERFLOW,
     UNIT_ROUNDOFF,
-    conjugate_pairs,
     evaluate,
     evaluate_all,
     horner_error_bound,
@@ -292,61 +291,16 @@ def _halley_steps(f, lams):
     return steps
 
 
-def _conjugate(trace):
-    """The trace with every row conjugated."""
-    return replace(trace, rows=tuple(
-        TraceRow(row.lam.conjugate(), row.value.conjugate(),
-                 row.step.conjugate()) for row in trace.rows))
-
-
-def _touches_zero(trace):
-    """Whether a row's iterate, value or step has a zero (or -0) real or
-    imaginary part."""
-    return any(0.0 in (z.real, z.imag) for row in trace.rows
-               for z in (row.lam, row.value, row.step))
-
-
 def _run_steps(f, steps, seeds, settings):
     """:func:`_run_batch` of the array step ``steps(f, lams)`` from every
     seed, with f's array residual (:func:`poly.relative_residual_all`),
-    its floor :func:`poly.power_error_bound` and f's root bound, refining
-    each exact conjugate pair of seeds once when f is real.
-
-    There the step, the residual and every test of the stopping rule are
-    mirrored at conjugate iterates (:func:`poly.conjugate_pairs`), so the
-    lower member of a pair takes its partner's trace conjugated: its rows,
-    status and residual. The mirror misses only the sign of a zero (x - x
-    is +0, also where the mirror wants -0), and a zero's sign reaches
-    nothing but other zeros. So a pair is refined member by member where
-    the upper trace carries notes (an error text names its own iterate)
-    or a row holds a zero real or imaginary part in its iterate, value or
-    step (:func:`_touches_zero`). Each trace is the one its seed gets
-    alone."""
-    run = partial(_run_batch, partial(steps, f),
-                  partial(relative_residual_all, f), power_error_bound(f),
-                  settings=settings, root_bound=f.root_bound)
-    seeds = [complex(s) for s in seeds]
-    pairs = conjugate_pairs(seeds) if f.is_real() else []
-    lower = {i for i, _ in pairs}
-    traces = [None] * len(seeds)
-    first = [i for i in range(len(seeds)) if i not in lower]
-    for i, trace in zip(first, run([seeds[i] for i in first])):
-        traces[i] = trace
-    alone = []
-    for i, j in pairs:
-        upper = traces[j]
-        if upper.notes or _touches_zero(upper):
-            alone.append(i)
-        else:
-            traces[i] = _conjugate(upper)
-    for i, trace in zip(alone, run([seeds[i] for i in alone])):
-        traces[i] = trace
-    return traces
+    its floor :func:`poly.power_error_bound` and f's root bound."""
+    return _run_batch(partial(steps, f), partial(relative_residual_all, f),
+                      power_error_bound(f), seeds, settings, f.root_bound)
 
 
 def iterate_pade_all(f, seeds, settings=DEFAULT_SETTINGS):
-    """:func:`iterate_pade` from every seed at once, one trace per seed;
-    a real f refines each exact conjugate pair once (:func:`_run_steps`)."""
+    """:func:`iterate_pade` from every seed at once, one trace per seed."""
     if f.degree < 1:
         raise ZeroPolynomialError("pade iteration needs degree >= 1")
     return _run_steps(f, _pade_steps, seeds, settings)
@@ -354,8 +308,7 @@ def iterate_pade_all(f, seeds, settings=DEFAULT_SETTINGS):
 
 def iterate_halley_all(f, seeds, settings=DEFAULT_SETTINGS):
     """:func:`iterate_halley` from every seed at once, one trace per
-    seed; a real f refines each exact conjugate pair once
-    (:func:`_run_steps`)."""
+    seed."""
     if f.degree < 2:
         raise ZeroPolynomialError("halley iteration needs degree >= 2")
     return _run_steps(f, _halley_steps, seeds, settings)

@@ -577,6 +577,36 @@ def test_non_integer_count_exits_two(tmp_path, capsys, key):
         assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("ecp", "false", "true or false"),
+    ("ecp", 0, "true or false"),
+    ("delta", True, "a number"),
+    ("delta", "0.3", "a number"),
+    ("step_tol", True, "a number"),
+    ("residual_tol", False, "a number"),
+    ("residual_tol", None, "a number"),
+])
+def test_mistyped_key_exits_two(tmp_path, capsys, key, value, what):
+    """"ecp": "false" must not turn the diagnostics on, and "delta": true
+    must not scan with step 1.0: ``ecp`` takes a JSON boolean, the step
+    and the tolerances a JSON number that is not a boolean."""
+    path = _example1_file(tmp_path, **{key: value})
+    with pytest.raises(ProblemFormatError,
+                       match="'%s' must be %s" % (key, what)):
+        parse_problem_file(path)
+    assert main(["solve", path]) == 2
+    assert "'%s' must be %s" % (key, what) in capsys.readouterr().err
+
+
+def test_numeric_and_boolean_keys_keep_their_values(tmp_path):
+    """An integer is a JSON number, and true and false are booleans."""
+    spec = parse_problem_file(_example1_file(
+        tmp_path, delta=1, step_tol=1e-11, residual_tol=1, ecp=True))
+    assert (spec.delta, spec.settings.step_tol,
+            spec.settings.residual_tol, spec.ecp) == (1.0, 1e-11, 1, True)
+    assert not parse_problem_file(_example1_file(tmp_path, ecp=False)).ecp
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("plot", ["--samples", "1"], "samples must be >= 2"),
     ("plot", ["--range", "1", "0"], "interval must be ordered"),

@@ -649,22 +649,17 @@ def test_each_round_takes_its_residuals_from_one_call(monkeypatch):
             assert any(c.get(trace.final) == trace.residual for c in calls)
 
 
-def test_lower_member_of_a_conjugate_pair_gets_its_own_trace(monkeypatch):
-    """For a real f, the Pade and Halley batches step one member of each
-    exact conjugate pair of seeds and give the other the conjugated trace.
-    Each lower member's trace is still bit for bit the one it gets alone:
-    on random real polynomials from seeds near their roots (those pairs
-    are stepped once), on x**3 + 3x from +-i, where f' vanishes and the
-    error names each member's own iterate, on (x - 1)(x + 3) from
-    0.5 +- i, whose iterates land on the real root 1, and on x**2 + 1
-    from +-i, where f(i) = 0 + 0j but f(-i) has the zero parts' other
-    signs (those three pairs are stepped member by member)."""
-    stepped = []
-    for name in ("_pade_steps", "_halley_steps"):
-        def recording(f, lams, step=getattr(refine, name)):
-            stepped.extend(lams)
-            return step(f, lams)
-        monkeypatch.setattr(refine, name, recording)
+def test_every_member_of_a_conjugate_pair_gets_its_own_trace():
+    """For a real f, each member of an exact conjugate pair of seeds is
+    refined on its own iterates: under Pade and Halley every trace of the
+    batch is bit for bit the one its seed gets alone. The seeds are near
+    the roots of random real polynomials, and three pairs touch a zero
+    part: x**3 + 3x from +-i, where f' vanishes and the error names each
+    member's own iterate, (x - 1)(x + 3) from 0.5 +- i, whose iterates
+    land on the real root 1, and x**2 + 1 from +-i, where f(i) = 0 + 0j
+    but f(-i) has the zero parts' other signs. On the random polynomials
+    each pair's finals are exact conjugates, the pairs that
+    :func:`matpoly.conjugate_pairs` finds among a real F's eigenvalues."""
     rng = np.random.default_rng(3131)
     problems = []
     for degree in (4, 9, 20, 41):
@@ -682,24 +677,19 @@ def test_lower_member_of_a_conjugate_pair_gets_its_own_trace(monkeypatch):
     problems.append((polynomial_from_roots([1.0, -3.0]),
                      [0.5 + 1j, 0.5 - 1j], False))
     problems.append((Polynomial((1.0, 0.0, 1.0)), [1j, -1j], False))
-    shared = 0
-    for f, seeds, mirrored in problems:
+    conjugate = 0
+    for f, seeds, random in problems:
         pairs = [(i, j) for i, s in enumerate(seeds)
                  for j, t in enumerate(seeds) if s.imag < 0
                  and t == s.conjugate()]
         assert pairs
         for batch, one in ((iterate_pade_all, iterate_pade),
                            (iterate_halley_all, iterate_halley)):
-            stepped.clear()
             traces = batch(f, seeds)
-            for i, j in pairs:
-                assert (seeds[i] not in stepped) is mirrored
-                shared += mirrored
-                alone = one(f, seeds[i])
-                assert _same_trace(traces[i], alone)
-                upper = traces[j]
-                if not mirrored:
-                    assert upper.notes or refine._touches_zero(upper)
-                    assert not _same_trace(
-                        refine._conjugate(upper), alone)
-    assert shared >= 20
+            for seed, trace in zip(seeds, traces):
+                assert _same_trace(trace, one(f, seed))
+            if random:
+                for i, j in pairs:
+                    assert traces[i].final == traces[j].final.conjugate()
+                    conjugate += 1
+    assert conjugate >= 20
