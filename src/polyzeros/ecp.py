@@ -35,11 +35,7 @@ from .errors import (
     RayleighDenominatorError,
     ZeroPolynomialError,
 )
-from .poly import (
-    evaluate_all,
-    horner_error_bound,
-    relative_residual,
-)
+from .poly import evaluate_all, power_error_bound, relative_residual
 from .refine import DEFAULT_SETTINGS, _run_steps
 
 SEPARATION_REL = 1e-12
@@ -181,7 +177,7 @@ def _list_steps(rayleigh, sigmas, defects, f, lams):
                               * (1.0 + np.abs(sigmas)))
         if len(near):
             sigma = complex(sigmas[near[0]])
-            if relative_residual(f, sigma) <= horner_error_bound(f):
+            if relative_residual(f, sigma) <= power_error_bound(f):
                 steps[i] = 0j
             else:
                 steps[i] = RayleighDenominatorError(

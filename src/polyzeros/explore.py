@@ -24,7 +24,7 @@ from .errors import (
     RealScanError,
     ZeroPolynomialError,
 )
-from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF, horner_error_bound
+from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF, power_error_bound
 from .poly import evaluate, pade_eval, relative_residual, relative_residual_all
 from .refine import IterationTrace, TraceRow, TraceStatus
 
@@ -145,8 +145,8 @@ def scan_sign_changes(f, delta):
     seed; a pole of p at a stationary point of f is crossed upward and
     makes none. A grid point can sit on a root, where p is 0 or, at a
     multiple root, the derivative guard fires (the sample is recorded with
-    value None). Such a point whose relative residual is within Horner's
-    rounding error (:func:`horner_error_bound`) is itself a seed. A root
+    value None). Such a point whose relative residual is within the
+    rounding floor (:func:`power_error_bound`) is itself a seed. A root
     can also share its cell with a pole of p, which a heavier root nearby
     pulls in: p then falls through the root and rises through the pole,
     and keeps its sign across the cell. f changes sign across such a cell
@@ -175,7 +175,7 @@ def scan_sign_changes(f, delta):
             "external seeds or the fallback seed provider" % (bound, delta)
         )
     steps = max(2, int(math.ceil(bound / delta)) + 1)
-    floor = horner_error_bound(f)
+    floor = power_error_bound(f)
     lams = np.arange(-steps, steps + 1) * delta
     p, guarded, fv = _pade_on_grid(f, lams)
     p[guarded] = np.nan

@@ -54,6 +54,7 @@ from .refine import (
     iterate_pade_all,
     iterate_test_nu,
     group_roots,
+    is_integer,
 )
 
 
@@ -114,8 +115,8 @@ class ProblemSpec:
             finite = False
         if not finite:  # NaN fails too
             raise ProblemFormatError("external seeds must be finite")
-        if self.nu < 1:
-            raise ProblemFormatError("nu must be >= 1")
+        if not is_integer(self.nu) or self.nu < 1:
+            raise ProblemFormatError("nu must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ the coefficient of lambda**j. The module provides Horner evaluation with
 derivative propagation, its array form over many points at once (the
 kernel of the batched Pade and Halley steps), the Pade function
 p = f/(-f'), Halley's function, the multiplicity-revealing test-polynomial
-transform, Horner's rounding error bound and synthetic-division deflation.
+transform, the one rounding error bound that every test of "f vanishes to
+working precision" reads, and synthetic-division deflation.
 """
 
 import math
@@ -230,7 +231,7 @@ def relative_residual(f, lam):
     """|f(lam)| / coefficient_scale(f, lam), or 0 when f(lam) is exactly 0.
 
     The residual at one point, in Horner's rule; a point whose residual is
-    at most :func:`horner_error_bound` is a root to working precision. The
+    at most :func:`power_error_bound` is a root to working precision. The
     callers that test one point at a time take it: the test-nu probe, the
     real-axis scan, the settling test of a probe, the list iterations'
     coincidence check and the companion-seed check at low degree. The
@@ -282,16 +283,6 @@ def relative_residual_all(f, lams):
     return residuals
 
 
-def horner_error_bound(f):
-    """gamma_2m = 2mu/(1 - 2mu), u = UNIT_ROUNDOFF and m = deg f: Horner's
-    rule gets f(lam) right to gamma_2m times :func:`coefficient_scale`
-    (Higham, Accuracy and Stability of Numerical Algorithms, section 5.1),
-    so a point whose :func:`relative_residual` is at most this is a root
-    to working precision."""
-    k = 2 * f.degree * UNIT_ROUNDOFF
-    return k / (1.0 - k)
-
-
 def power_error_bound(f):
     """gamma_{4m+1}, u = UNIT_ROUNDOFF and m = deg f: the computed f(z)
     and f'(z) of :func:`power_rows` are within gamma_{4m+1} times the
@@ -312,6 +303,11 @@ def power_error_bound(f):
     at most the computed ones over 1 - gamma_{4m+2}. gamma_4m / (1 -
     gamma_{4m+2}) is below gamma_{4m+1} while 4 (2m + 1)**2 u < 1, for
     every degree below 2e7.
+
+    It bounds Horner's rule too, which gets f(lam) right to gamma_2m <
+    gamma_{4m+1} times :func:`coefficient_scale` (Higham, section 5.1), so
+    it is the one floor of every test that f, or a test polynomial f_k,
+    vanishes to working precision, whichever kernel evaluated it.
     """
     k = (4 * f.degree + 1) * UNIT_ROUNDOFF
     return k / (1.0 - k)

@@ -9,12 +9,12 @@ h(Lambda) take array steps: f, f' and f'' at all iterates come from one
 power matrix (:func:`evaluate_all`), and the kernel decides from those
 arrays alone, point by point, the step or the exception that ends the
 seed. Their residuals come from one array pass too
-(:func:`poly.relative_residual_all`), with the floor proven for it
-(:func:`poly.power_error_bound`); the interpolation-list steps of
+(:func:`poly.relative_residual_all`); the interpolation-list steps of
 :mod:`ecp` run under the same rule (:func:`_run_steps`). The
 test-polynomial step Lambda += P_nu(Lambda)*Lambda, whose fixed points
-reveal root multiplicity, keeps its scalar Horner step, residual and
-floor and runs one seed at a time.
+reveal root multiplicity, keeps its scalar Horner step and residual and
+runs one seed at a time. Every floor, here and in the zero counts, is
+:func:`poly.power_error_bound`, which bounds both kernels' rounding.
 Traces mirror printed iteration tables row by row.
 
 Multiplicity is counted, not guessed: the argument principle counts the
@@ -32,6 +32,7 @@ circle is counted in one array pass (:func:`count_zeros_all`).
 import cmath
 import enum
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
@@ -51,7 +52,6 @@ from .poly import (
     UNIT_ROUNDOFF,
     evaluate,
     evaluate_all,
-    horner_error_bound,
     power_error_bound,
     power_rows,
     relative_residual,
@@ -84,6 +84,12 @@ class TraceStatus(enum.Enum):
     NUMERICAL_ERROR = "numerical-error"
 
 
+def is_integer(value):
+    """True for an integer that is not a bool (bool is an int
+    subclass)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IterationSettings:
     max_iters: int = DEFAULT_MAX_ITERS
@@ -91,10 +97,13 @@ class IterationSettings:
     residual_tol: float = DEFAULT_RESIDUAL_TOL
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not is_integer(self.max_iters) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
         if min(self.step_tol, self.residual_tol) <= 0:
             raise ValueError("tolerances must be > 0")
+        if not (self.step_tol < math.inf
+                and self.residual_tol < math.inf):  # NaN fails too
+            raise ValueError("tolerances must be finite")
 
 
 DEFAULT_SETTINGS = IterationSettings()
@@ -223,8 +232,7 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, settings, root_bound):
 
 def _horner_residuals(f, lams):
     """:func:`poly.relative_residual` at each point, one at a time: the
-    residuals of a batch of one, whose floor is
-    :func:`poly.horner_error_bound`."""
+    residuals of a batch of one."""
     return [relative_residual(f, lam) for lam in lams]
 
 
@@ -360,7 +368,7 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
         return [(v_lo / v_hi) * lam]
 
     return _run_batch(steps, partial(_horner_residuals, f),
-                      horner_error_bound(f), (seed,), settings, root_bound)[0]
+                      power_error_bound(f), (seed,), settings, root_bound)[0]
 
 
 @dataclass(frozen=True)
@@ -384,16 +392,18 @@ def count_zeros(f, center, radius):
     move it by half a zero.
 
     Node k adds term_k / N, term_k = w f'(z)/f(z) with w = radius * omega**k
-    and z = center + w. Horner gets f(z) right to g S and f'(z) to about
-    g S_1, where g = horner_error_bound(f), S = coefficient_scale(f, z) and
-    S_1 = sum j |a_j| |z|**(j-1). That moves term_k by at most
-    (|term_k| g S + |w| g S_1) / (|f(z)| - g S), which is below 1/2, and so
-    is the error of the mean, exactly when the node's relative residual
-    |f(z)|/S exceeds g (1 + 2 |term_k| + 2 |w| S_1/S). A node at or inside
-    that margin of the rounding floor declines the whole count.
+    and z = center + w. Horner gets f(z) right to gamma_2m S and f'(z) to
+    about gamma_2m S_1, where S = coefficient_scale(f, z) and
+    S_1 = sum j |a_j| |z|**(j-1); so for any g at least gamma_2m, here
+    g = power_error_bound(f), they are right to g S and g S_1. That moves
+    term_k by at most (|term_k| g S + |w| g S_1) / (|f(z)| - g S), which
+    is below 1/2, and so is the error of the mean, exactly when the node's
+    relative residual |f(z)|/S exceeds g (1 + 2 |term_k| + 2 |w| S_1/S). A
+    node at or inside that margin of the rounding floor declines the whole
+    count.
     """
     center = complex(center)
-    floor = horner_error_bound(f)
+    floor = power_error_bound(f)
     terms = f.terms
     total = 0j
     for unit in _COUNT_UNITS:
@@ -423,13 +433,11 @@ def count_zeros_all(f, centers, radii):
     array pass: a list with each circle's count, or None where it is
     declined.
 
-    The nodes, the trapezoidal sum and the decline test are
-    count_zeros's. f and f' at all nodes come from one complex power
-    matrix (:func:`poly.power_rows`), and S and S_1 from its real form
-    over |a_j| and |z|. The decline test takes its g from
-    :func:`poly.power_error_bound`, the bound proven for that pass, not
-    Horner's, so it declines some circles near the rounding floor that
-    count_zeros counts. A node whose power row overflows declines its
+    The nodes, the trapezoidal sum and the decline test, with its g from
+    :func:`poly.power_error_bound`, are count_zeros's. f and f' at all
+    nodes come from one complex power matrix (:func:`poly.power_rows`),
+    and S and S_1 from its real form over |a_j| and |z|; that bound is
+    proven for this pass. A node whose power row overflows declines its
     circle. Every product and sum runs circle by circle, so a circle's
     count does not depend on the other circles in the call.
     """
@@ -451,7 +459,7 @@ def _settles(f, nu, trace, center, radius):
     """True when a nu-probe settles the circle it was counted on: it
     converged, or stopped at the rounding floor, inside the circle at a
     point where f_0..f_{nu-2} vanish to working precision (relative
-    residuals within ``horner_error_bound(f)``).
+    residuals within ``power_error_bound(f)``).
 
     The probe's own convergence only makes f_{nu-1} vanish, which also
     happens between distinct roots whose multiplicities add up to nu.
@@ -459,7 +467,7 @@ def _settles(f, nu, trace, center, radius):
     if (trace.status not in (TraceStatus.CONVERGED, TraceStatus.AT_FLOOR)
             or not abs(trace.final - center) < radius):
         return False
-    floor = horner_error_bound(f)
+    floor = power_error_bound(f)
     return not any(
         relative_residual(test_polynomial(f, k), trace.final) > floor
         for k in range(nu - 1))
@@ -593,8 +601,7 @@ def detect_clusters(f, seeds, settings=DEFAULT_SETTINGS):
     each group is counted on a circle around its mean, with radius half
     the distance to the nearest seed outside it (:func:`_circle`). Every
     seed's own circle is counted before the first group is settled, in one
-    :func:`count_zeros_all` pass, and again with :func:`count_zeros` where
-    that pass declines it; a merged group is counted when it forms
+    :func:`count_zeros_all` pass; a merged group is counted when it forms
     (:func:`count_zeros`). A group whose count is declined, or is not its
     size nu, merges with the nearest group not yet settled (single
     linkage) and is counted again. Otherwise one probe of order nu runs
@@ -619,8 +626,6 @@ def detect_clusters(f, seeds, settings=DEFAULT_SETTINGS):
         nu = len(group)
         if nu == 1:
             (center, radius), count = circles[group[0]], counts[group[0]]
-            if count is None:  # the array floor is above Horner's
-                count = count_zeros(f, center, radius)
         else:
             center, radius = _circle(f, seeds, group)
             count = count_zeros(f, center, radius)

@@ -40,6 +40,14 @@ def exact_derivative(coeffs, lam, order):
     return re, im
 
 
+def gamma(k):
+    """Higham's gamma_k = k u/(1 - k u), u = 2**-53: the relative error
+    bound of k rounded operations. Horner's rule gets f(lam) of a degree-m
+    polynomial right to gamma_2m times sum |a_j| |lam|**j (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 5.1)."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
 def defect_noise(coeffs, sigmas, k):
     """(exact, bound) for row k of the interpolation list of the
     polynomial with ascending ``coeffs`` at ``sigmas``.
@@ -57,9 +65,9 @@ def defect_noise(coeffs, sigmas, k):
         if j != k:
             denom *= sk - sj
     re, im = exact_derivative(coeffs, sk, 0)
-    gamma = (4 * m + 1) * 2.0 ** -53 / (1.0 - (4 * m + 1) * 2.0 ** -53)
     scale = sum(abs(a) * abs(sk) ** j for j, a in enumerate(coeffs))
-    return complex(float(re), float(im)) / denom, gamma * scale / abs(denom)
+    return (complex(float(re), float(im)) / denom,
+            gamma(4 * m + 1) * scale / abs(denom))
 
 
 def convolve_coeffs(a, b):

@@ -1,6 +1,7 @@
 """Problem-file parsing, subcommand behavior, and exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -612,6 +613,10 @@ def test_numeric_and_boolean_keys_keep_their_values(tmp_path):
     ("plot", ["--range", "1", "0"], "interval must be ordered"),
     ("solve", ["--step-tol", "-1"], "tolerances must be > 0"),
     ("solve", ["--residual-tol", "0"], "tolerances must be > 0"),
+    ("solve", ["--step-tol", "nan"], "tolerances must be finite"),
+    ("solve", ["--step-tol", "inf"], "tolerances must be finite"),
+    ("solve", ["--residual-tol", "nan"], "tolerances must be finite"),
+    ("solve", ["--residual-tol", "inf"], "tolerances must be finite"),
 ])
 def test_out_of_range_option_exits_two(tmp_path, capsys, command, flags,
                                        message):
@@ -620,3 +625,18 @@ def test_out_of_range_option_exits_two(tmp_path, capsys, command, flags,
     path = _example1_file(tmp_path)
     assert main([command, path] + flags) == 2
     assert capsys.readouterr().err == "error: command line: %s\n" % message
+
+
+@pytest.mark.parametrize("key", ["step_tol", "residual_tol"])
+def test_non_finite_tolerance_in_a_problem_file_exits_two(tmp_path, capsys,
+                                                          key):
+    """json reads NaN and Infinity as floats. A NaN tolerance would make a
+    stopping rule that never fires, and an infinite residual_tol one that
+    every residual passes: both are format errors."""
+    for value in (math.nan, math.inf):
+        path = _example1_file(tmp_path, **{key: value})
+        with pytest.raises(ProblemFormatError,
+                           match="tolerances must be finite"):
+            parse_problem_file(path)
+        assert main(["solve", path]) == 2
+        assert "tolerances must be finite" in capsys.readouterr().err

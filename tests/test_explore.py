@@ -30,7 +30,7 @@ from polyzeros.explore import (
     _real_root_bound,
 )
 from polyzeros import poly
-from polyzeros.poly import horner_error_bound
+from polyzeros.poly import power_error_bound
 
 SCAN_VALUE_RTOL = 1e-10
 SEED_RTOL = 1e-8
@@ -218,12 +218,31 @@ def test_scan_seeds_every_isolated_root_of_odd_multiplicity():
     assert checked >= CASES * 20
 
 
+@pytest.mark.xfail(
+    strict=True, reason="p is positive at both ends of the cell "
+    "[-0.5, -0.4]: it falls through the double root and rises through a "
+    "pole of p in the same cell, and f keeps its sign across it, so the "
+    "scan makes no seed there (ROADMAP item 6)")
+def test_scan_seeds_an_isolated_double_root_that_shares_its_cell_with_a_pole():
+    """Case 1015 of the generator of
+    test_scan_seeds_every_isolated_root_of_odd_multiplicity: the double
+    root -0.4979 lies at least 0.2 from every other root. The scan seeds
+    -0.2856, 1.6101 and 2.0813, and the explore+detect report of this f
+    fails, with multiplicity sum 5 of 7."""
+    double = -0.49789808542185776
+    f = polynomial_from_roots([double, double, 2.0721266436974854,
+                               1.6102980103133113] + [-0.2878114631124431] * 3)
+    seeds = scan_sign_changes(Polynomial(tuple(c.real for c in f.coeffs)),
+                              0.1).seeds
+    assert any(abs(s - double) <= 0.1 for s in seeds)
+
+
 def _reference_scan(f, delta):
     """The scan as a loop of scalar Pade evaluations, one per grid point,
     as it ran before the array pass."""
     bound = _real_root_bound(f)
     steps = max(2, int(math.ceil(bound / delta)) + 1)
-    floor = horner_error_bound(f)
+    floor = power_error_bound(f)
     samples, brackets, seeds = [], [], []
     lo = p_lo = None
     for j in range(-steps, steps + 1):

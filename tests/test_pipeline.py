@@ -49,6 +49,14 @@ def test_spec_requires_exactly_one_payload(double_quad_sextic, pencil5):
         ProblemSpec(polynomial=double_quad_sextic, delta=0.0)
 
 
+def test_spec_takes_an_integer_probe_order(double_quad_sextic):
+    """A fractional nu would run a probe of no order from every seed."""
+    for nu in (2.5, True, 0, 2.0):
+        with pytest.raises(ProblemFormatError, match="nu must be an integer"):
+            ProblemSpec(polynomial=double_quad_sextic, nu=nu)
+    assert ProblemSpec(polynomial=double_quad_sextic, nu=2).nu == 2
+
+
 def test_exploration_pipeline_finds_both_multiplicities(double_quad_sextic):
     spec = ProblemSpec(polynomial=double_quad_sextic, delta=0.3)
     report = run_pipeline(spec)
@@ -386,6 +394,20 @@ def test_diagonal_seed_matrix_run(sparse_penta):
     assert len(bundles) == len(report.eigenvectors)
     for bundle in bundles:
         assert all(r <= 1e-5 for r in bundle.right_residuals)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the diagonal seeds are 1, 0, 0, 0, 1: the three at "
+    "exactly 0 hit the nu-probe's origin guard, and the two at the double "
+    "eigenvalue 1 count all five zeros on their first circle (radius "
+    "m|f/f'| = 4.09): their nu = 5 probe runs to max-iters and the "
+    "nu = 1 walk ends at -1 (ROADMAP item 4, the per-seed circle)")
+def test_pencil_from_diagonal_seeds_finds_every_eigenvalue(pencil5):
+    """Diagonal seeds are the default for a matrix problem file; on the
+    5x5 pencil they should find all five eigenvalues, 1 twice."""
+    report = run_pipeline(ProblemSpec(matrix=pencil5,
+                                      seed_source=SeedSource.DIAGONAL))
+    assert report.multiplicity_sum == 5 and report.all_residuals_pass
 
 
 def test_regular_lead_degree_shortfall_is_not_conserved():

@@ -26,12 +26,7 @@ from polyzeros import (
     relative_residual_all,
 )
 from polyzeros import test_polynomial as derived_polynomial
-from polyzeros.poly import (
-    UNIT_ROUNDOFF,
-    horner_error_bound,
-    power_error_bound,
-    power_rows,
-)
+from polyzeros.poly import power_error_bound, power_rows
 
 EVAL_RTOL = 1e-12
 DEFLATE_RTOL = 1e-13
@@ -344,7 +339,7 @@ def test_array_values_agree_with_horner():
                              + 1j * rng.standard_normal(m + 1)))
         radius = rng.uniform(0.2, 1.5, 8)
         points = radius * np.exp(2j * np.pi * rng.uniform(size=8))
-        gamma = (2 * m + 1) * UNIT_ROUNDOFF / (1 - (2 * m + 1) * UNIT_ROUNDOFF)
+        gamma = oracles.gamma(2 * m + 1)
         values = evaluate_all(f, points, 2)
         assert values.shape == (3, len(points))
         for i, lam in enumerate(points):
@@ -379,7 +374,7 @@ def test_array_residuals_agree_with_horner():
         points += list(np.roots(f.coeffs[::-1])[:6])
         got = relative_residual_all(f, points)
         assert len(got) == len(points)
-        slack = power_error_bound(f) + horner_error_bound(f)
+        slack = power_error_bound(f) + oracles.gamma(2 * m)
         for lam, r in zip(points, got):
             assert r == relative_residual_all(f, [lam])[0]
             want = relative_residual(f, lam)
