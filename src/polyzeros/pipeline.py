@@ -124,10 +124,8 @@ class RootRecord:
     value: complex
     multiplicity: int
     residual: float
-    algorithm: Algorithm
     iterations: int
     seeds: tuple
-    source: SeedSource
     residual_pass: bool
 
 
@@ -154,6 +152,11 @@ class EcpDiagnostics:
 
 @dataclass(frozen=True)
 class RootReport:
+    """One solve's answer. ``algorithm`` and ``seed_source`` are the
+    spec's, set on every path, and label every root at once."""
+
+    algorithm: Algorithm
+    seed_source: SeedSource
     roots: tuple
     effective_degree: int
     multiplicity_sum: int
@@ -279,10 +282,9 @@ def _refine(spec, f, seeds, errors):
             errors.append("seed %r: %s%s" % (seed, found.status.value, notes))
             continue
         records.append(RootRecord(
-            complex(found.final), nu, found.residual, spec.algorithm,
-            len(found.rows),
+            complex(found.final), nu, found.residual, len(found.rows),
             tuple(dict.fromkeys(complex(seeds[k]) for k in group)),
-            spec.seed_source, found.residual <= spec.settings.residual_tol,
+            found.residual <= spec.settings.residual_tol,
         ))
     return records
 
@@ -359,7 +361,7 @@ def spec_polynomial(spec):
     return characteristic_polynomial(spec.matrix)
 
 
-def _zero_root(spec, f):
+def _zero_root(f):
     """(records, g): when a_0 = ... = a_{k-1} = 0 exactly, lambda = 0 is a
     root of multiplicity exactly k. It gets a record with residual 0 and
     no iteration or seed (:func:`_take_zero_seeds` may give it seeds), and
@@ -369,8 +371,7 @@ def _zero_root(spec, f):
     if not k:
         return [], f
     g = Polynomial(f.coeffs[k:])
-    return [RootRecord(0j, k, 0.0, spec.algorithm, 0, (), spec.seed_source,
-                       True)], g if g.degree else None
+    return [RootRecord(0j, k, 0.0, 0, (), True)], g if g.degree else None
 
 
 def _take_zero_seeds(record, seeds, degree):
@@ -395,8 +396,9 @@ def run_pipeline(spec):
     try:
         f = spec_polynomial(spec)
     except PolyzerosError as exc:
-        return RootReport((), 0, 0, False, False, (str(exc),))
-    records, g = _zero_root(spec, f)
+        return RootReport(spec.algorithm, spec.seed_source, (), 0, 0, False,
+                          False, (str(exc),))
+    records, g = _zero_root(f)
     if g is not None:
         seeds = _acquire_seeds(spec, g, errors)
         if records and spec.seed_source in (SeedSource.EXTERNAL,
@@ -429,6 +431,8 @@ def run_pipeline(spec):
         and (spec.matrix is None or len(eigenvectors) == len(records))
     )
     return RootReport(
+        spec.algorithm,
+        spec.seed_source,
         tuple(records),
         f.degree,
         total,
@@ -446,7 +450,10 @@ def complex_pair(z):
 
 
 def ecp_to_dict(diag):
-    """JSON-ready form of EcpDiagnostics."""
+    """JSON-ready form of EcpDiagnostics. Disk k is its radius and
+    ``separated`` flag: its center is ``final_list.main_values[k]``, and a
+    separated disk encloses one root within center +- radius, an interval
+    for a real list and a box for a complex one."""
     return {
         "evolutions": diag.evolutions,
         "defect_history": [float(d) for d in diag.defect_history],
@@ -462,16 +469,8 @@ def ecp_to_dict(diag):
                 complex_pair(h) for h in diag.final_list.main_values
             ],
         },
-        "disks": [
-            {
-                "center": complex_pair(d.center),
-                "radius": float(d.radius),
-                "separated": d.separated,
-                "interval": list(d.interval) if d.interval else None,
-                "box": [list(b) for b in d.box] if d.box else None,
-            }
-            for d in diag.disks
-        ],
+        "disks": [{"radius": float(d.radius), "separated": d.separated}
+                  for d in diag.disks],
     }
 
 
@@ -493,17 +492,19 @@ def eigenpair_to_dict(value, bundle):
 
 
 def report_to_dict(report):
-    """JSON-ready form of a report; complex numbers become [re, im]."""
-    data = {
+    """JSON-ready form of a report; complex numbers become [re, im]. The
+    solve's ``algorithm`` and ``seed_source`` are written once, beside
+    ``roots``, whose entries hold what differs from root to root."""
+    return {
+        "algorithm": report.algorithm.value,
+        "seed_source": report.seed_source.value,
         "roots": [
             {
                 "value": complex_pair(r.value),
                 "multiplicity": r.multiplicity,
                 "residual": float(r.residual),
-                "algorithm": r.algorithm.value,
                 "iterations": r.iterations,
                 "seeds": [complex_pair(s) for s in r.seeds],
-                "source": r.source.value,
                 "residual_pass": r.residual_pass,
             }
             for r in report.roots
@@ -520,4 +521,3 @@ def report_to_dict(report):
             for p in report.eigenvectors
         ],
     }
-    return data

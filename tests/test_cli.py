@@ -261,7 +261,7 @@ def test_seed_file_override_forces_external_source(tmp_path):
     report = json.loads(out.read_text())
     assert len(report["roots"]) == 1
     assert report["roots"][0]["multiplicity"] == 2
-    assert report["roots"][0]["source"] == "external"
+    assert report["seed_source"] == "external"
     assert report["conserved"] is False
     assert code == 1
 
@@ -296,6 +296,7 @@ def test_ecp_subcommand_reports_evolutions(tmp_path):
     np.testing.assert_allclose(data["sum_control"]["expected"], [6.0, 0.0],
                                atol=1e-12)
     assert len(data["disks"]) == 3
+    assert all(set(d) == {"radius", "separated"} for d in data["disks"])
 
 
 def test_ecp_requires_seeds(tmp_path, capsys):

@@ -11,12 +11,16 @@ import oracles
 from polyzeros import matpoly, pipeline
 from polyzeros import (
     Algorithm,
+    GershgorinDisk,
     IterationSettings,
     NotAnEigenvalueError,
     ProblemFormatError,
     Polynomial,
     ProblemSpec,
     SeedSource,
+    ecp_diagnostics,
+    ecp_to_dict,
+    gershgorin_enclosures,
     main,
     polynomial_from_roots,
     polynomial_matrix,
@@ -171,10 +175,10 @@ def test_pade_record_carries_iteration_count(quad_quint):
         external_seeds=(-2.1,),
         algorithm=Algorithm.PADE,
     )
-    record = run_pipeline(spec).roots[0]
-    assert record.algorithm is Algorithm.PADE
-    assert record.iterations >= 1
-    assert record.source is SeedSource.EXTERNAL
+    report = run_pipeline(spec)
+    assert report.algorithm is Algorithm.PADE
+    assert report.roots[0].iterations >= 1
+    assert report.seed_source is SeedSource.EXTERNAL
 
 
 def test_test_nu_algorithm_uses_the_probe_order(double_quad_sextic):
@@ -282,6 +286,62 @@ def test_list_iterations_keep_every_linearisation_eigenvalue(sparse_penta,
     assert len(report.roots) == 10
     for r in report.roots:
         assert np.min(np.abs(eigenvalues - r.value)) <= 1e-6
+
+
+def _written_disks(ecp):
+    """The GershgorinDisk of every disk an ``ecp`` dict writes: center
+    ``main_values[k]`` and, for a separated disk, center +- radius as an
+    interval of a real list or a box of a complex one."""
+    lst = ecp["final_list"]
+    real = all(s[1] == 0.0 and d[1] == 0.0
+               for s, d in zip(lst["sigmas"], lst["defects"]))
+    disks = []
+    for (u, v), disk in zip(lst["main_values"], ecp["disks"]):
+        r, separated = disk["radius"], disk["separated"]
+        enclosure = {}
+        if separated and real:
+            enclosure = {"interval": (u - r, u + r)}
+        elif separated:
+            enclosure = {"box": ((u - r, u + r), (v - r, v + r))}
+        disks.append(GershgorinDisk(complex(u, v), r, separated, **enclosure))
+    return tuple(disks)
+
+
+@pytest.mark.parametrize("roots, seeds, enclosure", [
+    ((1.0, 2.0, -3.0), (0.9, 2.2, -3.3), "interval"),
+    ((1 + 1j, 1 - 1j, -2.0, 0.5j), (1.1 + 0.9j, 0.9 - 1.1j, -2.2, 0.1 + 0.6j),
+     "box"),
+])
+def test_written_disks_rebuild_every_enclosure(roots, seeds, enclosure):
+    """Each written disk is its radius and separated flag; with the main
+    values beside them they rebuild the disks of the final list field for
+    field, and ``polyzeros ecp`` writes this same dict."""
+    diag = ecp_diagnostics(polynomial_from_roots(roots), seeds)
+    data = json.loads(json.dumps(ecp_to_dict(diag)))
+    assert all(set(d) == {"radius", "separated"} for d in data["disks"])
+    disks = gershgorin_enclosures(diag.final_list)
+    assert _written_disks(data) == disks
+    assert all(d.separated and getattr(d, enclosure) for d in disks)
+
+
+def test_solve_report_disks_rebuild_every_enclosure(tmp_path):
+    """A ``solve`` report with the ECP phase writes the same disk form; the
+    disks it rebuilds are those of the report's own final list."""
+    coeffs = polynomial_from_roots((1.1 + 0.7j, 0.3 - 1.3j, -2.2, 2.9)).coeffs
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "kind": "polynomial", "coefficients": [[c.real, c.imag]
+                                               for c in coeffs],
+        "seed_source": "companion", "algorithm": "pade", "ecp": True}))
+    out = tmp_path / "report.json"
+    assert main(["solve", str(problem), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    report = run_pipeline(ProblemSpec(polynomial=Polynomial(coeffs),
+                                      seed_source=SeedSource.COMPANION,
+                                      algorithm=Algorithm.PADE, ecp=True))
+    disks = gershgorin_enclosures(report.ecp.final_list)
+    assert len(disks) == 4 and all(d.radius > 0 and d.box for d in disks)
+    assert _written_disks(data["ecp"]) == disks
 
 
 def test_ecp_phase_attaches_diagnostics(quad_quint):
@@ -817,6 +877,36 @@ def test_external_seeds_nearest_an_exact_zero_root_are_its_seeds(
     assert report.conserved and report.all_residuals_pass
 
 
+def test_exact_zero_root_carries_no_label_of_a_search_that_did_not_find_it():
+    """lambda**2 (lambda - 1) under pade: the algorithm and seed source
+    are the solve's, written once at the top level; the exact zero root
+    was neither seeded nor iterated, and its entry says just that."""
+    data = report_to_dict(run_pipeline(ProblemSpec(
+        polynomial=Polynomial((0.0, 0.0, -1.0, 1.0)),
+        algorithm=Algorithm.PADE)))
+    assert (data["algorithm"], data["seed_source"]) == ("pade", "explore")
+    assert all(set(r).isdisjoint({"algorithm", "source"})
+               for r in data["roots"])
+    zero = next(r for r in data["roots"] if r["value"] == [0.0, 0.0])
+    assert (zero["multiplicity"], zero["iterations"], zero["seeds"]) == (
+        2, 0, [])
+    assert data["conserved"] and data["all_residuals_pass"]
+
+
+def test_report_of_a_problem_without_a_polynomial_keeps_its_labels():
+    """F = diag(1 + lambda, 0) is singular for every lambda, so det F
+    cannot be formed; the report still names the solve's algorithm and
+    seed source."""
+    matrix = polynomial_matrix([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
+    data = report_to_dict(run_pipeline(ProblemSpec(
+        matrix=matrix, seed_source=SeedSource.COMPANION,
+        algorithm=Algorithm.HALLEY)))
+    assert (data["algorithm"], data["seed_source"]) == ("halley",
+                                                        "companion")
+    assert data["roots"] == [] and not data["conserved"]
+    assert data["errors"][0].startswith("all determinant samples vanished")
+
+
 def test_fewer_external_seeds_than_the_quotient_degree_all_refine_it():
     """With no seed beyond the degree of f / lambda**k, none is taken for
     the zero root."""
@@ -929,23 +1019,26 @@ def _pinned_specs():
 # their residuals. Their earlier pins, taken with the vectors, are
 # VECTOR_REPORT_SHA256; companion-n20 accepts no eigenvalue and keeps its
 # bytes.
+# All eight were re-pinned when the solve's algorithm and seed source
+# moved from every root entry to the report's top level. Their earlier
+# pins are PRE_TRIM_REPORT_SHA256, which each report mapped back matches.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
-        "792fd8e3daf4faf50e50fdd3d3e1fe72e26c557087ebc3711417b0dcef809e0f",
+        "2bce7b935562a86a8e4092fe7472a569a3f89058352acfff5bcd3d52041903a5",
     "mult-d8-82":
-        "fdc9efb2650127316443d8149526fe894a083e88412ee714099575cdd4464d85",
+        "1b9e0f4d1837de4d2dc50b7968205a6e49e8952c535103976a3e472375ec6b29",
     "order-14":
-        "ea20e3379334da177a5ad56e85587389c7b2ece865881faecde4869da193a6e9",
+        "72a09af8ff8feb9b67eacd18173087bdc9136fdacac57ec84922cc970e966c37",
     "rand-d55-63":
-        "a683a501f5b28d1d2001ad0916e6f2a6722997eb44260dca962b96122e198493",
+        "01f30038e0d10f6c7a00b4d7ecd42bec445eee954884ba241b337333deef381d",
     "real-d9-90":
-        "99f85b45f86cbb62d0c0f4e037e7b517cc22bc2eff4f8acd56e2f21829735d07",
+        "55075fd7124f0c359560e77e03aa6602d53d4b11493b14cae2b1fa16159dbfc3",
     "sparse-penta":
-        "4c6325e11ce7edf138fff65f78cc600aa2b36dd54f51d861552c0eecc78ac029",
+        "5de890e1b908a91d0b3a6022aedf0c26a5e63def867dd69f019f47d1a3c9368a",
     "sextic-delta0.1":
-        "a6b81b902f03090f851f91d7bffb8df6f7df67af601992c12c8fb8bfd170b39a",
+        "ec53e4b2fe0d780c75c59c198afa543671cc0268d86ab19b32e858d79384e783",
     "wilkinson-10":
-        "8d7d80ff12ef6a5662da10b5e3d532f798c6b0a19b578d0e2ffa97543cc8a924",
+        "844fb8777b970260ad6a56c2e2cae02283dfaaf33d6b25223c472514cc46e57d",
 }
 
 
@@ -957,8 +1050,9 @@ def test_report_bytes_outlive_the_root_bound(name):
     assert _report_sha256(_pinned_specs()[name]) == PINNED_REPORT_SHA256[name]
 
 
-def _report_sha256(spec):
-    text = json.dumps(report_to_dict(run_pipeline(spec)), sort_keys=True)
+def _report_sha256(spec, form=lambda data: data):
+    text = json.dumps(form(report_to_dict(run_pipeline(spec))),
+                      sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -976,11 +1070,12 @@ VECTOR_REPORT_SHA256 = {
 @pytest.mark.parametrize("name", sorted(VECTOR_REPORT_SHA256))
 def test_report_vectors_come_back_bit_for_bit_from_eigenvectors_all(name):
     """A report's vectors are eigenvectors_all at its root values: merged
-    into its eigen entries they give the bytes of the report that carried
+    into the eigen entries of the report in its pre-trim form
+    (:func:`_pre_trim`) they give the bytes of the report that carried
     them."""
     spec = _pinned_specs()[name]
     report = run_pipeline(spec)
-    data = report_to_dict(report)
+    data = _pre_trim(report_to_dict(report))
     bundles = _bundles(spec.matrix, report.roots)
     assert len(bundles) == len(data["eigenvectors"]) > 0
     data["eigenvectors"] = [
@@ -1048,7 +1143,76 @@ def _branch_specs():
 # moved, and reduced-wilkinson-10's roots moved by at most 8.5e-11
 # relative, the noise of its list's defects; no multiplicity, iteration
 # count, flag or error line moved.
+# All eight were re-pinned when the solve's algorithm and seed source
+# moved to the report's top level and each disk of pade-ecp-wilkinson-10
+# was cut to its radius and separated flag. Their earlier pins are
+# PRE_TRIM_REPORT_SHA256, which each report mapped back matches.
 BRANCH_REPORT_SHA256 = {
+    "detect-origin-seed":
+        "8efb02d29ad0e742540d5b9522fc5d38f3726e60ed9a16ea6cb79d2b4178bfa5",
+    "halley-degree-1":
+        "9c38f21f5045d89c493cfea3a56c341b9555e13616ada4a593db26de100fae99",
+    "halley-wilkinson-10":
+        "de4e4c2163a222c457a87af144c13b50901503313ea5ca7c4b78df3dd9c5b27e",
+    "pade-ecp-mult-d8-82":
+        "0b8d1d0d85184f2156f6270a7f949e81637e258f2739d0ea258006cd20651eca",
+    "pade-ecp-wilkinson-10":
+        "15e4f5b0a013a9863eed0dd266dacaf5e563a8bc08226389c2963119f015e7da",
+    "rayleigh-short-list":
+        "fc16803ef3c38ed41c634c9b624cf0e86dafccf2a5c067561dbfdaabd4c5bbd1",
+    "reduced-wilkinson-10":
+        "46b1b9c23259913516ecf3ef750dccf691278d20733feed63f30dac9fd352ebd",
+    "test-nu-sextic":
+        "0910aaddef7e8d384b5e95cee3314f78286eccb2e1f645c8a434e42374cf2ee7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_REPORT_SHA256))
+def test_report_bytes_of_each_refinement_branch(name):
+    """Every algorithm, a batch call that raises and a failed list build
+    each keep their report bytes."""
+    assert _report_sha256(_branch_specs()[name]) == BRANCH_REPORT_SHA256[name]
+
+
+def _pre_trim(data):
+    """A report dict in the form written while every root entry carried
+    the solve's ``algorithm`` and ``source``, and every disk its center
+    and its enclosure (``interval`` or ``box``, else null) as well."""
+    data = dict(data)
+    labels = dict(algorithm=data.pop("algorithm"),
+                  source=data.pop("seed_source"))
+    data["roots"] = [dict(r, **labels) for r in data["roots"]]
+    if data["ecp"]:
+        data["ecp"] = dict(data["ecp"], disks=[
+            dict(center=pipeline.complex_pair(d.center), radius=d.radius,
+                 separated=d.separated,
+                 interval=list(d.interval) if d.interval else None,
+                 box=[list(b) for b in d.box] if d.box else None)
+            for d in _written_disks(data["ecp"])])
+    return data
+
+
+# SHA-256 as in PINNED_REPORT_SHA256 and BRANCH_REPORT_SHA256, recorded
+# before the solve's algorithm and seed source moved from every root entry
+# to the report's top level and each disk was cut to its radius and
+# separated flag.
+PRE_TRIM_REPORT_SHA256 = {
+    "companion-n20":
+        "792fd8e3daf4faf50e50fdd3d3e1fe72e26c557087ebc3711417b0dcef809e0f",
+    "mult-d8-82":
+        "fdc9efb2650127316443d8149526fe894a083e88412ee714099575cdd4464d85",
+    "order-14":
+        "ea20e3379334da177a5ad56e85587389c7b2ece865881faecde4869da193a6e9",
+    "rand-d55-63":
+        "a683a501f5b28d1d2001ad0916e6f2a6722997eb44260dca962b96122e198493",
+    "real-d9-90":
+        "99f85b45f86cbb62d0c0f4e037e7b517cc22bc2eff4f8acd56e2f21829735d07",
+    "sparse-penta":
+        "4c6325e11ce7edf138fff65f78cc600aa2b36dd54f51d861552c0eecc78ac029",
+    "sextic-delta0.1":
+        "a6b81b902f03090f851f91d7bffb8df6f7df67af601992c12c8fb8bfd170b39a",
+    "wilkinson-10":
+        "8d7d80ff12ef6a5662da10b5e3d532f798c6b0a19b578d0e2ffa97543cc8a924",
     "detect-origin-seed":
         "490f194089ed06224272ea5e7a1c00365a90a09de267f8a3c0263c8fa703f628",
     "halley-degree-1":
@@ -1068,8 +1232,10 @@ BRANCH_REPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BRANCH_REPORT_SHA256))
-def test_report_bytes_of_each_refinement_branch(name):
-    """Every algorithm, a batch call that raises and a failed list build
-    each keep their report bytes."""
-    assert _report_sha256(_branch_specs()[name]) == BRANCH_REPORT_SHA256[name]
+@pytest.mark.parametrize("name", sorted(PRE_TRIM_REPORT_SHA256))
+def test_trimmed_report_maps_back_to_its_pre_trim_bytes(name):
+    """The labels written once and the disks written as radius and flag
+    lose no fact: mapped back, each report has its earlier bytes."""
+    spec = {**_pinned_specs(), **_branch_specs()}[name]
+    assert _report_sha256(spec, _pre_trim) == PRE_TRIM_REPORT_SHA256[name]
+

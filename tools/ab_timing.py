@@ -30,10 +30,10 @@ totals per rep, how many report texts differ between the trees (each
 problem's first solve), and how many of those reports differ in outcome:
 a root or eigenvalue that is not the same root (``refine.same_root``), or
 a multiplicity, iteration count, pass flag, rank deficiency, defective
-flag or error line that differs (:func:`outcome`). The last line is the
-same as JSON, which also holds the totals per problem family (the problem
-name without a trailing ``-<index>``, e.g. ``quad-n7`` for the matrix-eig
-problems of order 7).
+flag, error line, solve label, evolution count or disk separation that
+differs (:func:`outcome`). The last line is the same as JSON, which also
+holds the totals per problem family (the problem name without a trailing
+``-<index>``, e.g. ``quad-n7`` for the matrix-eig problems of order 7).
 The exit status is 1 when any report text differs.
 """
 
@@ -115,9 +115,21 @@ def solve(pz, problem):
     return (time.perf_counter() - t0) * 1e3, outcome.text or outcome.status
 
 
+def labels(report):
+    """A report's (algorithm, seed_source). A report written while every
+    root entry carried them as ``algorithm`` and ``source`` gives its first
+    root's, or None when it has no roots and so states none."""
+    if "algorithm" in report:
+        return report["algorithm"], report["seed_source"]
+    roots = report["roots"]
+    return (roots[0]["algorithm"], roots[0]["source"]) if roots else None
+
+
 def outcome(text):
-    """(rest, roots, eigen) of a report text: the report's flags, degrees
-    and error lines; each root's value and the fields beside it that
+    """(rest, labels, roots, eigen) of a report text: the report's flags,
+    degrees, error lines and, when it has an ``"ecp"`` section, its
+    evolution count and each disk's ``separated`` flag; its
+    :func:`labels`; each root's value and the fields beside it that
     decide the answer (multiplicity, iterations, residual_pass); and each
     ``"eigenvectors"`` entry's value, multiplicity, rank_deficiency and
     defective flag. A solve that raised or missed its deadline is its
@@ -125,22 +137,27 @@ def outcome(text):
     try:
         report = json.loads(text)
     except ValueError:
-        return text, (), ()
+        return text, None, (), ()
     roots = [(complex(*r["value"]), r["multiplicity"], r["iterations"],
               r["residual_pass"]) for r in report["roots"]]
     eigen = [(complex(*e["value"]), e["multiplicity"], e["rank_deficiency"],
               e["defective"]) for e in report["eigenvectors"]]
+    ecp = report["ecp"] and (report["ecp"]["evolutions"],
+                             [d["separated"] for d in report["ecp"]["disks"]])
     rest = tuple(report[key] for key in (
         "effective_degree", "multiplicity_sum", "conserved",
-        "all_residuals_pass", "errors"))
-    return rest, roots, eigen
+        "all_residuals_pass", "errors")) + (ecp,)
+    return rest, labels(report), roots, eigen
 
 
 def same_outcome(pz, a, b):
     """Whether two report texts have the same :func:`outcome`, root and
-    eigenvalue values compared by the root identity of ``pz``."""
-    (rest_a, *lists_a), (rest_b, *lists_b) = outcome(a), outcome(b)
-    return rest_a == rest_b and all(
+    eigenvalue values compared by the root identity of ``pz``; labels
+    count only where both reports state them."""
+    (rest_a, labels_a, *lists_a), (rest_b, labels_b, *lists_b) = (
+        outcome(a), outcome(b))
+    return rest_a == rest_b and (
+        labels_a == labels_b or None in (labels_a, labels_b)) and all(
         len(xs) == len(ys)
         and all(pz.refine.same_root(x[0], y[0]) and x[1:] == y[1:]
                 for x, y in zip(xs, ys))

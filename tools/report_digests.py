@@ -10,7 +10,10 @@ comma-separated list of them, or ``all``. Each line reads
 ``workload seed/problem sha256``, where the hash is taken over
 ``json.dumps(report_to_dict(run_pipeline(spec)), indent=2, sort_keys=True)``,
 the bytes the benchmark times. Run it on two checkouts and diff the output
-to see which reports a change moves.
+to see which reports a change moves. Standard error gets one line per
+workload and seed, ``workload seed: N report bytes``, the size of those
+texts in all, which shows how much a change grows or trims the encoding
+the benchmark times.
 """
 
 import hashlib
@@ -38,13 +41,16 @@ def main(argv):
     seeds = [int(s) for s in argv[1].split(",")]
     for workload in chosen:
         for seed in seeds:
+            size = 0
             for problem in workloads.generate(workload, seed):
                 report = pz.run_pipeline(build_spec(pz, problem.file))
                 text = json.dumps(pz.report_to_dict(report), indent=2,
-                                  sort_keys=True)
-                print("%s %d/%s %s" % (
-                    workload, seed, problem.name,
-                    hashlib.sha256(text.encode()).hexdigest()))
+                                  sort_keys=True).encode()
+                size += len(text)
+                print("%s %d/%s %s" % (workload, seed, problem.name,
+                                       hashlib.sha256(text).hexdigest()))
+            print("%s %d: %d report bytes" % (workload, seed, size),
+                  file=sys.stderr)
     return 0
 
 
