@@ -161,7 +161,6 @@ def parse_problem_file(path):
                              ("max_iters", int, "an integer"),
                              ("delta", number, "a number"),
                              ("step_tol", number, "a number"),
-                             ("residual_tol", number, "a number"),
                              ("ecp", bool, "true or false")):
         value = data.get(key)
         if key in data and not (isinstance(value, kinds) and isinstance(
@@ -169,10 +168,8 @@ def parse_problem_file(path):
             raise ProblemFormatError(
                 "%s: '%s' must be %s, got %r" % (path, key, what, value)
             )
-    settings_kwargs = {}
-    for key in ("max_iters", "step_tol", "residual_tol"):
-        if key in data:
-            settings_kwargs[key] = data[key]
+    settings_kwargs = {k: data[k] for k in ("max_iters", "step_tol")
+                       if k in data}
     try:
         return ProblemSpec(
             polynomial=polynomial,
@@ -209,7 +206,6 @@ def problem_spec_to_dict(spec):
     data["delta"] = spec.delta
     data["max_iters"] = spec.settings.max_iters
     data["step_tol"] = spec.settings.step_tol
-    data["residual_tol"] = spec.settings.residual_tol
     data["nu"] = spec.nu
     data["ecp"] = spec.ecp
     return data
@@ -243,12 +239,10 @@ def _apply_overrides(spec, args):
         changes["seed_source"] = SeedSource.EXTERNAL
     if "algorithm" in given:
         changes["algorithm"] = Algorithm(given["algorithm"])
-    settings = {k: given[k] for k in ("step_tol", "residual_tol")
-                if k in given}
-    if settings:
+    if "step_tol" in given:
         try:
-            changes["settings"] = dataclasses.replace(spec.settings,
-                                                      **settings)
+            changes["settings"] = dataclasses.replace(
+                spec.settings, step_tol=given["step_tol"])
         except ValueError as exc:
             raise ProblemFormatError("command line: %s" % exc)
     return dataclasses.replace(spec, **changes) if changes else spec
@@ -373,7 +367,6 @@ def _cmd_plot(spec, args):
 _OPTIONS = {
     "--delta": dict(type=float, help="exploration step size"),
     "--step-tol": dict(type=float, help="relative step tolerance"),
-    "--residual-tol": dict(type=float, help="relative residual tolerance"),
     "--seeds": dict(help="JSON file with starting values"),
     "--algorithm": dict(choices=[a.value for a in Algorithm],
                         help="refinement algorithm (default detect)"),
@@ -388,8 +381,7 @@ _OPTIONS = {
 # Each subcommand: its handler, its help, and exactly the options it reads.
 _SUBCOMMANDS = (
     ("solve", _cmd_solve, "full seed/refine/report pipeline",
-     ("--delta", "--step-tol", "--residual-tol", "--seeds", "--algorithm",
-      "--out")),
+     ("--delta", "--step-tol", "--seeds", "--algorithm", "--out")),
     ("explore", _cmd_explore, "real-axis sign-change scan",
      ("--delta", "--out")),
     ("ecp", _cmd_ecp, "interpolation list, evolutions, enclosures",

@@ -14,10 +14,11 @@ seed still running at once. Detect and test-nu refine each seed on its
 own, except that detect on companion or external seeds first settles
 clusters of seeds by a zero count and one probe each, and the cluster's
 root record lists all its seeds. Hard errors in any stage are recorded
-on the report and the remaining seeds still run. A report passes only
-when its multiplicities sum to the full degree, every root passes its
-residual test and, for a matrix, makes F singular: the report gives F's
-rank deficiency there, from singular values alone, not eigenvectors.
+on the report and the remaining seeds still run. Every root was refined
+until f vanished there to working precision. A report passes only when
+its multiplicities sum to the full degree, which is at least 1, and, for
+a matrix, every root makes F singular: the report gives F's rank
+deficiency there, from singular values alone, not eigenvectors.
 """
 
 import enum
@@ -126,7 +127,6 @@ class RootRecord:
     residual: float
     iterations: int
     seeds: tuple
-    residual_pass: bool
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,8 @@ def _refine(spec, f, seeds, errors):
     """One record per group whose refinement converges, with the group's
     seeds as provenance. A group that fails is a single seed, and it
     leaves an error line. The residual is the one the stopping test
-    passed.
+    passed, so it is within f's rounding floor
+    (:func:`poly.power_error_bound`).
 
     A run that stopped at the rounding floor (AT_FLOOR) makes a record
     only where its multiplicity is known there: detect's probes settled
@@ -283,9 +284,7 @@ def _refine(spec, f, seeds, errors):
             continue
         records.append(RootRecord(
             complex(found.final), nu, found.residual, len(found.rows),
-            tuple(dict.fromkeys(complex(seeds[k]) for k in group)),
-            found.residual <= spec.settings.residual_tol,
-        ))
+            tuple(dict.fromkeys(complex(seeds[k]) for k in group))))
     return records
 
 
@@ -371,7 +370,7 @@ def _zero_root(f):
     if not k:
         return [], f
     g = Polynomial(f.coeffs[k:])
-    return [RootRecord(0j, k, 0.0, 0, (), True)], g if g.degree else None
+    return [RootRecord(0j, k, 0.0, 0, ())], g if g.degree else None
 
 
 def _take_zero_seeds(record, seeds, degree):
@@ -423,11 +422,12 @@ def run_pipeline(spec):
             "effective degree %d is below rho*n = %d although the leading "
             "matrix is regular" % (f.degree, spec.matrix.nominal_char_degree)
         )
+    if not f.degree:
+        errors.append("the polynomial has degree 0 and so no zeros")
     # An eigenvalue must also make F(lambda) singular; unlike the residual,
     # that check does not read the interpolated det F.
     residuals_pass = (
         conserved and bool(records)
-        and all(r.residual_pass for r in records)
         and (spec.matrix is None or len(eigenvectors) == len(records))
     )
     return RootReport(
@@ -505,7 +505,6 @@ def report_to_dict(report):
                 "residual": float(r.residual),
                 "iterations": r.iterations,
                 "seeds": [complex_pair(s) for s in r.seeds],
-                "residual_pass": r.residual_pass,
             }
             for r in report.roots
         ],

@@ -3,13 +3,14 @@
 Every iteration runs one stopping rule, written once as a loop over the
 state of all the seeds still running (:func:`_run_batch`): each round it
 takes the step of every running seed from one call, and the residuals its
-convergence and floor tests need from one more; one seed is a batch of
-one. The Pade step Lambda += p(Lambda) and the Halley step Lambda +=
-h(Lambda) take array steps: f, f' and f'' at all iterates come from one
-power matrix (:func:`evaluate_all`), and the kernel decides from those
-arrays alone, point by point, the step or the exception that ends the
-seed. Their residuals come from one array pass too
-(:func:`poly.relative_residual_all`); the interpolation-list steps of
+stopping test needs from one more; one seed is a batch of one. A run
+stops only where f vanishes to working precision, its relative residual
+within the rounding floor. The Pade step Lambda += p(Lambda) and the
+Halley step Lambda += h(Lambda) take array steps: f, f' and f'' at all
+iterates come from one power matrix (:func:`evaluate_all`), and the
+kernel decides from those arrays alone, point by point, the step or the
+exception that ends the seed. Their residuals come from one array pass
+too (:func:`poly.relative_residual_all`); the interpolation-list steps of
 :mod:`ecp` run under the same rule (:func:`_run_steps`). The
 test-polynomial step Lambda += P_nu(Lambda)*Lambda, whose fixed points
 reveal root multiplicity, keeps its scalar Horner step and residual and
@@ -61,7 +62,6 @@ from .poly import (
 
 DEFAULT_MAX_ITERS = 100
 DEFAULT_STEP_TOL = 1e-12
-DEFAULT_RESIDUAL_TOL = 1e-10
 DIVERGENCE_FACTOR = 10.0
 
 ROOT_IDENTITY_REL = 1e-8
@@ -94,15 +94,13 @@ def is_integer(value):
 class IterationSettings:
     max_iters: int = DEFAULT_MAX_ITERS
     step_tol: float = DEFAULT_STEP_TOL
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
 
     def __post_init__(self):
         if not is_integer(self.max_iters) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
-        if min(self.step_tol, self.residual_tol) <= 0:
+        if self.step_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if not (self.step_tol < math.inf
-                and self.residual_tol < math.inf):  # NaN fails too
+        if not self.step_tol < math.inf:  # NaN fails too
             raise ValueError("tolerances must be finite")
 
 
@@ -124,8 +122,8 @@ class TraceRow:
 @dataclass(frozen=True)
 class IterationTrace:
     """The rows of one iteration and how it ended. ``residual`` is the
-    relative residual the test that ended the run passed at the final
-    iterate (None unless CONVERGED or AT_FLOOR)."""
+    relative residual at the final iterate, at most the rounding floor the
+    run stopped on (None unless CONVERGED or AT_FLOOR)."""
 
     rows: tuple
     status: TraceStatus
@@ -148,17 +146,17 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, settings, root_bound):
     state of every seed still running. ``steps_fn(lams)`` gets their
     current iterates, as a list of complex, and returns their steps in the
     same order: each a complex, or the exception that ends that seed as
-    NUMERICAL_ERROR with its text as the note. Convergence needs two
-    consecutive relatively small steps plus a relative residual at most
-    ``residual_tol``. A step that does not halve the previous one ends the
-    run AT_FLOOR when the new iterate's residual is at most ``floor``, the
-    rounding bound of ``residuals_fn``. There f is zero to working
-    precision, and the steps are rounding noise (at an ill-conditioned
-    root) or a linear creep with ratio at least 1/2 (at a root of higher
-    multiplicity than the step assumes); a zero count tells the two apart,
-    not the steps. Either test's residual is kept on the trace. Each round
-    makes one ``residuals_fn(lams)`` call, over the new iterates of the
-    seeds that take either test, and it returns their residuals in order.
+    NUMERICAL_ERROR with its text as the note. A run stops only where
+    the new iterate's relative residual is at most ``floor``, the rounding
+    bound of ``residuals_fn``, so that f is zero there to working
+    precision. It stops CONVERGED after two consecutive relatively small
+    steps, and AT_FLOOR after a step that does not halve the previous one:
+    then the steps are rounding noise (at an ill-conditioned root) or a
+    linear creep with ratio at least 1/2 (at a root of higher multiplicity
+    than the step assumes); a zero count tells the two apart, not the
+    steps. The residual is kept on the trace. Each round makes one
+    ``residuals_fn(lams)`` call, over the new iterates of the seeds whose
+    steps call for the test, and it returns their residuals in order.
     Iterates beyond ``DIVERGENCE_FACTOR * (1 + root_bound)``, or whose
     modulus or step passes the float range, end the run as DIVERGED.
 
@@ -167,7 +165,6 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, settings, root_bound):
     """
     divergence_bound = DIVERGENCE_FACTOR * (1.0 + root_bound)
     step_tol = settings.step_tol
-    residual_tol = settings.residual_tol
     lams = [complex(s) for s in seeds]
     rows = [[] for _ in lams]
     prev_small = [False] * len(lams)
@@ -202,23 +199,19 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, settings, root_bound):
             prev_step_mag[i] = step_mag
             lams[i] = nxt
             if converging or stalled:
-                tested.append((i, converging, stalled))
+                tested.append((i, converging))
             elif abs(nxt) > divergence_bound:
                 traces[i] = IterationTrace(tuple(rows[i]),
                                            TraceStatus.DIVERGED)
             else:
                 running.append(i)
         if tested:
-            residuals = residuals_fn([lams[i] for i, _, _ in tested])
-            for (i, converging, stalled), residual in zip(tested, residuals):
-                if converging and residual <= residual_tol:
-                    traces[i] = IterationTrace(tuple(rows[i]),
-                                               TraceStatus.CONVERGED,
-                                               residual=residual)
-                elif stalled and residual <= floor:
-                    traces[i] = IterationTrace(tuple(rows[i]),
-                                               TraceStatus.AT_FLOOR,
-                                               residual=residual)
+            residuals = residuals_fn([lams[i] for i, _ in tested])
+            for (i, converging), residual in zip(tested, residuals):
+                if residual <= floor:
+                    traces[i] = IterationTrace(
+                        tuple(rows[i]), TraceStatus.CONVERGED if converging
+                        else TraceStatus.AT_FLOOR, residual=residual)
                 elif abs(lams[i]) > divergence_bound:
                     traces[i] = IterationTrace(tuple(rows[i]),
                                                TraceStatus.DIVERGED)

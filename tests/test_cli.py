@@ -149,21 +149,6 @@ def test_solve_finds_roots_that_sit_on_the_grid(tmp_path):
         ([-1.0, 0.0], 4), ([2.0, 0.0], 2)]
 
 
-def test_solve_exit_one_when_residuals_fail(tmp_path):
-    """Irrational roots keep a one-ulp residual, so an impossible residual
-    tolerance flips the exit code."""
-    path = _write(tmp_path, "tight.json", {
-        "kind": "polynomial",
-        "coefficients": [-2.0, 0.0, 1.0],
-    })
-    out = tmp_path / "r.json"
-    code = main(["solve", path, "--residual-tol", "1e-30",
-                 "--out", str(out)])
-    assert code == 1
-    report = json.loads(out.read_text())
-    assert report["all_residuals_pass"] is False
-
-
 def test_solve_reports_an_unscannable_bound(tmp_path, capsys):
     """Real roots +-1e200: the scan cannot reach them at step 0.1, so
     exploration records an error line and solve exits 1 with a report."""
@@ -439,7 +424,7 @@ OPTION_PROBLEMS = {
 DECLARED_OPTIONS = (
     ("solve", "--delta", "sextic", ["0.3"]),
     ("solve", "--step-tol", "sqrt2", ["1e-3"]),
-    ("solve", "--residual-tol", "sqrt2", ["1e-30"]),
+    ("solve", "--algorithm", "diag", ["halley"]),
     ("solve", "--seeds", "diag", ["SEEDS"]),
     ("solve", "--seeds", "sextic", ["SEEDS"]),
     ("solve", "--algorithm", "sextic", ["pade"]),
@@ -585,13 +570,11 @@ def test_non_integer_count_exits_two(tmp_path, capsys, key):
     ("delta", True, "a number"),
     ("delta", "0.3", "a number"),
     ("step_tol", True, "a number"),
-    ("residual_tol", False, "a number"),
-    ("residual_tol", None, "a number"),
 ])
 def test_mistyped_key_exits_two(tmp_path, capsys, key, value, what):
     """"ecp": "false" must not turn the diagnostics on, and "delta": true
     must not scan with step 1.0: ``ecp`` takes a JSON boolean, the step
-    and the tolerances a JSON number that is not a boolean."""
+    and the tolerance a JSON number that is not a boolean."""
     path = _example1_file(tmp_path, **{key: value})
     with pytest.raises(ProblemFormatError,
                        match="'%s' must be %s" % (key, what)):
@@ -603,21 +586,32 @@ def test_mistyped_key_exits_two(tmp_path, capsys, key, value, what):
 def test_numeric_and_boolean_keys_keep_their_values(tmp_path):
     """An integer is a JSON number, and true and false are booleans."""
     spec = parse_problem_file(_example1_file(
-        tmp_path, delta=1, step_tol=1e-11, residual_tol=1, ecp=True))
-    assert (spec.delta, spec.settings.step_tol,
-            spec.settings.residual_tol, spec.ecp) == (1.0, 1e-11, 1, True)
+        tmp_path, delta=1, step_tol=1e-11, ecp=True))
+    assert (spec.delta, spec.settings.step_tol, spec.ecp) == (
+        1.0, 1e-11, True)
     assert not parse_problem_file(_example1_file(tmp_path, ecp=False)).ecp
+
+
+def test_old_residual_tol_key_is_ignored(tmp_path, capsys):
+    """Every run stops where f vanishes to working precision, so a
+    ``residual_tol`` key, which older problem files may carry, changes no
+    report byte and no exit code, even at 1e-30, below the one-ulp
+    residuals of the irrational roots."""
+    sqrt2 = {"kind": "polynomial", "coefficients": [-2.0, 0.0, 1.0]}
+    plain = _write(tmp_path, "plain.json", sqrt2)
+    old = _write(tmp_path, "old.json", dict(sqrt2, residual_tol=1e-30))
+    code, text = _run(capsys, ["solve", plain])
+    assert code == 0
+    assert _run(capsys, ["solve", old]) == (code, text)
 
 
 @pytest.mark.parametrize("command, flags, message", [
     ("plot", ["--samples", "1"], "samples must be >= 2"),
     ("plot", ["--range", "1", "0"], "interval must be ordered"),
     ("solve", ["--step-tol", "-1"], "tolerances must be > 0"),
-    ("solve", ["--residual-tol", "0"], "tolerances must be > 0"),
+    ("solve", ["--step-tol", "0"], "tolerances must be > 0"),
     ("solve", ["--step-tol", "nan"], "tolerances must be finite"),
     ("solve", ["--step-tol", "inf"], "tolerances must be finite"),
-    ("solve", ["--residual-tol", "nan"], "tolerances must be finite"),
-    ("solve", ["--residual-tol", "inf"], "tolerances must be finite"),
 ])
 def test_out_of_range_option_exits_two(tmp_path, capsys, command, flags,
                                        message):
@@ -628,12 +622,12 @@ def test_out_of_range_option_exits_two(tmp_path, capsys, command, flags,
     assert capsys.readouterr().err == "error: command line: %s\n" % message
 
 
-@pytest.mark.parametrize("key", ["step_tol", "residual_tol"])
+@pytest.mark.parametrize("key", ["step_tol"])
 def test_non_finite_tolerance_in_a_problem_file_exits_two(tmp_path, capsys,
                                                           key):
     """json reads NaN and Infinity as floats. A NaN tolerance would make a
-    stopping rule that never fires, and an infinite residual_tol one that
-    every residual passes: both are format errors."""
+    stopping rule that never fires, and an infinite one a rule that every
+    step passes: both are format errors."""
     for value in (math.nan, math.inf):
         path = _example1_file(tmp_path, **{key: value})
         with pytest.raises(ProblemFormatError,

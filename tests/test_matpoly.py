@@ -23,7 +23,6 @@ from polyzeros import (
 )
 
 CHAR_RTOL = 1e-9
-RESIDUAL_TOL = 1e-10
 CASES = 25
 
 

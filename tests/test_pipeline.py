@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from polyzeros import (
     run_pipeline,
     same_root,
 )
+from polyzeros.poly import power_error_bound
 
 ROOT_ATOL = 1e-10
 CASES = 10
@@ -126,25 +128,51 @@ def test_dedupe_merges_seed_evidence(quad_quint):
     np.testing.assert_allclose(record.value, -2.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("algorithm", [Algorithm.PADE, Algorithm.HALLEY,
-                                       Algorithm.RAYLEIGH, Algorithm.REDUCED,
-                                       Algorithm.DETECT])
+# Every scalar polynomial of tests/cases.py, Wilkinson 10, and one with an
+# exact double root at 0, which is refined as g = f / lambda**2.
+FLOOR_POLYNOMIALS = [getattr(cases, name) for name in """DOUBLE_QUAD_SEXTIC
+    QUAD_QUINT CLUSTER_DECIC QUINTIC_15 SPARSE_PENTA_CHAR SINGULAR_LEAD_CHAR
+    MULT_D8_82 MULT_D8_2 MULT_D9_8 MULT_D10_29 MULT_D7_31 MULT_D10_74
+    MULT_D8_32 MULT_D9_13 MULT_D10_24 MULT_D10_34 MULT_D9_28 REAL_D9_90
+    RAND_D55_63 RAND_D73_95""".split()] + [
+    tuple(float(c) for c in oracles.wilkinson_coeffs(10)),
+    (0.0, 0.0) + cases.QUAD_QUINT]
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
 def test_reported_residual_is_the_one_the_stopping_rule_passed(algorithm):
     """The record's residual is the engine's residual at the root, bit for
-    bit: the convergence test computed it at the same point. The batched
+    bit: the stopping test computed it at the same point. The batched
     iterations take relative_residual_all, a point's residual alone; the
-    probes of detect take relative_residual."""
+    probes of detect and test-nu take relative_residual. A run stops only
+    where f vanishes to working precision, so under every algorithm that
+    residual is within power_error_bound(g) of the polynomial g refined
+    (the exact zero root's is 0), on a random degree 23 polynomial and on
+    FLOOR_POLYNOMIALS, from companion and scan seeds."""
     rng = np.random.default_rng(61)
     coeffs = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    f = Polynomial(tuple(coeffs))
     report = run_pipeline(ProblemSpec(
-        polynomial=f, seed_source=SeedSource.COMPANION, algorithm=algorithm))
+        polynomial=Polynomial(tuple(coeffs)),
+        seed_source=SeedSource.COMPANION, algorithm=algorithm))
     assert report.all_residuals_pass
-    for record in report.roots:
-        want = (relative_residual(f, record.value)
-                if algorithm is Algorithm.DETECT
-                else relative_residual_all(f, [record.value])[0])
-        assert record.residual == want
+    probes = algorithm in (Algorithm.DETECT, Algorithm.TEST_NU)
+    checked = 0
+    for c in [tuple(coeffs)] + FLOOR_POLYNOMIALS:
+        g = pipeline._zero_root(Polynomial(c))[1]
+        for source in (SeedSource.COMPANION, SeedSource.EXPLORE):
+            report = run_pipeline(ProblemSpec(
+                polynomial=Polynomial(c), seed_source=source,
+                algorithm=algorithm))
+            for record in report.roots:
+                if not record.value:  # the exact zero root
+                    want = 0.0
+                elif probes:
+                    want = relative_residual(g, record.value)
+                else:
+                    want = relative_residual_all(g, [record.value])[0]
+                assert record.residual == want <= power_error_bound(g)
+                checked += 1
+    assert checked > 100
 
 
 def test_dedupe_keeps_a_lone_record_as_it_is(quad_quint):
@@ -381,8 +409,8 @@ def test_erroring_seed_is_recorded_and_skipped(quad_quint):
 
 
 def test_report_that_lost_roots_does_not_pass(quad_quint, tmp_path):
-    """Every found root passes its residual test, but two of the five roots
-    are missing: the report must not pass and solve must exit 1."""
+    """Every found root is within the rounding floor, but two of the five
+    roots are missing: the report must not pass and solve must exit 1."""
     spec = ProblemSpec(
         polynomial=quad_quint,
         seed_source=SeedSource.EXTERNAL,
@@ -390,12 +418,34 @@ def test_report_that_lost_roots_does_not_pass(quad_quint, tmp_path):
         algorithm=Algorithm.PADE,
     )
     report = run_pipeline(spec)
-    assert all(r.residual_pass for r in report.roots)
+    assert report.roots
+    assert all(r.residual <= power_error_bound(quad_quint)
+               for r in report.roots)
     assert report.conserved is False
     assert report.all_residuals_pass is False
     path = tmp_path / "one_seed.json"
     path.write_text(json.dumps(problem_spec_to_dict(spec)))
     assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+def test_every_failing_report_says_why(monkeypatch):
+    """A report that does not pass has at least one error line: each
+    benchmark problem at seed 1, and a nonzero constant, which has degree
+    0 and so no zeros to report."""
+    monkeypatch.syspath_prepend(Path(__file__).parents[1] / "perfbench")
+    import polyzeros
+    import workloads
+    from specs import build_spec
+    specs = [build_spec(polyzeros, problem.file)
+             for workload in workloads.WORKLOADS
+             for problem in workloads.generate(workload, 1)]
+    specs.append(ProblemSpec(polynomial=Polynomial((5.0,))))
+    failing = [report for report in map(run_pipeline, specs)
+               if not report.all_residuals_pass]
+    assert len(failing) > 1
+    assert all(report.errors for report in failing)
+    assert failing[-1].errors == (
+        "the polynomial has degree 0 and so no zeros",)
 
 
 def test_user_coefficients_keep_their_full_degree():
@@ -1022,23 +1072,25 @@ def _pinned_specs():
 # All eight were re-pinned when the solve's algorithm and seed source
 # moved from every root entry to the report's top level. Their earlier
 # pins are PRE_TRIM_REPORT_SHA256, which each report mapped back matches.
+# All eight were re-pinned again when root entries lost
+# ``"residual_pass": true``, which the mapping back puts in.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
-        "2bce7b935562a86a8e4092fe7472a569a3f89058352acfff5bcd3d52041903a5",
+        "f2e76e4f40c34c012ba5f26b644894f91a27fc393c9c73f7312e9db4aa20b7fa",
     "mult-d8-82":
-        "1b9e0f4d1837de4d2dc50b7968205a6e49e8952c535103976a3e472375ec6b29",
+        "b25b2523997760c0083cbdb27451edb131b640007e10116f203e713e96873f13",
     "order-14":
-        "72a09af8ff8feb9b67eacd18173087bdc9136fdacac57ec84922cc970e966c37",
+        "7fcc2d4c276c89005191a6fddce9468c545b3664673928dc94369e43f5e5e76f",
     "rand-d55-63":
-        "01f30038e0d10f6c7a00b4d7ecd42bec445eee954884ba241b337333deef381d",
+        "0863be8d141bf2b47282d9ba5a9e490c59b8797113abdf5ffd57ba5c5a6c76df",
     "real-d9-90":
-        "55075fd7124f0c359560e77e03aa6602d53d4b11493b14cae2b1fa16159dbfc3",
+        "0b46e03544f9d05d705a3925d329993a7cbf6c871006aa20445be86b4012a160",
     "sparse-penta":
-        "5de890e1b908a91d0b3a6022aedf0c26a5e63def867dd69f019f47d1a3c9368a",
+        "8777ae930ec04876beff249a92c2185b246f3d91ceb12999f1829cc68d000d2c",
     "sextic-delta0.1":
-        "ec53e4b2fe0d780c75c59c198afa543671cc0268d86ab19b32e858d79384e783",
+        "d484f094a9677b644b950defced051ec3968fef5ec86411821c1587993c5047c",
     "wilkinson-10":
-        "844fb8777b970260ad6a56c2e2cae02283dfaaf33d6b25223c472514cc46e57d",
+        "09110568742cbd055063c641451fecaeb6114336a9ec9365eda2a2ae17c00b47",
 }
 
 
@@ -1147,23 +1199,25 @@ def _branch_specs():
 # moved to the report's top level and each disk of pade-ecp-wilkinson-10
 # was cut to its radius and separated flag. Their earlier pins are
 # PRE_TRIM_REPORT_SHA256, which each report mapped back matches.
+# The six with roots were re-pinned again when root entries lost
+# ``"residual_pass": true``.
 BRANCH_REPORT_SHA256 = {
     "detect-origin-seed":
-        "8efb02d29ad0e742540d5b9522fc5d38f3726e60ed9a16ea6cb79d2b4178bfa5",
+        "1b9999d47c0882fa50a3402c933df6e00d83e359b8ab98a5aefc57a4a741c2c0",
     "halley-degree-1":
         "9c38f21f5045d89c493cfea3a56c341b9555e13616ada4a593db26de100fae99",
     "halley-wilkinson-10":
-        "de4e4c2163a222c457a87af144c13b50901503313ea5ca7c4b78df3dd9c5b27e",
+        "12c17457a72f2b247eaa71efc1ade51ee8d124fa82e4371f8a7b3883c813eb52",
     "pade-ecp-mult-d8-82":
-        "0b8d1d0d85184f2156f6270a7f949e81637e258f2739d0ea258006cd20651eca",
+        "8e879d897fad2a91b6688dc9d0a8325316c9db22110c4a0f58e4cea0798bf0e6",
     "pade-ecp-wilkinson-10":
-        "15e4f5b0a013a9863eed0dd266dacaf5e563a8bc08226389c2963119f015e7da",
+        "d1228a72be7fae0aaffcf2c943d0224c3205027fba4a8f6dd095c393b02614b2",
     "rayleigh-short-list":
         "fc16803ef3c38ed41c634c9b624cf0e86dafccf2a5c067561dbfdaabd4c5bbd1",
     "reduced-wilkinson-10":
-        "46b1b9c23259913516ecf3ef750dccf691278d20733feed63f30dac9fd352ebd",
+        "017213add0952dec17c83e2d49e08f8da707a64811c59ddd0a5cb1e83bb1a9c1",
     "test-nu-sextic":
-        "0910aaddef7e8d384b5e95cee3314f78286eccb2e1f645c8a434e42374cf2ee7",
+        "676b933d48df90c88bbff17cfab6648368c661bbfa7b54a5738623b00d32a2ba",
 }
 
 
@@ -1176,11 +1230,12 @@ def test_report_bytes_of_each_refinement_branch(name):
 
 def _pre_trim(data):
     """A report dict in the form written while every root entry carried
-    the solve's ``algorithm`` and ``source``, and every disk its center
-    and its enclosure (``interval`` or ``box``, else null) as well."""
+    the solve's ``algorithm`` and ``source`` and ``"residual_pass": true``
+    (the one value it could take), and every disk its center and its
+    enclosure (``interval`` or ``box``, else null) as well."""
     data = dict(data)
     labels = dict(algorithm=data.pop("algorithm"),
-                  source=data.pop("seed_source"))
+                  source=data.pop("seed_source"), residual_pass=True)
     data["roots"] = [dict(r, **labels) for r in data["roots"]]
     if data["ecp"]:
         data["ecp"] = dict(data["ecp"], disks=[
@@ -1194,8 +1249,8 @@ def _pre_trim(data):
 
 # SHA-256 as in PINNED_REPORT_SHA256 and BRANCH_REPORT_SHA256, recorded
 # before the solve's algorithm and seed source moved from every root entry
-# to the report's top level and each disk was cut to its radius and
-# separated flag.
+# to the report's top level, each disk was cut to its radius and
+# separated flag, and root entries lost ``"residual_pass": true``.
 PRE_TRIM_REPORT_SHA256 = {
     "companion-n20":
         "792fd8e3daf4faf50e50fdd3d3e1fe72e26c557087ebc3711417b0dcef809e0f",
@@ -1234,8 +1289,9 @@ PRE_TRIM_REPORT_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(PRE_TRIM_REPORT_SHA256))
 def test_trimmed_report_maps_back_to_its_pre_trim_bytes(name):
-    """The labels written once and the disks written as radius and flag
-    lose no fact: mapped back, each report has its earlier bytes."""
+    """The labels written once, the disks written as radius and flag and
+    the dropped pass flag lose no fact: mapped back, each report has its
+    earlier bytes."""
     spec = {**_pinned_specs(), **_branch_specs()}[name]
     assert _report_sha256(spec, _pre_trim) == PRE_TRIM_REPORT_SHA256[name]
 

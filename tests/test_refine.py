@@ -144,8 +144,6 @@ def test_settings_validation():
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be finite"):
             IterationSettings(step_tol=tol)
-        with pytest.raises(ValueError, match="must be finite"):
-            IterationSettings(residual_tol=tol)
     for count in (2.5, True, 3.0):
         with pytest.raises(ValueError, match="must be an integer"):
             IterationSettings(max_iters=count)
@@ -590,7 +588,7 @@ def test_batch_traces_equal_their_batches_of_one():
     random polynomials and for seeds that end every way: converged, on a
     critical point (f'(0) = a_1 = 0: NUMERICAL_ERROR), beyond the
     divergence bound (DIVERGED) and at a triple root (AT_FLOOR). Both
-    stopping tests keep the residual they passed."""
+    stops keep their residual, which is within the rounding floor."""
     rng = np.random.default_rng(1414)
     ends = set()
     for degree in (3, 8, 21, 40, 77):
@@ -615,11 +613,9 @@ def test_batch_traces_equal_their_batches_of_one():
                     if trace.status in (TraceStatus.CONVERGED,
                                         TraceStatus.AT_FLOOR):
                         assert trace.residual == relative_residual_all(
-                            g, [trace.final])[0]
+                            g, [trace.final])[0] <= power_error_bound(g)
                     else:
                         assert trace.residual is None
-                    if trace.status is TraceStatus.AT_FLOOR:
-                        assert trace.residual <= power_error_bound(g)
     assert ends >= {"converged", "at-floor", "diverged",
                     "derivative vanishes at 0j"}
 

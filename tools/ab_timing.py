@@ -130,16 +130,17 @@ def outcome(text):
     degrees, error lines and, when it has an ``"ecp"`` section, its
     evolution count and each disk's ``separated`` flag; its
     :func:`labels`; each root's value and the fields beside it that
-    decide the answer (multiplicity, iterations, residual_pass); and each
-    ``"eigenvectors"`` entry's value, multiplicity, rank_deficiency and
-    defective flag. A solve that raised or missed its deadline is its
-    status."""
+    decide the answer (multiplicity and iterations; older reports also
+    gave each root a ``residual_pass`` flag, which could only be true, and
+    it is not read); and each ``"eigenvectors"`` entry's value,
+    multiplicity, rank_deficiency and defective flag. A solve that raised
+    or missed its deadline is its status."""
     try:
         report = json.loads(text)
     except ValueError:
         return text, None, (), ()
-    roots = [(complex(*r["value"]), r["multiplicity"], r["iterations"],
-              r["residual_pass"]) for r in report["roots"]]
+    roots = [(complex(*r["value"]), r["multiplicity"], r["iterations"])
+             for r in report["roots"]]
     eigen = [(complex(*e["value"]), e["multiplicity"], e["rank_deficiency"],
               e["defective"]) for e in report["eigenvectors"]]
     ecp = report["ecp"] and (report["ecp"]["evolutions"],
