@@ -91,7 +91,6 @@ from .poly import (
 )
 from .refine import (
     ClusterVerdict,
-    IterationSettings,
     IterationTrace,
     MultiplicityVerdict,
     TraceRow,

@@ -38,23 +38,20 @@ from .pipeline import (
     spec_polynomial,
 )
 from .poly import Polynomial, evaluate, halley_eval, pade_eval
-from .refine import IterationSettings
 
 DEFAULT_PLOT_SAMPLES = 400
 
 
 def _decode_complex(obj, where):
-    try:
-        if isinstance(obj, (int, float)):
-            return complex(obj)
-        if (
-            isinstance(obj, (list, tuple))
-            and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)
-        ):
-            return complex(obj[0], obj[1])
-    except OverflowError:  # an integer beyond the float range
-        raise ProblemFormatError("%s: number out of the float range" % where)
+    parts = obj if isinstance(obj, (list, tuple)) and len(obj) == 2 else (obj,)
+    # JSON true and false are Python bools, and bool is an int subclass.
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool)
+           for x in parts):
+        try:
+            return complex(*parts)
+        except OverflowError:  # an integer beyond the float range
+            raise ProblemFormatError(
+                "%s: number out of the float range" % where)
     raise ProblemFormatError(
         "%s: expected a number or [re, im] pair, got %r" % (where, obj)
     )
@@ -132,9 +129,11 @@ def parse_problem_file(path):
         raise ProblemFormatError(
             "%s: 'kind' must be 'polynomial' or 'matrix'" % path
         )
+    raw = data.get("seeds", [])
+    if not isinstance(raw, list):
+        raise ProblemFormatError("%s: 'seeds' must be a list" % path)
     seeds = tuple(
-        _decode_complex(x, "seeds[%d]" % i)
-        for i, x in enumerate(data.get("seeds", []))
+        _decode_complex(x, "seeds[%d]" % i) for i, x in enumerate(raw)
     )
     if "seed_source" in data:
         try:
@@ -156,11 +155,8 @@ def parse_problem_file(path):
             "%s: unknown algorithm %r" % (path, data["algorithm"])
         )
     # JSON true and false are Python bools, and bool is an int subclass.
-    number = (int, float)
     for key, kinds, what in (("nu", int, "an integer"),
-                             ("max_iters", int, "an integer"),
-                             ("delta", number, "a number"),
-                             ("step_tol", number, "a number"),
+                             ("delta", (int, float), "a number"),
                              ("ecp", bool, "true or false")):
         value = data.get(key)
         if key in data and not (isinstance(value, kinds) and isinstance(
@@ -168,22 +164,16 @@ def parse_problem_file(path):
             raise ProblemFormatError(
                 "%s: '%s' must be %s, got %r" % (path, key, what, value)
             )
-    settings_kwargs = {k: data[k] for k in ("max_iters", "step_tol")
-                       if k in data}
-    try:
-        return ProblemSpec(
-            polynomial=polynomial,
-            matrix=matrix,
-            seed_source=source,
-            external_seeds=seeds,
-            algorithm=algorithm,
-            delta=float(data.get("delta", 0.1)),
-            settings=IterationSettings(**settings_kwargs),
-            nu=data.get("nu", 1),
-            ecp=data.get("ecp", False),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError("%s: %s" % (path, exc))
+    return ProblemSpec(
+        polynomial=polynomial,
+        matrix=matrix,
+        seed_source=source,
+        external_seeds=seeds,
+        algorithm=algorithm,
+        delta=float(data.get("delta", 0.1)),
+        nu=data.get("nu", 1),
+        ecp=data.get("ecp", False),
+    )
 
 
 def problem_spec_to_dict(spec):
@@ -204,8 +194,6 @@ def problem_spec_to_dict(spec):
         data["seeds"] = [complex_pair(s) for s in spec.external_seeds]
     data["algorithm"] = spec.algorithm.value
     data["delta"] = spec.delta
-    data["max_iters"] = spec.settings.max_iters
-    data["step_tol"] = spec.settings.step_tol
     data["nu"] = spec.nu
     data["ecp"] = spec.ecp
     return data
@@ -239,12 +227,6 @@ def _apply_overrides(spec, args):
         changes["seed_source"] = SeedSource.EXTERNAL
     if "algorithm" in given:
         changes["algorithm"] = Algorithm(given["algorithm"])
-    if "step_tol" in given:
-        try:
-            changes["settings"] = dataclasses.replace(
-                spec.settings, step_tol=given["step_tol"])
-        except ValueError as exc:
-            raise ProblemFormatError("command line: %s" % exc)
     return dataclasses.replace(spec, **changes) if changes else spec
 
 
@@ -328,6 +310,8 @@ def emit_plot_data(f, interval, samples, path):
     lo, hi = float(interval[0]), float(interval[1])
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("interval must be finite")
     if not lo < hi:
         raise ValueError("interval must be ordered")
     lines = ["lambda,f,p,h"]
@@ -351,22 +335,21 @@ def emit_plot_data(f, interval, samples, path):
 
 def _cmd_plot(spec, args):
     f = spec_polynomial(spec)
-    if args.samples < 2:
-        raise ProblemFormatError("command line: samples must be >= 2")
-    if args.range and not args.range[0] < args.range[1]:
-        raise ProblemFormatError("command line: interval must be ordered")
     bound = f.root_bound or 1.0  # (-1, 1) when every zero is at 0
     if not (args.range or bound < math.inf):
         raise ProblemFormatError(
             "command line: the root bound is infinite; give --range")
-    emit_plot_data(f, args.range or (-bound, bound), args.samples, args.out)
+    try:  # emit_plot_data checks its arguments before it writes a row
+        emit_plot_data(f, args.range or (-bound, bound), args.samples,
+                       args.out)
+    except ValueError as exc:
+        raise ProblemFormatError("command line: %s" % exc)
     return 0
 
 
 # Every option, defined once: the flag and its argparse keywords.
 _OPTIONS = {
     "--delta": dict(type=float, help="exploration step size"),
-    "--step-tol": dict(type=float, help="relative step tolerance"),
     "--seeds": dict(help="JSON file with starting values"),
     "--algorithm": dict(choices=[a.value for a in Algorithm],
                         help="refinement algorithm (default detect)"),
@@ -381,7 +364,7 @@ _OPTIONS = {
 # Each subcommand: its handler, its help, and exactly the options it reads.
 _SUBCOMMANDS = (
     ("solve", _cmd_solve, "full seed/refine/report pipeline",
-     ("--delta", "--step-tol", "--seeds", "--algorithm", "--out")),
+     ("--delta", "--seeds", "--algorithm", "--out")),
     ("explore", _cmd_explore, "real-axis sign-change scan",
      ("--delta", "--out")),
     ("ecp", _cmd_ecp, "interpolation list, evolutions, enclosures",

@@ -36,7 +36,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import evaluate_all, power_error_bound, relative_residual
-from .refine import DEFAULT_SETTINGS, _run_steps
+from .refine import _run_steps
 
 SEPARATION_REL = 1e-12
 DENOMINATOR_UNDERFLOW = 1e-290
@@ -189,27 +189,27 @@ def _list_steps(rayleigh, sigmas, defects, f, lams):
     return steps
 
 
-def _iterate_list(rayleigh, lst, f, seeds, settings):
+def _iterate_list(rayleigh, lst, f, seeds):
     """Every seed's trace under one list iteration."""
     sigmas = np.array(lst.sigmas, dtype=complex)
     defects = np.array(lst.defects, dtype=complex)
     return _run_steps(f, partial(_list_steps, rayleigh, sigmas, defects),
-                      seeds, settings)
+                      seeds)
 
 
-def rayleigh_iterate_all(lst, f, seeds, settings=DEFAULT_SETTINGS):
+def rayleigh_iterate_all(lst, f, seeds):
     """:func:`rayleigh_iterate` from every seed at once, one trace per
     seed."""
-    return _iterate_list(True, lst, f, seeds, settings)
+    return _iterate_list(True, lst, f, seeds)
 
 
-def reduced_pade_iterate_all(lst, f, seeds, settings=DEFAULT_SETTINGS):
+def reduced_pade_iterate_all(lst, f, seeds):
     """:func:`reduced_pade_iterate` from every seed at once, one trace per
     seed."""
-    return _iterate_list(False, lst, f, seeds, settings)
+    return _iterate_list(False, lst, f, seeds)
 
 
-def rayleigh_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
+def rayleigh_iterate(lst, f, seed):
     """Iterate the list Rayleigh quotient R = (S_sigma - S_1^2)/S_2.
 
     R reproduces its argument exactly at every eigenvalue, so the iteration
@@ -221,10 +221,10 @@ def rayleigh_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
     working precision takes step 0; on any other interpolation value the
     iteration ends as NUMERICAL_ERROR.
     """
-    return rayleigh_iterate_all(lst, f, (seed,), settings)[0]
+    return rayleigh_iterate_all(lst, f, (seed,))[0]
 
 
-def reduced_pade_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
+def reduced_pade_iterate(lst, f, seed):
     """Iterate Lambda += p_E with p_E = (S_1 - 1)/(-S_2).
 
     S_1 - 1 is the reduced eigenvalue equation; its derivative is exactly
@@ -232,7 +232,7 @@ def reduced_pade_iterate(lst, f, seed, settings=DEFAULT_SETTINGS):
     iteration inherits quadratic convergence at simple roots. Residuals
     and coincidences are handled as in :func:`rayleigh_iterate`.
     """
-    return reduced_pade_iterate_all(lst, f, (seed,), settings)[0]
+    return reduced_pade_iterate_all(lst, f, (seed,))[0]
 
 
 def evolve(lst, f):

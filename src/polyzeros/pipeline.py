@@ -23,6 +23,7 @@ deficiency there, from singular values alone, not eigenvectors.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .ecp import (
@@ -45,8 +46,6 @@ from .matpoly import (
 from .poly import Polynomial
 from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
 from .refine import (
-    DEFAULT_SETTINGS,
-    IterationSettings,
     TraceStatus,
     _smallest_count,
     detect_clusters,
@@ -55,7 +54,6 @@ from .refine import (
     iterate_pade_all,
     iterate_test_nu,
     group_roots,
-    is_integer,
 )
 
 
@@ -77,9 +75,11 @@ class Algorithm(enum.Enum):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One solve request: payload, seed source, algorithm, knobs.
+    """One solve request: payload, seed source and algorithm.
 
-    Exactly one of ``polynomial``/``matrix`` is set. ``nu`` is the probe
+    Exactly one of ``polynomial``/``matrix`` is set. ``delta`` is the
+    real-axis scan step of explore seeds, and ``ecp`` adds the
+    interpolation-list phase to the report. ``nu`` is the probe
     order used by the test-nu algorithm only; detect counts the zeros near
     each seed and runs the probe of the counted order, which must lie in
     1..deg f. Rayleigh and reduced algorithms build one interpolation list
@@ -92,7 +92,6 @@ class ProblemSpec:
     external_seeds: tuple = ()
     algorithm: Algorithm = Algorithm.DETECT
     delta: float = 0.1
-    settings: IterationSettings = DEFAULT_SETTINGS
     nu: int = 1
     ecp: bool = False
 
@@ -116,7 +115,8 @@ class ProblemSpec:
             finite = False
         if not finite:  # NaN fails too
             raise ProblemFormatError("external seeds must be finite")
-        if not is_integer(self.nu) or self.nu < 1:
+        if (not isinstance(self.nu, numbers.Integral)
+                or isinstance(self.nu, bool) or self.nu < 1):
             raise ProblemFormatError("nu must be an integer >= 1")
 
 
@@ -213,21 +213,20 @@ def _outcomes(spec, f, seeds, errors):
     (:func:`detect_clusters`), one group and one probe each, and probes
     only the seeds left over.
     """
-    settings = spec.settings
     algorithm = spec.algorithm
     if algorithm in (Algorithm.DETECT, Algorithm.TEST_NU):
         outcomes, singles = [], range(len(seeds))
         if algorithm is Algorithm.DETECT and spec.seed_source in (
                 SeedSource.COMPANION, SeedSource.EXTERNAL):
-            clusters, singles = detect_clusters(f, seeds, settings)
+            clusters, singles = detect_clusters(f, seeds)
             outcomes = [(c.seeds, c.probe, c.multiplicity) for c in clusters]
         for k in singles:
             nu = spec.nu
             try:
                 if algorithm is Algorithm.TEST_NU:
-                    found = iterate_test_nu(f, nu, seeds[k], settings)
+                    found = iterate_test_nu(f, nu, seeds[k])
                 else:
-                    verdict = detect_multiplicity(f, seeds[k], settings)
+                    verdict = detect_multiplicity(f, seeds[k])
                     nu = verdict.multiplicity
                     found = verdict.probes[nu]
             except PolyzerosError as exc:
@@ -242,14 +241,13 @@ def _outcomes(spec, f, seeds, errors):
             return []
     try:
         if algorithm is Algorithm.PADE:
-            found = iterate_pade_all(f, seeds, settings)
+            found = iterate_pade_all(f, seeds)
         elif algorithm is Algorithm.HALLEY:
-            found = iterate_halley_all(f, seeds, settings)
+            found = iterate_halley_all(f, seeds)
         elif algorithm is Algorithm.RAYLEIGH:
-            found = rayleigh_iterate_all(lst, f, lst.main_values, settings)
+            found = rayleigh_iterate_all(lst, f, lst.main_values)
         else:
-            found = reduced_pade_iterate_all(lst, f, lst.main_values,
-                                             settings)
+            found = reduced_pade_iterate_all(lst, f, lst.main_values)
     except PolyzerosError as exc:
         found = [exc] * len(seeds)
     return [((k,), trace, 1) for k, trace in enumerate(found)]

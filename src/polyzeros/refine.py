@@ -5,16 +5,18 @@ state of all the seeds still running (:func:`_run_batch`): each round it
 takes the step of every running seed from one call, and the residuals its
 stopping test needs from one more; one seed is a batch of one. A run
 stops only where f vanishes to working precision, its relative residual
-within the rounding floor. The Pade step Lambda += p(Lambda) and the
-Halley step Lambda += h(Lambda) take array steps: f, f' and f'' at all
-iterates come from one power matrix (:func:`evaluate_all`), and the
-kernel decides from those arrays alone, point by point, the step or the
-exception that ends the seed. Their residuals come from one array pass
-too (:func:`poly.relative_residual_all`); the interpolation-list steps of
-:mod:`ecp` run under the same rule (:func:`_run_steps`). The
-test-polynomial step Lambda += P_nu(Lambda)*Lambda, whose fixed points
-reveal root multiplicity, keeps its scalar Horner step and residual and
-runs one seed at a time. Every floor, here and in the zero counts, is
+within the rounding floor; its step test and its step budget are the
+fixed module constants STEP_TOL and MAX_ITERS. The Pade step
+Lambda += p(Lambda) and the Halley step Lambda += h(Lambda) take array
+steps: f, f' and f'' at all iterates come from one power matrix
+(:func:`evaluate_all`), and the kernel decides from those arrays alone,
+point by point, the step or the exception that ends the seed. Their
+residuals come from one array pass too (:func:`poly.relative_residual_all`);
+the interpolation-list steps of :mod:`ecp` run under the same rule
+(:func:`_run_steps`). The test-polynomial step
+Lambda += P_nu(Lambda)*Lambda, whose fixed points reveal root
+multiplicity, keeps its scalar Horner step and residual and runs one
+seed at a time. Every floor, here and in the zero counts, is
 :func:`poly.power_error_bound`, which bounds both kernels' rounding.
 Traces mirror printed iteration tables row by row.
 
@@ -33,7 +35,6 @@ circle is counted in one array pass (:func:`count_zeros_all`).
 import cmath
 import enum
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
@@ -60,8 +61,9 @@ from .poly import (
     test_polynomial,
 )
 
-DEFAULT_MAX_ITERS = 100
-DEFAULT_STEP_TOL = 1e-12
+# The stopping rule's step test and step budget (:func:`_run_batch`).
+MAX_ITERS = 100
+STEP_TOL = 1e-12
 DIVERGENCE_FACTOR = 10.0
 
 ROOT_IDENTITY_REL = 1e-8
@@ -82,29 +84,6 @@ class TraceStatus(enum.Enum):
     MAX_ITERS = "max-iters"
     DIVERGED = "diverged"
     NUMERICAL_ERROR = "numerical-error"
-
-
-def is_integer(value):
-    """True for an integer that is not a bool (bool is an int
-    subclass)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class IterationSettings:
-    max_iters: int = DEFAULT_MAX_ITERS
-    step_tol: float = DEFAULT_STEP_TOL
-
-    def __post_init__(self):
-        if not is_integer(self.max_iters) or self.max_iters < 1:
-            raise ValueError("max_iters must be an integer >= 1")
-        if self.step_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if not self.step_tol < math.inf:  # NaN fails too
-            raise ValueError("tolerances must be finite")
-
-
-DEFAULT_SETTINGS = IterationSettings()
 
 
 @dataclass(frozen=True)
@@ -139,7 +118,7 @@ class IterationTrace:
         return last.lam + last.step
 
 
-def _run_batch(steps_fn, residuals_fn, floor, seeds, settings, root_bound):
+def _run_batch(steps_fn, residuals_fn, floor, seeds, root_bound):
     """Refine every seed at once: one IterationTrace per seed, in order.
 
     The stopping rule of every refinement iteration, written once over the
@@ -149,29 +128,31 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, settings, root_bound):
     NUMERICAL_ERROR with its text as the note. A run stops only where
     the new iterate's relative residual is at most ``floor``, the rounding
     bound of ``residuals_fn``, so that f is zero there to working
-    precision. It stops CONVERGED after two consecutive relatively small
-    steps, and AT_FLOOR after a step that does not halve the previous one:
-    then the steps are rounding noise (at an ill-conditioned root) or a
-    linear creep with ratio at least 1/2 (at a root of higher multiplicity
-    than the step assumes); a zero count tells the two apart, not the
-    steps. The residual is kept on the trace. Each round makes one
-    ``residuals_fn(lams)`` call, over the new iterates of the seeds whose
-    steps call for the test, and it returns their residuals in order.
+    precision. It stops CONVERGED after two consecutive steps of at most
+    ``STEP_TOL * (1 + |lambda|)``, and AT_FLOOR after a step that does
+    not halve the previous one: then the steps are rounding noise (at an
+    ill-conditioned root) or a linear creep with ratio at least 1/2 (at a
+    root of higher multiplicity than the step assumes); a zero count tells
+    the two apart, not the steps. The residual is kept on the trace. Each
+    round makes one ``residuals_fn(lams)`` call, over the new iterates of
+    the seeds whose steps call for the test, and it returns their
+    residuals in order.
     Iterates beyond ``DIVERGENCE_FACTOR * (1 + root_bound)``, or whose
-    modulus or step passes the float range, end the run as DIVERGED.
+    modulus or step passes the float range, end the run as DIVERGED, and
+    a seed still running after ``MAX_ITERS`` steps ends as MAX_ITERS. Both
+    constants are read at each call.
 
     A seed's steps and residuals do not depend on the other seeds in the
     call, so its trace is the one it gets as a batch of one.
     """
     divergence_bound = DIVERGENCE_FACTOR * (1.0 + root_bound)
-    step_tol = settings.step_tol
     lams = [complex(s) for s in seeds]
     rows = [[] for _ in lams]
     prev_small = [False] * len(lams)
     prev_step_mag = [math.inf] * len(lams)  # no first step is "not halved"
     traces = [None] * len(lams)
     active = list(range(len(lams)))
-    for _ in range(settings.max_iters):
+    for _ in range(MAX_ITERS):
         if not active:
             break
         tested = []
@@ -188,7 +169,7 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, settings, root_bound):
             nxt = lam + step
             try:
                 step_mag = abs(step)
-                small = step_mag <= step_tol * (1.0 + abs(nxt))
+                small = step_mag <= STEP_TOL * (1.0 + abs(nxt))
             except OverflowError:  # a modulus beyond the float range
                 traces[i] = IterationTrace(tuple(rows[i]),
                                            TraceStatus.DIVERGED)
@@ -292,41 +273,41 @@ def _halley_steps(f, lams):
     return steps
 
 
-def _run_steps(f, steps, seeds, settings):
+def _run_steps(f, steps, seeds):
     """:func:`_run_batch` of the array step ``steps(f, lams)`` from every
     seed, with f's array residual (:func:`poly.relative_residual_all`),
     its floor :func:`poly.power_error_bound` and f's root bound."""
     return _run_batch(partial(steps, f), partial(relative_residual_all, f),
-                      power_error_bound(f), seeds, settings, f.root_bound)
+                      power_error_bound(f), seeds, f.root_bound)
 
 
-def iterate_pade_all(f, seeds, settings=DEFAULT_SETTINGS):
+def iterate_pade_all(f, seeds):
     """:func:`iterate_pade` from every seed at once, one trace per seed."""
     if f.degree < 1:
         raise ZeroPolynomialError("pade iteration needs degree >= 1")
-    return _run_steps(f, _pade_steps, seeds, settings)
+    return _run_steps(f, _pade_steps, seeds)
 
 
-def iterate_halley_all(f, seeds, settings=DEFAULT_SETTINGS):
+def iterate_halley_all(f, seeds):
     """:func:`iterate_halley` from every seed at once, one trace per
     seed."""
     if f.degree < 2:
         raise ZeroPolynomialError("halley iteration needs degree >= 2")
-    return _run_steps(f, _halley_steps, seeds, settings)
+    return _run_steps(f, _halley_steps, seeds)
 
 
-def iterate_pade(f, seed, settings=DEFAULT_SETTINGS):
+def iterate_pade(f, seed):
     """Iterate Lambda += p(Lambda) from the seed; quadratic at simple roots,
     linear with ratio 1 - 1/nu at nu-fold roots."""
-    return iterate_pade_all(f, (seed,), settings)[0]
+    return iterate_pade_all(f, (seed,))[0]
 
 
-def iterate_halley(f, seed, settings=DEFAULT_SETTINGS):
+def iterate_halley(f, seed):
     """Iterate Lambda += h(Lambda) from the seed."""
-    return iterate_halley_all(f, (seed,), settings)[0]
+    return iterate_halley_all(f, (seed,))[0]
 
 
-def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
+def iterate_test_nu(f, nu, seed):
     """Iterate the nu-probe: step = (f_{nu-1}/f_nu)(Lambda) * Lambda.
 
     Converges quadratically from nearby seeds exactly when nu equals the
@@ -361,7 +342,7 @@ def iterate_test_nu(f, nu, seed, settings=DEFAULT_SETTINGS):
         return [(v_lo / v_hi) * lam]
 
     return _run_batch(steps, partial(_horner_residuals, f),
-                      power_error_bound(f), (seed,), settings, root_bound)[0]
+                      power_error_bound(f), (seed,), root_bound)[0]
 
 
 @dataclass(frozen=True)
@@ -500,13 +481,13 @@ def _smallest_count(f, s):
         radius *= 2.0
 
 
-def _probe_circle(f, nu, center, radius, settings, probes=None):
+def _probe_circle(f, nu, center, radius, probes=None):
     """The nu-probe from ``center`` when it settles the circle
     (:func:`_settles`), else None. A probe that runs is added to
     ``probes``; a center at the origin, or a test polynomial that
     overflows or vanishes, settles nothing."""
     try:
-        trace = iterate_test_nu(f, nu, center, settings)
+        trace = iterate_test_nu(f, nu, center)
     except (OriginSeedError, ProbeOverflowError, ZeroPolynomialError):
         return None
     if probes is not None:
@@ -514,7 +495,7 @@ def _probe_circle(f, nu, center, radius, settings, probes=None):
     return trace if _settles(f, nu, trace, center, radius) else None
 
 
-def _detect_at(f, s, settings, probes):
+def _detect_at(f, s, probes):
     """The MultiplicityVerdict of the counted probe from s, or None when
     no count is made, it names no order in 1..deg f, or the probe does
     not settle its circle. Adds the probe to ``probes``."""
@@ -525,13 +506,13 @@ def _detect_at(f, s, settings, probes):
     nu = round(count.real)
     if not 1 <= nu <= f.degree:
         return None
-    trace = _probe_circle(f, nu, s, radius, settings, probes)
+    trace = _probe_circle(f, nu, s, radius, probes)
     if trace is None:
         return None
     return MultiplicityVerdict(trace.final, nu, probes, count)
 
 
-def detect_multiplicity(f, seed, settings=DEFAULT_SETTINGS):
+def detect_multiplicity(f, seed):
     """A root and its multiplicity from one seed: a zero count and one
     probe.
 
@@ -543,11 +524,11 @@ def detect_multiplicity(f, seed, settings=DEFAULT_SETTINGS):
     the origin raises the walk's OriginSeedError.
     """
     probes = {}
-    verdict = _detect_at(f, complex(seed), settings, probes)
+    verdict = _detect_at(f, complex(seed), probes)
     if verdict is None:
-        walk = iterate_test_nu(f, 1, seed, settings)
+        walk = iterate_test_nu(f, 1, seed)
         probes[1] = walk
-        verdict = _detect_at(f, walk.final, settings, probes)
+        verdict = _detect_at(f, walk.final, probes)
     if verdict is None:
         raise NoMultiplicityError(
             "no multiplicity identified from seed %r; improve the seed"
@@ -586,7 +567,7 @@ def _circle(f, seeds, group):
     return center, _enclosing_radius(f, center)
 
 
-def detect_clusters(f, seeds, settings=DEFAULT_SETTINGS):
+def detect_clusters(f, seeds):
     """Multiplicities by counting, from approximations of all the roots.
 
     A nu-fold root shows up among the eigenvalues of a companion matrix as
@@ -632,7 +613,7 @@ def detect_clusters(f, seeds, settings=DEFAULT_SETTINGS):
                 queue.insert(0, tuple(sorted(group + nearest)))
                 continue
         elif nu <= f.degree:
-            trace = _probe_circle(f, nu, center, radius, settings)
+            trace = _probe_circle(f, nu, center, radius)
         if trace is None:
             leftover.extend(group)
         else:

@@ -1,7 +1,6 @@
 """Problem-file parsing, subcommand behavior, and exit codes."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -423,7 +422,7 @@ OPTION_PROBLEMS = {
 # the problem's seed file.
 DECLARED_OPTIONS = (
     ("solve", "--delta", "sextic", ["0.3"]),
-    ("solve", "--step-tol", "sqrt2", ["1e-3"]),
+    ("solve", "--seeds", "sqrt2", ["SEEDS"]),
     ("solve", "--algorithm", "diag", ["halley"]),
     ("solve", "--seeds", "diag", ["SEEDS"]),
     ("solve", "--seeds", "sextic", ["SEEDS"]),
@@ -550,7 +549,46 @@ def test_non_finite_delta_option_exits_two(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["nu", "max_iters"])
+@pytest.mark.parametrize("seeds", [5, None, True, "ab", {"a": 1}])
+def test_seeds_that_are_not_a_list_exit_two(tmp_path, capsys, seeds):
+    """A number, null or a boolean is no traceback, and a string or an
+    object is not read character by character or key by key."""
+    path = _example1_file(tmp_path, seeds=seeds)
+    with pytest.raises(ProblemFormatError, match="'seeds' must be a list"):
+        parse_problem_file(path)
+    assert main(["solve", path]) == 2
+    assert "'seeds' must be a list" in capsys.readouterr().err
+
+
+SQUARE = {"kind": "polynomial", "coefficients": [-1.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("payload, seed_file", [
+    (dict(SQUARE, coefficients=[True, False, 1]), None),
+    (dict(SQUARE, coefficients=[-1, [0, True], 1]), None),
+    ({"kind": "matrix", "matrices": [[[True, 0], [0, -2]],
+                                     [[1, 0], [0, 1]]]}, None),
+    (dict(SQUARE, seeds=[True, [1, False]]), None),
+    (SQUARE, [[1, False]]),
+], ids=["coefficients", "coefficient-pair", "matrix-entry", "seeds",
+        "seed-file"])
+def test_boolean_for_a_number_exits_two(tmp_path, capsys, payload,
+                                        seed_file):
+    """JSON true and false are Python bools, and bool is an int subclass:
+    a boolean, whole or in an [re, im] pair, must not be read as 1 or 0."""
+    path = _write(tmp_path, "bool.json", payload)
+    flags = []
+    if seed_file is not None:
+        flags = ["--seeds", _write(tmp_path, "seeds.json", seed_file)]
+    else:
+        with pytest.raises(ProblemFormatError, match="expected a number"):
+            parse_problem_file(path)
+    assert main(["solve", path] + flags) == 2
+    assert "expected a number or [re, im] pair, got" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key", ["nu"])
 def test_non_integer_count_exits_two(tmp_path, capsys, key):
     """A fractional or boolean count is a format error, not a crash or a
     silent truncation."""
@@ -569,12 +607,11 @@ def test_non_integer_count_exits_two(tmp_path, capsys, key):
     ("ecp", 0, "true or false"),
     ("delta", True, "a number"),
     ("delta", "0.3", "a number"),
-    ("step_tol", True, "a number"),
 ])
 def test_mistyped_key_exits_two(tmp_path, capsys, key, value, what):
     """"ecp": "false" must not turn the diagnostics on, and "delta": true
-    must not scan with step 1.0: ``ecp`` takes a JSON boolean, the step
-    and the tolerance a JSON number that is not a boolean."""
+    must not scan with step 1.0: ``ecp`` takes a JSON boolean, the step a
+    JSON number that is not a boolean."""
     path = _example1_file(tmp_path, **{key: value})
     with pytest.raises(ProblemFormatError,
                        match="'%s' must be %s" % (key, what)):
@@ -585,21 +622,27 @@ def test_mistyped_key_exits_two(tmp_path, capsys, key, value, what):
 
 def test_numeric_and_boolean_keys_keep_their_values(tmp_path):
     """An integer is a JSON number, and true and false are booleans."""
-    spec = parse_problem_file(_example1_file(
-        tmp_path, delta=1, step_tol=1e-11, ecp=True))
-    assert (spec.delta, spec.settings.step_tol, spec.ecp) == (
-        1.0, 1e-11, True)
+    spec = parse_problem_file(_example1_file(tmp_path, delta=1, ecp=True))
+    assert (spec.delta, spec.ecp) == (1.0, True)
     assert not parse_problem_file(_example1_file(tmp_path, ecp=False)).ecp
 
 
-def test_old_residual_tol_key_is_ignored(tmp_path, capsys):
-    """Every run stops where f vanishes to working precision, so a
-    ``residual_tol`` key, which older problem files may carry, changes no
-    report byte and no exit code, even at 1e-30, below the one-ulp
-    residuals of the irrational roots."""
+@pytest.mark.parametrize("key, value", [
+    ("residual_tol", 1e-30),
+    ("nu_max", 2),
+    ("step_tol", 1e-3),
+    ("max_iters", 0),
+])
+def test_old_key_is_ignored(tmp_path, capsys, key, value):
+    """Keys that older problem files may carry change no report byte and
+    no exit code. Every run stops where f vanishes to working precision,
+    even under a ``residual_tol`` of 1e-30, below the one-ulp residuals of
+    the irrational roots; detect reads nu from its zero count, not from
+    ``nu_max``; and the step test and the step budget are constants, so a
+    loose ``step_tol`` or a ``max_iters`` of 0 is not read."""
     sqrt2 = {"kind": "polynomial", "coefficients": [-2.0, 0.0, 1.0]}
     plain = _write(tmp_path, "plain.json", sqrt2)
-    old = _write(tmp_path, "old.json", dict(sqrt2, residual_tol=1e-30))
+    old = _write(tmp_path, "old.json", dict(sqrt2, **{key: value}))
     code, text = _run(capsys, ["solve", plain])
     assert code == 0
     assert _run(capsys, ["solve", old]) == (code, text)
@@ -608,30 +651,16 @@ def test_old_residual_tol_key_is_ignored(tmp_path, capsys):
 @pytest.mark.parametrize("command, flags, message", [
     ("plot", ["--samples", "1"], "samples must be >= 2"),
     ("plot", ["--range", "1", "0"], "interval must be ordered"),
-    ("solve", ["--step-tol", "-1"], "tolerances must be > 0"),
-    ("solve", ["--step-tol", "0"], "tolerances must be > 0"),
-    ("solve", ["--step-tol", "nan"], "tolerances must be finite"),
-    ("solve", ["--step-tol", "inf"], "tolerances must be finite"),
+    ("plot", ["--range", "0", "inf"], "interval must be finite"),
+    ("plot", ["--range", "inf", "inf"], "interval must be finite"),
+    ("plot", ["--range", "nan", "1"], "interval must be finite"),
 ])
 def test_out_of_range_option_exits_two(tmp_path, capsys, command, flags,
                                        message):
-    """An option value out of range is a usage error, as the same key in
-    a problem file is: an error line and exit 2, not a traceback."""
+    """An option value out of range is a usage error, as a bad key in a
+    problem file is: an error line and exit 2, not a traceback or rows of
+    NaN."""
     path = _example1_file(tmp_path)
     assert main([command, path] + flags) == 2
     assert capsys.readouterr().err == "error: command line: %s\n" % message
 
-
-@pytest.mark.parametrize("key", ["step_tol"])
-def test_non_finite_tolerance_in_a_problem_file_exits_two(tmp_path, capsys,
-                                                          key):
-    """json reads NaN and Infinity as floats. A NaN tolerance would make a
-    stopping rule that never fires, and an infinite one a rule that every
-    step passes: both are format errors."""
-    for value in (math.nan, math.inf):
-        path = _example1_file(tmp_path, **{key: value})
-        with pytest.raises(ProblemFormatError,
-                           match="tolerances must be finite"):
-            parse_problem_file(path)
-        assert main(["solve", path]) == 2
-        assert "tolerances must be finite" in capsys.readouterr().err

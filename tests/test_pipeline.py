@@ -9,11 +9,10 @@ import pytest
 
 import cases
 import oracles
-from polyzeros import matpoly, pipeline
+from polyzeros import matpoly, pipeline, refine
 from polyzeros import (
     Algorithm,
     GershgorinDisk,
-    IterationSettings,
     NotAnEigenvalueError,
     ProblemFormatError,
     Polynomial,
@@ -246,7 +245,7 @@ def test_rayleigh_algorithm_refines_through_one_list(wilkinson10):
     np.testing.assert_allclose(values, np.arange(1.0, 11.0), atol=1e-7)
 
 
-def test_list_row_that_does_not_converge_is_one_seed_error():
+def test_list_row_that_does_not_converge_is_one_seed_error(monkeypatch):
     """Rayleigh refines the list rows in the same per-seed loop as every
     other algorithm: with six iterations the row of seed 1.001 stops at
     max-iters, gets the usual seed error line, and the other rows still
@@ -256,8 +255,8 @@ def test_list_row_that_does_not_converge_is_one_seed_error():
         seed_source=SeedSource.EXTERNAL,
         external_seeds=(1.001, 1.5, 3.2),
         algorithm=Algorithm.RAYLEIGH,
-        settings=IterationSettings(max_iters=6),
     )
+    monkeypatch.setattr(refine, "MAX_ITERS", 6)
     report = run_pipeline(spec)
     assert "seed (1.001+0j): max-iters" in report.errors
     values = [r.value for r in report.roots]

@@ -9,7 +9,6 @@ import pytest
 import cases
 import oracles
 from polyzeros import (
-    IterationSettings,
     NoMultiplicityError,
     OriginSeedError,
     Polynomial,
@@ -134,20 +133,6 @@ def test_step_beyond_the_float_range_diverges():
     trace = iterate_pade(Polynomial(((1 + 1j) * 1.5e298, 1e-10)), 0.0)
     assert trace.status is TraceStatus.DIVERGED
     assert len(trace.rows) == 1
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        IterationSettings(max_iters=0)
-    with pytest.raises(ValueError):
-        IterationSettings(step_tol=-1.0)
-    for tol in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="must be finite"):
-            IterationSettings(step_tol=tol)
-    for count in (2.5, True, 3.0):
-        with pytest.raises(ValueError, match="must be an integer"):
-            IterationSettings(max_iters=count)
-    assert IterationSettings(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_detect_double_root(double_quad_sextic):
