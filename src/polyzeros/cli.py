@@ -170,7 +170,7 @@ def parse_problem_file(path):
         seed_source=source,
         external_seeds=seeds,
         algorithm=algorithm,
-        delta=float(data.get("delta", 0.1)),
+        delta=_decode_complex(data.get("delta", 0.1), "delta").real,
         nu=data.get("nu", 1),
         ecp=data.get("ecp", False),
     )

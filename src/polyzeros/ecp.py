@@ -24,6 +24,7 @@ value that already sits on a root, so it cannot tell a converged row from
 a creeping one.
 """
 
+import cmath
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,7 +40,6 @@ from .poly import evaluate_all, power_error_bound, relative_residual
 from .refine import _run_steps
 
 SEPARATION_REL = 1e-12
-DENOMINATOR_UNDERFLOW = 1e-290
 EVOLUTION_THRESHOLD_REL = 1e-12
 MAX_EVOLUTIONS = 20
 
@@ -83,8 +83,9 @@ def build_ecp_list(f, sigmas):
     :func:`poly.evaluate_all` pass, good to gamma_{4m+1} times
     sum |a_j| |sigma_k|**j (:func:`poly.power_error_bound`); neither
     depends on the order of the other rows' arithmetic, so repeated builds
-    are bit-reproducible. Coincident or clustered interpolation values
-    raise with the offending indices.
+    are bit-reproducible. Coincident interpolation values raise with the
+    offending pair, and the first row whose defect is not finite (its
+    denominator underflows, say) with its index.
     """
     m = f.degree
     if m < 1:
@@ -103,15 +104,14 @@ def build_ecp_list(f, sigmas):
     factors[:, 1:] = sigmas[:, None] - sigmas[None, :]
     factors[:, 1:][np.diag_indices(m)] = 1.0
     with np.errstate(all="ignore"):
-        denoms = np.multiply.reduce(factors, axis=1)
-        clustered = np.flatnonzero(np.abs(denoms) <= DENOMINATOR_UNDERFLOW)
-        if len(clustered):
-            k = int(clustered[0])
+        denoms = np.multiply.reduce(factors, axis=1).tolist()
+    defects = tuple(v / denom if denom else cmath.nan for v, denom in zip(
+        evaluate_all(f, sigmas)[0].tolist(), denoms))
+    for k, defect in enumerate(defects):
+        if not cmath.isfinite(defect):
             raise InterpolationValueError(
                 "interpolation values too clustered around index %d" % k, (k,)
             )
-    defects = tuple(v / denom for v, denom in zip(
-        evaluate_all(f, sigmas)[0].tolist(), denoms.tolist()))
     sigmas = tuple(sigmas.tolist())
     main_values = tuple(sk - d for sk, d in zip(sigmas, defects))
     return EcpList(sigmas, defects, main_values, m, a_m, a_m1)
@@ -150,12 +150,11 @@ def _list_steps(rayleigh, sigmas, defects, f, lams):
     every point, from one points x rows matrix of 1/(sigma_k - Lambda)
     summed point by point without BLAS.
 
-    A point within DENOMINATOR_UNDERFLOW (1 + |sigma_k|) of an
-    interpolation value (the first such row k) takes step 0 if sigma_k is
-    a root of f to working precision, and otherwise gets a
-    RayleighDenominatorError, as where S_2 is at underflow level. S_2
-    overflows there unless |sigma_k| exceeds about 1e136, so only points
-    whose S_2 is not finite or at underflow level are looked at again.
+    A point equal to an interpolation value (the first such row k) takes
+    step 0 if sigma_k is a root of f to working precision, and otherwise
+    gets a RayleighDenominatorError, as where S_2 is exactly 0. S_2 is not
+    finite at such a point, so only points whose S_2 is not finite or 0
+    are looked at again.
     """
     points = np.array(lams)
     with np.errstate(all="ignore"):
@@ -163,18 +162,15 @@ def _list_steps(rayleigh, sigmas, defects, f, lams):
         s1 = np.einsum("ij,j->i", inverse, defects)
         inverse *= inverse
         s2 = np.einsum("ij,j->i", inverse, defects)
-        scale = 1.0 + np.abs(s1)
         if rayleigh:
             s_sigma = np.einsum("ij,j->i", inverse, defects * sigmas)
-            scale += np.abs(s_sigma)
             steps = (s_sigma - s1 * s1) / s2 - points
         else:
             steps = (s1 - 1.0) / -s2
-        vanished = np.abs(s2) <= DENOMINATOR_UNDERFLOW * scale
+    vanished = s2 == 0
     steps = steps.tolist()
     for i in np.flatnonzero(vanished | ~np.isfinite(s2)):
-        near = np.flatnonzero(np.abs(sigmas - points[i]) <= DENOMINATOR_UNDERFLOW
-                              * (1.0 + np.abs(sigmas)))
+        near = np.flatnonzero(sigmas == points[i])
         if len(near):
             sigma = complex(sigmas[near[0]])
             if relative_residual(f, sigma) <= power_error_bound(f):

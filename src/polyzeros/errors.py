@@ -10,8 +10,8 @@ class ZeroPolynomialError(PolyzerosError):
 
 
 class DerivativeUnderflowError(PolyzerosError):
-    """f'(lambda) vanished below the underflow guard; the quotient f/(-f')
-    would overflow. The caller should perturb lambda."""
+    """f'(lambda) is exactly 0, so the quotient f/(-f') is undefined. The
+    caller should perturb lambda."""
 
 
 class HalleyDenominatorError(PolyzerosError):
@@ -19,9 +19,9 @@ class HalleyDenominatorError(PolyzerosError):
 
 
 class OriginSeedError(PolyzerosError):
-    """A test-polynomial iteration was seeded too close to the origin, where
-    the lambda factor in the step makes zero a spurious fixed point. Shift
-    the polynomial by lambda -> lambda + c and retry."""
+    """A test-polynomial iteration was seeded at the origin, where the
+    lambda factor in the step makes zero a spurious fixed point. Shift the
+    polynomial by lambda -> lambda + c and retry."""
 
 
 class ProbeOverflowError(PolyzerosError):

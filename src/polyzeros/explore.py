@@ -24,7 +24,7 @@ from .errors import (
     RealScanError,
     ZeroPolynomialError,
 )
-from .poly import DERIVATIVE_UNDERFLOW, UNIT_ROUNDOFF, power_error_bound
+from .poly import UNIT_ROUNDOFF, power_error_bound
 from .poly import evaluate, pade_eval, relative_residual, relative_residual_all
 from .refine import IterationTrace, TraceRow, TraceStatus
 
@@ -99,8 +99,8 @@ def _real_root_bound(f):
 
 def _pade_on_grid(f, lams):
     """p = f/(-f') at every point of the real array ``lams`` in one real
-    Horner pass, the mask of the points where :func:`pade_eval`'s
-    derivative guard fires, and f itself (read only where p is finite).
+    Horner pass, the mask of the points where f' is exactly 0, where
+    :func:`pade_eval` raises, and f itself (read only where p is finite).
 
     At a real lambda with real coefficients, :func:`evaluate`'s complex
     Horner keeps an imaginary part of +-0, so its real part runs exactly
@@ -111,7 +111,7 @@ def _pade_on_grid(f, lams):
     too: an infinite real part times the imaginary 0 of lambda gives a
     NaN imaginary part, which the next step spreads to f and f', so a
     point whose f or f' is not finite before the last step gets NaN. A
-    degree-0 f has f' = 0 and is guarded everywhere. numpy's complex
+    degree-0 f has f' = 0 and is masked everywhere. numpy's complex
     multiply rounds differently, so the pass stays real.
     """
     coeffs = [a.real for a in f.coeffs]
@@ -125,7 +125,7 @@ def _pade_on_grid(f, lams):
             d = d * lams + v
             v = v * lams + coeffs[k]
         p = np.where(finite, v / -d, np.nan)
-    return p, np.abs(d) <= DERIVATIVE_UNDERFLOW, v
+    return p, d == 0, v
 
 
 def scan_sign_changes(f, delta):
@@ -144,15 +144,15 @@ def scan_sign_changes(f, delta):
     p_lo > 0 > p_hi makes a bracket, and its plain regula-falsi point is a
     seed; a pole of p at a stationary point of f is crossed upward and
     makes none. A grid point can sit on a root, where p is 0 or, at a
-    multiple root, the derivative guard fires (the sample is recorded with
-    value None). Such a point whose relative residual is within the
-    rounding floor (:func:`power_error_bound`) is itself a seed. A root
-    can also share its cell with a pole of p, which a heavier root nearby
-    pulls in: p then falls through the root and rises through the pole,
-    and keeps its sign across the cell. f changes sign across such a cell
-    when the root is of odd multiplicity, so a cell whose ends are not on
-    a root, where f changes sign and p has no downward crossing, is seeded
-    from regula falsi on f (:func:`_root_in_cell`); it makes no bracket.
+    multiple root, f' is exactly 0 (the sample is recorded with value
+    None). Such a point whose relative residual is within the rounding
+    floor (:func:`power_error_bound`) is itself a seed. A root can also
+    share its cell with a pole of p, which a heavier root nearby pulls in:
+    p then falls through the root and rises through the pole, and keeps
+    its sign across the cell. f changes sign across such a cell when the
+    root is of odd multiplicity, so a cell whose ends are not on a root,
+    where f changes sign and p has no downward crossing, is seeded from
+    regula falsi on f (:func:`_root_in_cell`); it makes no bracket.
 
     The whole grid is evaluated in one array pass (:func:`_pade_on_grid`)
     that gives the bits of :func:`pade_eval` at every point. The brackets

@@ -92,7 +92,8 @@ def polynomial_matrix(matrices):
     # squares without overflowing them.
     lead = arrays[-1]
     col_norms = np.hypot.reduce(np.abs(lead), axis=0)
-    log_hadamard = float(np.sum(np.log(np.maximum(col_norms, 1e-300))))
+    with np.errstate(divide="ignore"):  # a zero column gives log 0 = -inf
+        log_hadamard = float(np.sum(np.log(col_norms)))
     log_det = float(np.linalg.slogdet(lead)[1])
     regular = log_det > math.log(LEADING_REGULARITY_REL) + log_hadamard
     return PolynomialMatrix(tuple(arrays), n, len(arrays) - 1, regular)

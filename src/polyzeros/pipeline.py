@@ -100,6 +100,8 @@ class ProblemSpec:
             raise ProblemFormatError(
                 "exactly one of polynomial/matrix must be given"
             )
+        if self.polynomial is not None and self.polynomial.is_zero:
+            raise ProblemFormatError("zero polynomial")
         if self.seed_source is SeedSource.EXTERNAL and not self.external_seeds:
             raise ProblemFormatError("external seed source needs seeds")
         if self.seed_source is not SeedSource.EXTERNAL and self.external_seeds:

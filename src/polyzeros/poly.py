@@ -21,8 +21,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 
-STRUCTURAL_ZERO = 1e-300
-DERIVATIVE_UNDERFLOW = 1e-290
 DEGREE_TRIM_REL = 1e-10
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -59,10 +57,10 @@ class _kept:
 class Polynomial:
     """Dense complex polynomial, ascending coefficient order.
 
-    The stored tuple is trimmed of structurally zero leading terms
-    (magnitude <= STRUCTURAL_ZERO) so that ``degree`` always refers to a
-    genuinely nonzero leading coefficient. No magnitude-based trimming of
-    user data happens here; relative-threshold degree detection is the
+    The stored tuple is trimmed of exactly zero leading terms, so that
+    ``degree`` always refers to a nonzero leading coefficient. No
+    magnitude-based trimming happens here, so c f keeps the degree of f
+    for every nonzero c; relative-threshold degree detection is the
     separate :func:`effective_degree` operation.
     """
 
@@ -76,7 +74,7 @@ class Polynomial:
             moduli = [math.inf]
         if not all(r < math.inf for r in moduli):  # NaN fails too
             raise ValueError("polynomial coefficients must be finite")
-        while coeffs and moduli[len(coeffs) - 1] <= STRUCTURAL_ZERO:
+        while coeffs and moduli[len(coeffs) - 1] == 0.0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -228,7 +226,8 @@ def coefficient_scale(f, lam):
 
 
 def relative_residual(f, lam):
-    """|f(lam)| / coefficient_scale(f, lam), or 0 when f(lam) is exactly 0.
+    """|f(lam)| / coefficient_scale(f, lam), or 0 when f(lam) is exactly 0
+    (and inf when only the scale underflows to 0).
 
     The residual at one point, in Horner's rule; a point whose residual is
     at most :func:`power_error_bound` is a root to working precision. The
@@ -250,7 +249,7 @@ def relative_residual(f, lam):
     magnitude = abs(v)
     if magnitude == 0.0:
         return 0.0
-    return magnitude / max(s, 1e-300)
+    return magnitude / s if s else math.inf
 
 
 def relative_residual_all(f, lams):
@@ -275,7 +274,7 @@ def relative_residual_all(f, lams):
     magnitude = np.abs(power_rows(f.coeff_array, points, 0)[0])
     s = power_rows(f.coeff_moduli, np.abs(points), 0)[0]
     with np.errstate(all="ignore"):
-        residuals = (magnitude / np.maximum(s, 1e-300)).tolist()
+        residuals = (magnitude / s).tolist()
     if not math.isfinite(sum(residuals)):
         for i, residual in enumerate(residuals):
             if not math.isfinite(residual):
@@ -353,7 +352,7 @@ def pade_eval(f, lam):
     if f.degree < 1:
         raise ZeroPolynomialError("pade function needs degree >= 1")
     v, d = evaluate(f, lam, 1)
-    if abs(d) <= DERIVATIVE_UNDERFLOW:
+    if d == 0:
         raise DerivativeUnderflowError("derivative vanishes at %r" % (lam,))
     return v / (-d)
 
@@ -363,12 +362,12 @@ def halley_eval(f, lam):
     if f.degree < 2:
         raise ZeroPolynomialError("halley function needs degree >= 2")
     v, d1, d2 = evaluate(f, lam, 2)
-    if abs(d1) <= DERIVATIVE_UNDERFLOW:
+    if d1 == 0:
         raise DerivativeUnderflowError("derivative vanishes at %r" % (lam,))
     p = v / (-d1)
     q = d2 / d1
     den = 1.0 + p * q
-    if abs(den) <= DERIVATIVE_UNDERFLOW:
+    if den == 0:
         raise HalleyDenominatorError("halley denominator 1+pq vanishes at %r" % (lam,))
     return p / den
 

@@ -50,7 +50,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import (
-    DERIVATIVE_UNDERFLOW,
     UNIT_ROUNDOFF,
     evaluate,
     evaluate_all,
@@ -67,7 +66,6 @@ STEP_TOL = 1e-12
 DIVERGENCE_FACTOR = 10.0
 
 ROOT_IDENTITY_REL = 1e-8
-ORIGIN_GUARD_REL = 1e-8
 
 # Trapezoidal nodes of a zero count. Zeros at distance rho inside, or rho
 # outside, a circle of radius r move the count by about (rho/r)**N and
@@ -125,17 +123,18 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, root_bound):
     state of every seed still running. ``steps_fn(lams)`` gets their
     current iterates, as a list of complex, and returns their steps in the
     same order: each a complex, or the exception that ends that seed as
-    NUMERICAL_ERROR with its text as the note. A run stops only where
-    the new iterate's relative residual is at most ``floor``, the rounding
-    bound of ``residuals_fn``, so that f is zero there to working
-    precision. It stops CONVERGED after two consecutive steps of at most
-    ``STEP_TOL * (1 + |lambda|)``, and AT_FLOOR after a step that does
-    not halve the previous one: then the steps are rounding noise (at an
-    ill-conditioned root) or a linear creep with ratio at least 1/2 (at a
-    root of higher multiplicity than the step assumes); a zero count tells
-    the two apart, not the steps. The residual is kept on the trace. Each
-    round makes one ``residuals_fn(lams)`` call, over the new iterates of
-    the seeds whose steps call for the test, and it returns their
+    NUMERICAL_ERROR with its text as the note; a step with a NaN part
+    ends its seed so at once, as no later step can leave NaN. A run stops
+    only where the new iterate's relative residual is at most ``floor``,
+    the rounding bound of ``residuals_fn``, so that f is zero there to
+    working precision. It stops CONVERGED after two consecutive steps of
+    at most ``STEP_TOL * (1 + |lambda|)``, and AT_FLOOR after a step that
+    does not halve the previous one: then the steps are rounding noise (at
+    an ill-conditioned root) or a linear creep with ratio at least 1/2 (at
+    a root of higher multiplicity than the step assumes); a zero count
+    tells the two apart, not the steps. The residual is kept on the trace.
+    Each round makes one ``residuals_fn(lams)`` call, over the new iterates
+    of the seeds whose steps call for the test, and it returns their
     residuals in order.
     Iterates beyond ``DIVERGENCE_FACTOR * (1 + root_bound)``, or whose
     modulus or step passes the float range, end the run as DIVERGED, and
@@ -159,6 +158,8 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, root_bound):
         running = []
         for i, step in zip(active, steps_fn([lams[i] for i in active])):
             lam = lams[i]
+            if not isinstance(step, Exception) and cmath.isnan(step):
+                step = ArithmeticError("step is not a number at %r" % (lam,))
             if isinstance(step, Exception):
                 rows[i].append(TraceRow(lam, complex("nan"), 0j))
                 traces[i] = IterationTrace(tuple(rows[i]),
@@ -250,7 +251,7 @@ def _pade_steps(f, lams):
     with np.errstate(all="ignore"):
         v, d = evaluate_all(f, lams, 1)
         steps = (v / -d).tolist()
-    for i in np.flatnonzero(np.abs(d) <= DERIVATIVE_UNDERFLOW):
+    for i in np.flatnonzero(d == 0):
         steps[i] = DerivativeUnderflowError(
             "derivative vanishes at %r" % (lams[i],))
     return steps
@@ -264,8 +265,8 @@ def _halley_steps(f, lams):
         p = v / -d1
         den = 1.0 + p * (d2 / d1)
         steps = (p / den).tolist()
-    flat = np.abs(d1) <= DERIVATIVE_UNDERFLOW
-    for i in np.flatnonzero(flat | (np.abs(den) <= DERIVATIVE_UNDERFLOW)):
+    flat = d1 == 0
+    for i in np.flatnonzero(flat | (den == 0)):
         steps[i] = (
             DerivativeUnderflowError("derivative vanishes at %r" % (lams[i],))
             if flat[i] else HalleyDenominatorError(
@@ -313,12 +314,12 @@ def iterate_test_nu(f, nu, seed):
     Converges quadratically from nearby seeds exactly when nu equals the
     root's multiplicity; under-probes creep linearly, over-probes move away.
     Raises ProbeOverflowError when f_nu has a coefficient beyond the float
-    range.
+    range, and OriginSeedError from a seed at 0, a fixed point of every
+    probe whatever f.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    root_bound = f.root_bound
-    if abs(complex(seed)) <= ORIGIN_GUARD_REL * (1.0 + root_bound):
+    if complex(seed) == 0:
         raise OriginSeedError(
             "seed too close to origin for p_nu; shift the polynomial by "
             "lambda -> lambda + c first"
@@ -334,15 +335,12 @@ def iterate_test_nu(f, nu, seed):
         lam = lams[0]
         v_lo = evaluate(f_lo, lam)[0]
         v_hi = evaluate(f_hi, lam)[0]
-        try:
-            if abs(v_hi) <= DERIVATIVE_UNDERFLOW * max(1.0, abs(v_lo)):
-                return [ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))]
-        except OverflowError as exc:  # a modulus beyond the float range
-            return [exc]
+        if v_hi == 0:
+            return [ZeroDivisionError("f_%d vanishes at %r" % (nu, lam))]
         return [(v_lo / v_hi) * lam]
 
     return _run_batch(steps, partial(_horner_residuals, f),
-                      power_error_bound(f), (seed,), root_bound)[0]
+                      power_error_bound(f), (seed,), f.root_bound)[0]
 
 
 @dataclass(frozen=True)

@@ -540,6 +540,31 @@ def test_non_finite_input_exits_two(tmp_path, capsys, payload):
                                           or "float range" in err)
 
 
+def test_delta_beyond_the_float_range_exits_two(tmp_path, capsys):
+    """An integer delta too large for a float passes the type check of the
+    problem-file keys; it exits 2 with the words a coefficient gets, not
+    with a traceback."""
+    path = _example1_file(tmp_path, delta=10 ** 400)
+    with pytest.raises(ProblemFormatError, match="float range"):
+        parse_problem_file(path)
+    assert main(["solve", path]) == 2
+    assert "delta: number out of the float range" in capsys.readouterr().err
+
+
+def test_problem_scaled_by_1e_minus_301_solves(tmp_path):
+    """(lambda - 1)(lambda - 2) times 1e-301 keeps its degree, as no
+    nonzero coefficient is trimmed, and solves like the unscaled
+    quadratic: exit 0 with the roots 1 and 2."""
+    out = tmp_path / "report.json"
+    path = _write(tmp_path, "tiny.json", {
+        "kind": "polynomial", "coefficients": [2e-301, -3e-301, 1e-301]})
+    assert main(["solve", path, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [complex(*r["value"]) for r in report["roots"]] == pytest.approx(
+        [1.0, 2.0], abs=1e-12)
+    assert report["conserved"] and report["all_residuals_pass"]
+
+
 def test_non_finite_delta_option_exits_two(tmp_path, capsys):
     """--delta inf would scan the grid -inf, nan, inf and write NaN
     samples that strict JSON readers reject."""

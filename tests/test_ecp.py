@@ -1,5 +1,7 @@
 """Defect lists, the accompanying matrix, evolutions, and enclosures."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from polyzeros import (
     TraceStatus,
     build_ecp_list,
     ecp_matrix,
+    evaluate,
     evaluate_all,
     evolve,
     evolve_until,
@@ -27,7 +30,6 @@ from polyzeros import (
     sum_control,
 )
 from polyzeros.ecp import (
-    DENOMINATOR_UNDERFLOW,
     EVOLUTION_THRESHOLD_REL,
     MAX_EVOLUTIONS,
     SEPARATION_REL,
@@ -330,20 +332,21 @@ def _reference_list_error(f, sigmas):
         for j, sj in enumerate(sigmas):
             if j != k:
                 denom *= sk - sj
-        if abs(denom) <= DENOMINATOR_UNDERFLOW:
+        if denom == 0 or not cmath.isfinite(evaluate(f, sk)[0] / denom):
             return (k,)
     return None
 
 
 def test_list_build_names_the_first_offending_pair_or_index():
-    """Coincident pairs and underflowing denominators raise with the
-    indices the pairwise loops named, and the defects are bit for bit
-    theirs, with every f(sigma_k) from one evaluate_all."""
+    """Coincident pairs and defects that are not finite (their
+    denominators underflow) raise with the indices the pairwise loops
+    named, and the defects are bit for bit theirs, with every f(sigma_k)
+    from one evaluate_all."""
     rng = np.random.default_rng(99)
     outcomes = set()
     for _ in range(40):
         m = int(rng.integers(3, 9))
-        lead = 10.0 ** -float(rng.integers(250, 300))
+        lead = 10.0 ** -float(rng.integers(290, 320))
         f = Polynomial(tuple(rng.standard_normal(m)) + (lead,))
         sigmas = [complex(v) for v in rng.standard_normal(m)]
         for _ in range(int(rng.integers(0, 3))):

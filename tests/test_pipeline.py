@@ -54,6 +54,14 @@ def test_spec_requires_exactly_one_payload(double_quad_sextic, pencil5):
         ProblemSpec(polynomial=double_quad_sextic, delta=0.0)
 
 
+def test_spec_refuses_a_zero_polynomial():
+    """A zero polynomial has no degree to solve to: the spec refuses it
+    with the problem file's words, so run_pipeline never raises on it."""
+    with pytest.raises(ProblemFormatError, match="zero polynomial"):
+        ProblemSpec(polynomial=Polynomial((0.0,)),
+                    seed_source=SeedSource.COMPANION)
+
+
 def test_spec_takes_an_integer_probe_order(double_quad_sextic):
     """A fractional nu would run a probe of no order from every seed."""
     for nu in (2.5, True, 0, 2.0):
@@ -221,15 +229,69 @@ def test_test_nu_algorithm_uses_the_probe_order(double_quad_sextic):
 
 
 def test_probe_beyond_the_float_range_is_a_seed_error():
-    """At 1.5+1.5j, 1 + 1e308 lambda has a modulus beyond the float range:
-    the probe ends as a numerical error with abs()'s text, and the seed
-    gets an error line instead of raising out of run_pipeline."""
+    """At 1.5+1.5j, the probe's step on 1 + 1e308 lambda passes the float
+    range with a NaN part: the probe ends as a numerical error, and the
+    seed gets an error line instead of raising out of run_pipeline."""
     report = run_pipeline(ProblemSpec(
         polynomial=Polynomial((1.0, 1e308)), seed_source=SeedSource.EXTERNAL,
         external_seeds=(1.5 + 1.5j,), algorithm=Algorithm.TEST_NU, nu=1))
     assert report.roots == ()
     assert report.errors[0] == (
-        "seed (1.5+1.5j): numerical-error (absolute value too large)")
+        "seed (1.5+1.5j): numerical-error (step is not a number at "
+        "(1.5+1.5j))")
+
+
+SCALE_SOLVES = (
+    (Algorithm.PADE, SeedSource.COMPANION),
+    (Algorithm.HALLEY, SeedSource.COMPANION),
+    (Algorithm.DETECT, SeedSource.COMPANION),
+    (Algorithm.DETECT, SeedSource.EXPLORE),
+    (Algorithm.RAYLEIGH, SeedSource.COMPANION),
+    (Algorithm.REDUCED, SeedSource.COMPANION),
+)
+
+
+@pytest.mark.parametrize("k", (-1000, -970, -500, 500, 900))
+@pytest.mark.parametrize("name", ("quadratic", "sextic", "wilkinson10"))
+def test_c_times_f_solves_like_f(name, k, wilkinson10):
+    """Every test of a solve compares f with f' or with the magnitude sum
+    of its terms, so c f has the roots, multiplicities and verdicts of f;
+    c = 2**k scales the coefficients exactly. Fixed thresholds at
+    underflow level broke that: at k = -970 every step on the quadratic
+    read as a vanishing derivative, and at k = -1000 every coefficient of
+    the quadratic read as zero."""
+    coeffs = {"quadratic": (2.0, -3.0, 1.0),
+              "sextic": cases.DOUBLE_QUAD_SEXTIC,
+              "wilkinson10": wilkinson10.coeffs}[name]
+    scaled = tuple(a * 2.0 ** k for a in coeffs)
+    for algorithm, source in SCALE_SOLVES:
+        want, got = (run_pipeline(ProblemSpec(
+            polynomial=Polynomial(c), algorithm=algorithm,
+            seed_source=source)) for c in (coeffs, scaled))
+        case = (algorithm.value, source.value)
+        assert len(got.roots) == len(want.roots), case
+        for r, w in zip(got.roots, want.roots):
+            assert same_root(r.value, w.value), case
+            assert r.multiplicity == w.multiplicity, case
+        assert got.conserved == want.conserved, case
+        assert got.all_residuals_pass == want.all_residuals_pass, case
+
+
+@pytest.mark.xfail(
+    strict=True, reason="same_root's floor 1 + min(|a|, |b|) is absolute "
+    "below |lambda| = 1: the roots 1e-9, 2e-9 and 3e-9 lie within "
+    "ROOT_IDENTITY_REL = 1e-8 of each other, so the three are merged into "
+    "one and detect reports 1 of the 3 (ROADMAP item 8)")
+def test_roots_scaled_by_1e_minus_9_stay_apart():
+    """Scaling lambda is not yet neutral: the roots 1, 2 and 3 scaled by
+    1e-9 must come back as three simple roots, as 1, 2 and 3 do."""
+    report = run_pipeline(ProblemSpec(
+        polynomial=polynomial_from_roots((1e-9, 2e-9, 3e-9)),
+        algorithm=Algorithm.DETECT, seed_source=SeedSource.COMPANION))
+    assert report.conserved
+    assert [r.multiplicity for r in report.roots] == [1, 1, 1]
+    for r, want in zip(report.roots, (1e-9, 2e-9, 3e-9)):
+        assert abs(r.value - want) <= 1e-6 * want
 
 
 def test_rayleigh_algorithm_refines_through_one_list(wilkinson10):
@@ -1095,9 +1157,9 @@ PINNED_REPORT_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORT_SHA256))
 def test_report_bytes_outlive_the_root_bound(name):
-    """The divergence bound, the nu-probe origin guard and the scan length
-    all read ``root_bound``; tightening it must not move a report byte of a
-    multiple-roots, simple-roots, real-scan or matrix problem."""
+    """The divergence bound and the scan length read ``root_bound``;
+    tightening it must not move a report byte of a multiple-roots,
+    simple-roots, real-scan or matrix problem."""
     assert _report_sha256(_pinned_specs()[name]) == PINNED_REPORT_SHA256[name]
 
 

@@ -98,20 +98,44 @@ def test_origin_seed_rejected():
         iterate_test_nu(f, 1, 0.0)
 
 
+def test_nu_probe_runs_from_a_seed_near_the_origin():
+    """Only lambda = 0 itself is refused: it is a fixed point of every
+    probe. From 1e-9 the nu = 1 probe on (lambda - 1)(lambda - 2) walks to
+    the root 1, as it would from any other seed."""
+    trace = iterate_test_nu(Polynomial((2.0, -3.0, 1.0)), 1, 1e-9)
+    assert trace.status is TraceStatus.CONVERGED
+    assert trace.final == 1.0
+    assert len(trace.rows) == 38
+
+
+def test_nan_step_ends_the_run_at_once():
+    """On lambda^3 + 1, f and f' overflow at 1e200, so the Pade step is
+    inf/inf, and so is Halley's at 1e103: a NaN, which no later step can
+    leave. The run ends NUMERICAL_ERROR after that one row, not at
+    MAX_ITERS."""
+    f = Polynomial((1.0, 0.0, 0.0, 1.0))
+    for trace, seed in ((iterate_pade(f, 1e200), 1e200),
+                        (iterate_halley(f, 1e103), 1e103)):
+        assert trace.status is TraceStatus.NUMERICAL_ERROR
+        assert len(trace.rows) == 1
+        assert trace.notes == (
+            "step is not a number at %r" % (complex(seed),),)
+
+
 def test_numerical_error_keeps_offending_row():
     """A step the kernel cannot take downgrades the trace instead of
     raising; the offending iterate is retained with a NaN value, and the
     error's text is the note. f' vanishes at 0 (Pade); at 1, lambda^2 + 1
     has p = -1 and f''/f' = 1, so 1 + pq vanishes (Halley); and at
-    1.5+1.5j, 1 + 1e308 lambda has a modulus beyond the float range
-    (the probe's abs() overflows)."""
+    1.5+1.5j, the probe's step f(lambda) lambda on 1 + 1e308 lambda has
+    the real part inf - inf, a NaN."""
     for trace, note in (
         (iterate_pade(Polynomial((-1.0, 0.0, 1.0)), 0.0),
          "derivative vanishes at 0j"),
         (iterate_halley(Polynomial((1.0, 0.0, 1.0)), 1.0),
          "halley denominator 1+pq vanishes at (1+0j)"),
         (iterate_test_nu(Polynomial((1.0, 1e308)), 1, 1.5 + 1.5j),
-         "absolute value too large"),
+         "step is not a number at (1.5+1.5j)"),
     ):
         assert trace.status is TraceStatus.NUMERICAL_ERROR
         assert trace.notes == (note,)
