@@ -92,11 +92,10 @@ def main():
         proc = run(["solve", str(pencil),
                     "--out", str(tmp / "pencil-report.json")])
         report = json.loads((tmp / "pencil-report.json").read_text())
-        for entry in report["eigenvectors"]:
+        for root, count in zip(report["roots"], report["eigenvectors"]):
             print("  lambda=%+.4f  nu=%d  rank deficiency %d%s" % (
-                entry["value"][0], entry["multiplicity"],
-                entry["rank_deficiency"],
-                "  (defective)" if entry["defective"] else ""))
+                root["value"][0], root["multiplicity"], count,
+                "  (defective)" if 0 < count < root["multiplicity"] else ""))
         assert proc.returncode == 0
 
         values = tmp / "values.json"

@@ -64,7 +64,6 @@ from .matpoly import (
 from .pipeline import (
     Algorithm,
     EcpDiagnostics,
-    EigenpairRecord,
     ProblemSpec,
     RootRecord,
     RootReport,

@@ -132,18 +132,6 @@ class RootRecord:
 
 
 @dataclass(frozen=True)
-class EigenpairRecord:
-    """One distinct eigenvalue of a matrix problem: ``rank_deficiency``
-    counts its eigenvectors (:func:`matpoly.eigenvectors_all` gives them),
-    ``defective`` marks fewer of them than the multiplicity."""
-
-    value: complex
-    multiplicity: int
-    rank_deficiency: int
-    defective: bool
-
-
-@dataclass(frozen=True)
 class EcpDiagnostics:
     final_list: EcpList
     evolutions: int
@@ -155,7 +143,11 @@ class EcpDiagnostics:
 @dataclass(frozen=True)
 class RootReport:
     """One solve's answer. ``algorithm`` and ``seed_source`` are the
-    spec's, set on every path, and label every root at once."""
+    spec's, set on every path, and label every root at once. For a matrix
+    problem ``eigenvectors`` holds, per root, the rank deficiency of F
+    there: its count of eigenvectors (:func:`matpoly.eigenvectors_all`
+    gives them), 0 where F is not singular. A root is defective when
+    0 < count < multiplicity. A scalar problem has none."""
 
     algorithm: Algorithm
     seed_source: SeedSource
@@ -335,18 +327,16 @@ def _ecp_phase(f, records, errors):
 
 
 def _eigenvector_phase(matrix, records, errors):
-    """The rank deficiency of F at every record's value, from one
+    """Per record, the rank deficiency of F at its value, from one
     :func:`singular_ranks_all` call. A value where F(lambda) is not
-    singular gets an error line, in record order, and no pair."""
-    pairs = []
-    for record, rank in zip(records, singular_ranks_all(
-            matrix, [r.value for r in records])):
+    singular counts 0 and leaves its error line, in record order."""
+    counts = []
+    for rank in singular_ranks_all(matrix, [r.value for r in records]):
         if isinstance(rank, NotAnEigenvalueError):
-            errors.append("eigenvectors at %r: %s" % (record.value, rank))
-            continue
-        pairs.append(EigenpairRecord(record.value, record.multiplicity,
-                                     rank, rank < record.multiplicity))
-    return tuple(pairs)
+            errors.append(str(rank))
+            rank = 0
+        counts.append(rank)
+    return tuple(counts)
 
 
 def spec_polynomial(spec):
@@ -426,10 +416,7 @@ def run_pipeline(spec):
         errors.append("the polynomial has degree 0 and so no zeros")
     # An eigenvalue must also make F(lambda) singular; unlike the residual,
     # that check does not read the interpolated det F.
-    residuals_pass = (
-        conserved and bool(records)
-        and (spec.matrix is None or len(eigenvectors) == len(records))
-    )
+    residuals_pass = conserved and bool(records) and all(eigenvectors)
     return RootReport(
         spec.algorithm,
         spec.seed_source,
@@ -514,9 +501,5 @@ def report_to_dict(report):
         "all_residuals_pass": report.all_residuals_pass,
         "errors": list(report.errors),
         "ecp": ecp_to_dict(report.ecp) if report.ecp else None,
-        "eigenvectors": [
-            dict(value=complex_pair(p.value), multiplicity=p.multiplicity,
-                 rank_deficiency=p.rank_deficiency, defective=p.defective)
-            for p in report.eigenvectors
-        ],
+        "eigenvectors": list(report.eigenvectors),
     }

@@ -544,12 +544,13 @@ def test_matrix_problem_attaches_eigenvectors(singular_lead):
     assert len(report.eigenvectors) == len(report.roots)
     bundles = _bundles(spec.matrix, report.roots)
     assert len(bundles) == len(report.eigenvectors)
-    for pair, bundle in zip(report.eigenvectors, bundles):
+    for record, count, bundle in zip(report.roots, report.eigenvectors,
+                                     bundles):
         assert bundle.right_vectors is not None
         assert bundle.left_vectors is not None
-        assert not pair.defective
+        assert not 0 < count < record.multiplicity  # not defective
         assert bundle.rank_deficiency >= 1
-        assert pair.rank_deficiency == bundle.rank_deficiency
+        assert count == bundle.rank_deficiency
 
 
 def test_diagonal_seed_matrix_run(sparse_penta):
@@ -620,11 +621,46 @@ def test_eigenvalue_without_eigenvectors_fails_the_report(tmp_path):
     stays regular at 5 of them, so the report must not pass."""
     spec = _order_14_spec()
     report = run_pipeline(spec)
-    assert len(report.eigenvectors) < len(report.roots)
+    assert len(report.eigenvectors) == len(report.roots)
+    assert report.eigenvectors.count(0) == 5
     assert report.all_residuals_pass is False
     path = tmp_path / "n14.json"
     path.write_text(json.dumps(problem_spec_to_dict(spec)))
     assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+def test_matrix_report_writes_one_eigenvector_count_per_root(
+        singular_lead):
+    """A matrix report's "eigenvectors" holds one int per root, the rank
+    deficiency of F at its value. A value where F is regular counts 0 and
+    leaves one error line, which names the value first, and a conserved
+    report passes exactly when no count is 0. A scalar report writes
+    none."""
+    outcomes = set()
+    for spec in (_order_14_spec(), _order_20_spec(),
+                 ProblemSpec(matrix=singular_lead,
+                             seed_source=SeedSource.COMPANION)):
+        report = run_pipeline(spec)
+        counts = report_to_dict(report)["eigenvectors"]
+        assert len(counts) == len(report.roots) > 0
+        ranks = matpoly.singular_ranks_all(
+            spec.matrix, [r.value for r in report.roots])
+        for record, count, rank in zip(report.roots, counts, ranks):
+            assert type(count) is int
+            if isinstance(rank, NotAnEigenvalueError):
+                assert count == 0
+                assert report.errors.count(str(rank)) == 1
+                assert str(rank).startswith(
+                    "%r is not an eigenvalue:" % record.value)
+            else:
+                assert count == rank >= 1
+        assert report.all_residuals_pass == (
+            report.conserved and 0 not in counts)
+        outcomes.add((report.conserved, 0 in counts))
+    assert {(True, True), (True, False)} <= outcomes
+    scalar = run_pipeline(ProblemSpec(polynomial=Polynomial((2.0, -3.0, 1.0)),
+                                      seed_source=SeedSource.COMPANION))
+    assert report_to_dict(scalar)["eigenvectors"] == []
 
 
 def _partner(matrix, records, value):
@@ -637,8 +673,8 @@ def _partner(matrix, records, value):
 
 
 def _reference_eigenvector_phase(matrix, records):
-    """Pairs and error lines of the eigenvector phase, one value at a time
-    through the one-sided wrappers. A value with a partner
+    """Eigenpairs and error lines of the eigenvector phase, one value at a
+    time through the one-sided wrappers. A value with a partner
     (:func:`_partner`) takes the partner's singular values, rank and
     conjugated vectors, and residuals from its own F(lambda)."""
     pairs, errors = [], []
@@ -651,7 +687,7 @@ def _reference_eigenvector_phase(matrix, records):
         except NotAnEigenvalueError as exc:
             exc = NotAnEigenvalueError(value, exc.sigma_min, exc.sigma_max,
                                        matpoly.SINGULAR_REL)
-            errors.append("eigenvectors at %r: %s" % (value, exc))
+            errors.append(str(exc))
             continue
         x, y = right.right_vectors, left.left_vectors
         if partner != value:
@@ -667,11 +703,12 @@ def _reference_eigenvector_phase(matrix, records):
 
 def test_eigenvector_phase_pairs_what_one_value_extraction_finds(
         sparse_penta, singular_lead):
-    """The phase's one stacked rank test gives every record the rank,
-    defective flag and error line, and eigenvectors_all over the records'
-    values the vectors and residuals, that extracting at its value alone
-    gives, except that on a real F a value below the real axis whose exact
-    conjugate is a record too gets the conjugate's, conjugated."""
+    """The phase's one stacked rank test gives every record the rank (0
+    where F is regular), defective flag and error line, and
+    eigenvectors_all over the records' values the vectors and residuals,
+    that extracting at its value alone gives, except that on a real F a
+    value below the real axis whose exact conjugate is a record too gets
+    the conjugate's, conjugated."""
     partners = 0
     for spec in (
         _order_14_spec(),
@@ -682,16 +719,17 @@ def test_eigenvector_phase_pairs_what_one_value_extraction_finds(
         partners += sum(_partner(spec.matrix, records, r.value) != r.value
                         for r in records)
         errors = []
-        pairs = pipeline._eigenvector_phase(spec.matrix, records, errors)
+        counts = pipeline._eigenvector_phase(spec.matrix, records, errors)
+        assert len(counts) == len(records)
+        accepted = [(r, c) for r, c in zip(records, counts) if c]
         bundles = _bundles(spec.matrix, records)
-        assert len(bundles) == len(pairs)
-        assert all(b.eigenvalue == p.value
-                   and b.rank_deficiency == p.rank_deficiency
-                   for p, b in zip(pairs, bundles))
-        got = [(p.value, p.multiplicity, p.rank_deficiency,
+        assert len(bundles) == len(accepted)
+        assert all(b.eigenvalue == r.value and b.rank_deficiency == c
+                   for (r, c), b in zip(accepted, bundles))
+        got = [(r.value, r.multiplicity, c,
                 b.right_vectors.tobytes(), b.left_vectors.tobytes(),
-                b.right_residuals, b.left_residuals, p.defective)
-               for p, b in zip(pairs, bundles)]
+                b.right_residuals, b.left_residuals, c < r.multiplicity)
+               for (r, c), b in zip(accepted, bundles)]
         assert (got, errors) == _reference_eigenvector_phase(spec.matrix,
                                                              records)
     assert partners > 0
@@ -755,6 +793,25 @@ def test_real_matrix_eigenvalues_come_in_exact_conjugate_pairs():
     values = [r.value for r in report.roots]
     assert any(v.imag != 0.0 for v in values)
     assert all(v.conjugate() in values for v in values)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="det F is interpolated: at F = lambda * I_2 it "
+    "comes out as lambda^2 + 7.4e-16, so the double eigenvalue 0 splits "
+    "into +-2.7e-8i, where sigma_min / sigma_max of F is 1, and both "
+    "values fail the rank test. Eigenvalues from a linearisation, refined "
+    "on F itself (ROADMAP item 1), would find 0 twice")
+@pytest.mark.parametrize("algorithm", (
+    Algorithm.PADE, Algorithm.HALLEY, Algorithm.DETECT))
+def test_double_eigenvalue_of_a_scaled_identity(algorithm):
+    """F(lambda) = lambda * I_2 has the one eigenvalue 0, of multiplicity
+    2 and with two eigenvectors."""
+    report = run_pipeline(ProblemSpec(
+        matrix=polynomial_matrix([np.zeros((2, 2)), np.eye(2)]),
+        seed_source=SeedSource.COMPANION, algorithm=algorithm))
+    assert [(r.value, r.multiplicity) for r in report.roots] == [(0j, 2)]
+    assert report.eigenvectors == (2,)
+    assert report.all_residuals_pass
 
 
 def _triple_eigenvalue_matrix():
@@ -1135,19 +1192,24 @@ def _pinned_specs():
 # pins are PRE_TRIM_REPORT_SHA256, which each report mapped back matches.
 # All eight were re-pinned again when root entries lost
 # ``"residual_pass": true``, which the mapping back puts in.
+# companion-n20, order-14 and sparse-penta were re-pinned when a matrix
+# report's "eigenvectors" became one rank-deficiency count per root, 0
+# where F is regular, and a not-an-eigenvalue line lost its
+# "eigenvectors at <value>: " prefix, as the line names the value already;
+# the mapping back rebuilds the entries and the prefix.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
-        "f2e76e4f40c34c012ba5f26b644894f91a27fc393c9c73f7312e9db4aa20b7fa",
+        "778131b9b4ae80684f351c0c82c466ea6f132cb1fc43aeb43d71353dedb98b44",
     "mult-d8-82":
         "b25b2523997760c0083cbdb27451edb131b640007e10116f203e713e96873f13",
     "order-14":
-        "7fcc2d4c276c89005191a6fddce9468c545b3664673928dc94369e43f5e5e76f",
+        "ba4bfb11cf07c90e728ace73df10bc22b9197d3f2edf3d57cf6b0c29d9dacac1",
     "rand-d55-63":
         "0863be8d141bf2b47282d9ba5a9e490c59b8797113abdf5ffd57ba5c5a6c76df",
     "real-d9-90":
         "0b46e03544f9d05d705a3925d329993a7cbf6c871006aa20445be86b4012a160",
     "sparse-penta":
-        "8777ae930ec04876beff249a92c2185b246f3d91ceb12999f1829cc68d000d2c",
+        "554ca059dbeceb266ced073564141a2a1e790e64c8eb45cefeddaccb7d45d338",
     "sextic-delta0.1":
         "d484f094a9677b644b950defced051ec3968fef5ec86411821c1587993c5047c",
     "wilkinson-10":
@@ -1192,9 +1254,8 @@ def test_report_vectors_come_back_bit_for_bit_from_eigenvectors_all(name):
     bundles = _bundles(spec.matrix, report.roots)
     assert len(bundles) == len(data["eigenvectors"]) > 0
     data["eigenvectors"] = [
-        dict(entry, **pipeline.eigenpair_to_dict(pair.value, bundle))
-        for entry, pair, bundle in zip(data["eigenvectors"],
-                                       report.eigenvectors, bundles)]
+        dict(entry, **pipeline.eigenpair_to_dict(bundle.eigenvalue, bundle))
+        for entry, bundle in zip(data["eigenvectors"], bundles)]
     text = json.dumps(data, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         VECTOR_REPORT_SHA256[name]
@@ -1289,12 +1350,36 @@ def test_report_bytes_of_each_refinement_branch(name):
     assert _report_sha256(_branch_specs()[name]) == BRANCH_REPORT_SHA256[name]
 
 
+def _pre_count(data):
+    """A report dict in the form written while a matrix report held one
+    ``{value, multiplicity, rank_deficiency, defective}`` entry per root
+    of eigenvector count above 0 under ``"eigenvectors"``, and the error
+    line of a root of count 0 began ``eigenvectors at <value>: ``."""
+    data = dict(data)
+    eigen, rejected = [], set()
+    for root, count in zip(data["roots"], data["eigenvectors"]):
+        if count:
+            eigen.append(dict(value=root["value"],
+                              multiplicity=root["multiplicity"],
+                              rank_deficiency=count,
+                              defective=count < root["multiplicity"]))
+        else:
+            rejected.add(repr(complex(*root["value"])))
+    data["eigenvectors"] = eigen
+    data["errors"] = [
+        "eigenvectors at %s: %s" % (head, line)
+        if (head := line.partition(" is not an eigenvalue:")[0]) in rejected
+        else line for line in data["errors"]]
+    return data
+
+
 def _pre_trim(data):
     """A report dict in the form written while every root entry carried
     the solve's ``algorithm`` and ``source`` and ``"residual_pass": true``
-    (the one value it could take), and every disk its center and its
-    enclosure (``interval`` or ``box``, else null) as well."""
-    data = dict(data)
+    (the one value it could take), every disk its center and its
+    enclosure (``interval`` or ``box``, else null) as well, and eigenvector
+    counts were written as :func:`_pre_count` maps them back."""
+    data = _pre_count(data)
     labels = dict(algorithm=data.pop("algorithm"),
                   source=data.pop("seed_source"), residual_pass=True)
     data["roots"] = [dict(r, **labels) for r in data["roots"]]
@@ -1311,7 +1396,8 @@ def _pre_trim(data):
 # SHA-256 as in PINNED_REPORT_SHA256 and BRANCH_REPORT_SHA256, recorded
 # before the solve's algorithm and seed source moved from every root entry
 # to the report's top level, each disk was cut to its radius and
-# separated flag, and root entries lost ``"residual_pass": true``.
+# separated flag, root entries lost ``"residual_pass": true``, and a
+# matrix report's eigen entries became one count per root.
 PRE_TRIM_REPORT_SHA256 = {
     "companion-n20":
         "792fd8e3daf4faf50e50fdd3d3e1fe72e26c557087ebc3711417b0dcef809e0f",
@@ -1350,9 +1436,9 @@ PRE_TRIM_REPORT_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(PRE_TRIM_REPORT_SHA256))
 def test_trimmed_report_maps_back_to_its_pre_trim_bytes(name):
-    """The labels written once, the disks written as radius and flag and
-    the dropped pass flag lose no fact: mapped back, each report has its
-    earlier bytes."""
+    """The labels written once, the disks written as radius and flag, the
+    dropped pass flag and the eigenvector counts lose no fact: mapped
+    back, each report has its earlier bytes."""
     spec = {**_pinned_specs(), **_branch_specs()}[name]
     assert _report_sha256(spec, _pre_trim) == PRE_TRIM_REPORT_SHA256[name]
 

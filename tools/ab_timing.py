@@ -29,9 +29,9 @@ problems of each problem's median solve time, their total, the stage
 totals per rep, how many report texts differ between the trees (each
 problem's first solve), and how many of those reports differ in outcome:
 a root or eigenvalue that is not the same root (``refine.same_root``), or
-a multiplicity, iteration count, pass flag, rank deficiency, defective
-flag, error line, solve label, evolution count or disk separation that
-differs (:func:`outcome`). The last line is the same as JSON, which also
+a multiplicity, iteration count, pass flag, eigenvector count, error
+line, solve label, evolution count or disk separation that differs
+(:func:`outcome`). The last line is the same as JSON, which also
 holds the totals per problem family (the problem name without a trailing
 ``-<index>``, e.g. ``quad-n7`` for the matrix-eig problems of order 7).
 The exit status is 1 when any report text differs.
@@ -125,30 +125,52 @@ def labels(report):
     return (roots[0]["algorithm"], roots[0]["source"]) if roots else None
 
 
+def eigen_counts(report):
+    """Each eigenvalue's (value, multiplicity, eigenvector count), for
+    every root of a matrix report whose count is above 0. A report lists
+    one count per root under ``"eigenvectors"``; one written before that
+    listed a ``{value, multiplicity, rank_deficiency, defective}`` entry
+    per such root, ``defective`` being 0 < count < multiplicity. A root
+    of count 0 is not an eigenvalue, and its error line says so."""
+    entries = report["eigenvectors"]
+    if not all(isinstance(e, dict) for e in entries):
+        entries = [dict(value=r["value"], multiplicity=r["multiplicity"],
+                        rank_deficiency=count)
+                   for r, count in zip(report["roots"], entries) if count]
+    return [(complex(*e["value"]), e["multiplicity"], e["rank_deficiency"])
+            for e in entries]
+
+
+def error_line(line):
+    """An error line without the ``eigenvectors at <value>: `` prefix
+    that not-an-eigenvalue lines carried while the line after it named
+    the value too."""
+    return (line.partition(": ")[2] if line.startswith("eigenvectors at ")
+            else line)
+
+
 def outcome(text):
     """(rest, labels, roots, eigen) of a report text: the report's flags,
-    degrees, error lines and, when it has an ``"ecp"`` section, its
-    evolution count and each disk's ``separated`` flag; its
-    :func:`labels`; each root's value and the fields beside it that
-    decide the answer (multiplicity and iterations; older reports also
-    gave each root a ``residual_pass`` flag, which could only be true, and
-    it is not read); and each ``"eigenvectors"`` entry's value,
-    multiplicity, rank_deficiency and defective flag. A solve that raised
-    or missed its deadline is its status."""
+    degrees, error lines (:func:`error_line`) and, when it has an
+    ``"ecp"`` section, its evolution count and each disk's ``separated``
+    flag; its :func:`labels`; each root's value and the fields beside it
+    that decide the answer (multiplicity and iterations; older reports
+    also gave each root a ``residual_pass`` flag, which could only be
+    true, and it is not read); and its :func:`eigen_counts`. A solve that
+    raised or missed its deadline is its status."""
     try:
         report = json.loads(text)
     except ValueError:
         return text, None, (), ()
     roots = [(complex(*r["value"]), r["multiplicity"], r["iterations"])
              for r in report["roots"]]
-    eigen = [(complex(*e["value"]), e["multiplicity"], e["rank_deficiency"],
-              e["defective"]) for e in report["eigenvectors"]]
     ecp = report["ecp"] and (report["ecp"]["evolutions"],
                              [d["separated"] for d in report["ecp"]["disks"]])
     rest = tuple(report[key] for key in (
         "effective_degree", "multiplicity_sum", "conserved",
-        "all_residuals_pass", "errors")) + (ecp,)
-    return rest, labels(report), roots, eigen
+        "all_residuals_pass")) + (
+        [error_line(e) for e in report["errors"]], ecp)
+    return rest, labels(report), roots, eigen_counts(report)
 
 
 def same_outcome(pz, a, b):
