@@ -267,9 +267,10 @@ def _cmd_ecp(spec, args):
         raise ProblemFormatError(
             "ecp needs explicit eigenvalue approximations (--seeds or file)"
         )
-    diag = ecp_diagnostics(spec_polynomial(spec), spec.external_seeds)
+    f = spec_polynomial(spec)
+    diag = ecp_diagnostics(f, spec.external_seeds)
     _write_json(ecp_to_dict(diag), args.out)
-    return 0 if defects_below_threshold(diag.final_list) else 1
+    return 0 if defects_below_threshold(diag.final_list, f) else 1
 
 
 def _cmd_eigvec(spec, args):

@@ -9,8 +9,10 @@ E = Diag(sigma) - ones * d^T has exactly the roots of f as eigenvalues, the
 main values sum to -a_{m-1}/a_m (the control identity), the rational
 function S_1(lambda) - 1 vanishes exactly at the roots, and replacing the
 interpolation values by the main values (an evolution) contracts the
-defects quadratically near simple roots. Gershgorin disks around the main
-values give computable enclosures.
+defects quadratically near simple roots. Evolutions stop once every
+interpolation value is a root of f to working precision, where each
+defect is rounding noise. Gershgorin disks around the main values give
+computable enclosures.
 
 The list iterations (the Rayleigh quotient and the reduced Pade step)
 refine main values through the partial sums S_1, S_2, S_sigma, all rows'
@@ -36,12 +38,9 @@ from .errors import (
     RayleighDenominatorError,
     ZeroPolynomialError,
 )
-from .poly import evaluate_all, power_error_bound, relative_residual
-from .refine import _run_steps
-
-SEPARATION_REL = 1e-12
-EVOLUTION_THRESHOLD_REL = 1e-12
-MAX_EVOLUTIONS = 20
+from . import refine
+from .poly import evaluate_all, power_error_bound
+from .poly import relative_residual, relative_residual_all
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,11 @@ class EcpList:
 
 
 def _check_separation(values, label):
-    """Raise on the first pair i < j (in row-major order) of values within
-    SEPARATION_REL * (1 + max|v|) of each other."""
+    """Raise on the first pair i < j (in row-major order) of equal values,
+    the event that makes a list denominator 0: two distinct floats have a
+    nonzero difference, however close they are."""
     values = np.array(values, dtype=complex)
-    scale = 1.0 + np.abs(values).max()
-    close = np.abs(values[:, None] - values[None, :]) <= SEPARATION_REL * scale
-    pairs = np.argwhere(np.triu(close, 1))
+    pairs = np.argwhere(np.triu(values[:, None] == values[None, :], 1))
     if len(pairs):
         i, j = (int(k) for k in pairs[0])
         raise InterpolationValueError(
@@ -83,7 +81,7 @@ def build_ecp_list(f, sigmas):
     :func:`poly.evaluate_all` pass, good to gamma_{4m+1} times
     sum |a_j| |sigma_k|**j (:func:`poly.power_error_bound`); neither
     depends on the order of the other rows' arithmetic, so repeated builds
-    are bit-reproducible. Coincident interpolation values raise with the
+    are bit-reproducible. Equal interpolation values raise with the
     offending pair, and the first row whose defect is not finite (its
     denominator underflows, say) with its index.
     """
@@ -189,8 +187,8 @@ def _iterate_list(rayleigh, lst, f, seeds):
     """Every seed's trace under one list iteration."""
     sigmas = np.array(lst.sigmas, dtype=complex)
     defects = np.array(lst.defects, dtype=complex)
-    return _run_steps(f, partial(_list_steps, rayleigh, sigmas, defects),
-                      seeds)
+    return refine._run_steps(
+        f, partial(_list_steps, rayleigh, sigmas, defects), seeds)
 
 
 def rayleigh_iterate_all(lst, f, seeds):
@@ -244,24 +242,25 @@ def evolve(lst, f):
     return build_ecp_list(f, lst.main_values)
 
 
-def defects_below_threshold(lst):
-    """True when max|d| <= EVOLUTION_THRESHOLD_REL * (1 + max|H|)."""
-    max_d = max(abs(d) for d in lst.defects)
-    max_h = max(abs(h) for h in lst.main_values)
-    return max_d <= EVOLUTION_THRESHOLD_REL * (1.0 + max_h)
+def defects_below_threshold(lst, f):
+    """True when every interpolation value is a root of f to working
+    precision, the test every reported root passed: each defect is then 0
+    to within its rounding error."""
+    floor = power_error_bound(f)
+    return all(r <= floor for r in relative_residual_all(f, lst.sigmas))
 
 
 def evolve_until(lst, f):
-    """Evolve repeatedly until :func:`defects_below_threshold`, at most
-    MAX_EVOLUTIONS times.
+    """Evolve until :func:`defects_below_threshold`, at most
+    ``refine.MAX_ITERS`` times, the budget of every refinement loop.
 
     Returns the list of evolved lists (not including the input); empty when
-    the input already meets the threshold.
+    the input already meets the test.
     """
     history = []
     current = lst
-    for _ in range(MAX_EVOLUTIONS):
-        if defects_below_threshold(current):
+    for _ in range(refine.MAX_ITERS):
+        if defects_below_threshold(current, f):
             break
         current = evolve(current, f)
         history.append(current)

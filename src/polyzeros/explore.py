@@ -24,12 +24,12 @@ from .errors import (
     RealScanError,
     ZeroPolynomialError,
 )
-from .poly import UNIT_ROUNDOFF, power_error_bound
+from . import refine
+from .poly import UNIT_ROUNDOFF, power_error_bound, root_bound_of_moduli
 from .poly import evaluate, pade_eval, relative_residual, relative_residual_all
 from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
-ACCELERATED_MAX_ROUNDS = 60
 COMPANION_RESIDUAL_REL = 1e-8
 # From this degree on the companion-seed check takes its residuals from one
 # relative_residual_all call; below it Horner's loop over the seeds costs
@@ -67,24 +67,13 @@ class ExplorationReport:
 def _positive_root_bound(coeffs):
     """Kioustelidis' bound on the positive roots of sum a_j x**j, real
     a_j: 2 max (-a_j/a_m)**(1/(m-j)) over the a_j whose sign is opposite
-    to a_m's, and 0 when there is none (Kioustelidis 1986, JCAM 16). Each
-    term is formed as in :func:`fujiwara_root_bound`, so a term both
-    bounds share gets the same bits."""
-    m = len(coeffs) - 1
-    lead = abs(coeffs[m])
-    top = 0.0
-    log_top = -math.inf
-    for j, a in enumerate(coeffs[:m]):
-        if a != 0.0 and (a < 0.0) != (coeffs[m] < 0.0):
-            if j == m - 1:
-                top = abs(a) / lead
-            else:
-                log_top = max(log_top,
-                              (math.log(abs(a)) - math.log(lead)) / (m - j))
-    try:
-        return 2.0 * max(top, math.exp(log_top))
-    except OverflowError:
-        return math.inf
+    to a_m's, and 0 when there is none (Kioustelidis 1986, JCAM 16). Its
+    terms come from :func:`poly.root_bound_of_moduli`, as Fujiwara's do,
+    so a term both bounds share gets the same bits."""
+    lead = coeffs[-1]
+    return root_bound_of_moduli(
+        [abs(a) if (a < 0.0) != (lead < 0.0) else 0.0 for a in coeffs[:-1]]
+        + [abs(lead)], False)
 
 
 def _real_root_bound(f):
@@ -210,13 +199,13 @@ def _root_in_cell(f, lo, hi, f_lo, f_hi, floor):
     sign: regula falsi on f, halving the value kept at an end that stays
     twice in a row (the Illinois rule). It stops at the first secant point
     whose relative residual is within ``floor``, that no longer falls
-    strictly inside the cell, or that is the ACCELERATED_MAX_ROUNDS-th.
+    strictly inside the cell, or that is the ``refine.MAX_ITERS``-th.
 
     The first secant point alone can lie on the far side of a pole of p,
     where a probe from it runs to the heavier root that made the pole.
     """
     moved = 0
-    for _ in range(ACCELERATED_MAX_ROUNDS):
+    for _ in range(refine.MAX_ITERS):
         lam = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
         if not lo < lam < hi or relative_residual(f, lam) <= floor:
             break
@@ -246,7 +235,7 @@ def accelerated_regula_falsi(f, bracket, sigma=DEFAULT_SIGMA):
     Starting from the bracket endpoints and the plain secant point, each
     round builds lambda_4 from ratio weights Q_2, Q_3 and difference
     quotients Delta_2, Delta_3, then shifts all indices by one. Stops when
-    the newest |p| <= 10**-sigma or after ACCELERATED_MAX_ROUNDS rounds. A
+    the newest |p| <= 10**-sigma or after ``refine.MAX_ITERS`` rounds. A
     vanishing denominator falls back to a plain secant step on the two most
     recent opposite-sign points and is noted in the trace.
     """
@@ -267,7 +256,7 @@ def accelerated_regula_falsi(f, bracket, sigma=DEFAULT_SIGMA):
     if abs(p3) <= tol:
         status = TraceStatus.CONVERGED
     else:
-        for _ in range(ACCELERATED_MAX_ROUNDS):
+        for _ in range(refine.MAX_ITERS):
             delta2 = (p2 - p1) / (l2 - l1)
             delta3 = (p3 - p1) / (l3 - l1)
             q2 = p2 / p1

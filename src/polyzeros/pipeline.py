@@ -301,8 +301,9 @@ def _dedupe(records):
 
 
 def ecp_diagnostics(f, values):
-    """Interpolation list at the given values, evolved to the threshold,
-    with its sum control and Gershgorin disks."""
+    """Interpolation list at the given values, evolved until they are
+    roots of f to working precision (:func:`evolve_until`), with its
+    sum control and Gershgorin disks."""
     lst = build_ecp_list(f, values)
     defect_history = [max(abs(d) for d in lst.defects)]
     evolved = evolve_until(lst, f)

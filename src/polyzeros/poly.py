@@ -319,26 +319,34 @@ def fujiwara_root_bound(f):
 
     It overestimates the largest root modulus R by at most a factor 2m,
     because |a_{m-k}/a_m| <= C(m, k) R**k; at degree 1 it is the root's
-    modulus itself. The k = 1 term is a plain quotient: if it overflows,
-    so does the bound. Every k >= 2 term is formed from logarithms, so
-    finite coefficients whose ratio leaves the float range still give a
-    finite bound when the bound itself is representable; inf means it is
-    not. Zero coefficients contribute nothing; a degree-0 f gets 1.0.
+    modulus itself (:func:`root_bound_of_moduli`). A degree-0 f gets 1.0.
     """
-    m = f.degree
-    if m == 0:
+    if f.degree == 0:
         return 1.0
-    lead = abs(f.coeffs[m])
-    top = abs(f.coeffs[m - 1]) / lead
-    if m == 1:
+    return root_bound_of_moduli([abs(a) for a in f.coeffs], True)
+
+
+def root_bound_of_moduli(moduli, halve_a0):
+    """2 max (r_{m-k}/r_m)**(1/k) over k = 1..m of the coefficient moduli
+    r_0..r_m, with r_0/2 for r_0 when ``halve_a0`` (Fujiwara's a_0 term);
+    a zero r_j contributes nothing. Fujiwara's and Kioustelidis' bounds
+    both form their terms here. The k = 1 term is a plain quotient: if it
+    overflows, so does the bound.
+    Every k >= 2 term is formed from logarithms, so finite moduli whose
+    ratio leaves the float range still give a finite bound when the bound
+    itself is representable; inf means it is not.
+    """
+    m = len(moduli) - 1
+    lead = moduli[m]
+    top = moduli[m - 1] / lead if m else 0.0
+    if m == 1 and halve_a0:
         top /= 2.0
     log_lead = math.log(lead)
     log_top = -math.inf
     for k in range(2, m + 1):
-        a = abs(f.coeffs[m - k])
-        if a != 0.0:
-            log_ratio = math.log(a) - log_lead
-            if k == m:
+        if moduli[m - k] != 0.0:
+            log_ratio = math.log(moduli[m - k]) - log_lead
+            if k == m and halve_a0:
                 log_ratio -= math.log(2.0)
             log_top = max(log_top, log_ratio / k)
     try:

@@ -14,6 +14,7 @@ from polyzeros import (
     parse_problem_file,
     problem_spec_to_dict,
 )
+from polyzeros import refine
 
 
 def _write(tmp_path, name, payload):
@@ -281,6 +282,29 @@ def test_ecp_subcommand_reports_evolutions(tmp_path):
                                atol=1e-12)
     assert len(data["disks"]) == 3
     assert all(set(d) == {"radius", "separated"} for d in data["disks"])
+
+
+def test_ecp_exits_1_when_the_evolutions_stop_short(tmp_path, monkeypatch):
+    """The cubic's list needs more than one evolution before its values
+    are roots to working precision; with a budget of one, ecp writes the
+    list it reached and exits 1. At the roots themselves no evolution
+    runs, and it exits 0."""
+    problem = _write(tmp_path, "cubic.json", {
+        "kind": "polynomial",
+        "coefficients": [-6.0, 11.0, -6.0, 1.0],
+        "seeds": [0.9, 2.2, 3.4],
+    })
+    out = tmp_path / "ecp.json"
+    monkeypatch.setattr(refine, "MAX_ITERS", 1)
+    assert main(["ecp", problem, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["evolutions"] == 1
+    roots = _write(tmp_path, "roots.json", {
+        "kind": "polynomial",
+        "coefficients": [-6.0, 11.0, -6.0, 1.0],
+        "seeds": [1.0, 2.0, 3.0],
+    })
+    assert main(["ecp", roots, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["evolutions"] == 0
 
 
 def test_ecp_requires_seeds(tmp_path, capsys):

@@ -27,13 +27,11 @@ from polyzeros import (
     reduced_pade_iterate,
     reduced_pade_iterate_all,
     relative_residual,
+    relative_residual_all,
     sum_control,
 )
-from polyzeros.ecp import (
-    EVOLUTION_THRESHOLD_REL,
-    MAX_EVOLUTIONS,
-    SEPARATION_REL,
-)
+from polyzeros import refine
+from polyzeros.poly import power_error_bound
 
 LIST_RTOL = 1e-12
 # Rows 1-8 of the Wilkinson 10 list carry defects of 3e-11 to 4e-9, and a
@@ -114,6 +112,22 @@ def test_list_rejects_wrong_count_and_coincident_values():
     assert info.value.indices == (0, 1)
 
 
+@pytest.mark.parametrize("k", (-300, 0, 300))
+def test_values_one_ulp_apart_build_and_equal_values_are_refused(k):
+    """Only equal values make a denominator 0: at scale 2**k, values one
+    ulp apart build a finite list, and an equal pair is refused by its
+    indices."""
+    scale = 2.0 ** k
+    f = polynomial_from_roots((scale, 2.0 * scale, 3.0 * scale))
+    near = np.nextafter(2.0 * scale, 3.0 * scale)
+    lst = build_ecp_list(f, (2.0 * scale, near, 3.5 * scale))
+    assert all(cmath.isfinite(d) for d in lst.defects)
+    assert lst.defects[0] == 0
+    with pytest.raises(InterpolationValueError) as info:
+        build_ecp_list(f, (2.0 * scale, 3.5 * scale, 2.0 * scale))
+    assert info.value.indices == (0, 2)
+
+
 def test_wilkinson_list_matches_recorded_defects(wilkinson10):
     """Rows 1-8 read the recorded exact defects to DEFECT_RTOL. Row 0's
     defect is rounding noise: it is pinned to its rounding bound,
@@ -147,15 +161,21 @@ def test_two_evolutions_stay_at_the_noise_floor(wilkinson10):
         assert max(abs(d) for d in lst.defects) <= EVOLVED_DEFECT_MAX < first
 
 
+def _roots_to_working_precision(f, lst):
+    return all(r <= power_error_bound(f)
+               for r in relative_residual_all(f, lst.sigmas))
+
+
 def test_evolve_until_reaches_the_threshold():
+    """Evolutions stop at the first list whose interpolation values are
+    all roots of f to working precision."""
     f = polynomial_from_roots((1.0, 2.0, 3.0))
     lst = build_ecp_list(f, (0.9, 2.2, 3.4))
     history = evolve_until(lst, f)
-    assert 0 < len(history) <= MAX_EVOLUTIONS
+    assert 0 < len(history) < refine.MAX_ITERS
+    assert [_roots_to_working_precision(f, item)
+            for item in [lst] + history] == [False] * len(history) + [True]
     final = history[-1]
-    max_d = max(abs(d) for d in final.defects)
-    max_h = max(abs(h) for h in final.main_values)
-    assert max_d <= EVOLUTION_THRESHOLD_REL * (1.0 + max_h)
     np.testing.assert_allclose(
         sorted(h.real for h in final.main_values),
         (1.0, 2.0, 3.0),
@@ -164,19 +184,47 @@ def test_evolve_until_reaches_the_threshold():
     assert evolve_until(final, f) == []
 
 
+def test_evolve_until_stops_after_the_refinement_budget(monkeypatch):
+    """A list that does not reach the floor evolves refine.MAX_ITERS
+    times, the budget of every refinement loop."""
+    f = polynomial_from_roots((1.0, 2.0, 3.0))
+    lst = build_ecp_list(f, (0.9, 2.2, 3.4))
+    monkeypatch.setattr(refine, "MAX_ITERS", 1)
+    history = evolve_until(lst, f)
+    assert len(history) == 1
+    assert not _roots_to_working_precision(f, history[0])
+
+
 def test_evolve_until_plateaus_on_an_ill_conditioned_list(wilkinson10):
-    """The evaluation noise floor caps progress, so the loop runs out its
-    budget while the main values hold station near the roots."""
+    """The WILKINSON10_SEEDS values are roots of Wilkinson 10 to working
+    precision, so no evolution runs: their defects of up to 3.6e-9 are
+    rounding noise, which evolving does not shrink
+    (test_two_evolutions_stay_at_the_noise_floor)."""
     lst = build_ecp_list(wilkinson10, cases.WILKINSON10_SEEDS)
-    history = evolve_until(lst, wilkinson10)
-    assert len(history) == MAX_EVOLUTIONS
-    for evolved in history:
-        assert max(abs(d) for d in evolved.defects) <= 2e-9
-        np.testing.assert_allclose(
-            sorted(h.real for h in evolved.main_values),
-            np.arange(1.0, 11.0),
-            atol=2e-9,
-        )
+    assert max(abs(d) for d in lst.defects) > 1e-9
+    assert _roots_to_working_precision(wilkinson10, lst)
+    assert evolve_until(lst, wilkinson10) == []
+
+
+@pytest.mark.parametrize("k", (-60, -30, 30, 60))
+def test_list_of_a_lambda_scaled_f_evolves_like_f(k):
+    """For s = 2**k, the list of g(lambda) = f(lambda/s) at s*sigma has
+    the defects s*d and main values s*H of f's list at sigma, bit for bit,
+    and the same relative residuals, so it evolves as often as f's list
+    does."""
+    s = 2.0 ** k
+    f = polynomial_from_roots((1.0, 2.0, 3.0))
+    g = Polynomial(tuple(a / s ** j for j, a in enumerate(f.coeffs)))
+    sigmas = (0.9, 2.2, 3.4)
+    lst = build_ecp_list(f, sigmas)
+    scaled = build_ecp_list(g, tuple(s * v for v in sigmas))
+    history = [lst] + evolve_until(lst, f)
+    scaled_history = [scaled] + evolve_until(scaled, g)
+    assert len(history) > 1
+    assert len(scaled_history) == len(history)
+    for a, b in zip(history, scaled_history):
+        assert b.main_values == tuple(s * h for h in a.main_values)
+        assert b.defects == tuple(s * d for d in a.defects)
 
 
 def test_evolution_collision_reports_indices():
@@ -322,10 +370,9 @@ def test_list_batch_traces_equal_their_batches_of_one():
 def _reference_list_error(f, sigmas):
     """The indices of the first build error, from the pairwise loops the
     list build replaced; None when the list builds."""
-    scale = 1.0 + max(abs(v) for v in sigmas)
     for i in range(len(sigmas)):
         for j in range(i + 1, len(sigmas)):
-            if abs(sigmas[i] - sigmas[j]) <= SEPARATION_REL * scale:
+            if sigmas[i] == sigmas[j]:
                 return (i, j)
     for k, sk in enumerate(sigmas):
         denom = f.coeffs[-1]
@@ -351,7 +398,7 @@ def test_list_build_names_the_first_offending_pair_or_index():
         sigmas = [complex(v) for v in rng.standard_normal(m)]
         for _ in range(int(rng.integers(0, 3))):
             i, j = rng.choice(m, 2, replace=False)
-            sigmas[i] = sigmas[j] * (1 + 1e-13 * rng.standard_normal())
+            sigmas[i] = sigmas[j] * (1 + 1e-13 * round(rng.standard_normal()))
         want = _reference_list_error(f, sigmas)
         outcomes.add(None if want is None else len(want))
         if want is None:

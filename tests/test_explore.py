@@ -23,7 +23,7 @@ from polyzeros import (
     relative_residual,
     scan_sign_changes,
 )
-from polyzeros import explore
+from polyzeros import explore, refine
 from polyzeros.explore import (
     COMPANION_ARRAY_DEGREE,
     ExplorationReport,
@@ -338,6 +338,24 @@ def test_scan_stops_at_a_bound_on_the_real_roots():
     assert report.seeds == ()
 
 
+def test_kioustelidis_and_fujiwara_bounds_share_their_terms():
+    """Where a_0 = 0 and every other a_j has the sign opposite to a_m,
+    both bounds take every term, so they agree bit for bit; with a_0 back,
+    only Fujiwara's halves its term."""
+    rng = np.random.default_rng(17)
+    for _ in range(CASES):
+        m = int(rng.integers(2, 30))
+        moduli = 10.0 ** rng.uniform(-150, 150, size=m + 1)
+        coeffs = [0.0] + [-a for a in moduli[1:m]] + [moduli[m]]
+        bound = explore._positive_root_bound(coeffs)
+        assert bound == Polynomial(tuple(coeffs)).root_bound
+        coeffs[0] = -moduli[0]
+        assert explore._positive_root_bound(coeffs) == \
+            poly.root_bound_of_moduli(list(moduli), False)
+        assert Polynomial(tuple(coeffs)).root_bound == \
+            poly.root_bound_of_moduli(list(moduli), True)
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(1.0, 0.5, -1.0, 1.0)
@@ -373,6 +391,24 @@ def test_accelerated_regula_falsi_respects_sigma(quintic_15):
     tight = accelerated_regula_falsi(quintic_15, bracket, sigma=10)
     assert loose.status is TraceStatus.CONVERGED
     assert len(loose.rows) <= len(tight.rows)
+
+
+def test_bracketing_loops_stop_after_the_refinement_budget(monkeypatch,
+                                                           quintic_15):
+    """Accelerated regula falsi and the regula falsi on f in a pole's cell
+    run at most refine.MAX_ITERS rounds, read when they are called."""
+    bracket = Bracket(0.9, 1.2, 8.366965417990657e-02, -3.884787018255549e-01)
+    f = polynomial_from_roots([0.03, 0.24, 0.24, 0.24, -2.0])
+    f = Polynomial(tuple(c.real for c in f.coeffs))
+    f_lo, f_hi = (poly.evaluate(f, lam)[0].real for lam in (0.0, 0.1))
+    floor = power_error_bound(f)
+    root = explore._root_in_cell(f, 0.0, 0.1, f_lo, f_hi, floor)
+    assert relative_residual(f, root) <= floor
+    monkeypatch.setattr(refine, "MAX_ITERS", 1)
+    trace = accelerated_regula_falsi(quintic_15, bracket, sigma=16)
+    assert trace.status is TraceStatus.MAX_ITERS and len(trace.rows) == 2
+    first = explore._root_in_cell(f, 0.0, 0.1, f_lo, f_hi, floor)
+    assert first == 0.1 * (f_lo / (f_lo - f_hi)) != root
 
 
 def test_companion_seeds_recover_simple_roots():

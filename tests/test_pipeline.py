@@ -1123,80 +1123,18 @@ def _pinned_specs():
     }
 
 
-# SHA-256 of json.dumps(report_to_dict(report), sort_keys=True), recorded
-# when the root bound was Cauchy's 1 + max|a_j/a_m| (x86-64, numpy 2).
-# real-d9-90 was re-pinned when the scan stopped bracketing poles of p.
-# The pole seed at 1.40 and its error line are gone, and the pole seed at
-# -1.10 no longer joins, and wins, the root at -1.93 (20 iterations, now
-# 5). The roots and multiplicities are unchanged.
-# mult-d8-82 was re-pinned when detect began settling clusters of
-# companion seeds by a zero count and one probe. The report gains the
-# simple root at 0.758-0.853j, and with it conserved, all_residuals_pass
-# and an empty error list. Each root lists its group's seeds in seed order,
-# and the triple and quadruple roots take 2 iterations (4 and 5 before).
-# Both roots it had moved by less than 3e-13, within same_root.
-# mult-d8-82 was re-pinned again when every iteration began stopping at
-# the rounding floor. The probe of the simple root at 0.758-0.853j stops
-# there after 2 iterations (4 before, the last two rounding noise); the
-# root moves by 2.2e-12, within same_root, and its residual in the last
-# digits. Everything else is unchanged.
-# sparse-penta was re-pinned when per-seed detect began counting zeros
-# instead of guessing nu-hat. Its diagonal seeds now settle where the
-# nu = 1 probe's walk ends, so six roots take 2 iterations (8 or 9
-# before) and one takes 6 (7 before). The same 8 eigenvalues move by less
-# than 1e-14, with the same multiplicities, seeds and error lines; one
-# root lists its two seeds in the other order, and the values quoted in
-# the error lines and the eigenvectors move in the last digits.
-# rand-d55-63 was re-pinned when Pade began stepping all seeds at once,
-# with f and f' from a power matrix instead of Horner's rule. The same 55
-# roots move by at most 2.4e-16, and their residuals in the last digits;
-# multiplicities, iteration counts, seeds, flags and the (empty) error list
-# are unchanged.
-# order-14 (five not-an-eigenvalue lines), companion-n20 (every
-# eigenvalue fails) and sparse-penta were re-pinned when eigenvectors
-# began coming from one batched SVD with a single threshold. Their roots,
-# multiplicities and flags are unchanged. The eigenvector columns are unit
-# 2-norm singular vectors, the not-an-eigenvalue lines quote sigma_min and
-# sigma_max, and the loosened-tolerance lines are gone; order-14 gains 6
-# eigenpairs and sparse-penta 2. Those bytes come from LAPACK's SVD, so
-# these three hashes hold for one numpy and LAPACK build (here numpy 2.4
-# with OpenBLAS 0.3.31).
-# companion-n20, order-14 and sparse-penta were re-pinned when det F of a
-# real F began keeping only the real parts of its interpolated
-# coefficients (the complex ones were kept before, as their imaginary
-# parts reached 0.98, 3.2e-6 and 2.7e-8 of the largest coefficient),
-# companion seeds of it began coming from real LAPACK and eigenvectors
-# began coming from one SVD per exact conjugate pair. Multiplicities, flags, root,
-# eigenpair and error-line counts are unchanged. companion-n20 (no
-# eigenpair before or after) now lists 18 exact conjugate pairs and one
-# exactly real root; its roots stay 0.086 (0.117 before) off the
-# linearisation's eigenvalues in the median. order-14's roots move by at
-# most 5.3e-5, sparse-penta's by at most 3.3e-7; the worst relative
-# distance to the linearisation's eigenvalues goes 3.35e-4 -> 3.30e-4 and
-# 3.3e-7 -> 1.8e-7, and sparse-penta takes 20 iterations (24 before).
-# sextic-delta0.1 (both multiple roots are guarded grid points) and
-# wilkinson-10 (every root is a grid point where f is exactly 0), both
-# explore+detect at delta 0.1, were pinned from the scalar scan loop when
-# the scan became one array pass; their seeds come from the grid itself.
-# companion-n20, order-14 and rand-d55-63 were pinned again when the
-# batched iterations began to stop on the array residual
-# (poly.relative_residual_all): only their residual fields moved.
-# order-14 and sparse-penta were pinned again when matrix reports stopped
-# carrying eigenvectors: each "eigenvectors" entry keeps value,
-# multiplicity, rank_deficiency and defective and loses right, left and
-# their residuals. Their earlier pins, taken with the vectors, are
-# VECTOR_REPORT_SHA256; companion-n20 accepts no eigenvalue and keeps its
-# bytes.
-# All eight were re-pinned when the solve's algorithm and seed source
-# moved from every root entry to the report's top level. Their earlier
-# pins are PRE_TRIM_REPORT_SHA256, which each report mapped back matches.
-# All eight were re-pinned again when root entries lost
-# ``"residual_pass": true``, which the mapping back puts in.
-# companion-n20, order-14 and sparse-penta were re-pinned when a matrix
-# report's "eigenvectors" became one rank-deficiency count per root, 0
-# where F is regular, and a not-an-eigenvalue line lost its
-# "eigenvectors at <value>: " prefix, as the line names the value already;
-# the mapping back rebuilds the entries and the prefix.
+# SHA-256 of json.dumps(report_to_dict(report), sort_keys=True) (x86-64,
+# numpy 2), of problems from the four benchmark workloads. mult-d8-82 settles
+# its companion-seed clusters by a zero count and one probe; rand-d55-63
+# steps all 55 Pade seeds at once. real-d9-90, sextic-delta0.1 (both
+# multiple roots are guarded grid points) and wilkinson-10 (every root is
+# a grid point where f is exactly 0) are seeded by the real-axis scan,
+# explore+detect at delta 0.1. sparse-penta (diagonal seeds), order-14
+# (five not-an-eigenvalue lines) and companion-n20 (exact conjugate pairs
+# from real LAPACK, none an eigenvalue) are matrix problems, with one
+# eigenvector count per root. Their counts and error lines come from
+# LAPACK's SVD, so these three hashes hold for one numpy and LAPACK build
+# (here numpy 2.4 with OpenBLAS 0.3.31). CHANGES.md records each re-pin.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
         "778131b9b4ae80684f351c0c82c466ea6f132cb1fc43aeb43d71353dedb98b44",
@@ -1225,37 +1163,36 @@ def test_report_bytes_outlive_the_root_bound(name):
     assert _report_sha256(_pinned_specs()[name]) == PINNED_REPORT_SHA256[name]
 
 
-def _report_sha256(spec, form=lambda data: data):
-    text = json.dumps(form(report_to_dict(run_pipeline(spec))),
-                      sort_keys=True)
+def _report_sha256(spec):
+    text = json.dumps(report_to_dict(run_pipeline(spec)), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# SHA-256 as in PINNED_REPORT_SHA256 of order-14 and sparse-penta while
-# every "eigenvectors" entry also held both sides' vectors and residuals
-# (eigenpair_to_dict of the eigenvectors_all bundle at its value).
+# SHA-256 as in PINNED_REPORT_SHA256 of order-14 and sparse-penta with
+# their eigenvector counts replaced by the eigenpair_to_dict list of
+# eigenvectors_all at the report's roots, less the values it refuses. The
+# vectors come from LAPACK's SVD too.
 VECTOR_REPORT_SHA256 = {
     "order-14":
-        "911b9a6f2a1a66c4fcdf30e67008e7d5d4c8c301c0d784029c4546eb6ba59bc7",
+        "08b361a7778be6f0988bc59d874c8d6b8442a8472583b4be79b892ef58744d8f",
     "sparse-penta":
-        "5b5a25a0ec153984f11474948099b18c4a135a8f8f2cfb4c806de61414a69424",
+        "0f17dde46fa8778c72264e8ea858e57b880bf8b16a10b3234a7bc2fd53d3ad74",
 }
 
 
 @pytest.mark.parametrize("name", sorted(VECTOR_REPORT_SHA256))
 def test_report_vectors_come_back_bit_for_bit_from_eigenvectors_all(name):
-    """A report's vectors are eigenvectors_all at its root values: merged
-    into the eigen entries of the report in its pre-trim form
-    (:func:`_pre_trim`) they give the bytes of the report that carried
-    them."""
+    """A report's eigenvector counts are the rank deficiencies of
+    eigenvectors_all at its root values, and the vectors there keep their
+    bytes."""
     spec = _pinned_specs()[name]
     report = run_pipeline(spec)
-    data = _pre_trim(report_to_dict(report))
+    data = report_to_dict(report)
     bundles = _bundles(spec.matrix, report.roots)
-    assert len(bundles) == len(data["eigenvectors"]) > 0
-    data["eigenvectors"] = [
-        dict(entry, **pipeline.eigenpair_to_dict(bundle.eigenvalue, bundle))
-        for entry, bundle in zip(data["eigenvectors"], bundles)]
+    assert [b.rank_deficiency for b in bundles] == \
+        [count for count in data["eigenvectors"] if count] != []
+    data["eigenvectors"] = [pipeline.eigenpair_to_dict(b.eigenvalue, b)
+                            for b in bundles]
     text = json.dumps(data, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         VECTOR_REPORT_SHA256[name]
@@ -1297,32 +1234,20 @@ def _branch_specs():
     }
 
 
-# SHA-256 as in PINNED_REPORT_SHA256, recorded before the pipeline began
-# reading every algorithm's outcomes from one list (x86-64, numpy 2).
-# halley-wilkinson-10 and pade-ecp-wilkinson-10 keep 7 roots each that
-# stop at the rounding floor, where a zero count rounds to 1; the second
-# also carries the interpolation-list diagnostics. pade-ecp-mult-d8-82
-# refuses 7 of its 8 runs that stop there (their counts are not 1), and
-# its ECP phase fails. test-nu-sextic's nu = 2 probe converges at the
-# double root and stops at the floor by the quadruple one, where the
-# count is not 2. halley-degree-1 is a batch
-# call that raises: each seed gets its error line. rayleigh-short-list
-# gives two seeds to a degree 6 interpolation list, whose build fails.
-# detect-origin-seed: the seed at 0 is left over by the clusters and then
-# fails per-seed detect with an origin-guard error line.
-# halley-wilkinson-10, pade-ecp-wilkinson-10, pade-ecp-mult-d8-82 and
-# reduced-wilkinson-10 were pinned again when the batched iterations began
-# to stop on the array residual and the list took f(sigma_k) from
-# evaluate_all: their residual fields and pade-ecp-wilkinson-10's list
-# moved, and reduced-wilkinson-10's roots moved by at most 8.5e-11
-# relative, the noise of its list's defects; no multiplicity, iteration
-# count, flag or error line moved.
-# All eight were re-pinned when the solve's algorithm and seed source
-# moved to the report's top level and each disk of pade-ecp-wilkinson-10
-# was cut to its radius and separated flag. Their earlier pins are
-# PRE_TRIM_REPORT_SHA256, which each report mapped back matches.
-# The six with roots were re-pinned again when root entries lost
-# ``"residual_pass": true``.
+# SHA-256 as in PINNED_REPORT_SHA256. halley-wilkinson-10 and
+# pade-ecp-wilkinson-10 keep 7 roots each that stop at the rounding floor,
+# where a zero count rounds to 1; the second also carries the
+# interpolation-list diagnostics, whose values are already roots to
+# working precision, so no evolution runs. pade-ecp-mult-d8-82 refuses 7
+# of its 8 runs that stop there (their counts are not 1), and its ECP
+# phase fails. reduced-wilkinson-10 refines the list rows of
+# WILKINSON10_SEEDS. test-nu-sextic's nu = 2 probe converges at the double
+# root and stops at the floor by the quadruple one, where the count is
+# not 2. halley-degree-1 is a batch call that raises: each seed gets its
+# error line. rayleigh-short-list gives two seeds to a degree 6
+# interpolation list, whose build fails. detect-origin-seed: the seed at 0
+# is left over by the clusters and then fails per-seed detect with an
+# origin-guard error line.
 BRANCH_REPORT_SHA256 = {
     "detect-origin-seed":
         "1b9999d47c0882fa50a3402c933df6e00d83e359b8ab98a5aefc57a4a741c2c0",
@@ -1333,7 +1258,7 @@ BRANCH_REPORT_SHA256 = {
     "pade-ecp-mult-d8-82":
         "8e879d897fad2a91b6688dc9d0a8325316c9db22110c4a0f58e4cea0798bf0e6",
     "pade-ecp-wilkinson-10":
-        "d1228a72be7fae0aaffcf2c943d0224c3205027fba4a8f6dd095c393b02614b2",
+        "3fe07a9e2b265d5791d084907bad8a8e4fa2b597ac7865f1def7dbfe63d83411",
     "rayleigh-short-list":
         "fc16803ef3c38ed41c634c9b624cf0e86dafccf2a5c067561dbfdaabd4c5bbd1",
     "reduced-wilkinson-10":
@@ -1348,97 +1273,3 @@ def test_report_bytes_of_each_refinement_branch(name):
     """Every algorithm, a batch call that raises and a failed list build
     each keep their report bytes."""
     assert _report_sha256(_branch_specs()[name]) == BRANCH_REPORT_SHA256[name]
-
-
-def _pre_count(data):
-    """A report dict in the form written while a matrix report held one
-    ``{value, multiplicity, rank_deficiency, defective}`` entry per root
-    of eigenvector count above 0 under ``"eigenvectors"``, and the error
-    line of a root of count 0 began ``eigenvectors at <value>: ``."""
-    data = dict(data)
-    eigen, rejected = [], set()
-    for root, count in zip(data["roots"], data["eigenvectors"]):
-        if count:
-            eigen.append(dict(value=root["value"],
-                              multiplicity=root["multiplicity"],
-                              rank_deficiency=count,
-                              defective=count < root["multiplicity"]))
-        else:
-            rejected.add(repr(complex(*root["value"])))
-    data["eigenvectors"] = eigen
-    data["errors"] = [
-        "eigenvectors at %s: %s" % (head, line)
-        if (head := line.partition(" is not an eigenvalue:")[0]) in rejected
-        else line for line in data["errors"]]
-    return data
-
-
-def _pre_trim(data):
-    """A report dict in the form written while every root entry carried
-    the solve's ``algorithm`` and ``source`` and ``"residual_pass": true``
-    (the one value it could take), every disk its center and its
-    enclosure (``interval`` or ``box``, else null) as well, and eigenvector
-    counts were written as :func:`_pre_count` maps them back."""
-    data = _pre_count(data)
-    labels = dict(algorithm=data.pop("algorithm"),
-                  source=data.pop("seed_source"), residual_pass=True)
-    data["roots"] = [dict(r, **labels) for r in data["roots"]]
-    if data["ecp"]:
-        data["ecp"] = dict(data["ecp"], disks=[
-            dict(center=pipeline.complex_pair(d.center), radius=d.radius,
-                 separated=d.separated,
-                 interval=list(d.interval) if d.interval else None,
-                 box=[list(b) for b in d.box] if d.box else None)
-            for d in _written_disks(data["ecp"])])
-    return data
-
-
-# SHA-256 as in PINNED_REPORT_SHA256 and BRANCH_REPORT_SHA256, recorded
-# before the solve's algorithm and seed source moved from every root entry
-# to the report's top level, each disk was cut to its radius and
-# separated flag, root entries lost ``"residual_pass": true``, and a
-# matrix report's eigen entries became one count per root.
-PRE_TRIM_REPORT_SHA256 = {
-    "companion-n20":
-        "792fd8e3daf4faf50e50fdd3d3e1fe72e26c557087ebc3711417b0dcef809e0f",
-    "mult-d8-82":
-        "fdc9efb2650127316443d8149526fe894a083e88412ee714099575cdd4464d85",
-    "order-14":
-        "ea20e3379334da177a5ad56e85587389c7b2ece865881faecde4869da193a6e9",
-    "rand-d55-63":
-        "a683a501f5b28d1d2001ad0916e6f2a6722997eb44260dca962b96122e198493",
-    "real-d9-90":
-        "99f85b45f86cbb62d0c0f4e037e7b517cc22bc2eff4f8acd56e2f21829735d07",
-    "sparse-penta":
-        "4c6325e11ce7edf138fff65f78cc600aa2b36dd54f51d861552c0eecc78ac029",
-    "sextic-delta0.1":
-        "a6b81b902f03090f851f91d7bffb8df6f7df67af601992c12c8fb8bfd170b39a",
-    "wilkinson-10":
-        "8d7d80ff12ef6a5662da10b5e3d532f798c6b0a19b578d0e2ffa97543cc8a924",
-    "detect-origin-seed":
-        "490f194089ed06224272ea5e7a1c00365a90a09de267f8a3c0263c8fa703f628",
-    "halley-degree-1":
-        "c79419fb7aed2d61a0180dd5e4c7d83a74ea177474cc0f603c2462263cd4430b",
-    "halley-wilkinson-10":
-        "eab69b2a7048814165fd412116f413dc8662081e41fae2c7e5cd49d20b4a95ac",
-    "pade-ecp-mult-d8-82":
-        "f5d782579ef95ba5a27d19b8e8590cb507203cc211ca9d0b3d0143775860767d",
-    "pade-ecp-wilkinson-10":
-        "5e1d9ed294d0a9aa0bb28906a6d871310a95e1dc7c94dacb256ea1a6622c1ea7",
-    "rayleigh-short-list":
-        "27e66134a81d89b4b306e71ff371334bd8b67f8d43df653cfa01c08dca3390a2",
-    "reduced-wilkinson-10":
-        "472b92eb3b7eb67377b77db95dce093331b6af606b12a7547425fdac14d8df9e",
-    "test-nu-sextic":
-        "ddcbbf44680c7e1d8d60b31fdb636dd3db2ea1d87afda97ff3c7818767c07c2c",
-}
-
-
-@pytest.mark.parametrize("name", sorted(PRE_TRIM_REPORT_SHA256))
-def test_trimmed_report_maps_back_to_its_pre_trim_bytes(name):
-    """The labels written once, the disks written as radius and flag, the
-    dropped pass flag and the eigenvector counts lose no fact: mapped
-    back, each report has its earlier bytes."""
-    spec = {**_pinned_specs(), **_branch_specs()}[name]
-    assert _report_sha256(spec, _pre_trim) == PRE_TRIM_REPORT_SHA256[name]
-

@@ -28,9 +28,9 @@ Per workload the tool prints, for each side, the p50 and p90 over the
 problems of each problem's median solve time, their total, the stage
 totals per rep, how many report texts differ between the trees (each
 problem's first solve), and how many of those reports differ in outcome:
-a root or eigenvalue that is not the same root (``refine.same_root``), or
-a multiplicity, iteration count, pass flag, eigenvector count, error
-line, solve label, evolution count or disk separation that differs
+a root that is not the same root (``refine.same_root``), or a
+multiplicity, iteration count, pass flag, eigenvector count, error line,
+solve label, evolution count or disk separation that differs
 (:func:`outcome`). The last line is the same as JSON, which also
 holds the totals per problem family (the problem name without a trailing
 ``-<index>``, e.g. ``quad-n7`` for the matrix-eig problems of order 7).
@@ -115,76 +115,34 @@ def solve(pz, problem):
     return (time.perf_counter() - t0) * 1e3, outcome.text or outcome.status
 
 
-def labels(report):
-    """A report's (algorithm, seed_source). A report written while every
-    root entry carried them as ``algorithm`` and ``source`` gives its first
-    root's, or None when it has no roots and so states none."""
-    if "algorithm" in report:
-        return report["algorithm"], report["seed_source"]
-    roots = report["roots"]
-    return (roots[0]["algorithm"], roots[0]["source"]) if roots else None
-
-
-def eigen_counts(report):
-    """Each eigenvalue's (value, multiplicity, eigenvector count), for
-    every root of a matrix report whose count is above 0. A report lists
-    one count per root under ``"eigenvectors"``; one written before that
-    listed a ``{value, multiplicity, rank_deficiency, defective}`` entry
-    per such root, ``defective`` being 0 < count < multiplicity. A root
-    of count 0 is not an eigenvalue, and its error line says so."""
-    entries = report["eigenvectors"]
-    if not all(isinstance(e, dict) for e in entries):
-        entries = [dict(value=r["value"], multiplicity=r["multiplicity"],
-                        rank_deficiency=count)
-                   for r, count in zip(report["roots"], entries) if count]
-    return [(complex(*e["value"]), e["multiplicity"], e["rank_deficiency"])
-            for e in entries]
-
-
-def error_line(line):
-    """An error line without the ``eigenvectors at <value>: `` prefix
-    that not-an-eigenvalue lines carried while the line after it named
-    the value too."""
-    return (line.partition(": ")[2] if line.startswith("eigenvectors at ")
-            else line)
-
-
 def outcome(text):
-    """(rest, labels, roots, eigen) of a report text: the report's flags,
-    degrees, error lines (:func:`error_line`) and, when it has an
-    ``"ecp"`` section, its evolution count and each disk's ``separated``
-    flag; its :func:`labels`; each root's value and the fields beside it
-    that decide the answer (multiplicity and iterations; older reports
-    also gave each root a ``residual_pass`` flag, which could only be
-    true, and it is not read); and its :func:`eigen_counts`. A solve that
-    raised or missed its deadline is its status."""
+    """(rest, roots) of a report text: the report's solve labels, flags,
+    degrees, error lines, eigenvector counts and, when it has an ``"ecp"``
+    section, its evolution count and each disk's ``separated`` flag; and
+    each root's value and the fields beside it that decide the answer
+    (multiplicity and iterations). A solve that raised or missed its
+    deadline is its status."""
     try:
         report = json.loads(text)
     except ValueError:
-        return text, None, (), ()
+        return text, ()
     roots = [(complex(*r["value"]), r["multiplicity"], r["iterations"])
              for r in report["roots"]]
     ecp = report["ecp"] and (report["ecp"]["evolutions"],
                              [d["separated"] for d in report["ecp"]["disks"]])
     rest = tuple(report[key] for key in (
-        "effective_degree", "multiplicity_sum", "conserved",
-        "all_residuals_pass")) + (
-        [error_line(e) for e in report["errors"]], ecp)
-    return rest, labels(report), roots, eigen_counts(report)
+        "algorithm", "seed_source", "effective_degree", "multiplicity_sum",
+        "conserved", "all_residuals_pass", "errors", "eigenvectors")) + (ecp,)
+    return rest, roots
 
 
 def same_outcome(pz, a, b):
-    """Whether two report texts have the same :func:`outcome`, root and
-    eigenvalue values compared by the root identity of ``pz``; labels
-    count only where both reports state them."""
-    (rest_a, labels_a, *lists_a), (rest_b, labels_b, *lists_b) = (
-        outcome(a), outcome(b))
-    return rest_a == rest_b and (
-        labels_a == labels_b or None in (labels_a, labels_b)) and all(
-        len(xs) == len(ys)
-        and all(pz.refine.same_root(x[0], y[0]) and x[1:] == y[1:]
-                for x, y in zip(xs, ys))
-        for xs, ys in zip(lists_a, lists_b))
+    """Whether two report texts have the same :func:`outcome`, root values
+    compared by the root identity of ``pz``."""
+    (rest_a, roots_a), (rest_b, roots_b) = outcome(a), outcome(b)
+    return rest_a == rest_b and len(roots_a) == len(roots_b) and all(
+        pz.refine.same_root(x[0], y[0]) and x[1:] == y[1:]
+        for x, y in zip(roots_a, roots_b))
 
 
 def family(name):
