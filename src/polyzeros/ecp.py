@@ -39,14 +39,15 @@ from .errors import (
     ZeroPolynomialError,
 )
 from . import refine
-from .poly import evaluate_all, power_error_bound
-from .poly import relative_residual, relative_residual_all
+from .poly import evaluate_with_residuals, power_error_bound
+from .poly import relative_residual
 
 
 @dataclass(frozen=True)
 class EcpList:
     """The list as three columns; row k is (sigmas[k], defects[k],
-    main_values[k])."""
+    main_values[k]). ``residuals[k]`` is the relative residual of f at
+    sigmas[k], from the pass that gave the defects."""
 
     sigmas: tuple
     defects: tuple
@@ -54,6 +55,7 @@ class EcpList:
     degree: int
     leading_coeff: complex
     subleading_coeff: complex
+    residuals: tuple
 
     def is_real(self):
         return all(s.imag == 0.0 and d.imag == 0.0
@@ -78,10 +80,11 @@ def build_ecp_list(f, sigmas):
 
     Each denominator a_m prod_{j!=k} (sigma_k - sigma_j) is multiplied out
     in fixed row order, and every f(sigma_k) comes from one
-    :func:`poly.evaluate_all` pass, good to gamma_{4m+1} times
-    sum |a_j| |sigma_k|**j (:func:`poly.power_error_bound`); neither
-    depends on the order of the other rows' arithmetic, so repeated builds
-    are bit-reproducible. Equal interpolation values raise with the
+    :func:`poly.evaluate_with_residuals` pass, good to gamma_{4m+1} times
+    sum |a_j| |sigma_k|**j (:func:`poly.power_error_bound`), which also
+    gives the list its residuals; neither depends on the order of the
+    other rows' arithmetic, so repeated builds are bit-reproducible.
+    Equal interpolation values raise with the
     offending pair, and the first row whose defect is not finite (its
     denominator underflows, say) with its index.
     """
@@ -103,8 +106,9 @@ def build_ecp_list(f, sigmas):
     factors[:, 1:][np.diag_indices(m)] = 1.0
     with np.errstate(all="ignore"):
         denoms = np.multiply.reduce(factors, axis=1).tolist()
-    defects = tuple(v / denom if denom else cmath.nan for v, denom in zip(
-        evaluate_all(f, sigmas)[0].tolist(), denoms))
+    values, residuals = evaluate_with_residuals(f, sigmas)
+    defects = tuple(v / denom if denom else cmath.nan
+                    for v, denom in zip(values.tolist(), denoms))
     for k, defect in enumerate(defects):
         if not cmath.isfinite(defect):
             raise InterpolationValueError(
@@ -112,7 +116,8 @@ def build_ecp_list(f, sigmas):
             )
     sigmas = tuple(sigmas.tolist())
     main_values = tuple(sk - d for sk, d in zip(sigmas, defects))
-    return EcpList(sigmas, defects, main_values, m, a_m, a_m1)
+    return EcpList(sigmas, defects, main_values, m, a_m, a_m1,
+                   tuple(residuals))
 
 
 @dataclass(frozen=True)
@@ -244,10 +249,11 @@ def evolve(lst, f):
 
 def defects_below_threshold(lst, f):
     """True when every interpolation value is a root of f to working
-    precision, the test every reported root passed: each defect is then 0
-    to within its rounding error."""
+    precision (the list's residuals, within :func:`poly.power_error_bound`),
+    the test every reported root passed: each defect is then 0 to within
+    its rounding error."""
     floor = power_error_bound(f)
-    return all(r <= floor for r in relative_residual_all(f, lst.sigmas))
+    return all(r <= floor for r in lst.residuals)
 
 
 def evolve_until(lst, f):

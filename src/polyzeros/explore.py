@@ -25,17 +25,13 @@ from .errors import (
     ZeroPolynomialError,
 )
 from . import refine
-from .poly import UNIT_ROUNDOFF, power_error_bound, root_bound_of_moduli
+from .poly import ARRAY_PASS_DEGREE, UNIT_ROUNDOFF, power_error_bound
+from .poly import root_bound_of_moduli
 from .poly import evaluate, pade_eval, relative_residual, relative_residual_all
 from .refine import IterationTrace, TraceRow, TraceStatus
 
 DEFAULT_SIGMA = 5
 COMPANION_RESIDUAL_REL = 1e-8
-# From this degree on the companion-seed check takes its residuals from one
-# relative_residual_all call; below it Horner's loop over the seeds costs
-# less than that call's fixed cost of tens of microseconds (measured
-# crossover near degree 16, real and complex coefficients alike).
-COMPANION_ARRAY_DEGREE = 16
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,8 @@ def scan_sign_changes(f, delta):
     extra step still brackets a root that sits exactly on the bound. A
     delta that is not positive and finite raises ValueError. A bound that
     is infinite, or so large that delta <= u*B (u = 2**-53) and the grid
-    j*delta can no longer advance, raises RealScanError.
+    j*delta can no longer advance, raises RealScanError, and so does a
+    grid that cannot be allocated (a MemoryError).
 
     p falls through every real root, so only a downward crossing
     p_lo > 0 > p_hi makes a bracket, and its plain regula-falsi point is a
@@ -164,8 +161,19 @@ def scan_sign_changes(f, delta):
             "external seeds or the fallback seed provider" % (bound, delta)
         )
     steps = max(2, int(math.ceil(bound / delta)) + 1)
+    try:
+        return _scan_grid(f, np.arange(-steps, steps + 1) * delta)
+    except MemoryError:
+        raise RealScanError(
+            "a scan grid of %d points (root bound %r, step %r) cannot be "
+            "allocated; supply external seeds or the fallback seed provider"
+            % (2 * steps + 1, bound, delta)) from None
+
+
+def _scan_grid(f, lams):
+    """The ExplorationReport of :func:`scan_sign_changes` on the grid
+    ``lams``."""
     floor = power_error_bound(f)
-    lams = np.arange(-steps, steps + 1) * delta
     p, guarded, fv = _pade_on_grid(f, lams)
     p[guarded] = np.nan
     on_root = guarded | (p == 0.0)
@@ -315,7 +323,7 @@ def companion_seed_all(f, real=False):
     coefficients are real by construction (det F of a real F). The seeds
     are low-confidence when a seed's relative residual is not at most
     COMPANION_RESIDUAL_REL (a NaN residual counts). From degree
-    COMPANION_ARRAY_DEGREE on the residuals come from one
+    :data:`poly.ARRAY_PASS_DEGREE` on the residuals come from one
     :func:`poly.relative_residual_all` pass. Below it they come from
     :func:`poly.relative_residual`, seed by seed.
     """
@@ -332,7 +340,7 @@ def companion_seed_all(f, real=False):
             "companion matrix is not finite: making f monic overflows"
         ) from exc
     z = sorted((complex(w) for w in z), key=lambda w: (w.real, w.imag))
-    if f.degree >= COMPANION_ARRAY_DEGREE:
+    if f.degree >= ARRAY_PASS_DEGREE:
         residuals = relative_residual_all(f, z)
     else:
         residuals = (relative_residual(f, w) for w in z)

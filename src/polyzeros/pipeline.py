@@ -7,7 +7,7 @@ for a matrix problem. An exact root at 0 (a_0 = 0) is recorded as it is,
 and the other roots are solved for on f / lambda**k (:func:`_zero_root`).
 run_pipeline acquires seeds, refines them into one list of outcomes
 whatever the algorithm (:func:`_outcomes`), reads that list in one loop,
-merges duplicate roots, and assembles a deterministic report ordered
+merges the records that are one root (:func:`_dedupe`), and assembles a deterministic report ordered
 lexicographically by (re, im). Pade, Halley and the two list
 iterations refine all seeds in one batch call, each step taken by every
 seed still running at once. Detect and test-nu refine each seed on its
@@ -54,6 +54,7 @@ from .refine import (
     iterate_pade_all,
     iterate_test_nu,
     group_roots,
+    root_radii,
 )
 
 
@@ -280,19 +281,32 @@ def _refine(spec, f, seeds, errors):
     return records
 
 
-def _dedupe(records):
-    """Merge records within the root-identity radius, keeping the best.
+def _dedupe(f, records):
+    """Merge the records that are one root, keeping the best.
 
-    The representative is the member with the smallest residual; seed
+    Two records are one root when they lie within the sum of their
+    attainable radii (:func:`refine.same_root`). The radii of all records
+    come from one :func:`refine.root_radii` pass on f, the problem's own
+    polynomial, not on the g = f / lambda**k the records were refined on:
+    so the exact zero root's radius is 0 and it takes no neighbour. The
+    representative is the member with the smallest residual; seed
     provenance accumulates across the merged group."""
     ordered = sorted(
         records, key=lambda r: (r.value.real, r.value.imag, r.residual)
     )
+    if len(ordered) < 2:
+        return ordered
+    values = [r.value for r in ordered]
+    groups = group_roots(
+        values, root_radii(f, values, [r.multiplicity for r in ordered]))
+    if len(groups) == len(ordered):
+        return ordered
     merged = []
-    for group in group_roots(ordered, lambda r: r.value):
-        if len(group) == 1:
-            merged.extend(group)
+    for indices in groups:
+        if len(indices) == 1:
+            merged.append(ordered[indices[0]])
             continue
+        group = [ordered[i] for i in indices]
         best = min(group, key=lambda r: r.residual)
         seeds = dict.fromkeys(s for member in group for s in member.seeds)
         merged.append(replace(best, seeds=tuple(seeds)))
@@ -395,7 +409,7 @@ def run_pipeline(spec):
                                             SeedSource.DIAGONAL):
             records[0], seeds = _take_zero_seeds(records[0], seeds, g.degree)
         records += _refine(spec, g, seeds, errors)
-    records = _dedupe(records)
+    records = _dedupe(f, records)
     ecp_diag = _ecp_phase(f, records, errors) if spec.ecp and records else None
     eigenvectors = (_eigenvector_phase(spec.matrix, records, errors)
                     if spec.matrix is not None and records else ())

@@ -23,6 +23,12 @@ from .errors import (
 
 DEGREE_TRIM_REL = 1e-10
 UNIT_ROUNDOFF = 2.0 ** -53
+# From this degree on, a check over many points (the companion seeds'
+# residuals, the root radii of a solve's records) takes one array pass;
+# below it Horner's loop, point by point, costs less than the array pass's
+# fixed cost of tens of microseconds (measured crossover near degree 16,
+# real and complex coefficients alike).
+ARRAY_PASS_DEGREE = 16
 
 
 class _kept:
@@ -165,23 +171,31 @@ def evaluate(f, lam, order=0):
     return tuple(vals)
 
 
+def power_matrix(points, m):
+    """The power matrix of ``points`` in their dtype: row i holds 1, x_i,
+    ..., x_i**m (``cumprod``). Overflow gives inf or NaN, and numpy warns
+    of it unless the caller runs it under ``np.errstate``."""
+    points = np.asarray(points)
+    powers = np.empty((len(points), m + 1), dtype=points.dtype)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = points[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    return powers
+
+
 def power_rows(coeffs, points, order):
     """Rows k = 0..order of sum_j j (j-1) ... (j-k+1) c_j x**(j-k) at
     every point x, in the points' dtype: the k-th derivative of the
     polynomial with ascending coefficients ``coeffs`` (an array).
 
-    Row i of one power matrix holds 1, x_i, ..., x_i**m (``cumprod``), and
-    each row k is its product with the coefficients j (j-1) ... (j-k+1) c_j.
-    The products run point by point without BLAS, so a point's values do
-    not depend on the other points. Overflow gives inf or NaN, silently.
+    Each row k is the product of one :func:`power_matrix` with the
+    coefficients j (j-1) ... (j-k+1) c_j. The products run point by point
+    without BLAS, so a point's values do not depend on the other points.
+    Overflow gives inf or NaN, silently.
     """
-    points = np.asarray(points)
-    powers = np.empty((len(points), len(coeffs)), dtype=points.dtype)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = points[:, None]
-    values = np.empty((order + 1, len(points)), dtype=points.dtype)
     with np.errstate(all="ignore"):
-        np.multiply.accumulate(powers, axis=1, out=powers)
+        powers = power_matrix(points, len(coeffs) - 1)
+        values = np.empty((order + 1, len(powers)), dtype=powers.dtype)
         for k in range(order + 1):
             if k:
                 coeffs = coeffs[1:] * np.arange(1, len(coeffs))
@@ -206,7 +220,13 @@ def evaluate_all(f, lams, order=0):
     if order < 0:
         raise ValueError("order must be >= 0")
     points = np.array(lams, dtype=complex)
-    values = power_rows(f.coeff_array, points, order)
+    return _horner_where_not_finite(
+        f, points, power_rows(f.coeff_array, points, order), order)
+
+
+def _horner_where_not_finite(f, points, values, order):
+    """``values``, the rows of :func:`power_rows` at ``points``, with
+    :func:`evaluate` at every point where a row is not finite."""
     for i in np.flatnonzero(~np.isfinite(values).all(axis=0)):
         values[:, i] = evaluate(f, points[i], order)
     return values
@@ -271,15 +291,34 @@ def relative_residual_all(f, lams):
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     points = np.array(lams, dtype=complex)
-    magnitude = np.abs(power_rows(f.coeff_array, points, 0)[0])
+    return _residuals_at(f, points, power_rows(f.coeff_array, points, 0)[0])
+
+
+def _residuals_at(f, points, values):
+    """The residuals of :func:`relative_residual_all` at ``points``, given
+    f's ``values`` there from :func:`power_rows`."""
     s = power_rows(f.coeff_moduli, np.abs(points), 0)[0]
     with np.errstate(all="ignore"):
-        residuals = (magnitude / s).tolist()
+        residuals = (np.abs(values) / s).tolist()
     if not math.isfinite(sum(residuals)):
         for i, residual in enumerate(residuals):
             if not math.isfinite(residual):
                 residuals[i] = relative_residual(f, points[i])
     return residuals
+
+
+def evaluate_with_residuals(f, lams):
+    """(values, residuals): f at every point of ``lams``, as row 0 of
+    :func:`evaluate_all` gives it, and the relative residuals there, as
+    :func:`relative_residual_all` gives them, bit for bit, from the one
+    complex power matrix that both read. The interpolation lists of
+    :mod:`ecp` take their defects and their floor test from it."""
+    if f.is_zero:
+        raise ZeroPolynomialError("zero polynomial")
+    points = np.array(lams, dtype=complex)
+    rows = power_rows(f.coeff_array, points, 0)
+    residuals = _residuals_at(f, points, rows[0])
+    return _horner_where_not_finite(f, points, rows, 0)[0], residuals
 
 
 def power_error_bound(f):

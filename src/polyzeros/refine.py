@@ -30,6 +30,12 @@ approximations of all the roots, such as companion-matrix eigenvalues, a
 nu-fold root shows up as a cluster of nu seeds, counted on a circle
 around the cluster's mean (:func:`detect_clusters`); every seed's own
 circle is counted in one array pass (:func:`count_zeros_all`).
+
+Root identity reads the same floor. Two records of f's roots are one
+root when they lie within the sum of their attainable radii
+(:func:`same_root`): a record's radius (:func:`root_radii`) is that of
+the disk around it on which f vanishes to working precision, given its
+multiplicity. :func:`group_roots` groups a solve's records by that rule.
 """
 
 import cmath
@@ -50,10 +56,12 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import (
+    ARRAY_PASS_DEGREE,
     UNIT_ROUNDOFF,
     evaluate,
     evaluate_all,
     power_error_bound,
+    power_matrix,
     power_rows,
     relative_residual,
     relative_residual_all,
@@ -64,8 +72,6 @@ from .poly import (
 MAX_ITERS = 100
 STEP_TOL = 1e-12
 DIVERGENCE_FACTOR = 10.0
-
-ROOT_IDENTITY_REL = 1e-8
 
 # Trapezoidal nodes of a zero count. Zeros at distance rho inside, or rho
 # outside, a circle of radius r move the count by about (rho/r)**N and
@@ -211,37 +217,144 @@ def _horner_residuals(f, lams):
     return [relative_residual(f, lam) for lam in lams]
 
 
-def same_root(a, b):
-    """Root identity: a and b agree to ROOT_IDENTITY_REL relative."""
-    return abs(a - b) <= ROOT_IDENTITY_REL * (1.0 + min(abs(a), abs(b)))
+def _taylor_coefficients(f, nu):
+    """The coefficients C(j, nu) a_j, j = nu..m, of f^(nu)/nu!, ascending,
+    as a list, empty when nu exceeds the degree. C(j, nu) is a running
+    product in floats, so one beyond the float range is inf."""
+    coeffs = f.coeffs
+    weight = 1.0
+    taylor = list(coeffs[nu:nu + 1])
+    for j in range(nu + 1, len(coeffs)):
+        weight = weight * j / (j - nu)
+        taylor.append(coeffs[j] * weight)
+    return taylor
 
 
-def group_roots(items, value):
-    """Group items greedily, in input order: an item joins the first group
-    whose first member is the same root (``same_root`` on ``value(item)``).
+def _horner_radius(f, lam, nu, taylor, floor):
+    """The radius of :func:`root_radii` at one record, from Horner's rule
+    on ``taylor``, the coefficients of f^(nu)/nu! from the leading one
+    down, and on ``f.terms`` for S."""
+    lam = complex(lam)
+    r = abs(lam)
+    t = 0j
+    for c in taylor:
+        t = t * lam + c
+    s = 0.0
+    for _, mag in f.terms:
+        s = s * r + mag
+    try:
+        rho = (floor * s / abs(t)) ** (1.0 / nu)
+    except (ZeroDivisionError, OverflowError):
+        return 0.0
+    return rho if rho < math.inf else 0.0
 
-    The group heads are kept sorted by real part. A head whose real part
-    lies further than twice the identity radius from the item's cannot be
-    the same root, so only the heads inside that window are tested, oldest
-    group first. Input sorted by real part keeps the window short.
+
+def root_radii(f, values, multiplicities):
+    """The attainable radius of each root record (value lambda,
+    multiplicity nu): rho = (g S(lambda) / |f^(nu)(lambda)/nu!|)**(1/nu),
+    g = :func:`poly.power_error_bound` (f) and S(lambda) =
+    sum |a_j| |lambda|**j, the scale of :func:`poly.relative_residual`.
+
+    Near a nu-fold root, f(lambda + h) is about f^(nu)(lambda)/nu! h**nu,
+    so f vanishes to working precision, |f| within g S, on about the disk
+    |h| <= rho: the root neighbourhood of f (Mosier 1986, Math. Comp. 47;
+    Zeng 2005, Math. Comp. 74), inside which no computed value is a better
+    root than another. rho scales with lambda and does not change with a
+    factor on f. The exact zero root of f gets 0, as S(0) = |a_0| = 0.
+    A radius that is not finite (f^(nu) is exactly 0 at the value, or a
+    sum overflows) is 0: such a record reaches no other record, and so
+    cannot join records that lie apart; a record whose own radius
+    reaches it still can.
+
+    f^(nu)/nu! is the polynomial with coefficients C(j, nu) a_j. Below
+    :data:`poly.ARRAY_PASS_DEGREE` it and S are taken by Horner's rule,
+    record by record. From it on both come from one complex
+    :func:`poly.power_matrix` of the values, S from its moduli, point by
+    point without BLAS; a radius that is not finite there is taken by
+    Horner's rule.
     """
+    floor = power_error_bound(f)
+    taylor = {nu: _taylor_coefficients(f, nu) for nu in set(multiplicities)}
+    if f.degree < ARRAY_PASS_DEGREE:
+        taylor = {nu: c[::-1] for nu, c in taylor.items()}
+        return [_horner_radius(f, lam, nu, taylor[nu], floor)
+                for lam, nu in zip(values, multiplicities)]
+    points = np.array(values, dtype=complex)
+    nus = np.array(multiplicities)
+    with np.errstate(all="ignore"):
+        powers = power_matrix(points, f.degree)
+        s = np.einsum("ij,j->i", np.abs(powers), f.coeff_moduli)
+        derivative = 0.0
+        for nu, c in taylor.items():
+            derivative = np.where(nus == nu, np.abs(np.einsum(
+                "ij,j->i", powers[:, :len(c)], np.array(c))), derivative)
+        radii = (floor * s / derivative) ** (1.0 / nus)
+    for i in np.flatnonzero(~(radii < math.inf)).tolist():
+        nu = multiplicities[i]
+        radii[i] = _horner_radius(f, points[i], nu, taylor[nu][::-1], floor)
+    return radii.tolist()
+
+
+def same_root(f, a, b, nu_a, nu_b):
+    """Root identity, the one rule: the records (a, nu_a) and (b, nu_b) of
+    f's roots are one root when |a - b| is at most the sum of their
+    attainable radii (:func:`root_radii`)."""
+    rho_a, rho_b = root_radii(f, (a, b), (nu_a, nu_b))
+    return abs(a - b) <= rho_a + rho_b
+
+
+def group_roots(values, radii):
+    """Group the indices of ``values`` greedily, in input order: value i
+    joins the first group whose first member j is the same root,
+    |values[i] - values[j]| <= radii[i] + radii[j] (:func:`same_root`,
+    given the finite radii of :func:`root_radii`).
+
+    Value i can only be the same root as a value whose real part, and
+    whose imaginary part, lies within radii[i] plus the largest radius of
+    its own. From :data:`poly.ARRAY_PASS_DEGREE` values on, one array pass
+    over the sorted real parts and one over the sorted imaginary parts
+    find the values with no other inside twice that window (so that
+    rounding cannot hide one) in either part, such as each member of a
+    conjugate pair, and each of them is a group of its own. The group
+    heads of the others are kept sorted by real part, and only the heads
+    inside the window of radii[i] plus the largest head radius, twice
+    over, are tested, oldest group first. Input sorted by real part keeps
+    that window short.
+    """
+    alone = [False] * len(values)
+    if len(values) >= ARRAY_PASS_DEGREE:
+        points = np.array(values, dtype=complex)
+        reach = 2.0 * (np.array(radii) + max(radii))
+        lonely = np.zeros(len(values), dtype=bool)
+        for part in (points.real, points.imag):
+            ordered = np.sort(part)
+            lonely |= (np.searchsorted(ordered, part + reach, "right")
+                       - np.searchsorted(ordered, part - reach, "left")) == 1
+        if lonely.all():
+            return [[i] for i in range(len(values))]
+        alone = lonely.tolist()
     groups = []
     head_re = []
     head_index = []
-    for item in items:
-        x = value(item)
-        reach = 2.0 * ROOT_IDENTITY_REL * (1.0 + abs(x))
+    widest = 0.0
+    for i, (x, rho) in enumerate(zip(values, radii)):
+        if alone[i]:
+            groups.append([i])
+            continue
+        reach = 2.0 * (rho + widest)
         lo = bisect_left(head_re, x.real - reach)
         hi = bisect_right(head_re, x.real + reach)
         for k in sorted(head_index[lo:hi]):
-            if same_root(value(groups[k][0]), x):
-                groups[k].append(item)
+            j = groups[k][0]
+            if abs(values[j] - x) <= radii[j] + rho:
+                groups[k].append(i)
                 break
         else:
             at = bisect_right(head_re, x.real, lo, hi)
             head_re.insert(at, x.real)
             head_index.insert(at, len(groups))
-            groups.append([item])
+            groups.append([i])
+            widest = max(widest, rho)
     return groups
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cases
+import oracles
 from polyzeros import (
     Algorithm,
     ProblemFormatError,
@@ -164,6 +165,23 @@ def test_solve_reports_an_unscannable_bound(tmp_path, capsys):
     assert [e for e in report["errors"] if e.startswith("exploration")] == [
         report["errors"][0]]
     assert report["errors"][0].startswith("exploration: root bound")
+    assert capsys.readouterr().err == ""
+
+
+def test_solve_reports_a_scan_grid_it_cannot_allocate(tmp_path, capsys):
+    """Wilkinson 10 with its roots scaled by 2**40: the scan grid at step
+    0.1 cannot be allocated, so exploration records an error line, and
+    solve writes a report and exits 1 instead of raising."""
+    path = _write(tmp_path, "w10.json", {
+        "kind": "polynomial",
+        "coefficients": [float(a) * 2.0 ** (-40 * j) for j, a in enumerate(
+            oracles.wilkinson_coeffs(10))],
+    })
+    out = tmp_path / "r.json"
+    assert main(["solve", path, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["roots"] == []
+    assert report["errors"][0].startswith("exploration: a scan grid of ")
     assert capsys.readouterr().err == ""
 
 

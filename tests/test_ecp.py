@@ -30,8 +30,8 @@ from polyzeros import (
     relative_residual_all,
     sum_control,
 )
-from polyzeros import refine
-from polyzeros.poly import power_error_bound
+from polyzeros import poly, refine
+from polyzeros.poly import power_error_bound, power_rows
 
 LIST_RTOL = 1e-12
 # Rows 1-8 of the Wilkinson 10 list carry defects of 3e-11 to 4e-9, and a
@@ -184,6 +184,28 @@ def test_evolve_until_reaches_the_threshold():
     assert evolve_until(final, f) == []
 
 
+def test_each_list_evaluates_f_once(monkeypatch):
+    """A list's build takes f at its interpolation values and their
+    relative residuals from one complex power matrix, and evolve_until's
+    floor test reads those residuals, relative_residual_all's bit for
+    bit: one complex pass per list."""
+    f = polynomial_from_roots((1.0, 2.0, 3.0))
+    lst = build_ecp_list(f, (0.9, 2.2, 3.4))
+    complex_passes = []
+
+    def counting(coeffs, points, order):
+        complex_passes.append(np.iscomplexobj(points))
+        return power_rows(coeffs, points, order)
+
+    monkeypatch.setattr(poly, "power_rows", counting)
+    history = evolve_until(lst, f)
+    monkeypatch.undo()
+    assert len(history) >= 2
+    assert complex_passes.count(True) == len(history)
+    for item in [lst] + history:
+        assert item.residuals == tuple(relative_residual_all(f, item.sigmas))
+
+
 def test_evolve_until_stops_after_the_refinement_budget(monkeypatch):
     """A list that does not reach the floor evolves refine.MAX_ITERS
     times, the budget of every refinement loop."""
@@ -229,7 +251,7 @@ def test_list_of_a_lambda_scaled_f_evolves_like_f(k):
 
 def test_evolution_collision_reports_indices():
     lst = EcpList((0.0 + 0j, 1.0 + 0j), (-0.5 + 0j, 0.5 + 0j),
-                  (0.5 + 0j, 0.5 + 0j), 2, 1.0 + 0j, 0j)
+                  (0.5 + 0j, 0.5 + 0j), 2, 1.0 + 0j, 0j, (1.0, 0.0))
     with pytest.raises(EvolutionCollisionError) as info:
         evolve(lst, Polynomial((-1.0, 0.0, 1.0)))
     assert info.value.indices == (0, 1)
@@ -426,7 +448,9 @@ def test_gershgorin_separation_is_the_pairwise_test():
             defects = tuple(spread * (rng.standard_normal(m)
                                       + 1j * rng.standard_normal(m)))
             mains = tuple(s - d for s, d in zip(sigmas, defects))
-            lst = EcpList(sigmas, defects, mains, m, 1.0 + 0j, 0j)
+            # No polynomial: the disks read no residual.
+            lst = EcpList(sigmas, defects, mains, m, 1.0 + 0j, 0j,
+                          (cmath.nan,) * m)
             disks = gershgorin_enclosures(lst)
             radii = [(m - 1) * abs(d) for d in defects]
             for k, disk in enumerate(disks):

@@ -24,13 +24,9 @@ from polyzeros import (
     scan_sign_changes,
 )
 from polyzeros import explore, refine
-from polyzeros.explore import (
-    COMPANION_ARRAY_DEGREE,
-    ExplorationReport,
-    _real_root_bound,
-)
+from polyzeros.explore import ExplorationReport, _real_root_bound
 from polyzeros import poly
-from polyzeros.poly import power_error_bound
+from polyzeros.poly import ARRAY_PASS_DEGREE, power_error_bound
 
 SCAN_VALUE_RTOL = 1e-10
 SEED_RTOL = 1e-8
@@ -327,6 +323,17 @@ def test_scan_rejects_a_bound_out_of_reach(coeffs):
         scan_sign_changes(Polynomial(coeffs), 0.1)
 
 
+def test_scan_that_cannot_allocate_its_grid_raises():
+    """Wilkinson 10 with its roots scaled by 2**40 has a real-root bound
+    of 1.2e14: at step 0.1 the grid holds 2.4e15 points, which numpy
+    refuses at once. The scan raises RealScanError, as for a bound out of
+    reach."""
+    f = Polynomial(tuple(float(a) * 2.0 ** (-40 * j)
+                         for j, a in enumerate(oracles.wilkinson_coeffs(10))))
+    with pytest.raises(RealScanError, match="cannot be allocated"):
+        scan_sign_changes(f, 0.1)
+
+
 def test_scan_stops_at_a_bound_on_the_real_roots():
     """lambda^2 + 1e6 has no real root: no coefficient has a sign opposite
     to the leading one in f(lambda) or f(-lambda), so Kioustelidis' bound
@@ -477,12 +484,12 @@ def test_companion_seeds_cluster_layout(cluster_decic):
         assert len(near) == count
 
 
-@pytest.mark.parametrize("degree", [COMPANION_ARRAY_DEGREE - 1,
-                                    COMPANION_ARRAY_DEGREE])
+@pytest.mark.parametrize("degree", [ARRAY_PASS_DEGREE - 1,
+                                    ARRAY_PASS_DEGREE])
 @pytest.mark.parametrize("real", [False, True])
 def test_companion_check_flags_a_far_seed_on_both_paths(monkeypatch,
                                                         degree, real):
-    """Below COMPANION_ARRAY_DEGREE the low-confidence check runs Horner's
+    """Below ARRAY_PASS_DEGREE the low-confidence check runs Horner's
     rule seed by seed, from it on one relative_residual_all pass. Both pass
     the companion eigenvalues and flag a seed moved 0.1 off its root."""
     rng = np.random.default_rng(degree)
@@ -498,7 +505,7 @@ def test_companion_check_flags_a_far_seed_on_both_paths(monkeypatch,
 
     monkeypatch.setattr(explore, "relative_residual_all", recording)
     assert not companion_seed_all(f).low_confidence
-    assert calls == ([degree] if degree >= COMPANION_ARRAY_DEGREE else [])
+    assert calls == ([degree] if degree >= ARRAY_PASS_DEGREE else [])
     eigenvalues = np.roots
 
     def moved(coeffs):
@@ -521,11 +528,11 @@ def test_companion_check_flags_a_seed_whose_residual_is_nan():
     assert seeds.low_confidence
 
 
-@pytest.mark.parametrize("degree", [COMPANION_ARRAY_DEGREE - 1,
-                                    COMPANION_ARRAY_DEGREE])
+@pytest.mark.parametrize("degree", [ARRAY_PASS_DEGREE - 1,
+                                    ARRAY_PASS_DEGREE])
 def test_companion_check_flags_a_nan_residual_on_both_paths(monkeypatch,
                                                             degree):
-    """Horner's rule below COMPANION_ARRAY_DEGREE and the array pass from
+    """Horner's rule below ARRAY_PASS_DEGREE and the array pass from
     it on both flag a seed moved to 1e300, where the residual is NaN."""
     f = Polynomial(tuple(np.random.default_rng(degree).standard_normal(
         degree + 1)))

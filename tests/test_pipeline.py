@@ -187,8 +187,25 @@ def test_dedupe_keeps_a_lone_record_as_it_is(quad_quint):
         ProblemSpec(polynomial=quad_quint, seed_source=SeedSource.EXTERNAL,
                     external_seeds=(-2.1, 0.9), algorithm=Algorithm.PADE),
         quad_quint, (-2.1, 0.9), [])
-    merged = pipeline._dedupe(records)
+    merged = pipeline._dedupe(quad_quint, records)
     assert any(r is records[0] for r in merged)
+
+
+def test_a_record_where_f_nu_vanishes_joins_no_records_that_lie_apart():
+    """f = (lambda - 1)**2 (lambda + 1) has f'(1) = 0 exactly, so the
+    radius formula is infinite for a simple-root record at 1; it is 0.
+    Such a record is the same root only as a record whose own radius
+    reaches it (1 + 1e-12, where f' is 4e-12), so it does not join -1,
+    which lies apart from it, into one group."""
+    f = polynomial_from_roots((1.0, 1.0, -1.0))
+    assert refine.root_radii(f, [1.0], [1]) == [0.0]
+    assert same_root(f, 1.0, 1.0 + 1e-12, 1, 1)
+    assert not same_root(f, 1.0, -1.0, 1, 1)
+    records = [pipeline.RootRecord(complex(v), 1, 0.0, 1, (complex(v),))
+               for v in (-1.0, 1.0, 1.0 + 1e-12)]
+    merged = pipeline._dedupe(f, records)
+    assert [r.seeds for r in merged] == [(-1.0 + 0j,),
+                                         (1.0 + 0j, 1.0 + 1e-12 + 0j)]
 
 
 @pytest.mark.parametrize("algorithm", [Algorithm.PADE, Algorithm.HALLEY])
@@ -271,20 +288,95 @@ def test_c_times_f_solves_like_f(name, k, wilkinson10):
         case = (algorithm.value, source.value)
         assert len(got.roots) == len(want.roots), case
         for r, w in zip(got.roots, want.roots):
-            assert same_root(r.value, w.value), case
+            assert same_root(Polynomial(coeffs), r.value, w.value,
+                             r.multiplicity, w.multiplicity), case
             assert r.multiplicity == w.multiplicity, case
         assert got.conserved == want.conserved, case
         assert got.all_residuals_pass == want.all_residuals_pass, case
 
 
-@pytest.mark.xfail(
-    strict=True, reason="same_root's floor 1 + min(|a|, |b|) is absolute "
-    "below |lambda| = 1: the roots 1e-9, 2e-9 and 3e-9 lie within "
-    "ROOT_IDENTITY_REL = 1e-8 of each other, so the three are merged into "
-    "one and detect reports 1 of the 3 (ROADMAP item 8)")
+# f(lambda / 2**k) for k = -60, -50, ..., 60, and the algorithms under
+# which each f is solved like f; under the others no scaled report passes
+# where f's report fails.
+LAMBDA_SCALES = range(-60, 61, 10)
+LAMBDA_SCALED = {
+    "wilkinson10": (oracles.wilkinson_coeffs(10), (
+        Algorithm.PADE, Algorithm.HALLEY, Algorithm.DETECT,
+        Algorithm.RAYLEIGH, Algorithm.REDUCED)),
+    "quintic": (polynomial_from_roots((1, -2, 3, 0.5 + 1j, 0.5 - 1j)).coeffs,
+                (Algorithm.PADE, Algorithm.HALLEY, Algorithm.DETECT,
+                 Algorithm.RAYLEIGH, Algorithm.REDUCED)),
+    "triple": (polynomial_from_roots((1, 1, 1, 2, 2, 3)).coeffs,
+               (Algorithm.DETECT,)),
+    "sextic": (cases.DOUBLE_QUAD_SEXTIC, (Algorithm.DETECT,)),
+}
+
+
+def _lambda_scaled(coeffs, k):
+    """The coefficients a_j 2**(-k j) of f(lambda / 2**k), exact."""
+    return tuple(complex(a) * 2.0 ** (-k * j) for j, a in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA_SCALED))
+def test_lambda_scaled_f_solves_like_f(name):
+    """f(lambda / s), s = 2**k, has the roots s r of f, and every test of a
+    solve, root identity included, reads a rounding floor that scales
+    with lambda. So from companion seeds, at every k, it is solved as f
+    is: the roots of f's report times s, each the same root as one of the
+    scaled report with its multiplicity, and the same verdicts. The roots
+    match as sets: the real parts of the quintic's pair 1/2 +- i can
+    differ in the last bit, which flips their order in the report. Under
+    every algorithm, no scaled report passes where f's fails. An identity
+    tolerance with an absolute floor, such as 1e-8 (1 + |lambda|), would
+    merge the roots of Wilkinson 10 and of the quintic into one from
+    k = -30 down."""
+    coeffs, solved_alike = LAMBDA_SCALED[name]
+    for algorithm in (Algorithm.PADE, Algorithm.HALLEY, Algorithm.DETECT,
+                      Algorithm.RAYLEIGH, Algorithm.REDUCED):
+        want = run_pipeline(ProblemSpec(
+            polynomial=Polynomial(tuple(coeffs)), algorithm=algorithm,
+            seed_source=SeedSource.COMPANION))
+        for k in LAMBDA_SCALES:
+            f = Polynomial(_lambda_scaled(coeffs, k))
+            got = run_pipeline(ProblemSpec(
+                polynomial=f, algorithm=algorithm,
+                seed_source=SeedSource.COMPANION))
+            case = (algorithm.value, k)
+            assert want.all_residuals_pass or not got.all_residuals_pass, case
+            if algorithm not in solved_alike:
+                continue
+            assert got.conserved == want.conserved, case
+            assert got.all_residuals_pass == want.all_residuals_pass, case
+            left = list(got.roots)
+            assert len(left) == len(want.roots), case
+            for w in want.roots:
+                scaled = w.value * 2.0 ** k
+                match = [r for r in left if r.multiplicity == w.multiplicity
+                         and same_root(f, r.value, scaled, r.multiplicity,
+                                       w.multiplicity)]
+                assert len(match) == 1, (case, w.value)
+                left.remove(match[0])
+
+
+def test_lambda_scaled_sextic_does_not_pass_under_rayleigh():
+    """(lambda + 1)**4 (lambda - 2)**2 with its roots scaled by 2**10:
+    rayleigh from companion seeds ends its four rows at the 4-fold root
+    about 1e-4 apart, relative, each a simple root. Their radii reach each
+    other, so they are one root, and the report fails, as the unscaled
+    report does. A tolerance of 1e-8 (1 + |lambda|) would keep them apart,
+    and six simple roots would pass."""
+    report = run_pipeline(ProblemSpec(
+        polynomial=Polynomial(_lambda_scaled(cases.DOUBLE_QUAD_SEXTIC, 10)),
+        algorithm=Algorithm.RAYLEIGH, seed_source=SeedSource.COMPANION))
+    assert not report.conserved and not report.all_residuals_pass
+    near = [r for r in report.roots if abs(r.value + 1024.0) < 1.0]
+    assert len(near) == 1 and len(near[0].seeds) == 4
+
+
 def test_roots_scaled_by_1e_minus_9_stay_apart():
-    """Scaling lambda is not yet neutral: the roots 1, 2 and 3 scaled by
-    1e-9 must come back as three simple roots, as 1, 2 and 3 do."""
+    """The roots 1, 2 and 3 scaled by 1e-9 come back as three simple
+    roots, as 1, 2 and 3 do: root identity reads each record's attainable
+    radius, which scales with lambda, and no absolute floor."""
     report = run_pipeline(ProblemSpec(
         polynomial=polynomial_from_roots((1e-9, 2e-9, 3e-9)),
         algorithm=Algorithm.DETECT, seed_source=SeedSource.COMPANION))
@@ -916,7 +1008,7 @@ def test_companion_detect_solves_a_multiple_roots_problem(name):
     assert len(report.roots) == len(roots)
     for root, nu in roots:
         found = min(report.roots, key=lambda r: abs(r.value - root))
-        assert same_root(found.value, root)
+        assert same_root(f, found.value, root, found.multiplicity, nu)
         assert found.multiplicity == nu
     assert report.all_residuals_pass
 
@@ -931,7 +1023,8 @@ def test_detect_claims_no_wrong_multiplicity_on_mult_d9_13():
     for record in report.roots:
         root, nu = min(cases.MULT_D9_13_ROOTS,
                        key=lambda r: abs(r[0] - record.value))
-        assert same_root(record.value, root)
+        assert same_root(Polynomial(cases.MULT_D9_13), record.value, root,
+                         record.multiplicity, nu)
         assert record.multiplicity == nu
 
 
@@ -1095,7 +1188,8 @@ def test_probe_whose_test_polynomial_overflows_leaves_an_error_line():
     report = run_pipeline(ProblemSpec(polynomial=f,
                                       seed_source=SeedSource.COMPANION))
     assert not report.conserved and not report.all_residuals_pass
-    assert any(same_root(r.value, -2.0) for r in report.roots)
+    assert any(same_root(f, r.value, -2.0, r.multiplicity, 1)
+               for r in report.roots)
     assert report.errors[-1] == ("multiplicity sum %d does not match "
                                  "effective degree 141"
                                  % report.multiplicity_sum)

@@ -273,55 +273,117 @@ def _row_bits(trace):
             for r in trace.rows]
 
 
-def _reference_group_roots(items, value):
+def _reference_group_roots(values, radii):
     """The greedy grouping that tests every group head, oldest first."""
     groups = []
-    for item in items:
+    for i, x in enumerate(values):
         for group in groups:
-            if same_root(value(group[0]), value(item)):
-                group.append(item)
+            if abs(values[group[0]] - x) <= radii[group[0]] + radii[i]:
+                group.append(i)
                 break
         else:
-            groups.append([item])
+            groups.append([i])
     return groups
 
 
 def _grouping_inputs():
+    """(values, radii) to group."""
     rng = np.random.default_rng(808)
     for degree in (20, 50, 100):
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
             degree + 1)
-        roots = np.roots(coeffs)
-        # Each root twice, as two seeds refined to it would give it.
-        yield np.concatenate((roots, roots * (1.0 + 3e-9 * rng.standard_normal(
-            degree))))
-    # Chains spaced 1e-9 apart: a group's reach spans about ten of them.
-    yield np.concatenate([c + 1e-9 * np.arange(40) * (1.0 + 0.5j)
-                          for c in (0.0, 1.0 - 2.0j, -1e3 + 1e3j)])
+        f = Polynomial(tuple(coeffs))
+        roots = np.roots(coeffs[::-1])
+        radii = np.array(refine.root_radii(f, roots, [1] * degree))
+        # Each root twice, as two seeds refined to it would give it: the
+        # second up to three radii away, so some pairs are one root.
+        moved = roots + radii * rng.uniform(0.0, 3.0, degree) * np.exp(
+            2j * np.pi * rng.uniform(size=degree))
+        values = np.concatenate((roots, moved))
+        yield values, refine.root_radii(f, values, [1] * 2 * degree)
+    # Chains spaced 1e-9 apart: a group's reach spans up to ten of them.
+    chains = np.concatenate([c + 1e-9 * np.arange(40) * (1.0 + 0.5j)
+                             for c in (0.0, 1.0 - 2.0j, -1e3 + 1e3j)])
+    yield chains, rng.choice([0.0, 2e-10, 1e-9, 5e-9], len(chains)).tolist()
     # Ties in real part, on both sides of a head and across groups.
-    yield np.concatenate((1.0 + 1e-9 * np.arange(-20, 20) * 1j,
-                          1.0 + np.array([0.5, -0.5, 1e-8, -1e-8]) * 1j,
-                          np.full(3, 2.0 + 0j)))
+    ties = np.concatenate((1.0 + 1e-9 * np.arange(-20, 20) * 1j,
+                           1.0 + np.array([0.5, -0.5, 1e-8, -1e-8]) * 1j,
+                           np.full(3, 2.0 + 0j)))
+    yield ties, rng.choice([0.0, 1e-8, 3e-8], len(ties)).tolist()
     # The last value is the same root as both heads; the older one, with
     # the larger real part, takes it.
-    yield np.array([1.0 + 2.2e-8, 1.0 - 1e-9, 1.0 + 1.1e-8])
+    yield np.array([1.0 + 2.2e-8, 1.0 - 1e-9, 1.0 + 1.1e-8]), [1e-8] * 3
+    # The widest head reaches values that lie outside an item's own reach.
+    yield np.array([0.0, 2.0, 4.0, 2.5]), [3.0, 0.0, 0.0, 1.0]
 
 
 def test_windowed_grouping_gives_the_greedy_groups():
-    """group_roots tests only the heads near an item's real part; its groups
-    are those of the loop over every head, for sorted and unsorted input."""
+    """group_roots tests only the heads near a value's real part, within
+    its radius plus the largest head radius, and from ARRAY_PASS_DEGREE
+    values on skips the values with no other in reach; its groups are
+    those of the loop over every head, for sorted and unsorted input."""
     rng = np.random.default_rng(809)
-    for values in _grouping_inputs():
-        items = [(k, complex(v)) for k, v in enumerate(values)]
-        orders = [sorted(items, key=lambda it: (it[1].real, it[1].imag)),
-                  items]
-        orders += [[items[k] for k in rng.permutation(len(items))]
-                   for _ in range(4)]
+    for values, radii in _grouping_inputs():
+        values = [complex(v) for v in values]
+        by_real = sorted(range(len(values)),
+                         key=lambda k: (values[k].real, values[k].imag))
+        orders = [by_real, list(range(len(values)))]
+        orders += [rng.permutation(len(values)).tolist() for _ in range(4)]
         for order in orders:
-            got = group_roots(order, lambda it: it[1])
-            want = _reference_group_roots(order, lambda it: it[1])
+            got = group_roots([values[k] for k in order],
+                              [radii[k] for k in order])
+            want = _reference_group_roots([values[k] for k in order],
+                                          [radii[k] for k in order])
             assert got == want
             assert len(want) < len(order)
+
+
+def test_root_radius_is_the_attainable_accuracy():
+    """f = (lambda - 1)**3 (lambda + 2) = lambda**4 - lambda**3 - 3 lambda**2
+    + 5 lambda - 2. At the triple root 1, S = 12 and f^(3)(1)/3! = 3; at
+    the simple root -2, S = 48 and f'(-2) = -27. The radii are
+    (g S / |f^(nu)/nu!|)**(1/nu), g = power_error_bound(f). lambda f has
+    the exact zero root, where S = |a_0| = 0: its radius is 0."""
+    f = polynomial_from_roots((1.0, 1.0, 1.0, -2.0))
+    assert f.coeffs == (-2.0, 5.0, -3.0, -1.0, 1.0)
+    g = power_error_bound(f)
+    assert refine.root_radii(f, [1.0, -2.0], [3, 1]) == [
+        pytest.approx((12.0 * g / 3.0) ** (1 / 3), rel=1e-15),
+        pytest.approx(48.0 * g / 27.0, rel=1e-15)]
+    shifted = Polynomial((0.0,) + f.coeffs)
+    assert refine.root_radii(shifted, [0.0, 1.0], [1, 3])[0] == 0.0
+
+
+@pytest.mark.parametrize("degree", [poly.ARRAY_PASS_DEGREE - 1,
+                                    poly.ARRAY_PASS_DEGREE])
+def test_root_radii_agree_on_both_paths(monkeypatch, degree):
+    """Below ARRAY_PASS_DEGREE root_radii runs Horner's rule record by
+    record, from it on one array pass over all records. Both give the
+    same radii, to rounding, at a triple, a double and simple roots and
+    at values moved off them."""
+    rng = np.random.default_rng(degree)
+    simple = list(rng.standard_normal(degree - 5) + 1j * rng.standard_normal(
+        degree - 5))
+    f = polynomial_from_roots([0.5] * 3 + [-1.0 + 1j] * 2 + simple)
+    values = [0.5, -1.0 + 1j] + simple
+    values += [v + 1e-3 for v in values]
+    nus = ([3, 2] + [1] * len(simple)) * 2
+    horner = []
+
+    def counting(f, lam, nu, taylor, floor):
+        horner.append(lam)
+        return radius(f, lam, nu, taylor, floor)
+
+    radius = refine._horner_radius
+    monkeypatch.setattr(refine, "_horner_radius", counting)
+    radii = refine.root_radii(f, values, nus)
+    assert len(horner) == (0 if degree >= poly.ARRAY_PASS_DEGREE
+                           else len(values))
+    floor = power_error_bound(f)
+    want = [radius(f, v, nu, refine._taylor_coefficients(f, nu)[::-1], floor)
+            for v, nu in zip(values, nus)]
+    np.testing.assert_allclose(radii, want, rtol=1e-12)
+    assert all(0.0 < rho < 1e-2 for rho in radii)
 
 
 def test_detect_settles_each_seed_with_one_probe_of_the_counted_order():
@@ -562,7 +624,7 @@ def test_cluster_count_is_group_size_and_multiplicity():
         verdicts, _ = detect_clusters(f, companion_seed_all(f).values)
         for v in verdicts:
             k = min(range(len(roots)), key=lambda i: abs(roots[i] - v.root))
-            assert same_root(v.root, roots[k])
+            assert same_root(f, v.root, roots[k], v.multiplicity, mult[k])
             assert v.multiplicity == len(v.seeds) == mult[k]
             assert abs(v.count - mult[k]) < 0.5
         settled += sum(v.multiplicity for v in verdicts)
@@ -583,7 +645,7 @@ def test_probe_from_a_seed_at_the_noise_floor_stops_at_the_floor():
     verdict = detect_multiplicity(f, seed)
     assert verdict.multiplicity == 1
     assert verdict.probes[1].status is TraceStatus.AT_FLOOR
-    assert same_root(verdict.root, root)
+    assert same_root(f, verdict.root, root, 1, 1)
 
 
 def _same_trace(a, b):

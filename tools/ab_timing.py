@@ -28,7 +28,8 @@ Per workload the tool prints, for each side, the p50 and p90 over the
 problems of each problem's median solve time, their total, the stage
 totals per rep, how many report texts differ between the trees (each
 problem's first solve), and how many of those reports differ in outcome:
-a root that is not the same root (``refine.same_root``), or a
+a root that is not the same root (``refine.same_root`` on the problem's
+polynomial), or a
 multiplicity, iteration count, pass flag, eigenvector count, error line,
 solve label, evolution count or disk separation that differs
 (:func:`outcome`). The last line is the same as JSON, which also
@@ -136,12 +137,18 @@ def outcome(text):
     return rest, roots
 
 
-def same_outcome(pz, a, b):
+def same_outcome(pz, problem, a, b):
     """Whether two report texts have the same :func:`outcome`, root values
-    compared by the root identity of ``pz``."""
+    compared by the root identity of ``pz`` on the problem's polynomial
+    (det F for a matrix problem), each root with its multiplicity."""
+    if a == b:
+        return True
     (rest_a, roots_a), (rest_b, roots_b) = outcome(a), outcome(b)
-    return rest_a == rest_b and len(roots_a) == len(roots_b) and all(
-        pz.refine.same_root(x[0], y[0]) and x[1:] == y[1:]
+    if rest_a != rest_b or len(roots_a) != len(roots_b):
+        return False
+    f = pz.pipeline.spec_polynomial(build_spec(pz, problem.file))
+    return all(
+        pz.refine.same_root(f, x[0], y[0], x[1], y[1]) and x[1:] == y[1:]
         for x, y in zip(roots_a, roots_b))
 
 
@@ -207,7 +214,7 @@ def run_workload(packages, workload, seeds, reps):
     result["outcomes_differ"] = [
         ("%d/%s" % (seed, p.name)) for (seed, p), a, b in zip(
             problems, texts["base"], texts["change"])
-        if not same_outcome(packages["change"], a, b)]
+        if not same_outcome(packages["change"], p, a, b)]
     return result
 
 
