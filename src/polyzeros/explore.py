@@ -124,7 +124,9 @@ def scan_sign_changes(f, delta):
     delta that is not positive and finite raises ValueError. A bound that
     is infinite, or so large that delta <= u*B (u = 2**-53) and the grid
     j*delta can no longer advance, raises RealScanError, and so does a
-    grid that cannot be allocated (a MemoryError).
+    grid that cannot be allocated (a MemoryError). That last refusal
+    depends on the host's memory for grids of a few GiB; a grid beyond
+    any host's address space is refused everywhere.
 
     p falls through every real root, so only a downward crossing
     p_lo > 0 > p_hi makes a bracket, and its plain regula-falsi point is a

@@ -287,8 +287,9 @@ def _dedupe(f, records):
     Two records are one root when they lie within the sum of their
     attainable radii (:func:`refine.same_root`). The radii of all records
     come from one :func:`refine.root_radii` pass on f, the problem's own
-    polynomial, not on the g = f / lambda**k the records were refined on:
-    so the exact zero root's radius is 0 and it takes no neighbour. The
+    polynomial, not on the g = f / lambda**k the records were refined on,
+    at the residual each record attained (the same on f as on g): so the
+    exact zero root's radius is 0 and it takes no neighbour. The
     representative is the member with the smallest residual; seed
     provenance accumulates across the merged group."""
     ordered = sorted(
@@ -297,8 +298,9 @@ def _dedupe(f, records):
     if len(ordered) < 2:
         return ordered
     values = [r.value for r in ordered]
-    groups = group_roots(
-        values, root_radii(f, values, [r.multiplicity for r in ordered]))
+    groups = group_roots(values, root_radii(
+        f, values, [r.multiplicity for r in ordered],
+        [r.residual for r in ordered]))
     if len(groups) == len(ordered):
         return ordered
     merged = []

@@ -31,10 +31,11 @@ nu-fold root shows up as a cluster of nu seeds, counted on a circle
 around the cluster's mean (:func:`detect_clusters`); every seed's own
 circle is counted in one array pass (:func:`count_zeros_all`).
 
-Root identity reads the same floor. Two records of f's roots are one
-root when they lie within the sum of their attainable radii
+Root identity reads no fixed tolerance either. Two records of f's roots
+are one root when they lie within the sum of their attainable radii
 (:func:`same_root`): a record's radius (:func:`root_radii`) is that of
-the disk around it on which f vanishes to working precision, given its
+the disk around it that holds the roots of every polynomial within the
+unit roundoff plus the record's own relative residual of f, given its
 multiplicity. :func:`group_roots` groups a solve's records by that rule.
 """
 
@@ -230,7 +231,7 @@ def _taylor_coefficients(f, nu):
     return taylor
 
 
-def _horner_radius(f, lam, nu, taylor, floor):
+def _horner_radius(f, lam, nu, residual, taylor):
     """The radius of :func:`root_radii` at one record, from Horner's rule
     on ``taylor``, the coefficients of f^(nu)/nu! from the leading one
     down, and on ``f.terms`` for S."""
@@ -243,28 +244,37 @@ def _horner_radius(f, lam, nu, taylor, floor):
     for _, mag in f.terms:
         s = s * r + mag
     try:
-        rho = (floor * s / abs(t)) ** (1.0 / nu)
+        rho = ((UNIT_ROUNDOFF + residual) * s / abs(t)) ** (1.0 / nu)
     except (ZeroDivisionError, OverflowError):
         return 0.0
     return rho if rho < math.inf else 0.0
 
 
-def root_radii(f, values, multiplicities):
+def root_radii(f, values, multiplicities, residuals):
     """The attainable radius of each root record (value lambda,
-    multiplicity nu): rho = (g S(lambda) / |f^(nu)(lambda)/nu!|)**(1/nu),
-    g = :func:`poly.power_error_bound` (f) and S(lambda) =
-    sum |a_j| |lambda|**j, the scale of :func:`poly.relative_residual`.
+    multiplicity nu, relative residual r = |f(lambda)| / S(lambda)):
+    rho = ((u + r) S(lambda) / |f^(nu)(lambda)/nu!|)**(1/nu), with
+    u = :data:`poly.UNIT_ROUNDOFF` and S(lambda) = sum |a_j| |lambda|**j,
+    the scale of :func:`poly.relative_residual`.
 
-    Near a nu-fold root, f(lambda + h) is about f^(nu)(lambda)/nu! h**nu,
-    so f vanishes to working precision, |f| within g S, on about the disk
-    |h| <= rho: the root neighbourhood of f (Mosier 1986, Math. Comp. 47;
-    Zeng 2005, Math. Comp. 74), inside which no computed value is a better
-    root than another. rho scales with lambda and does not change with a
-    factor on f. The exact zero root of f gets 0, as S(0) = |a_0| = 0.
-    A radius that is not finite (f^(nu) is exactly 0 at the value, or a
-    sum overflows) is 0: such a record reaches no other record, and so
-    cannot join records that lie apart; a record whose own radius
-    reaches it still can.
+    lambda is an exact root of a polynomial whose coefficients lie within
+    r of f's, relative (its backward error as a root), and f's stored
+    coefficients are themselves right only to u. Near a nu-fold root,
+    f(lambda + h) is about f^(nu)(lambda)/nu! h**nu, so the roots of the
+    polynomials within u + r of f lie on about the disk |h| <= rho: the
+    root neighbourhood of f at that level (Mosier 1986, Math. Comp. 47;
+    Zeng 2005, Math. Comp. 74), inside which no computed value is a
+    better root than another. r is the residual the record attained, not
+    the worst case :func:`poly.power_error_bound` that the stopping test
+    allows: that bound is 81 u at degree 20, and its disks join the roots
+    10 to 19 of Wilkinson 20, whose disks at u + r lie apart. r does not change
+    when f is divided by a power of lambda, so a record refined on
+    g = f / lambda**k brings its residual on g. rho scales with lambda
+    and does not change with a factor on f. The exact zero root of f gets
+    0, as S(0) = |a_0| = 0. A radius that is not finite (f^(nu) is
+    exactly 0 at the value, a sum overflows, or r is inf where S is 0) is
+    0: such a record reaches no other record, and so cannot join records
+    that lie apart; a record whose own radius reaches it still can.
 
     f^(nu)/nu! is the polynomial with coefficients C(j, nu) a_j. Below
     :data:`poly.ARRAY_PASS_DEGREE` it and S are taken by Horner's rule,
@@ -273,12 +283,11 @@ def root_radii(f, values, multiplicities):
     point without BLAS; a radius that is not finite there is taken by
     Horner's rule.
     """
-    floor = power_error_bound(f)
     taylor = {nu: _taylor_coefficients(f, nu) for nu in set(multiplicities)}
     if f.degree < ARRAY_PASS_DEGREE:
         taylor = {nu: c[::-1] for nu, c in taylor.items()}
-        return [_horner_radius(f, lam, nu, taylor[nu], floor)
-                for lam, nu in zip(values, multiplicities)]
+        return [_horner_radius(f, lam, nu, r, taylor[nu])
+                for lam, nu, r in zip(values, multiplicities, residuals)]
     points = np.array(values, dtype=complex)
     nus = np.array(multiplicities)
     with np.errstate(all="ignore"):
@@ -288,18 +297,23 @@ def root_radii(f, values, multiplicities):
         for nu, c in taylor.items():
             derivative = np.where(nus == nu, np.abs(np.einsum(
                 "ij,j->i", powers[:, :len(c)], np.array(c))), derivative)
-        radii = (floor * s / derivative) ** (1.0 / nus)
+        radii = ((UNIT_ROUNDOFF + np.array(residuals)) * s
+                 / derivative) ** (1.0 / nus)
     for i in np.flatnonzero(~(radii < math.inf)).tolist():
         nu = multiplicities[i]
-        radii[i] = _horner_radius(f, points[i], nu, taylor[nu][::-1], floor)
+        radii[i] = _horner_radius(f, points[i], nu, residuals[i],
+                                  taylor[nu][::-1])
     return radii.tolist()
 
 
 def same_root(f, a, b, nu_a, nu_b):
     """Root identity, the one rule: the records (a, nu_a) and (b, nu_b) of
     f's roots are one root when |a - b| is at most the sum of their
-    attainable radii (:func:`root_radii`)."""
-    rho_a, rho_b = root_radii(f, (a, b), (nu_a, nu_b))
+    attainable radii (:func:`root_radii`, each at its relative residual
+    :func:`poly.relative_residual`)."""
+    rho_a, rho_b = root_radii(
+        f, (a, b), (nu_a, nu_b),
+        (relative_residual(f, a), relative_residual(f, b)))
     return abs(a - b) <= rho_a + rho_b
 
 
@@ -309,52 +323,34 @@ def group_roots(values, radii):
     |values[i] - values[j]| <= radii[i] + radii[j] (:func:`same_root`,
     given the finite radii of :func:`root_radii`).
 
-    Value i can only be the same root as a value whose real part, and
-    whose imaginary part, lies within radii[i] plus the largest radius of
-    its own. From :data:`poly.ARRAY_PASS_DEGREE` values on, one array pass
-    over the sorted real parts and one over the sorted imaginary parts
-    find the values with no other inside twice that window (so that
-    rounding cannot hide one) in either part, such as each member of a
-    conjugate pair, and each of them is a group of its own. The group
-    heads of the others are kept sorted by real part, and only the heads
-    inside the window of radii[i] plus the largest head radius, twice
-    over, are tested, oldest group first. Input sorted by real part keeps
-    that window short.
+    Value i can only be the same root as a head whose real part lies
+    within radii[i] plus the largest head radius. The group heads are
+    kept sorted by real part, and only the heads inside twice that window
+    (so that rounding cannot hide one) are tested, oldest group first.
+    Input sorted by real part keeps that window short.
     """
-    alone = [False] * len(values)
-    if len(values) >= ARRAY_PASS_DEGREE:
-        points = np.array(values, dtype=complex)
-        reach = 2.0 * (np.array(radii) + max(radii))
-        lonely = np.zeros(len(values), dtype=bool)
-        for part in (points.real, points.imag):
-            ordered = np.sort(part)
-            lonely |= (np.searchsorted(ordered, part + reach, "right")
-                       - np.searchsorted(ordered, part - reach, "left")) == 1
-        if lonely.all():
-            return [[i] for i in range(len(values))]
-        alone = lonely.tolist()
     groups = []
     head_re = []
     head_index = []
     widest = 0.0
     for i, (x, rho) in enumerate(zip(values, radii)):
-        if alone[i]:
-            groups.append([i])
-            continue
+        xr = x.real
         reach = 2.0 * (rho + widest)
-        lo = bisect_left(head_re, x.real - reach)
-        hi = bisect_right(head_re, x.real + reach)
+        lo = bisect_left(head_re, xr - reach)
+        hi = bisect_right(head_re, xr + reach, lo)
         for k in sorted(head_index[lo:hi]):
-            j = groups[k][0]
+            group = groups[k]
+            j = group[0]
             if abs(values[j] - x) <= radii[j] + rho:
-                groups[k].append(i)
+                group.append(i)
                 break
         else:
-            at = bisect_right(head_re, x.real, lo, hi)
-            head_re.insert(at, x.real)
+            at = bisect_right(head_re, xr, lo, hi)
+            head_re.insert(at, xr)
             head_index.insert(at, len(groups))
             groups.append([i])
-            widest = max(widest, rho)
+            if rho > widest:
+                widest = rho
     return groups
 
 

@@ -198,7 +198,7 @@ def test_a_record_where_f_nu_vanishes_joins_no_records_that_lie_apart():
     reaches it (1 + 1e-12, where f' is 4e-12), so it does not join -1,
     which lies apart from it, into one group."""
     f = polynomial_from_roots((1.0, 1.0, -1.0))
-    assert refine.root_radii(f, [1.0], [1]) == [0.0]
+    assert refine.root_radii(f, [1.0], [1], [0.0]) == [0.0]
     assert same_root(f, 1.0, 1.0 + 1e-12, 1, 1)
     assert not same_root(f, 1.0, -1.0, 1, 1)
     records = [pipeline.RootRecord(complex(v), 1, 0.0, 1, (complex(v),))

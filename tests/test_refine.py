@@ -286,6 +286,11 @@ def _reference_group_roots(values, radii):
     return groups
 
 
+def _residuals(f, values):
+    """The relative residual of f at each value, as a record carries it."""
+    return [poly.relative_residual(f, complex(v)) for v in values]
+
+
 def _grouping_inputs():
     """(values, radii) to group."""
     rng = np.random.default_rng(808)
@@ -294,13 +299,15 @@ def _grouping_inputs():
             degree + 1)
         f = Polynomial(tuple(coeffs))
         roots = np.roots(coeffs[::-1])
-        radii = np.array(refine.root_radii(f, roots, [1] * degree))
+        radii = np.array(refine.root_radii(f, roots, [1] * degree,
+                                           _residuals(f, roots)))
         # Each root twice, as two seeds refined to it would give it: the
         # second up to three radii away, so some pairs are one root.
         moved = roots + radii * rng.uniform(0.0, 3.0, degree) * np.exp(
             2j * np.pi * rng.uniform(size=degree))
         values = np.concatenate((roots, moved))
-        yield values, refine.root_radii(f, values, [1] * 2 * degree)
+        yield values, refine.root_radii(f, values, [1] * 2 * degree,
+                                        _residuals(f, values))
     # Chains spaced 1e-9 apart: a group's reach spans up to ten of them.
     chains = np.concatenate([c + 1e-9 * np.arange(40) * (1.0 + 0.5j)
                              for c in (0.0, 1.0 - 2.0j, -1e3 + 1e3j)])
@@ -319,9 +326,8 @@ def _grouping_inputs():
 
 def test_windowed_grouping_gives_the_greedy_groups():
     """group_roots tests only the heads near a value's real part, within
-    its radius plus the largest head radius, and from ARRAY_PASS_DEGREE
-    values on skips the values with no other in reach; its groups are
-    those of the loop over every head, for sorted and unsorted input."""
+    its radius plus the largest head radius; its groups are those of the
+    loop over every head, for sorted and unsorted input."""
     rng = np.random.default_rng(809)
     for values, radii in _grouping_inputs():
         values = [complex(v) for v in values]
@@ -342,16 +348,35 @@ def test_root_radius_is_the_attainable_accuracy():
     """f = (lambda - 1)**3 (lambda + 2) = lambda**4 - lambda**3 - 3 lambda**2
     + 5 lambda - 2. At the triple root 1, S = 12 and f^(3)(1)/3! = 3; at
     the simple root -2, S = 48 and f'(-2) = -27. The radii are
-    (g S / |f^(nu)/nu!|)**(1/nu), g = power_error_bound(f). lambda f has
-    the exact zero root, where S = |a_0| = 0: its radius is 0."""
+    ((u + r) S / |f^(nu)/nu!|)**(1/nu), u the unit roundoff and r the
+    record's relative residual. lambda f has the exact zero root, where
+    S = |a_0| = 0: its radius is 0, at the residual 0 of its record and
+    at the inf that relative_residual gives where only S underflows."""
     f = polynomial_from_roots((1.0, 1.0, 1.0, -2.0))
     assert f.coeffs == (-2.0, 5.0, -3.0, -1.0, 1.0)
-    g = power_error_bound(f)
-    assert refine.root_radii(f, [1.0, -2.0], [3, 1]) == [
-        pytest.approx((12.0 * g / 3.0) ** (1 / 3), rel=1e-15),
-        pytest.approx(48.0 * g / 27.0, rel=1e-15)]
+    u = poly.UNIT_ROUNDOFF
+    assert refine.root_radii(f, [1.0, -2.0], [3, 1], [0.0, 1e-12]) == [
+        pytest.approx((12.0 * u / 3.0) ** (1 / 3), rel=1e-15),
+        pytest.approx(48.0 * (u + 1e-12) / 27.0, rel=1e-15)]
     shifted = Polynomial((0.0,) + f.coeffs)
-    assert refine.root_radii(shifted, [0.0, 1.0], [1, 3])[0] == 0.0
+    assert poly.relative_residual(shifted, 0.0) == 0.0
+    for r in (0.0, math.inf):
+        assert refine.root_radii(shifted, [0.0, 1.0], [1, 3], [r, 0.0])[0] \
+            == 0.0
+
+
+def test_wilkinson_20_roots_keep_their_own_radii():
+    """Wilkinson 20's roots 10 to 19 are so ill-conditioned that the
+    worst-case floor power_error_bound, gamma_81 or about 9e-15, gives
+    them disks of radius 0.5 to 6.9, one unit apart. The radius reads the
+    residual each value attained and the unit roundoff instead, and the
+    integers 1..20 stay 20 roots: the roots of the stored coefficients
+    lie within 5.4e-4 of them."""
+    f = Polynomial(tuple(oracles.wilkinson_coeffs(20)))
+    values = [complex(k) for k in range(1, 21)]
+    radii = refine.root_radii(f, values, [1] * 20, _residuals(f, values))
+    assert max(radii) < 0.1
+    assert group_roots(values, radii) == [[i] for i in range(20)]
 
 
 @pytest.mark.parametrize("degree", [poly.ARRAY_PASS_DEGREE - 1,
@@ -368,20 +393,20 @@ def test_root_radii_agree_on_both_paths(monkeypatch, degree):
     values = [0.5, -1.0 + 1j] + simple
     values += [v + 1e-3 for v in values]
     nus = ([3, 2] + [1] * len(simple)) * 2
+    residuals = _residuals(f, values)
     horner = []
 
-    def counting(f, lam, nu, taylor, floor):
+    def counting(f, lam, nu, residual, taylor):
         horner.append(lam)
-        return radius(f, lam, nu, taylor, floor)
+        return radius(f, lam, nu, residual, taylor)
 
     radius = refine._horner_radius
     monkeypatch.setattr(refine, "_horner_radius", counting)
-    radii = refine.root_radii(f, values, nus)
+    radii = refine.root_radii(f, values, nus, residuals)
     assert len(horner) == (0 if degree >= poly.ARRAY_PASS_DEGREE
                            else len(values))
-    floor = power_error_bound(f)
-    want = [radius(f, v, nu, refine._taylor_coefficients(f, nu)[::-1], floor)
-            for v, nu in zip(values, nus)]
+    want = [radius(f, v, nu, r, refine._taylor_coefficients(f, nu)[::-1])
+            for v, nu, r in zip(values, nus, residuals)]
     np.testing.assert_allclose(radii, want, rtol=1e-12)
     assert all(0.0 < rho < 1e-2 for rho in radii)
 
