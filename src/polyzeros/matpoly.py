@@ -1,22 +1,29 @@
-"""Polynomial matrices: evaluation, determinants, seeds, ranks, eigenvectors.
+"""Polynomial matrices: evaluation, linearisation, determinants, seeds,
+ranks, eigenvectors.
 
 F(lambda) = sum A_i lambda**i with n x n complex coefficient matrices,
 evaluated at a whole stack of values by one Horner pass that runs in
-place in one buffer. The
-characteristic polynomial det F is recovered by sampling determinants on a
-circle and solving the interpolation system on roots of unity; a singular
-leading matrix simply drops the effective degree. For a real F det F is
-real: only the real parts of its coefficients are kept, with no
-threshold, so its companion seeds come from real LAPACK in exact
-conjugate pairs. A value is an eigenvalue when F's smallest singular
-value is at most SINGULAR_REL times its largest; one SVD without vectors
-decides that and the rank deficiency for a whole list, and is all a solve
-runs. Eigenvectors take one more, full SVD of the accepted values, and
-the residuals of all values of one rank one stacked product per side. An
-exact conjugate pair of a real F shares both SVDs and the residuals.
-SINGULAR_REL is one fixed relative threshold; it stays until the
-eigenvalues carry no interpolation noise from det F, so that a bound
-derived from rounding errors can replace it.
+place in one buffer. With a regular leading matrix, F's eigenvalues and
+both-sided eigenvectors come from one ``np.linalg.eig`` of its block
+companion linearisation, and each value's backward error on F and its
+attainable radius from rho + 1 products A_i X, with no det F and no
+F(lambda) formed (:func:`linearisation_eigenpairs`); that is the
+eigenvalue solve of Pade from companion seeds. Every other matrix solve
+refines the roots of det F, the characteristic polynomial, recovered by
+sampling determinants on a circle and solving the interpolation system
+on roots of unity; a singular leading matrix simply drops the effective
+degree. For a real F det F is real: only the real parts of its
+coefficients are kept, with no threshold, so its companion seeds come
+from real LAPACK in exact conjugate pairs. A root of det F is an
+eigenvalue when F's smallest singular value is at most SINGULAR_REL
+times its largest; one SVD without vectors decides that and the rank
+deficiency for a whole list. Eigenvectors take one more, full SVD of the
+accepted values, and the residuals of all values of one rank one stacked
+product per side. An exact conjugate pair of a real F shares both SVDs
+and the residuals. SINGULAR_REL is one fixed relative threshold; it
+stays until no solve refines on det F, whose roots carry its
+interpolation noise, so that a bound derived from rounding errors can
+replace it.
 """
 
 import cmath
@@ -26,12 +33,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    CompanionMatrixError,
     NotAnEigenvalueError,
     ProblemFormatError,
     SampleConditioningError,
 )
 from .explore import companion_seed_all
-from .poly import Polynomial, effective_degree
+from .poly import UNIT_ROUNDOFF, Polynomial, effective_degree
 
 SINGULAR_REL = 1e-6
 LEADING_REGULARITY_REL = 1e-12
@@ -86,6 +94,8 @@ def polynomial_matrix(matrices):
             )
         a.setflags(write=False)
         arrays.append(a)
+    if not n:
+        raise ProblemFormatError("coefficient matrices have order 0")
     # |det A_rho| against the Hadamard bound, the product of its column
     # norms, compared in logarithms: the product itself under- or overflows
     # for leads such as 1e-20 * I or 1e20 * I at n = 20. hypot sums the
@@ -172,6 +182,106 @@ def characteristic_polynomial(pm):
     return effective_degree(poly)
 
 
+def norm_scales(pm, moduli):
+    """sum |lambda|**i ||A_i||_2 at each |lambda| in the array ``moduli``,
+    in Horner's rule: the scale of F's backward errors (Tisseur 2000,
+    LAA 309), :func:`poly.coefficient_scale` for n = 1."""
+    norms = np.linalg.svd(np.array(pm.coefficient_matrices),
+                          compute_uv=False)[:, 0]
+    scales = norms[-1]
+    for norm in norms[-2::-1]:
+        scales = scales * moduli + norm
+    return scales
+
+
+def linearisation_eigenpairs(pm):
+    """(values, residuals, radii): F's rho*n eigenvalues from one
+    ``np.linalg.eig`` of its block companion linearisation, ordered by
+    (re, im), with each one's backward error on F and its attainable
+    radius, as lists. Needs a regular A_rho.
+
+    The companion C holds identity blocks above its diagonal and
+    -A_rho^-1 [A_0 ... A_rho-1] as its last block row, the form of
+    ``perfbench/oracle.py``; a real F keeps it real, so real LAPACK gives
+    complex values in exact conjugate pairs. C z = lambda z holds exactly
+    when z = [x; lambda x; ...; lambda**(rho-1) x] with A_rho^-1
+    F(lambda) x = 0: the right vector x_k is the first block of column k
+    of the eigenvector matrix Z. Row k of Z^-1 is a left eigenvector
+    [w_1^H ... w_rho^H] of C, and its block columns read w_rho^H B_0 =
+    -lambda w_1^H and w_{j-1}^H - w_rho^H B_{j-1} = lambda w_j^H, with
+    B_i = A_rho^-1 A_i; multiplying the j-th by lambda**(j-1) and summing
+    telescopes to w_rho^H A_rho^-1 F(lambda) = 0. So y_k^H = w^H
+    A_rho^-1, with w^H the last block of row k of Z^-1.
+
+    F(lambda_k) x_k = sum lambda_k**i (A_i X)_k and y_k^H F'(lambda_k)
+    x_k = sum i lambda_k**(i-1) y_k^H (A_i X)_k take the rho + 1
+    products A_i X in one stacked BLAS-3 product and a Horner pass over
+    the values; no F(lambda) is formed. The residual is Tisseur's
+    backward error eta = ||F(lambda) x|| / (S ||x||), S = sum
+    |lambda|**i ||A_i||_2 (:func:`norm_scales`): (lambda, x) is an exact
+    eigenpair of F + dF with ||dA_i|| <= eta ||A_i||, and for n = 1 eta
+    is :func:`poly.relative_residual`. The radius is (u + eta) S ||x||
+    ||y|| / |y^H F'(lambda) x|, the first-order reach of the eigenvalue
+    under perturbations of every A_i within u + eta relative (its
+    condition number times u + eta), :func:`refine.root_radii` at
+    nu = 1 for n = 1. Where S is 0 (lambda = 0 with A_0 = 0) F(lambda)
+    is 0, so lambda is an exact eigenvalue: eta and the radius are 0.
+
+    A caller certifies an eigenvalue when eta <= gamma_{4m+1}, m = rho n
+    (:func:`poly.degree_error_bound`, the floor every root of det F
+    passes): it is then an exact eigenvalue of F + dF with ||dA_i||_2 <=
+    gamma_{4m+1} ||A_i||_2. Eigenpairs of the companion linearisation
+    have eta near u when F is well scaled (Higham, Li & Tisseur 2007,
+    SIMAX 29). A linearisation that is not finite (A_rho^-1 overflows),
+    an ``eig`` that does not converge and an eigenvector matrix that is
+    exactly singular raise CompanionMatrixError.
+    """
+    n, rho = pm.order, pm.degree
+    m = n * rho
+    matrices = pm.coefficient_matrices
+    if pm.is_real():
+        matrices = [a.real for a in matrices]
+    with np.errstate(all="ignore"):
+        lead_inv = np.linalg.inv(matrices[-1])
+        companion = np.eye(m, k=n, dtype=lead_inv.dtype)
+        companion[-n:] = -(lead_inv @ np.hstack(matrices[:-1]))
+    if not np.isfinite(companion).all():
+        raise CompanionMatrixError(
+            "linearisation is not finite: A_rho^-1 overflows")
+    try:
+        values, z = np.linalg.eig(companion)
+        order = np.lexsort((values.imag, values.real))
+        values, z = values[order].astype(complex), z[:, order]
+        left = np.linalg.solve(z, np.eye(m)[:, -n:]) @ lead_inv
+    except np.linalg.LinAlgError as exc:
+        raise CompanionMatrixError("linearisation: %s" % exc) from exc
+    with np.errstate(all="ignore"):
+        # eta and the radius do not change with the scales of x and y, so
+        # neither norm need overflow or underflow: x_k is divided by its
+        # entry of largest modulus, which is then exactly 1 (for n = 1 the
+        # products A_i x are the coefficients), and y_k by its largest
+        # modulus.
+        columns = np.arange(m)
+        largest = np.argmax(np.abs(z[:n]), axis=0)
+        x = z[:n] / z[largest, columns]
+        x[largest, columns] = 1.0
+        left /= np.max(np.abs(left), axis=1, keepdims=True)
+        products = (np.vstack(matrices) @ x).reshape(rho + 1, n, m)
+        fx, dfx = products[rho], 0.0
+        for p in products[-2::-1]:
+            dfx = dfx * values + fx
+            fx = fx * values + p
+        scales = norm_scales(pm, np.abs(values))
+        x_norms = np.linalg.norm(x, axis=0)
+        residuals = np.linalg.norm(fx, axis=0) / (scales * x_norms)
+        radii = ((UNIT_ROUNDOFF + residuals) * scales * x_norms
+                 * np.linalg.norm(left, axis=1)
+                 / np.abs(np.einsum("kj,jk->k", left, dfx)))
+    exact = scales == 0
+    residuals[exact] = radii[exact] = 0.0
+    return values.tolist(), residuals.tolist(), radii.tolist()
+
+
 @dataclass(frozen=True)
 class DiagonalSeedReport:
     values: tuple
@@ -248,7 +358,9 @@ def _owners(lams, matrices):
 
 
 def _ranked(pm, lams):
-    """(matrices, owner, ranks, found) behind :func:`singular_ranks_all`."""
+    """(matrices, owner, ranks, found, sigma) behind
+    :func:`singular_ranks_all`, sigma holding each value's singular
+    values, largest first."""
     with np.errstate(over="ignore", invalid="ignore"):
         matrices = eval_matrix(pm, lams)
     owner = _owners(lams, matrices)
@@ -261,7 +373,7 @@ def _ranked(pm, lams):
     found = [int(rank) if rank else
              NotAnEigenvalueError(lam, s[-1], s[0], SINGULAR_REL)
              for lam, s, rank in zip(lams, sigma, ranks)]
-    return matrices, owner, ranks, found
+    return matrices, owner, ranks, found, sigma
 
 
 def singular_ranks_all(pm, lams):
@@ -275,6 +387,21 @@ def singular_ranks_all(pm, lams):
     return _ranked(pm, [complex(lam) for lam in lams])[3]
 
 
+def rank_residuals_all(pm, lams):
+    """Per value in lams, (eta, found): eta = sigma_min(F(lambda)) /
+    sum |lambda|**i ||A_i||_2 (:func:`norm_scales`), the least backward
+    error of an eigenpair at lambda (Tisseur 2000, LAA 309: the residual
+    of :func:`linearisation_eigenpairs` at its best x), 0 where that
+    scale is 0, and found the rank deficiency or error of
+    :func:`singular_ranks_all`, from its one SVD without vectors."""
+    lams = [complex(lam) for lam in lams]
+    found, sigma = _ranked(pm, lams)[3:]
+    scales = norm_scales(pm, np.abs(lams))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        etas = np.where(scales > 0, sigma[:, -1] / scales, 0.0)
+    return list(zip(etas.tolist(), found))
+
+
 def eigenvectors_all(pm, lams):
     """Per value in lams, its EigenvectorBundle or the
     NotAnEigenvalueError of :func:`singular_ranks_all`. One full SVD of
@@ -284,7 +411,7 @@ def eigenvectors_all(pm, lams):
     F @ X and one F^T @ Y; a value that takes its partner's singular
     values also takes its conjugated vectors and its residuals."""
     lams = [complex(lam) for lam in lams]
-    matrices, owner, ranks, found = _ranked(pm, lams)
+    matrices, owner, ranks, found, _ = _ranked(pm, lams)
     own = owner == np.arange(len(lams))
     accepted = np.flatnonzero(own & (ranks > 0))
     u, _, vh = np.linalg.svd(matrices[accepted])

@@ -1,8 +1,12 @@
 """Seed -> refine -> report orchestration shared by the CLI and library users.
 
 A ProblemSpec bundles one polynomial (scalar or matrix) with a seed source
-and an algorithm choice. The problem polynomial (:func:`spec_polynomial`)
-is the user's coefficients as given, in a new object per solve, or det F
+and an algorithm choice. A matrix problem solved by Pade from companion
+seeds, with a regular leading matrix and no ecp phase, takes its
+eigenvalues from F's linearisation, certified on F itself
+(:func:`_linearisation_records`), and no problem polynomial. Every other
+problem is solved on its problem polynomial (:func:`spec_polynomial`):
+the user's coefficients as given, in a new object per solve, or det F
 for a matrix problem. An exact root at 0 (a_0 = 0) is recorded as it is,
 and the other roots are solved for on f / lambda**k (:func:`_zero_root`).
 run_pipeline acquires seeds, refines them into one list of outcomes
@@ -18,7 +22,9 @@ on the report and the remaining seeds still run. Every root was refined
 until f vanished there to working precision. A report passes only when
 its multiplicities sum to the full degree, which is at least 1, and, for
 a matrix, every root makes F singular: the report gives F's rank
-deficiency there, from singular values alone, not eigenvectors.
+deficiency there, from singular values alone, not eigenvectors. On the
+linearisation the full degree is rho*n, and a simple eigenvalue,
+certified by its backward error on F, counts one eigenvector.
 """
 
 import enum
@@ -41,9 +47,11 @@ from .explore import companion_seed_all, scan_sign_changes
 from .matpoly import (
     characteristic_polynomial,
     diagonal_seeds,
+    linearisation_eigenpairs,
+    rank_residuals_all,
     singular_ranks_all,
 )
-from .poly import Polynomial
+from .poly import Polynomial, degree_error_bound
 from .poly import evaluate  # noqa: F401  (perfbench's tracer test patches it)
 from .refine import (
     TraceStatus,
@@ -147,7 +155,8 @@ class RootReport:
     spec's, set on every path, and label every root at once. For a matrix
     problem ``eigenvectors`` holds, per root, the rank deficiency of F
     there: its count of eigenvectors (:func:`matpoly.eigenvectors_all`
-    gives them), 0 where F is not singular. A root is defective when
+    gives them), 0 where F is not singular, and 1 at a simple eigenvalue
+    certified on F's linearisation. A root is defective when
     0 < count < multiplicity. A scalar problem has none."""
 
     algorithm: Algorithm
@@ -396,9 +405,115 @@ def _take_zero_seeds(record, seeds, degree):
     return replace(record, seeds=taken), rest
 
 
+def _on_linearisation(spec):
+    """Whether the spec's eigenvalues come from F's linearisation
+    (:func:`_linearisation_records`): a matrix problem with companion
+    seeds, algorithm pade, a regular leading matrix and no ecp phase.
+    Every other matrix problem is solved on det F."""
+    return (spec.matrix is not None and spec.matrix.leading_regular
+            and spec.seed_source is SeedSource.COMPANION
+            and spec.algorithm is Algorithm.PADE and not spec.ecp)
+
+
+def _linearisation_records(matrix, errors):
+    """(records, counts) of F's eigenvalues from its linearisation
+    (:func:`matpoly.linearisation_eigenpairs`), with no det F.
+
+    A value is certified when its backward error eta is within
+    gamma_{4m+1}, m = rho n (:func:`poly.degree_error_bound`), and its
+    radius is finite; any other value leaves an error line naming why and
+    makes no record, so the report cannot be conserved. The certified
+    values are grouped by their radii (:func:`refine.group_roots`). A
+    value alone is a simple eigenvalue: multiplicity 1, one eigenvector,
+    residual eta, no iteration, and itself as its seed. A group of nu
+    values is one record at their mean, of multiplicity nu, with the
+    members as its seeds; its residual is eta at the mean and its count
+    the rank deficiency of F there, from one SVD without vectors at the
+    means of all groups (:func:`matpoly.rank_residuals_all`), and a mean
+    where F is not singular counts 0 and leaves its error line. A radius
+    that is not finite joins no group and passes no value, so the values
+    of one multiple eigenvalue never pass as simple ones through it."""
+    try:
+        values, residuals, radii = linearisation_eigenpairs(matrix)
+    except PolyzerosError as exc:
+        errors.append(str(exc))
+        return [], []
+    floor = degree_error_bound(matrix.nominal_char_degree)
+    kept = []
+    for value, eta, radius in zip(values, residuals, radii):
+        if not eta <= floor:
+            errors.append("%r: backward error %.3g exceeds the floor %.3g"
+                          % (value, eta, floor))
+        elif not radius < math.inf:
+            errors.append("%r: radius %r is not finite" % (value, radius))
+        else:
+            kept.append((value, eta, radius))
+    pairs = []
+    multiple = []
+    for group in group_roots([k[0] for k in kept], [k[2] for k in kept]):
+        if len(group) == 1:
+            value, eta, _ = kept[group[0]]
+            pairs.append((RootRecord(value, 1, eta, 0, (value,)), 1))
+        else:
+            members = tuple(kept[i][0] for i in group)
+            multiple.append((sum(members) / len(members), members))
+    at_means = (rank_residuals_all(matrix, [mean for mean, _ in multiple])
+                if multiple else ())
+    for (mean, members), (eta, rank) in zip(multiple, at_means):
+        if isinstance(rank, NotAnEigenvalueError):
+            errors.append(str(rank))
+            rank = 0
+        pairs.append((RootRecord(mean, len(members), eta, 0, members), rank))
+    pairs.sort(key=lambda pair: (pair[0].value.real, pair[0].value.imag))
+    return [pair[0] for pair in pairs], tuple(pair[1] for pair in pairs)
+
+
+def _verdict(spec, records, degree, errors, ecp_diag=None, eigenvectors=()):
+    """The report on the records of a polynomial of the given effective
+    degree: it is conserved when their multiplicities sum to that degree,
+    and, for a matrix with a regular lead, the degree is rho*n; it passes
+    when it is conserved, has a record and, for a matrix, every
+    eigenvector count is at least 1."""
+    total = sum(r.multiplicity for r in records)
+    conserved = total == degree
+    if not conserved:
+        errors.append(
+            "multiplicity sum %d does not match effective degree %d"
+            % (total, degree)
+        )
+    if (spec.matrix is not None and spec.matrix.leading_regular
+            and degree < spec.matrix.nominal_char_degree):
+        conserved = False
+        errors.append(
+            "effective degree %d is below rho*n = %d although the leading "
+            "matrix is regular" % (degree, spec.matrix.nominal_char_degree)
+        )
+    if not degree:
+        errors.append("the polynomial has degree 0 and so no zeros")
+    # An eigenvalue must also make F(lambda) singular; unlike the residual,
+    # that check does not read the interpolated det F.
+    residuals_pass = conserved and bool(records) and all(eigenvectors)
+    return RootReport(
+        spec.algorithm,
+        spec.seed_source,
+        tuple(records),
+        degree,
+        total,
+        conserved,
+        residuals_pass,
+        tuple(errors),
+        ecp_diag,
+        eigenvectors,
+    )
+
+
 def run_pipeline(spec):
     """Solve one problem end to end; see the module docstring for stages."""
     errors = []
+    if _on_linearisation(spec):
+        records, counts = _linearisation_records(spec.matrix, errors)
+        return _verdict(spec, records, spec.matrix.nominal_char_degree,
+                        errors, eigenvectors=counts)
     try:
         f = spec_polynomial(spec)
     except PolyzerosError as exc:
@@ -415,37 +530,7 @@ def run_pipeline(spec):
     ecp_diag = _ecp_phase(f, records, errors) if spec.ecp and records else None
     eigenvectors = (_eigenvector_phase(spec.matrix, records, errors)
                     if spec.matrix is not None and records else ())
-    total = sum(r.multiplicity for r in records)
-    conserved = total == f.degree
-    if not conserved:
-        errors.append(
-            "multiplicity sum %d does not match effective degree %d"
-            % (total, f.degree)
-        )
-    if (spec.matrix is not None and spec.matrix.leading_regular
-            and f.degree < spec.matrix.nominal_char_degree):
-        conserved = False
-        errors.append(
-            "effective degree %d is below rho*n = %d although the leading "
-            "matrix is regular" % (f.degree, spec.matrix.nominal_char_degree)
-        )
-    if not f.degree:
-        errors.append("the polynomial has degree 0 and so no zeros")
-    # An eigenvalue must also make F(lambda) singular; unlike the residual,
-    # that check does not read the interpolated det F.
-    residuals_pass = conserved and bool(records) and all(eigenvectors)
-    return RootReport(
-        spec.algorithm,
-        spec.seed_source,
-        tuple(records),
-        f.degree,
-        total,
-        conserved,
-        residuals_pass,
-        tuple(errors),
-        ecp_diag,
-        eigenvectors,
-    )
+    return _verdict(spec, records, f.degree, errors, ecp_diag, eigenvectors)
 
 
 def complex_pair(z):

@@ -347,7 +347,16 @@ def power_error_bound(f):
     it is the one floor of every test that f, or a test polynomial f_k,
     vanishes to working precision, whichever kernel evaluated it.
     """
-    k = (4 * f.degree + 1) * UNIT_ROUNDOFF
+    return degree_error_bound(f.degree)
+
+
+def degree_error_bound(m):
+    """gamma_{4m+1} = (4m+1) u / (1 - (4m+1) u), u = UNIT_ROUNDOFF: the
+    floor :func:`power_error_bound` proves for a polynomial of degree m,
+    also the floor of the eigenpairs of an n x n F of degree rho at
+    m = rho n, the degree of det F
+    (:func:`matpoly.linearisation_eigenpairs`)."""
+    k = (4 * m + 1) * UNIT_ROUNDOFF
     return k / (1.0 - k)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import cases
 import oracles
-from polyzeros import matpoly
+from polyzeros import matpoly, refine
 from polyzeros import (
     NotAnEigenvalueError,
     Polynomial,
@@ -19,8 +19,10 @@ from polyzeros import (
     extract_eigenvectors,
     left_eigenvectors,
     polynomial_matrix,
+    relative_residual,
     singular_ranks_all,
 )
+from polyzeros.poly import UNIT_ROUNDOFF, degree_error_bound
 
 CHAR_RTOL = 1e-9
 CASES = 25
@@ -33,6 +35,13 @@ def test_polynomial_matrix_validation():
         polynomial_matrix([np.eye(2), np.zeros((2, 3))])
     with pytest.raises(ProblemFormatError):
         polynomial_matrix([np.eye(2), np.eye(3)])
+
+
+def test_polynomial_matrix_of_order_zero_is_refused():
+    """A 0 x 0 F has no eigenvalue and no det F to interpolate: it is
+    refused where it is built, not met by a reduction over no entries."""
+    with pytest.raises(ProblemFormatError, match="order 0"):
+        polynomial_matrix([np.zeros((0, 0))] * 2)
 
 
 def test_polynomial_matrix_records_shape(singular_lead):
@@ -483,3 +492,118 @@ def test_stacked_residuals_are_each_members_own():
                 np.max(np.abs(evaluated.T @ np.ascontiguousarray(y)), axis=0))
     assert shared >= 10
     assert ranks == 0b110
+
+
+@pytest.mark.parametrize("coeffs", (
+    (2.0, -3.0, 1.0),
+    (1.5 - 0.5j, 0.25j, -2.0, 1.0 + 1.0j),
+    (-7.0, 0.5, 0.0, 0.0, 3.0),
+))
+def test_one_by_one_eigenpairs_are_the_scalar_residual_and_radius(coeffs):
+    """For n = 1 the eigenpair's backward error is the relative residual
+    |f| / sum |a_j| |lambda|**j of the scalar path, and its radius is the
+    root radius at nu = 1: the scalar and the matrix residual are one
+    concept. At an eigenvalue f(lambda) is rounding noise, and numpy's
+    complex product rounds unlike Python's, so the two residuals agree
+    to a few ulps of the scale S, a few u; given the same residual, the
+    radii agree to a few ulps of their own."""
+    f = Polynomial(coeffs)
+    pm = polynomial_matrix([[[a]] for a in coeffs])
+    values, residuals, radii = matpoly.linearisation_eigenpairs(pm)
+    assert len(values) == f.degree
+    expected = refine.root_radii(f, values, [1] * len(values), residuals)
+    for value, eta, radius, rho in zip(values, residuals, radii, expected):
+        assert abs(eta - relative_residual(f, value)) <= 4 * UNIT_ROUNDOFF
+        assert radius == pytest.approx(rho, rel=8 * UNIT_ROUNDOFF, abs=0.0)
+
+
+def _quad_n7_matrices():
+    return [np.array(cases.QUAD_N7_A0), np.array(cases.QUAD_N7_A1),
+            np.eye(7)]
+
+
+def _order_20():
+    rng = np.random.default_rng(1)
+    return [rng.standard_normal((20, 20)), rng.standard_normal((20, 20)),
+            np.eye(20)]
+
+
+@pytest.mark.parametrize("make", (_quad_n7_matrices, _order_20))
+def test_linearisation_backward_errors_bound_numpys_smallest_singular_value(
+        make):
+    """Oracle without package code: at each eigenvalue, numpy's
+    sigma_min(F(lambda)) / sum |lambda|**i ||A_i||_2, the least backward
+    error of any x, is at most the eta that the linearisation's own x
+    attains, and every eta is within gamma_{4m+1}."""
+    matrices = make()
+    pm = polynomial_matrix(matrices)
+    values, residuals, radii = matpoly.linearisation_eigenpairs(pm)
+    assert len(values) == pm.nominal_char_degree
+    assert values == sorted(values, key=lambda z: (z.real, z.imag))
+    norms = [np.linalg.norm(a, 2) for a in matrices]
+    for value, eta, radius in zip(values, residuals, radii):
+        f = sum(a * value ** i for i, a in enumerate(matrices))
+        scale = sum(norm * abs(value) ** i for i, norm in enumerate(norms))
+        assert np.linalg.svd(f, compute_uv=False)[-1] / scale <= eta
+        assert eta <= degree_error_bound(pm.nominal_char_degree)
+        assert 0.0 < radius < 1e-10 * abs(value)
+
+
+def _cubic_order_4():
+    rng = np.random.default_rng(11)
+    return [rng.standard_normal((4, 4)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("make", (_quad_n7_matrices, _cubic_order_4))
+def test_linearisation_radii_are_tisseurs_condition_numbers(make):
+    """Oracle without package code: the radius is (u + eta) times
+    Tisseur's condition number sum |lambda|**i ||A_i||_2 / |y^H F'(lambda)
+    x|, with x and y the unit null vectors of numpy's SVD of F(lambda), so
+    the left vectors read off Z^-1 are F's, for rho = 2 and 3."""
+    matrices = make()
+    values, residuals, radii = matpoly.linearisation_eigenpairs(
+        polynomial_matrix(matrices))
+    norms = [np.linalg.norm(a, 2) for a in matrices]
+    for value, eta, radius in zip(values, residuals, radii):
+        f = sum(a * value ** i for i, a in enumerate(matrices))
+        df = sum(i * a * value ** (i - 1) for i, a in enumerate(matrices)
+                 if i)
+        u, _, vh = np.linalg.svd(f)
+        scale = sum(norm * abs(value) ** i for i, norm in enumerate(norms))
+        condition = scale / abs(u[:, -1].conj() @ df @ vh[-1].conj())
+        assert radius == pytest.approx((UNIT_ROUNDOFF + eta) * condition,
+                                       rel=1e-9, abs=0.0)
+
+
+def test_complex_linearisation_matches_numpy():
+    """A complex F keeps a complex companion; its eigenvalues are numpy's
+    of the same linearisation, each certified."""
+    rng = np.random.default_rng(4)
+    matrices = [rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+                for _ in range(3)]
+    pm = polynomial_matrix(matrices)
+    assert not pm.is_real()
+    values, residuals, _ = matpoly.linearisation_eigenpairs(pm)
+    lead = np.linalg.inv(matrices[2])
+    reference = np.linalg.eigvals(np.block([
+        [np.zeros((5, 5)), np.eye(5)],
+        [-lead @ matrices[0], -lead @ matrices[1]]]))
+    for value in values:
+        assert np.min(np.abs(reference - value)) <= 1e-12 * abs(value)
+    assert max(residuals) <= degree_error_bound(10)
+
+
+def test_rank_residuals_give_the_least_backward_error_and_the_rank():
+    """rank_residuals_all: sigma_min / S from the singular values of
+    singular_ranks_all, with its rank or error beside it."""
+    pm = polynomial_matrix(_quad_n7_matrices())
+    values = matpoly.linearisation_eigenpairs(pm)[0][:3] + [0.1 + 0.2j]
+    found = matpoly.rank_residuals_all(pm, values)
+    assert [rank for _, rank in found[:3]] == [1, 1, 1]
+    assert [rank for _, rank in found[:3]] == singular_ranks_all(
+        pm, values)[:3]
+    assert isinstance(found[3][1], NotAnEigenvalueError)
+    scales = matpoly.norm_scales(pm, np.abs(values))
+    for (eta, _), value, scale in zip(found, values, scales):
+        sigma = np.linalg.svd(eval_matrix(pm, value), compute_uv=False)
+        assert eta == pytest.approx(sigma[-1] / scale, rel=1e-12, abs=0.0)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -674,23 +676,38 @@ def test_pencil_from_diagonal_seeds_finds_every_eigenvalue(pencil5):
     assert report.multiplicity_sum == 5 and report.all_residuals_pass
 
 
+def _order_40_matrix():
+    rng = np.random.default_rng(1)
+    n = 40
+    return polynomial_matrix([rng.standard_normal((n, n)),
+                              rng.standard_normal((n, n)), np.eye(n)])
+
+
 def test_regular_lead_degree_shortfall_is_not_conserved():
     """A regular leading matrix fixes deg det F at rho*n. At n = 40 the
     interpolated characteristic polynomial falls short of 80, and the
     multiplicities summing to that short degree must not pass as
-    conserved."""
-    rng = np.random.default_rng(1)
-    n = 40
-    pm = polynomial_matrix([rng.standard_normal((n, n)),
-                            rng.standard_normal((n, n)), np.eye(n)])
+    conserved. Halley still solves on det F."""
+    pm = _order_40_matrix()
     assert pm.leading_regular
     report = run_pipeline(ProblemSpec(
-        matrix=pm, seed_source=SeedSource.COMPANION, algorithm=Algorithm.PADE
-    ))
+        matrix=pm, seed_source=SeedSource.COMPANION,
+        algorithm=Algorithm.HALLEY))
     assert report.effective_degree < pm.nominal_char_degree
     assert report.conserved is False
     assert report.all_residuals_pass is False
     assert any("below rho*n = 80" in e for e in report.errors)
+
+
+def test_linearisation_solves_the_order_40_quadratic():
+    """From the linearisation the same F gets all 80 eigenvalues, each
+    certified on F and simple, and the report passes."""
+    report = run_pipeline(ProblemSpec(
+        matrix=_order_40_matrix(), seed_source=SeedSource.COMPANION,
+        algorithm=Algorithm.PADE))
+    assert report.effective_degree == report.multiplicity_sum == 80
+    assert report.eigenvectors == (1,) * 80
+    assert report.all_residuals_pass and report.errors == ()
 
 
 def _order_14_spec():
@@ -855,9 +872,9 @@ def test_linearisation_seeds_give_every_eigenpair_of_the_sparse_pencil(
 
 
 def test_quad_n7_eigenvalues_get_their_eigenvectors():
-    """quad-n7-0 of the matrix-eig workload: companion seeds and Pade find
-    its 14 eigenvalues up to 1.5e-7 off, and each gets its eigenvectors,
-    so the report passes."""
+    """quad-n7-0 of the matrix-eig workload: its linearisation gives its
+    14 eigenvalues, each certified on F with one eigenvector, so the
+    report passes."""
     n = 7
     a0, a1 = np.array(cases.QUAD_N7_A0), np.array(cases.QUAD_N7_A1)
     report = run_pipeline(ProblemSpec(
@@ -868,15 +885,16 @@ def test_quad_n7_eigenvalues_get_their_eigenvectors():
     eigenvalues = np.linalg.eigvals(linearisation)
     assert len(report.roots) == 14
     for r in report.roots:
-        assert np.min(np.abs(eigenvalues - r.value)) <= 4e-7
-    assert len(report.eigenvectors) == 14
+        assert np.min(np.abs(eigenvalues - r.value)) <= 1e-12
+    assert report.eigenvectors == (1,) * 14
     assert report.all_residuals_pass
     assert report.errors == ()
 
 
 def test_real_matrix_eigenvalues_come_in_exact_conjugate_pairs():
-    """For a real F, the companion seeds of its real det F and Pade keep
-    every complex eigenvalue's exact conjugate in the report."""
+    """For a real F, its real linearisation, whose eigenvalues come from
+    real LAPACK, keeps every complex eigenvalue's exact conjugate in the
+    report."""
     n = 7
     report = run_pipeline(ProblemSpec(
         matrix=polynomial_matrix([np.array(cases.QUAD_N7_A0),
@@ -887,17 +905,22 @@ def test_real_matrix_eigenvalues_come_in_exact_conjugate_pairs():
     assert all(v.conjugate() in values for v in values)
 
 
-@pytest.mark.xfail(
-    strict=True, reason="det F is interpolated: at F = lambda * I_2 it "
-    "comes out as lambda^2 + 7.4e-16, so the double eigenvalue 0 splits "
-    "into +-2.7e-8i, where sigma_min / sigma_max of F is 1, and both "
-    "values fail the rank test. Eigenvalues from a linearisation, refined "
-    "on F itself (ROADMAP item 1), would find 0 twice")
+_DET_F_SPLITS_THE_DOUBLE_ZERO = pytest.mark.xfail(
+    strict=True, reason="halley and detect still solve on det F, which is "
+    "interpolated: at F = lambda * I_2 it comes out as lambda^2 + 7.4e-16, "
+    "so the double eigenvalue 0 splits into +-2.7e-8i, where sigma_min / "
+    "sigma_max of F is 1, and both values fail the rank test. Refining on "
+    "F itself (ROADMAP item 1, part A) would find 0 twice")
+
+
 @pytest.mark.parametrize("algorithm", (
-    Algorithm.PADE, Algorithm.HALLEY, Algorithm.DETECT))
+    Algorithm.PADE,
+    pytest.param(Algorithm.HALLEY, marks=_DET_F_SPLITS_THE_DOUBLE_ZERO),
+    pytest.param(Algorithm.DETECT, marks=_DET_F_SPLITS_THE_DOUBLE_ZERO)))
 def test_double_eigenvalue_of_a_scaled_identity(algorithm):
     """F(lambda) = lambda * I_2 has the one eigenvalue 0, of multiplicity
-    2 and with two eigenvectors."""
+    2 and with two eigenvectors. Pade from companion seeds takes F's
+    linearisation, where both values are exactly 0 and F(0) = 0."""
     report = run_pipeline(ProblemSpec(
         matrix=polynomial_matrix([np.zeros((2, 2)), np.eye(2)]),
         seed_source=SeedSource.COMPANION, algorithm=algorithm))
@@ -914,19 +937,25 @@ def _triple_eigenvalue_matrix():
                               for d in cases.TRIPLE_EIG_DIAGONALS])
 
 
-@pytest.mark.xfail(
-    strict=True, reason="det F is interpolated, so companion seeds split "
-    "the triple eigenvalue 1/2 into three roots of det F about 3e-4 apart; "
-    "sigma_min / sigma_max of F is below the eigenvector threshold at each, "
-    "so three simple eigenvalues pass. Eigenvalues from F itself (ROADMAP "
-    "item 1), guards derived from rounding errors (item 3) and a "
-    "zero-count certificate on the report (item 4) would each fail it")
-@pytest.mark.parametrize("algorithm", (
-    Algorithm.PADE, Algorithm.HALLEY, Algorithm.RAYLEIGH, Algorithm.REDUCED,
-    Algorithm.DETECT))
+_DET_F_SPLITS_THE_TRIPLE = pytest.mark.xfail(
+    strict=True, reason="every algorithm but pade still solves on det F, "
+    "which is interpolated, so companion seeds split the triple eigenvalue "
+    "1/2 into three roots of det F about 3e-4 apart; sigma_min / sigma_max "
+    "of F is below the eigenvector threshold at each, so three simple "
+    "eigenvalues pass. Eigenvalues from F itself (ROADMAP item 1, part A), "
+    "guards derived from rounding errors (item 3) and a zero-count "
+    "certificate on the report (item 4) would each fail it")
+
+
+@pytest.mark.parametrize("algorithm", (Algorithm.PADE,) + tuple(
+    pytest.param(a, marks=_DET_F_SPLITS_THE_TRIPLE) for a in (
+        Algorithm.HALLEY, Algorithm.RAYLEIGH, Algorithm.REDUCED,
+        Algorithm.DETECT)))
 def test_real_matrix_triple_eigenvalue_is_not_three_simple_ones(algorithm):
     """A report on F with the triple eigenvalue 1/2 passes only if it
-    names that eigenvalue once, with multiplicity 3."""
+    names that eigenvalue once, with multiplicity 3. Pade from companion
+    seeds takes F's linearisation and groups the triple's three values by
+    their radii."""
     report = run_pipeline(ProblemSpec(
         matrix=_triple_eigenvalue_matrix(),
         seed_source=SeedSource.COMPANION, algorithm=algorithm))
@@ -935,9 +964,167 @@ def test_real_matrix_triple_eigenvalue_is_not_three_simple_ones(algorithm):
         r.multiplicity for r in near] == [3]
 
 
+# The monic diagonal factors D(lambda), coefficients of l**0, l**1 and
+# l**2 per entry, of F = P D Q with P, Q = cases.TRIPLE_EIG_P/Q: a
+# semisimple double 1/2, a defective double 1/2 and a triple 1/2 of
+# geometric multiplicity 2, with (multiplicity, eigenvector count) at 1/2.
+_MULTIPLE_EIGENVALUES = {
+    "semisimple-double": ((((-0.5, 0.5, 1.0), (1.0, -2.5, 1.0),
+                            (4.0, 0.0, 1.0))), (2, 2)),
+    "defective-double": ((((0.25, -1.0, 1.0), (1.0, 0.0, 1.0),
+                           (-3.0, -2.0, 1.0))), (2, 1)),
+    "triple": ((((0.25, -1.0, 1.0), (-0.5, 0.5, 1.0), (4.0, 0.0, 1.0))),
+               (3, 2)),
+}
+
+
+def _multiple_eigenvalue_spec(name):
+    p, q = np.array(cases.TRIPLE_EIG_P), np.array(cases.TRIPLE_EIG_Q)
+    entries = np.array(_MULTIPLE_EIGENVALUES[name][0])
+    return ProblemSpec(matrix=polynomial_matrix([p @ np.diag(d) @ q
+                                                 for d in entries.T]),
+                       seed_source=SeedSource.COMPANION,
+                       algorithm=Algorithm.PADE)
+
+
+@pytest.mark.parametrize("name", sorted(_MULTIPLE_EIGENVALUES))
+def test_multiple_eigenvalue_with_a_regular_lead_is_one_record(name):
+    """The linearisation splits a multiple eigenvalue 1/2 into close
+    values; their radii group them into one record at their mean, whose
+    count is the rank deficiency of F there. The report names 1/2 once,
+    with its multiplicity and eigenvector count, and passes; no value
+    near 1/2 passes as a simple one."""
+    multiplicity, count = _MULTIPLE_EIGENVALUES[name][1]
+    report = run_pipeline(_multiple_eigenvalue_spec(name))
+    near = [(r.multiplicity, c) for r, c in zip(report.roots,
+                                                report.eigenvectors)
+            if abs(r.value - 0.5) < 1e-3]
+    assert near == [(multiplicity, count)]
+    half = next(r for r in report.roots if abs(r.value - 0.5) < 1e-3)
+    assert abs(half.value - 0.5) <= 1e-14
+    assert len(half.seeds) == multiplicity and half.iterations == 0
+    assert report.all_residuals_pass and report.errors == ()
+
+
+@pytest.mark.parametrize("radius", (math.inf, math.nan))
+def test_radius_that_is_not_finite_passes_no_value(monkeypatch, radius):
+    """Were the two values of the semisimple double 1/2 to get a radius
+    that is not finite, neither may pass as a simple eigenvalue: each
+    leaves an error line and no record, and the report fails."""
+    original = pipeline.linearisation_eigenpairs
+
+    def spoiled(pm):
+        values, residuals, radii = original(pm)
+        return values, residuals, [radius if abs(v - 0.5) < 1e-3 else r
+                                   for v, r in zip(values, radii)]
+
+    monkeypatch.setattr(pipeline, "linearisation_eigenpairs", spoiled)
+    report = run_pipeline(_multiple_eigenvalue_spec("semisimple-double"))
+    assert all(abs(r.value - 0.5) > 1e-3 for r in report.roots)
+    assert sum("is not finite" in e for e in report.errors) == 2
+    assert report.multiplicity_sum == 4 and not report.all_residuals_pass
+
+
+def _linearisation_spec(matrices):
+    return ProblemSpec(matrix=polynomial_matrix(matrices),
+                       seed_source=SeedSource.COMPANION,
+                       algorithm=Algorithm.PADE)
+
+
+def test_linearisation_route_interpolates_no_det_f(monkeypatch, pencil5,
+                                                   singular_lead):
+    """Pade from companion seeds with a regular lead and no ecp phase
+    makes no det F, refines nothing and runs no eigenvector phase; each
+    record is a simple eigenvalue of F with itself as its seed and no
+    iteration. Every other matrix route still solves on det F."""
+    calls = []
+
+    def counted(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("characteristic_polynomial", "_refine",
+                 "_eigenvector_phase"):
+        monkeypatch.setattr(pipeline, name, counted(name))
+    spec = _linearisation_spec([np.array(cases.QUAD_N7_A0),
+                                np.array(cases.QUAD_N7_A1), np.eye(7)])
+    report = run_pipeline(spec)
+    assert calls == [] and report.all_residuals_pass
+    assert all(r.seeds == (r.value,) and r.iterations == 0
+               for r in report.roots)
+    for other in (replace(spec, algorithm=Algorithm.HALLEY),
+                  replace(spec, ecp=True),
+                  replace(spec, seed_source=SeedSource.DIAGONAL),
+                  ProblemSpec(matrix=pencil5,
+                              seed_source=SeedSource.EXTERNAL,
+                              external_seeds=(1.0, 2.0, 3.0, 4.0, 5.0),
+                              algorithm=Algorithm.PADE),
+                  ProblemSpec(matrix=singular_lead,
+                              seed_source=SeedSource.COMPANION,
+                              algorithm=Algorithm.PADE)):
+        calls.clear()
+        run_pipeline(other)
+        assert "characteristic_polynomial" in calls
+
+
+@pytest.mark.parametrize("name", ("quad-n7", "companion-n20"))
+def test_linearisation_singletons_count_what_the_rank_test_finds(name):
+    """Each simple eigenvalue counts one eigenvector, which is what the
+    SVD rank test of singular_ranks_all finds at its value."""
+    spec = _order_20_spec() if name == "companion-n20" else (
+        _linearisation_spec([np.array(cases.QUAD_N7_A0),
+                             np.array(cases.QUAD_N7_A1), np.eye(7)]))
+    report = run_pipeline(spec)
+    assert all(r.multiplicity == 1 for r in report.roots)
+    ranks = matpoly.singular_ranks_all(spec.matrix,
+                                       [r.value for r in report.roots])
+    assert list(report.eigenvectors) == ranks == [1] * len(ranks)
+
+
+def test_overflowing_linearisation_leaves_an_error_line(tmp_path):
+    """A_2 = 1e-200 I is a regular lead, but A_2^-1 A_1 overflows: the
+    report names that, fails, and solve exits 1 with no traceback."""
+    spec = _linearisation_spec([np.eye(2), 1e200 * np.eye(2),
+                                1e-200 * np.eye(2)])
+    report = run_pipeline(spec)
+    assert report.roots == () and not report.all_residuals_pass
+    assert report.errors[0] == (
+        "linearisation is not finite: A_rho^-1 overflows")
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(problem_spec_to_dict(spec)))
+    assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.parametrize("k", (2, 4, 6, 10, 30))
+def test_badly_scaled_linearisation_passes_no_wrong_answer(k):
+    """quad-n7 with A_1 scaled by 2**k: the companion's eigenpairs lose
+    backward stability on F, so values whose eta exceeds the floor leave
+    an error line and no record, and the report fails; a report that
+    passes holds exactly the eigenvalues of the scaled F. Scaling lambda
+    instead, F(lambda / 2**k), is exact and changes nothing."""
+    a0, a1 = np.array(cases.QUAD_N7_A0), np.array(cases.QUAD_N7_A1)
+    scaled = [a0, a1 * 2.0 ** k, np.eye(7)]
+    reference = np.linalg.eigvals(np.block([[np.zeros((7, 7)), np.eye(7)],
+                                            [-a0, -scaled[1]]]))
+    report = run_pipeline(_linearisation_spec(scaled))
+    uncertified = [e for e in report.errors if "exceeds the floor" in e]
+    assert report.multiplicity_sum == 14 - len(uncertified)
+    assert report.all_residuals_pass == (not uncertified)
+    for r in report.roots:
+        assert np.min(np.abs(reference - r.value)) <= 1e-12 * abs(r.value)
+    s = 2.0 ** k
+    lam_scaled = run_pipeline(_linearisation_spec([a0, a1 / s,
+                                                   np.eye(7) / s ** 2]))
+    assert lam_scaled.all_residuals_pass
+
+
 def _order_20_spec():
-    """Random monic quadratic at n = 20 with companion seeds; F(lambda) is
-    regular at every eigenvalue the interpolated det F gives."""
+    """Random monic quadratic at n = 20 with companion seeds and Pade: its
+    40 eigenvalues come from its linearisation, each certified on F."""
     rng = np.random.default_rng(1)
     n = 20
     a0, a1 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
@@ -1223,15 +1410,16 @@ def _pinned_specs():
 # steps all 55 Pade seeds at once. real-d9-90, sextic-delta0.1 (both
 # multiple roots are guarded grid points) and wilkinson-10 (every root is
 # a grid point where f is exactly 0) are seeded by the real-axis scan,
-# explore+detect at delta 0.1. sparse-penta (diagonal seeds), order-14
-# (five not-an-eigenvalue lines) and companion-n20 (exact conjugate pairs
-# from real LAPACK, none an eigenvalue) are matrix problems, with one
-# eigenvector count per root. Their counts and error lines come from
-# LAPACK's SVD, so these three hashes hold for one numpy and LAPACK build
+# explore+detect at delta 0.1. sparse-penta (diagonal seeds) and order-14
+# (five not-an-eigenvalue lines) are matrix problems solved on det F, and
+# companion-n20 one solved on its linearisation (40 certified simple
+# eigenvalues in exact conjugate pairs from real LAPACK), each with one
+# eigenvector count per root. Their values, counts and error lines come
+# from LAPACK, so these three hashes hold for one numpy and LAPACK build
 # (here numpy 2.4 with OpenBLAS 0.3.31). CHANGES.md records each re-pin.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
-        "778131b9b4ae80684f351c0c82c466ea6f132cb1fc43aeb43d71353dedb98b44",
+        "78a32cba5a44540dbeb2e4eae706e4af6c2af8d6d80bb0ac2494badc9fcf1f69",
     "mult-d8-82":
         "b25b2523997760c0083cbdb27451edb131b640007e10116f203e713e96873f13",
     "order-14":

@@ -16,9 +16,11 @@ solve`` parses one, so nothing a solve derives and keeps is reused. The
 timed unit is the benchmark's own ``solve`` (``run_pipeline``,
 ``report_to_dict`` and ``json.dumps(indent=2, sort_keys=True)`` under its
 per-problem deadline). The time spent in each of the pipeline's stages
-``characteristic_polynomial`` (det F of a matrix problem),
-``_acquire_seeds``, ``_outcomes`` (every seed's refinement, detect's
-``detect_clusters`` included), ``detect_clusters``, ``_ecp_phase`` (the
+``characteristic_polynomial`` (det F of a matrix problem solved on it),
+``_linearisation_records`` (the eigenvalues of a matrix problem solved
+on its linearisation, certified on F), ``_acquire_seeds``, ``_outcomes``
+(every seed's refinement, detect's ``detect_clusters`` included),
+``detect_clusters``, ``_ecp_phase`` (the
 interpolation-list diagnostics) and ``_eigenvector_phase`` is also summed
 per side, in one process for both trees; the benchmark's tracer spans
 none of ``_outcomes``, ``detect_clusters``, ``_ecp_phase`` and
@@ -72,18 +74,21 @@ def load_tree(tree, name):
     return module
 
 
-STAGES = ("characteristic_polynomial", "_acquire_seeds", "_outcomes",
-          "detect_clusters", "_ecp_phase", "_eigenvector_phase")
+STAGES = ("characteristic_polynomial", "_linearisation_records",
+          "_acquire_seeds", "_outcomes", "detect_clusters", "_ecp_phase",
+          "_eigenvector_phase")
 
 
 class StageClock:
     """Sums the time of every call to each of the pipeline's STAGES, by
     the names the package's pipeline binds, while installed; each
-    installation starts from zero."""
+    installation starts from zero. A stage the tree does not have (an
+    older tree's) stays at zero."""
 
     def __init__(self, pz):
         self.pipeline = pz.pipeline
-        self.originals = {name: getattr(pz.pipeline, name) for name in STAGES}
+        self.originals = {name: getattr(pz.pipeline, name) for name in STAGES
+                          if hasattr(pz.pipeline, name)}
         self.timed = {name: self._timed(name, fn)
                       for name, fn in self.originals.items()}
 
@@ -140,7 +145,9 @@ def outcome(text):
 def same_outcome(pz, problem, a, b):
     """Whether two report texts have the same :func:`outcome`, root values
     compared by the root identity of ``pz`` on the problem's polynomial
-    (det F for a matrix problem), each root with its multiplicity."""
+    (det F for a matrix problem, also where the reports took their
+    eigenvalues from F's linearisation), each root with its
+    multiplicity."""
     if a == b:
         return True
     (rest_a, roots_a), (rest_b, roots_b) = outcome(a), outcome(b)
