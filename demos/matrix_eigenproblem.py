@@ -19,10 +19,10 @@ fall into the same basin, so the refined values are deduplicated and any
 shortfall against the polynomial degree is covered by the simultaneous
 all-roots seeder. And the recovered coefficients carry interpolation
 noise of about 1e-9 relative, which the more sensitive eigenvalues
-amplify to 1e-7 level. So a value counts as an eigenvalue when F's
-smallest singular value there is at most SINGULAR_REL = 1e-6 times its
-largest, one fixed threshold; the unit-norm vectors' printed residuals
-state the resulting quality directly against F.
+amplify to 1e-7 level. So a value counts as an eigenvalue when its
+backward error on F, sigma_min(F(l)) / sum |l|^i ||A_i||_2, is at most
+SINGULAR_REL = 1e-6, one fixed threshold; the unit-norm vectors' printed
+residuals state the resulting quality directly against F.
 """
 
 import numpy as np
@@ -94,15 +94,17 @@ def main():
               % (len(found), f.degree))
     assert len(found) == f.degree
 
-    print("\neigenvalues (upper half plane), sigma_min/sigma_max of F and "
+    print("\neigenvalues (upper half plane), backward errors on F and "
           "eigenvector residuals:")
     eigenvalues = [lam for lam in sorted(found.values(), key=_key)
                    if lam.imag > 0]
+    norms = [np.linalg.norm(a, 2) for a in pm.coefficient_matrices]
     for lam, bundle in zip(eigenvalues, eigenvectors_all(pm, eigenvalues)):
         matrix = eval_matrix(pm, lam)
         sigma = np.linalg.svd(matrix, compute_uv=False)
-        print("  %+.9f%+.9fi  sigma ratio %.1e  rank %d  right %.1e  "
-              "left %.1e" % (lam.real, lam.imag, sigma[-1] / sigma[0],
+        terms = sum(norm * abs(lam) ** i for i, norm in enumerate(norms))
+        print("  %+.9f%+.9fi  backward error %.1e  rank %d  right %.1e  "
+              "left %.1e" % (lam.real, lam.imag, sigma[-1] / terms,
                              bundle.rank_deficiency,
                              max(bundle.right_residuals),
                              max(bundle.left_residuals)))

@@ -372,7 +372,7 @@ _SUBCOMMANDS = (
      ("--seeds", "--out")),
     ("eigvec", _cmd_eigvec,
      "unit-norm eigenvectors at given eigenvalues, from two SVDs; a value "
-     "counts where sigma_min(F) <= %g sigma_max(F)" % SINGULAR_REL,
+     "counts where sigma_min(F) <= %g sum |lambda|^i ||A_i||" % SINGULAR_REL,
      ("--seeds", "--out")),
     ("plot", _cmd_plot, "CSV samples of f, p, h on an interval",
      ("--range", "--samples", "--out")),

@@ -68,27 +68,25 @@ class RayleighDenominatorError(PolyzerosError):
 
 
 class NotAnEigenvalueError(PolyzerosError):
-    """F(lam) is not singular to the eigenvector threshold: its smallest
-    singular value exceeds singular_rel times its largest, so the value
-    passed to eigenvector extraction is not an eigenvalue.
+    """F(lam) is not singular to the eigenvector threshold: its backward
+    error eta = sigma_min(F(lam)) / sum |lam|**i ||A_i||_2 exceeds
+    singular_rel, so the value passed to eigenvector extraction is not an
+    eigenvalue.
 
     Attributes
     ----------
     lam : complex
         The value F was evaluated at.
-    sigma_min, sigma_max : float
-        The smallest and largest singular values of F(lam); NaN when
-        F(lam) is not finite.
+    eta : float
+        The backward error; NaN when F(lam) or its scale is not finite.
     """
 
-    def __init__(self, lam, sigma_min, sigma_max, singular_rel):
+    def __init__(self, lam, eta, singular_rel):
         lam = complex(lam)
-        super().__init__("%r is not an eigenvalue: sigma_min %.3g of "
-                         "F(lambda) exceeds %g * sigma_max %.3g"
-                         % (lam, sigma_min, singular_rel, sigma_max))
+        super().__init__("%r is not an eigenvalue: backward error %.3g "
+                         "exceeds %g" % (lam, eta, singular_rel))
         self.lam = lam
-        self.sigma_min = float(sigma_min)
-        self.sigma_max = float(sigma_max)
+        self.eta = float(eta)
 
 
 class CompanionMatrixError(PolyzerosError):

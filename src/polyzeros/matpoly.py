@@ -15,15 +15,15 @@ on roots of unity; a singular leading matrix simply drops the effective
 degree. For a real F det F is real: only the real parts of its
 coefficients are kept, with no threshold, so its companion seeds come
 from real LAPACK in exact conjugate pairs. A root of det F is an
-eigenvalue when F's smallest singular value is at most SINGULAR_REL
-times its largest; one SVD without vectors decides that and the rank
-deficiency for a whole list. Eigenvectors take one more, full SVD of the
-accepted values, and the residuals of all values of one rank one stacked
-product per side. An exact conjugate pair of a real F shares both SVDs
-and the residuals. SINGULAR_REL is one fixed relative threshold; it
-stays until no solve refines on det F, whose roots carry its
-interpolation noise, so that a bound derived from rounding errors can
-replace it.
+eigenvalue when the singular values of F there within SINGULAR_REL of S
+= sum |lambda|**i ||A_i||_2, the scale of its backward error, are at
+least one; one SVD without vectors counts them for a whole list.
+Eigenvectors take one more, full SVD of the accepted values, and the
+residuals of all values of one rank one stacked product per side. An
+exact conjugate pair of a real F shares both SVDs and the residuals.
+SINGULAR_REL is one fixed relative threshold; it stays until no solve
+refines on det F, whose roots carry its interpolation noise, so that a
+bound derived from rounding errors can replace it.
 """
 
 import cmath
@@ -358,47 +358,45 @@ def _owners(lams, matrices):
 
 
 def _ranked(pm, lams):
-    """(matrices, owner, ranks, found, sigma) behind
-    :func:`singular_ranks_all`, sigma holding each value's singular
-    values, largest first."""
+    """(matrices, owner, ranks, found, etas) behind
+    :func:`singular_ranks_all`, etas holding each value's eta."""
     with np.errstate(over="ignore", invalid="ignore"):
         matrices = eval_matrix(pm, lams)
+        scales = norm_scales(pm, np.abs(lams))
     owner = _owners(lams, matrices)
-    finite = ((owner == np.arange(len(lams)))
+    finite = ((owner == np.arange(len(lams))) & np.isfinite(scales)
               & np.isfinite(matrices).all(axis=(1, 2)))
     sigma = np.full((len(lams), pm.order), np.nan)
     sigma[finite] = np.linalg.svd(matrices[finite], compute_uv=False)
-    sigma = sigma[owner]
-    ranks = np.sum(sigma <= SINGULAR_REL * sigma[:, :1], axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        relative = np.where(scales[:, None] > 0,
+                            sigma[owner] / scales[:, None], 0.0)
+    ranks = np.sum(relative <= SINGULAR_REL, axis=1)
+    etas = relative[:, -1]
     found = [int(rank) if rank else
-             NotAnEigenvalueError(lam, s[-1], s[0], SINGULAR_REL)
-             for lam, s, rank in zip(lams, sigma, ranks)]
-    return matrices, owner, ranks, found, sigma
+             NotAnEigenvalueError(lam, eta, SINGULAR_REL)
+             for lam, eta, rank in zip(lams, etas, ranks)]
+    return matrices, owner, ranks, found, etas
 
 
 def singular_ranks_all(pm, lams):
-    """Per value in lams, the rank deficiency of F there (the count of
-    singular values at most SINGULAR_REL * sigma_max), or the
-    NotAnEigenvalueError naming sigma_min and sigma_max (NaN where
-    F(lambda) is not finite). F at every value comes from one Horner pass
-    and the singular values from one SVD without vectors; the value with
-    Im lambda < 0 of an exact conjugate pair of a real F takes its
-    partner's (:func:`_owners`)."""
+    """Per value in lams, the rank deficiency of F there, the count of
+    singular values at most SINGULAR_REL * S, S = sum |lambda|**i
+    ||A_i||_2 (:func:`norm_scales`), or the NotAnEigenvalueError naming
+    eta = sigma_min(F(lambda)) / S, the least backward error of an
+    eigenpair at lambda (Tisseur 2000, LAA 309), NaN where F(lambda) or S
+    is not finite. Where S is 0 (lambda = 0, A_0 = 0) F is 0: eta is 0 and
+    the rank n. One Horner pass gives F and one SVD without vectors the
+    singular values; the value with Im lambda < 0 of an exact conjugate
+    pair of a real F takes its partner's (:func:`_owners`)."""
     return _ranked(pm, [complex(lam) for lam in lams])[3]
 
 
 def rank_residuals_all(pm, lams):
-    """Per value in lams, (eta, found): eta = sigma_min(F(lambda)) /
-    sum |lambda|**i ||A_i||_2 (:func:`norm_scales`), the least backward
-    error of an eigenpair at lambda (Tisseur 2000, LAA 309: the residual
-    of :func:`linearisation_eigenpairs` at its best x), 0 where that
-    scale is 0, and found the rank deficiency or error of
-    :func:`singular_ranks_all`, from its one SVD without vectors."""
-    lams = [complex(lam) for lam in lams]
-    found, sigma = _ranked(pm, lams)[3:]
-    scales = norm_scales(pm, np.abs(lams))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        etas = np.where(scales > 0, sigma[:, -1] / scales, 0.0)
+    """Per value in lams, (eta, found): the eta and the rank deficiency or
+    error of :func:`singular_ranks_all`, from its one SVD without
+    vectors."""
+    found, etas = _ranked(pm, [complex(lam) for lam in lams])[3:]
     return list(zip(etas.tolist(), found))
 
 

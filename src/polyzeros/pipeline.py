@@ -2,29 +2,31 @@
 
 A ProblemSpec bundles one polynomial (scalar or matrix) with a seed source
 and an algorithm choice. A matrix problem solved by Pade from companion
-seeds, with a regular leading matrix and no ecp phase, takes its
-eigenvalues from F's linearisation, certified on F itself
-(:func:`_linearisation_records`), and no problem polynomial. Every other
-problem is solved on its problem polynomial (:func:`spec_polynomial`):
-the user's coefficients as given, in a new object per solve, or det F
-for a matrix problem. An exact root at 0 (a_0 = 0) is recorded as it is,
-and the other roots are solved for on f / lambda**k (:func:`_zero_root`).
-run_pipeline acquires seeds, refines them into one list of outcomes
-whatever the algorithm (:func:`_outcomes`), reads that list in one loop,
-merges the records that are one root (:func:`_dedupe`), and assembles a deterministic report ordered
-lexicographically by (re, im). Pade, Halley and the two list
-iterations refine all seeds in one batch call, each step taken by every
-seed still running at once. Detect and test-nu refine each seed on its
-own, except that detect on companion or external seeds first settles
+seeds, with a regular leading matrix, takes its eigenvalues from F's
+linearisation, certified on F itself (:func:`_linearisation_records`),
+and no problem polynomial. Every other problem is solved on its problem
+polynomial (:func:`spec_polynomial`): the user's coefficients as given,
+in a new object per solve, or det F for a matrix problem. An exact root
+at 0 (a_0 = 0) is recorded as it is, and the other roots are solved for
+on f / lambda**k (:func:`_zero_root`). run_pipeline acquires seeds,
+refines them into one list of outcomes whatever the algorithm
+(:func:`_outcomes`), reads that list in one loop, merges the records
+that are one root (:func:`_dedupe`), and assembles a deterministic
+report ordered lexicographically by (re, im). Pade, Halley and the two
+list iterations refine all seeds in one batch call, each step taken by
+every seed still running at once. Detect and test-nu refine each seed on
+its own, except that detect on companion or external seeds first settles
 clusters of seeds by a zero count and one probe each, and the cluster's
 root record lists all its seeds. Hard errors in any stage are recorded
 on the report and the remaining seeds still run. Every root was refined
-until f vanished there to working precision. A report passes only when
-its multiplicities sum to the full degree, which is at least 1, and, for
-a matrix, every root makes F singular: the report gives F's rank
-deficiency there, from singular values alone, not eigenvectors. On the
-linearisation the full degree is rho*n, and a simple eigenvalue,
-certified by its backward error on F, counts one eigenvector.
+until f vanished there to working precision. Both routes share one
+tail: the ecp phase, a diagnostic that makes det F itself on a
+linearisation report (:func:`_ecp_phase`), then the verdict. A report
+passes only when its multiplicities sum to the full degree, rho*n for a
+matrix with a regular lead and deg f otherwise, which is at least 1,
+and, for a matrix, every root makes F singular: the report gives F's
+rank deficiency there, from singular values alone (a simple eigenvalue
+certified on the linearisation counts one).
 """
 
 import enum
@@ -344,8 +346,12 @@ def ecp_diagnostics(f, values):
     )
 
 
-def _ecp_phase(f, records, errors):
+def _ecp_phase(spec, f, records, errors):
+    """ecp_diagnostics at the records' values on f, or on det F made here
+    when f is None (a linearisation report); a failure is one error line."""
     try:
+        if f is None:
+            f = spec_polynomial(spec)
         return ecp_diagnostics(f, [r.value for r in records])
     except PolyzerosError as exc:
         errors.append("ecp phase: %s" % exc)
@@ -408,11 +414,11 @@ def _take_zero_seeds(record, seeds, degree):
 def _on_linearisation(spec):
     """Whether the spec's eigenvalues come from F's linearisation
     (:func:`_linearisation_records`): a matrix problem with companion
-    seeds, algorithm pade, a regular leading matrix and no ecp phase.
-    Every other matrix problem is solved on det F."""
+    seeds, algorithm pade and a regular leading matrix. Every other matrix
+    problem is solved on det F."""
     return (spec.matrix is not None and spec.matrix.leading_regular
             and spec.seed_source is SeedSource.COMPANION
-            and spec.algorithm is Algorithm.PADE and not spec.ecp)
+            and spec.algorithm is Algorithm.PADE)
 
 
 def _linearisation_records(matrix, errors):
@@ -468,11 +474,10 @@ def _linearisation_records(matrix, errors):
     return [pair[0] for pair in pairs], tuple(pair[1] for pair in pairs)
 
 
-def _verdict(spec, records, degree, errors, ecp_diag=None, eigenvectors=()):
+def _verdict(spec, records, degree, errors, ecp_diag, eigenvectors):
     """The report on the records of a polynomial of the given effective
-    degree: it is conserved when their multiplicities sum to that degree,
-    and, for a matrix with a regular lead, the degree is rho*n; it passes
-    when it is conserved, has a record and, for a matrix, every
+    degree: it is conserved when their multiplicities sum to that degree;
+    it passes when it is conserved, has a record and, for a matrix, every
     eigenvector count is at least 1."""
     total = sum(r.multiplicity for r in records)
     conserved = total == degree
@@ -480,13 +485,6 @@ def _verdict(spec, records, degree, errors, ecp_diag=None, eigenvectors=()):
         errors.append(
             "multiplicity sum %d does not match effective degree %d"
             % (total, degree)
-        )
-    if (spec.matrix is not None and spec.matrix.leading_regular
-            and degree < spec.matrix.nominal_char_degree):
-        conserved = False
-        errors.append(
-            "effective degree %d is below rho*n = %d although the leading "
-            "matrix is regular" % (degree, spec.matrix.nominal_char_degree)
         )
     if not degree:
         errors.append("the polynomial has degree 0 and so no zeros")
@@ -510,27 +508,31 @@ def _verdict(spec, records, degree, errors, ecp_diag=None, eigenvectors=()):
 def run_pipeline(spec):
     """Solve one problem end to end; see the module docstring for stages."""
     errors = []
+    f, counts = None, ()
     if _on_linearisation(spec):
         records, counts = _linearisation_records(spec.matrix, errors)
-        return _verdict(spec, records, spec.matrix.nominal_char_degree,
-                        errors, eigenvectors=counts)
-    try:
-        f = spec_polynomial(spec)
-    except PolyzerosError as exc:
-        return RootReport(spec.algorithm, spec.seed_source, (), 0, 0, False,
-                          False, (str(exc),))
-    records, g = _zero_root(f)
-    if g is not None:
-        seeds = _acquire_seeds(spec, g, errors)
-        if records and spec.seed_source in (SeedSource.EXTERNAL,
-                                            SeedSource.DIAGONAL):
-            records[0], seeds = _take_zero_seeds(records[0], seeds, g.degree)
-        records += _refine(spec, g, seeds, errors)
-    records = _dedupe(f, records)
-    ecp_diag = _ecp_phase(f, records, errors) if spec.ecp and records else None
-    eigenvectors = (_eigenvector_phase(spec.matrix, records, errors)
-                    if spec.matrix is not None and records else ())
-    return _verdict(spec, records, f.degree, errors, ecp_diag, eigenvectors)
+    else:
+        try:
+            f = spec_polynomial(spec)
+        except PolyzerosError as exc:
+            return RootReport(spec.algorithm, spec.seed_source, (), 0, 0,
+                              False, False, (str(exc),))
+        records, g = _zero_root(f)
+        if g is not None:
+            seeds = _acquire_seeds(spec, g, errors)
+            if records and spec.seed_source in (SeedSource.EXTERNAL,
+                                                SeedSource.DIAGONAL):
+                records[0], seeds = _take_zero_seeds(records[0], seeds,
+                                                     g.degree)
+            records += _refine(spec, g, seeds, errors)
+        records = _dedupe(f, records)
+    ecp_diag = (_ecp_phase(spec, f, records, errors)
+                if spec.ecp and records else None)
+    if f is not None and spec.matrix is not None and records:
+        counts = _eigenvector_phase(spec.matrix, records, errors)
+    degree = (spec.matrix.nominal_char_degree if spec.matrix is not None
+              and spec.matrix.leading_regular else f.degree)
+    return _verdict(spec, records, degree, errors, ecp_diag, counts)
 
 
 def complex_pair(z):

@@ -346,7 +346,8 @@ def test_eigvec_subcommand(tmp_path):
 def test_eigvec_value_that_is_no_eigenvalue_fails_its_entry(tmp_path):
     """A given value where F is regular gets an entry that fails with the
     reason, the other values keep their eigenvectors, and the command exits
-    1 (numbers that fail their checks), not 2 (unusable input)."""
+    1 (numbers that fail their checks), not 2 (unusable input). F(5) =
+    diag(4, 3), so the backward error is 3 / (||A_0|| + 5 ||A_1||) = 3/7."""
     problem = _write(tmp_path, "diag.json", {
         "kind": "matrix",
         "matrices": [[[-1.0, 0.0], [0.0, -2.0]], [[1.0, 0.0], [0.0, 1.0]]],
@@ -359,8 +360,8 @@ def test_eigvec_value_that_is_no_eigenvalue_fails_its_entry(tmp_path):
     assert found["rank_deficiency"] == 1
     assert missing == {
         "value": [5.0, 0.0],
-        "error": "(5+0j) is not an eigenvalue: sigma_min 3 of F(lambda) "
-                 "exceeds 1e-06 * sigma_max 4",
+        "error": "(5+0j) is not an eigenvalue: backward error 0.429 "
+                 "exceeds 1e-06",
         "residual_pass": False,
     }
 
@@ -389,6 +390,24 @@ def test_eigvec_accepts_the_eigenvalues_solve_accepts(tmp_path):
     entries = json.loads(out.read_text())["eigenvectors"]
     assert [e["value"] for e in entries] == values
     assert all(e["residual_pass"] for e in entries)
+
+
+def test_one_by_one_f_solves_and_gives_eigenvectors_at_its_roots(tmp_path):
+    """F = (lambda - 1)(lambda - 2) as a 1 x 1 matrix: solve from its
+    diagonal seeds passes, and eigvec at the two roots gives each one
+    vector and exits 0. F(lambda) is small against its terms there, not
+    against itself: its one singular value is its largest too."""
+    problem = _write(tmp_path, "one.json", {
+        "kind": "matrix", "matrices": [[[2.0]], [[-3.0]], [[1.0]]]})
+    solved = tmp_path / "solved.json"
+    assert main(["solve", problem, "--out", str(solved)]) == 0
+    values = [r["value"] for r in json.loads(solved.read_text())["roots"]]
+    assert len(values) == 2
+    seeds = _write(tmp_path, "values.json", values)
+    out = tmp_path / "vec.json"
+    assert main(["eigvec", problem, "--seeds", seeds, "--out", str(out)]) == 0
+    entries = json.loads(out.read_text())["eigenvectors"]
+    assert [e["rank_deficiency"] for e in entries] == [1, 1]
 
 
 def test_eigvec_requires_matrix_and_seeds(tmp_path, capsys):

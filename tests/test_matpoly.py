@@ -195,8 +195,8 @@ def test_not_an_eigenvalue_text_ignores_the_scalar_type(pencil5):
     passed a numpy scalar, a float or a complex."""
     texts = {str(found) for lams in ([5 + 0j], np.array([5 + 0j]), [5.0])
              for found in matpoly.eigenvectors_all(pencil5, lams)}
-    assert texts == {"(5+0j) is not an eigenvalue: sigma_min 3.25 of "
-                     "F(lambda) exceeds 1e-06 * sigma_max 6.09"}
+    assert texts == {"(5+0j) is not an eigenvalue: backward error 0.473 "
+                     "exceeds 1e-06"}
     with pytest.raises(NotAnEigenvalueError) as caught:
         extract_eigenvectors(pencil5, np.float64(100.0))
     assert caught.value.lam == 100 and type(caught.value.lam) is complex
@@ -250,7 +250,7 @@ def _value_stacks(pencil5, sparse_penta):
 
 def _bits(found):
     if isinstance(found, NotAnEigenvalueError):
-        return str(found), found.sigma_min, found.sigma_max
+        return str(found), found.eta
     return (found.eigenvalue, found.rank_deficiency,
             found.right_vectors.tobytes(), found.left_vectors.tobytes(),
             found.right_residuals, found.left_residuals)
@@ -258,12 +258,14 @@ def _bits(found):
 
 def _reference_bundle(pm, lam):
     """One value's eigenvectors from the SVD of F(lam) alone: the rank
-    from its singular values, the vectors from its full SVD."""
+    from its singular values against S = sum |lam|**i ||A_i||_2, the
+    vectors from its full SVD."""
     matrix = eval_matrix(pm, lam)
     sigma = np.linalg.svd(matrix, compute_uv=False)
-    r = int(np.sum(sigma <= matpoly.SINGULAR_REL * sigma[0]))
+    scale = matpoly.norm_scales(pm, np.abs([lam]))[0]
+    r = int(np.sum(sigma <= matpoly.SINGULAR_REL * scale))
     if not r:
-        return str(lam), sigma[-1], sigma[0]
+        return str(lam), sigma[-1] / scale
     u, _, vh = np.linalg.svd(matrix)
     x, y = vh[-r:].conj().T, u[:, -r:].conj()
     return (complex(lam), r, x.tobytes(), y.tobytes(),
@@ -274,7 +276,7 @@ def _reference_bundle(pm, lam):
 def test_stacked_members_get_their_batch_of_one_bits(pencil5, sparse_penta):
     """Each member of a stack, in either order, gets the bits of its batch
     of one; that batch decides and takes its vectors as the SVD of F(lam)
-    alone does, and names the same singular values when it fails."""
+    alone does, and names the same backward error when it fails."""
     ranks = set()
     for pm, lams in _value_stacks(pencil5, sparse_penta):
         stack = [_bits(found) for found in matpoly.eigenvectors_all(pm, lams)]
@@ -283,12 +285,12 @@ def test_stacked_members_get_their_batch_of_one_bits(pencil5, sparse_penta):
         for lam, got in zip(lams, stack):
             assert got == _bits(matpoly.eigenvectors_all(pm, [lam])[0])
             want = _reference_bundle(pm, lam)
-            if len(got) == 3:
+            if len(got) == 2:
                 assert got[1:] == want[1:]
             else:
                 assert got[:4] == want[:4]
                 np.testing.assert_allclose(got[4:], want[4:], rtol=1e-12)
-            ranks.add("none" if len(got) == 3 else got[1])
+            ranks.add("none" if len(got) == 2 else got[1])
     assert ranks == {"none", 1, 3}
 
 
@@ -315,20 +317,44 @@ def test_rank_counts_the_eigenvectors_of_a_double_eigenvalue(jordan, rank):
                                atol=1e-13)
 
 
-def test_not_an_eigenvalue_names_the_singular_values(pencil5, sparse_penta):
-    """The error carries F(lam)'s smallest and largest singular values and
-    quotes them with the threshold; a value where F is not finite has
-    NaN for both."""
+def test_not_an_eigenvalue_names_its_backward_error(pencil5, sparse_penta):
+    """The error carries eta = sigma_min(F(lam)) / sum |lam|**i ||A_i||_2,
+    here from numpy alone, and quotes it with the threshold; a value where
+    F is not finite has NaN."""
     sigma = np.linalg.svd(eval_matrix(pencil5, 100.0), compute_uv=False)
+    a0, a1 = pencil5.coefficient_matrices
+    eta = sigma[-1] / (np.linalg.norm(a0, 2) + 100.0 * np.linalg.norm(a1, 2))
     with pytest.raises(NotAnEigenvalueError) as caught:
         extract_eigenvectors(pencil5, 100.0)
-    assert (caught.value.sigma_min, caught.value.sigma_max) == (
-        sigma[-1], sigma[0])
+    assert caught.value.eta == pytest.approx(eta, rel=1e-14, abs=0.0)
     assert str(caught.value) == (
-        "(100+0j) is not an eigenvalue: sigma_min %.3g of F(lambda) "
-        "exceeds 1e-06 * sigma_max %.3g" % (sigma[-1], sigma[0]))
+        "(100+0j) is not an eigenvalue: backward error %.3g exceeds 1e-06"
+        % eta)
     huge = matpoly.eigenvectors_all(sparse_penta, [1e200])[0]
-    assert math.isnan(huge.sigma_min) and math.isnan(huge.sigma_max)
+    assert math.isnan(huge.eta)
+
+
+def test_ranks_count_against_the_scale_of_the_backward_error(
+        pencil5, sparse_penta):
+    """The rank counts the singular values at most SINGULAR_REL * S, S =
+    sum |lam|**i ||A_i||_2, which is at least ||F(lam)||_2: every count of
+    the test against sigma_max stands. A 1 x 1 F is its own sigma_max,
+    yet a rounding error away from its roots it is small against S, and
+    counts 1. Where S is 0 (lam = 0 with A_0 = 0) F is 0: eta is 0 and
+    the rank is n. Where S overflows, eta is NaN even if F(lam) is
+    finite: F = 1e308 (1 - lam) I at 1.5 would otherwise read eta 0."""
+    for pm, lams in _value_stacks(pencil5, sparse_penta):
+        for lam, found in zip(lams, singular_ranks_all(pm, lams)):
+            sigma = np.linalg.svd(eval_matrix(pm, lam), compute_uv=False)
+            counted = 0 if isinstance(found, NotAnEigenvalueError) else found
+            assert counted >= np.sum(sigma <= matpoly.SINGULAR_REL * sigma[0])
+    scalar = polynomial_matrix([[[2.0]], [[-3.0]], [[1.0]]])
+    assert singular_ranks_all(scalar, [1 + 2.0**-50, 2 - 2.0**-50]) == [1, 1]
+    pm = polynomial_matrix([np.zeros((3, 3)), np.eye(3)])
+    assert matpoly.rank_residuals_all(pm, [0.0]) == [(0.0, 3)]
+    huge = polynomial_matrix([1e308 * np.eye(2), -1e308 * np.eye(2)])
+    assert np.isfinite(eval_matrix(huge, 1.5)).all()
+    assert math.isnan(singular_ranks_all(huge, [1.5])[0].eta)
 
 
 def _quad_n7(shift=0.0):
@@ -377,7 +403,8 @@ def test_ranks_are_the_bundles_ranks_from_one_svd_without_vectors(
         monkeypatch, pencil5, sparse_penta):
     """singular_ranks_all gives every value of every stack, and of the
     conjugate pairs of a real F, the rank of its eigenvectors_all bundle,
-    or the same error, from one SVD call that computes no vectors."""
+    or the same error, from two SVD calls that compute no vectors: one of
+    the A_i for the scale S of eta, one of F at the values."""
     pm, values = _quad_n7()
     stacks = list(_value_stacks(pencil5, sparse_penta))
     stacks.append((pm, list(values) + [100.0]))
@@ -394,7 +421,7 @@ def test_ranks_are_the_bundles_ranks_from_one_svd_without_vectors(
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "svd", recording)
             ranks = singular_ranks_all(pm, lams)
-        assert calls == [False]
+        assert calls == [False, False]
         calls.clear()
         for rank, bundle in zip(ranks, bundles):
             if isinstance(bundle, NotAnEigenvalueError):
