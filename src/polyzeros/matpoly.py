@@ -18,9 +18,9 @@ from real LAPACK in exact conjugate pairs. A root of det F is an
 eigenvalue when the singular values of F there within SINGULAR_REL of S
 = sum |lambda|**i ||A_i||_2, the scale of its backward error, are at
 least one; one SVD without vectors counts them for a whole list.
-Eigenvectors take one more, full SVD of the accepted values, and the
-residuals of all values of one rank one stacked product per side. An
-exact conjugate pair of a real F shares both SVDs and the residuals.
+Eigenvectors take one more, full SVD of the accepted values. Each value
+reads its rank, vectors and residuals from its own F(lambda) and its own
+slice of those SVDs, so it gets the bits it gets alone.
 SINGULAR_REL is one fixed relative threshold; it stays until no solve
 refines on det F, whose roots carry its interpolation noise, so that a
 bound derived from rounding errors can replace it.
@@ -330,53 +330,23 @@ class EigenvectorBundle:
     left_residuals: tuple = ()
 
 
-def conjugate_pairs(values):
-    """(lower, upper) index pairs: every value with Im < 0 whose exact
-    conjugate is also listed, with the first listing of that conjugate.
-    A value on the real axis has no partner."""
-    upper = {}
-    for j, z in enumerate(values):
-        if z.imag > 0:
-            upper.setdefault(z, j)
-    return [(i, upper[z.conjugate()]) for i, z in enumerate(values)
-            if z.conjugate() in upper]
-
-
-def _owners(lams, matrices):
-    """owner[i]: the index whose SVD serves value i. A value with
-    Im lambda < 0 whose exact conjugate is listed, and whose F(lambda) is
-    bitwise the conjugate of F there (any real F), is served by that
-    conjugate (:func:`conjugate_pairs`); every other value serves
-    itself."""
-    owner = np.arange(len(lams))
-    pairs = conjugate_pairs(lams)
-    if pairs:
-        lower, partner = np.array(pairs).T
-        same = (matrices[lower] == matrices[partner].conj()).all(axis=(1, 2))
-        owner[lower[same]] = partner[same]
-    return owner
-
-
 def _ranked(pm, lams):
-    """(matrices, owner, ranks, found, etas) behind
-    :func:`singular_ranks_all`, etas holding each value's eta."""
+    """(matrices, ranks, found, etas) behind :func:`singular_ranks_all`,
+    etas holding each value's eta."""
     with np.errstate(over="ignore", invalid="ignore"):
         matrices = eval_matrix(pm, lams)
         scales = norm_scales(pm, np.abs(lams))
-    owner = _owners(lams, matrices)
-    finite = ((owner == np.arange(len(lams))) & np.isfinite(scales)
-              & np.isfinite(matrices).all(axis=(1, 2)))
+    finite = np.isfinite(scales) & np.isfinite(matrices).all(axis=(1, 2))
     sigma = np.full((len(lams), pm.order), np.nan)
     sigma[finite] = np.linalg.svd(matrices[finite], compute_uv=False)
     with np.errstate(invalid="ignore", divide="ignore"):
-        relative = np.where(scales[:, None] > 0,
-                            sigma[owner] / scales[:, None], 0.0)
+        relative = np.where(scales[:, None] > 0, sigma / scales[:, None], 0.0)
     ranks = np.sum(relative <= SINGULAR_REL, axis=1)
     etas = relative[:, -1]
     found = [int(rank) if rank else
              NotAnEigenvalueError(lam, eta, SINGULAR_REL)
              for lam, eta, rank in zip(lams, etas, ranks)]
-    return matrices, owner, ranks, found, etas
+    return matrices, ranks, found, etas
 
 
 def singular_ranks_all(pm, lams):
@@ -387,50 +357,36 @@ def singular_ranks_all(pm, lams):
     eigenpair at lambda (Tisseur 2000, LAA 309), NaN where F(lambda) or S
     is not finite. Where S is 0 (lambda = 0, A_0 = 0) F is 0: eta is 0 and
     the rank n. One Horner pass gives F and one SVD without vectors the
-    singular values; the value with Im lambda < 0 of an exact conjugate
-    pair of a real F takes its partner's (:func:`_owners`)."""
-    return _ranked(pm, [complex(lam) for lam in lams])[3]
+    singular values, each value's from its own F(lambda)."""
+    return _ranked(pm, [complex(lam) for lam in lams])[2]
 
 
 def rank_residuals_all(pm, lams):
     """Per value in lams, (eta, found): the eta and the rank deficiency or
     error of :func:`singular_ranks_all`, from its one SVD without
     vectors."""
-    found, etas = _ranked(pm, [complex(lam) for lam in lams])[3:]
+    found, etas = _ranked(pm, [complex(lam) for lam in lams])[2:]
     return list(zip(etas.tolist(), found))
 
 
 def eigenvectors_all(pm, lams):
     """Per value in lams, its EigenvectorBundle or the
     NotAnEigenvalueError of :func:`singular_ranks_all`. One full SVD of
-    the accepted members gives the vectors: the conjugated trailing rows
-    of V^H on the right and the conjugated trailing columns of U on the
-    left. The residuals of all members of one rank come from one stacked
-    F @ X and one F^T @ Y; a value that takes its partner's singular
-    values also takes its conjugated vectors and its residuals."""
+    the accepted members gives the vectors, each value's from its own
+    slice: the conjugated trailing rows of V^H on the right and the
+    conjugated trailing columns of U on the left. The residuals are
+    max |F(lambda) x| and max |F(lambda)^T y| from its own F(lambda)."""
     lams = [complex(lam) for lam in lams]
-    matrices, owner, ranks, found, _ = _ranked(pm, lams)
-    own = owner == np.arange(len(lams))
-    accepted = np.flatnonzero(own & (ranks > 0))
+    matrices, ranks, found, _ = _ranked(pm, lams)
+    accepted = np.flatnonzero(ranks > 0)
     u, _, vh = np.linalg.svd(matrices[accepted])
-    for rank in np.unique(ranks[accepted]).tolist():
-        at = np.flatnonzero(ranks[accepted] == rank)
-        members = accepted[at]
-        right = vh[at, -rank:].conj().transpose(0, 2, 1)
-        left = u[at, :, -rank:].conj()
-        stack = matrices[members]
-        right_residuals = np.max(np.abs(stack @ right), axis=1).tolist()
-        left_residuals = np.max(np.abs(stack.transpose(0, 2, 1) @ left),
-                                axis=1).tolist()
-        for i, x, y, x_res, y_res in zip(members, right, left,
-                                         right_residuals, left_residuals):
-            found[i] = EigenvectorBundle(lams[i], rank, x, y, tuple(x_res),
-                                         tuple(y_res))
-    for i in np.flatnonzero(~own & (ranks > 0)):
-        partner = found[owner[i]]
-        found[i] = replace(partner, eigenvalue=lams[i],
-                           right_vectors=partner.right_vectors.conj(),
-                           left_vectors=partner.left_vectors.conj())
+    for k, i in enumerate(accepted.tolist()):
+        r = int(ranks[i])
+        x, y = vh[k, -r:].conj().T, u[k, :, -r:].conj()
+        found[i] = EigenvectorBundle(
+            lams[i], r, x, y,
+            tuple(np.max(np.abs(matrices[i] @ x), axis=0).tolist()),
+            tuple(np.max(np.abs(matrices[i].T @ y), axis=0).tolist()))
     return found
 
 

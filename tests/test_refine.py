@@ -753,8 +753,7 @@ def test_every_member_of_a_conjugate_pair_gets_its_own_trace():
     member's own iterate, (x - 1)(x + 3) from 0.5 +- i, whose iterates
     land on the real root 1, and x**2 + 1 from +-i, where f(i) = 0 + 0j
     but f(-i) has the zero parts' other signs. On the random polynomials
-    each pair's finals are exact conjugates, the pairs that
-    :func:`matpoly.conjugate_pairs` finds among a real F's eigenvalues."""
+    each pair's finals are exact conjugates."""
     rng = np.random.default_rng(3131)
     problems = []
     for degree in (4, 9, 20, 41):

@@ -13,10 +13,13 @@ eigenvalues of F's companion linearisation (``oracle.matrix_oracle``).
 The table gives, per route and per band (n <= 12, n >= 16), the reports
 that do not pass (``all_residuals_pass`` false), the reports the oracle
 fails, and the false passes: reports that pass although the oracle fails
-them. The exit status is 1 when any report passes falsely, else 0.
+them. The last column is the route's summed wall time of run_pipeline
+over all its problems, in milliseconds; it varies with the host and its
+load. The exit status is 1 when any report passes falsely, else 0.
 """
 
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -60,17 +63,21 @@ def main():
         banded[band].append((pz.polynomial_matrix(matrices), truth))
     header = ["route"] + ["%s %s" % (what, band) for band, _ in BANDS
                           for what in ("not passing", "failed", "false")]
+    header += ["run_pipeline ms"]
     print("| " + " | ".join(header) + " |")
     print("|" + " --- |" * len(header))
     false_passes = 0
     for source, algorithm, ecp in ROUTES:
         cells = ["%s + %s%s" % (source, algorithm, " + ecp" if ecp else "")]
+        seconds = 0.0
         for band, _ in BANDS:
             counts = [0, 0, 0]
             for matrix, truth in banded[band]:
+                start = time.perf_counter()
                 report = pz.run_pipeline(pz.ProblemSpec(
                     matrix=matrix, seed_source=pz.SeedSource(source),
                     algorithm=pz.Algorithm(algorithm), ecp=ecp))
+                seconds += time.perf_counter() - start
                 verdict = oracle.grade(
                     truth, [(r.value, r.multiplicity) for r in report.roots],
                     report.all_residuals_pass)
@@ -80,6 +87,7 @@ def main():
             false_passes += counts[2]
             cells += ["%d of %d" % (count, len(banded[band]))
                       for count in counts]
+        cells.append("%.1f" % (1e3 * seconds))
         print("| " + " | ".join(cells) + " |")
     print("false passes: %d" % false_passes)
     return 1 if false_passes else 0
