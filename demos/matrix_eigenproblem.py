@@ -87,7 +87,7 @@ def main():
           % (len(seeds.values), len(found)))
 
     if len(found) < f.degree:
-        backfill = refine_all(f, companion_seed_all(f, real=True).values)
+        backfill = refine_all(f, companion_seed_all(f).values)
         for key, lam in backfill.items():
             found.setdefault(key, lam)
         print("all-roots seeder closes the gap: %d of %d"

@@ -312,18 +312,14 @@ class CompanionSeeds:
     low_confidence: bool
 
 
-def companion_seed_all(f, real=False):
+def companion_seed_all(f):
     """All roots at once: the eigenvalues of the companion matrix of f.
 
     Returns exactly degree-many values ordered by (re, im). Accuracy is a
     seed-provider target (about 1e-8 relative residual); multiple roots
     limit the attainable accuracy to the usual eps**(1/nu) cluster radius,
-    which downstream multiplicity probing resolves. With ``real`` the
-    companion matrix holds the real parts of f's coefficients and its
-    eigenvalues come from real LAPACK, as exact conjugate pairs and
-    exactly real values; the caller passes it only for an f whose
-    coefficients are real by construction (det F of a real F). The seeds
-    are low-confidence when a seed's relative residual is not at most
+    which downstream multiplicity probing resolves. The seeds are
+    low-confidence when a seed's relative residual is not at most
     COMPANION_RESIDUAL_REL (a NaN residual counts). From degree
     :data:`poly.ARRAY_PASS_DEGREE` on the residuals come from one
     :func:`poly.relative_residual_all` pass. Below it they come from
@@ -331,12 +327,9 @@ def companion_seed_all(f, real=False):
     """
     if f.degree < 1:
         raise ZeroPolynomialError("need degree >= 1 to seed roots")
-    coeffs = f.coeffs[::-1]
-    if real:
-        coeffs = [a.real for a in coeffs]
     try:
         with np.errstate(over="ignore"):
-            z = np.roots(coeffs)
+            z = np.roots(f.coeffs[::-1])
     except np.linalg.LinAlgError as exc:
         raise CompanionMatrixError(
             "companion matrix is not finite: making f monic overflows"

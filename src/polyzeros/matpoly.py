@@ -13,8 +13,7 @@ refines the roots of det F, the characteristic polynomial, recovered by
 sampling determinants on a circle and solving the interpolation system
 on roots of unity; a singular leading matrix simply drops the effective
 degree. For a real F det F is real: only the real parts of its
-coefficients are kept, with no threshold, so its companion seeds come
-from real LAPACK in exact conjugate pairs. A root of det F is an
+coefficients are kept, with no threshold. A root of det F is an
 eigenvalue when the singular values of F there within SINGULAR_REL of S
 = sum |lambda|**i ||A_i||_2, the scale of its backward error, are at
 least one; one SVD without vectors counts them for a whole list.

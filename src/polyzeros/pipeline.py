@@ -189,11 +189,7 @@ def _acquire_seeds(spec, f, errors):
                 )
             return report.values
         if source is SeedSource.COMPANION:
-            # det F of a real F has real coefficients
-            # (characteristic_polynomial), so its seeds come in exact
-            # conjugate pairs; a scalar polynomial keeps complex seeding.
-            companion = companion_seed_all(
-                f, real=spec.matrix is not None and f.is_real())
+            companion = companion_seed_all(f)
             if companion.low_confidence:
                 errors.append("companion seeds carry large residuals")
             return companion.values

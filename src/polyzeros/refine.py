@@ -6,7 +6,9 @@ takes the step of every running seed from one call, and the residuals its
 stopping test needs from one more; one seed is a batch of one. A run
 stops only where f vanishes to working precision, its relative residual
 within the rounding floor; its step test and its step budget are the
-fixed module constants STEP_TOL and MAX_ITERS. The Pade step
+fixed module constants STEP_TOL and MAX_ITERS. No test here has an
+absolute floor: f(lambda / 2**k) is refined from 2**k s exactly as f
+from s, every iterate times 2**k. The Pade step
 Lambda += p(Lambda) and the Halley step Lambda += h(Lambda) take array
 steps: f, f' and f'' at all iterates come from one power matrix
 (:func:`evaluate_all`), and the kernel decides from those arrays alone,
@@ -135,7 +137,7 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, root_bound):
     only where the new iterate's relative residual is at most ``floor``,
     the rounding bound of ``residuals_fn``, so that f is zero there to
     working precision. It stops CONVERGED after two consecutive steps of
-    at most ``STEP_TOL * (1 + |lambda|)``, and AT_FLOOR after a step that
+    at most ``STEP_TOL * |lambda|``, and AT_FLOOR after a step that
     does not halve the previous one: then the steps are rounding noise (at
     an ill-conditioned root) or a linear creep with ratio at least 1/2 (at
     a root of higher multiplicity than the step assumes); a zero count
@@ -143,15 +145,18 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, root_bound):
     Each round makes one ``residuals_fn(lams)`` call, over the new iterates
     of the seeds whose steps call for the test, and it returns their
     residuals in order.
-    Iterates beyond ``DIVERGENCE_FACTOR * (1 + root_bound)``, or whose
+    Iterates beyond ``DIVERGENCE_FACTOR * root_bound``, or whose
     modulus or step passes the float range, end the run as DIVERGED, and
     a seed still running after ``MAX_ITERS`` steps ends as MAX_ITERS. Both
-    constants are read at each call.
+    constants are read at each call. Neither test has an absolute floor,
+    so no run converges onto the root 0 (a solve divides it out first),
+    and on a lambda**m, whose root bound is 0, a run ends DIVERGED at its
+    first step.
 
     A seed's steps and residuals do not depend on the other seeds in the
     call, so its trace is the one it gets as a batch of one.
     """
-    divergence_bound = DIVERGENCE_FACTOR * (1.0 + root_bound)
+    divergence_bound = DIVERGENCE_FACTOR * root_bound
     lams = [complex(s) for s in seeds]
     rows = [[] for _ in lams]
     prev_small = [False] * len(lams)
@@ -177,7 +182,7 @@ def _run_batch(steps_fn, residuals_fn, floor, seeds, root_bound):
             nxt = lam + step
             try:
                 step_mag = abs(step)
-                small = step_mag <= STEP_TOL * (1.0 + abs(nxt))
+                small = step_mag <= STEP_TOL * abs(nxt)
             except OverflowError:  # a modulus beyond the float range
                 traces[i] = IterationTrace(tuple(rows[i]),
                                            TraceStatus.DIVERGED)
@@ -564,10 +569,11 @@ def _smallest_count(f, s):
     """(count, radius): the zeros of f on the smallest circle around s
     whose count is not declined, or None when every circle is.
 
-    The first radius is m |f(s)/f'(s)|, m = deg f, and at least
-    u (1 + |s|): f'/f = sum 1/(s - r_j) puts some zero r_j that close to
-    s. The radius doubles up to 2 (root_bound + |s|), where the circle
-    holds every zero.
+    The first radius is m |f(s)/f'(s)|, m = deg f, and at least u |s|:
+    f'/f = sum 1/(s - r_j) puts some zero r_j that close to s. At s = 0
+    exactly that floor is u root_bound, f's own scale. The radius doubles
+    up to 2 (root_bound + |s|), where the circle holds every zero; where
+    that limit is 0 too, every circle is declined.
     """
     limit = _enclosing_radius(f, s)
     v, d = evaluate(f, s, 1)
@@ -575,7 +581,7 @@ def _smallest_count(f, s):
         radius = f.degree * abs(v / d)
     except ZeroDivisionError:
         radius = 0.0
-    radius = max(radius, UNIT_ROUNDOFF * (1.0 + abs(s)))
+    radius = max(radius, UNIT_ROUNDOFF * (abs(s) or f.root_bound))
     while True:
         last = not radius < limit  # an infinite or NaN radius included
         if last:

@@ -13,6 +13,7 @@ from polyzeros import (
     OriginSeedError,
     Polynomial,
     TraceStatus,
+    build_ecp_list,
     companion_seed_all,
     count_zeros,
     count_zeros_all,
@@ -24,6 +25,8 @@ from polyzeros import (
     iterate_pade_all,
     iterate_test_nu,
     polynomial_from_roots,
+    rayleigh_iterate_all,
+    reduced_pade_iterate_all,
     relative_residual_all,
 )
 from polyzeros import poly, refine
@@ -159,6 +162,77 @@ def test_step_beyond_the_float_range_diverges():
     assert len(trace.rows) == 1
 
 
+def test_pade_on_a_monomial_diverges_at_its_first_step():
+    """lambda**2 has the root bound 0, so the divergence bound, a multiple
+    of it, is 0 too: the Pade step from 1 lands on 1/2, and the run ends
+    DIVERGED there. A rule relative to lambda cannot converge onto the
+    root 0 (the steps halve forever); a solve divides every exact zero
+    root out before it refines."""
+    trace = iterate_pade(Polynomial((0.0, 0.0, 1.0)), 1.0)
+    assert trace.status is TraceStatus.DIVERGED
+    assert [(r.lam, r.step) for r in trace.rows] == [(1.0, -0.5)]
+
+
+@pytest.mark.parametrize("coeffs", ((0.0, -2.0, 1.0), (0.0, 0.0, 1.0),
+                                    (0.0, 0.0, 0.0, 2.0)))
+def test_detect_from_the_origin_raises_origin_seed_error(coeffs):
+    """From 0 the smallest count circle starts at u root_bound, f's own
+    scale (0 when every root is 0, where every circle is declined), and
+    the nu = 1 walk from 0 is refused: detect ends, with OriginSeedError.
+    A floor of u |s| alone would be 0 there, and doubling it would never
+    end."""
+    with pytest.raises(OriginSeedError):
+        detect_multiplicity(Polynomial(coeffs), 0.0)
+
+
+# f, a seed near a root, and interpolation values for a list of f.
+EQUIVARIANCE_CASES = {
+    "triple": (polynomial_from_roots((1, 1, 1, 2, 2, 3)), 1.1 + 0.05j,
+               (0.8 + 0.1j, 1.05, 1.3 - 0.1j, 1.9 + 0.05j, 2.2, 3.3)),
+    "quintic": (polynomial_from_roots((1, -2, 3, 0.5 + 1j, 0.5 - 1j)),
+                1.1 + 0.05j, (0.9, -1.8 + 0.1j, 3.2, 0.4 + 1.1j, 0.6 - 0.9j)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVARIANCE_CASES))
+def test_every_run_on_f_of_lambda_over_2_to_the_k_is_f_run_scaled(name):
+    """g(lambda) = f(lambda / s), s = 2**k, refined from s times f's seed:
+    every run is f's run with each iterate and step times s, bit for bit,
+    with f's status and residual. Pade, Halley, the nu-probes, both list
+    iterations (from the main values of g's list at s sigma) and detect,
+    whose count, verdict and probes are f's, scaled. The step test, the
+    divergence bound and the smallest count circle are all relative to
+    lambda or to the root bound; with an absolute floor 1 + |lambda| the
+    triple's Pade run would end CONVERGED from k = -30 down, and detect
+    would find no multiplicity at k = -60."""
+    f, seed, sigmas = EQUIVARIANCE_CASES[name]
+
+    def runs(g, s):
+        scaled_list = build_ecp_list(g, tuple(s * v for v in sigmas))
+        traces = [iterate_pade(g, s * seed), iterate_halley(g, s * seed)]
+        traces += [iterate_test_nu(g, nu, s * seed) for nu in (1, 2, 3)]
+        for iterate in (rayleigh_iterate_all, reduced_pade_iterate_all):
+            traces += iterate(scaled_list, g, scaled_list.main_values)
+        verdict = detect_multiplicity(g, s * seed)
+        traces += [verdict.probes[nu] for nu in sorted(verdict.probes)]
+        return traces, verdict
+
+    want, want_verdict = runs(f, 1.0)
+    assert TraceStatus.CONVERGED in {t.status for t in want}
+    for k in range(-60, 61, 10):
+        s = 2.0 ** k
+        g = Polynomial(tuple(a * 2.0 ** (-k * j)
+                             for j, a in enumerate(f.coeffs)))
+        got, verdict = runs(g, s)
+        assert len(got) == len(want), k
+        for a, b in zip(got, want):
+            assert _row_bits(a) == _row_bits(b, s), k
+            assert (a.status, a.residual) == (b.status, b.residual), k
+        assert verdict.root == s * want_verdict.root, k
+        assert verdict.multiplicity == want_verdict.multiplicity, k
+        assert verdict.count == want_verdict.count, k
+
+
 def test_detect_double_root(double_quad_sextic):
     verdict = detect_multiplicity(double_quad_sextic, cases.DOUBLE_QUAD_SEED_NU2)
     assert verdict.multiplicity == 2
@@ -268,8 +342,12 @@ def test_trace_chaining_invariant_across_algorithms(cluster_decic):
     assert _chained(trace)
 
 
-def _row_bits(trace):
-    return [tuple((z.real.hex(), z.imag.hex()) for z in (r.lam, r.value, r.step))
+def _row_bits(trace, scale=None):
+    """Each row's lam, value and step as hex floats, each times ``scale``
+    when one is given."""
+    return [tuple((z.real.hex(), z.imag.hex()) for z in (
+        (r.lam, r.value, r.step) if scale is None
+        else (r.lam * scale, r.value * scale, r.step * scale)))
             for r in trace.rows]
 
 
@@ -757,9 +835,12 @@ def test_every_member_of_a_conjugate_pair_gets_its_own_trace():
     rng = np.random.default_rng(3131)
     problems = []
     for degree in (4, 9, 20, 41):
-        f = Polynomial(tuple(rng.standard_normal(degree + 1)))
+        coeffs = rng.standard_normal(degree + 1)
+        f = Polynomial(tuple(coeffs))
         seeds = []
-        for z in companion_seed_all(f, real=True).values:
+        # np.roots of real coefficients: exact conjugate pairs.
+        for z in sorted(np.roots(coeffs[::-1]).tolist(),
+                        key=lambda w: (w.real, w.imag)):
             if z.imag > 0:
                 s = z + 1e-3 * complex(*rng.standard_normal(2))
                 seeds += [s, s.conjugate()]

@@ -34,9 +34,12 @@ a root that is not the same root (``refine.same_root`` on the problem's
 polynomial), or a
 multiplicity, iteration count, pass flag, eigenvector count, error line,
 solve label, evolution count or disk separation that differs
-(:func:`outcome`). The last line is the same as JSON, which also
-holds the totals per problem family (the problem name without a trailing
-``-<index>``, e.g. ``quad-n7`` for the matrix-eig problems of order 7).
+(:func:`outcome`), and how many of those differ in verdict: in anything
+but the roots' iteration counts, so that a change to the stopping rule
+can show that it moved iterations only. The last line is the same as
+JSON, which also holds the totals per problem family (the problem name
+without a trailing ``-<index>``, e.g. ``quad-n7`` for the matrix-eig
+problems of order 7).
 The exit status is 1 when any report text differs.
 """
 
@@ -142,21 +145,23 @@ def outcome(text):
     return rest, roots
 
 
-def same_outcome(pz, problem, a, b):
+def same_outcome(pz, problem, a, b, iterations=True):
     """Whether two report texts have the same :func:`outcome`, root values
     compared by the root identity of ``pz`` on the problem's polynomial
     (det F for a matrix problem, also where the reports took their
     eigenvalues from F's linearisation), each root with its
-    multiplicity."""
+    multiplicity, and with its iteration count unless ``iterations`` is
+    false (the same verdict)."""
     if a == b:
         return True
     (rest_a, roots_a), (rest_b, roots_b) = outcome(a), outcome(b)
     if rest_a != rest_b or len(roots_a) != len(roots_b):
         return False
     f = pz.pipeline.spec_polynomial(build_spec(pz, problem.file))
+    fields = slice(1, None if iterations else 2)
     return all(
-        pz.refine.same_root(f, x[0], y[0], x[1], y[1]) and x[1:] == y[1:]
-        for x, y in zip(roots_a, roots_b))
+        pz.refine.same_root(f, x[0], y[0], x[1], y[1])
+        and x[fields] == y[fields] for x, y in zip(roots_a, roots_b))
 
 
 def family(name):
@@ -218,10 +223,15 @@ def run_workload(packages, workload, seeds, reps):
     differ = [("%d/%s" % (seed, p.name)) for (seed, p), a, b in zip(
         problems, texts["base"], texts["change"]) if a != b]
     result["reports_differ"] = differ
-    result["outcomes_differ"] = [
-        ("%d/%s" % (seed, p.name)) for (seed, p), a, b in zip(
+    outcomes_differ = [
+        (seed, p, a, b) for (seed, p), a, b in zip(
             problems, texts["base"], texts["change"])
         if not same_outcome(packages["change"], p, a, b)]
+    result["outcomes_differ"] = [
+        "%d/%s" % (seed, p.name) for seed, p, _, _ in outcomes_differ]
+    result["verdicts_differ"] = [
+        "%d/%s" % (seed, p.name) for seed, p, a, b in outcomes_differ
+        if not same_outcome(packages["change"], p, a, b, iterations=False)]
     return result
 
 
@@ -254,7 +264,7 @@ def main(argv):
             print("         " + "  ".join(
                 "%s %.1f ms" % (name.lstrip("_"), s[_stage_key(name)])
                 for name in STAGES))
-        for key in ("reports_differ", "outcomes_differ"):
+        for key in ("reports_differ", "outcomes_differ", "verdicts_differ"):
             print("  %s: %d%s" % (
                 key.replace("_", " "), len(r[key]),
                 " (%s)" % ", ".join(r[key][:10]) if r[key] else ""))
