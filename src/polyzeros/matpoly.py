@@ -63,10 +63,7 @@ class PolynomialMatrix:
         return self.degree * self.order
 
     def is_real(self):
-        return all(
-            float(np.max(np.abs(np.asarray(a).imag))) == 0.0
-            for a in self.coefficient_matrices
-        )
+        return not any(a.imag.any() for a in self.coefficient_matrices)
 
 
 def polynomial_matrix(matrices):

@@ -159,7 +159,11 @@ class RootReport:
     there: its count of eigenvectors (:func:`matpoly.eigenvectors_all`
     gives them), 0 where F is not singular, and 1 at a simple eigenvalue
     certified on F's linearisation. A root is defective when
-    0 < count < multiplicity. A scalar problem has none."""
+    0 < count < multiplicity. A scalar problem has none. A root's
+    ``seeds`` are the starting values it was refined from: none for a
+    simple eigenvalue taken from the linearisation, none for the exact
+    zero root unless surplus seeds went to it (:func:`_take_zero_seeds`),
+    and the member values for a group that is one multiple eigenvalue."""
 
     algorithm: Algorithm
     seed_source: SeedSource
@@ -427,14 +431,15 @@ def _linearisation_records(matrix, errors):
     makes no record, so the report cannot be conserved. The certified
     values are grouped by their radii (:func:`refine.group_roots`). A
     value alone is a simple eigenvalue: multiplicity 1, one eigenvector,
-    residual eta, no iteration, and itself as its seed. A group of nu
-    values is one record at their mean, of multiplicity nu, with the
-    members as its seeds; its residual is eta at the mean and its count
-    the rank deficiency of F there, from one SVD without vectors at the
-    means of all groups (:func:`matpoly.rank_residuals_all`), and a mean
-    where F is not singular counts 0 and leaves its error line. A radius
-    that is not finite joins no group and passes no value, so the values
-    of one multiple eigenvalue never pass as simple ones through it."""
+    residual eta, no iteration and no seed, since the value is reported
+    as the linearisation gave it. A group of nu values is one record at
+    their mean, of multiplicity nu, with the members as its seeds; its
+    residual is eta at the mean and its count the rank deficiency of F
+    there, from one SVD without vectors at the means of all groups
+    (:func:`matpoly.rank_residuals_all`), and a mean where F is not
+    singular counts 0 and leaves its error line. A radius that is not
+    finite joins no group and passes no value, so the values of one
+    multiple eigenvalue never pass as simple ones through it."""
     try:
         values, residuals, radii = linearisation_eigenpairs(matrix)
     except PolyzerosError as exc:
@@ -455,7 +460,7 @@ def _linearisation_records(matrix, errors):
     for group in group_roots([k[0] for k in kept], [k[2] for k in kept]):
         if len(group) == 1:
             value, eta, _ = kept[group[0]]
-            pairs.append((RootRecord(value, 1, eta, 0, (value,)), 1))
+            pairs.append((RootRecord(value, 1, eta, 0, ()), 1))
         else:
             members = tuple(kept[i][0] for i in group)
             multiple.append((sum(members) / len(members), members))

@@ -55,6 +55,18 @@ def test_polynomial_matrix_records_shape(singular_lead):
     assert pencil.leading_regular
 
 
+@pytest.mark.parametrize("imag, real", ((-0.0, True), (5e-324, False)),
+                         ids=("minus-zero", "subnormal"))
+def test_is_real_reads_every_imaginary_bit(imag, real):
+    """F is real exactly when no entry has a nonzero imaginary part: -0.0
+    counts as real, and the smallest subnormal, in A_1 only, does not."""
+    lead = np.eye(2, dtype=complex)
+    lead[0, 1] = complex(0.0, imag)
+    pm = polynomial_matrix([np.diag((1.0, 2.0)), lead])
+    assert pm.coefficient_matrices[1].imag[0, 1] == imag
+    assert pm.is_real() is real
+
+
 def test_scaled_leads_keep_their_regularity():
     """Regularity is scale-free: det(c * I) = c**n under- or overflows at
     n = 20 for c = 1e-20 or 1e20, and so does the Hadamard product of the

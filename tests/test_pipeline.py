@@ -1037,6 +1037,17 @@ def test_multiple_eigenvalue_with_a_regular_lead_is_one_record(name):
     assert abs(half.value - 0.5) <= 1e-14
     assert len(half.seeds) == multiplicity and half.iterations == 0
     assert report.all_residuals_pass and report.errors == ()
+    # The seeds are the group's member values, distinct, close to 1/2 and
+    # with the record's value as their mean; every other root is simple
+    # and has none.
+    assert len(set(half.seeds)) == multiplicity
+    assert all(abs(s - 0.5) < 1e-3 for s in half.seeds)
+    assert half.value == sum(half.seeds) / multiplicity
+    data = report_to_dict(report)
+    assert [r["seeds"] for r in data["roots"] if r["multiplicity"] > 1] == \
+        [[pipeline.complex_pair(s) for s in half.seeds]]
+    assert all(r["seeds"] == [] for r in data["roots"]
+               if r["multiplicity"] == 1)
 
 
 @pytest.mark.xfail(
@@ -1089,11 +1100,29 @@ def _linearisation_spec(matrices):
                        algorithm=Algorithm.PADE)
 
 
+@pytest.mark.parametrize("order", (1, 7))
+def test_linearisation_report_writes_no_seed_for_a_simple_eigenvalue(order):
+    """A simple eigenvalue taken from the linearisation is reported as the
+    linearisation gave it, unrefined: its report entry writes ``"seeds":
+    []``, as the exact zero root's does, at order 1 (the scalar
+    (l - 1)(l - 2) as a 1 x 1 F) and at order 7."""
+    matrices = ([[[2.0]], [[-3.0]], [[1.0]]] if order == 1 else
+                [np.array(cases.QUAD_N7_A0), np.array(cases.QUAD_N7_A1),
+                 np.eye(7)])
+    data = report_to_dict(run_pipeline(_linearisation_spec(matrices)))
+    assert data["all_residuals_pass"] and len(data["roots"]) == 2 * order
+    assert all(r["multiplicity"] == 1 and r["iterations"] == 0
+               and r["seeds"] == [] for r in data["roots"])
+    if order == 1:
+        assert [complex(*r["value"]) for r in data["roots"]] == \
+            pytest.approx([1.0, 2.0], rel=1e-15, abs=0.0)
+
+
 def test_linearisation_route_interpolates_no_det_f(monkeypatch, pencil5,
                                                    singular_lead):
     """Pade from companion seeds with a regular lead makes no det F,
     refines nothing and runs no eigenvector phase; each record is a simple
-    eigenvalue of F with itself as its seed and no iteration. With an ecp
+    eigenvalue of F with no seed and no iteration. With an ecp
     phase det F is made inside that phase only, as its diagnostic. Every
     other matrix route still solves on det F."""
     calls = []
@@ -1113,8 +1142,7 @@ def test_linearisation_route_interpolates_no_det_f(monkeypatch, pencil5,
                                 np.array(cases.QUAD_N7_A1), np.eye(7)])
     report = run_pipeline(spec)
     assert calls == [] and report.all_residuals_pass
-    assert all(r.seeds == (r.value,) and r.iterations == 0
-               for r in report.roots)
+    assert all(r.seeds == () and r.iterations == 0 for r in report.roots)
     with_ecp = run_pipeline(replace(spec, ecp=True))
     assert calls == ["_ecp_phase", "characteristic_polynomial"]
     assert with_ecp.ecp is not None
@@ -1521,13 +1549,14 @@ def _pinned_specs():
 # explore+detect at delta 0.1. sparse-penta (diagonal seeds) and order-14
 # (five not-an-eigenvalue lines) are matrix problems solved on det F, and
 # companion-n20 one solved on its linearisation (40 certified simple
-# eigenvalues in exact conjugate pairs from real LAPACK), each with one
-# eigenvector count per root. Their values, counts and error lines come
-# from LAPACK, so these three hashes hold for one numpy and LAPACK build
-# (here numpy 2.4 with OpenBLAS 0.3.31). CHANGES.md records each re-pin.
+# eigenvalues in exact conjugate pairs from real LAPACK, none with a
+# seed), each with one eigenvector count per root. Their values, counts
+# and error lines come from LAPACK, so these three hashes hold for one
+# numpy and LAPACK build (here numpy 2.4 with OpenBLAS 0.3.31). CHANGES.md
+# records each re-pin.
 PINNED_REPORT_SHA256 = {
     "companion-n20":
-        "78a32cba5a44540dbeb2e4eae706e4af6c2af8d6d80bb0ac2494badc9fcf1f69",
+        "013ef58ef44a0ba0ba6ae045ddf220067fd56f8e2af49d6f5cb532580b28decf",
     "mult-d8-82":
         "b25b2523997760c0083cbdb27451edb131b640007e10116f203e713e96873f13",
     "order-14":
@@ -1556,6 +1585,26 @@ def test_report_bytes_outlive_the_root_bound(name):
 def _report_sha256(spec):
     text = json.dumps(report_to_dict(run_pipeline(spec)), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 as in PINNED_REPORT_SHA256 of companion-n20 when each of its
+# simple eigenvalues was written with itself as its one seed.
+SELF_SEEDED_COMPANION_N20_SHA256 = (
+    "78a32cba5a44540dbeb2e4eae706e4af6c2af8d6d80bb0ac2494badc9fcf1f69")
+
+
+def test_companion_n20_differs_from_its_self_seeded_report_in_seeds_only():
+    """Putting each simple eigenvalue back as its own seed gives the bytes
+    of the report that wrote that seed: no value, residual, count or
+    error line moved with the dropped field."""
+    data = report_to_dict(run_pipeline(_pinned_specs()["companion-n20"]))
+    assert all(r["multiplicity"] == 1 and r["seeds"] == []
+               for r in data["roots"])
+    for root in data["roots"]:
+        root["seeds"] = [root["value"]]
+    text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SELF_SEEDED_COMPANION_N20_SHA256
 
 
 # SHA-256 as in PINNED_REPORT_SHA256 of order-14 and sparse-penta with
